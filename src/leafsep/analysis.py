@@ -8,6 +8,14 @@ The central objects:
 * the per-(leaf, weight) normalized local amplitudes that feed the
   Hamming-weight encoders, stored in the enumeration order of
   :func:`leafsep.combinatorics.ehrlich_sequence`.
+
+Basis states are integer indices (MSB-first, see :mod:`leafsep.core`);
+bitstrings appear only in reports.  Per tree, one cached grouping stably sorts
+all 2^n indices by the mixed-radix key sum_u I_u * prod_{v>u} (size_v + 1) of
+their weight distribution I, so the class of I is one ascending slice of that
+order.  Leaf u owns the index bits of ``mask_u``: the basis state carrying the
+leaf-u pattern of ``idx`` and agreeing with ``ref`` everywhere else is
+``(ref & ~mask_u) | (idx & mask_u)``.
 """
 from __future__ import annotations
 
@@ -21,29 +29,54 @@ import numpy as np
 
 from .combinatorics import ehrlich_sequence
 from .core import (PartitionTree, StateVector, TreeNode, enumerate_weight_distributions,
-                   index_to_string, leaf_weight_table, popcounts, string_to_index)
+                   index_to_string, popcounts, string_to_index)
 
 DEAD_BRANCH_TOL = 1e-12
 REFERENCE_REL_TOL = 1e-9
 
 
-def _leaf_weights(psi_n: int, tree: PartitionTree) -> np.ndarray:
-    return _leaf_weights_cached(psi_n, tuple(leaf.mask(psi_n) for leaf in tree.leaves))
+@dataclass(frozen=True)
+class _Grouping:
+    """Basis indices of one tree sorted by weight distribution (see module docstring)."""
+
+    strides: tuple[int, ...]    # mixed-radix place value of each leaf weight
+    order: np.ndarray           # all basis indices, stably sorted by key
+    starts: np.ndarray          # the class with key K is order[starts[K]:starts[K + 1]]
+
+    def members(self, distribution) -> np.ndarray:
+        key = sum(w * s for w, s in zip(distribution, self.strides))
+        return self.order[self.starts[key]:self.starts[key + 1]]
 
 
 @lru_cache(maxsize=64)
-def _leaf_weights_cached(n: int, masks: tuple[int, ...]) -> np.ndarray:
+def _grouping(tree: PartitionTree) -> _Grouping:
+    n, sizes = tree.n, tree.leaf_sizes
+    strides = tuple(math.prod(s + 1 for s in sizes[u + 1:]) for u in range(len(sizes)))
     idx = np.arange(1 << n, dtype=np.uint32)
-    return np.array([popcounts(idx & np.uint32(m)) for m in masks], dtype=np.int64)
+    key = np.zeros(1 << n, dtype=np.int64)
+    for leaf, stride in zip(tree.leaves, strides):
+        key += stride * popcounts(idx & np.uint32(leaf.mask(n)))
+    radix = strides[0] * (sizes[0] + 1)
+    starts = np.zeros(radix + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=radix), out=starts[1:])
+    return _Grouping(strides, np.argsort(key, kind="stable").astype(np.int32), starts)
+
+
+@lru_cache(maxsize=None)
+def _leaf_patterns(n: int, leaf: TreeNode, w: int) -> np.ndarray:
+    """The leaf's weight-``w`` patterns in Ehrlich order, placed in n-qubit indices."""
+    shift = n - leaf.start - leaf.size
+    return np.array([int(g, 2) << shift for g in ehrlich_sequence(leaf.size, w)])
 
 
 def class_indices(tree: PartitionTree, distribution) -> np.ndarray:
     """Basis indices whose weight distribution equals ``distribution``, ascending."""
-    w = _leaf_weights(tree.n, tree)
-    hit = np.ones(w.shape[1], dtype=bool)
-    for u, target in enumerate(distribution):
-        hit &= w[u] == target
-    return np.flatnonzero(hit)
+    sizes = tree.leaf_sizes
+    if len(distribution) != len(sizes):
+        raise ValueError(f"expected {len(sizes)} leaf weights, got {len(distribution)}")
+    if not all(0 <= w <= s for w, s in zip(distribution, sizes)):
+        return np.zeros(0, dtype=np.int32)  # no basis state has this distribution
+    return _grouping(tree).members(distribution)
 
 
 def distribution_norm(psi: StateVector, tree: PartitionTree, distribution) -> float:
@@ -56,8 +89,14 @@ def distribution_norm(psi: StateVector, tree: PartitionTree, distribution) -> fl
 class DistributionInfo:
     weights: tuple[int, ...]
     norm: float
-    reference: str | None      # lexicographically smallest basis string with
+    reference: int | None      # smallest basis index in the class with
     phase: float               # non-negligible amplitude, and its complex argument
+
+
+def _reference(idx: np.ndarray, vals: np.ndarray, cutoff: float) -> int | None:
+    """First index of ``idx`` whose amplitude in ``vals`` exceeds ``cutoff``, if any."""
+    live = np.flatnonzero(np.abs(vals) > cutoff)
+    return int(idx[live[0]]) if live.size else None
 
 
 def distribution_table(psi: StateVector, tree: PartitionTree,
@@ -67,20 +106,16 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
         total_weights = psi.weights_present()
     amps = psi.amplitudes
     cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
+    groups = _grouping(tree)
     out: list[DistributionInfo] = []
     for ell in total_weights:
         for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
-            idx = class_indices(tree, dist)
+            idx = groups.members(dist)
             vals = amps[idx]
-            c = float(np.linalg.norm(vals))
-            ref: str | None = None
-            phase = 0.0
-            live = np.flatnonzero(np.abs(vals) > cutoff)
-            if live.size:
-                ref_idx = int(idx[live[0]])
-                ref = index_to_string(ref_idx, psi.n)
-                phase = float(np.angle(amps[ref_idx]))
-            out.append(DistributionInfo(weights=dist, norm=c, reference=ref, phase=phase))
+            ref = _reference(idx, vals, cutoff)
+            phase = 0.0 if ref is None else float(np.angle(amps[ref]))
+            out.append(DistributionInfo(weights=dist, norm=float(np.linalg.norm(vals)),
+                                        reference=ref, phase=phase))
     return out
 
 
@@ -103,10 +138,6 @@ def _lex_weight_strings(n_bits: int, w: int) -> list[str]:
             if bin(i).count("1") == w]
 
 
-def _replace_leaf(bits: str, leaf: TreeNode, sub: str) -> str:
-    return bits[:leaf.start] + sub + bits[leaf.start + leaf.size:]
-
-
 def is_leaf_separable(psi: StateVector, tree: PartitionTree,
                       tol: float = 1e-9) -> SeparabilityReport:
     """Check the per-distribution product condition, with a violation certificate.
@@ -114,10 +145,19 @@ def is_leaf_separable(psi: StateVector, tree: PartitionTree,
     For every valid distribution I with c(I) > tol, every basis state b in the
     class must satisfy alpha_b / alpha_{b*} = prod_u gamma_u(g_u) within tol,
     where b* is the class reference and gamma_u varies one leaf of b* at a time.
+    The first violation in distribution order, then ascending index, is reported.
     """
+    return _separability(psi, tree, distribution_table(psi, tree), tol)
+
+
+def _separability(psi: StateVector, tree: PartitionTree, infos: list[DistributionInfo],
+                  tol: float = 1e-9) -> SeparabilityReport:
+    """:func:`is_leaf_separable` over an already built :func:`distribution_table`."""
     report = SeparabilityReport(separable=True, tol=tol)
     amps = psi.amplitudes
-    for info in distribution_table(psi, tree):
+    groups = _grouping(tree)
+    masks = [leaf.mask(psi.n) for leaf in tree.leaves]
+    for info in infos:
         report.distributions.append({"I": list(info.weights), "c": info.norm})
         if info.norm <= tol:
             continue
@@ -125,26 +165,19 @@ def is_leaf_separable(psi: StateVector, tree: PartitionTree,
             report.separable = False
             report.violations.append({"I": list(info.weights), "error": "no reference state"})
             continue
-        ref = info.reference
-        ref_amp = amps[string_to_index(ref)]
-        gammas: list[dict[str, complex]] = []
-        for u, leaf in enumerate(tree.leaves):
-            table: dict[str, complex] = {}
-            for g in _lex_weight_strings(leaf.size, info.weights[u]):
-                variant = _replace_leaf(ref, leaf, g)
-                table[g] = amps[string_to_index(variant)] / ref_amp
-            gammas.append(table)
-        for idx in class_indices(tree, info.weights):
-            bits = index_to_string(int(idx), psi.n)
-            predicted = 1.0 + 0.0j
-            for u, leaf in enumerate(tree.leaves):
-                predicted *= gammas[u][bits[leaf.start:leaf.start + leaf.size]]
-            delta = abs(amps[idx] / ref_amp - predicted)
-            if delta > tol:
-                report.separable = False
-                report.violations.append(
-                    {"I": list(info.weights), "bitstring": bits, "delta": float(delta)})
-                return report
+        ref, idx = info.reference, groups.members(info.weights)
+        ref_amp = amps[ref]
+        predicted = np.ones(len(idx), dtype=np.complex128)
+        for mask in masks:
+            predicted *= amps[(ref & ~mask) | (idx & mask)] / ref_amp
+        delta = np.abs(amps[idx] / ref_amp - predicted)
+        bad = np.flatnonzero(delta > tol)
+        if bad.size:
+            report.separable = False
+            report.violations.append({"I": list(info.weights),
+                                      "bitstring": index_to_string(int(idx[bad[0]]), psi.n),
+                                      "delta": float(delta[bad[0]])})
+            return report
     return report
 
 
@@ -261,27 +294,25 @@ def leaf_amplitude_table(psi: StateVector, tree: PartitionTree,
         total_weights = psi.weights_present()
     amps = psi.amplitudes
     cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
+    groups = _grouping(tree)
     table = LeafAmplitudeTable(leaf_sizes=tree.leaf_sizes)
     for ell in total_weights:
         for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
             todo = [u for u in range(tree.num_leaves) if (u, dist[u]) not in table.entries]
             if not todo:
                 continue
-            idx = class_indices(tree, dist)
-            live = np.flatnonzero(np.abs(amps[idx]) > cutoff)
-            if not live.size:
+            idx = groups.members(dist)
+            ref = _reference(idx, amps[idx], cutoff)
+            if ref is None:
                 continue  # distribution not present
-            ref = index_to_string(int(idx[live[0]]), psi.n)
-            ref_amp = amps[string_to_index(ref)]
+            ref_amp = amps[ref]
             for u in todo:
-                leaf = tree.leaves[u]
                 if dist[u] == 0:
                     table.entries[(u, 0)] = np.array([1.0 + 0.0j])
                     continue
-                order = ehrlich_sequence(leaf.size, dist[u])
-                gammas = np.array([
-                    amps[string_to_index(_replace_leaf(ref, leaf, g))] / ref_amp
-                    for g in order])
+                leaf = tree.leaves[u]
+                patterns = _leaf_patterns(psi.n, leaf, dist[u])
+                gammas = amps[(ref & ~leaf.mask(psi.n)) | patterns] / ref_amp
                 table.entries[(u, dist[u])] = gammas / np.linalg.norm(gammas)
     return table
 
@@ -337,13 +368,10 @@ def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree,
     for info in distribution_table(psi, tree, total_weights):
         if info.norm <= DEAD_BRANCH_TOL or info.reference is None:
             continue
-        factor = info.norm * cmath.exp(1j * info.phase)
-        leaf_strings = [ehrlich_sequence(leaf.size, info.weights[u])
-                        for u, leaf in enumerate(tree.leaves)]
-        for combo in itertools.product(*(range(len(s)) for s in leaf_strings)):
-            bits = "".join(leaf_strings[u][g] for u, g in enumerate(combo))
-            value = factor
-            for u, g in enumerate(combo):
-                value *= table.entries[(u, info.weights[u])][g]
-            out[string_to_index(bits)] = value
+        index = np.zeros(1, dtype=np.int64)
+        value = np.array([info.norm * cmath.exp(1j * info.phase)])
+        for u, (leaf, w) in enumerate(zip(tree.leaves, info.weights)):
+            index = np.bitwise_or.outer(index, _leaf_patterns(psi.n, leaf, w)).ravel()
+            value = np.multiply.outer(value, table.entries[(u, w)]).ravel()
+        out[index] = value
     return StateVector(psi.n, out, check=False)

@@ -129,7 +129,8 @@ class CostReport:
     by_kind: dict
 
 
-def _gate_two_qubit_cost(g: Gate) -> int:
+def two_qubit_cost(g: Gate) -> int:
+    """Two-qubit-equivalent cost of one gate, as summed by :func:`cost`."""
     c = g.num_controls
     if g.kind in _X_FAMILY:
         if c == 0:
@@ -165,8 +166,9 @@ def cost(circuit: Circuit) -> CostReport:
     wire_depth: dict[int, int] = {}
     depth = 0
     for g in circuit.gates:
-        two_q += _gate_two_qubit_cost(g)
-        total += _gate_two_qubit_cost(g) + _gate_single_qubit_cost(g)
+        two = two_qubit_cost(g)
+        two_q += two
+        total += two + _gate_single_qubit_cost(g)
         by_kind[g.kind] = by_kind.get(g.kind, 0) + 1
         layer = 1 + max((wire_depth.get(w, 0) for w in g.wires), default=0)
         for w in g.wires:
@@ -227,18 +229,23 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _parse_wire(token: str, n_system: int, line_no: int, col: int) -> int:
+def _parse_wire(token: str, wires: tuple[int, int], line_no: int, col: int) -> int:
+    """Wire number of ``token`` given the (system, ancilla) wire counts."""
+    n_system, n_ancilla = wires
     if token.startswith("q") and token[1:].isdigit():
         w = int(token[1:])
         if w >= n_system:
             raise ParseError(f"system wire {token} out of range", line_no, col)
         return w
     if token.startswith("a") and token[1:].isdigit():
-        return n_system + int(token[1:])
+        w = int(token[1:])
+        if w >= n_ancilla:
+            raise ParseError(f"ancilla wire {token} out of range", line_no, col)
+        return n_system + w
     raise ParseError(f"bad wire token {token!r}", line_no, col)
 
 
-def _parse_controls(token: str, n_system: int, line_no: int, col: int):
+def _parse_controls(token: str, wires: tuple[int, int], line_no: int, col: int):
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected control list, got {token!r}", line_no, col)
     inner = token[1:-1]
@@ -248,7 +255,7 @@ def _parse_controls(token: str, n_system: int, line_no: int, col: int):
     for part in inner.split(","):
         if len(part) < 2 or part[-1] not in "+-":
             raise ParseError(f"bad control token {part!r}", line_no, col)
-        out.append((_parse_wire(part[:-1], n_system, line_no, col),
+        out.append((_parse_wire(part[:-1], wires, line_no, col),
                     1 if part[-1] == "+" else -1))
     return tuple(out)
 
@@ -297,30 +304,31 @@ def parse_text(text: str) -> Circuit:
             continue
         if n_system is None:
             raise ParseError("gate line before '# n=...' header", line_no, 0)
+        wires = (n_system, n_ancilla)
         tokens = line.split()
         head = tokens[0]
         col = raw.index(head)
         if head == "x":
             if len(tokens) != 2:
                 raise ParseError("x expects one wire", line_no, col)
-            gates.append(x(_parse_wire(tokens[1], n_system, line_no, col)))
+            gates.append(x(_parse_wire(tokens[1], wires, line_no, col)))
         elif head == "cx":
             if len(tokens) != 3:
                 raise ParseError("cx expects control and target wires", line_no, col)
-            c = _parse_wire(tokens[1], n_system, line_no, col)
-            t = _parse_wire(tokens[2], n_system, line_no, col)
+            c = _parse_wire(tokens[1], wires, line_no, col)
+            t = _parse_wire(tokens[2], wires, line_no, col)
             gates.append(x(t, controls=[(c, 1)]))
         elif head == "mcx":
             if len(tokens) != 3:
                 raise ParseError("mcx expects controls and target", line_no, col)
-            ctrls = _parse_controls(tokens[1], n_system, line_no, col)
-            gates.append(x(_parse_wire(tokens[2], n_system, line_no, col), controls=ctrls))
+            ctrls = _parse_controls(tokens[1], wires, line_no, col)
+            gates.append(x(_parse_wire(tokens[2], wires, line_no, col), controls=ctrls))
         elif head.startswith(("mcry", "mcrz", "mcphase")):
             name, params = _parse_params(head, 1, line_no)
             if len(tokens) != 3:
                 raise ParseError(f"{name} expects controls and target", line_no, col)
-            ctrls = _parse_controls(tokens[1], n_system, line_no, col)
-            t = _parse_wire(tokens[2], n_system, line_no, col)
+            ctrls = _parse_controls(tokens[1], wires, line_no, col)
+            t = _parse_wire(tokens[2], wires, line_no, col)
             maker = {"mcry": mcry, "mcrz": mcrz, "mcphase": mcphase}.get(name)
             if maker is None:
                 raise ParseError(f"unknown gate {name!r}", line_no, col)
@@ -329,9 +337,9 @@ def parse_text(text: str) -> Circuit:
             _, params = _parse_params(head, 2, line_no)
             if len(tokens) != 4:
                 raise ParseError("crbs expects controls and two targets", line_no, col)
-            ctrls = _parse_controls(tokens[1], n_system, line_no, col)
-            t1 = _parse_wire(tokens[2], n_system, line_no, col)
-            t2 = _parse_wire(tokens[3], n_system, line_no, col)
+            ctrls = _parse_controls(tokens[1], wires, line_no, col)
+            t1 = _parse_wire(tokens[2], wires, line_no, col)
+            t2 = _parse_wire(tokens[3], wires, line_no, col)
             gates.append(crbs(params[0], params[1], t1, t2, controls=ctrls))
         else:
             raise ParseError(f"unknown gate {head!r}", line_no, col)

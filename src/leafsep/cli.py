@@ -29,8 +29,8 @@ def _load_state(path: str, normalize: bool = False) -> StateVector:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
+        raise circuit.ParseError(f"invalid JSON in {path}: {exc.msg}",
+                                 exc.lineno, exc.colno) from exc
     return StateVector.from_json_dict(data, normalize=normalize)
 
 
@@ -61,7 +61,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    circ = circuit.parse_text(open(args.circuit).read())
+    with open(args.circuit) as fh:
+        circ = circuit.parse_text(fh.read())
     if args.input is None:
         initial = None
     elif args.input.startswith("basis:"):
@@ -107,10 +108,6 @@ def _cmd_random_state(args) -> int:
     return 0
 
 
-def _parse_n_range(args) -> tuple[int, ...]:
-    return tuple(range(args.n_min, args.n_max + 1))
-
-
 def _cmd_bench_fidelity(args) -> int:
     k_values = None if args.k == "all" else (int(args.k),)
     states = 200 if args.paper_scale else args.states
@@ -125,7 +122,8 @@ def _cmd_bench_fidelity(args) -> int:
 
 
 def _cmd_bench_cost(args) -> int:
-    config = experiments.ExperimentConfig(n_values=_parse_n_range(args), seed=args.seed)
+    config = experiments.ExperimentConfig(n_values=tuple(range(args.n_min, args.n_max + 1)),
+                                          seed=args.seed)
     rows = experiments.run_cost_sweep(config)
     _write(args.out, experiments.cost_rows_to_csv(rows))
     return 0
@@ -144,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--mode", choices=("free", "ancilla"), default="free")
-    p.add_argument("--complex", action="store_true",
-                   help="honor amplitude phases (default on)")
     p.add_argument("--magnitudes-only", action="store_true",
                    help="skip all phase-correction gates")
     p.add_argument("--normalize", action="store_true",
@@ -214,11 +210,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(2, f"cannot open {exc.filename}")
-    except (circuit.ParseError, json.JSONDecodeError) as exc:
+    except circuit.ParseError as exc:
         return _fail(2, str(exc))
     except ValueError as exc:
-        if "invalid JSON" in str(exc):
-            return _fail(2, str(exc))
         return _fail(1, str(exc))
 
 

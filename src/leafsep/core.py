@@ -175,14 +175,6 @@ def weight_distribution_of(bits: str, tree: PartitionTree) -> tuple[int, ...]:
     return tuple(hamming_weight(restrict(bits, leaf.qubits)) for leaf in tree.leaves)
 
 
-def leaf_weight_table(tree: PartitionTree) -> np.ndarray:
-    """Array of shape (num_leaves, 2^n): per-leaf weight of every basis index."""
-    n = tree.n
-    idx = np.arange(1 << n, dtype=np.uint32)
-    rows = [popcounts(idx & np.uint32(leaf.mask(n))) for leaf in tree.leaves]
-    return np.array(rows, dtype=np.int64)
-
-
 class StateVector:
     """Dense complex amplitudes over an n-qubit register, indexed MSB-first."""
 
@@ -192,6 +184,8 @@ class StateVector:
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape[0] != (1 << n):
             raise ValueError(f"expected {1 << n} amplitudes for n={n}, got {amps.shape[0]}")
+        if (normalize or check) and not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite, got NaN or infinity")
         if normalize:
             norm = np.linalg.norm(amps)
             if norm == 0:

@@ -7,22 +7,21 @@ it is exactly the class of states the transfer tree reproduces without loss,
 so matched-tree cells in the fidelity sweep sit at fidelity 1 while mismatched
 trees expose the approximation.
 
-All randomness flows from integer seeds; per-cell seeds derive from
-(master seed, n, k, state index), so results never depend on worker count.
+All randomness flows from integer seeds; per-target seeds derive from
+(master seed, n, k, state index), so a cell's results do not depend on which
+other cells the sweep runs.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import _lex_weight_strings  # lexicographic class basis order
 from .circuit import Circuit, cost, x
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, \
-    enumerate_weight_distributions, string_to_index
+    enumerate_weight_distributions, popcounts, string_to_index
 from .simulator import simulate
 from .synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
                         synthesize_full, synthesize_general_baseline,
@@ -158,12 +157,9 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
 
 def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> StateVector:
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
-    rng = _rng(seed)
-    strings = _lex_weight_strings(n, w)
-    vec = _sample_unit(rng, len(strings), kind)
+    support = np.flatnonzero(popcounts(np.arange(1 << n)) == w)  # lexicographic order
     amps = np.zeros(1 << n, dtype=np.complex128)
-    for s, a in zip(strings, vec):
-        amps[string_to_index(s)] = a
+    amps[support] = _sample_unit(_rng(seed), len(support), kind)
     return StateVector(n, amps)
 
 
@@ -191,15 +187,8 @@ class ExperimentConfig:
                     yield n, k, ell, mode
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LEAFSEP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _fidelity_cell(args) -> dict:
-    n, k, ell, mode, kind, master, count = args
+def _fidelity_cell(n: int, k: int, ell: int, mode: str, kind: str, master: int,
+                   count: int) -> dict:
     fids = []
     for idx in range(count):
         psi = random_leaf_separable(n, k, ell, kind, seed=derive_seed(master, n, k, idx))
@@ -215,13 +204,8 @@ def _fidelity_cell(args) -> dict:
 
 def run_fidelity_sweep(config: ExperimentConfig) -> list[dict]:
     """Synthesize and simulate ``states_per_cell`` targets per (n, k, mode) cell."""
-    jobs = [(n, k, ell, mode, config.kind, config.seed, config.states_per_cell)
-            for n, k, ell, mode in config.cells()]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_fidelity_cell, jobs))
-    return [_fidelity_cell(job) for job in jobs]
+    return [_fidelity_cell(n, k, ell, mode, config.kind, config.seed,
+                           config.states_per_cell) for n, k, ell, mode in config.cells()]
 
 
 COST_METHODS = ("leafsep_free", "leafsep_ancilla", "hwk_encoder", "general_baseline")

@@ -84,10 +84,6 @@ class SimulationResult:
     fidelity: float | None = None
     purity: float | None = None
 
-    def system_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (2^n_system, 2^n_ancilla)."""
-        return self.state.amplitudes.reshape(1 << self.n_system, 1 << self.n_ancilla)
-
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
     """Run ``circuit`` on ``initial`` (default |0...0>), returning diagnostics.

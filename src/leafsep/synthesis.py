@@ -19,7 +19,7 @@ from . import analysis
 from .analysis import (LeafAmplitudeTable, encoder_angles, leaf_amplitude_table,
                        mixed_weight_profile, rotation_ladder_angles,
                        weight_split_amplitudes)
-from .circuit import Circuit, Gate, cost, crbs, mcphase, mcry, mcrz, x
+from .circuit import Circuit, Gate, crbs, mcphase, mcry, mcrz, two_qubit_cost, x
 from .combinatorics import controls_and_targets, ehrlich_sequence
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
 
@@ -130,13 +130,6 @@ def synthesize_gwdb(node: TreeNode, total_weight: int, thetas,
     return gates
 
 
-def _node_weights_with_support(psi: StateVector, node: TreeNode,
-                               cap: int) -> list[int]:
-    norms = analysis.node_weight_norms(psi, node)
-    return [m for m in range(1, min(node.size, cap) + 1)
-            if norms[m] > analysis.DEAD_BRANCH_TOL]
-
-
 def synthesize_gwdb_tree(psi: StateVector, tree: PartitionTree,
                          total_weights=None) -> Circuit:
     """Transfer blocks for every internal node and every supported node weight.
@@ -151,26 +144,29 @@ def synthesize_gwdb_tree(psi: StateVector, tree: PartitionTree,
     circ = Circuit(n_system=tree.n,
                    metadata={"n": tree.n, "k": tree.leaf_size, "ell": cap, "mode": "none"})
     for node in tree.internal_nodes():
-        for m in _node_weights_with_support(psi, node, cap):
+        norms = analysis.node_weight_norms(psi, node)
+        for m in range(1, min(node.size, cap) + 1):
+            if norms[m] <= analysis.DEAD_BRANCH_TOL:
+                continue
             betas = weight_split_amplitudes(psi, node, m)
             circ.extend(synthesize_gwdb(node, m, rotation_ladder_angles(betas)))
     return circ
 
 
-def _distribution_phase_gates(psi: StateVector, tree: PartitionTree,
-                              total_weights) -> list[Gate]:
+def _distribution_phase_gates(tree: PartitionTree, infos) -> list[Gate]:
     """One phase gate per supported distribution, conditioned on its packed pattern.
 
-    All phases are taken relative to the first supported distribution, so a
-    state with a common global phase emits nothing.
+    ``infos`` is the target's :func:`analysis.distribution_table`.  All phases
+    are taken relative to the first supported distribution, so a state with a
+    common global phase emits nothing.
     """
-    infos = [info for info in analysis.distribution_table(psi, tree, total_weights)
-             if info.norm > analysis.DEAD_BRANCH_TOL and info.reference is not None]
-    if not infos:
+    live = [info for info in infos
+            if info.norm > analysis.DEAD_BRANCH_TOL and info.reference is not None]
+    if not live:
         return []
-    base = infos[0].phase
+    base = live[0].phase
     gates: list[Gate] = []
-    for info in infos:
+    for info in live:
         ones, zeros = _register_pattern(
             tree.root, [(leaf, info.weights[u]) for u, leaf in enumerate(tree.leaves)])
         gate = _pattern_phase(info.phase - base, ones, zeros)
@@ -226,9 +222,7 @@ def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes,
 
 
 def _two_qubit_total(gates: list[Gate]) -> int:
-    probe = Circuit(n_system=1 + max((max(g.wires) for g in gates), default=0))
-    probe.gates = list(gates)
-    return cost(probe).two_qubit_count
+    return sum(two_qubit_cost(g) for g in gates)
 
 
 def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
@@ -337,7 +331,8 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     if config.ell is not None and not mixed and config.ell != ell:
         raise ValueError(f"state weight {ell} does not match config ell {config.ell}")
 
-    report = analysis.is_leaf_separable(psi, tree)
+    infos = analysis.distribution_table(psi, tree, weights)
+    report = analysis._separability(psi, tree, infos)
     if not report.separable:
         warnings.warn("target is not leaf-separable for this tree; "
                       "synthesis proceeds as an approximation", stacklevel=2)
@@ -353,14 +348,9 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         for q in range(n - ell, n):
             circ.add(x(q))
 
-    cap = ell
-    for node in tree.internal_nodes():
-        for m in _node_weights_with_support(psi, node, cap):
-            betas = weight_split_amplitudes(psi, node, m)
-            circ.extend(synthesize_gwdb(node, m, rotation_ladder_angles(betas)))
-
+    circ.extend(synthesize_gwdb_tree(psi, tree, weights).gates)
     if config.complex_phases:
-        circ.extend(_distribution_phase_gates(psi, tree, weights))
+        circ.extend(_distribution_phase_gates(tree, infos))
 
     table = leaf_amplitude_table(psi, tree, weights)
     circ.extend(synthesize_leaf_encoders(table, tree, config))

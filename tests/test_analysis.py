@@ -3,21 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from leafsep.analysis import (distribution_norm, distribution_table, encoder_angles,
-                              is_leaf_separable, leaf_amplitude_table,
+from leafsep.analysis import (class_indices, distribution_norm, distribution_table,
+                              encoder_angles, is_leaf_separable, leaf_amplitude_table,
                               mixed_weight_profile, reconstruct_amplitudes,
                               rotation_ladder_angles, tensor_factorization_check,
                               weight_split_amplitudes)
 from leafsep.combinatorics import ehrlich_sequence
-from leafsep.core import StateVector, build_partition_tree, dicke_state
-from leafsep.experiments import random_leaf_separable
+from leafsep.core import (StateVector, build_partition_tree, dicke_state,
+                          enumerate_weight_distributions, index_to_string,
+                          weight_distribution_of)
+from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
 
 TREE42 = build_partition_tree(4, 2)
+
+
+def test_class_indices_are_ascending_slices():
+    tree = build_partition_tree(7, 3)
+    seen = []
+    for w in range(8):
+        for dist in enumerate_weight_distributions(tree.leaf_sizes, w):
+            idx = class_indices(tree, dist)
+            assert list(idx) == sorted(idx)
+            assert all(weight_distribution_of(index_to_string(int(i), 7), tree) == dist
+                       for i in idx)
+            seen.extend(int(i) for i in idx)
+    assert sorted(seen) == list(range(1 << 7))
+
+
+def test_distribution_reference_is_first_live_index(worked_example):
+    table = distribution_table(worked_example, TREE42)
+    refs = {info.weights: info.reference for info in table}
+    assert refs == {(0, 2): None, (1, 1): 0b0101, (2, 0): 0b1100}
 
 
 def test_distribution_norms(worked_example):
     assert abs(distribution_norm(worked_example, TREE42, (1, 1)) - 1 / math.sqrt(2)) < 1e-12
     assert distribution_norm(worked_example, TREE42, (0, 2)) == 0.0
+    for infeasible in [(1, 3), (3, 0), (-1, 2)]:
+        assert distribution_norm(worked_example, TREE42, infeasible) == 0.0
+    for wrong_length in [(1,), (1, 1, 0)]:
+        with pytest.raises(ValueError):
+            distribution_norm(worked_example, TREE42, wrong_length)
     total = sum(info.norm ** 2 for info in distribution_table(worked_example, TREE42))
     assert abs(total - 1.0) < 1e-12
 
@@ -34,7 +60,8 @@ def test_is_leaf_separable_counterexample():
     bad = StateVector.from_terms(4, {"1001": 1 / math.sqrt(2), "0110": 1 / math.sqrt(2)})
     report = is_leaf_separable(bad, TREE42)
     assert not report.separable
-    assert report.violations
+    # reference 0110; 1001 predicts amp(1010) * amp(0101) / amp(0110)^2 = 0
+    assert report.violations == [{"I": [1, 1], "bitstring": "1001", "delta": 1.0}]
     assert not tensor_factorization_check(bad, TREE42)
 
 
@@ -45,6 +72,15 @@ def test_single_basis_state_is_separable():
         assert tensor_factorization_check(psi, TREE42)
 
 
+def _near_miss(psi, tree):
+    """``psi`` with the largest amplitude of its largest class scaled by 1 + 1e-6."""
+    idx = max((class_indices(tree, info.weights) for info in distribution_table(psi, tree)),
+              key=len)
+    amps = psi.amplitudes.copy()
+    amps[idx[np.argmax(np.abs(amps[idx]))]] *= 1 + 1e-6
+    return StateVector(psi.n, amps, normalize=True)
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (6, 3), (8, 4)])
 def test_separability_checker_matches_svd_oracle(n, k):
     tree = build_partition_tree(n, k)
@@ -53,6 +89,9 @@ def test_separability_checker_matches_svd_oracle(n, k):
     for s in range(4):
         cases.append(random_leaf_separable(n, k, n // 2, "real", seed=[n, k, s]))
         cases.append(random_leaf_separable(n, k, n // 2, "complex", seed=[n, k, s, 1]))
+        cases.append(random_mixed_leaf_separable(n, k, "complex", seed=[n, k, s, 2]))
+        cases.append(_near_miss(
+            random_leaf_separable(n, k, n // 2, "complex", seed=[n, k, s, 3]), tree))
     for s in range(4):
         vec = rng.standard_normal(math.comb(n, n // 2))
         amps = np.zeros(1 << n, dtype=np.complex128)

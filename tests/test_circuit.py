@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leafsep.circuit import (Circuit, Gate, ParseError, cost, crbs, export_text,
-                             mcphase, mcrz, mcry, parse_text, x)
+                             mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
 
 
 def random_circuit(n, n_gates, seed, n_ancilla=0):
@@ -162,3 +162,17 @@ def test_ancilla_wire_names():
     assert "mcx [q0-] a0" in text
     assert "# ancilla=1" in text
     assert parse_text(text).gates == circ.gates
+
+
+def test_parse_rejects_ancilla_wire_out_of_range():
+    with pytest.raises(ParseError) as info:
+        parse_text("# n=2 k=1 ell=1 mode=none\n# ancilla=1\nx a3\n")
+    assert info.value.line == 3
+    assert "a3" in str(info.value)
+    with pytest.raises(ParseError):
+        parse_text("# n=2 k=1 ell=1 mode=none\nmcx [a0+] q1\n")  # no ancilla header
+
+
+def test_two_qubit_cost_sums_to_cost():
+    circ = random_circuit(4, 40, seed=3, n_ancilla=1)
+    assert sum(two_qubit_cost(g) for g in circ.gates) == cost(circ).two_qubit_count

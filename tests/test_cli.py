@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -66,6 +67,9 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert main(["check-separable", "--input", str(path), "--n", "4", "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    path.write_text('{"n": 4,\n "amplitudes": [}')
+    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2"]) == 2
+    assert "line 2, column 17" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):
@@ -126,3 +130,35 @@ def test_circuit_file_round_trips_bytes(example_state_file, tmp_path):
           "--mode", "ancilla", "--out", str(circuit_path)])
     text = circuit_path.read_text()
     assert export_text(parse_text(text)) == text
+
+
+def test_nan_amplitude_exit_code(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 2, "amplitudes": [{"bitstring": "01", "re": NaN, "im": 0.0}]}')
+    assert main(["check-separable", "--input", str(path), "--n", "2", "--k", "1",
+                 "--normalize"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_ancilla_out_of_range_exit_code(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# n=2 k=1 ell=1 mode=none\n# ancilla=1\nx a3\n")
+    assert main(["simulate", "--circuit", str(path)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_simulate_closes_circuit_file(example_state_file, tmp_path):
+    circuit_path = str(tmp_path / "c.txt")
+    main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+          "--out", circuit_path])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--circuit", circuit_path, "--report",
+                     str(tmp_path / "r.json")]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_synthesize_has_no_complex_flag(example_state_file):
+    with pytest.raises(SystemExit):
+        main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+              "--complex"])

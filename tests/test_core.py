@@ -140,3 +140,11 @@ def test_dicke_state_amplitudes():
     for bits in ("0011", "0101", "0110", "1001", "1010", "1100"):
         assert abs(psi.amplitude(bits) - expected) < 1e-15
     assert abs(psi.amplitude("0001")) == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_state_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(2, [bad, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(2, [bad, 1.0, 0.0, 0.0], normalize=True)

@@ -1,0 +1,63 @@
+"""Byte-level pin of the synthesized circuits over a fixed seeded corpus.
+
+Any change to the analysis or emission layers that alters a single gate,
+control, angle bit or separability verdict changes the digest below.  The
+corpus covers n <= 10 at every k: real, complex and non-negative separable
+targets in both modes, mixed-weight targets, dense fixed-weight
+(non-separable) targets and targets synthesized on a mismatched tree.
+"""
+import hashlib
+import warnings
+
+from leafsep.circuit import export_text
+from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
+                                 random_mixed_leaf_separable)
+from leafsep.synthesis import MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full
+
+CORPUS_SHA256 = "96ddcb7f73fa93fabeb2695fdb3601b72ce6571a31620e0bd7e7a71fba13c0e6"
+CORPUS_SIZE = 441
+NON_SEPARABLE = [
+    "dense-4-2", "dense-5-2", "dense-5-3", "dense-6-2", "dense-6-3", "dense-6-4",
+    "mismatched-6-2", "dense-7-2", "dense-7-3", "dense-7-4", "dense-7-5",
+    "mismatched-7-2", "dense-8-2", "dense-8-3", "dense-8-4", "dense-8-5", "dense-8-6",
+    "mismatched-8-2", "dense-9-2", "dense-9-3", "dense-9-4", "dense-9-5", "dense-9-6",
+    "dense-9-7", "mismatched-9-3", "dense-10-2", "dense-10-3", "dense-10-4",
+    "dense-10-5", "dense-10-6", "dense-10-7", "dense-10-8", "mismatched-10-3"
+]
+
+
+def _corpus():
+    """(label, target, config) triples in a fixed order."""
+    for n in range(4, 11):
+        for k in range(1, n + 1):
+            for kind in ("real", "complex", "nonneg"):
+                psi = random_leaf_separable(n, k, n // 2, kind, seed=[101, n, k])
+                for mode in (MODE_FREE, MODE_ANCILLA):
+                    config = SynthesisConfig(n=n, k=k, mode=mode)
+                    yield f"sep-{kind}-{mode}-{n}-{k}", psi, config
+            for kind in ("real", "complex"):
+                psi = random_mixed_leaf_separable(n, k, kind, seed=[102, n, k])
+                yield f"mixed-{kind}-{n}-{k}", psi, SynthesisConfig(n=n, k=k)
+            if k < n:
+                psi = random_fixed_weight_state(n, n // 2, "complex", seed=[103, n, k])
+                yield f"dense-{n}-{k}", psi, SynthesisConfig(n=n, k=k)
+        k_built, k_used = (n + 1) // 2, max(1, n // 3)
+        psi = random_leaf_separable(n, k_built, n // 2, "real", seed=[104, n])
+        yield f"mismatched-{n}-{k_used}", psi, SynthesisConfig(n=n, k=k_used)
+
+
+def test_corpus_circuits_are_pinned():
+    digest = hashlib.sha256()
+    verdicts = []
+    count = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for label, psi, config in _corpus():
+            circ = synthesize_full(psi, config)
+            digest.update(export_text(circ).encode())
+            if not circ.metadata["separable"]:
+                verdicts.append(label)
+            count += 1
+    assert count == CORPUS_SIZE
+    assert verdicts == NON_SEPARABLE
+    assert digest.hexdigest() == CORPUS_SHA256

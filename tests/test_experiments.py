@@ -88,13 +88,6 @@ def test_fidelity_sweep_rows_and_determinism():
                                     "min_fidelity,max_fidelity,std_fidelity,count")
 
 
-def test_fidelity_sweep_thread_invariance(monkeypatch):
-    cfg = ExperimentConfig(n_values=(4,), states_per_cell=3, seed=2)
-    base = fidelity_rows_to_csv(run_fidelity_sweep(cfg))
-    monkeypatch.setenv("LEAFSEP_THREADS", "3")
-    assert fidelity_rows_to_csv(run_fidelity_sweep(cfg)) == base
-
-
 def test_exact_cells_dominate():
     cfg = ExperimentConfig(n_values=(6, 7), states_per_cell=5, seed=13)
     rows = run_fidelity_sweep(cfg)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from leafsep.analysis import (leaf_amplitude_table, node_split_norms,
+from leafsep.analysis import (distribution_table, leaf_amplitude_table, node_split_norms,
                               rotation_ladder_angles, weight_split_amplitudes)
 from leafsep.circuit import Circuit, cost
 from leafsep.combinatorics import ehrlich_sequence
@@ -253,7 +253,7 @@ def _marker_scheme_circuit(psi, tree, table, class_order):
     circ = Circuit(n_system=tree.n, n_ancilla=tree.num_leaves)
     circ.extend(synthesize_initial(tree.n, max(psi.weights_present())).gates)
     circ.extend(synthesize_gwdb_tree(psi, tree).gates)
-    circ.extend(_distribution_phase_gates(psi, tree, psi.weights_present()))
+    circ.extend(_distribution_phase_gates(tree, distribution_table(psi, tree)))
     for u, leaf in enumerate(tree.leaves):
         classes = sorted((w for (lu, w) in table.entries if lu == u),
                          reverse=(class_order == "decreasing"))
