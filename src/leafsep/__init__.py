@@ -1,8 +1,8 @@
 """leafsep: compile leaf-separable quantum states into verified gate sequences."""
 
 from .analysis import (LeafAmplitudeTable, SeparabilityReport, distribution_norm,
-                       distribution_table, encoder_angles, is_leaf_separable,
-                       leaf_amplitude_table, mixed_weight_profile,
+                       distribution_table, encoder_angles, factored_amplitudes,
+                       is_leaf_separable, leaf_amplitude_table, mixed_weight_profile,
                        reconstruct_amplitudes, rotation_ladder_angles,
                        tensor_factorization_check, weight_split_amplitudes)
 from .circuit import (Circuit, CostReport, Gate, ParseError, cost, crbs,

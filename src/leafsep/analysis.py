@@ -15,7 +15,8 @@ all 2^n indices by the mixed-radix key sum_u I_u * prod_{v>u} (size_v + 1) of
 their weight distribution I, so the class of I is one ascending slice of that
 order.  Leaf u owns the index bits of ``mask_u``: the basis state carrying the
 leaf-u pattern of ``idx`` and agreeing with ``ref`` everywhere else is
-``(ref & ~mask_u) | (idx & mask_u)``.
+``(ref & ~mask_u) | (idx & mask_u)``.  :func:`factored_amplitudes` goes the
+other way, from c(I) and per-leaf tables to the dense vector.
 """
 from __future__ import annotations
 
@@ -127,15 +128,11 @@ class SeparabilityReport:
     tol: float
     violations: list[dict] = field(default_factory=list)
     distributions: list[dict] = field(default_factory=list)
+    max_delta: float = 0.0     # worst residual over every checked class
 
     def to_json_dict(self) -> dict:
-        return {"separable": self.separable, "tol": self.tol,
+        return {"separable": self.separable, "tol": self.tol, "max_delta": self.max_delta,
                 "violations": self.violations, "distributions": self.distributions}
-
-
-def _lex_weight_strings(n_bits: int, w: int) -> list[str]:
-    return [format(i, f"0{n_bits}b") for i in range(1 << n_bits)
-            if bin(i).count("1") == w]
 
 
 def is_leaf_separable(psi: StateVector, tree: PartitionTree,
@@ -145,7 +142,8 @@ def is_leaf_separable(psi: StateVector, tree: PartitionTree,
     For every valid distribution I with c(I) > tol, every basis state b in the
     class must satisfy alpha_b / alpha_{b*} = prod_u gamma_u(g_u) within tol,
     where b* is the class reference and gamma_u varies one leaf of b* at a time.
-    The first violation in distribution order, then ascending index, is reported.
+    Every distribution is scanned: the report lists c(I) for each, the worst
+    residual, and the first violation in distribution order, then ascending index.
     """
     return _separability(psi, tree, distribution_table(psi, tree), tol)
 
@@ -157,13 +155,15 @@ def _separability(psi: StateVector, tree: PartitionTree, infos: list[Distributio
     amps = psi.amplitudes
     groups = _grouping(tree)
     masks = [leaf.mask(psi.n) for leaf in tree.leaves]
+    found = False  # violations stop at the first residual violation
     for info in infos:
         report.distributions.append({"I": list(info.weights), "c": info.norm})
         if info.norm <= tol:
             continue
         if info.reference is None:
+            if not found:
+                report.violations.append({"I": list(info.weights), "error": "no reference state"})
             report.separable = False
-            report.violations.append({"I": list(info.weights), "error": "no reference state"})
             continue
         ref, idx = info.reference, groups.members(info.weights)
         ref_amp = amps[ref]
@@ -171,13 +171,14 @@ def _separability(psi: StateVector, tree: PartitionTree, infos: list[Distributio
         for mask in masks:
             predicted *= amps[(ref & ~mask) | (idx & mask)] / ref_amp
         delta = np.abs(amps[idx] / ref_amp - predicted)
+        report.max_delta = max(report.max_delta, float(np.max(delta)))
         bad = np.flatnonzero(delta > tol)
         if bad.size:
-            report.separable = False
-            report.violations.append({"I": list(info.weights),
-                                      "bitstring": index_to_string(int(idx[bad[0]]), psi.n),
-                                      "delta": float(delta[bad[0]])})
-            return report
+            if not found:
+                report.violations.append({"I": list(info.weights),
+                                          "bitstring": index_to_string(int(idx[bad[0]]), psi.n),
+                                          "delta": float(delta[bad[0]])})
+            report.separable, found = False, True
     return report
 
 
@@ -189,8 +190,8 @@ def tensor_factorization_check(psi: StateVector, tree: PartitionTree,
     for info in distribution_table(psi, tree):
         if info.norm <= tol:
             continue
-        leaf_strings = [_lex_weight_strings(leaf.size, info.weights[u])
-                        for u, leaf in enumerate(tree.leaves)]
+        leaf_strings = [[format(i, f"0{leaf.size}b") for i in range(1 << leaf.size)
+                         if bin(i).count("1") == w] for leaf, w in zip(tree.leaves, info.weights)]
         dims = [len(s) for s in leaf_strings]
         tensor = np.zeros(dims, dtype=np.complex128)
         for combo in itertools.product(*(range(d) for d in dims)):
@@ -209,12 +210,18 @@ def tensor_factorization_check(psi: StateVector, tree: PartitionTree,
 
 # --- node split amplitudes -------------------------------------------------
 
+@lru_cache(maxsize=1)  # the transfer tree asks for one node's norms and splits in a row
+def _part_weights(n: int, node: TreeNode) -> tuple[np.ndarray, ...]:
+    """Hamming weight of every basis index on each child of ``node`` (a leaf: on itself)."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    parts = (node,) if node.is_leaf else (node.left, node.right)
+    return tuple(popcounts(idx & np.uint32(part.mask(n))).astype(np.uint8) for part in parts)
+
+
 def node_weight_norms(psi: StateVector, node: TreeNode) -> np.ndarray:
     """Norm of the target restricted to each possible Hamming weight on ``node``."""
-    mask = np.uint32(node.mask(psi.n))
-    w = popcounts(np.arange(1 << psi.n, dtype=np.uint32) & mask)
     probs = np.abs(psi.amplitudes) ** 2
-    sums = np.bincount(w, weights=probs, minlength=node.size + 1)
+    sums = np.bincount(sum(_part_weights(psi.n, node)), weights=probs, minlength=node.size + 1)
     return np.sqrt(sums)
 
 
@@ -222,14 +229,11 @@ def node_split_norms(psi: StateVector, node: TreeNode, total_weight: int) -> np.
     """Norms over the (i, total-i) left/right weight splits at an internal node."""
     if node.is_leaf:
         raise ValueError("split norms are defined on internal nodes only")
-    wl = popcounts(np.arange(1 << psi.n, dtype=np.uint32) & np.uint32(node.left.mask(psi.n)))
-    wr = popcounts(np.arange(1 << psi.n, dtype=np.uint32) & np.uint32(node.right.mask(psi.n)))
+    wl, wr = _part_weights(psi.n, node)
     probs = np.abs(psi.amplitudes) ** 2
     out = np.zeros(total_weight + 1)
     for i in range(total_weight + 1):
-        sel = (wl == i) & (wr == total_weight - i)
-        if np.any(sel):
-            out[i] = math.sqrt(float(np.sum(probs[sel])))
+        out[i] = math.sqrt(float(np.sum(probs[(wl == i) & (wr == total_weight - i)])))
     return out
 
 
@@ -356,6 +360,29 @@ def mixed_weight_profile(psi: StateVector) -> np.ndarray:
     return np.sqrt(sums[:half + 1])
 
 
+def factored_amplitudes(tree: PartitionTree, coefficients: dict,
+                        factors: list[np.ndarray]) -> np.ndarray:
+    """``amps[b] = coefficients[I(b)] * prod_u factors[u][g_u(b)]`` over all 2^n indices.
+
+    I(b) is the weight distribution of b (absent ones give 0) and g_u(b) the
+    local pattern of leaf u as an integer.  The complex product runs leaf by leaf
+    on real and imaginary parts, rounding like the scalar ``value * factor``.
+    """
+    n, groups = tree.n, _grouping(tree)
+    coeff = np.zeros(1 << n, dtype=np.complex128)
+    for dist, c in coefficients.items():
+        coeff[groups.members(dist)] = c
+    re, im = coeff.real, coeff.imag
+    idx = np.arange(1 << n)
+    for leaf, table in zip(tree.leaves, factors):
+        f = table[(idx >> (n - leaf.start - leaf.size)) & ((1 << leaf.size) - 1)]
+        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps.real += re
+    amps.imag += im
+    return amps
+
+
 def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree,
                            total_weights=None) -> StateVector:
     """Rebuild a state from c(I), the reference phases, and the leaf tables.
@@ -364,14 +391,10 @@ def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree,
     difference is the natural separability error measure.
     """
     table = leaf_amplitude_table(psi, tree, total_weights)
-    out = np.zeros_like(psi.amplitudes)
-    for info in distribution_table(psi, tree, total_weights):
-        if info.norm <= DEAD_BRANCH_TOL or info.reference is None:
-            continue
-        index = np.zeros(1, dtype=np.int64)
-        value = np.array([info.norm * cmath.exp(1j * info.phase)])
-        for u, (leaf, w) in enumerate(zip(tree.leaves, info.weights)):
-            index = np.bitwise_or.outer(index, _leaf_patterns(psi.n, leaf, w)).ravel()
-            value = np.multiply.outer(value, table.entries[(u, w)]).ravel()
-        out[index] = value
-    return StateVector(psi.n, out, check=False)
+    factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
+    for (u, w), entry in table.entries.items():
+        factors[u][[int(g, 2) for g in ehrlich_sequence(tree.leaf_sizes[u], w)]] = entry
+    coefficients = {info.weights: info.norm * cmath.exp(1j * info.phase)
+                    for info in distribution_table(psi, tree, total_weights)
+                    if info.norm > DEAD_BRANCH_TOL and info.reference is not None}
+    return StateVector(psi.n, factored_amplitudes(tree, coefficients, factors), check=False)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import ParseError
+
 GATE_KINDS = ("x", "cx", "mcx", "mcry", "mcrz", "mcphase", "crbs")
 
 _X_FAMILY = ("x", "cx", "mcx")
@@ -220,13 +222,6 @@ def export_text(circuit: Circuit) -> str:
                 _fmt_angle(g.params[0]), _fmt_angle(g.params[1]), _fmt_controls(g, ns),
                 _wire_name(g.targets[0], ns), _wire_name(g.targets[1], ns)))
     return "\n".join(lines) + "\n"
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 def _parse_wire(token: str, wires: tuple[int, int], line_no: int, col: int) -> int:

@@ -31,7 +31,10 @@ def _load_state(path: str, normalize: bool = False) -> StateVector:
     except json.JSONDecodeError as exc:
         raise circuit.ParseError(f"invalid JSON in {path}: {exc.msg}",
                                  exc.lineno, exc.colno) from exc
-    return StateVector.from_json_dict(data, normalize=normalize)
+    try:
+        return StateVector.from_json_dict(data, normalize=normalize)
+    except circuit.ParseError as exc:
+        raise circuit.ParseError(f"bad state in {path}: {exc}") from exc
 
 
 def _write(path: str | None, text: str) -> None:

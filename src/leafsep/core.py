@@ -18,6 +18,22 @@ NORM_TOL = 1e-12
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
 
+class ParseError(ValueError):
+    """Malformed input text, with its 1-based line and column when one is known."""
+
+    def __init__(self, message: str, line: int | None = None, column: int = 0):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
+
+
+def _parse_number(kind, value, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} must be a number, got {value!r}") from None
+
+
 def hamming_weight(bits: str) -> int:
     """Number of '1' characters in a bitstring."""
     return bits.count("1")
@@ -239,14 +255,29 @@ class StateVector:
 
     @classmethod
     def from_json_dict(cls, data: dict, normalize: bool = False) -> "StateVector":
-        n = int(data["n"])
+        """Inverse of :meth:`to_json_dict`; a malformed structure raises :class:`ParseError`."""
+        if not isinstance(data, dict) or "n" not in data \
+                or not isinstance(data.get("amplitudes"), list):
+            raise ParseError('a state must be an object with "n" and an "amplitudes" array')
+        n = _parse_number(int, data["n"], '"n"')
+        if n < 0:
+            raise ParseError(f'"n" must be non-negative, got {n}')
         amps = np.zeros(1 << n, dtype=np.complex128)
-        for entry in data["amplitudes"]:
+        for pos, entry in enumerate(data["amplitudes"]):
+            where = f"amplitudes[{pos}]"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{where} must be an object")
             if "bitstring" in entry:
-                idx = string_to_index(entry["bitstring"])
+                bits = entry["bitstring"]
+                if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
+                    raise ParseError(f"{where}: bitstring {bits!r} is not {n} binary digits")
+                idx = string_to_index(bits)
             else:
-                idx = int(entry["index"])
-            amps[idx] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+                idx = _parse_number(int, entry.get("index"), f"{where} index")
+                if not 0 <= idx < 1 << n:
+                    raise ParseError(f"{where}: index {idx} out of range for n={n}")
+            amps[idx] = (_parse_number(float, entry.get("re", 0.0), f"{where} re")
+                         + 1j * _parse_number(float, entry.get("im", 0.0), f"{where} im"))
         return cls(n, amps, normalize=normalize)
 
     def dumps(self) -> str:

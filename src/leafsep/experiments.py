@@ -7,6 +7,13 @@ it is exactly the class of states the transfer tree reproduces without loss,
 so matched-tree cells in the fidelity sweep sit at fidelity 1 while mismatched
 trees expose the approximation.
 
+Assembly works on basis indices, never bitstrings.  A leaf's class vectors fill
+one table indexed by its local pattern (lexicographic class order is ascending
+pattern), the coefficient of every weight distribution is its profile weight
+times its per-node splits, taken for all distributions at once, and
+:func:`leafsep.analysis.factored_amplitudes` multiplies both out over all 2^n
+indices, the same product :func:`leafsep.analysis.reconstruct_amplitudes` uses.
+
 All randomness flows from integer seeds; per-target seeds derive from
 (master seed, n, k, state index), so a cell's results do not depend on which
 other cells the sweep runs.
@@ -18,23 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _lex_weight_strings  # lexicographic class basis order
-from .circuit import Circuit, cost, x
+from .analysis import factored_amplitudes
+from .circuit import cost
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, \
-    enumerate_weight_distributions, popcounts, string_to_index
+    enumerate_weight_distributions, popcounts
 from .simulator import simulate
 from .synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
                         synthesize_full, synthesize_general_baseline,
-                        synthesize_hwk_encoder)
+                        synthesize_hwk_encoder, synthesize_initial)
 from .combinatorics import ehrlich_sequence
 
 FIDELITY_CSV_HEADER = ("n,k,ell,mode,field,seed,mean_fidelity,min_fidelity,"
                        "max_fidelity,std_fidelity,count")
 COST_CSV_HEADER = "n,k,method,two_qubit,total,depth"
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def derive_seed(master: int, *parts: int) -> list[int]:
@@ -54,19 +57,21 @@ def _sample_unit(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
 
 
 def _node_split_samples(tree: PartitionTree, weights, rng, nonneg_floor: float = 0.0):
-    """Per-(node, weight) conditional split amplitudes over the feasible window."""
-    splits: dict[tuple[TreeNode, int], np.ndarray] = {}
+    """Per-node conditional split amplitudes: row w of a node's table holds the
+    amplitudes of the splits (i, w - i) over its feasible window, indexed by i."""
+    splits: dict[TreeNode, np.ndarray] = {}
     node_weights: dict[TreeNode, set[int]] = {tree.root: set(weights)}
 
     def walk(node: TreeNode) -> None:
         if node.is_leaf:
             return
         m, n_r = node.left.size, node.right.size
+        table = splits[node] = np.zeros((node.size + 1, m + 1))
         for w in sorted(node_weights.get(node, ())):
             i_min, i_max = max(0, w - n_r), min(w, m)
             probs = rng.dirichlet(np.ones(i_max - i_min + 1))
             amp = np.sqrt(probs + nonneg_floor)
-            splits[(node, w)] = amp / np.linalg.norm(amp)
+            table[w, i_min:i_max + 1] = amp / np.linalg.norm(amp)
             for i in range(i_min, i_max + 1):
                 node_weights.setdefault(node.left, set()).add(i)
                 node_weights.setdefault(node.right, set()).add(w - i)
@@ -79,55 +84,29 @@ def _node_split_samples(tree: PartitionTree, weights, rng, nonneg_floor: float =
 
 def _assemble(tree: PartitionTree, weights, profile, kind: str,
               rng: np.random.Generator) -> StateVector:
-    floor = 0.05 if kind == "nonneg" else 0.0
-    splits = _node_split_samples(tree, weights, rng, nonneg_floor=floor)
+    splits = _node_split_samples(tree, weights, rng, 0.05 if kind == "nonneg" else 0.0)
 
-    leaf_vectors: dict[tuple[int, int], np.ndarray] = {}
-    reachable: set[tuple[int, int]] = set()
-    for ell in weights:
-        for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
-            reachable.update((u, w) for u, w in enumerate(dist))
-    for u, w in sorted(reachable):
-        leaf_vectors[(u, w)] = _sample_unit(rng, math.comb(tree.leaf_sizes[u], w), kind)
+    per_weight = [enumerate_weight_distributions(tree.leaf_sizes, ell) for ell in weights]
+    dists = [dist for group in per_weight for dist in group]
+    leaf_weights = np.array(dists, dtype=np.int64).reshape(-1, tree.num_leaves)
+    factors = []
+    for u, size in enumerate(tree.leaf_sizes):
+        factors.append(np.zeros(1 << size, dtype=np.complex128))
+        slots = popcounts(np.arange(1 << size))  # lexicographic order: ascending pattern
+        for w in np.unique(leaf_weights[:, u]):
+            factors[u][slots == w] = _sample_unit(rng, math.comb(size, int(w)), kind)
 
-    internal = tree.internal_nodes()
-    leaf_starts = [leaf.start for leaf in tree.leaves]
-
-    def dist_weight(dist: tuple[int, ...]) -> float:
-        value = 1.0
-        for node in internal:
-            w_node = sum(dist[u] for u, leaf in enumerate(tree.leaves)
-                         if leaf.start >= node.start
-                         and leaf.start < node.start + node.size)
-            w_left = sum(dist[u] for u, leaf in enumerate(tree.leaves)
-                         if leaf.start >= node.left.start
-                         and leaf.start < node.left.start + node.left.size)
-            i_min = max(0, w_node - node.right.size)
-            value *= float(splits[(node, w_node)][w_left - i_min].real)
-        return value
-
-    amps = np.zeros(1 << tree.n, dtype=np.complex128)
-    for ell, weight_amp in zip(weights, profile):
-        if weight_amp == 0.0:
-            continue
-        for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
-            c = weight_amp * dist_weight(dist)
-            strings = [_lex_weight_strings(tree.leaf_sizes[u], w)
-                       for u, w in enumerate(dist)]
-            vectors = [leaf_vectors[(u, w)] for u, w in enumerate(dist)]
-            _scatter(amps, tree.n, leaf_starts, strings, vectors, c)
+    # c(I) = profile[ell] * product over internal nodes (preorder) of the sampled splits;
+    # first[q] is the index of the leaf starting at qubit q, so a node spans leaves lo:hi
+    first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
+    value = np.ones(len(dists))
+    for node in tree.internal_nodes():
+        lo, mid, hi = first[node.start], first[node.right.start], first[node.start + node.size]
+        value *= splits[node][leaf_weights[:, lo:hi].sum(axis=1),
+                              leaf_weights[:, lo:mid].sum(axis=1)]
+    coeffs = np.repeat(np.asarray(profile, dtype=float), [len(g) for g in per_weight]) * value
+    amps = factored_amplitudes(tree, dict(zip(dists, coeffs)), factors)
     return StateVector(tree.n, amps, normalize=True)
-
-
-def _scatter(amps, n, leaf_starts, strings, vectors, weight: float) -> None:
-    def rec(u: int, bits: str, value: complex) -> None:
-        if u == len(strings):
-            amps[string_to_index(bits)] += value
-            return
-        for g, amp in zip(strings[u], vectors[u]):
-            rec(u + 1, bits + g, value * amp)
-
-    rec(0, "", weight)
 
 
 def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
@@ -140,7 +119,7 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     for worst-case gate counting).
     """
     tree = build_partition_tree(n, k)
-    return _assemble(tree, [ell], [1.0], kind, _rng(seed))
+    return _assemble(tree, [ell], [1.0], kind, np.random.default_rng(seed))
 
 
 def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
@@ -149,7 +128,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
     top = n // 2 if max_weight is None else max_weight
     if top > n // 2:
         raise ValueError(f"max_weight must be at most {n // 2}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     tree = build_partition_tree(n, k)
     profile = np.sqrt(rng.dirichlet(np.ones(top + 1)))
     return _assemble(tree, list(range(top + 1)), profile, kind, rng)
@@ -159,7 +138,7 @@ def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> Sta
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
     support = np.flatnonzero(popcounts(np.arange(1 << n)) == w)  # lexicographic order
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[support] = _sample_unit(_rng(seed), len(support), kind)
+    amps[support] = _sample_unit(np.random.default_rng(seed), len(support), kind)
     return StateVector(n, amps)
 
 
@@ -228,10 +207,7 @@ def run_cost_sweep(config: ExperimentConfig) -> list[dict]:
                 order = ehrlich_sequence(n, ell)
                 eta = np.array([psi.amplitude(g) for g in order])
                 eta = eta / np.linalg.norm(eta)
-                circ = Circuit(n_system=n, metadata={"n": n, "k": k, "ell": ell,
-                                                     "mode": "hwk"})
-                for q in range(n - ell, n):
-                    circ.add(x(q))
+                circ = synthesize_initial(n, ell)
                 circ.extend(synthesize_hwk_encoder(n, ell, eta))
             else:
                 circ = circuits[method]

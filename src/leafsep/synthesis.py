@@ -345,8 +345,7 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     if mixed:
         circ.extend(synthesize_mixed_weight_input(mixed_weight_profile(psi), n))
     else:
-        for q in range(n - ell, n):
-            circ.add(x(q))
+        circ.extend(synthesize_initial(n, ell).gates)
 
     circ.extend(synthesize_gwdb_tree(psi, tree, weights).gates)
     if config.complex_phases:
@@ -364,7 +363,9 @@ def _gray_multiplexed_rotation(kind: str, angles: np.ndarray, controls: list[int
     """Uniformly controlled rotation as the Gray-code cx/rotation cascade.
 
     ``angles[p]`` applies when the control wires (controls[0] most significant)
-    read the bits of p.
+    read the bits of p.  Rotation i takes entry g_i (the i-th Gray code) of the
+    Walsh-Hadamard transform of ``angles`` / 2^m; the cx after it is controlled
+    on the bit where g_i and g_(i+1) differ.
     """
     maker = mcry if kind == "ry" else mcrz
     m = len(controls)
@@ -373,18 +374,17 @@ def _gray_multiplexed_rotation(kind: str, angles: np.ndarray, controls: list[int
     if m == 0:
         return [maker(float(angles[0]), target)]
     size = 1 << m
-    tilde = np.zeros(size)
-    for i in range(size):
-        g = i ^ (i >> 1)
-        signs = np.array([(-1) ** bin(g & p).count("1") for p in range(size)])
-        tilde[i] = float(np.dot(signs, angles)) / size
+    tilde = np.array(angles, dtype=float)
+    for j in range(m):
+        pairs = tilde.reshape(-1, 2, 1 << j)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    tilde /= size
+    gray = np.arange(size) ^ (np.arange(size) >> 1)
     gates: list[Gate] = []
-    for i in range(size):
-        if abs(tilde[i]) > ANGLE_TOL:
-            gates.append(maker(float(tilde[i]), target))
-        g_now = i ^ (i >> 1)
-        g_next = ((i + 1) % size) ^ (((i + 1) % size) >> 1)
-        changed = (g_now ^ g_next).bit_length() - 1
+    for i, g in enumerate(gray):
+        if abs(tilde[g]) > ANGLE_TOL:
+            gates.append(maker(float(tilde[g]), target))
+        changed = int(g ^ gray[(i + 1) % size]).bit_length() - 1
         gates.append(x(target, controls=[(controls[m - 1 - changed], 1)]))
     return gates
 

@@ -12,7 +12,8 @@ from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, dicke_state,
                           enumerate_weight_distributions, index_to_string,
                           weight_distribution_of)
-from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
+from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
+                                 random_mixed_leaf_separable)
 
 TREE42 = build_partition_tree(4, 2)
 
@@ -63,6 +64,37 @@ def test_is_leaf_separable_counterexample():
     # reference 0110; 1001 predicts amp(1010) * amp(0101) / amp(0110)^2 = 0
     assert report.violations == [{"I": [1, 1], "bitstring": "1001", "delta": 1.0}]
     assert not tensor_factorization_check(bad, TREE42)
+
+
+def test_separability_scans_every_distribution():
+    """c(I) for every distribution, the first violation only, and the worst residual,
+    checked against a scalar scan over bitstrings."""
+    tree = build_partition_tree(8, 2)
+    psi = random_fixed_weight_state(8, 4, "complex", seed=11)
+    report = is_leaf_separable(psi, tree)
+    infos = distribution_table(psi, tree)
+    assert [d["I"] for d in report.distributions] == [list(info.weights) for info in infos]
+    deltas = []    # (distribution, bitstring, residual) in scan order
+    for info in infos:
+        ref = index_to_string(info.reference, 8)
+        for i in class_indices(tree, info.weights):
+            bits = index_to_string(int(i), 8)
+            predicted = 1.0
+            for leaf in tree.leaves:
+                lo, hi = leaf.start, leaf.start + leaf.size
+                predicted *= psi.amplitude(ref[:lo] + bits[lo:hi] + ref[hi:]) / psi.amplitude(ref)
+            deltas.append((list(info.weights), bits,
+                           abs(psi.amplitude(bits) / psi.amplitude(ref) - predicted)))
+    bad = [d for d in deltas if d[2] > report.tol]
+    assert len({str(d[0]) for d in bad}) > 1
+    assert not report.separable and len(report.violations) == 1
+    first = report.violations[0]
+    assert (first["I"], first["bitstring"]) == (bad[0][0], bad[0][1])
+    assert first["delta"] == pytest.approx(bad[0][2], rel=1e-12)
+    assert report.max_delta == pytest.approx(max(d[2] for d in deltas), rel=1e-12)
+    assert report.to_json_dict()["max_delta"] == report.max_delta
+    separable = random_mixed_leaf_separable(8, 2, "complex", seed=12)
+    assert is_leaf_separable(separable, tree).max_delta < 1e-12
 
 
 def test_single_basis_state_is_separable():

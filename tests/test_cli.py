@@ -34,6 +34,7 @@ def test_check_separable_strict_failure(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["separable"] is False
     assert report["violations"]
+    assert report["max_delta"] == pytest.approx(1.0)
 
 
 def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
@@ -70,6 +71,25 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     path.write_text('{"n": 4,\n "amplitudes": [}')
     assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2"]) == 2
     assert "line 2, column 17" in capsys.readouterr().err
+    one = {"bitstring": "10", "re": 1.0}
+    for data, message in [
+            ({"amplitudes": [one]}, '"n"'),
+            ([2, [one]], '"n"'),
+            ({"n": 2}, '"amplitudes"'),
+            ({"n": "2x", "amplitudes": [one]}, '"n" must be a number'),
+            ({"n": 2, "amplitudes": [{"bitstring": "0101", "re": 1.0}]}, "amplitudes[0]"),
+            ({"n": 2, "amplitudes": [one, {"bitstring": "12", "re": 1.0}]}, "amplitudes[1]"),
+            ({"n": 2, "amplitudes": [{"bitstring": 10, "re": 1.0}]}, "binary digits"),
+            ({"n": 2, "amplitudes": [{"index": 4, "re": 1.0}]}, "index 4 out of range"),
+            ({"n": 2, "amplitudes": [{"index": -1, "re": 1.0}]}, "index -1 out of range"),
+            ({"n": 2, "amplitudes": [{"index": "x", "re": 1.0}]}, "index must be a number"),
+            ({"n": 2, "amplitudes": [{"bitstring": "10", "re": "2x"}]}, "re must be a number"),
+            ({"n": 2, "amplitudes": [{"bitstring": "10", "im": [1]}]}, "im must be a number"),
+            ({"n": 2, "amplitudes": ["10"]}, "amplitudes[0] must be an object")]:
+        path.write_text(json.dumps(data))
+        assert main(["check-separable", "--input", str(path), "--n", "2", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad state in") and message in err, (data, err)
 
 
 def test_missing_file_exit_code(capsys):

@@ -5,11 +5,20 @@ control, angle bit or separability verdict changes the digest below.  The
 corpus covers n <= 10 at every k: real, complex and non-negative separable
 targets in both modes, mixed-weight targets, dense fixed-weight
 (non-separable) targets and targets synthesized on a mismatched tree.
+
+A second digest pins the generated targets themselves, amplitude bytes and
+all, for n 2..12 at every k: real, complex and non-negative, fixed-weight and
+mixed-weight.
 """
 import hashlib
 import warnings
 
+import numpy as np
+import pytest
+
+from leafsep.analysis import reconstruct_amplitudes
 from leafsep.circuit import export_text
+from leafsep.core import build_partition_tree
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 from leafsep.synthesis import MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full
@@ -24,6 +33,18 @@ NON_SEPARABLE = [
     "dense-9-7", "mismatched-9-3", "dense-10-2", "dense-10-3", "dense-10-4",
     "dense-10-5", "dense-10-6", "dense-10-7", "dense-10-8", "mismatched-10-3"
 ]
+
+GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
+GENERATED_SIZE = 462
+
+
+def _generated(n_values=range(2, 13)):
+    """(n, k, target) triples in a fixed order."""
+    for n in n_values:
+        for k in range(1, n + 1):
+            for kind in ("real", "complex", "nonneg"):
+                yield n, k, random_leaf_separable(n, k, n // 2, kind, seed=[105, n, k])
+                yield n, k, random_mixed_leaf_separable(n, k, kind, seed=[106, n, k])
 
 
 def _corpus():
@@ -61,3 +82,20 @@ def test_corpus_circuits_are_pinned():
     assert count == CORPUS_SIZE
     assert verdicts == NON_SEPARABLE
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+def test_generated_targets_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for _, _, psi in _generated():
+        digest.update(psi.amplitudes.tobytes())
+        count += 1
+    assert count == GENERATED_SIZE
+    assert digest.hexdigest() == GENERATED_SHA256
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_generated_targets_reconstruct(n):
+    for _, k, psi in _generated([n]):
+        rebuilt = reconstruct_amplitudes(psi, build_partition_tree(n, k))
+        assert np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) < 1e-12

@@ -15,7 +15,7 @@ from leafsep.experiments import (random_fixed_weight_state, random_leaf_separabl
                                  random_mixed_leaf_separable)
 from leafsep.simulator import fidelity, simulate, system_purity
 from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
-                               synthesize_full, synthesize_general_baseline,
+                               _gray_multiplexed_rotation, synthesize_full, synthesize_general_baseline,
                                synthesize_gwdb, synthesize_gwdb_tree,
                                synthesize_hwk_encoder, synthesize_initial,
                                synthesize_leaf_encoders,
@@ -352,6 +352,27 @@ def test_general_baseline_prepares_random_states(n, kind):
     psi = StateVector(n, vec, normalize=True)
     circ = synthesize_general_baseline(psi)
     assert simulate(circ, target=psi).fidelity >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("kind", ["ry", "rz"])
+def test_gray_multiplexed_rotation_matches_sign_matrix(m, kind):
+    """Rotation i has angle sum_p (-1)^|g_i & p| angles[p] / 2^m for Gray code g_i,
+    and the cx after it is controlled on the bit where g_i and g_(i+1) differ."""
+    size = 1 << m
+    angles = np.random.default_rng(m).standard_normal(size)
+    gray = [i ^ (i >> 1) for i in range(size)]
+    signs = np.array([[(-1) ** bin(g & p).count("1") for p in range(size)] for g in gray])
+    expected = signs @ angles / size
+    controls = [5, 2, 7, 1, 3, 6][:m]
+    gates = _gray_multiplexed_rotation(kind, angles, controls, 4)
+    assert [g.kind for g in gates] == ["mc" + kind, "cx"] * size
+    assert np.max(np.abs([g.params[0] for g in gates[::2]] - expected)) < 1e-12
+    for i, gate in enumerate(gates[1::2]):
+        changed = (gray[i] ^ gray[(i + 1) % size]).bit_length() - 1
+        assert gate.targets == (4,)
+        assert gate.controls == ((controls[m - 1 - changed], 1),)
+    assert all(g.targets == (4,) and not g.controls for g in gates[::2])
 
 
 def test_gate_count_linear_growth_fixed_k():
