@@ -218,34 +218,42 @@ def _part_weights(n: int, node: TreeNode) -> tuple[np.ndarray, ...]:
     return tuple(popcounts(idx & np.uint32(part.mask(n))).astype(np.uint8) for part in parts)
 
 
-def node_weight_norms(psi: StateVector, node: TreeNode) -> np.ndarray:
-    """Norm of the target restricted to each possible Hamming weight on ``node``."""
-    probs = np.abs(psi.amplitudes) ** 2
+def node_weight_norms(psi: StateVector, node: TreeNode, *,
+                      probs: np.ndarray | None = None) -> np.ndarray:
+    """Norm of the target restricted to each possible Hamming weight on ``node``.
+
+    ``probs`` is ``|psi.amplitudes|**2`` when the caller already has it, as
+    :func:`leafsep.synthesis.synthesize_gwdb_tree` does for all its nodes.
+    """
+    if probs is None:
+        probs = np.abs(psi.amplitudes) ** 2
     sums = np.bincount(sum(_part_weights(psi.n, node)), weights=probs, minlength=node.size + 1)
     return np.sqrt(sums)
 
 
-def node_split_norms(psi: StateVector, node: TreeNode, total_weight: int) -> np.ndarray:
+def node_split_norms(psi: StateVector, node: TreeNode, total_weight: int, *,
+                     probs: np.ndarray | None = None) -> np.ndarray:
     """Norms over the (i, total-i) left/right weight splits at an internal node."""
     if node.is_leaf:
         raise ValueError("split norms are defined on internal nodes only")
     wl, wr = _part_weights(psi.n, node)
-    probs = np.abs(psi.amplitudes) ** 2
+    if probs is None:
+        probs = np.abs(psi.amplitudes) ** 2
     out = np.zeros(total_weight + 1)
     for i in range(total_weight + 1):
         out[i] = math.sqrt(float(np.sum(probs[(wl == i) & (wr == total_weight - i)])))
     return out
 
 
-def weight_split_amplitudes(psi: StateVector, node: TreeNode,
-                            total_weight: int) -> np.ndarray:
+def weight_split_amplitudes(psi: StateVector, node: TreeNode, total_weight: int, *,
+                            probs: np.ndarray | None = None) -> np.ndarray:
     """Unit-norm non-negative split amplitudes at a node for one incoming weight.
 
     Entry i is the square root of the conditional probability of seeing the
     split (i, total-i) across the node's children.  Raises when the node
     carries no support at ``total_weight``.
     """
-    splits = node_split_norms(psi, node, total_weight)
+    splits = node_split_norms(psi, node, total_weight, probs=probs)
     total = math.sqrt(float(np.sum(splits ** 2)))
     if total <= DEAD_BRANCH_TOL:
         raise ValueError(f"node carries no weight-{total_weight} support")

@@ -82,6 +82,9 @@ def _cmd_simulate(args) -> int:
         else simulator.system_purity(result.state, circ.n_system),
         "norm": result.norm,
         "wires": {"system": circ.n_system, "ancilla": circ.n_ancilla},
+        "gates": len(circ),
+        "two_qubit_gates": circuit.cost(circ).two_qubit_count,
+        "elapsed": result.elapsed,
     }
     _write(args.report, json.dumps(report, indent=2) + "\n")
     return 0

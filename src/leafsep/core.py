@@ -14,6 +14,9 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
+# Basis indices must fit the uint32 cast in :func:`popcounts`.
+MAX_QUBITS = 32
+
 # 16-bit popcount table; indices fit in 32 bits for every register size we support.
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
@@ -60,6 +63,13 @@ def restrict(bits: str, qubits) -> str:
             raise IndexError(f"qubit {q} out of range for a {n}-bit string")
         out.append(bits[q])
     return "".join(out)
+
+
+def dense_size(n: int) -> int:
+    """2^n, the length of a dense state over ``n`` wires, once n is within the limit."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} wires exceed the maximum of {MAX_QUBITS} for dense states")
+    return 1 << n
 
 
 def popcounts(indices: np.ndarray) -> np.ndarray:
@@ -197,9 +207,10 @@ class StateVector:
     __slots__ = ("n", "amplitudes")
 
     def __init__(self, n: int, amplitudes, normalize: bool = False, check: bool = True):
+        size = dense_size(n)
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.shape[0] != (1 << n):
-            raise ValueError(f"expected {1 << n} amplitudes for n={n}, got {amps.shape[0]}")
+        if amps.shape[0] != size:
+            raise ValueError(f"expected {size} amplitudes for n={n}, got {amps.shape[0]}")
         if (normalize or check) and not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite, got NaN or infinity")
         if normalize:
@@ -216,14 +227,14 @@ class StateVector:
     def basis(cls, n: int, bits: str) -> "StateVector":
         if len(bits) != n:
             raise ValueError(f"expected a {n}-bit string, got {bits!r}")
-        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps = np.zeros(dense_size(n), dtype=np.complex128)
         amps[string_to_index(bits)] = 1.0
         return cls(n, amps)
 
     @classmethod
     def from_terms(cls, n: int, terms: dict, normalize: bool = False) -> "StateVector":
         """Build from a {bitstring-or-index: amplitude} mapping; missing entries are zero."""
-        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps = np.zeros(dense_size(n), dtype=np.complex128)
         for key, value in terms.items():
             idx = string_to_index(key) if isinstance(key, str) else int(key)
             amps[idx] = value
@@ -262,7 +273,7 @@ class StateVector:
         n = _parse_number(int, data["n"], '"n"')
         if n < 0:
             raise ParseError(f'"n" must be non-negative, got {n}')
-        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps = np.zeros(dense_size(n), dtype=np.complex128)
         for pos, entry in enumerate(data["amplitudes"]):
             where = f"amplitudes[{pos}]"
             if not isinstance(entry, dict):

@@ -143,12 +143,13 @@ def synthesize_gwdb_tree(psi: StateVector, tree: PartitionTree,
     cap = max(total_weights) if total_weights else 0
     circ = Circuit(n_system=tree.n,
                    metadata={"n": tree.n, "k": tree.leaf_size, "ell": cap, "mode": "none"})
+    probs = np.abs(psi.amplitudes) ** 2
     for node in tree.internal_nodes():
-        norms = analysis.node_weight_norms(psi, node)
+        norms = analysis.node_weight_norms(psi, node, probs=probs)
         for m in range(1, min(node.size, cap) + 1):
             if norms[m] <= analysis.DEAD_BRANCH_TOL:
                 continue
-            betas = weight_split_amplitudes(psi, node, m)
+            betas = weight_split_amplitudes(psi, node, m, probs=probs)
             circ.extend(synthesize_gwdb(node, m, rotation_ladder_angles(betas)))
     return circ
 

@@ -306,8 +306,14 @@ def test_split_norm_recomposition():
     psi = random_leaf_separable(8, 2, 4, "real", seed=6)
     tree = build_partition_tree(8, 2)
     from leafsep.analysis import node_split_norms, node_weight_norms
+    probs = np.abs(psi.amplitudes) ** 2
     for node in tree.internal_nodes():
         norms = node_weight_norms(psi, node)
+        assert np.array_equal(node_weight_norms(psi, node, probs=probs), norms)
         for m in range(node.size + 1):
             splits = node_split_norms(psi, node, m)
             assert abs(float(np.sum(splits ** 2)) - norms[m] ** 2) < 1e-12
+            assert np.array_equal(node_split_norms(psi, node, m, probs=probs), splits)
+            if norms[m] > 0:
+                assert np.array_equal(weight_split_amplitudes(psi, node, m, probs=probs),
+                                      weight_split_amplitudes(psi, node, m))

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from leafsep.circuit import cost, parse_text
 from leafsep.cli import main
 
 
@@ -45,9 +46,16 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     assert main(["simulate", "--circuit", circuit_path,
                  "--target", example_state_file, "--report", report_path]) == 0
     report = json.loads(open(report_path).read())
+    assert set(report) == {"fidelity", "purity", "norm", "wires", "gates",
+                           "two_qubit_gates", "elapsed"}
     assert report["fidelity"] >= 1 - 1e-10
     assert abs(report["norm"] - 1.0) < 1e-10
     assert report["wires"] == {"system": 4, "ancilla": 0}
+    with open(circuit_path) as fh:
+        circ = parse_text(fh.read())
+    assert report["gates"] == len(circ) > 0
+    assert report["two_qubit_gates"] == cost(circ).two_qubit_count > 0
+    assert report["elapsed"] > 0
 
 
 def test_simulate_basis_input(example_state_file, tmp_path, capsys):
@@ -165,6 +173,17 @@ def test_ancilla_out_of_range_exit_code(tmp_path, capsys):
     path.write_text("# n=2 k=1 ell=1 mode=none\n# ancilla=1\nx a3\n")
     assert main(["simulate", "--circuit", str(path)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_too_many_wires_exit_code(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# n=33 k=1 ell=1 mode=none\nx q32\n")
+    assert main(["simulate", "--circuit", str(path)]) == 1
+    assert "maximum of 32" in capsys.readouterr().err
+    path = tmp_path / "s.json"
+    path.write_text('{"n": 33, "amplitudes": []}')
+    assert main(["check-separable", "--input", str(path), "--n", "33", "--k", "1"]) == 1
+    assert "maximum of 32" in capsys.readouterr().err
 
 
 def test_simulate_closes_circuit_file(example_state_file, tmp_path):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from leafsep.core import (StateVector, build_partition_tree, dicke_state,
+from leafsep.core import (MAX_QUBITS, ParseError, StateVector, build_partition_tree,
+                          dicke_state,
                           enumerate_weight_distributions, hamming_weight,
                           index_to_string, restrict, string_to_index,
                           weight_distribution_of)
@@ -148,3 +149,14 @@ def test_state_vector_rejects_non_finite(bad):
         StateVector(2, [bad, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
         StateVector(2, [bad, 1.0, 0.0, 0.0], normalize=True)
+
+
+def test_state_vector_rejects_too_many_wires():
+    n = MAX_QUBITS + 1
+    for build in (lambda: StateVector(n, []),
+                  lambda: StateVector.basis(n, "0" * n),
+                  lambda: StateVector.from_terms(n, {}),
+                  lambda: StateVector.from_json_dict({"n": n, "amplitudes": []})):
+        with pytest.raises(ValueError, match=f"maximum of {MAX_QUBITS}") as err:
+            build()
+        assert not isinstance(err.value, ParseError)

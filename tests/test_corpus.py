@@ -9,6 +9,12 @@ targets in both modes, mixed-weight targets, dense fixed-weight
 A second digest pins the generated targets themselves, amplitude bytes and
 all, for n 2..12 at every k: real, complex and non-negative, fixed-weight and
 mixed-weight.
+
+A third pins what the simulator makes of compiled circuits: the amplitude
+bytes, fidelity and purity of ``simulate(circ, target=psi)`` for separable and
+mixed-weight targets in both modes, n 4..10, and for general-baseline
+circuits.  A change to the simulator's memory layout or gate arithmetic that
+moves a single bit changes it.
 """
 import hashlib
 import warnings
@@ -21,7 +27,9 @@ from leafsep.circuit import export_text
 from leafsep.core import build_partition_tree
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
-from leafsep.synthesis import MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full
+from leafsep.simulator import simulate
+from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
+                               synthesize_general_baseline)
 
 CORPUS_SHA256 = "96ddcb7f73fa93fabeb2695fdb3601b72ce6571a31620e0bd7e7a71fba13c0e6"
 CORPUS_SIZE = 441
@@ -36,6 +44,9 @@ NON_SEPARABLE = [
 
 GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
 GENERATED_SIZE = 462
+
+SIMULATED_SHA256 = "fa66eef922e6634291aeea8a454dc63a9b549488cfb88d19fa0a534e24abe2a2"
+SIMULATED_SIZE = 185
 
 
 def _generated(n_values=range(2, 13)):
@@ -65,6 +76,21 @@ def _corpus():
         k_built, k_used = (n + 1) // 2, max(1, n // 3)
         psi = random_leaf_separable(n, k_built, n // 2, "real", seed=[104, n])
         yield f"mismatched-{n}-{k_used}", psi, SynthesisConfig(n=n, k=k_used)
+
+
+def _simulated():
+    """(circuit, target) pairs in a fixed order; k = 1 stops at n = 6 (12 wires
+    in ancilla mode) to keep the test fast."""
+    for n in range(4, 11):
+        for k in range(1 if n <= 6 else 2, n + 1):
+            targets = (random_leaf_separable(n, k, n // 2, "complex", seed=[107, n, k]),
+                       random_mixed_leaf_separable(n, k, "complex", seed=[108, n, k]))
+            for psi in targets:
+                for mode in (MODE_FREE, MODE_ANCILLA):
+                    yield synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=mode)), psi
+    for n in range(4, 9):
+        psi = random_fixed_weight_state(n, n // 2, "complex", seed=[109, n])
+        yield synthesize_general_baseline(psi), psi
 
 
 def test_corpus_circuits_are_pinned():
@@ -99,3 +125,15 @@ def test_generated_targets_reconstruct(n):
     for _, k, psi in _generated([n]):
         rebuilt = reconstruct_amplitudes(psi, build_partition_tree(n, k))
         assert np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) < 1e-12
+
+
+def test_simulated_states_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for circ, psi in _simulated():
+        res = simulate(circ, target=psi)
+        digest.update(res.state.amplitudes.tobytes())
+        digest.update(np.array([res.fidelity, res.purity]).tobytes())
+        count += 1
+    assert count == SIMULATED_SIZE
+    assert digest.hexdigest() == SIMULATED_SHA256

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import circuit_matrix
 from test_circuit import random_circuit
 
-from leafsep.circuit import Circuit, crbs, mcphase, mcry, x
+from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
 from leafsep.core import StateVector
-from leafsep.simulator import fidelity, simulate, system_purity
+from leafsep.simulator import _plan, fidelity, simulate, system_purity
 from leafsep.synthesis import SynthesisConfig, synthesize_full
 
 
@@ -45,6 +48,72 @@ def test_matches_dense_matrix_oracle(n, seed):
     psi = StateVector(n, vec, normalize=True)
     res = simulate(circ, initial=psi)
     assert np.max(np.abs(res.state.amplitudes - mat @ psi.amplitudes)) < 1e-12
+
+
+@st.composite
+def _skewed_circuits(draw):
+    """Small circuits whose every gate touches one ``hot`` wire, plus runs of
+    fully controlled phases that repeat an amplitude, with any initial state."""
+    n_system = draw(st.integers(1, 5))
+    n_ancilla = draw(st.integers(0, 2))
+    wires = n_system + n_ancilla
+    hot = draw(st.integers(0, wires - 1))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    polarity = st.sampled_from([1, -1])
+    circ = Circuit(n_system=n_system, n_ancilla=n_ancilla)
+    circ.add(mcry(draw(angle), hot))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["x", "mcry", "mcrz", "mcphase", "crbs", "phases"]))
+        if kind == "phases":
+            t = draw(st.integers(0, wires - 1))
+            others = [w for w in range(wires) if w != t]
+            patterns = draw(st.lists(st.lists(polarity, min_size=len(others),
+                                              max_size=len(others)), min_size=1, max_size=4))
+            for pattern in patterns + patterns[:1]:
+                circ.add(mcphase(draw(angle), t, list(zip(others, pattern))))
+            continue
+        n_targets = 2 if kind == "crbs" else 1
+        if wires < n_targets:
+            continue
+        targets = draw(st.permutations(range(wires)))[:n_targets]
+        controls = [(w, draw(polarity)) for w in range(wires)
+                    if w not in targets and (w == hot or draw(st.booleans()))]
+        if kind == "x":
+            circ.add(x(targets[0], controls))
+        elif kind == "crbs":
+            circ.add(crbs(draw(angle), draw(angle), targets[0], targets[1], controls))
+        else:
+            maker = {"mcry": mcry, "mcrz": mcrz, "mcphase": mcphase}[kind]
+            circ.add(maker(draw(angle), targets[0], controls))
+    form = draw(st.sampled_from(["none", "bits", "system", "all"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if form == "none":
+        initial = None
+    elif form == "bits":
+        initial = "".join(str(b) for b in rng.integers(0, 2, n_system))
+    else:
+        n = n_system if form == "system" else wires
+        vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        initial = StateVector(n, vec, normalize=True)
+    return circ, hot, initial
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_skewed_circuits())
+def test_planned_layout_matches_oracle(case):
+    circ, hot, initial = case
+    order, _ = _plan(circ)
+    assert order[0] == hot
+    if initial is None:
+        vec = np.eye(1 << circ.n_wires)[0]
+    else:
+        start = StateVector.basis(circ.n_system, initial) if isinstance(initial, str) \
+            else initial
+        vec = start.amplitudes
+        if start.n == circ.n_system:
+            vec = np.kron(vec, np.eye(1 << circ.n_ancilla)[0])
+    res = simulate(circ, initial=initial)
+    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ vec)) < 1e-12
 
 
 def test_crbs_theta_zero_is_identity():
@@ -129,6 +198,18 @@ def test_wire_capacity_smoke():
     circ.add(crbs(0.3, 0.1, 1, 2, controls=[(0, -1)]))
     res = simulate(circ)
     assert abs(res.norm - 1.0) < 1e-10
+
+
+def test_wire_limit_fails_before_allocation():
+    circ = parse_text("# n=33 k=1 ell=1 mode=none\nx q32\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="33 wires exceed the maximum of 32"):
+            simulate(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mcphase_only_hits_matching_pattern():
