@@ -10,11 +10,13 @@ over the gates on that wire), so the wires the gates slice most, such as the
 ancillas every encoder gate is controlled on, become the most significant axes
 and the slices the gates update are long contiguous runs.  Runs of ``mcphase``
 gates controlled on every other wire touch one amplitude each; the plan applies
-each run as one indexed multiply.  The state starts in the plan's axis order
-and is permuted back once at the end, so the returned state is in wire order:
-ancilla wires sit after the system wires and are the least significant index
-bits, and a state on system wires embeds as a Kronecker product with |0...0>
-on the ancillas.
+each run as one indexed multiply instead of paying the per-gate slicing cost
+once per amplitude.  The distribution phases of a free-mode circuit are such a
+run; in ancilla mode they leave the ancillas out and are applied gate by gate.
+The state starts in the plan's axis order and is permuted back once at the end,
+so the returned state is in wire order: ancilla wires sit after the system
+wires and are the least significant index bits, and a state on system wires
+embeds as a Kronecker product with |0...0> on the ancillas.
 """
 from __future__ import annotations
 

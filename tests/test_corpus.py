@@ -11,10 +11,11 @@ all, for n 2..12 at every k: real, complex and non-negative, fixed-weight and
 mixed-weight.
 
 A third pins what the simulator makes of compiled circuits: the amplitude
-bytes, fidelity and purity of ``simulate(circ, target=psi)`` for separable and
-mixed-weight targets in both modes, n 4..10, and for general-baseline
-circuits.  A change to the simulator's memory layout or gate arithmetic that
-moves a single bit changes it.
+bytes of ``simulate(circ, target=psi)`` for separable and mixed-weight targets
+in both modes, n 4..10, and for general-baseline circuits.  A change to the
+simulator's memory layout or gate arithmetic that moves a single bit changes
+it.  Fidelity and purity come from BLAS reductions whose low bits depend on
+the machine, so they are checked against 1 with a tolerance instead.
 """
 import hashlib
 import warnings
@@ -45,7 +46,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "fa66eef922e6634291aeea8a454dc63a9b549488cfb88d19fa0a534e24abe2a2"
+SIMULATED_SHA256 = "f6033a5c88305056759e44d054ed42e9a96115e4746fd176bd87e133eb11f932"
 SIMULATED_SIZE = 185
 
 
@@ -133,7 +134,7 @@ def test_simulated_states_are_pinned():
     for circ, psi in _simulated():
         res = simulate(circ, target=psi)
         digest.update(res.state.amplitudes.tobytes())
-        digest.update(np.array([res.fidelity, res.purity]).tobytes())
+        assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
         count += 1
     assert count == SIMULATED_SIZE
     assert digest.hexdigest() == SIMULATED_SHA256
