@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,8 +45,11 @@ class _Grouping:
     order: np.ndarray           # all basis indices, stably sorted by key
     starts: np.ndarray          # the class with key K is order[starts[K]:starts[K + 1]]
 
+    def key(self, distribution) -> int:
+        return sum(map(operator.mul, distribution, self.strides))
+
     def members(self, distribution) -> np.ndarray:
-        key = sum(w * s for w, s in zip(distribution, self.strides))
+        key = self.key(distribution)
         return self.order[self.starts[key]:self.starts[key + 1]]
 
 
@@ -100,6 +104,16 @@ def _reference(idx: np.ndarray, vals: np.ndarray, cutoff: float) -> int | None:
     return int(idx[live[0]]) if live.size else None
 
 
+def _concat_members(groups: _Grouping, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Members of the classes with the given keys, concatenated, and each class's end."""
+    keys = np.asarray(keys, dtype=np.int64)
+    lo = groups.starts[keys]
+    lengths = groups.starts[keys + 1] - lo
+    ends = np.cumsum(lengths)
+    shift = np.repeat(lo - ends + lengths, lengths)  # grouping position minus batch position
+    return groups.order[np.arange(len(shift)) + shift], ends
+
+
 def distribution_table(psi: StateVector, tree: PartitionTree,
                        total_weights=None) -> list[DistributionInfo]:
     """All valid distributions for the given total weights, with c(I) and reference."""
@@ -108,15 +122,19 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
     amps = psi.amplitudes
     cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
     groups = _grouping(tree)
+    dists = [dist for ell in total_weights
+             for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)]
+    idx, ends = _concat_members(groups, [groups.key(dist) for dist in dists])
+    vals = amps[idx]
+    live = np.append(np.flatnonzero(np.abs(vals) > cutoff), len(vals))
+    begins = np.append(0, ends[:-1])
+    first = live[np.searchsorted(live, begins)]  # first live position of each class
     out: list[DistributionInfo] = []
-    for ell in total_weights:
-        for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
-            idx = groups.members(dist)
-            vals = amps[idx]
-            ref = _reference(idx, vals, cutoff)
-            phase = 0.0 if ref is None else float(np.angle(amps[ref]))
-            out.append(DistributionInfo(weights=dist, norm=float(np.linalg.norm(vals)),
-                                        reference=ref, phase=phase))
+    for dist, lo, hi, pos in zip(dists, begins.tolist(), ends.tolist(), first.tolist()):
+        ref = int(idx[pos]) if pos < hi else None
+        phase = 0.0 if ref is None else float(np.angle(amps[ref]))
+        out.append(DistributionInfo(weights=dist, norm=float(np.linalg.norm(vals[lo:hi])),
+                                    reference=ref, phase=phase))
     return out
 
 
@@ -135,50 +153,59 @@ class SeparabilityReport:
                 "violations": self.violations, "distributions": self.distributions}
 
 
-def is_leaf_separable(psi: StateVector, tree: PartitionTree,
-                      tol: float = 1e-9) -> SeparabilityReport:
+def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, *,
+                      infos: list[DistributionInfo] | None = None) -> SeparabilityReport:
     """Check the per-distribution product condition, with a violation certificate.
 
     For every valid distribution I with c(I) > tol, every basis state b in the
     class must satisfy alpha_b / alpha_{b*} = prod_u gamma_u(g_u) within tol,
     where b* is the class reference and gamma_u varies one leaf of b* at a time.
     Every distribution is scanned: the report lists c(I) for each, the worst
-    residual, and the first violation in distribution order, then ascending index.
+    residual, and the violations in distribution order up to and including the
+    first residual violation (the first bad state in ascending index order).
+    ``infos`` is the target's :func:`distribution_table` when the caller has it.
+    The members of all checked classes are checked as one array, in table order.
     """
-    return _separability(psi, tree, distribution_table(psi, tree), tol)
-
-
-def _separability(psi: StateVector, tree: PartitionTree, infos: list[DistributionInfo],
-                  tol: float = 1e-9) -> SeparabilityReport:
-    """:func:`is_leaf_separable` over an already built :func:`distribution_table`."""
-    report = SeparabilityReport(separable=True, tol=tol)
-    amps = psi.amplitudes
-    groups = _grouping(tree)
-    masks = [leaf.mask(psi.n) for leaf in tree.leaves]
-    found = False  # violations stop at the first residual violation
-    for info in infos:
-        report.distributions.append({"I": list(info.weights), "c": info.norm})
-        if info.norm <= tol:
-            continue
-        if info.reference is None:
-            if not found:
-                report.violations.append({"I": list(info.weights), "error": "no reference state"})
-            report.separable = False
-            continue
-        ref, idx = info.reference, groups.members(info.weights)
+    if infos is None:
+        infos = distribution_table(psi, tree)
+    report = SeparabilityReport(separable=True, tol=tol, distributions=[
+        {"I": list(info.weights), "c": info.norm} for info in infos])
+    checked = [info for info in infos if info.norm > tol]
+    live = [info for info in checked if info.reference is not None]
+    culprit = None
+    if live:
+        amps, groups = psi.amplitudes, _grouping(tree)
+        idx, ends = _concat_members(groups, [groups.key(info.weights) for info in live])
+        lengths = np.diff(ends, prepend=0)
+        ref = np.repeat([info.reference for info in live], lengths)
         ref_amp = amps[ref]
         predicted = np.ones(len(idx), dtype=np.complex128)
-        for mask in masks:
-            predicted *= amps[(ref & ~mask) | (idx & mask)] / ref_amp
+        # numpy's in-place complex product rounds a one-element array without fused
+        # multiply-adds; one-member classes keep that rounding, as when checked one by one
+        alone = np.flatnonzero(np.repeat(lengths == 1, lengths))
+        for leaf in tree.leaves:
+            mask = leaf.mask(psi.n)
+            factor = amps[(ref & ~mask) | (idx & mask)] / ref_amp
+            p, f = predicted[alone], factor[alone]
+            predicted *= factor
+            predicted.real[alone] = p.real * f.real - p.imag * f.imag
+            predicted.imag[alone] = p.real * f.imag + p.imag * f.real
         delta = np.abs(amps[idx] / ref_amp - predicted)
-        report.max_delta = max(report.max_delta, float(np.max(delta)))
+        report.max_delta = float(np.max(delta))
         bad = np.flatnonzero(delta > tol)
         if bad.size:
-            if not found:
-                report.violations.append({"I": list(info.weights),
-                                          "bitstring": index_to_string(int(idx[bad[0]]), psi.n),
-                                          "delta": float(delta[bad[0]])})
-            report.separable, found = False, True
+            b = bad[0]
+            culprit = live[int(np.searchsorted(ends, b, side="right"))]
+            violation = {"I": list(culprit.weights),
+                         "bitstring": index_to_string(int(idx[b]), psi.n),
+                         "delta": float(delta[b])}
+    for info in checked:
+        if info is culprit:
+            report.violations.append(violation)
+            break
+        if info.reference is None:
+            report.violations.append({"I": list(info.weights), "error": "no reference state"})
+    report.separable = not report.violations
     return report
 
 

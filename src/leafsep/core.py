@@ -173,25 +173,13 @@ def enumerate_weight_distributions(leaf_sizes, total: int) -> list[tuple[int, ..
     Returns the empty list when no distribution is feasible.
     """
     sizes = tuple(leaf_sizes)
-    suffix_cap = [0] * (len(sizes) + 1)
-    for u in range(len(sizes) - 1, -1, -1):
-        suffix_cap[u] = suffix_cap[u + 1] + sizes[u]
-
-    out: list[tuple[int, ...]] = []
-
-    def rec(u: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if u == len(sizes):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        lo = max(0, remaining - suffix_cap[u + 1])
-        hi = min(sizes[u], remaining)
-        for i in range(lo, hi + 1):
-            rec(u + 1, remaining - i, prefix + (i,))
-
-    if 0 <= total <= suffix_cap[0]:
-        rec(0, total, ())
-    return out
+    head = sum(sizes)     # capacity of the leaves not prepended yet
+    suffixes = {0: [()]}  # weight -> ascending distributions of the leaves prepended so far
+    for size in reversed(sizes):
+        head -= size
+        suffixes = {r: [(i,) + t for i in range(min(size, r) + 1) for t in suffixes.get(r - i, ())]
+                    for r in range(max(0, total - head), total + 1)}
+    return suffixes.get(total, [])
 
 
 def weight_distribution_of(bits: str, tree: PartitionTree) -> tuple[int, ...]:

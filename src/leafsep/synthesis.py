@@ -88,7 +88,8 @@ def _register_pattern(node: TreeNode, split_ones: list[tuple[TreeNode, int]]):
     ones: list[int] = []
     for child, w in split_ones:
         ones.extend(range(child.start + child.size - w, child.start + child.size))
-    zeros = [q for q in node.qubits if q not in set(ones)]
+    taken = set(ones)
+    zeros = [q for q in node.qubits if q not in taken]
     return ones, zeros
 
 
@@ -333,7 +334,7 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         raise ValueError(f"state weight {ell} does not match config ell {config.ell}")
 
     infos = analysis.distribution_table(psi, tree, weights)
-    report = analysis._separability(psi, tree, infos)
+    report = analysis.is_leaf_separable(psi, tree, infos=infos)
     if not report.separable:
         warnings.warn("target is not leaf-separable for this tree; "
                       "synthesis proceeds as an approximation", stacklevel=2)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import separability_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafsep.analysis import (class_indices, distribution_norm, distribution_table,
                               encoder_angles, is_leaf_separable, leaf_amplitude_table,
@@ -35,6 +38,10 @@ def test_distribution_reference_is_first_live_index(worked_example):
     table = distribution_table(worked_example, TREE42)
     refs = {info.weights: info.reference for info in table}
     assert refs == {(0, 2): None, (1, 1): 0b0101, (2, 0): 0b1100}
+    # the class after the empty (0, 2) in key order, (1, 0), starts with a live state
+    mixed = StateVector.from_terms(4, {"0100": 0.6, "0101": 0.8})
+    refs = {info.weights: info.reference for info in distribution_table(mixed, TREE42)}
+    assert refs[(0, 2)] is None and refs[(1, 0)] == 0b0100
 
 
 def test_distribution_norms(worked_example):
@@ -133,6 +140,84 @@ def test_separability_checker_matches_svd_oracle(n, k):
     for psi in cases:
         assert is_leaf_separable(psi, tree).separable == \
             tensor_factorization_check(psi, tree)
+
+
+def test_no_reference_state_violations():
+    """A checked class with no amplitude above the reference cutoff is reported only
+    when it comes before the first residual violation."""
+    tree = build_partition_tree(6, 3)
+    faint = 0.9e-9 * 0.8  # below REFERENCE_REL_TOL * max|amp|; three give c(I) = 1.2e-9
+    terms = {"000011": faint, "000101": faint, "000110": faint,  # (0, 2): before
+             "001001": 0.8, "001010": 0.4, "010001": 0.4,        # (1, 1)
+             "011000": faint, "101000": faint, "110000": faint}  # (2, 0): after
+    no_ref = [{"I": [0, 2], "error": "no reference state"},
+              {"I": [2, 0], "error": "no reference state"}]
+    cases = [({"010010": 0.2}, no_ref, 0.0),  # (1, 1) factorizes: both faint classes
+             ({"100100": 0.2},                # 010010 is missing: stop after its residual
+              no_ref[:1] + [{"I": [1, 1], "bitstring": "010010", "delta": 0.25}], 0.25)]
+    for extra, violations, max_delta in cases:
+        psi = StateVector.from_terms(6, {**terms, **extra})
+        report = is_leaf_separable(psi, tree)
+        assert report.violations == violations
+        assert report.separable is False
+        assert report.max_delta == max_delta
+        assert [d["I"] for d in report.distributions] == [[0, 2], [1, 1], [2, 0]]
+        assert all(d["c"] > report.tol for d in report.distributions)
+        infos = distribution_table(psi, tree)
+        assert separability_oracle(psi, tree, infos).to_json_dict() == report.to_json_dict()
+
+
+def test_violation_at_first_member_of_class():
+    """A class whose first member sits below the reference cutoff can fail there; the
+    violation is charged to that class, not to the live class before it."""
+    tree = build_partition_tree(6, 3)
+    faint = 0.75e-9  # below the cutoff 0.8e-9; the reference 010010 is just above it
+    psi = StateVector.from_terms(6, {"000011": 0.6, "110000": 0.8, "001010": faint,
+                                     "010001": faint, "010010": 0.9e-9})
+    report = is_leaf_separable(psi, tree)
+    # 001001 is 0 but predicted (faint / 0.9e-9)^2 from the two mixed states
+    assert [(v["I"], v["bitstring"]) for v in report.violations] == [([1, 1], "001001")]
+    assert report.violations[0]["delta"] == pytest.approx((0.75 / 0.9) ** 2, rel=1e-12)
+    infos = distribution_table(psi, tree)
+    assert separability_oracle(psi, tree, infos).to_json_dict() == report.to_json_dict()
+
+
+@st.composite
+def _separability_targets(draw):
+    n = draw(st.sampled_from(range(3, 11)))
+    k = draw(st.integers(1, n))
+    ell = draw(st.integers(1, n - 1))
+    field = draw(st.sampled_from(["real", "complex"]))
+    kind = draw(st.sampled_from(["separable", "mixed", "dense", "near miss"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    tree = build_partition_tree(n, k)
+    if kind == "mixed":
+        psi = random_mixed_leaf_separable(n, k, field, seed=seed)
+    elif kind == "dense":
+        psi = random_fixed_weight_state(n, ell, field, seed=seed)
+    else:
+        psi = random_leaf_separable(n, k, ell, field, seed=seed)
+        if kind == "near miss":
+            psi = _near_miss(psi, tree)
+    return psi, tree
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_separability_targets())
+def test_batched_separability_matches_per_class_oracle(case):
+    psi, tree = case
+    got = is_leaf_separable(psi, tree)
+    want = separability_oracle(psi, tree, distribution_table(psi, tree))
+    assert got.separable == want.separable
+    assert got.distributions == want.distributions
+    assert len(got.violations) == len(want.violations)
+    for g, w in zip(got.violations, want.violations):
+        assert g.keys() == w.keys()
+        assert (g["I"], g.get("bitstring"), g.get("error")) == \
+            (w["I"], w.get("bitstring"), w.get("error"))
+        if "delta" in w:
+            assert g["delta"] == pytest.approx(w["delta"], rel=1e-12, abs=0)
+    assert got.max_delta == pytest.approx(want.max_delta, rel=1e-12, abs=0)
 
 
 def test_split_amplitudes_worked_example(worked_example):
