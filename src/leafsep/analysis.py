@@ -3,11 +3,14 @@
 Everything here is a pure function of a target state and a partition tree.
 The central objects:
 
-* the per-distribution norms c(I) over the weight distributions I,
+* the distribution table: c(I) and a reference state for every weight
+  distribution I (:func:`distribution_table`), built once per target,
 * the per-node split amplitudes (conditional weight-split probabilities),
 * the per-(leaf, weight) normalized local amplitudes that feed the
   Hamming-weight encoders, stored in the enumeration order of
-  :func:`leafsep.combinatorics.ehrlich_sequence`.
+  :func:`leafsep.combinatorics.ehrlich_sequence`.  They are read off the
+  distribution table's references: the classes are scanned for references
+  once, and the separability check and the leaf tables both reuse them.
 
 Basis states are integer indices (MSB-first, see :mod:`leafsep.core`);
 bitstrings appear only in reports.  Per tree, one cached grouping stably sorts
@@ -21,7 +24,6 @@ other way, from c(I) and per-leaf tables to the dense vector.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ import numpy as np
 
 from .combinatorics import ehrlich_sequence
 from .core import (PartitionTree, StateVector, TreeNode, enumerate_weight_distributions,
-                   index_to_string, popcounts, string_to_index)
+                   index_to_string, popcounts)
 
 DEAD_BRANCH_TOL = 1e-12
 REFERENCE_REL_TOL = 1e-9
@@ -47,10 +49,6 @@ class _Grouping:
 
     def key(self, distribution) -> int:
         return sum(map(operator.mul, distribution, self.strides))
-
-    def members(self, distribution) -> np.ndarray:
-        key = self.key(distribution)
-        return self.order[self.starts[key]:self.starts[key + 1]]
 
 
 @lru_cache(maxsize=64)
@@ -74,34 +72,12 @@ def _leaf_patterns(n: int, leaf: TreeNode, w: int) -> np.ndarray:
     return np.array([int(g, 2) << shift for g in ehrlich_sequence(leaf.size, w)])
 
 
-def class_indices(tree: PartitionTree, distribution) -> np.ndarray:
-    """Basis indices whose weight distribution equals ``distribution``, ascending."""
-    sizes = tree.leaf_sizes
-    if len(distribution) != len(sizes):
-        raise ValueError(f"expected {len(sizes)} leaf weights, got {len(distribution)}")
-    if not all(0 <= w <= s for w, s in zip(distribution, sizes)):
-        return np.zeros(0, dtype=np.int32)  # no basis state has this distribution
-    return _grouping(tree).members(distribution)
-
-
-def distribution_norm(psi: StateVector, tree: PartitionTree, distribution) -> float:
-    """c(I): norm of the target restricted to one weight distribution."""
-    idx = class_indices(tree, distribution)
-    return float(np.linalg.norm(psi.amplitudes[idx]))
-
-
 @dataclass(frozen=True)
 class DistributionInfo:
     weights: tuple[int, ...]
     norm: float
     reference: int | None      # smallest basis index in the class with
     phase: float               # non-negligible amplitude, and its complex argument
-
-
-def _reference(idx: np.ndarray, vals: np.ndarray, cutoff: float) -> int | None:
-    """First index of ``idx`` whose amplitude in ``vals`` exceeds ``cutoff``, if any."""
-    live = np.flatnonzero(np.abs(vals) > cutoff)
-    return int(idx[live[0]]) if live.size else None
 
 
 def _concat_members(groups: _Grouping, keys) -> tuple[np.ndarray, np.ndarray]:
@@ -209,32 +185,6 @@ def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, 
     return report
 
 
-def tensor_factorization_check(psi: StateVector, tree: PartitionTree,
-                               tol: float = 1e-9) -> bool:
-    """Independent separability oracle: every projected class must be rank one
-    across each leaf-versus-rest cut (checked by singular values)."""
-    amps = psi.amplitudes
-    for info in distribution_table(psi, tree):
-        if info.norm <= tol:
-            continue
-        leaf_strings = [[format(i, f"0{leaf.size}b") for i in range(1 << leaf.size)
-                         if bin(i).count("1") == w] for leaf, w in zip(tree.leaves, info.weights)]
-        dims = [len(s) for s in leaf_strings]
-        tensor = np.zeros(dims, dtype=np.complex128)
-        for combo in itertools.product(*(range(d) for d in dims)):
-            bits = "".join(leaf_strings[u][g] for u, g in enumerate(combo))
-            tensor[combo] = amps[string_to_index(bits)]
-        tensor = tensor / info.norm
-        for u in range(len(dims)):
-            unfolded = np.moveaxis(tensor, u, 0).reshape(dims[u], -1)
-            if min(unfolded.shape) == 1:
-                continue
-            s = np.linalg.svd(unfolded, compute_uv=False)
-            if s[1] > tol * max(s[0], 1.0):
-                return False
-    return True
-
-
 # --- node split amplitudes -------------------------------------------------
 
 @lru_cache(maxsize=1)  # the transfer tree asks for one node's norms and splits in a row
@@ -302,57 +252,32 @@ def rotation_ladder_angles(weights) -> list[float]:
 
 # --- leaf amplitude tables --------------------------------------------------
 
-@dataclass
-class LeafAmplitudeTable:
-    """Map (leaf index, local weight) -> unit amplitudes in Ehrlich order."""
+def leaf_amplitude_table(psi: StateVector, tree: PartitionTree, *,
+                         infos: list[DistributionInfo] | None = None) -> dict:
+    """Map (leaf index, local weight) -> unit local amplitudes in Ehrlich order.
 
-    leaf_sizes: tuple[int, ...]
-    entries: dict = field(default_factory=dict)
-
-    def get(self, leaf: int, weight: int) -> np.ndarray | None:
-        return self.entries.get((leaf, weight))
-
-    def amplitude(self, leaf: int, weight: int, bits: str) -> complex:
-        order = ehrlich_sequence(self.leaf_sizes[leaf], weight)
-        return complex(self.entries[(leaf, weight)][order.index(bits)])
-
-    def classes(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
-
-
-def leaf_amplitude_table(psi: StateVector, tree: PartitionTree,
-                         total_weights=None) -> LeafAmplitudeTable:
-    """Per-(leaf, weight) normalized local amplitudes, shared across distributions.
-
-    For each reachable (leaf, weight) class the amplitudes are ratios against
-    the class reference state of the first distribution that reaches it,
-    normalized to unit 2-norm and reordered to the Ehrlich enumeration.
-    Distributions whose reference amplitude is negligible are skipped.
+    Each entry holds the ratios against the reference state of the first
+    distribution in ``infos`` (the target's :func:`distribution_table`) that
+    reaches it and has a reference, normalized to unit 2-norm.  Distributions
+    without a reference are skipped.
     """
-    if total_weights is None:
-        total_weights = psi.weights_present()
+    if infos is None:
+        infos = distribution_table(psi, tree)
     amps = psi.amplitudes
-    cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
-    groups = _grouping(tree)
-    table = LeafAmplitudeTable(leaf_sizes=tree.leaf_sizes)
-    for ell in total_weights:
-        for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
-            todo = [u for u in range(tree.num_leaves) if (u, dist[u]) not in table.entries]
-            if not todo:
+    table: dict[tuple[int, int], np.ndarray] = {}
+    for info in infos:
+        ref = info.reference
+        if ref is None:
+            continue
+        for u, (leaf, w) in enumerate(zip(tree.leaves, info.weights)):
+            if (u, w) in table:
                 continue
-            idx = groups.members(dist)
-            ref = _reference(idx, amps[idx], cutoff)
-            if ref is None:
-                continue  # distribution not present
-            ref_amp = amps[ref]
-            for u in todo:
-                if dist[u] == 0:
-                    table.entries[(u, 0)] = np.array([1.0 + 0.0j])
-                    continue
-                leaf = tree.leaves[u]
-                patterns = _leaf_patterns(psi.n, leaf, dist[u])
-                gammas = amps[(ref & ~leaf.mask(psi.n)) | patterns] / ref_amp
-                table.entries[(u, dist[u])] = gammas / np.linalg.norm(gammas)
+            if w == 0:
+                table[(u, 0)] = np.array([1.0 + 0.0j])
+                continue
+            patterns = _leaf_patterns(psi.n, leaf, w)
+            gammas = amps[(ref & ~leaf.mask(psi.n)) | patterns] / amps[ref]
+            table[(u, w)] = gammas / np.linalg.norm(gammas)
     return table
 
 
@@ -404,9 +329,11 @@ def factored_amplitudes(tree: PartitionTree, coefficients: dict,
     on real and imaginary parts, rounding like the scalar ``value * factor``.
     """
     n, groups = tree.n, _grouping(tree)
-    coeff = np.zeros(1 << n, dtype=np.complex128)
-    for dist, c in coefficients.items():
-        coeff[groups.members(dist)] = c
+    keys = np.array(list(coefficients), dtype=np.int64).reshape(-1, tree.num_leaves)
+    per_key = np.zeros(len(groups.starts) - 1, dtype=np.complex128)
+    per_key[keys @ np.array(groups.strides)] = list(coefficients.values())
+    coeff = np.empty(1 << n, dtype=np.complex128)
+    coeff[groups.order] = np.repeat(per_key, np.diff(groups.starts))
     re, im = coeff.real, coeff.imag
     idx = np.arange(1 << n)
     for leaf, table in zip(tree.leaves, factors):
@@ -425,11 +352,11 @@ def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree,
     For leaf-separable input this reproduces the state entrywise; the residual
     difference is the natural separability error measure.
     """
-    table = leaf_amplitude_table(psi, tree, total_weights)
+    infos = distribution_table(psi, tree, total_weights)
     factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
-    for (u, w), entry in table.entries.items():
+    for (u, w), entry in leaf_amplitude_table(psi, tree, infos=infos).items():
         factors[u][[int(g, 2) for g in ehrlich_sequence(tree.leaf_sizes[u], w)]] = entry
     coefficients = {info.weights: info.norm * cmath.exp(1j * info.phase)
-                    for info in distribution_table(psi, tree, total_weights)
+                    for info in infos
                     if info.norm > DEAD_BRANCH_TOL and info.reference is not None}
     return StateVector(psi.n, factored_amplitudes(tree, coefficients, factors), check=False)

@@ -49,8 +49,7 @@ def _cmd_synthesize(args) -> int:
     psi = _load_state(args.input, normalize=args.normalize)
     config = synthesis.SynthesisConfig(
         n=args.n, k=args.k, ell=args.ell,
-        mode=synthesis.MODE_ANCILLA if args.mode == "ancilla" else synthesis.MODE_FREE,
-        complex_phases=not args.magnitudes_only)
+        mode=synthesis.MODE_ANCILLA if args.mode == "ancilla" else synthesis.MODE_FREE)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         circ = synthesis.synthesize_full(psi, config)
@@ -114,12 +113,19 @@ def _cmd_random_state(args) -> int:
     return 0
 
 
+def _k_values(text: str) -> tuple[int, ...] | None:
+    """bench-fidelity's ``--k``: one leaf size, or "all" for every k in 1..ceil(n/2)."""
+    try:
+        return None if text == "all" else (int(text),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'all', got {text!r}") from None
+
+
 def _cmd_bench_fidelity(args) -> int:
-    k_values = None if args.k == "all" else (int(args.k),)
     states = 200 if args.paper_scale else args.states
     n_values = tuple(range(args.n_min, (15 if args.paper_scale else args.n_max) + 1))
     config = experiments.ExperimentConfig(
-        n_values=n_values, k_values=k_values, ell=args.ell,
+        n_values=n_values, k_values=args.k, ell=args.ell,
         states_per_cell=states, seed=args.seed, kind=args.field,
         modes=tuple(args.modes.split(",")))
     rows = experiments.run_fidelity_sweep(config)
@@ -148,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--mode", choices=("free", "ancilla"), default="free")
-    p.add_argument("--magnitudes-only", action="store_true",
-                   help="skip all phase-correction gates")
     p.add_argument("--normalize", action="store_true",
                    help="normalize the input state first")
     p.add_argument("--strict", action="store_true",
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-fidelity", help="fidelity sweep CSV")
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--k", default="all")
+    p.add_argument("--k", type=_k_values, default="all")
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--states", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import hamming_weight
-
 
 @lru_cache(maxsize=None)
 def _ehrlich(n_bits: int, w: int) -> tuple[str, ...]:
@@ -58,7 +56,7 @@ def controls_and_targets(b: str, b_next: str) -> RotationSlot:
     """Rotation slot between two weight-equal strings at Hamming distance 2."""
     if len(b) != len(b_next):
         raise ValueError("strings must have equal length")
-    if hamming_weight(b) != hamming_weight(b_next):
+    if b.count("1") != b_next.count("1"):
         raise ValueError("strings must have equal Hamming weight")
     diff = [i for i, (x, y) in enumerate(zip(b, b_next)) if x != y]
     if len(diff) != 2:

@@ -7,7 +7,6 @@ So ``"0011"`` on 4 qubits is index 3, with qubits 2 and 3 set.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +36,6 @@ def _parse_number(kind, value, what: str):
         raise ParseError(f"{what} must be a number, got {value!r}") from None
 
 
-def hamming_weight(bits: str) -> int:
-    """Number of '1' characters in a bitstring."""
-    return bits.count("1")
-
-
 def string_to_index(bits: str) -> int:
     """Interpret a bitstring as a binary number, leftmost character most significant."""
     return int(bits, 2) if bits else 0
@@ -52,17 +46,6 @@ def index_to_string(index: int, n: int) -> str:
     if index < 0 or index >= (1 << n):
         raise ValueError(f"index {index} out of range for {n} qubits")
     return format(index, f"0{n}b")
-
-
-def restrict(bits: str, qubits) -> str:
-    """Substring of ``bits`` at the given qubit positions, preserving order."""
-    n = len(bits)
-    out = []
-    for q in sorted(qubits):
-        if q < 0 or q >= n:
-            raise IndexError(f"qubit {q} out of range for a {n}-bit string")
-        out.append(bits[q])
-    return "".join(out)
 
 
 def dense_size(n: int) -> int:
@@ -94,12 +77,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def left_size(self) -> int:
-        if self.left is None:
-            raise ValueError("leaf node has no child sizes")
-        return self.left.size
 
     def mask(self, n: int) -> int:
         """Integer mask selecting this node's qubits under the MSB-first order."""
@@ -180,13 +157,6 @@ def enumerate_weight_distributions(leaf_sizes, total: int) -> list[tuple[int, ..
         suffixes = {r: [(i,) + t for i in range(min(size, r) + 1) for t in suffixes.get(r - i, ())]
                     for r in range(max(0, total - head), total + 1)}
     return suffixes.get(total, [])
-
-
-def weight_distribution_of(bits: str, tree: PartitionTree) -> tuple[int, ...]:
-    """Per-leaf Hamming weights of ``bits``, in leaf order."""
-    if len(bits) != tree.n:
-        raise ValueError(f"expected a {tree.n}-bit string, got {len(bits)} bits")
-    return tuple(hamming_weight(restrict(bits, leaf.qubits)) for leaf in tree.leaves)
 
 
 class StateVector:
@@ -294,12 +264,3 @@ class StateVector:
         kept = ", ".join(f"{b}: {self.amplitude(b):.4g}" for b in self.support()[:4])
         more = "" if len(self.support()) <= 4 else ", ..."
         return f"StateVector(n={self.n}, {{{kept}{more}}})"
-
-
-def dicke_state(n: int, weight: int) -> StateVector:
-    """Uniform superposition of all weight-``weight`` basis states on ``n`` qubits."""
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    w = popcounts(np.arange(1 << n))
-    hits = w == weight
-    amps[hits] = 1.0 / math.sqrt(math.comb(n, weight))
-    return StateVector(n, amps)

@@ -28,7 +28,7 @@ import numpy as np
 from .analysis import factored_amplitudes
 from .circuit import cost
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, \
-    enumerate_weight_distributions, popcounts
+    dense_size, enumerate_weight_distributions, popcounts
 from .simulator import simulate
 from .synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
                         synthesize_full, synthesize_general_baseline,
@@ -42,6 +42,13 @@ COST_CSV_HEADER = "n,k,method,two_qubit,total,depth"
 
 def derive_seed(master: int, *parts: int) -> list[int]:
     return [int(master)] + [int(p) for p in parts]
+
+
+def _check_size(n: int, name: str, weight: int, top: int) -> None:
+    """Reject a register above the dense limit or a weight outside [0, top] up front."""
+    dense_size(n)
+    if not 0 <= weight <= top:
+        raise ValueError(f"{name} must be in [0, {top}] for n={n}, got {weight}")
 
 
 def _sample_unit(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
@@ -118,6 +125,7 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     ``kind`` is "real", "complex", or "nonneg" (all-positive amplitudes, used
     for worst-case gate counting).
     """
+    _check_size(n, "ell", ell, n)
     tree = build_partition_tree(n, k)
     return _assemble(tree, [ell], [1.0], kind, np.random.default_rng(seed))
 
@@ -126,8 +134,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
                                 max_weight: int | None = None) -> StateVector:
     """Random superposition over weights 0..floor(n/2) with per-weight structure."""
     top = n // 2 if max_weight is None else max_weight
-    if top > n // 2:
-        raise ValueError(f"max_weight must be at most {n // 2}")
+    _check_size(n, "max_weight", top, n // 2)
     rng = np.random.default_rng(seed)
     tree = build_partition_tree(n, k)
     profile = np.sqrt(rng.dirichlet(np.ones(top + 1)))
@@ -136,6 +143,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
 
 def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> StateVector:
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
+    _check_size(n, "w", w, n)
     support = np.flatnonzero(popcounts(np.arange(1 << n)) == w)  # lexicographic order
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[support] = _sample_unit(np.random.default_rng(seed), len(support), kind)
@@ -153,6 +161,10 @@ class ExperimentConfig:
     seed: int = 0
     kind: str = "real"
     modes: tuple[str, ...] = (MODE_FREE,)
+
+    def __post_init__(self):
+        if self.states_per_cell < 1:
+            raise ValueError(f"states per cell must be at least 1, got {self.states_per_cell}")
 
     def cells(self):
         for n in self.n_values:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .analysis import (LeafAmplitudeTable, encoder_angles, leaf_amplitude_table,
-                       mixed_weight_profile, rotation_ladder_angles,
-                       weight_split_amplitudes)
+from .analysis import (encoder_angles, leaf_amplitude_table, mixed_weight_profile,
+                       rotation_ladder_angles, weight_split_amplitudes)
 from .circuit import Circuit, Gate, crbs, mcphase, mcry, mcrz, two_qubit_cost, x
 from .combinatorics import controls_and_targets, ehrlich_sequence
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
@@ -35,7 +34,6 @@ class SynthesisConfig:
     k: int
     ell: int | None = None
     mode: str = MODE_FREE
-    complex_phases: bool = True
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -83,32 +81,12 @@ def _transfer_step(node: TreeNode, total: int, i: int, theta: float) -> Gate:
     return crbs(theta, 0.0, q_from, q_to, controls)
 
 
-def _register_pattern(node: TreeNode, split_ones: list[tuple[TreeNode, int]]):
-    """(ones, zeros) wire lists for packed child patterns within ``node``."""
-    ones: list[int] = []
-    for child, w in split_ones:
-        ones.extend(range(child.start + child.size - w, child.start + child.size))
-    taken = set(ones)
-    zeros = [q for q in node.qubits if q not in taken]
-    return ones, zeros
-
-
-def _pattern_phase(phase: float, ones: list[int], zeros: list[int]) -> Gate | None:
-    phase = math.remainder(phase, 2.0 * math.pi)
-    if abs(phase) <= ANGLE_TOL or not ones:
-        return None
-    controls = [(q, 1) for q in ones[:-1]] + [(q, -1) for q in zeros]
-    return mcphase(phase, ones[-1], controls)
-
-
-def synthesize_gwdb(node: TreeNode, total_weight: int, thetas,
-                    phases=None) -> list[Gate]:
+def synthesize_gwdb(node: TreeNode, total_weight: int, thetas) -> list[Gate]:
     """One weight-transfer block: map the packed weight on ``node`` to its splits.
 
     ``thetas`` come from :func:`rotation_ladder_angles` over the split
     amplitudes indexed 0..total_weight; infeasible splits carry angle pi or 0
-    and only the feasible window emits gates.  Optional ``phases`` (one per
-    split) are applied as pattern-conditioned phase gates after the rotations.
+    and only the feasible window emits gates.
     """
     if node.is_leaf:
         raise ValueError("transfer blocks act on internal nodes")
@@ -121,13 +99,6 @@ def synthesize_gwdb(node: TreeNode, total_weight: int, thetas,
         if abs(theta) <= ANGLE_TOL:
             continue
         gates.append(_transfer_step(node, total_weight, i, theta))
-    if phases is not None:
-        for i in range(i_min, i_max + 1):
-            ones, zeros = _register_pattern(
-                node, [(node.left, i), (node.right, total_weight - i)])
-            gate = _pattern_phase(phases[i], ones, zeros)
-            if gate is not None:
-                gates.append(gate)
     return gates
 
 
@@ -164,16 +135,16 @@ def _distribution_phase_gates(tree: PartitionTree, infos) -> list[Gate]:
     """
     live = [info for info in infos
             if info.norm > analysis.DEAD_BRANCH_TOL and info.reference is not None]
-    if not live:
-        return []
-    base = live[0].phase
     gates: list[Gate] = []
     for info in live:
-        ones, zeros = _register_pattern(
-            tree.root, [(leaf, info.weights[u]) for u, leaf in enumerate(tree.leaves)])
-        gate = _pattern_phase(info.phase - base, ones, zeros)
-        if gate is not None:
-            gates.append(gate)
+        phase = math.remainder(info.phase - live[0].phase, 2.0 * math.pi)
+        ones = [q for leaf, w in zip(tree.leaves, info.weights)
+                for q in range(leaf.start + leaf.size - w, leaf.start + leaf.size)]
+        if abs(phase) <= ANGLE_TOL or not ones:
+            continue
+        taken = set(ones)
+        controls = [(q, 1) for q in ones[:-1]] + [(q, -1) for q in range(tree.n) if q not in taken]
+        gates.append(mcphase(phase, ones[-1], controls))
     return gates
 
 
@@ -235,9 +206,11 @@ def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
     return x(ancilla_wire, controls=controls)
 
 
-def synthesize_leaf_encoders(table: LeafAmplitudeTable, tree: PartitionTree,
+def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
                              config: SynthesisConfig) -> list[Gate]:
     """Per-leaf encoders applied per weight class in increasing class order.
+
+    ``table`` is a :func:`leaf_amplitude_table`.
 
     free mode: every rotation is conditioned on the whole leaf register
     (shared ones positive, shared zeros negative), making it exact on any
@@ -253,10 +226,10 @@ def synthesize_leaf_encoders(table: LeafAmplitudeTable, tree: PartitionTree,
     """
     gates: list[Gate] = []
     for u, leaf in enumerate(tree.leaves):
-        classes = sorted(w for (lu, w) in table.entries if lu == u)
+        classes = sorted(w for (lu, w) in table if lu == u)
         free_chains: dict[int, list[Gate]] = {}
         for w in classes:
-            amps = table.entries[(u, w)]
+            amps = table[(u, w)]
             if len(amps) == 1:
                 free_chains[w] = []
                 continue
@@ -272,7 +245,7 @@ def synthesize_leaf_encoders(table: LeafAmplitudeTable, tree: PartitionTree,
         anc_plan: list[Gate] = []
         for w in classes:
             anc_plan.append(_leaf_detector(leaf, w, ancilla_wire))
-            amps = table.entries[(u, w)]
+            amps = table[(u, w)]
             if len(amps) == 1:
                 continue
             chain = _rotation_chain(
@@ -350,10 +323,8 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         circ.extend(synthesize_initial(n, ell).gates)
 
     circ.extend(synthesize_gwdb_tree(psi, tree, weights).gates)
-    if config.complex_phases:
-        circ.extend(_distribution_phase_gates(tree, infos))
-
-    table = leaf_amplitude_table(psi, tree, weights)
+    circ.extend(_distribution_phase_gates(tree, infos))
+    table = leaf_amplitude_table(psi, tree, infos=infos)
     circ.extend(synthesize_leaf_encoders(table, tree, config))
     return circ
 

@@ -3,17 +3,20 @@
 The gate oracle builds full gate matrices column by column from scalar bit
 logic, deliberately avoiding the simulator's vectorized slicing so the two paths
 can check each other.  The separability oracle checks one weight class at a
-time, the reference for the batched check in :mod:`leafsep.analysis`.
+time, the reference for the batched check in :mod:`leafsep.analysis`; its
+classes come from per-leaf popcounts, not from the analysis layer's grouping.
+The tensor-factorization oracle decides separability by singular values.
 """
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from leafsep.analysis import SeparabilityReport, class_indices
+from leafsep.analysis import SeparabilityReport, distribution_table
 from leafsep.circuit import Circuit
-from leafsep.core import StateVector, index_to_string, string_to_index
+from leafsep.core import StateVector, index_to_string, popcounts, string_to_index
 
 
 @pytest.fixture
@@ -87,6 +90,46 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
                 gmat[string_to_index(out_bits), col] += coeff
         mat = gmat @ mat
     return mat
+
+
+def dicke_state(n: int, weight: int) -> StateVector:
+    """Uniform superposition of all weight-``weight`` basis states on ``n`` qubits."""
+    hits = popcounts(np.arange(1 << n)) == weight
+    return StateVector(n, hits / math.sqrt(math.comb(n, weight)))
+
+
+def class_indices(tree, distribution) -> np.ndarray:
+    """Basis indices whose per-leaf Hamming weights equal ``distribution``, ascending."""
+    idx = np.arange(1 << tree.n)
+    hit = np.ones(len(idx), dtype=bool)
+    for leaf, w in zip(tree.leaves, distribution, strict=True):
+        hit &= popcounts(idx & leaf.mask(tree.n)) == w
+    return np.flatnonzero(hit)
+
+
+def tensor_factorization_check(psi, tree, tol: float = 1e-9) -> bool:
+    """Separability by singular values: every projected class must be rank one
+    across each leaf-versus-rest cut."""
+    amps = psi.amplitudes
+    for info in distribution_table(psi, tree):
+        if info.norm <= tol:
+            continue
+        leaf_strings = [[format(i, f"0{leaf.size}b") for i in range(1 << leaf.size)
+                         if bin(i).count("1") == w] for leaf, w in zip(tree.leaves, info.weights)]
+        dims = [len(s) for s in leaf_strings]
+        tensor = np.zeros(dims, dtype=np.complex128)
+        for combo in itertools.product(*(range(d) for d in dims)):
+            bits = "".join(leaf_strings[u][g] for u, g in enumerate(combo))
+            tensor[combo] = amps[string_to_index(bits)]
+        tensor = tensor / info.norm
+        for u in range(len(dims)):
+            unfolded = np.moveaxis(tensor, u, 0).reshape(dims[u], -1)
+            if min(unfolded.shape) == 1:
+                continue
+            s = np.linalg.svd(unfolded, compute_uv=False)
+            if s[1] > tol * max(s[0], 1.0):
+                return False
+    return True
 
 
 def separability_oracle(psi, tree, infos, tol: float = 1e-9) -> SeparabilityReport:

@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import separability_oracle
+from conftest import (class_indices, dicke_state, separability_oracle,
+                      tensor_factorization_check)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (class_indices, distribution_norm, distribution_table,
+from leafsep.analysis import (_concat_members, _grouping, distribution_table,
                               encoder_angles, is_leaf_separable, leaf_amplitude_table,
                               mixed_weight_profile, reconstruct_amplitudes,
-                              rotation_ladder_angles, tensor_factorization_check,
-                              weight_split_amplitudes)
+                              rotation_ladder_angles, weight_split_amplitudes)
 from leafsep.combinatorics import ehrlich_sequence
-from leafsep.core import (StateVector, build_partition_tree, dicke_state,
-                          enumerate_weight_distributions, index_to_string,
-                          weight_distribution_of)
+from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
+                          index_to_string)
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 
@@ -22,15 +21,17 @@ TREE42 = build_partition_tree(4, 2)
 
 
 def test_class_indices_are_ascending_slices():
+    """The grouping's class slices, gathered for every distribution of a weight, are
+    the popcount oracle's classes in order and together cover every index once."""
     tree = build_partition_tree(7, 3)
+    groups = _grouping(tree)
     seen = []
     for w in range(8):
-        for dist in enumerate_weight_distributions(tree.leaf_sizes, w):
-            idx = class_indices(tree, dist)
-            assert list(idx) == sorted(idx)
-            assert all(weight_distribution_of(index_to_string(int(i), 7), tree) == dist
-                       for i in idx)
-            seen.extend(int(i) for i in idx)
+        dists = enumerate_weight_distributions(tree.leaf_sizes, w)
+        idx, ends = _concat_members(groups, [groups.key(dist) for dist in dists])
+        for dist, part in zip(dists, np.split(idx, ends[:-1])):
+            assert np.array_equal(part, class_indices(tree, dist))
+        seen.extend(idx.tolist())
     assert sorted(seen) == list(range(1 << 7))
 
 
@@ -45,15 +46,14 @@ def test_distribution_reference_is_first_live_index(worked_example):
 
 
 def test_distribution_norms(worked_example):
-    assert abs(distribution_norm(worked_example, TREE42, (1, 1)) - 1 / math.sqrt(2)) < 1e-12
-    assert distribution_norm(worked_example, TREE42, (0, 2)) == 0.0
-    for infeasible in [(1, 3), (3, 0), (-1, 2)]:
-        assert distribution_norm(worked_example, TREE42, infeasible) == 0.0
-    for wrong_length in [(1,), (1, 1, 0)]:
-        with pytest.raises(ValueError):
-            distribution_norm(worked_example, TREE42, wrong_length)
-    total = sum(info.norm ** 2 for info in distribution_table(worked_example, TREE42))
-    assert abs(total - 1.0) < 1e-12
+    norms = {info.weights: info.norm for info in distribution_table(worked_example, TREE42)}
+    assert norms == {(0, 2): 0.0, (1, 1): pytest.approx(1 / math.sqrt(2), abs=1e-12),
+                     (2, 0): pytest.approx(1 / math.sqrt(2), abs=1e-12)}
+    tree = build_partition_tree(7, 3)
+    psi = random_mixed_leaf_separable(7, 3, "complex", seed=8)
+    for info in distribution_table(psi, tree):
+        want = np.linalg.norm(psi.amplitudes[class_indices(tree, info.weights)])
+        assert info.norm == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_is_leaf_separable_worked_example(worked_example):
@@ -278,21 +278,46 @@ def test_ladder_angles_round_trip_through_chain():
 def test_leaf_amplitude_table_worked_example(worked_example):
     table = leaf_amplitude_table(worked_example, TREE42)
     r = 1 / math.sqrt(2)
-    assert np.allclose(table.get(0, 1), [r, r])
-    assert np.allclose(table.get(1, 1), [r, r])
-    assert np.allclose(table.get(0, 2), [1.0])
-    assert np.allclose(table.get(1, 0), [1.0])
+    assert np.allclose(table[(0, 1)], [r, r])
+    assert np.allclose(table[(1, 1)], [r, r])
+    assert np.allclose(table[(0, 2)], [1.0])
+    assert np.allclose(table[(1, 0)], [1.0])
     # (0, 0) never reachable: weight 2 cannot sit entirely on a 2-qubit right leaf
     # with the left leaf at 0 while (0,2) has no support; the pair is keyed only
     # when some supported distribution reaches it.
-    assert table.get(0, 0) is None
+    assert (0, 0) not in table
+    infos = distribution_table(worked_example, TREE42)
+    given = leaf_amplitude_table(worked_example, TREE42, infos=infos)
+    assert given.keys() == table.keys()
+    assert all(np.array_equal(given[key], table[key]) for key in table)
 
 
 def test_leaf_amplitude_table_single_state():
     table = leaf_amplitude_table(StateVector.basis(4, "1100"), TREE42)
-    assert np.allclose(table.get(0, 2), [1.0])
-    assert np.allclose(table.get(1, 0), [1.0])
-    assert table.classes() == [(0, 2), (1, 0)]
+    assert np.allclose(table[(0, 2)], [1.0])
+    assert np.allclose(table[(1, 0)], [1.0])
+    assert sorted(table) == [(0, 2), (1, 0)]
+
+
+def test_leaf_amplitude_table_skips_distributions_without_reference():
+    """A (leaf, weight) entry comes from the first distribution in table order that
+    reaches it and has a reference; a faint distribution before it is skipped."""
+    faint = 1e-10  # both faint amplitudes lie below REFERENCE_REL_TOL * max|amp|
+    psi = StateVector.from_terms(4, {
+        "0001": 0.5, "0010": 0.5,                     # (0, 1)
+        "0100": faint, "1000": 3 * faint,             # (1, 0): no reference state
+        "0101": 0.12, "0110": 0.24, "1001": 0.16, "1010": 0.32,  # (1, 1)
+        "1100": 0.3}, normalize=True)                 # (2, 0)
+    infos = distribution_table(psi, TREE42)
+    assert [(info.weights, info.reference is None) for info in infos] == [
+        ((0, 1), False), ((1, 0), True), ((0, 2), True), ((1, 1), False), ((2, 0), False)]
+    table = leaf_amplitude_table(psi, TREE42, infos=infos)
+    # leaf 0 at weight 1 is first reached by (1, 0), whose pattern ratio is 1 : 3;
+    # its entry comes from (1, 1) instead, ratio 0.12 : 0.16 in Ehrlich order 01, 10
+    assert np.allclose(table[(0, 1)], [0.6, 0.8], rtol=0, atol=1e-12)
+    # leaf 1 at weight 1: (0, 1) comes first (ratio 1 : 1), not (1, 1) (ratio 1 : 2)
+    assert np.allclose(table[(1, 1)], [math.sqrt(0.5)] * 2, rtol=0, atol=1e-12)
+    assert sorted(table) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
 
 
 def test_table_order_matches_ehrlich():
@@ -302,10 +327,9 @@ def test_table_order_matches_ehrlich():
     tree = build_partition_tree(4, 4)
     table = leaf_amplitude_table(psi, tree)
     order = ehrlich_sequence(4, 2)
-    eta = table.get(0, 2)
+    eta = table[(0, 2)]
     for bits, value in amps.items():
         assert abs(eta[order.index(bits)] - value) < 1e-12
-    assert abs(table.amplitude(0, 2, "0101") - 0.3) < 1e-12
 
 
 @pytest.mark.parametrize("n,k,kind", [(6, 2, "real"), (6, 3, "complex"),

@@ -143,6 +143,34 @@ def test_bench_fidelity_csv(tmp_path):
     assert len(lines) == 3  # k = 1, 2
 
 
+def test_bench_fidelity_rejects_bad_input(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench-fidelity", "--k", "x"])
+    assert exit_info.value.code == 2
+    assert "expected an integer or 'all', got 'x'" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench-fidelity", "--n-min", "4", "--n-max", "4", "--states", "0"]) == 1
+    assert capsys.readouterr().err == "error: states per cell must be at least 1, got 0\n"
+
+
+def test_bench_fidelity_single_k(tmp_path):
+    out = tmp_path / "fid.csv"
+    assert main(["bench-fidelity", "--n-min", "4", "--n-max", "4", "--k", "2",
+                 "--states", "2", "--out", str(out)]) == 0
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["2"]
+
+
+def test_random_state_rejects_bad_sizes(capsys):
+    for args, message in [(["--n", "33", "--k", "2"], "33 wires exceed the maximum of 32"),
+                          (["--n", "4", "--k", "2", "--ell", "5"], "ell must be in [0, 4]"),
+                          (["--n", "4", "--k", "2", "--ell", "-1"], "ell must be in [0, 4]"),
+                          (["--n", "33", "--k", "2", "--mixed"], "maximum of 32")]:
+        assert main(["random-state", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (args, err)
+
+
 def test_bench_cost_csv(tmp_path):
     out = tmp_path / "cost.csv"
     assert main(["bench-cost", "--n-min", "4", "--n-max", "5", "--out", str(out)]) == 0

@@ -1,21 +1,17 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
 
 from leafsep.core import (MAX_QUBITS, ParseError, StateVector, build_partition_tree,
-                          dicke_state,
-                          enumerate_weight_distributions, hamming_weight,
-                          index_to_string, restrict, string_to_index,
-                          weight_distribution_of)
+                          enumerate_weight_distributions, index_to_string, popcounts,
+                          string_to_index)
 
 
 def test_hamming_weight():
-    assert hamming_weight("0011") == 2
-    assert hamming_weight("0000") == 0
-    assert hamming_weight("1100") == 2
+    assert popcounts(np.array([0b0011, 0b0000, 0b1100])).tolist() == [2, 0, 2]
+    assert popcounts(np.array([(1 << 32) - 1, 1 << 31, 0xFFFF0000])).tolist() == [32, 1, 16]
 
 
 def test_string_index_round_trip():
@@ -26,19 +22,11 @@ def test_string_index_round_trip():
             assert len(s) == n
 
 
-def test_restrict():
-    assert restrict("0101", {0, 1}) == "01"
-    assert restrict("0101", {2, 3}) == "01"
-    assert restrict("1100", range(4)) == "1100"
-    with pytest.raises(IndexError):
-        restrict("01", {5})
-
-
 def test_partition_tree_4_2():
     tree = build_partition_tree(4, 2)
     assert tree.root.qubits == range(0, 4)
     assert [(l.start, l.size) for l in tree.leaves] == [(0, 2), (2, 2)]
-    assert tree.root.left_size == 2
+    assert tree.root.left.size == 2
 
 
 def test_partition_tree_single_leaf():
@@ -98,19 +86,29 @@ def test_enumerate_weight_distributions_brute_force():
         assert got == expected
 
 
+def _weight_distribution(index: int, tree) -> tuple[int, ...]:
+    return tuple(int(popcounts(np.array([index & leaf.mask(tree.n)]))[0])
+                 for leaf in tree.leaves)
+
+
 def test_weight_distribution_of():
+    """A leaf's mask picks its qubits out of an index, bit 0 the most significant."""
     tree = build_partition_tree(4, 2)
-    assert weight_distribution_of("0101", tree) == (1, 1)
-    assert weight_distribution_of("1100", tree) == (2, 0)
-    assert weight_distribution_of("0000", tree) == (0, 0)
+    assert _weight_distribution(0b0101, tree) == (1, 1)
+    assert _weight_distribution(0b1100, tree) == (2, 0)
+    assert _weight_distribution(0b0000, tree) == (0, 0)
+    tree = build_partition_tree(7, 3)
+    assert [leaf.mask(7) for leaf in tree.leaves] == [0b1110000, 0b0001110, 0b0000001]
 
 
 def test_weight_distribution_sums_to_weight():
+    """The leaf masks partition every index's bits."""
     for n, k in [(6, 2), (7, 3), (8, 3)]:
         tree = build_partition_tree(n, k)
-        for i in range(1 << n):
-            bits = index_to_string(i, n)
-            assert sum(weight_distribution_of(bits, tree)) == hamming_weight(bits)
+        idx = np.arange(1 << n)
+        per_leaf = sum(popcounts(idx & leaf.mask(n)) for leaf in tree.leaves)
+        assert np.array_equal(per_leaf, popcounts(idx))
+        assert sum(leaf.mask(n) for leaf in tree.leaves) == (1 << n) - 1
 
 
 def test_state_vector_normalization_guard():
@@ -133,14 +131,6 @@ def test_state_vector_json_accepts_index_key():
     data = {"n": 2, "amplitudes": [{"index": 3, "re": 1.0, "im": 0.0}]}
     psi = StateVector.from_json_dict(data)
     assert psi.amplitude("11") == 1.0
-
-
-def test_dicke_state_amplitudes():
-    psi = dicke_state(4, 2)
-    expected = 1 / math.sqrt(6)
-    for bits in ("0011", "0101", "0110", "1001", "1010", "1100"):
-        assert abs(psi.amplitude(bits) - expected) < 1e-15
-    assert abs(psi.amplitude("0001")) == 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import tensor_factorization_check
 
-from leafsep.analysis import is_leaf_separable, tensor_factorization_check
-from leafsep.core import build_partition_tree
+from leafsep.analysis import is_leaf_separable
+from leafsep.core import MAX_QUBITS, build_partition_tree
 from leafsep.experiments import (ExperimentConfig, cost_rows_to_csv,
                                  fidelity_rows_to_csv, random_fixed_weight_state,
                                  random_leaf_separable,
@@ -71,6 +73,39 @@ def test_fixed_weight_generator():
     psi = random_fixed_weight_state(6, 2, "complex", seed=4)
     assert psi.weights_present() == [2]
     assert abs(psi.norm() - 1.0) < 1e-12
+
+
+def test_generators_reject_too_many_qubits_before_work():
+    n = MAX_QUBITS + 1
+    for build in (lambda: random_leaf_separable(n, 2, n // 2),
+                  lambda: random_mixed_leaf_separable(n, 2),
+                  lambda: random_fixed_weight_state(n, n // 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} wires exceed the maximum of {MAX_QUBITS}"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_generators_reject_weights_out_of_range():
+    for ell in (-1, 5):
+        with pytest.raises(ValueError, match=rf"ell must be in \[0, 4\] for n=4, got {ell}"):
+            random_leaf_separable(4, 2, ell)
+        with pytest.raises(ValueError, match=rf"w must be in \[0, 4\] for n=4, got {ell}"):
+            random_fixed_weight_state(4, ell)
+    for top in (-1, 3):
+        with pytest.raises(ValueError, match=r"max_weight must be in \[0, 2\]"):
+            random_mixed_leaf_separable(4, 2, max_weight=top)
+    assert random_leaf_separable(4, 2, 4).weights_present() == [4]
+    assert random_mixed_leaf_separable(4, 2, max_weight=0).weights_present() == [0]
+
+
+def test_fidelity_sweep_rejects_empty_cells():
+    with pytest.raises(ValueError, match="states per cell must be at least 1, got 0"):
+        ExperimentConfig(n_values=(4,), states_per_cell=0)
 
 
 def test_fidelity_sweep_rows_and_determinism():

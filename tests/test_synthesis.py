@@ -4,13 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import dicke_state
 
 from leafsep.analysis import (distribution_table, leaf_amplitude_table, node_split_norms,
                               rotation_ladder_angles, weight_split_amplitudes)
 from leafsep.circuit import Circuit, cost
 from leafsep.combinatorics import ehrlich_sequence
-from leafsep.core import (StateVector, build_partition_tree, dicke_state,
-                          enumerate_weight_distributions, string_to_index)
+from leafsep.core import StateVector, build_partition_tree, enumerate_weight_distributions
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 from leafsep.simulator import fidelity, simulate, system_purity
@@ -57,17 +57,6 @@ def test_gwdb_dicke_intermediate():
     res = simulate(circ, initial="0011")
     for i, bits in enumerate(("0011", "0101", "1100")):
         assert abs(res.state.amplitude(bits) - betas[i]) < 1e-12
-
-
-def test_gwdb_split_phases():
-    tree = build_partition_tree(4, 2)
-    betas = np.array([0.6, 0.8])
-    phases = [0.0, 1.234]
-    circ = Circuit(n_system=4)
-    circ.extend(synthesize_gwdb(tree.root, 1, rotation_ladder_angles(betas), phases))
-    res = simulate(circ, initial="0001")
-    assert abs(res.state.amplitude("0001") - 0.6) < 1e-12
-    assert abs(res.state.amplitude("0100") - 0.8 * np.exp(1.234j)) < 1e-12
 
 
 def tree_product_coefficients(psi, tree, total_weights):
@@ -255,12 +244,12 @@ def _marker_scheme_circuit(psi, tree, table, class_order):
     circ.extend(synthesize_gwdb_tree(psi, tree).gates)
     circ.extend(_distribution_phase_gates(tree, distribution_table(psi, tree)))
     for u, leaf in enumerate(tree.leaves):
-        classes = sorted((w for (lu, w) in table.entries if lu == u),
+        classes = sorted((w for (lu, w) in table if lu == u),
                          reverse=(class_order == "decreasing"))
         ancilla = tree.n + u
         for w in classes:
             circ.add(_leaf_detector(leaf, w, ancilla))
-            amps = table.entries[(u, w)]
+            amps = table[(u, w)]
             if len(amps) > 1:
                 circ.extend(_rotation_chain(ehrlich_sequence(leaf.size, w), amps,
                                             offset=leaf.start,
@@ -274,7 +263,7 @@ def test_increasing_class_order_is_load_bearing():
     psi = random_leaf_separable(6, 3, 3, "real", seed=44)
     tree = build_partition_tree(6, 3)
     table = leaf_amplitude_table(psi, tree)
-    sizes = [len(v) for v in table.entries.values()]
+    sizes = [len(v) for v in table.values()]
     assert sum(1 for s in sizes if s > 1) >= 2  # order-sensitive target
 
     good = _marker_scheme_circuit(psi, tree, table, "increasing")
