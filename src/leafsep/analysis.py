@@ -1,4 +1,4 @@
-"""Amplitude analysis: distribution norms, separability, split ratios, leaf tables.
+"""Amplitude analysis: distribution norms, split ratios, leaf tables, separability.
 
 Everything here is a pure function of a target state and a partition tree.
 The central objects:
@@ -8,9 +8,10 @@ The central objects:
 * the per-node split amplitudes (conditional weight-split probabilities),
 * the per-(leaf, weight) normalized local amplitudes that feed the
   Hamming-weight encoders, stored in the enumeration order of
-  :func:`leafsep.combinatorics.ehrlich_sequence`.  They are read off the
-  distribution table's references: the classes are scanned for references
-  once, and the separability check and the leaf tables both reuse them.
+  :func:`leafsep.combinatorics.ehrlich_sequence`,
+* the compiled state, the state :func:`leafsep.synthesis.synthesize_full`
+  prepares from the three above: the one model of separability.  A target is
+  leaf-separable on a tree when it equals its compiled state.
 
 Basis states are integer indices (MSB-first, see :mod:`leafsep.core`);
 bitstrings appear only in reports.  Per tree, one cached grouping stably sorts
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -47,9 +47,6 @@ class _Grouping:
     order: np.ndarray           # all basis indices, stably sorted by key
     starts: np.ndarray          # the class with key K is order[starts[K]:starts[K + 1]]
 
-    def key(self, distribution) -> int:
-        return sum(map(operator.mul, distribution, self.strides))
-
 
 @lru_cache(maxsize=64)
 def _grouping(tree: PartitionTree) -> _Grouping:
@@ -66,10 +63,9 @@ def _grouping(tree: PartitionTree) -> _Grouping:
 
 
 @lru_cache(maxsize=None)
-def _leaf_patterns(n: int, leaf: TreeNode, w: int) -> np.ndarray:
-    """The leaf's weight-``w`` patterns in Ehrlich order, placed in n-qubit indices."""
-    shift = n - leaf.start - leaf.size
-    return np.array([int(g, 2) << shift for g in ehrlich_sequence(leaf.size, w)])
+def _leaf_patterns(size: int, w: int) -> np.ndarray:
+    """A ``size``-qubit leaf's local weight-``w`` patterns, as integers, in Ehrlich order."""
+    return np.array([int(g, 2) for g in ehrlich_sequence(size, w)])
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,8 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
     groups = _grouping(tree)
     dists = [dist for ell in total_weights
              for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)]
-    idx, ends = _concat_members(groups, [groups.key(dist) for dist in dists])
+    keys = np.array(dists, dtype=np.int64).reshape(-1, tree.num_leaves) @ groups.strides
+    idx, ends = _concat_members(groups, keys)
     vals = amps[idx]
     live = np.append(np.flatnonzero(np.abs(vals) > cutoff), len(vals))
     begins = np.append(0, ends[:-1])
@@ -112,77 +109,6 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
         out.append(DistributionInfo(weights=dist, norm=float(np.linalg.norm(vals[lo:hi])),
                                     reference=ref, phase=phase))
     return out
-
-
-# --- separability ----------------------------------------------------------
-
-@dataclass
-class SeparabilityReport:
-    separable: bool
-    tol: float
-    violations: list[dict] = field(default_factory=list)
-    distributions: list[dict] = field(default_factory=list)
-    max_delta: float = 0.0     # worst residual over every checked class
-
-    def to_json_dict(self) -> dict:
-        return {"separable": self.separable, "tol": self.tol, "max_delta": self.max_delta,
-                "violations": self.violations, "distributions": self.distributions}
-
-
-def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, *,
-                      infos: list[DistributionInfo] | None = None) -> SeparabilityReport:
-    """Check the per-distribution product condition, with a violation certificate.
-
-    For every valid distribution I with c(I) > tol, every basis state b in the
-    class must satisfy alpha_b / alpha_{b*} = prod_u gamma_u(g_u) within tol,
-    where b* is the class reference and gamma_u varies one leaf of b* at a time.
-    Every distribution is scanned: the report lists c(I) for each, the worst
-    residual, and the violations in distribution order up to and including the
-    first residual violation (the first bad state in ascending index order).
-    ``infos`` is the target's :func:`distribution_table` when the caller has it.
-    The members of all checked classes are checked as one array, in table order.
-    """
-    if infos is None:
-        infos = distribution_table(psi, tree)
-    report = SeparabilityReport(separable=True, tol=tol, distributions=[
-        {"I": list(info.weights), "c": info.norm} for info in infos])
-    checked = [info for info in infos if info.norm > tol]
-    live = [info for info in checked if info.reference is not None]
-    culprit = None
-    if live:
-        amps, groups = psi.amplitudes, _grouping(tree)
-        idx, ends = _concat_members(groups, [groups.key(info.weights) for info in live])
-        lengths = np.diff(ends, prepend=0)
-        ref = np.repeat([info.reference for info in live], lengths)
-        ref_amp = amps[ref]
-        predicted = np.ones(len(idx), dtype=np.complex128)
-        # numpy's in-place complex product rounds a one-element array without fused
-        # multiply-adds; one-member classes keep that rounding, as when checked one by one
-        alone = np.flatnonzero(np.repeat(lengths == 1, lengths))
-        for leaf in tree.leaves:
-            mask = leaf.mask(psi.n)
-            factor = amps[(ref & ~mask) | (idx & mask)] / ref_amp
-            p, f = predicted[alone], factor[alone]
-            predicted *= factor
-            predicted.real[alone] = p.real * f.real - p.imag * f.imag
-            predicted.imag[alone] = p.real * f.imag + p.imag * f.real
-        delta = np.abs(amps[idx] / ref_amp - predicted)
-        report.max_delta = float(np.max(delta))
-        bad = np.flatnonzero(delta > tol)
-        if bad.size:
-            b = bad[0]
-            culprit = live[int(np.searchsorted(ends, b, side="right"))]
-            violation = {"I": list(culprit.weights),
-                         "bitstring": index_to_string(int(idx[b]), psi.n),
-                         "delta": float(delta[b])}
-    for info in checked:
-        if info is culprit:
-            report.violations.append(violation)
-            break
-        if info.reference is None:
-            report.violations.append({"I": list(info.weights), "error": "no reference state"})
-    report.separable = not report.violations
-    return report
 
 
 # --- node split amplitudes -------------------------------------------------
@@ -216,10 +142,8 @@ def node_split_norms(psi: StateVector, node: TreeNode, total_weight: int, *,
     wl, wr = _part_weights(psi.n, node)
     if probs is None:
         probs = np.abs(psi.amplitudes) ** 2
-    out = np.zeros(total_weight + 1)
-    for i in range(total_weight + 1):
-        out[i] = math.sqrt(float(np.sum(probs[(wl == i) & (wr == total_weight - i)])))
-    return out
+    return np.array([math.sqrt(float(np.sum(probs[(wl == i) & (wr == total_weight - i)])))
+                     for i in range(total_weight + 1)])
 
 
 def weight_split_amplitudes(psi: StateVector, node: TreeNode, total_weight: int, *,
@@ -275,7 +199,7 @@ def leaf_amplitude_table(psi: StateVector, tree: PartitionTree, *,
             if w == 0:
                 table[(u, 0)] = np.array([1.0 + 0.0j])
                 continue
-            patterns = _leaf_patterns(psi.n, leaf, w)
+            patterns = _leaf_patterns(leaf.size, w) << (psi.n - leaf.start - leaf.size)
             gammas = amps[(ref & ~leaf.mask(psi.n)) | patterns] / amps[ref]
             table[(u, w)] = gammas / np.linalg.norm(gammas)
     return table
@@ -296,10 +220,8 @@ def encoder_angles(amplitudes) -> tuple[list[tuple[float, float]], float]:
     chi = 0.0
     for t in range(1, len(a)):
         theta = 2.0 * math.atan2(float(tails[t]), float(mags[t - 1]))
-        if mags[t - 1] > 1e-15:
-            phi = math.remainder(2.0 * (cmath.phase(a[t - 1]) - chi), 4.0 * math.pi)
-        else:
-            phi = 0.0
+        phi = (math.remainder(2.0 * (cmath.phase(a[t - 1]) - chi), 4.0 * math.pi)
+               if mags[t - 1] > 1e-15 else 0.0)
         pairs.append((theta, phi))
         chi -= phi / 2.0
     if len(a) and mags[-1] > 1e-15:
@@ -320,43 +242,115 @@ def mixed_weight_profile(psi: StateVector) -> np.ndarray:
     return np.sqrt(sums[:half + 1])
 
 
-def factored_amplitudes(tree: PartitionTree, coefficients: dict,
-                        factors: list[np.ndarray]) -> np.ndarray:
-    """``amps[b] = coefficients[I(b)] * prod_u factors[u][g_u(b)]`` over all 2^n indices.
+# --- the compiled state and separability ------------------------------------
 
-    I(b) is the weight distribution of b (absent ones give 0) and g_u(b) the
-    local pattern of leaf u as an integer.  The complex product runs leaf by leaf
-    on real and imaginary parts, rounding like the scalar ``value * factor``.
+def node_weights(tree: PartitionTree, distributions: np.ndarray):
+    """Per internal node in preorder: the node, and each distribution's weight on it
+    and on its left child.  ``distributions`` is a D x G array of leaf weights."""
+    first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
+    cum = np.cumsum(np.pad(distributions, ((0, 0), (1, 0))), axis=1)  # cum[:, u]: leaves < u
+    for node in tree.internal_nodes():
+        lo, mid, hi = (cum[:, first[q]] for q in (node.start, node.right.start,
+                                                  node.start + node.size))
+        yield node, hi - lo, mid - lo
+
+
+def _compiled(tree: PartitionTree, infos: list[DistributionInfo], table: dict):
+    """Distributions, coefficients and leaf factors of the state ``synthesize_full``
+    prepares from a target with distribution table ``infos`` and leaf table ``table``.
+
+    From the table's norms, c(I)^2 is the weight profile at I's total weight times,
+    per internal node, the probability of I's split given I's weight on the node.
+    c(I) carries I's phase, and is 0 without a reference or at norm <= DEAD_BRANCH_TOL.
     """
+    dists = np.array([info.weights for info in infos], dtype=np.int64)
+    probs = np.array([info.norm for info in infos]) ** 2
+    total = dists.sum(axis=1)
+    c2 = np.bincount(total, weights=probs)[total]
+    for node, w, left in node_weights(tree, dists):
+        split = w * (node.left.size + 1) + left
+        given = np.bincount(w, weights=probs)[w]
+        c2 *= np.divide(np.bincount(split, weights=probs)[split], given,
+                        out=np.zeros(len(given)), where=given > 0)
+    live = np.array([info.norm > DEAD_BRANCH_TOL and info.reference is not None for info in infos])
+    phases = np.array([info.phase for info in infos])
+    coefficients = np.where(live, np.sqrt(c2) * np.exp(1j * phases), 0)
+    factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
+    for (u, w), entry in table.items():
+        factors[u][_leaf_patterns(tree.leaf_sizes[u], w)] = entry
+    return dists, coefficients, factors
+
+
+def _product(tree: PartitionTree, distributions, coefficients, factors):
+    """Members of the given distributions (a D x G array; each ascending), each one's
+    end, and ``coefficients[j] * prod_u factors[u][g_u(b)]`` at each member b of the
+    j-th, multiplied leaf by leaf on real and imaginary parts and added into zeros."""
     n, groups = tree.n, _grouping(tree)
-    keys = np.array(list(coefficients), dtype=np.int64).reshape(-1, tree.num_leaves)
-    per_key = np.zeros(len(groups.starts) - 1, dtype=np.complex128)
-    per_key[keys @ np.array(groups.strides)] = list(coefficients.values())
-    coeff = np.empty(1 << n, dtype=np.complex128)
-    coeff[groups.order] = np.repeat(per_key, np.diff(groups.starts))
+    idx, ends = _concat_members(groups, distributions @ np.array(groups.strides))
+    coeff = np.repeat(np.asarray(coefficients, dtype=np.complex128), np.diff(ends, prepend=0))
     re, im = coeff.real, coeff.imag
-    idx = np.arange(1 << n)
     for leaf, table in zip(tree.leaves, factors):
         f = table[(idx >> (n - leaf.start - leaf.size)) & ((1 << leaf.size) - 1)]
         re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps.real += re
-    amps.imag += im
+    values = np.zeros(len(idx), dtype=np.complex128)
+    values.real += re
+    values.imag += im
+    return idx, ends, values
+
+
+def factored_amplitudes(tree: PartitionTree, distributions, coefficients,
+                        factors: list[np.ndarray]) -> np.ndarray:
+    """``coefficients[j] * prod_u factors[u][g_u(b)]`` on each member b of ``distributions[j]``
+    (a D x G array of leaf weights), g_u(b) the local pattern of leaf u; 0 elsewhere."""
+    idx, _, values = _product(tree, distributions, coefficients, factors)
+    amps = np.zeros(1 << tree.n, dtype=np.complex128)
+    amps[idx] = values
     return amps
 
 
-def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree,
-                           total_weights=None) -> StateVector:
-    """Rebuild a state from c(I), the reference phases, and the leaf tables.
+def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree) -> StateVector:
+    """The state ``synthesize_full`` prepares from ``psi`` times e^{i phi_0}, phi_0 being
+    the phase of the first live distribution; ``psi`` itself exactly when separable."""
+    infos = distribution_table(psi, tree)
+    compiled = _compiled(tree, infos, leaf_amplitude_table(psi, tree, infos=infos))
+    return StateVector(psi.n, factored_amplitudes(tree, *compiled), check=False)
 
-    For leaf-separable input this reproduces the state entrywise; the residual
-    difference is the natural separability error measure.
+
+@dataclass
+class SeparabilityReport:
+    separable: bool
+    tol: float
+    max_delta: float = 0.0     # worst residual over every member
+    violations: list[dict] = field(default_factory=list)
+    distributions: list[dict] = field(default_factory=list)
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, *,
+                      infos: list[DistributionInfo] | None = None,
+                      table: dict | None = None) -> SeparabilityReport:
+    """Compare the target with its compiled state (:func:`reconstruct_amplitudes`).
+
+    Separable means no residual |psi(b) - compiled(b)| over the members of the
+    table's distributions exceeds ``tol``: ``tol`` bounds the per-amplitude error of
+    the compiled state.  The report lists c(I) per distribution, the worst residual
+    and at most one violation: the first member above ``tol`` in table order, then
+    ascending index.  ``infos`` and ``table`` are the target's
+    :func:`distribution_table` and :func:`leaf_amplitude_table`, if already built.
     """
-    infos = distribution_table(psi, tree, total_weights)
-    factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
-    for (u, w), entry in leaf_amplitude_table(psi, tree, infos=infos).items():
-        factors[u][[int(g, 2) for g in ehrlich_sequence(tree.leaf_sizes[u], w)]] = entry
-    coefficients = {info.weights: info.norm * cmath.exp(1j * info.phase)
-                    for info in infos
-                    if info.norm > DEAD_BRANCH_TOL and info.reference is not None}
-    return StateVector(psi.n, factored_amplitudes(tree, coefficients, factors), check=False)
+    if infos is None:
+        infos = distribution_table(psi, tree)
+    if table is None:
+        table = leaf_amplitude_table(psi, tree, infos=infos)
+    dists, coefficients, factors = _compiled(tree, infos, table)
+    idx, ends, compiled = _product(tree, dists, coefficients, factors)
+    delta = np.abs(psi.amplitudes[idx] - compiled)
+    violations = [{"I": dists[np.searchsorted(ends, b, side="right")].tolist(),
+                   "bitstring": index_to_string(int(idx[b]), psi.n), "delta": float(delta[b])}
+                  for b in np.flatnonzero(delta > tol)[:1]]
+    return SeparabilityReport(
+        separable=not violations, tol=tol, max_delta=float(np.max(delta, initial=0.0)),
+        violations=violations,
+        distributions=[{"I": list(info.weights), "c": info.norm} for info in infos])

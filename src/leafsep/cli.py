@@ -53,10 +53,9 @@ def _cmd_synthesize(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         circ = synthesis.synthesize_full(psi, config)
-    separable = circ.metadata.get("separable", True)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    if args.strict and not separable:
+    if args.strict and not circ.metadata["separable"]:
         return _fail(1, "input is not leaf-separable (strict mode)")
     _write(args.out, circuit.export_text(circ))
     return 0
@@ -96,9 +95,7 @@ def _cmd_check_separable(args) -> int:
     tree = build_partition_tree(args.n, args.k)
     report = analysis.is_leaf_separable(psi, tree, tol=args.tol)
     _write(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    if args.strict and not report.separable:
-        return 1
-    return 0
+    return 1 if args.strict and not report.separable else 0
 
 
 def _cmd_random_state(args) -> int:
@@ -123,11 +120,14 @@ def _k_values(text: str) -> tuple[int, ...] | None:
 
 def _cmd_bench_fidelity(args) -> int:
     states = 200 if args.paper_scale else args.states
-    n_values = tuple(range(args.n_min, (15 if args.paper_scale else args.n_max) + 1))
+    n_max = 15 if args.paper_scale else args.n_max
     config = experiments.ExperimentConfig(
-        n_values=n_values, k_values=args.k, ell=args.ell,
+        n_values=tuple(range(args.n_min, n_max + 1)), k_values=args.k, ell=args.ell,
         states_per_cell=states, seed=args.seed, kind=args.field,
         modes=tuple(args.modes.split(",")))
+    if not any(config.cells()):
+        return _fail(1, f"--k {args.k[0] if args.k else 'all'} leaves no (n, k) cell with "
+                        f"k <= n for n in [{args.n_min}, {n_max}]")
     rows = experiments.run_fidelity_sweep(config)
     _write(args.out, experiments.fidelity_rows_to_csv(rows))
     return 0
@@ -169,11 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="-")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("check-separable", help="test the product condition")
+    p = sub.add_parser("check-separable",
+                       help="compare the target with the state the compiler prepares")
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="bound on the per-amplitude error of the compiled state")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default="-")

@@ -11,8 +11,8 @@ Assembly works on basis indices, never bitstrings.  A leaf's class vectors fill
 one table indexed by its local pattern (lexicographic class order is ascending
 pattern), the coefficient of every weight distribution is its profile weight
 times its per-node splits, taken for all distributions at once, and
-:func:`leafsep.analysis.factored_amplitudes` multiplies both out over all 2^n
-indices, the same product :func:`leafsep.analysis.reconstruct_amplitudes` uses.
+:func:`leafsep.analysis.factored_amplitudes` multiplies both out over the members of
+every distribution: the product behind the compiled state and the separability check.
 
 All randomness flows from integer seeds; per-target seeds derive from
 (master seed, n, k, state index), so a cell's results do not depend on which
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import factored_amplitudes
+from .analysis import factored_amplitudes, node_weights
 from .circuit import cost
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, \
     dense_size, enumerate_weight_distributions, popcounts
@@ -44,9 +44,13 @@ def derive_seed(master: int, *parts: int) -> list[int]:
     return [int(master)] + [int(p) for p in parts]
 
 
-def _check_size(n: int, name: str, weight: int, top: int) -> None:
-    """Reject a register above the dense limit or a weight outside [0, top] up front."""
+def _check_size(n: int, k: int, name: str, weight: int, top: int) -> None:
+    """Reject n outside [1, MAX_QUBITS], k outside [1, n] or a weight outside [0, top]."""
     dense_size(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}] for n={n}, got {k}")
     if not 0 <= weight <= top:
         raise ValueError(f"{name} must be in [0, {top}] for n={n}, got {weight}")
 
@@ -94,8 +98,7 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
     splits = _node_split_samples(tree, weights, rng, 0.05 if kind == "nonneg" else 0.0)
 
     per_weight = [enumerate_weight_distributions(tree.leaf_sizes, ell) for ell in weights]
-    dists = [dist for group in per_weight for dist in group]
-    leaf_weights = np.array(dists, dtype=np.int64).reshape(-1, tree.num_leaves)
+    leaf_weights = np.array([dist for group in per_weight for dist in group], dtype=np.int64)
     factors = []
     for u, size in enumerate(tree.leaf_sizes):
         factors.append(np.zeros(1 << size, dtype=np.complex128))
@@ -103,16 +106,12 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
         for w in np.unique(leaf_weights[:, u]):
             factors[u][slots == w] = _sample_unit(rng, math.comb(size, int(w)), kind)
 
-    # c(I) = profile[ell] * product over internal nodes (preorder) of the sampled splits;
-    # first[q] is the index of the leaf starting at qubit q, so a node spans leaves lo:hi
-    first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
-    value = np.ones(len(dists))
-    for node in tree.internal_nodes():
-        lo, mid, hi = first[node.start], first[node.right.start], first[node.start + node.size]
-        value *= splits[node][leaf_weights[:, lo:hi].sum(axis=1),
-                              leaf_weights[:, lo:mid].sum(axis=1)]
+    # c(I) = profile[ell] * product over internal nodes (preorder) of the sampled splits
+    value = np.ones(len(leaf_weights))
+    for node, w, left in node_weights(tree, leaf_weights):
+        value *= splits[node][w, left]
     coeffs = np.repeat(np.asarray(profile, dtype=float), [len(g) for g in per_weight]) * value
-    amps = factored_amplitudes(tree, dict(zip(dists, coeffs)), factors)
+    amps = factored_amplitudes(tree, leaf_weights, coeffs, factors)
     return StateVector(tree.n, amps, normalize=True)
 
 
@@ -125,7 +124,7 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     ``kind`` is "real", "complex", or "nonneg" (all-positive amplitudes, used
     for worst-case gate counting).
     """
-    _check_size(n, "ell", ell, n)
+    _check_size(n, k, "ell", ell, n)
     tree = build_partition_tree(n, k)
     return _assemble(tree, [ell], [1.0], kind, np.random.default_rng(seed))
 
@@ -134,7 +133,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
                                 max_weight: int | None = None) -> StateVector:
     """Random superposition over weights 0..floor(n/2) with per-weight structure."""
     top = n // 2 if max_weight is None else max_weight
-    _check_size(n, "max_weight", top, n // 2)
+    _check_size(n, k, "max_weight", top, n // 2)
     rng = np.random.default_rng(seed)
     tree = build_partition_tree(n, k)
     profile = np.sqrt(rng.dirichlet(np.ones(top + 1)))
@@ -143,7 +142,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
 
 def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> StateVector:
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
-    _check_size(n, "w", w, n)
+    _check_size(n, 1, "w", w, n)
     support = np.flatnonzero(popcounts(np.arange(1 << n)) == w)  # lexicographic order
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[support] = _sample_unit(np.random.default_rng(seed), len(support), kind)
@@ -171,9 +170,7 @@ class ExperimentConfig:
             ks = self.k_values if self.k_values is not None \
                 else tuple(range(1, math.ceil(n / 2) + 1))
             ell = max(1, n // 2) if self.ell is None else self.ell
-            for k in ks:
-                if k > n:
-                    continue
+            for k in (k for k in ks if k <= n):
                 for mode in self.modes:
                     yield n, k, ell, mode
 
@@ -194,9 +191,12 @@ def _fidelity_cell(n: int, k: int, ell: int, mode: str, kind: str, master: int,
 
 
 def run_fidelity_sweep(config: ExperimentConfig) -> list[dict]:
-    """Synthesize and simulate ``states_per_cell`` targets per (n, k, mode) cell."""
-    return [_fidelity_cell(n, k, ell, mode, config.kind, config.seed,
+    """Synthesize and simulate ``states_per_cell`` targets per (n, k, mode) cell, if any."""
+    rows = [_fidelity_cell(n, k, ell, mode, config.kind, config.seed,
                            config.states_per_cell) for n, k, ell, mode in config.cells()]
+    if not rows:
+        raise ValueError(f"no (n, k) cell to run: k {config.k_values} exceeds every n")
+    return rows
 
 
 COST_METHODS = ("leafsep_free", "leafsep_ancilla", "hwk_encoder", "general_baseline")

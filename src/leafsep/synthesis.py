@@ -291,8 +291,10 @@ def synthesize_mixed_weight_input(profile, n: int) -> list[Gate]:
 def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     """End-to-end pipeline: packed input, transfer tree, phases, leaf encoders.
 
-    Non-separable targets synthesize with a warning; the result is then the
-    tree approximation and its fidelity is whatever the simulator reports.
+    The circuit prepares the compiled state of :func:`analysis.reconstruct_amplitudes`
+    up to a global phase.  A target farther from it than the separability check's
+    tolerance synthesizes with a warning that names the worst residual
+    (``max_delta``), and ``metadata["separable"]`` is False.
     """
     n, k = config.n, config.k
     if psi.n != n:
@@ -307,10 +309,11 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         raise ValueError(f"state weight {ell} does not match config ell {config.ell}")
 
     infos = analysis.distribution_table(psi, tree, weights)
-    report = analysis.is_leaf_separable(psi, tree, infos=infos)
+    table = leaf_amplitude_table(psi, tree, infos=infos)
+    report = analysis.is_leaf_separable(psi, tree, infos=infos, table=table)
     if not report.separable:
-        warnings.warn("target is not leaf-separable for this tree; "
-                      "synthesis proceeds as an approximation", stacklevel=2)
+        warnings.warn("target is not leaf-separable for this tree; synthesis proceeds as an "
+                      f"approximation (max_delta {report.max_delta:.3g})", stacklevel=2)
 
     n_ancilla = tree.num_leaves if config.mode == MODE_ANCILLA else 0
     circ = Circuit(n_system=n, n_ancilla=n_ancilla,
@@ -324,7 +327,6 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
 
     circ.extend(synthesize_gwdb_tree(psi, tree, weights).gates)
     circ.extend(_distribution_phase_gates(tree, infos))
-    table = leaf_amplitude_table(psi, tree, infos=infos)
     circ.extend(synthesize_leaf_encoders(table, tree, config))
     return circ
 

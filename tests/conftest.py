@@ -3,20 +3,27 @@
 The gate oracle builds full gate matrices column by column from scalar bit
 logic, deliberately avoiding the simulator's vectorized slicing so the two paths
 can check each other.  The separability oracle checks one weight class at a
-time, the reference for the batched check in :mod:`leafsep.analysis`; its
-classes come from per-leaf popcounts, not from the analysis layer's grouping.
-The tensor-factorization oracle decides separability by singular values.
+time for the per-class product condition (each class rank one), which every
+target the compiler prepares exactly satisfies, so a target it rejects the
+compiled-state check in :mod:`leafsep.analysis` must reject too; its classes
+come from per-leaf popcounts, not from the analysis layer's grouping.  The
+tensor-factorization oracle decides the same per-class condition by singular
+values.  :func:`simulated_compiled_state` is the compiled state obtained the
+independent way: by simulating the synthesized circuit.
 """
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from leafsep.analysis import SeparabilityReport, distribution_table
+from leafsep.analysis import DEAD_BRANCH_TOL, SeparabilityReport, distribution_table
 from leafsep.circuit import Circuit
 from leafsep.core import StateVector, index_to_string, popcounts, string_to_index
+from leafsep.simulator import simulate
+from leafsep.synthesis import SynthesisConfig, synthesize_full
 
 
 @pytest.fixture
@@ -163,3 +170,15 @@ def separability_oracle(psi, tree, infos, tol: float = 1e-9) -> SeparabilityRepo
                                           "delta": float(delta[bad[0]])})
             report.separable, found = False, True
     return report
+
+
+def simulated_compiled_state(psi, tree) -> np.ndarray:
+    """The free-mode circuit ``synthesize_full`` compiles for ``tree``, simulated, times
+    e^{i phi_0}, phi_0 being the phase of the first live distribution (the circuit
+    takes every distribution phase relative to it)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        circ = synthesize_full(psi, SynthesisConfig(n=psi.n, k=tree.leaf_size))
+    first = next(info for info in distribution_table(psi, tree)
+                 if info.norm > DEAD_BRANCH_TOL and info.reference is not None)
+    return simulate(circ).state.amplitudes * cmath.exp(1j * first.phase)

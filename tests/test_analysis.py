@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (class_indices, dicke_state, separability_oracle,
-                      tensor_factorization_check)
+                      simulated_compiled_state, tensor_factorization_check)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,7 @@ def test_class_indices_are_ascending_slices():
     seen = []
     for w in range(8):
         dists = enumerate_weight_distributions(tree.leaf_sizes, w)
-        idx, ends = _concat_members(groups, [groups.key(dist) for dist in dists])
+        idx, ends = _concat_members(groups, np.array(dists) @ np.array(groups.strides))
         for dist, part in zip(dists, np.split(idx, ends[:-1])):
             assert np.array_equal(part, class_indices(tree, dist))
         seen.extend(idx.tolist())
@@ -68,30 +68,28 @@ def test_is_leaf_separable_counterexample():
     bad = StateVector.from_terms(4, {"1001": 1 / math.sqrt(2), "0110": 1 / math.sqrt(2)})
     report = is_leaf_separable(bad, TREE42)
     assert not report.separable
-    # reference 0110; 1001 predicts amp(1010) * amp(0101) / amp(0110)^2 = 0
-    assert report.violations == [{"I": [1, 1], "bitstring": "1001", "delta": 1.0}]
+    # reference 0110: both leaf vectors put all weight on its patterns 01 and 10, so
+    # the compiled state is |0110> with c(1, 1) = 1; 1001 is missing from it
+    assert report.violations == [{"I": [1, 1], "bitstring": "0110",
+                                  "delta": pytest.approx(1 - 1 / math.sqrt(2), abs=1e-15)}]
+    assert report.max_delta == 1 / math.sqrt(2)
     assert not tensor_factorization_check(bad, TREE42)
 
 
 def test_separability_scans_every_distribution():
     """c(I) for every distribution, the first violation only, and the worst residual,
-    checked against a scalar scan over bitstrings."""
+    checked against a scalar scan of |psi - simulated compiled state| over bitstrings."""
     tree = build_partition_tree(8, 2)
     psi = random_fixed_weight_state(8, 4, "complex", seed=11)
     report = is_leaf_separable(psi, tree)
     infos = distribution_table(psi, tree)
     assert [d["I"] for d in report.distributions] == [list(info.weights) for info in infos]
+    compiled = simulated_compiled_state(psi, tree)
     deltas = []    # (distribution, bitstring, residual) in scan order
     for info in infos:
-        ref = index_to_string(info.reference, 8)
         for i in class_indices(tree, info.weights):
             bits = index_to_string(int(i), 8)
-            predicted = 1.0
-            for leaf in tree.leaves:
-                lo, hi = leaf.start, leaf.start + leaf.size
-                predicted *= psi.amplitude(ref[:lo] + bits[lo:hi] + ref[hi:]) / psi.amplitude(ref)
-            deltas.append((list(info.weights), bits,
-                           abs(psi.amplitude(bits) / psi.amplitude(ref) - predicted)))
+            deltas.append((list(info.weights), bits, abs(psi.amplitude(bits) - compiled[i])))
     bad = [d for d in deltas if d[2] > report.tol]
     assert len({str(d[0]) for d in bad}) > 1
     assert not report.separable and len(report.violations) == 1
@@ -105,16 +103,19 @@ def test_separability_scans_every_distribution():
 
 
 def test_single_basis_state_is_separable():
-    for bits in ("1100", "0110", "1010"):
-        psi = StateVector.basis(4, bits)
-        assert is_leaf_separable(psi, TREE42).separable
-        assert tensor_factorization_check(psi, TREE42)
+    # on the (6, 2) tree, node weights that only dead distributions reach give 0 / 0
+    # split probabilities, which must not warn (RuntimeWarning is an error in tier-1)
+    for tree, bits in [(TREE42, "1100"), (TREE42, "0110"), (TREE42, "1010"),
+                       (build_partition_tree(6, 2), "110000")]:
+        psi = StateVector.basis(tree.n, bits)
+        report = is_leaf_separable(psi, tree)
+        assert report.separable and report.max_delta == 0.0
+        assert tensor_factorization_check(psi, tree)
 
 
 def _near_miss(psi, tree):
     """``psi`` with the largest amplitude of its largest class scaled by 1 + 1e-6."""
-    idx = max((class_indices(tree, info.weights) for info in distribution_table(psi, tree)),
-              key=len)
+    idx = _largest_class(psi, tree)
     amps = psi.amplitudes.copy()
     amps[idx[np.argmax(np.abs(amps[idx]))]] *= 1 + 1e-6
     return StateVector(psi.n, amps, normalize=True)
@@ -143,43 +144,60 @@ def test_separability_checker_matches_svd_oracle(n, k):
 
 
 def test_no_reference_state_violations():
-    """A checked class with no amplitude above the reference cutoff is reported only
-    when it comes before the first residual violation."""
+    """A checked class with no amplitude above the reference cutoff gets coefficient 0
+    in the compiled state; its members are checked like all others, with no violation
+    kind of its own."""
     tree = build_partition_tree(6, 3)
     faint = 0.9e-9 * 0.8  # below REFERENCE_REL_TOL * max|amp|; three give c(I) = 1.2e-9
     terms = {"000011": faint, "000101": faint, "000110": faint,  # (0, 2): before
              "001001": 0.8, "001010": 0.4, "010001": 0.4,        # (1, 1)
              "011000": faint, "101000": faint, "110000": faint}  # (2, 0): after
-    no_ref = [{"I": [0, 2], "error": "no reference state"},
-              {"I": [2, 0], "error": "no reference state"}]
-    cases = [({"010010": 0.2}, no_ref, 0.0),  # (1, 1) factorizes: both faint classes
-             ({"100100": 0.2},                # 010010 is missing: stop after its residual
-              no_ref[:1] + [{"I": [1, 1], "bitstring": "010010", "delta": 0.25}], 0.25)]
+    # (1, 1) compiles to c * (a x a), a = (0.8, 0.4, 0) / sqrt(0.8) on patterns 001, 010,
+    # 100 and c = 1: amplitudes 0.8, 0.4, 0.4 and 0.2 on 010010
+    cases = [({"010010": 0.2}, [], faint),  # (1, 1) factorizes: only the faint residuals
+             ({"100100": 0.2},              # 010010 is missing, 100100 is not compiled
+              [{"I": [1, 1], "bitstring": "010010", "delta": pytest.approx(0.2, abs=1e-15)}],
+              0.2)]
     for extra, violations, max_delta in cases:
         psi = StateVector.from_terms(6, {**terms, **extra})
         report = is_leaf_separable(psi, tree)
         assert report.violations == violations
-        assert report.separable is False
+        assert report.separable is not violations
         assert report.max_delta == max_delta
         assert [d["I"] for d in report.distributions] == [[0, 2], [1, 1], [2, 0]]
         assert all(d["c"] > report.tol for d in report.distributions)
-        infos = distribution_table(psi, tree)
-        assert separability_oracle(psi, tree, infos).to_json_dict() == report.to_json_dict()
+        assert np.max(np.abs(psi.amplitudes - simulated_compiled_state(psi, tree))) == \
+            pytest.approx(max_delta, abs=1e-15)
 
 
 def test_violation_at_first_member_of_class():
-    """A class whose first member sits below the reference cutoff can fail there; the
-    violation is charged to that class, not to the live class before it."""
+    """The first violation can sit at the first member of a class; it is charged to
+    that class, not to the class before it."""
     tree = build_partition_tree(6, 3)
-    faint = 0.75e-9  # below the cutoff 0.8e-9; the reference 010010 is just above it
-    psi = StateVector.from_terms(6, {"000011": 0.6, "110000": 0.8, "001010": faint,
-                                     "010001": faint, "010010": 0.9e-9})
+    psi = StateVector.from_terms(6, {"000011": 0.5, "001001": 0.5, "010010": 0.5,
+                                     "110000": 0.5})
     report = is_leaf_separable(psi, tree)
-    # 001001 is 0 but predicted (faint / 0.9e-9)^2 from the two mixed states
-    assert [(v["I"], v["bitstring"]) for v in report.violations] == [([1, 1], "001001")]
-    assert report.violations[0]["delta"] == pytest.approx((0.75 / 0.9) ** 2, rel=1e-12)
-    infos = distribution_table(psi, tree)
-    assert separability_oracle(psi, tree, infos).to_json_dict() == report.to_json_dict()
+    # (0, 2) and (2, 0) compile exactly; (1, 1) has reference 001001 and both leaf
+    # vectors are (1, 0, 0), so it compiles to c(1, 1) = sqrt(0.5) on 001001 alone
+    assert report.violations == [{"I": [1, 1], "bitstring": "001001",
+                                  "delta": pytest.approx(math.sqrt(0.5) - 0.5, rel=1e-12)}]
+    assert report.max_delta == 0.5
+    assert not separability_oracle(psi, tree, distribution_table(psi, tree)).separable
+
+
+def _largest_class(psi, tree) -> np.ndarray:
+    return max((class_indices(tree, info.weights) for info in distribution_table(psi, tree)),
+               key=len)
+
+
+def _with_class_vectors_of(psi, other, tree):
+    """``psi`` with its largest class taken from ``other``, rescaled to the same norm:
+    every class stays rank one, but that class's leaf vectors differ from the others'."""
+    idx = _largest_class(psi, tree)
+    amps = psi.amplitudes.copy()
+    amps[idx] = other.amplitudes[idx] * (np.linalg.norm(amps[idx])
+                                         / np.linalg.norm(other.amplitudes[idx]))
+    return StateVector(psi.n, amps, normalize=True)
 
 
 @st.composite
@@ -188,36 +206,47 @@ def _separability_targets(draw):
     k = draw(st.integers(1, n))
     ell = draw(st.integers(1, n - 1))
     field = draw(st.sampled_from(["real", "complex"]))
-    kind = draw(st.sampled_from(["separable", "mixed", "dense", "near miss"]))
+    kind = draw(st.sampled_from(["separable", "mixed", "dense", "near miss",
+                                 "class vectors", "dense k = 1"]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "dense k = 1":
+        k = 1
     tree = build_partition_tree(n, k)
     if kind == "mixed":
         psi = random_mixed_leaf_separable(n, k, field, seed=seed)
-    elif kind == "dense":
+    elif kind.startswith("dense"):
         psi = random_fixed_weight_state(n, ell, field, seed=seed)
     else:
         psi = random_leaf_separable(n, k, ell, field, seed=seed)
         if kind == "near miss":
             psi = _near_miss(psi, tree)
+        elif kind == "class vectors":
+            other = random_leaf_separable(n, k, ell, field, seed=[seed, 1])
+            psi = _with_class_vectors_of(psi, other, tree)
     return psi, tree
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_separability_targets())
 def test_batched_separability_matches_per_class_oracle(case):
+    """The check measures |psi - simulated compiled state|, and rejects every target
+    the per-class oracle rejects."""
     psi, tree = case
     got = is_leaf_separable(psi, tree)
-    want = separability_oracle(psi, tree, distribution_table(psi, tree))
-    assert got.separable == want.separable
+    infos = distribution_table(psi, tree)
+    delta = np.abs(psi.amplitudes - simulated_compiled_state(psi, tree))
+    assert abs(got.max_delta - np.max(delta)) < 1e-12
+    assert got.separable == (np.max(delta) <= got.tol)
+    scan = [(list(info.weights), int(i)) for info in infos
+            for i in class_indices(tree, info.weights) if delta[i] > got.tol]
+    assert len(got.violations) == min(len(scan), 1)
+    for g in got.violations:
+        assert (g["I"], g["bitstring"]) == (scan[0][0], index_to_string(scan[0][1], psi.n))
+        assert abs(g["delta"] - delta[scan[0][1]]) < 1e-12
+    want = separability_oracle(psi, tree, infos)
     assert got.distributions == want.distributions
-    assert len(got.violations) == len(want.violations)
-    for g, w in zip(got.violations, want.violations):
-        assert g.keys() == w.keys()
-        assert (g["I"], g.get("bitstring"), g.get("error")) == \
-            (w["I"], w.get("bitstring"), w.get("error"))
-        if "delta" in w:
-            assert g["delta"] == pytest.approx(w["delta"], rel=1e-12, abs=0)
-    assert got.max_delta == pytest.approx(want.max_delta, rel=1e-12, abs=0)
+    if not want.separable:
+        assert not got.separable
 
 
 def test_split_amplitudes_worked_example(worked_example):

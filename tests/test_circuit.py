@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafsep.circuit import (Circuit, Gate, ParseError, cost, crbs, export_text,
                              mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
@@ -73,6 +75,22 @@ def test_cost_model_values():
     circ.add(crbs(0.5, 0.0, 0, 1, controls=[(2, 1), (3, -1)]))     # 2 + 6 = 8
     circ.add(x(0, controls=[(1, 1), (2, 1)]))           # 2c = 4
     assert cost(circ).two_qubit_count == 0 + 2 + 1 + 6 + 4 + 8 + 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(0, 2), st.integers(0, 20), st.integers(0, 20),
+       st.integers(0, 2 ** 32 - 1))
+def test_cost_is_additive_over_concatenation(n, n_ancilla, len_a, len_b, seed):
+    """Two-qubit and total counts add exactly; depth is at least the deeper part's
+    and at most the sum of both."""
+    a = random_circuit(n, len_a, seed=[seed, 0], n_ancilla=n_ancilla)
+    b = random_circuit(n, len_b, seed=[seed, 1], n_ancilla=n_ancilla)
+    both = Circuit(n_system=n, n_ancilla=n_ancilla)
+    both.extend(a.gates + b.gates)
+    ca, cb, cab = cost(a), cost(b), cost(both)
+    assert cab.two_qubit_count == ca.two_qubit_count + cb.two_qubit_count
+    assert cab.total_gate_count == ca.total_gate_count + cb.total_gate_count
+    assert max(ca.depth, cb.depth) <= cab.depth <= ca.depth + cb.depth
 
 
 def test_depth_layering():

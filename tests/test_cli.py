@@ -34,8 +34,9 @@ def test_check_separable_strict_failure(tmp_path, capsys):
                  "--strict"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["separable"] is False
-    assert report["violations"]
-    assert report["max_delta"] == pytest.approx(1.0)
+    assert report["violations"] == [{"I": [1, 1], "bitstring": "0110",
+                                     "delta": pytest.approx(1 - 1 / math.sqrt(2), abs=1e-15)}]
+    assert report["max_delta"] == 1 / math.sqrt(2)
 
 
 def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
@@ -154,6 +155,15 @@ def test_bench_fidelity_rejects_bad_input(capsys):
     assert capsys.readouterr().err == "error: states per cell must be at least 1, got 0\n"
 
 
+def test_bench_fidelity_rejects_k_above_every_n(tmp_path, capsys):
+    out = tmp_path / "fid.csv"
+    assert main(["bench-fidelity", "--n-min", "4", "--n-max", "4", "--k", "9",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: --k 9 leaves no (n, k) cell with k <= n for n in [4, 4]\n"
+    assert not out.exists()
+
+
 def test_bench_fidelity_single_k(tmp_path):
     out = tmp_path / "fid.csv"
     assert main(["bench-fidelity", "--n-min", "4", "--n-max", "4", "--k", "2",
@@ -165,7 +175,12 @@ def test_random_state_rejects_bad_sizes(capsys):
     for args, message in [(["--n", "33", "--k", "2"], "33 wires exceed the maximum of 32"),
                           (["--n", "4", "--k", "2", "--ell", "5"], "ell must be in [0, 4]"),
                           (["--n", "4", "--k", "2", "--ell", "-1"], "ell must be in [0, 4]"),
-                          (["--n", "33", "--k", "2", "--mixed"], "maximum of 32")]:
+                          (["--n", "33", "--k", "2", "--mixed"], "maximum of 32"),
+                          (["--n", "4", "--k", "0"], "k must be in [1, 4] for n=4, got 0"),
+                          (["--n", "4", "--k", "5"], "k must be in [1, 4] for n=4, got 5"),
+                          (["--n", "4", "--k", "5", "--mixed"], "k must be in [1, 4]"),
+                          (["--n", "0", "--k", "1"], "n must be at least 1, got 0"),
+                          (["--n", "0", "--k", "1", "--mixed"], "n must be at least 1")]:
         assert main(["random-state", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, (args, err)

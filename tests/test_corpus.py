@@ -1,10 +1,13 @@
 """Byte-level pin of the synthesized circuits over a fixed seeded corpus.
 
 Any change to the analysis or emission layers that alters a single gate,
-control, angle bit or separability verdict changes the digest below.  The
-corpus covers n <= 10 at every k: real, complex and non-negative separable
-targets in both modes, mixed-weight targets, dense fixed-weight
-(non-separable) targets and targets synthesized on a mismatched tree.
+control or angle bit changes the digest below, and a changed separability
+verdict changes the ``NON_SEPARABLE`` labels.  The verdict holds exactly when
+a free-mode circuit reaches fidelity 1, and the reconstruction equals the
+simulated state (``test_corpus_verdicts_match_fidelity``).  The corpus covers
+n <= 10 at every k: real, complex and non-negative separable targets in both
+modes, mixed-weight targets, dense fixed-weight (non-separable) targets and
+targets synthesized on a mismatched tree.
 
 A second digest pins the generated targets themselves, amplitude bytes and
 all, for n 2..12 at every k: real, complex and non-negative, fixed-weight and
@@ -23,7 +26,7 @@ import warnings
 import numpy as np
 import pytest
 
-from leafsep.analysis import reconstruct_amplitudes
+from leafsep.analysis import DEAD_BRANCH_TOL, distribution_table, reconstruct_amplitudes
 from leafsep.circuit import export_text
 from leafsep.core import build_partition_tree
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
@@ -35,12 +38,14 @@ from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthes
 CORPUS_SHA256 = "96ddcb7f73fa93fabeb2695fdb3601b72ce6571a31620e0bd7e7a71fba13c0e6"
 CORPUS_SIZE = 441
 NON_SEPARABLE = [
-    "dense-4-2", "dense-5-2", "dense-5-3", "dense-6-2", "dense-6-3", "dense-6-4",
-    "mismatched-6-2", "dense-7-2", "dense-7-3", "dense-7-4", "dense-7-5",
-    "mismatched-7-2", "dense-8-2", "dense-8-3", "dense-8-4", "dense-8-5", "dense-8-6",
-    "mismatched-8-2", "dense-9-2", "dense-9-3", "dense-9-4", "dense-9-5", "dense-9-6",
-    "dense-9-7", "mismatched-9-3", "dense-10-2", "dense-10-3", "dense-10-4",
-    "dense-10-5", "dense-10-6", "dense-10-7", "dense-10-8", "mismatched-10-3"
+    "dense-4-1", "dense-4-2", "dense-5-1", "dense-5-2", "dense-5-3", "mismatched-5-1",
+    "dense-6-1", "dense-6-2", "dense-6-3", "dense-6-4", "mismatched-6-2", "dense-7-1",
+    "dense-7-2", "dense-7-3", "dense-7-4", "dense-7-5", "mismatched-7-2", "dense-8-1",
+    "dense-8-2", "dense-8-3", "dense-8-4", "dense-8-5", "dense-8-6", "mismatched-8-2",
+    "dense-9-1", "dense-9-2", "dense-9-3", "dense-9-4", "dense-9-5", "dense-9-6",
+    "dense-9-7", "mismatched-9-3", "dense-10-1", "dense-10-2", "dense-10-3",
+    "dense-10-4", "dense-10-5", "dense-10-6", "dense-10-7", "dense-10-8",
+    "mismatched-10-3"
 ]
 
 GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
@@ -109,6 +114,28 @@ def test_corpus_circuits_are_pinned():
     assert count == CORPUS_SIZE
     assert verdicts == NON_SEPARABLE
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+def test_corpus_verdicts_match_fidelity():
+    """On every free-mode corpus target the verdict holds exactly when the circuit
+    reaches fidelity 1, and the reconstruction is the simulated state, phase-aligned."""
+    mismatched = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for label, psi, config in _corpus():
+            if config.mode != MODE_FREE:
+                continue
+            circ = synthesize_full(psi, config)
+            res = simulate(circ, target=psi)
+            if circ.metadata["separable"] != (abs(res.fidelity - 1.0) <= 1e-10):
+                mismatched.append(label)
+            tree = build_partition_tree(config.n, config.k)
+            first = next(info for info in distribution_table(psi, tree)
+                         if info.norm > DEAD_BRANCH_TOL and info.reference is not None)
+            compiled = res.state.amplitudes * np.exp(1j * first.phase)
+            rebuilt = reconstruct_amplitudes(psi, tree).amplitudes
+            assert np.max(np.abs(rebuilt - compiled)) < 1e-12, label
+    assert mismatched == []
 
 
 def test_generated_targets_are_pinned():

@@ -106,6 +106,20 @@ def test_generators_reject_weights_out_of_range():
 def test_fidelity_sweep_rejects_empty_cells():
     with pytest.raises(ValueError, match="states per cell must be at least 1, got 0"):
         ExperimentConfig(n_values=(4,), states_per_cell=0)
+    with pytest.raises(ValueError, match=r"no \(n, k\) cell to run: k \(9,\) exceeds every n"):
+        run_fidelity_sweep(ExperimentConfig(n_values=(4,), k_values=(9,), states_per_cell=1))
+
+
+def test_generators_reject_sizes_out_of_range():
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=rf"k must be in \[1, 4\] for n=4, got {k}"):
+            random_leaf_separable(4, k, 2)
+        with pytest.raises(ValueError, match=rf"k must be in \[1, 4\] for n=4, got {k}"):
+            random_mixed_leaf_separable(4, k)
+    for build in (lambda: random_leaf_separable(0, 1, 1), lambda: random_mixed_leaf_separable(0, 1),
+                  lambda: random_fixed_weight_state(0, 0)):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            build()
 
 
 def test_fidelity_sweep_rows_and_determinism():

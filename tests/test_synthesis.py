@@ -219,7 +219,9 @@ def test_full_exact_at_k1_real(n):
 
 def test_full_warns_on_non_separable():
     bad = StateVector.from_terms(4, {"1001": 1 / math.sqrt(2), "0110": 1 / math.sqrt(2)})
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"^target is not leaf-separable for this tree; "
+                                         r"synthesis proceeds as an approximation "
+                                         r"\(max_delta 0\.707\)$"):
         circ = synthesize_full(bad, SynthesisConfig(n=4, k=2))
     res = simulate(circ, target=bad)
     assert res.fidelity < 1 - 1e-6  # genuinely approximate
