@@ -98,17 +98,18 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
              for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)]
     keys = np.array(dists, dtype=np.int64).reshape(-1, tree.num_leaves) @ groups.strides
     idx, ends = _concat_members(groups, keys)
-    vals = amps[idx]
-    live = np.append(np.flatnonzero(np.abs(vals) > cutoff), len(vals))
+    mags = np.abs(amps[idx])
+    live = np.append(np.flatnonzero(mags > cutoff), len(mags))
     begins = np.append(0, ends[:-1])
     first = live[np.searchsorted(live, begins)]  # first live position of each class
-    out: list[DistributionInfo] = []
-    for dist, lo, hi, pos in zip(dists, begins.tolist(), ends.tolist(), first.tolist()):
-        ref = int(idx[pos]) if pos < hi else None
-        phase = 0.0 if ref is None else float(np.angle(amps[ref]))
-        out.append(DistributionInfo(weights=dist, norm=float(np.linalg.norm(vals[lo:hi])),
-                                    reference=ref, phase=phase))
-    return out
+    found = first < ends
+    refs = np.append(idx, -1)[first]
+    norms = np.sqrt(np.bincount(np.repeat(np.arange(len(dists)), ends - begins),
+                                weights=mags ** 2, minlength=len(dists)))
+    phases = np.where(found, np.angle(amps[refs]), 0.0)
+    return [DistributionInfo(weights=dist, norm=norm, reference=ref if ok else None, phase=phase)
+            for dist, norm, ref, ok, phase in zip(dists, norms.tolist(), refs.tolist(),
+                                                  found.tolist(), phases.tolist())]
 
 
 # --- node split amplitudes -------------------------------------------------
@@ -255,6 +256,15 @@ def node_weights(tree: PartitionTree, distributions: np.ndarray):
         yield node, hi - lo, mid - lo
 
 
+def _table_arrays(infos: list[DistributionInfo]):
+    """A distribution table as arrays: leaf weights (D x G), norms, the live mask
+    (norm > DEAD_BRANCH_TOL and a reference) and the reference phases."""
+    dists = np.array([info.weights for info in infos], dtype=np.int64)
+    norms = np.array([info.norm for info in infos])
+    live = np.array([info.norm > DEAD_BRANCH_TOL and info.reference is not None for info in infos])
+    return dists, norms, live, np.array([info.phase for info in infos])
+
+
 def _compiled(tree: PartitionTree, infos: list[DistributionInfo], table: dict):
     """Distributions, coefficients and leaf factors of the state ``synthesize_full``
     prepares from a target with distribution table ``infos`` and leaf table ``table``.
@@ -263,8 +273,8 @@ def _compiled(tree: PartitionTree, infos: list[DistributionInfo], table: dict):
     per internal node, the probability of I's split given I's weight on the node.
     c(I) carries I's phase, and is 0 without a reference or at norm <= DEAD_BRANCH_TOL.
     """
-    dists = np.array([info.weights for info in infos], dtype=np.int64)
-    probs = np.array([info.norm for info in infos]) ** 2
+    dists, norms, live, phases = _table_arrays(infos)
+    probs = norms ** 2
     total = dists.sum(axis=1)
     c2 = np.bincount(total, weights=probs)[total]
     for node, w, left in node_weights(tree, dists):
@@ -272,8 +282,6 @@ def _compiled(tree: PartitionTree, infos: list[DistributionInfo], table: dict):
         given = np.bincount(w, weights=probs)[w]
         c2 *= np.divide(np.bincount(split, weights=probs)[split], given,
                         out=np.zeros(len(given)), where=given > 0)
-    live = np.array([info.norm > DEAD_BRANCH_TOL and info.reference is not None for info in infos])
-    phases = np.array([info.phase for info in infos])
     coefficients = np.where(live, np.sqrt(c2) * np.exp(1j * phases), 0)
     factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
     for (u, w), entry in table.items():

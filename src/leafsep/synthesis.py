@@ -9,6 +9,7 @@ incoming weights coexist on the same node without cross-talk.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .combinatorics import controls_and_targets, ehrlich_sequence
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
 
 ANGLE_TOL = 1e-15
+PHASE_FIT_TOL = 1e-12   # distribution phases the leaf phases leave unexplained
 
 MODE_FREE = "free"
 MODE_ANCILLA = "ancilla"
@@ -126,26 +128,102 @@ def synthesize_gwdb_tree(psi: StateVector, tree: PartitionTree,
     return circ
 
 
-def _distribution_phase_gates(tree: PartitionTree, infos) -> list[Gate]:
-    """One phase gate per supported distribution, conditioned on its packed pattern.
+def _fit_leaf_phases(sizes, dists: np.ndarray, phases: np.ndarray):
+    """Additive fit phase(I) = sum_u theta_u(I_u) + r(I) + const over live distributions.
 
-    ``infos`` is the target's :func:`analysis.distribution_table`.  All phases
-    are taken relative to the first supported distribution, so a state with a
-    common global phase emits nothing.
+    ``dists`` (D x G leaf weights) and ``phases`` are the live distributions in table
+    order.  Unit phasors p_u(w) = e^{i theta_u(w)} are fixed by exact propagation: the
+    first distribution I0 sets p_u(I0_u) = 1, and each round every distribution with
+    exactly one unfitted (u, w) fixes it by phasor division (the first such in table
+    order wins).  When none has, the first unfitted pair in table order is set to 1, a
+    gauge choice the residual keeps exact.  theta_u(0) = 0 is a global phase, and with
+    one total weight so is theta_u(w) -> theta_u(w) + lambda w: lambda zeroes the
+    full-leaf class of the leaf that leaves the fewest such classes with a phase, or
+    stays 0.  Returns theta (G x (max size + 1), 0 where unfitted) and r(I), relative
+    to I0, in [-pi, pi]; or theta = 0 and r(I) = phase(I) - phase(I0) when that takes
+    fewer phase gates (a target whose phases are far from additive).
     """
-    live = [info for info in infos
-            if info.norm > analysis.DEAD_BRANCH_TOL and info.reference is not None]
-    gates: list[Gate] = []
-    for info in live:
-        phase = math.remainder(info.phase - live[0].phase, 2.0 * math.pi)
-        ones = [q for leaf, w in zip(tree.leaves, info.weights)
+    leaves, width = len(sizes), max(sizes) + 1
+    pair = dists + width * np.arange(leaves)          # (u, w) as u * width + w
+    p = np.ones(leaves * width, dtype=np.complex128)  # unfitted pairs stay 1
+    fitted = np.zeros(leaves * width, dtype=bool)
+    fitted[pair[0]] = True
+    target = np.exp(1j * (phases - phases[0]))
+    while True:
+        unfitted = ~fitted[pair]
+        count = unfitted.sum(axis=1)
+        rows = np.flatnonzero(count == 1)
+        if rows.size:
+            ids, first = np.unique(pair[rows, np.argmax(unfitted[rows], axis=1)],
+                                   return_index=True)
+            rows = rows[first]
+            p[ids] = target[rows] / np.prod(p[pair[rows]], axis=1)
+        elif count.any():
+            row = np.argmax(count > 0)
+            ids = pair[row, np.argmax(unfitted[row])]
+        else:
+            break
+        fitted[ids] = True
+    fitted = fitted.reshape(leaves, width)
+    theta = np.angle(p).reshape(leaves, width)
+    theta = np.where(fitted, theta - theta[:, :1], 0.0)
+
+    def leaf_gates(t: np.ndarray) -> int:  # one-pattern full-leaf classes with a phase
+        return sum(abs(math.remainder(t[u, size], 2.0 * math.pi)) > ANGLE_TOL
+                   for u, size in enumerate(sizes))
+
+    totals = dists.sum(axis=1)
+    if np.all(totals == totals[0]):
+        shifts = [theta] + [theta - theta[u, size] / size * np.arange(width)
+                            for u, size in enumerate(sizes) if fitted[u, size]]
+        theta = np.where(fitted, min(shifts, key=leaf_gates), 0.0)
+    fit = theta[np.arange(leaves), dists].sum(axis=1)
+    residual = _wrap(phases - phases[0] - (fit - fit[0]))
+    relative = _wrap(phases - phases[0])
+    if leaf_gates(theta) + np.sum(np.abs(residual) > PHASE_FIT_TOL) > \
+            np.sum(np.abs(relative) > PHASE_FIT_TOL):  # the fit costs more gates than it saves
+        return np.zeros_like(theta), relative
+    return theta, residual
+
+
+def _wrap(angles: np.ndarray) -> np.ndarray:
+    return angles - 2.0 * math.pi * np.round(angles / (2.0 * math.pi))
+
+
+def _distribution_phases(tree: PartitionTree, infos, table: dict):
+    """Place the distribution phases of ``infos`` (the target's distribution table).
+
+    Returns a copy of the leaf table ``table`` whose multi-pattern entries carry
+    e^{i theta_u(w)} (the first rotation of their chain absorbs it), the phase gates
+    and the ``phase_gates`` metadata.  The gates are one leaf-local ``mcphase`` per
+    one-pattern full-leaf class with a phase, then one full-register ``mcphase`` per
+    distribution whose residual exceeds PHASE_FIT_TOL, conditioned on its packed pattern.
+    """
+    dists, _, live, phases = analysis._table_arrays(infos)
+    dists, phases = dists[live], phases[live]
+    table, gates = dict(table), []
+    residual = np.zeros(0)
+    if len(dists):
+        theta, residual = _fit_leaf_phases(tree.leaf_sizes, dists, phases)
+        for (u, w), entry in sorted(table.items()):
+            angle = math.remainder(float(theta[u, w]), 2.0 * math.pi)
+            leaf = tree.leaves[u]
+            if abs(angle) <= ANGLE_TOL:
+                continue
+            if len(entry) > 1:
+                table[(u, w)] = entry * cmath.exp(1j * angle)
+            else:  # w == leaf.size: theta_u(0) is gauged to 0
+                last = leaf.start + leaf.size - 1
+                gates.append(mcphase(angle, last, [(q, 1) for q in range(leaf.start, last)]))
+    leaf_gates = len(gates)
+    for j in np.flatnonzero(np.abs(residual) > PHASE_FIT_TOL):
+        ones = [q for leaf, w in zip(tree.leaves, dists[j].tolist())
                 for q in range(leaf.start + leaf.size - w, leaf.start + leaf.size)]
-        if abs(phase) <= ANGLE_TOL or not ones:
-            continue
         taken = set(ones)
         controls = [(q, 1) for q in ones[:-1]] + [(q, -1) for q in range(tree.n) if q not in taken]
-        gates.append(mcphase(phase, ones[-1], controls))
-    return gates
+        gates.append(mcphase(float(residual[j]), ones[-1], controls))
+    return table, gates, {"leaf": leaf_gates, "residual": len(gates) - leaf_gates,
+                          "max_residual": float(np.max(np.abs(residual), initial=0.0))}
 
 
 # --- Hamming-weight encoders -------------------------------------------------
@@ -315,10 +393,11 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         warnings.warn("target is not leaf-separable for this tree; synthesis proceeds as an "
                       f"approximation (max_delta {report.max_delta:.3g})", stacklevel=2)
 
+    table, phase_gates, phase_counts = _distribution_phases(tree, infos, table)
     n_ancilla = tree.num_leaves if config.mode == MODE_ANCILLA else 0
     circ = Circuit(n_system=n, n_ancilla=n_ancilla,
                    metadata={"n": n, "k": k, "ell": ell, "mode": config.mode,
-                             "separable": report.separable})
+                             "separable": report.separable, "phase_gates": phase_counts})
 
     if mixed:
         circ.extend(synthesize_mixed_weight_input(mixed_weight_profile(psi), n))
@@ -326,7 +405,7 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         circ.extend(synthesize_initial(n, ell).gates)
 
     circ.extend(synthesize_gwdb_tree(psi, tree, weights).gates)
-    circ.extend(_distribution_phase_gates(tree, infos))
+    circ.extend(phase_gates)
     circ.extend(synthesize_leaf_encoders(table, tree, config))
     return circ
 

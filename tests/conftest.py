@@ -172,13 +172,18 @@ def separability_oracle(psi, tree, infos, tol: float = 1e-9) -> SeparabilityRepo
     return report
 
 
+def aligned_state(state: np.ndarray, psi, tree) -> np.ndarray:
+    """``state`` times the global phase that gives the first live reference of ``psi``
+    its target phase (a compiled circuit is exact only up to a global phase)."""
+    first = next(info for info in distribution_table(psi, tree)
+                 if info.norm > DEAD_BRANCH_TOL and info.reference is not None)
+    return state * cmath.exp(1j * (first.phase - cmath.phase(state[first.reference])))
+
+
 def simulated_compiled_state(psi, tree) -> np.ndarray:
-    """The free-mode circuit ``synthesize_full`` compiles for ``tree``, simulated, times
-    e^{i phi_0}, phi_0 being the phase of the first live distribution (the circuit
-    takes every distribution phase relative to it)."""
+    """The free-mode circuit ``synthesize_full`` compiles for ``tree``, simulated and
+    phase-aligned at the first live reference (:func:`aligned_state`)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         circ = synthesize_full(psi, SynthesisConfig(n=psi.n, k=tree.leaf_size))
-    first = next(info for info in distribution_table(psi, tree)
-                 if info.norm > DEAD_BRANCH_TOL and info.reference is not None)
-    return simulate(circ).state.amplitudes * cmath.exp(1j * first.phase)
+    return aligned_state(simulate(circ).state.amplitudes, psi, tree)

@@ -26,7 +26,8 @@ import warnings
 import numpy as np
 import pytest
 
-from leafsep.analysis import DEAD_BRANCH_TOL, distribution_table, reconstruct_amplitudes
+from conftest import aligned_state
+from leafsep.analysis import reconstruct_amplitudes
 from leafsep.circuit import export_text
 from leafsep.core import build_partition_tree
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
@@ -35,7 +36,7 @@ from leafsep.simulator import simulate
 from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
                                synthesize_general_baseline)
 
-CORPUS_SHA256 = "96ddcb7f73fa93fabeb2695fdb3601b72ce6571a31620e0bd7e7a71fba13c0e6"
+CORPUS_SHA256 = "c8367717c0aeea384e600fef62847784af1b6b551f33da254a83a518c412e6ad"
 CORPUS_SIZE = 441
 NON_SEPARABLE = [
     "dense-4-1", "dense-4-2", "dense-5-1", "dense-5-2", "dense-5-3", "mismatched-5-1",
@@ -51,7 +52,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "f6033a5c88305056759e44d054ed42e9a96115e4746fd176bd87e133eb11f932"
+SIMULATED_SHA256 = "24786b14c2b16f8e7771a415070b47db108631846c8e4c6ac004b2a194ad1a80"
 SIMULATED_SIZE = 185
 
 
@@ -130,9 +131,7 @@ def test_corpus_verdicts_match_fidelity():
             if circ.metadata["separable"] != (abs(res.fidelity - 1.0) <= 1e-10):
                 mismatched.append(label)
             tree = build_partition_tree(config.n, config.k)
-            first = next(info for info in distribution_table(psi, tree)
-                         if info.norm > DEAD_BRANCH_TOL and info.reference is not None)
-            compiled = res.state.amplitudes * np.exp(1j * first.phase)
+            compiled = aligned_state(res.state.amplitudes, psi, tree)
             rebuilt = reconstruct_amplitudes(psi, tree).amplitudes
             assert np.max(np.abs(rebuilt - compiled)) < 1e-12, label
     assert mismatched == []

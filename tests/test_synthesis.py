@@ -239,12 +239,12 @@ def test_full_mismatched_tree_is_approximate():
 
 def _marker_scheme_circuit(psi, tree, table, class_order):
     """Pipeline with pure marker-plus-ancilla leaf encoders in a given order."""
-    from leafsep.synthesis import (_distribution_phase_gates, _leaf_detector,
-                                   _rotation_chain)
+    from leafsep.synthesis import _distribution_phases, _leaf_detector, _rotation_chain
     circ = Circuit(n_system=tree.n, n_ancilla=tree.num_leaves)
     circ.extend(synthesize_initial(tree.n, max(psi.weights_present())).gates)
     circ.extend(synthesize_gwdb_tree(psi, tree).gates)
-    circ.extend(_distribution_phase_gates(tree, distribution_table(psi, tree)))
+    table, phase_gates, _ = _distribution_phases(tree, distribution_table(psi, tree), table)
+    circ.extend(phase_gates)
     for u, leaf in enumerate(tree.leaves):
         classes = sorted((w for (lu, w) in table if lu == u),
                          reverse=(class_order == "decreasing"))
