@@ -5,16 +5,19 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dicke_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leafsep.analysis import (distribution_table, leaf_amplitude_table, node_split_norms,
+from leafsep.analysis import (DEAD_BRANCH_TOL, distribution_table, leaf_amplitude_table, node_split_norms,
                               rotation_ladder_angles, weight_split_amplitudes)
-from leafsep.circuit import Circuit, cost
+from leafsep.circuit import Circuit, cost, export_text, parse_text
 from leafsep.combinatorics import ehrlich_sequence
-from leafsep.core import StateVector, build_partition_tree, enumerate_weight_distributions
+from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
+                          popcounts)
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 from leafsep.simulator import fidelity, simulate, system_purity
-from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
+from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, PHASE_FIT_TOL, SynthesisConfig,
                                _gray_multiplexed_rotation, synthesize_full, synthesize_general_baseline,
                                synthesize_gwdb, synthesize_gwdb_tree,
                                synthesize_hwk_encoder, synthesize_initial,
@@ -235,6 +238,94 @@ def test_full_mismatched_tree_is_approximate():
         circ = synthesize_full(psi, SynthesisConfig(n=8, k=2))
     res = simulate(circ, target=psi)
     assert res.fidelity < 1 - 1e-6
+
+
+def _with_distribution_phasors(psi, tree, seed):
+    """``psi`` with each weight distribution's amplitudes times its own random unit
+    phasor: still leaf-separable, but the distribution phases are not additive."""
+    idx = np.arange(1 << tree.n)
+    key = sum(popcounts(idx & leaf.mask(tree.n)) * (tree.n + 1) ** u
+              for u, leaf in enumerate(tree.leaves))
+    _, dist = np.unique(key, return_inverse=True)
+    alpha = np.random.default_rng(seed).uniform(0, 2 * math.pi, dist.max() + 1)
+    return StateVector(tree.n, psi.amplitudes * np.exp(1j * alpha[dist]), check=False)
+
+
+def _phase_gate_split(circ):
+    """The circuit's leaf-local and full-register (n - 1 controls) ``mcphase`` gates
+    outside the leaf encoders: they sit between the transfer tree and the first
+    encoder gate, and every leaf-local one is controlled on its leaf's ones only."""
+    leaf, full = [], []
+    for g in circ.gates:
+        if g.kind != "mcphase":
+            continue
+        if len(g.controls) == circ.n_system - 1:
+            full.append(g)
+        elif all(pol == 1 for _, pol in g.controls):
+            leaf.append(g)
+    return leaf, full
+
+
+@st.composite
+def _phased_targets(draw):
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n))
+    mode = draw(st.sampled_from([MODE_FREE, MODE_ANCILLA]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        psi = random_mixed_leaf_separable(n, k, "complex", seed=seed)
+    else:
+        psi = random_leaf_separable(n, k, draw(st.integers(1, n - 1)), "complex", seed=seed)
+    phased = draw(st.booleans())
+    if phased:
+        psi = _with_distribution_phasors(psi, build_partition_tree(n, k), [seed, 1])
+    return psi, SynthesisConfig(n=n, k=k, mode=mode), phased
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_phased_targets())
+def test_distribution_phases_are_exact(case):
+    """Separable targets, with or without a random phasor per distribution, compile
+    exactly.  Generator targets have additive phases and need no full-register phase
+    gate; a random phasor needs at most one per live distribution after the first."""
+    psi, config, phased = case
+    circ = synthesize_full(psi, config)
+    res = simulate(circ, target=psi)
+    assert res.fidelity >= 1 - 1e-10
+    assert res.purity >= 1 - 1e-10
+    counts = circ.metadata["phase_gates"]
+    live = sum(info.norm > DEAD_BRANCH_TOL and info.reference is not None
+               for info in distribution_table(psi, build_partition_tree(config.n, config.k)))
+    assert counts["residual"] <= live - 1
+    if not phased:
+        assert counts["residual"] == 0
+        assert counts["max_residual"] <= PHASE_FIT_TOL
+
+
+def test_phase_gates_metadata():
+    """``metadata["phase_gates"]`` counts the leaf-local and full-register phase gates
+    and names the worst residual; the text format does not carry it."""
+    n, k = 8, 2
+    tree = build_partition_tree(n, k)
+    psi = random_leaf_separable(n, k, 4, "complex", seed=46)
+    circ = synthesize_full(psi, SynthesisConfig(n=n, k=k))
+    leaf, full = _phase_gate_split(circ)
+    assert circ.metadata["phase_gates"]["residual"] == len(full) == 0
+    assert circ.metadata["phase_gates"]["leaf"] == len(leaf) == tree.num_leaves - 1
+    assert circ.metadata["phase_gates"]["max_residual"] <= PHASE_FIT_TOL
+
+    phased = _with_distribution_phasors(psi, tree, 47)
+    circ = synthesize_full(phased, SynthesisConfig(n=n, k=k))
+    leaf, full = _phase_gate_split(circ)
+    counts = circ.metadata["phase_gates"]
+    assert set(counts) == {"leaf", "residual", "max_residual"}
+    assert (counts["leaf"], counts["residual"]) == (len(leaf), len(full))
+    assert 0 < counts["residual"] < len(distribution_table(phased, tree)) - 1
+    assert counts["max_residual"] == max(abs(g.params[0]) for g in full)
+    assert min(abs(g.params[0]) for g in full) > PHASE_FIT_TOL
+    assert simulate(circ, target=phased).fidelity >= 1 - 1e-10
+    text = export_text(circ)
+    assert "phase_gates" not in text and export_text(parse_text(text)) == text
 
 
 def _marker_scheme_circuit(psi, tree, table, class_order):
