@@ -317,8 +317,10 @@ def factored_amplitudes(tree: PartitionTree, distributions, coefficients,
 
 
 def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree) -> StateVector:
-    """The state ``synthesize_full`` prepares from ``psi`` times e^{i phi_0}, phi_0 being
-    the phase of the first live distribution; ``psi`` itself exactly when separable."""
+    """The state ``synthesize_full`` prepares from ``psi``, up to the global phase that
+    gives the first live distribution's reference its target phase; ``psi`` itself
+    exactly when separable.  (The circuit applies each distribution's phase through
+    the leaf encoders and residual gates, so its own global phase differs.)"""
     infos = distribution_table(psi, tree)
     compiled = _compiled(tree, infos, leaf_amplitude_table(psi, tree, infos=infos))
     return StateVector(psi.n, factored_amplitudes(tree, *compiled), check=False)

@@ -11,8 +11,10 @@ ancillas every encoder gate is controlled on, become the most significant axes
 and the slices the gates update are long contiguous runs.  Runs of ``mcphase``
 gates controlled on every other wire touch one amplitude each; the plan applies
 each run as one indexed multiply instead of paying the per-gate slicing cost
-once per amplitude.  The distribution phases of a free-mode circuit are such a
-run; in ancilla mode they leave the ancillas out and are applied gate by gate.
+once per amplitude.  The residual distribution phases of a free-mode circuit
+(the part not additive over leaves, which only non-separable targets such as
+dense fixed-weight ones need) are such a run; in ancilla mode they leave the
+ancillas out and are applied gate by gate.
 The state starts in the plan's axis order and is permuted back once at the end,
 so the returned state is in wire order: ancilla wires sit after the system
 wires and are the least significant index bits, and a state on system wires
@@ -90,7 +92,8 @@ def _plan(circuit: Circuit) -> tuple[list[int], list]:
     """Axis order (wires, most significant axis first) and steps, in one pass.
 
     A step is a gate, or a list of consecutive ``mcphase`` gates controlled on
-    every other wire.  Those touch one amplitude each, so they add no load.
+    every other wire: the residual distribution phases of a free-mode circuit.
+    Those touch one amplitude each, so they add no load.
     """
     n = circuit.n_wires
     load = [0] * n

@@ -6,6 +6,14 @@ A node's transfer block walks that packed pattern across the child boundary one
 excitation at a time; each step is a two-level rotation (crbs) whose controls
 pin down exactly one pair of canonical child patterns, so blocks for different
 incoming weights coexist on the same node without cross-talk.
+
+The phase of each weight distribution I is fitted as sum_u theta_u(I_u) plus a
+residual.  theta_u(w) rides on the leaf encoders: a class with several patterns
+takes it into its leaf-table entry (the encoder chain prepares absolute phases,
+so this adds no gate), the one-pattern full-leaf class gets one leaf-local
+``mcphase``.
+Only a distribution whose residual exceeds PHASE_FIT_TOL gets a full-register
+``mcphase``; generated separable targets need none.
 """
 from __future__ import annotations
 
@@ -194,27 +202,24 @@ def _distribution_phases(tree: PartitionTree, infos, table: dict):
     """Place the distribution phases of ``infos`` (the target's distribution table).
 
     Returns a copy of the leaf table ``table`` whose multi-pattern entries carry
-    e^{i theta_u(w)} (the first rotation of their chain absorbs it), the phase gates
+    e^{i theta_u(w)} (their chains prepare absolute phases, so it adds no gate), the phase gates
     and the ``phase_gates`` metadata.  The gates are one leaf-local ``mcphase`` per
     one-pattern full-leaf class with a phase, then one full-register ``mcphase`` per
     distribution whose residual exceeds PHASE_FIT_TOL, conditioned on its packed pattern.
     """
     dists, _, live, phases = analysis._table_arrays(infos)
-    dists, phases = dists[live], phases[live]
+    dists = dists[live]
+    theta, residual = _fit_leaf_phases(tree.leaf_sizes, dists, phases[live])
     table, gates = dict(table), []
-    residual = np.zeros(0)
-    if len(dists):
-        theta, residual = _fit_leaf_phases(tree.leaf_sizes, dists, phases)
-        for (u, w), entry in sorted(table.items()):
-            angle = math.remainder(float(theta[u, w]), 2.0 * math.pi)
-            leaf = tree.leaves[u]
-            if abs(angle) <= ANGLE_TOL:
-                continue
-            if len(entry) > 1:
-                table[(u, w)] = entry * cmath.exp(1j * angle)
-            else:  # w == leaf.size: theta_u(0) is gauged to 0
-                last = leaf.start + leaf.size - 1
-                gates.append(mcphase(angle, last, [(q, 1) for q in range(leaf.start, last)]))
+    for (u, w), entry in sorted(table.items()):
+        angle = math.remainder(float(theta[u, w]), 2.0 * math.pi)
+        if abs(angle) <= ANGLE_TOL:
+            continue
+        if len(entry) > 1:
+            table[(u, w)] = entry * cmath.exp(1j * angle)
+        else:  # the full-leaf class: theta_u(0) is gauged to 0
+            first, last = tree.leaves[u].start, tree.leaves[u].start + w - 1
+            gates.append(mcphase(angle, last, [(q, 1) for q in range(first, last)]))
     leaf_gates = len(gates)
     for j in np.flatnonzero(np.abs(residual) > PHASE_FIT_TOL):
         ones = [q for leaf, w in zip(tree.leaves, dists[j].tolist())
@@ -372,7 +377,11 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     The circuit prepares the compiled state of :func:`analysis.reconstruct_amplitudes`
     up to a global phase.  A target farther from it than the separability check's
     tolerance synthesizes with a warning that names the worst residual
-    (``max_delta``), and ``metadata["separable"]`` is False.
+    (``max_delta``), and ``metadata["separable"]`` is False.  The distribution
+    phases go on the leaf encoders; ``metadata["phase_gates"]`` counts the
+    leaf-local phase gates (``leaf``) and the full-register ones left for the part
+    of the phases that is not additive over (leaf, weight) (``residual``), and gives
+    the worst fit residual in radians (``max_residual``).
     """
     n, k = config.n, config.k
     if psi.n != n:

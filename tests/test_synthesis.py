@@ -8,8 +8,8 @@ from conftest import dicke_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (DEAD_BRANCH_TOL, distribution_table, leaf_amplitude_table, node_split_norms,
-                              rotation_ladder_angles, weight_split_amplitudes)
+from leafsep.analysis import (DEAD_BRANCH_TOL, distribution_table, leaf_amplitude_table,
+                              node_split_norms, rotation_ladder_angles, weight_split_amplitudes)
 from leafsep.circuit import Circuit, cost, export_text, parse_text
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
