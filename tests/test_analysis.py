@@ -54,6 +54,8 @@ def test_distribution_norms(worked_example):
     for info in distribution_table(psi, tree):
         want = np.linalg.norm(psi.amplitudes[class_indices(tree, info.weights)])
         assert info.norm == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert info.phase == (0.0 if info.reference is None
+                              else float(np.angle(psi.amplitudes[info.reference])))
 
 
 def test_is_leaf_separable_worked_example(worked_example):
