@@ -252,9 +252,9 @@ def _with_distribution_phasors(psi, tree, seed):
 
 
 def _phase_gate_split(circ):
-    """The circuit's leaf-local and full-register (n - 1 controls) ``mcphase`` gates
-    outside the leaf encoders: they sit between the transfer tree and the first
-    encoder gate, and every leaf-local one is controlled on its leaf's ones only."""
+    """A free-mode circuit's leaf-local and full-register (n - 1 controls) phase gates.
+    With leaves smaller than n, the encoders' trailing ``mcphase`` gates are also
+    conditioned on zeros, so the leaf-local ones are those controlled on ones only."""
     leaf, full = [], []
     for g in circ.gates:
         if g.kind != "mcphase":
