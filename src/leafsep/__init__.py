@@ -1,9 +1,9 @@
 """leafsep: compile leaf-separable quantum states into verified gate sequences."""
 
-from .analysis import (SeparabilityReport, distribution_table, encoder_angles,
-                       factored_amplitudes, is_leaf_separable, leaf_amplitude_table,
-                       mixed_weight_profile, reconstruct_amplitudes,
-                       rotation_ladder_angles, weight_split_amplitudes)
+from .analysis import (DistributionTable, FactoredTarget, SeparabilityReport, analyze,
+                       distribution_table, encoder_angles, factored_amplitudes,
+                       is_leaf_separable, leaf_amplitude_table, reconstruct_amplitudes,
+                       rotation_ladder_angles, tree_coefficients, weight_split_amplitudes)
 from .circuit import (Circuit, CostReport, Gate, ParseError, cost, crbs,
                       export_text, mcphase, mcrz, mcry, parse_text, x)
 from .combinatorics import RotationSlot, controls_and_targets, ehrlich_sequence

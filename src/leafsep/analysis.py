@@ -1,17 +1,15 @@
-"""Amplitude analysis: distribution norms, split ratios, leaf tables, separability.
+"""Amplitude analysis: distribution table, split amplitudes, leaf tables, separability.
 
 Everything here is a pure function of a target state and a partition tree.
-The central objects:
-
-* the distribution table: c(I) and a reference state for every weight
-  distribution I (:func:`distribution_table`), built once per target,
-* the per-node split amplitudes (conditional weight-split probabilities),
-* the per-(leaf, weight) normalized local amplitudes that feed the
-  Hamming-weight encoders, stored in the enumeration order of
-  :func:`leafsep.combinatorics.ehrlich_sequence`,
-* the compiled state, the state :func:`leafsep.synthesis.synthesize_full`
-  prepares from the three above: the one model of separability.  A target is
-  leaf-separable on a tree when it equals its compiled state.
+:func:`analyze` computes each piece of the paper's factorisation once, in array
+form (:class:`FactoredTarget`): the distribution table (c(I), a reference state
+and its phase per weight distribution I), the per-node split amplitudes, the
+per-(leaf, weight) unit local amplitudes in the enumeration order of
+:func:`leafsep.combinatorics.ehrlich_sequence`, and the input stage's weight
+profile.  c(I) is the profile at I's total weight times the product of the split
+amplitudes (:func:`tree_coefficients`).  The compiled state, which
+:func:`leafsep.synthesis.synthesize_full` prepares from these pieces, is the one
+model of separability: a target is leaf-separable on a tree when it equals it.
 
 Basis states are integer indices (MSB-first, see :mod:`leafsep.core`);
 bitstrings appear only in reports.  Per tree, one cached grouping stably sorts
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -69,11 +67,14 @@ def _leaf_patterns(size: int, w: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DistributionInfo:
-    weights: tuple[int, ...]
-    norm: float
-    reference: int | None      # smallest basis index in the class with
-    phase: float               # non-negligible amplitude, and its complex argument
+class DistributionTable:
+    """One row per distribution of the checked total weights (in the order given), ascending."""
+
+    weights: np.ndarray      # D x G leaf weights
+    norms: np.ndarray        # norm of the target on the distribution's class
+    references: np.ndarray   # smallest index in the class with non-negligible amplitude, or -1
+    phases: np.ndarray       # complex argument of the target there, 0 without a reference
+    live: np.ndarray         # a reference and norm > DEAD_BRANCH_TOL
 
 
 def _concat_members(groups: _Grouping, keys) -> tuple[np.ndarray, np.ndarray]:
@@ -87,79 +88,67 @@ def _concat_members(groups: _Grouping, keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distribution_table(psi: StateVector, tree: PartitionTree,
-                       total_weights=None) -> list[DistributionInfo]:
+                       total_weights=None) -> DistributionTable:
     """All valid distributions for the given total weights, with c(I) and reference."""
     if total_weights is None:
         total_weights = psi.weights_present()
     amps = psi.amplitudes
     cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
     groups = _grouping(tree)
-    dists = [dist for ell in total_weights
-             for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)]
-    keys = np.array(dists, dtype=np.int64).reshape(-1, tree.num_leaves) @ groups.strides
-    idx, ends = _concat_members(groups, keys)
+    dists = np.array([dist for ell in total_weights
+                      for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)],
+                     dtype=np.int64).reshape(-1, tree.num_leaves)
+    idx, ends = _concat_members(groups, dists @ groups.strides)
     mags = np.abs(amps[idx])
     live = np.append(np.flatnonzero(mags > cutoff), len(mags))
     begins = np.append(0, ends[:-1])
     first = live[np.searchsorted(live, begins)]  # first live position of each class
     found = first < ends
-    refs = np.append(idx, -1)[first]
+    refs = np.where(found, np.append(idx, -1)[first], -1)
     norms = np.sqrt(np.bincount(np.repeat(np.arange(len(dists)), ends - begins),
                                 weights=mags ** 2, minlength=len(dists)))
     phases = np.where(found, np.angle(amps[refs]), 0.0)
-    return [DistributionInfo(weights=dist, norm=norm, reference=ref if ok else None, phase=phase)
-            for dist, norm, ref, ok, phase in zip(dists, norms.tolist(), refs.tolist(),
-                                                  found.tolist(), phases.tolist())]
+    return DistributionTable(dists, norms, refs, phases, found & (norms > DEAD_BRANCH_TOL))
 
 
 # --- node split amplitudes -------------------------------------------------
 
-@lru_cache(maxsize=1)  # the transfer tree asks for one node's norms and splits in a row
-def _part_weights(n: int, node: TreeNode) -> tuple[np.ndarray, ...]:
-    """Hamming weight of every basis index on each child of ``node`` (a leaf: on itself)."""
+@lru_cache(maxsize=1)  # a tree with one internal node reuses it from target to target
+def _part_weights(n: int, node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming weight of every basis index on the left and on the right child of ``node``."""
     idx = np.arange(1 << n, dtype=np.uint32)
-    parts = (node,) if node.is_leaf else (node.left, node.right)
-    return tuple(popcounts(idx & np.uint32(part.mask(n))).astype(np.uint8) for part in parts)
+    return tuple(popcounts(idx & np.uint32(part.mask(n))).astype(np.uint8)
+                 for part in (node.left, node.right))
 
 
-def node_weight_norms(psi: StateVector, node: TreeNode, *,
-                      probs: np.ndarray | None = None) -> np.ndarray:
-    """Norm of the target restricted to each possible Hamming weight on ``node``.
+def weight_split_amplitudes(psi: StateVector, tree: PartitionTree,
+                            total_weights=None) -> dict:
+    """Map internal node -> (size + 1) x (left size + 1) unit split amplitudes.
 
-    ``probs`` is ``|psi.amplitudes|**2`` when the caller already has it, as
-    :func:`leafsep.synthesis.synthesize_gwdb_tree` does for all its nodes.
+    Row m, column i is the norm of the target on the split (i, m - i) across the
+    node's children (a masked sum in ascending index order), over that of the m + 1
+    splits.  Row 0 is (1, 0, ...); a row whose node weight has norm at most
+    DEAD_BRANCH_TOL, or exceeds every one of ``total_weights``, is zero.
     """
-    if probs is None:
-        probs = np.abs(psi.amplitudes) ** 2
-    sums = np.bincount(sum(_part_weights(psi.n, node)), weights=probs, minlength=node.size + 1)
-    return np.sqrt(sums)
-
-
-def node_split_norms(psi: StateVector, node: TreeNode, total_weight: int, *,
-                     probs: np.ndarray | None = None) -> np.ndarray:
-    """Norms over the (i, total-i) left/right weight splits at an internal node."""
-    if node.is_leaf:
-        raise ValueError("split norms are defined on internal nodes only")
-    wl, wr = _part_weights(psi.n, node)
-    if probs is None:
-        probs = np.abs(psi.amplitudes) ** 2
-    return np.array([math.sqrt(float(np.sum(probs[(wl == i) & (wr == total_weight - i)])))
-                     for i in range(total_weight + 1)])
-
-
-def weight_split_amplitudes(psi: StateVector, node: TreeNode, total_weight: int, *,
-                            probs: np.ndarray | None = None) -> np.ndarray:
-    """Unit-norm non-negative split amplitudes at a node for one incoming weight.
-
-    Entry i is the square root of the conditional probability of seeing the
-    split (i, total-i) across the node's children.  Raises when the node
-    carries no support at ``total_weight``.
-    """
-    splits = node_split_norms(psi, node, total_weight, probs=probs)
-    total = math.sqrt(float(np.sum(splits ** 2)))
-    if total <= DEAD_BRANCH_TOL:
-        raise ValueError(f"node carries no weight-{total_weight} support")
-    return splits / total
+    if total_weights is None:
+        total_weights = psi.weights_present()
+    cap = max(total_weights, default=0)
+    probs = np.abs(psi.amplitudes) ** 2
+    splits: dict = {}
+    for node in tree.internal_nodes():
+        wl, wr = _part_weights(psi.n, node)
+        norms = np.sqrt(np.bincount(wl + wr, weights=probs, minlength=node.size + 1))
+        table = splits[node] = np.zeros((node.size + 1, node.left.size + 1))
+        table[0, 0] = 1.0
+        for m in range(1, min(node.size, cap) + 1):
+            if norms[m] <= DEAD_BRANCH_TOL:
+                continue
+            betas = np.zeros(m + 1)  # infeasible splits stay 0, as their empty sums would
+            for i in range(max(0, m - node.right.size), min(m, node.left.size) + 1):
+                betas[i] = math.sqrt(float(np.sum(probs[(wl == i) & (wr == m - i)])))
+            row = (betas / math.sqrt(float(np.sum(betas ** 2))))[:node.left.size + 1]
+            table[m, :len(row)] = row
+    return splits
 
 
 def rotation_ladder_angles(weights) -> list[float]:
@@ -177,26 +166,22 @@ def rotation_ladder_angles(weights) -> list[float]:
 
 # --- leaf amplitude tables --------------------------------------------------
 
-def leaf_amplitude_table(psi: StateVector, tree: PartitionTree, *,
-                         infos: list[DistributionInfo] | None = None) -> dict:
+def leaf_amplitude_table(psi: StateVector, tree: PartitionTree,
+                         distributions: DistributionTable) -> dict:
     """Map (leaf index, local weight) -> unit local amplitudes in Ehrlich order.
 
-    Each entry holds the ratios against the reference state of the first
-    distribution in ``infos`` (the target's :func:`distribution_table`) that
-    reaches it and has a reference, normalized to unit 2-norm.  Distributions
-    without a reference are skipped.
+    Each entry holds the ratios against the reference state of the first row of
+    ``distributions`` (the target's :func:`distribution_table`) that reaches it and
+    has a reference, normalized to unit 2-norm.  Rows without a reference are
+    skipped.
     """
-    if infos is None:
-        infos = distribution_table(psi, tree)
     amps = psi.amplitudes
+    rows = np.flatnonzero(distributions.references >= 0)
+    refs = distributions.references[rows]
     table: dict[tuple[int, int], np.ndarray] = {}
-    for info in infos:
-        ref = info.reference
-        if ref is None:
-            continue
-        for u, (leaf, w) in enumerate(zip(tree.leaves, info.weights)):
-            if (u, w) in table:
-                continue
+    for u, leaf in enumerate(tree.leaves):
+        weights, first = np.unique(distributions.weights[rows, u], return_index=True)
+        for w, ref in zip(weights.tolist(), refs[first].tolist()):
             if w == 0:
                 table[(u, 0)] = np.array([1.0 + 0.0j])
                 continue
@@ -232,61 +217,58 @@ def encoder_angles(amplitudes) -> tuple[list[tuple[float, float]], float]:
     return pairs, trailing
 
 
-def mixed_weight_profile(psi: StateVector) -> np.ndarray:
-    """Per-weight norms for weights 0..floor(n/2); heavier support is rejected."""
-    w = popcounts(np.arange(1 << psi.n))
-    probs = np.abs(psi.amplitudes) ** 2
-    sums = np.bincount(w, weights=probs, minlength=psi.n + 1)
-    half = psi.n // 2
-    if float(np.sum(sums[half + 1:])) > 1e-18:
-        raise ValueError(f"support above weight {half} is out of scope")
-    return np.sqrt(sums[:half + 1])
+# --- the factorisation, the compiled state and separability -------------------
+
+@dataclass(frozen=True)
+class FactoredTarget:
+    """One analysis of a target on a tree (:func:`analyze`): what ``synthesize_full`` emits."""
+
+    distributions: DistributionTable
+    leaves: dict              # :func:`leaf_amplitude_table`
+    splits: dict              # :func:`weight_split_amplitudes`
+    profile: np.ndarray       # amplitude of each Hamming weight 0..n after the input stage
 
 
-# --- the compiled state and separability ------------------------------------
+def analyze(psi: StateVector, tree: PartitionTree, total_weights=None) -> FactoredTarget:
+    """The distribution, leaf and split tables of ``psi`` for ``total_weights`` (default:
+    ``psi.weights_present()``) and its profile: 1 at the weight of a fixed-weight target,
+    else the norm of ``psi`` at each weight."""
+    if total_weights is None:
+        total_weights = psi.weights_present()
+    table = distribution_table(psi, tree, total_weights)
+    if len(total_weights) == 1:
+        profile = np.eye(psi.n + 1)[total_weights[0]]
+    else:
+        profile = np.sqrt(np.bincount(popcounts(np.arange(1 << psi.n)), minlength=psi.n + 1,
+                                      weights=np.abs(psi.amplitudes) ** 2))
+    return FactoredTarget(table, leaf_amplitude_table(psi, tree, table),
+                          weight_split_amplitudes(psi, tree, total_weights), profile)
 
-def node_weights(tree: PartitionTree, distributions: np.ndarray):
-    """Per internal node in preorder: the node, and each distribution's weight on it
-    and on its left child.  ``distributions`` is a D x G array of leaf weights."""
+
+def tree_coefficients(tree: PartitionTree, distributions: np.ndarray, profile,
+                      splits: dict) -> np.ndarray:
+    """c(I) = profile[|I|] * prod over internal nodes (preorder) of splits[node][w, l] per
+    row I of ``distributions`` (D x G), w and l I's weight on the node and its left child."""
     first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
     cum = np.cumsum(np.pad(distributions, ((0, 0), (1, 0))), axis=1)  # cum[:, u]: leaves < u
+    value = np.ones(len(distributions))
     for node in tree.internal_nodes():
         lo, mid, hi = (cum[:, first[q]] for q in (node.start, node.right.start,
                                                   node.start + node.size))
-        yield node, hi - lo, mid - lo
+        value *= splits[node][hi - lo, mid - lo]
+    return np.asarray(profile)[cum[:, -1]] * value
 
 
-def _table_arrays(infos: list[DistributionInfo]):
-    """A distribution table as arrays: leaf weights (D x G), norms, the live mask
-    (norm > DEAD_BRANCH_TOL and a reference) and the reference phases."""
-    dists = np.array([info.weights for info in infos], dtype=np.int64)
-    norms = np.array([info.norm for info in infos])
-    live = np.array([info.norm > DEAD_BRANCH_TOL and info.reference is not None for info in infos])
-    return dists, norms, live, np.array([info.phase for info in infos])
-
-
-def _compiled(tree: PartitionTree, infos: list[DistributionInfo], table: dict):
+def _compiled(tree: PartitionTree, target: FactoredTarget):
     """Distributions, coefficients and leaf factors of the state ``synthesize_full``
-    prepares from a target with distribution table ``infos`` and leaf table ``table``.
-
-    From the table's norms, c(I)^2 is the weight profile at I's total weight times,
-    per internal node, the probability of I's split given I's weight on the node.
-    c(I) carries I's phase, and is 0 without a reference or at norm <= DEAD_BRANCH_TOL.
-    """
-    dists, norms, live, phases = _table_arrays(infos)
-    probs = norms ** 2
-    total = dists.sum(axis=1)
-    c2 = np.bincount(total, weights=probs)[total]
-    for node, w, left in node_weights(tree, dists):
-        split = w * (node.left.size + 1) + left
-        given = np.bincount(w, weights=probs)[w]
-        c2 *= np.divide(np.bincount(split, weights=probs)[split], given,
-                        out=np.zeros(len(given)), where=given > 0)
-    coefficients = np.where(live, np.sqrt(c2) * np.exp(1j * phases), 0)
+    prepares: c(I) (:func:`tree_coefficients`) with I's phase on live rows, else 0."""
+    table = target.distributions
+    c = tree_coefficients(tree, table.weights, target.profile, target.splits)
+    coefficients = np.where(table.live, c * np.exp(1j * table.phases), 0)
     factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
-    for (u, w), entry in table.items():
+    for (u, w), entry in target.leaves.items():
         factors[u][_leaf_patterns(tree.leaf_sizes[u], w)] = entry
-    return dists, coefficients, factors
+    return table.weights, coefficients, factors
 
 
 def _product(tree: PartitionTree, distributions, coefficients, factors):
@@ -321,8 +303,7 @@ def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree) -> StateVector
     gives the first live distribution's reference its target phase; ``psi`` itself
     exactly when separable.  (The circuit applies each distribution's phase through
     the leaf encoders and residual gates, so its own global phase differs.)"""
-    infos = distribution_table(psi, tree)
-    compiled = _compiled(tree, infos, leaf_amplitude_table(psi, tree, infos=infos))
+    compiled = _compiled(tree, analyze(psi, tree))
     return StateVector(psi.n, factored_amplitudes(tree, *compiled), check=False)
 
 
@@ -332,35 +313,41 @@ class SeparabilityReport:
     tol: float
     max_delta: float = 0.0     # worst residual over every member
     violations: list[dict] = field(default_factory=list)
-    distributions: list[dict] = field(default_factory=list)
+    table: DistributionTable | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def distributions(self) -> list[dict]:
+        """c(I) per distribution of the checked table, built on request: a compile reads
+        only the verdict."""
+        table = self.table
+        return [{"I": weights, "c": norm}
+                for weights, norm in zip(table.weights.tolist(), table.norms.tolist())]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"separable": self.separable, "tol": self.tol, "max_delta": self.max_delta,
+                "violations": self.violations, "distributions": self.distributions}
 
 
 def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, *,
-                      infos: list[DistributionInfo] | None = None,
-                      table: dict | None = None) -> SeparabilityReport:
+                      factored: FactoredTarget | None = None) -> SeparabilityReport:
     """Compare the target with its compiled state (:func:`reconstruct_amplitudes`).
 
     Separable means no residual |psi(b) - compiled(b)| over the members of the
-    table's distributions exceeds ``tol``: ``tol`` bounds the per-amplitude error of
-    the compiled state.  The report lists c(I) per distribution, the worst residual
-    and at most one violation: the first member above ``tol`` in table order, then
-    ascending index.  ``infos`` and ``table`` are the target's
-    :func:`distribution_table` and :func:`leaf_amplitude_table`, if already built.
+    table's distributions exceeds ``tol``, which must be finite and non-negative:
+    ``tol`` bounds the per-amplitude error of the compiled state.  The report lists
+    c(I) per distribution, the worst residual and at most one violation: the first
+    member above ``tol`` in table order, then ascending index.  ``factored`` is the
+    target's :func:`analyze`, if already built.
     """
-    if infos is None:
-        infos = distribution_table(psi, tree)
-    if table is None:
-        table = leaf_amplitude_table(psi, tree, infos=infos)
-    dists, coefficients, factors = _compiled(tree, infos, table)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if factored is None:
+        factored = analyze(psi, tree)
+    dists, coefficients, factors = _compiled(tree, factored)
     idx, ends, compiled = _product(tree, dists, coefficients, factors)
     delta = np.abs(psi.amplitudes[idx] - compiled)
     violations = [{"I": dists[np.searchsorted(ends, b, side="right")].tolist(),
                    "bitstring": index_to_string(int(idx[b]), psi.n), "delta": float(delta[b])}
                   for b in np.flatnonzero(delta > tol)[:1]]
-    return SeparabilityReport(
-        separable=not violations, tol=tol, max_delta=float(np.max(delta, initial=0.0)),
-        violations=violations,
-        distributions=[{"I": list(info.weights), "c": info.norm} for info in infos])
+    return SeparabilityReport(not violations, tol, float(np.max(delta, initial=0.0)),
+                              violations, factored.distributions)

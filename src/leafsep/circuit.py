@@ -18,6 +18,7 @@ phase; with phi=0 it is a plain Givens rotation on the pair.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import ParseError
@@ -41,6 +42,8 @@ class Gate:
         cset = {w for w, _ in self.controls}
         if len(tset) != len(self.targets) or tset & cset:
             raise ValueError("controls and targets must be disjoint wires")
+        if len(cset) != len(self.controls):
+            raise ValueError("a wire is controlled more than once")
         for _, pol in self.controls:
             if pol not in (1, -1):
                 raise ValueError("control polarity must be +1 or -1")
@@ -255,19 +258,30 @@ def _parse_controls(token: str, wires: tuple[int, int], line_no: int, col: int):
     return tuple(out)
 
 
-def _parse_params(head: str, expected: int, line_no: int) -> tuple[str, tuple[float, ...]]:
+def _parse_params(head: str, expected: int, line_no: int,
+                  col: int) -> tuple[str, tuple[float, ...]]:
     open_idx = head.find("(")
     if open_idx < 0 or not head.endswith(")"):
-        raise ParseError(f"expected parameters on {head!r}", line_no, 0)
+        raise ParseError(f"expected parameters on {head!r}", line_no, col)
     name = head[:open_idx]
     raw = head[open_idx + 1:-1].split(",")
     if len(raw) != expected:
-        raise ParseError(f"{name} expects {expected} parameter(s)", line_no, open_idx)
+        raise ParseError(f"{name} expects {expected} parameter(s)", line_no, col + open_idx)
     try:
         params = tuple(float(r) for r in raw)
     except ValueError:
-        raise ParseError(f"bad numeric parameter in {head!r}", line_no, open_idx) from None
+        raise ParseError(f"bad numeric parameter in {head!r}", line_no, col + open_idx) from None
+    if not all(math.isfinite(p) for p in params):
+        raise ParseError(f"non-finite parameter in {head!r}", line_no, col + open_idx)
     return name, params
+
+
+def _construct(make, line_no: int, col: int, *args, **kwargs) -> Gate:
+    """``make(*args, **kwargs)``, with the gate's own wire checks raised as a ParseError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no, col) from None
 
 
 def parse_text(text: str) -> Circuit:
@@ -287,10 +301,13 @@ def parse_text(text: str) -> Circuit:
                     continue
                 key, _, value = item.partition("=")
                 if key in ("format", "n", "k", "ell", "ancilla"):
+                    col = raw.index(item) + 1
                     try:
                         metadata[key] = int(value)
                     except ValueError:
-                        raise ParseError(f"bad header value {item!r}", line_no, 0) from None
+                        raise ParseError(f"bad header value {item!r}", line_no, col) from None
+                    if key in ("n", "ancilla") and metadata[key] < 0:
+                        raise ParseError(f"{key} must be non-negative, got {value}", line_no, col)
                 elif key == "mode":
                     metadata[key] = value
             if "n" in metadata and n_system is None:
@@ -302,7 +319,7 @@ def parse_text(text: str) -> Circuit:
         wires = (n_system, n_ancilla)
         tokens = line.split()
         head = tokens[0]
-        col = raw.index(head)
+        col = raw.index(head) + 1
         if head == "x":
             if len(tokens) != 2:
                 raise ParseError("x expects one wire", line_no, col)
@@ -312,14 +329,15 @@ def parse_text(text: str) -> Circuit:
                 raise ParseError("cx expects control and target wires", line_no, col)
             c = _parse_wire(tokens[1], wires, line_no, col)
             t = _parse_wire(tokens[2], wires, line_no, col)
-            gates.append(x(t, controls=[(c, 1)]))
+            gates.append(_construct(x, line_no, col, t, controls=[(c, 1)]))
         elif head == "mcx":
             if len(tokens) != 3:
                 raise ParseError("mcx expects controls and target", line_no, col)
             ctrls = _parse_controls(tokens[1], wires, line_no, col)
-            gates.append(x(_parse_wire(tokens[2], wires, line_no, col), controls=ctrls))
+            t = _parse_wire(tokens[2], wires, line_no, col)
+            gates.append(_construct(x, line_no, col, t, controls=ctrls))
         elif head.startswith(("mcry", "mcrz", "mcphase")):
-            name, params = _parse_params(head, 1, line_no)
+            name, params = _parse_params(head, 1, line_no, col)
             if len(tokens) != 3:
                 raise ParseError(f"{name} expects controls and target", line_no, col)
             ctrls = _parse_controls(tokens[1], wires, line_no, col)
@@ -327,15 +345,16 @@ def parse_text(text: str) -> Circuit:
             maker = {"mcry": mcry, "mcrz": mcrz, "mcphase": mcphase}.get(name)
             if maker is None:
                 raise ParseError(f"unknown gate {name!r}", line_no, col)
-            gates.append(maker(params[0], t, controls=ctrls))
+            gates.append(_construct(maker, line_no, col, params[0], t, controls=ctrls))
         elif head.startswith("crbs"):
-            _, params = _parse_params(head, 2, line_no)
+            _, params = _parse_params(head, 2, line_no, col)
             if len(tokens) != 4:
                 raise ParseError("crbs expects controls and two targets", line_no, col)
             ctrls = _parse_controls(tokens[1], wires, line_no, col)
             t1 = _parse_wire(tokens[2], wires, line_no, col)
             t2 = _parse_wire(tokens[3], wires, line_no, col)
-            gates.append(crbs(params[0], params[1], t1, t2, controls=ctrls))
+            gates.append(_construct(crbs, line_no, col, params[0], params[1], t1, t2,
+                                    controls=ctrls))
         else:
             raise ParseError(f"unknown gate {head!r}", line_no, col)
     if n_system is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -89,6 +90,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_separable(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        return _fail(2, f"--tol must be finite and non-negative, got {args.tol}")
     psi = _load_state(args.input, normalize=args.normalize)
     if psi.n != args.n:
         return _fail(1, f"state has {psi.n} qubits, expected {args.n}")

@@ -10,9 +10,10 @@ trees expose the approximation.
 Assembly works on basis indices, never bitstrings.  A leaf's class vectors fill
 one table indexed by its local pattern (lexicographic class order is ascending
 pattern), the coefficient of every weight distribution is its profile weight
-times its per-node splits, taken for all distributions at once, and
-:func:`leafsep.analysis.factored_amplitudes` multiplies both out over the members of
-every distribution: the product behind the compiled state and the separability check.
+times its per-node splits (:func:`leafsep.analysis.tree_coefficients`, taken for all
+distributions at once), and :func:`leafsep.analysis.factored_amplitudes` multiplies
+both out over the members of every distribution: the product behind the compiled
+state and the separability check.
 
 All randomness flows from integer seeds; per-target seeds derive from
 (master seed, n, k, state index), so a cell's results do not depend on which
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import factored_amplitudes, node_weights
+from .analysis import factored_amplitudes, tree_coefficients
 from .circuit import cost
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, \
     dense_size, enumerate_weight_distributions, popcounts
@@ -97,8 +98,9 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
               rng: np.random.Generator) -> StateVector:
     splits = _node_split_samples(tree, weights, rng, 0.05 if kind == "nonneg" else 0.0)
 
-    per_weight = [enumerate_weight_distributions(tree.leaf_sizes, ell) for ell in weights]
-    leaf_weights = np.array([dist for group in per_weight for dist in group], dtype=np.int64)
+    leaf_weights = np.array([dist for ell in weights
+                             for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)],
+                            dtype=np.int64)
     factors = []
     for u, size in enumerate(tree.leaf_sizes):
         factors.append(np.zeros(1 << size, dtype=np.complex128))
@@ -106,11 +108,7 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
         for w in np.unique(leaf_weights[:, u]):
             factors[u][slots == w] = _sample_unit(rng, math.comb(size, int(w)), kind)
 
-    # c(I) = profile[ell] * product over internal nodes (preorder) of the sampled splits
-    value = np.ones(len(leaf_weights))
-    for node, w, left in node_weights(tree, leaf_weights):
-        value *= splits[node][w, left]
-    coeffs = np.repeat(np.asarray(profile, dtype=float), [len(g) for g in per_weight]) * value
+    coeffs = tree_coefficients(tree, leaf_weights, profile, splits)
     amps = factored_amplitudes(tree, leaf_weights, coeffs, factors)
     return StateVector(tree.n, amps, normalize=True)
 
@@ -126,7 +124,7 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     """
     _check_size(n, k, "ell", ell, n)
     tree = build_partition_tree(n, k)
-    return _assemble(tree, [ell], [1.0], kind, np.random.default_rng(seed))
+    return _assemble(tree, [ell], np.eye(ell + 1)[ell], kind, np.random.default_rng(seed))
 
 
 def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,

@@ -1,5 +1,9 @@
 """Circuit emission: weight-transfer blocks, leaf encoders, full pipelines, baselines.
 
+:func:`synthesize_full` emits from one :func:`leafsep.analysis.analyze` of the target:
+the input stage from its weight profile, a transfer block per live row of each node's
+split table, the phases from its distribution table and the encoders from its leaf table.
+
 The canonical register convention: a node of the partition tree carrying weight
 m holds the pattern with all m ones packed at the right end of its qubit range.
 A node's transfer block walks that packed pattern across the child boundary one
@@ -11,9 +15,8 @@ The phase of each weight distribution I is fitted as sum_u theta_u(I_u) plus a
 residual.  theta_u(w) rides on the leaf encoders: a class with several patterns
 takes it into its leaf-table entry (the encoder chain prepares absolute phases,
 so this adds no gate), the one-pattern full-leaf class gets one leaf-local
-``mcphase``.
-Only a distribution whose residual exceeds PHASE_FIT_TOL gets a full-register
-``mcphase``; generated separable targets need none.
+``mcphase``.  Only a distribution whose residual exceeds PHASE_FIT_TOL gets a
+full-register ``mcphase``; generated separable targets need none.
 """
 from __future__ import annotations
 
@@ -25,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .analysis import (encoder_angles, leaf_amplitude_table, mixed_weight_profile,
-                       rotation_ladder_angles, weight_split_amplitudes)
+from .analysis import encoder_angles, rotation_ladder_angles
 from .circuit import Circuit, Gate, crbs, mcphase, mcry, mcrz, two_qubit_cost, x
 from .combinatorics import controls_and_targets, ehrlich_sequence
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
@@ -112,27 +114,14 @@ def synthesize_gwdb(node: TreeNode, total_weight: int, thetas) -> list[Gate]:
     return gates
 
 
-def synthesize_gwdb_tree(psi: StateVector, tree: PartitionTree,
-                         total_weights=None) -> Circuit:
-    """Transfer blocks for every internal node and every supported node weight.
-
-    Simulated on the packed initial state this produces the intermediate state
-    whose coefficient on each leaf-weight configuration is the product over
-    internal nodes of the marginal split ratios of the target.
-    """
-    if total_weights is None:
-        total_weights = psi.weights_present()
-    cap = max(total_weights) if total_weights else 0
-    circ = Circuit(n_system=tree.n,
-                   metadata={"n": tree.n, "k": tree.leaf_size, "ell": cap, "mode": "none"})
-    probs = np.abs(psi.amplitudes) ** 2
+def synthesize_gwdb_tree(tree: PartitionTree, splits: dict) -> Circuit:
+    """Transfer blocks for every internal node and every live row of its split table
+    (:func:`weight_split_amplitudes`), taking the packed input to the splits' product."""
+    circ = Circuit(n_system=tree.n, metadata={"n": tree.n, "k": tree.leaf_size, "mode": "none"})
     for node in tree.internal_nodes():
-        norms = analysis.node_weight_norms(psi, node, probs=probs)
-        for m in range(1, min(node.size, cap) + 1):
-            if norms[m] <= analysis.DEAD_BRANCH_TOL:
-                continue
-            betas = weight_split_amplitudes(psi, node, m, probs=probs)
-            circ.extend(synthesize_gwdb(node, m, rotation_ladder_angles(betas)))
+        for m, betas in enumerate(splits[node]):
+            if m and betas.any():
+                circ.extend(synthesize_gwdb(node, m, rotation_ladder_angles(betas)))
     return circ
 
 
@@ -198,8 +187,8 @@ def _wrap(angles: np.ndarray) -> np.ndarray:
     return angles - 2.0 * math.pi * np.round(angles / (2.0 * math.pi))
 
 
-def _distribution_phases(tree: PartitionTree, infos, table: dict):
-    """Place the distribution phases of ``infos`` (the target's distribution table).
+def _distribution_phases(tree: PartitionTree, distributions, table: dict):
+    """Place the phases of ``distributions`` (the target's distribution table).
 
     Returns a copy of the leaf table ``table`` whose multi-pattern entries carry
     e^{i theta_u(w)} (their chains prepare absolute phases, so it adds no gate), the phase gates
@@ -207,9 +196,9 @@ def _distribution_phases(tree: PartitionTree, infos, table: dict):
     one-pattern full-leaf class with a phase, then one full-register ``mcphase`` per
     distribution whose residual exceeds PHASE_FIT_TOL, conditioned on its packed pattern.
     """
-    dists, _, live, phases = analysis._table_arrays(infos)
-    dists = dists[live]
-    theta, residual = _fit_leaf_phases(tree.leaf_sizes, dists, phases[live])
+    live = distributions.live
+    dists = distributions.weights[live]
+    theta, residual = _fit_leaf_phases(tree.leaf_sizes, dists, distributions.phases[live])
     table, gates = dict(table), []
     for (u, w), entry in sorted(table.items()):
         angle = math.remainder(float(theta[u, w]), 2.0 * math.pi)
@@ -356,11 +345,11 @@ def synthesize_mixed_weight_input(profile, n: int) -> list[Gate]:
     bit.  ``profile`` must be unit norm with support at weights <= n/2.
     """
     prof = np.asarray(profile, dtype=float)
-    if len(prof) > n // 2 + 1:
+    if float(np.sum(prof[n // 2 + 1:] ** 2)) > 1e-18:
         raise ValueError(f"profile supports weights above {n // 2}")
     if abs(float(np.sum(prof ** 2)) - 1.0) > 1e-9:
         raise ValueError("profile must have unit norm")
-    thetas = rotation_ladder_angles(prof)
+    thetas = rotation_ladder_angles(prof[:n // 2 + 1])
     gates: list[Gate] = []
     for step, theta in enumerate(thetas):
         if abs(theta) <= ANGLE_TOL:
@@ -395,25 +384,25 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     if config.ell is not None and not mixed and config.ell != ell:
         raise ValueError(f"state weight {ell} does not match config ell {config.ell}")
 
-    infos = analysis.distribution_table(psi, tree, weights)
-    table = leaf_amplitude_table(psi, tree, infos=infos)
-    report = analysis.is_leaf_separable(psi, tree, infos=infos, table=table)
+    factored = analysis.analyze(psi, tree, weights)
+    report = analysis.is_leaf_separable(psi, tree, factored=factored)
     if not report.separable:
         warnings.warn("target is not leaf-separable for this tree; synthesis proceeds as an "
                       f"approximation (max_delta {report.max_delta:.3g})", stacklevel=2)
 
-    table, phase_gates, phase_counts = _distribution_phases(tree, infos, table)
+    table, phase_gates, phase_counts = _distribution_phases(tree, factored.distributions,
+                                                            factored.leaves)
     n_ancilla = tree.num_leaves if config.mode == MODE_ANCILLA else 0
     circ = Circuit(n_system=n, n_ancilla=n_ancilla,
                    metadata={"n": n, "k": k, "ell": ell, "mode": config.mode,
                              "separable": report.separable, "phase_gates": phase_counts})
 
     if mixed:
-        circ.extend(synthesize_mixed_weight_input(mixed_weight_profile(psi), n))
+        circ.extend(synthesize_mixed_weight_input(factored.profile, n))
     else:
         circ.extend(synthesize_initial(n, ell).gates)
 
-    circ.extend(synthesize_gwdb_tree(psi, tree, weights).gates)
+    circ.extend(synthesize_gwdb_tree(tree, factored.splits).gates)
     circ.extend(phase_gates)
     circ.extend(synthesize_leaf_encoders(table, tree, config))
     return circ

@@ -9,7 +9,9 @@ compiled-state check in :mod:`leafsep.analysis` must reject too; its classes
 come from per-leaf popcounts, not from the analysis layer's grouping.  The
 tensor-factorization oracle decides the same per-class condition by singular
 values.  :func:`simulated_compiled_state` is the compiled state obtained the
-independent way: by simulating the synthesized circuit.
+independent way: by simulating the synthesized circuit.  :func:`child_weight_norms`
+sums the target class by class over :func:`class_indices`, independent of the split
+tables in :mod:`leafsep.analysis`.
 """
 import cmath
 import itertools
@@ -19,9 +21,10 @@ import warnings
 import numpy as np
 import pytest
 
-from leafsep.analysis import DEAD_BRANCH_TOL, SeparabilityReport, distribution_table
+from leafsep.analysis import SeparabilityReport, distribution_table
 from leafsep.circuit import Circuit
-from leafsep.core import StateVector, index_to_string, popcounts, string_to_index
+from leafsep.core import (StateVector, enumerate_weight_distributions, index_to_string,
+                          popcounts, string_to_index)
 from leafsep.simulator import simulate
 from leafsep.synthesis import SynthesisConfig, synthesize_full
 
@@ -114,21 +117,38 @@ def class_indices(tree, distribution) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
+def child_weight_norms(psi, tree, node) -> np.ndarray:
+    """Norm of ``psi`` at each (left, right) pair of Hamming weights on the children of
+    ``node``, summed over the classes of every weight distribution."""
+    sums = np.zeros((node.left.size + 1, node.right.size + 1))
+    for total in range(tree.n + 1):
+        for dist in enumerate_weight_distributions(tree.leaf_sizes, total):
+            left = right = 0
+            for leaf, w in zip(tree.leaves, dist):
+                if node.left.start <= leaf.start < node.right.start:
+                    left += w
+                elif node.right.start <= leaf.start < node.start + node.size:
+                    right += w
+            sums[left, right] += np.sum(np.abs(psi.amplitudes[class_indices(tree, dist)]) ** 2)
+    return np.sqrt(sums)
+
+
 def tensor_factorization_check(psi, tree, tol: float = 1e-9) -> bool:
     """Separability by singular values: every projected class must be rank one
     across each leaf-versus-rest cut."""
     amps = psi.amplitudes
-    for info in distribution_table(psi, tree):
-        if info.norm <= tol:
+    table = distribution_table(psi, tree)
+    for weights, norm in zip(table.weights.tolist(), table.norms.tolist()):
+        if norm <= tol:
             continue
         leaf_strings = [[format(i, f"0{leaf.size}b") for i in range(1 << leaf.size)
-                         if bin(i).count("1") == w] for leaf, w in zip(tree.leaves, info.weights)]
+                         if bin(i).count("1") == w] for leaf, w in zip(tree.leaves, weights)]
         dims = [len(s) for s in leaf_strings]
         tensor = np.zeros(dims, dtype=np.complex128)
         for combo in itertools.product(*(range(d) for d in dims)):
             bits = "".join(leaf_strings[u][g] for u, g in enumerate(combo))
             tensor[combo] = amps[string_to_index(bits)]
-        tensor = tensor / info.norm
+        tensor = tensor / norm
         for u in range(len(dims)):
             unfolded = np.moveaxis(tensor, u, 0).reshape(dims[u], -1)
             if min(unfolded.shape) == 1:
@@ -139,23 +159,23 @@ def tensor_factorization_check(psi, tree, tol: float = 1e-9) -> bool:
     return True
 
 
-def separability_oracle(psi, tree, infos, tol: float = 1e-9) -> SeparabilityReport:
-    """The per-distribution product check run class by class over ``infos``
+def separability_oracle(psi, tree, table, tol: float = 1e-9) -> SeparabilityReport:
+    """The per-distribution product check run class by class over ``table``
     (the target's distribution table), with the report of ``is_leaf_separable``."""
-    report = SeparabilityReport(separable=True, tol=tol)
+    report = SeparabilityReport(separable=True, tol=tol, table=table)
     amps = psi.amplitudes
     masks = [leaf.mask(psi.n) for leaf in tree.leaves]
     found = False  # violations stop at the first residual violation
-    for info in infos:
-        report.distributions.append({"I": list(info.weights), "c": info.norm})
-        if info.norm <= tol:
+    for weights, norm, ref in zip(table.weights.tolist(), table.norms.tolist(),
+                                  table.references.tolist()):
+        if norm <= tol:
             continue
-        if info.reference is None:
+        if ref < 0:
             if not found:
-                report.violations.append({"I": list(info.weights), "error": "no reference state"})
+                report.violations.append({"I": weights, "error": "no reference state"})
             report.separable = False
             continue
-        ref, idx = info.reference, class_indices(tree, info.weights)
+        idx = class_indices(tree, weights)
         ref_amp = amps[ref]
         predicted = np.ones(len(idx), dtype=np.complex128)
         for mask in masks:
@@ -165,7 +185,7 @@ def separability_oracle(psi, tree, infos, tol: float = 1e-9) -> SeparabilityRepo
         bad = np.flatnonzero(delta > tol)
         if bad.size:
             if not found:
-                report.violations.append({"I": list(info.weights),
+                report.violations.append({"I": weights,
                                           "bitstring": index_to_string(int(idx[bad[0]]), psi.n),
                                           "delta": float(delta[bad[0]])})
             report.separable, found = False, True
@@ -175,9 +195,10 @@ def separability_oracle(psi, tree, infos, tol: float = 1e-9) -> SeparabilityRepo
 def aligned_state(state: np.ndarray, psi, tree) -> np.ndarray:
     """``state`` times the global phase that gives the first live reference of ``psi``
     its target phase (a compiled circuit is exact only up to a global phase)."""
-    first = next(info for info in distribution_table(psi, tree)
-                 if info.norm > DEAD_BRANCH_TOL and info.reference is not None)
-    return state * cmath.exp(1j * (first.phase - cmath.phase(state[first.reference])))
+    table = distribution_table(psi, tree)
+    first = np.argmax(table.live)
+    return state * cmath.exp(1j * (table.phases[first]
+                                   - cmath.phase(state[table.references[first]])))
 
 
 def simulated_compiled_state(psi, tree) -> np.ndarray:

@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (class_indices, dicke_state, separability_oracle,
+from conftest import (child_weight_norms, class_indices, dicke_state, separability_oracle,
                       simulated_compiled_state, tensor_factorization_check)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (_concat_members, _grouping, distribution_table,
-                              encoder_angles, is_leaf_separable, leaf_amplitude_table,
-                              mixed_weight_profile, reconstruct_amplitudes,
+from leafsep.analysis import (DEAD_BRANCH_TOL, _concat_members, _grouping, analyze,
+                              distribution_table, encoder_angles, is_leaf_separable,
+                              leaf_amplitude_table, reconstruct_amplitudes,
                               rotation_ladder_angles, weight_split_amplitudes)
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
                           index_to_string)
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
+from leafsep.synthesis import SynthesisConfig, synthesize_full
 
 TREE42 = build_partition_tree(4, 2)
 
@@ -35,27 +36,37 @@ def test_class_indices_are_ascending_slices():
     assert sorted(seen) == list(range(1 << 7))
 
 
+def _rows(table, column) -> dict:
+    """One column of a distribution table keyed by the distribution's leaf weights."""
+    return dict(zip(map(tuple, table.weights.tolist()), getattr(table, column).tolist()))
+
+
 def test_distribution_reference_is_first_live_index(worked_example):
     table = distribution_table(worked_example, TREE42)
-    refs = {info.weights: info.reference for info in table}
-    assert refs == {(0, 2): None, (1, 1): 0b0101, (2, 0): 0b1100}
+    assert _rows(table, "references") == {(0, 2): -1, (1, 1): 0b0101, (2, 0): 0b1100}
+    assert _rows(table, "live") == {(0, 2): False, (1, 1): True, (2, 0): True}
     # the class after the empty (0, 2) in key order, (1, 0), starts with a live state
     mixed = StateVector.from_terms(4, {"0100": 0.6, "0101": 0.8})
-    refs = {info.weights: info.reference for info in distribution_table(mixed, TREE42)}
-    assert refs[(0, 2)] is None and refs[(1, 0)] == 0b0100
+    refs = _rows(distribution_table(mixed, TREE42), "references")
+    assert refs[(0, 2)] == -1 and refs[(1, 0)] == 0b0100
 
 
 def test_distribution_norms(worked_example):
-    norms = {info.weights: info.norm for info in distribution_table(worked_example, TREE42)}
-    assert norms == {(0, 2): 0.0, (1, 1): pytest.approx(1 / math.sqrt(2), abs=1e-12),
-                     (2, 0): pytest.approx(1 / math.sqrt(2), abs=1e-12)}
+    table = distribution_table(worked_example, TREE42)
+    assert table.weights.shape == (3, 2) and table.weights.dtype == np.int64
+    assert _rows(table, "norms") == {(0, 2): 0.0,
+                                     (1, 1): pytest.approx(1 / math.sqrt(2), abs=1e-12),
+                                     (2, 0): pytest.approx(1 / math.sqrt(2), abs=1e-12)}
     tree = build_partition_tree(7, 3)
     psi = random_mixed_leaf_separable(7, 3, "complex", seed=8)
-    for info in distribution_table(psi, tree):
-        want = np.linalg.norm(psi.amplitudes[class_indices(tree, info.weights)])
-        assert info.norm == pytest.approx(want, rel=1e-12, abs=1e-300)
-        assert info.phase == (0.0 if info.reference is None
-                              else float(np.angle(psi.amplitudes[info.reference])))
+    table = distribution_table(psi, tree)
+    for weights, norm, ref, phase, live in zip(
+            table.weights.tolist(), table.norms.tolist(), table.references.tolist(),
+            table.phases.tolist(), table.live.tolist()):
+        want = np.linalg.norm(psi.amplitudes[class_indices(tree, weights)])
+        assert norm == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert phase == (0.0 if ref < 0 else float(np.angle(psi.amplitudes[ref])))
+        assert live == (ref >= 0 and norm > DEAD_BRANCH_TOL)
 
 
 def test_is_leaf_separable_worked_example(worked_example):
@@ -84,14 +95,14 @@ def test_separability_scans_every_distribution():
     tree = build_partition_tree(8, 2)
     psi = random_fixed_weight_state(8, 4, "complex", seed=11)
     report = is_leaf_separable(psi, tree)
-    infos = distribution_table(psi, tree)
-    assert [d["I"] for d in report.distributions] == [list(info.weights) for info in infos]
+    dists = distribution_table(psi, tree).weights.tolist()
+    assert [d["I"] for d in report.distributions] == dists
     compiled = simulated_compiled_state(psi, tree)
     deltas = []    # (distribution, bitstring, residual) in scan order
-    for info in infos:
-        for i in class_indices(tree, info.weights):
+    for weights in dists:
+        for i in class_indices(tree, weights):
             bits = index_to_string(int(i), 8)
-            deltas.append((list(info.weights), bits, abs(psi.amplitude(bits) - compiled[i])))
+            deltas.append((weights, bits, abs(psi.amplitude(bits) - compiled[i])))
     bad = [d for d in deltas if d[2] > report.tol]
     assert len({str(d[0]) for d in bad}) > 1
     assert not report.separable and len(report.violations) == 1
@@ -102,6 +113,23 @@ def test_separability_scans_every_distribution():
     assert report.to_json_dict()["max_delta"] == report.max_delta
     separable = random_mixed_leaf_separable(8, 2, "complex", seed=12)
     assert is_leaf_separable(separable, tree).max_delta < 1e-12
+
+
+def test_heavy_mixed_target_is_checked():
+    """Support above weight n/2 is out of scope for the input stage, not for the check:
+    the compiled state puts 0.8 on 1101 (leaf 1's weight-1 entry comes from 0001)."""
+    psi = StateVector.from_terms(4, {"0001": 0.6, "1110": 0.8})
+    report = is_leaf_separable(psi, TREE42)
+    assert not report.separable
+    assert report.max_delta == pytest.approx(0.8, abs=1e-15)
+    assert report.violations == [{"I": [2, 1], "bitstring": "1101",
+                                  "delta": pytest.approx(0.8, abs=1e-15)}]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_is_leaf_separable_rejects_bad_tolerance(worked_example, tol):
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        is_leaf_separable(worked_example, TREE42, tol)
 
 
 def test_single_basis_state_is_separable():
@@ -188,8 +216,8 @@ def test_violation_at_first_member_of_class():
 
 
 def _largest_class(psi, tree) -> np.ndarray:
-    return max((class_indices(tree, info.weights) for info in distribution_table(psi, tree)),
-               key=len)
+    return max((class_indices(tree, weights)
+                for weights in distribution_table(psi, tree).weights.tolist()), key=len)
 
 
 def _with_class_vectors_of(psi, other, tree):
@@ -235,44 +263,53 @@ def test_batched_separability_matches_per_class_oracle(case):
     the per-class oracle rejects."""
     psi, tree = case
     got = is_leaf_separable(psi, tree)
-    infos = distribution_table(psi, tree)
+    table = distribution_table(psi, tree)
     delta = np.abs(psi.amplitudes - simulated_compiled_state(psi, tree))
     assert abs(got.max_delta - np.max(delta)) < 1e-12
     assert got.separable == (np.max(delta) <= got.tol)
-    scan = [(list(info.weights), int(i)) for info in infos
-            for i in class_indices(tree, info.weights) if delta[i] > got.tol]
+    scan = [(weights, int(i)) for weights in table.weights.tolist()
+            for i in class_indices(tree, weights) if delta[i] > got.tol]
     assert len(got.violations) == min(len(scan), 1)
     for g in got.violations:
         assert (g["I"], g["bitstring"]) == (scan[0][0], index_to_string(scan[0][1], psi.n))
         assert abs(g["delta"] - delta[scan[0][1]]) < 1e-12
-    want = separability_oracle(psi, tree, infos)
+    want = separability_oracle(psi, tree, table)
     assert got.distributions == want.distributions
     if not want.separable:
         assert not got.separable
 
 
 def test_split_amplitudes_worked_example(worked_example):
-    betas = weight_split_amplitudes(worked_example, TREE42.root, 2)
-    assert np.allclose(betas, [0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
+    splits = weight_split_amplitudes(worked_example, TREE42)
+    assert list(splits) == [TREE42.root]
+    assert splits[TREE42.root].shape == (5, 3)
+    assert np.allclose(splits[TREE42.root][2], [0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)],
+                       atol=1e-12)
 
 
 def test_split_amplitudes_dicke():
     # brute-force expectation: sqrt(C(2,i) C(2,2-i) / C(4,2))
-    betas = weight_split_amplitudes(dicke_state(4, 2), TREE42.root, 2)
+    betas = weight_split_amplitudes(dicke_state(4, 2), TREE42, [2])[TREE42.root][2]
     expected = np.sqrt(np.array([1.0, 4.0, 1.0]) / 6.0)
     assert np.allclose(betas, expected, atol=1e-12)
 
 
 def test_split_amplitudes_single_split():
     psi = StateVector.basis(4, "1100")
-    betas = weight_split_amplitudes(psi, TREE42.root, 2)
+    betas = weight_split_amplitudes(psi, TREE42)[TREE42.root][2]
     assert np.allclose(betas, [0.0, 0.0, 1.0])
 
 
-def test_split_amplitudes_dead_node_rejected():
+def test_split_amplitudes_dead_row_is_zero():
+    """Row 0 is (1, 0, ...); a node weight without support, or above every total
+    weight asked for, gives a zero row."""
     psi = StateVector.basis(4, "1100")
-    with pytest.raises(ValueError):
-        weight_split_amplitudes(psi, TREE42.root, 1)
+    table = weight_split_amplitudes(psi, TREE42)[TREE42.root]
+    assert table.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    capped = weight_split_amplitudes(psi, TREE42, [1])[TREE42.root]
+    assert capped.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    faint = StateVector.from_terms(4, {"1100": 1.0, "0100": 1e-13})  # weight-1 norm 1e-13
+    assert weight_split_amplitudes(faint, TREE42, [1, 2])[TREE42.root].tolist() == table.tolist()
 
 
 def test_ladder_angles_worked_example():
@@ -307,7 +344,8 @@ def test_ladder_angles_round_trip_through_chain():
 
 
 def test_leaf_amplitude_table_worked_example(worked_example):
-    table = leaf_amplitude_table(worked_example, TREE42)
+    table = leaf_amplitude_table(worked_example, TREE42,
+                                 distribution_table(worked_example, TREE42))
     r = 1 / math.sqrt(2)
     assert np.allclose(table[(0, 1)], [r, r])
     assert np.allclose(table[(1, 1)], [r, r])
@@ -317,14 +355,11 @@ def test_leaf_amplitude_table_worked_example(worked_example):
     # with the left leaf at 0 while (0,2) has no support; the pair is keyed only
     # when some supported distribution reaches it.
     assert (0, 0) not in table
-    infos = distribution_table(worked_example, TREE42)
-    given = leaf_amplitude_table(worked_example, TREE42, infos=infos)
-    assert given.keys() == table.keys()
-    assert all(np.array_equal(given[key], table[key]) for key in table)
 
 
 def test_leaf_amplitude_table_single_state():
-    table = leaf_amplitude_table(StateVector.basis(4, "1100"), TREE42)
+    psi = StateVector.basis(4, "1100")
+    table = leaf_amplitude_table(psi, TREE42, distribution_table(psi, TREE42))
     assert np.allclose(table[(0, 2)], [1.0])
     assert np.allclose(table[(1, 0)], [1.0])
     assert sorted(table) == [(0, 2), (1, 0)]
@@ -339,10 +374,10 @@ def test_leaf_amplitude_table_skips_distributions_without_reference():
         "0100": faint, "1000": 3 * faint,             # (1, 0): no reference state
         "0101": 0.12, "0110": 0.24, "1001": 0.16, "1010": 0.32,  # (1, 1)
         "1100": 0.3}, normalize=True)                 # (2, 0)
-    infos = distribution_table(psi, TREE42)
-    assert [(info.weights, info.reference is None) for info in infos] == [
-        ((0, 1), False), ((1, 0), True), ((0, 2), True), ((1, 1), False), ((2, 0), False)]
-    table = leaf_amplitude_table(psi, TREE42, infos=infos)
+    dists = distribution_table(psi, TREE42)
+    assert list(zip(dists.weights.tolist(), dists.references.tolist())) == [
+        ([0, 1], 0b0001), ([1, 0], -1), ([0, 2], -1), ([1, 1], 0b0101), ([2, 0], 0b1100)]
+    table = leaf_amplitude_table(psi, TREE42, dists)
     # leaf 0 at weight 1 is first reached by (1, 0), whose pattern ratio is 1 : 3;
     # its entry comes from (1, 1) instead, ratio 0.12 : 0.16 in Ehrlich order 01, 10
     assert np.allclose(table[(0, 1)], [0.6, 0.8], rtol=0, atol=1e-12)
@@ -356,7 +391,7 @@ def test_table_order_matches_ehrlich():
     amps = {"0011": 0.9, "0101": 0.3, "0110": math.sqrt(1 - 0.81 - 0.09)}
     psi = StateVector.from_terms(4, amps)
     tree = build_partition_tree(4, 4)
-    table = leaf_amplitude_table(psi, tree)
+    table = leaf_amplitude_table(psi, tree, distribution_table(psi, tree))
     order = ehrlich_sequence(4, 2)
     eta = table[(0, 2)]
     for bits, value in amps.items():
@@ -420,15 +455,19 @@ def _assert_chain_recovers(n, w, eta):
 
 
 def test_mixed_weight_profile():
+    """The input stage's profile: exactly one-hot at a fixed weight, else the norm of
+    the target at each weight, support above n/2 included (the input stage rejects it)."""
     psi = StateVector.basis(6, "000111")
-    profile = mixed_weight_profile(psi)
-    assert np.allclose(profile, [0, 0, 0, 1])
+    assert analyze(psi, build_partition_tree(6, 3)).profile.tolist() == [0, 0, 0, 1, 0, 0, 0]
 
     psi = StateVector.from_terms(2, {"00": 1 / math.sqrt(2), "01": 1 / math.sqrt(2)})
-    assert np.allclose(mixed_weight_profile(psi), [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    assert np.allclose(analyze(psi, build_partition_tree(2, 1)).profile,
+                       [1 / math.sqrt(2), 1 / math.sqrt(2), 0])
 
-    with pytest.raises(ValueError):
-        mixed_weight_profile(StateVector.basis(4, "0111"))
+    heavy = StateVector.from_terms(4, {"0001": 0.6, "0111": 0.8})
+    assert np.allclose(analyze(heavy, TREE42).profile, [0, 0.6, 0, 0.8, 0])
+    with pytest.raises(ValueError, match="profile supports weights above 2"):
+        synthesize_full(heavy, SynthesisConfig(n=4, k=2))
 
 
 def test_mixed_weight_profile_random_unit_norm():
@@ -438,22 +477,29 @@ def test_mixed_weight_profile_random_unit_norm():
     idx = [i for i in range(1 << n) if bin(i).count("1") <= n // 2]
     vals = rng.standard_normal(len(idx))
     amps[idx] = vals / np.linalg.norm(vals)
-    profile = mixed_weight_profile(StateVector(n, amps))
+    profile = analyze(StateVector(n, amps), build_partition_tree(n, 2)).profile
     assert abs(float(np.sum(profile ** 2)) - 1.0) < 1e-12
 
 
 def test_split_norm_recomposition():
-    psi = random_leaf_separable(8, 2, 4, "real", seed=6)
-    tree = build_partition_tree(8, 2)
-    from leafsep.analysis import node_split_norms, node_weight_norms
-    probs = np.abs(psi.amplitudes) ** 2
-    for node in tree.internal_nodes():
-        norms = node_weight_norms(psi, node)
-        assert np.array_equal(node_weight_norms(psi, node, probs=probs), norms)
-        for m in range(node.size + 1):
-            splits = node_split_norms(psi, node, m)
-            assert abs(float(np.sum(splits ** 2)) - norms[m] ** 2) < 1e-12
-            assert np.array_equal(node_split_norms(psi, node, m, probs=probs), splits)
-            if norms[m] > 0:
-                assert np.array_equal(weight_split_amplitudes(psi, node, m, probs=probs),
-                                      weight_split_amplitudes(psi, node, m))
+    """Each live row of a node's split table is the class-by-class oracle's split norms
+    at that node weight, normalized; rows without support are zero and row 0 is e_0."""
+    for psi, tree in [(random_leaf_separable(8, 2, 4, "real", seed=6), build_partition_tree(8, 2)),
+                      (random_mixed_leaf_separable(7, 3, "complex", seed=8),
+                       build_partition_tree(7, 3)),
+                      (random_fixed_weight_state(6, 3, "complex", seed=9),
+                       build_partition_tree(6, 1))]:
+        splits = weight_split_amplitudes(psi, tree)
+        assert list(splits) == tree.internal_nodes()
+        for node in tree.internal_nodes():
+            norms = child_weight_norms(psi, tree, node)
+            table = splits[node]
+            assert table.shape == (node.size + 1, node.left.size + 1)
+            assert table[0].tolist() == [1.0] + [0.0] * node.left.size
+            for m in range(1, node.size + 1):
+                want = np.array([norms[i, m - i] if 0 <= m - i <= node.right.size else 0.0
+                                 for i in range(node.left.size + 1)])
+                if np.linalg.norm(want) > DEAD_BRANCH_TOL:
+                    assert np.allclose(table[m], want / np.linalg.norm(want), rtol=0, atol=1e-12)
+                else:
+                    assert not table[m].any()

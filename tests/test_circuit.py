@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.circuit import (Circuit, Gate, ParseError, cost, crbs, export_text,
+from leafsep.circuit import (GATE_KINDS, Circuit, Gate, ParseError, cost, crbs, export_text,
                              mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
 
 
@@ -44,6 +44,10 @@ def test_gate_validation():
         mcry(0.1, 0, controls=[(0, 1)])  # control overlaps target
     with pytest.raises(ValueError):
         Gate(kind="mcry", targets=(0,), controls=((1, 2),), params=(0.1,))
+    with pytest.raises(ValueError, match="controlled more than once"):
+        Gate(kind="mcx", targets=(2,), controls=((0, 1), (0, -1)))
+    with pytest.raises(ValueError, match="controlled more than once"):
+        mcphase(0.1, 2, controls=[(1, 1), (1, 1)])
 
 
 def test_x_kind_normalization():
@@ -147,15 +151,66 @@ def test_angle_precision_round_trip():
         assert g1.params == g2.params
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_round_trip_random_circuits(seed):
-    circ = random_circuit(4, 25, seed=seed, n_ancilla=2)
+EXTREME_ANGLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  math.pi, -math.pi]
+
+
+@st.composite
+def _circuits(draw):
+    """Gate lists over system and ancilla wires: x with 0, 1 or more signed controls
+    (x, cx, mcx), the rotations, phases and crbs, with finite angles of any size."""
+    n_system, n_ancilla = draw(st.integers(2, 5)), draw(st.integers(0, 2))
+    angles = st.one_of(st.sampled_from(EXTREME_ANGLES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    circ = Circuit(n_system=n_system, n_ancilla=n_ancilla, metadata={
+        "n": n_system, "k": draw(st.integers(0, 9)), "ell": draw(st.integers(0, 9)),
+        "mode": draw(st.sampled_from(["free", "ancilla", "none"]))})
+    for kind in draw(st.lists(st.sampled_from(["x", "mcry", "mcrz", "mcphase", "crbs"]),
+                              max_size=12)):
+        order = draw(st.permutations(range(n_system + n_ancilla)))
+        free = order[2 if kind == "crbs" else 1:]
+        ctrls = [(w, draw(st.sampled_from([1, -1])))
+                 for w in free[:draw(st.integers(0, len(free)))]]
+        if kind == "x":
+            circ.add(x(order[0], controls=ctrls))
+        elif kind == "crbs":
+            circ.add(crbs(draw(angles), draw(angles), order[0], order[1], controls=ctrls))
+        else:
+            circ.add({"mcry": mcry, "mcrz": mcrz, "mcphase": mcphase}[kind](
+                draw(angles), order[0], controls=ctrls))
+    return circ
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_circuits())
+def test_round_trip_random_circuits(circ):
+    """parse_text inverts export_text gate for gate, every angle bit for bit (the sign
+    of -0.0 included), and re-export is byte-identical."""
     text = export_text(circ)
     parsed = parse_text(text)
-    assert parsed.n_system == circ.n_system
-    assert parsed.n_ancilla == circ.n_ancilla
+    assert (parsed.n_system, parsed.n_ancilla) == (circ.n_system, circ.n_ancilla)
+    assert parsed.metadata == circ.metadata
     assert parsed.gates == circ.gates
-    assert export_text(parsed) == text  # byte-identical
+    assert [repr(p) for g in parsed.gates for p in g.params] == \
+        [repr(p) for g in circ.gates for p in g.params]
+    assert export_text(parsed) == text
+
+
+def test_round_trip_strategy_covers_every_gate_kind():
+    kinds, angles, roles = set(), set(), set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_circuits())
+    def collect(circ):
+        kinds.update(g.kind for g in circ.gates)
+        angles.update(repr(p) for g in circ.gates for p in g.params)
+        roles.update(("target", w >= circ.n_system) for g in circ.gates for w in g.targets)
+        roles.update(("control", w >= circ.n_system) for g in circ.gates for w, _ in g.controls)
+
+    collect()
+    assert kinds == set(GATE_KINDS)
+    assert {repr(a) for a in EXTREME_ANGLES} <= angles
+    assert roles == {(role, ancilla) for role in ("target", "control") for ancilla in (0, 1)}
 
 
 def test_parse_errors_report_position():
@@ -170,6 +225,22 @@ def test_parse_errors_report_position():
         parse_text("# n=2 k=1 ell=1 mode=free\nmcry(xyz) [] q0\n")
     with pytest.raises(ParseError):
         parse_text("# n=2 k=1 ell=1 mode=free\nx q7\n")
+
+
+@pytest.mark.parametrize("text,line,column,message", [
+    ("# n=3 k=1 ell=1 mode=none\nmcry(nan) [] q0\n", 2, 5, "non-finite parameter"),
+    ("# n=3 k=1 ell=1 mode=none\n  crbs(0,-inf) [] q0 q1\n", 2, 7, "non-finite parameter"),
+    ("# n=3 k=1 ell=1 mode=none\nmcphase(1e309) [q1+] q0\n", 2, 8, "non-finite parameter"),
+    ("# n=-1 k=1 ell=1 mode=none\n", 1, 3, "n must be non-negative, got -1"),
+    ("# n=3 k=1 ell=1 mode=none\n# ancilla=-1\n", 2, 3, "ancilla must be non-negative"),
+    ("# n=3 k=1 ell=1 mode=none\ncx q0 q0\n", 2, 1, "disjoint wires"),
+    ("# n=3 k=1 ell=1 mode=none\ncrbs(1,0) [] q1 q1\n", 2, 1, "disjoint wires"),
+    ("# n=3 k=1 ell=1 mode=none\nmcx [q0+,q0-] q1\n", 2, 1, "controlled more than once"),
+])
+def test_parse_rejects_malformed_gates_with_position(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_text(text)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_ancilla_wire_names():

@@ -39,6 +39,20 @@ def test_check_separable_strict_failure(tmp_path, capsys):
     assert report["max_delta"] == 1 / math.sqrt(2)
 
 
+@pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                       ("-1", "-1.0"), ("-5e-324", "-5e-324")])
+def test_check_separable_rejects_bad_tolerance(example_state_file, tol, shown, capsys):
+    """A NaN bound passes every state and a negative one fails a zero residual."""
+    assert main(["check-separable", "--input", example_state_file, "--n", "4", "--k", "2",
+                 "--strict", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be finite and non-negative, got {shown}\n"
+    assert main(["check-separable", "--input", example_state_file, "--n", "4", "--k", "2",
+                 "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+
 def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     circuit_path = str(tmp_path / "circ.txt")
     report_path = str(tmp_path / "report.json")
@@ -216,6 +230,22 @@ def test_ancilla_out_of_range_exit_code(tmp_path, capsys):
     path.write_text("# n=2 k=1 ell=1 mode=none\n# ancilla=1\nx a3\n")
     assert main(["simulate", "--circuit", str(path)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,position", [
+    ("# n=2 k=1 ell=1 mode=none\nmcry(nan) [] q0\n", "line 2, column 5"),
+    ("# n=2 k=1 ell=1 mode=none\ncrbs(inf,0) [] q0 q1\n", "line 2, column 5"),
+    ("# n=-1 k=1 ell=1 mode=none\n", "line 1, column 3"),
+    ("# n=2 k=1 ell=1 mode=none\ncx q0 q0\n", "line 2, column 1"),
+    ("# n=3 k=1 ell=1 mode=none\nmcx [q0+,q0-] q1\n", "line 2, column 1"),
+])
+def test_malformed_circuit_exit_code(tmp_path, capsys, body, position):
+    path = tmp_path / "c.txt"
+    path.write_text(body)
+    assert main(["simulate", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {position}: ")
 
 
 def test_too_many_wires_exit_code(tmp_path, capsys):

@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import dicke_state
+from conftest import child_weight_norms, dicke_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (DEAD_BRANCH_TOL, distribution_table, leaf_amplitude_table,
-                              node_split_norms, rotation_ladder_angles, weight_split_amplitudes)
+from leafsep.analysis import (distribution_table, leaf_amplitude_table, rotation_ladder_angles,
+                              weight_split_amplitudes)
 from leafsep.circuit import Circuit, cost, export_text, parse_text
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
@@ -39,7 +39,7 @@ def test_initial_state():
 
 def test_gwdb_worked_example(worked_example, intermediate_example):
     tree = build_partition_tree(4, 2)
-    thetas = rotation_ladder_angles(weight_split_amplitudes(worked_example, tree.root, 2))
+    thetas = rotation_ladder_angles(weight_split_amplitudes(worked_example, tree)[tree.root][2])
     circ = Circuit(n_system=4)
     circ.extend(synthesize_gwdb(tree.root, 2, thetas))
     res = simulate(circ, initial="0011")
@@ -54,7 +54,7 @@ def test_gwdb_zero_angles_is_identity():
 
 def test_gwdb_dicke_intermediate():
     tree = build_partition_tree(4, 2)
-    betas = weight_split_amplitudes(dicke_state(4, 2), tree.root, 2)
+    betas = weight_split_amplitudes(dicke_state(4, 2), tree)[tree.root][2]
     circ = Circuit(n_system=4)
     circ.extend(synthesize_gwdb(tree.root, 2, rotation_ladder_angles(betas)))
     res = simulate(circ, initial="0011")
@@ -65,6 +65,7 @@ def test_gwdb_dicke_intermediate():
 def tree_product_coefficients(psi, tree, total_weights):
     """Independent oracle for the intermediate state: product of marginal
     split ratios over internal nodes, per leaf-weight configuration."""
+    norms = {node: child_weight_norms(psi, tree, node) for node in tree.internal_nodes()}
     coeffs = {}
     for ell in total_weights:
         for dist in enumerate_weight_distributions(tree.leaf_sizes, ell):
@@ -75,7 +76,8 @@ def tree_product_coefficients(psi, tree, total_weights):
                 left_w = sum(dist[u] for u, leaf in enumerate(tree.leaves)
                              if node.left.start <= leaf.start
                              < node.left.start + node.left.size)
-                splits = node_split_norms(psi, node, node_w)
+                splits = np.array([norms[node][i, node_w - i] if 0 <= node_w - i <= node.right.size
+                                   else 0.0 for i in range(node.left.size + 1)])
                 denom = math.sqrt(float(np.sum(splits ** 2)))
                 if denom < 1e-300:
                     value = 0.0
@@ -99,7 +101,7 @@ def test_gwdb_tree_matches_product_formula(n, k, ell, kind, structured):
     else:
         psi = random_fixed_weight_state(n, ell, kind, seed=[22, n, k])
     tree = build_partition_tree(n, k)
-    circ = synthesize_gwdb_tree(psi, tree)
+    circ = synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree))
     res = simulate(circ, initial=packed(n, ell))
     expected = tree_product_coefficients(psi, tree, [ell])
     out = res.state
@@ -115,7 +117,7 @@ def test_gwdb_tree_matches_product_formula(n, k, ell, kind, structured):
 def test_gwdb_tree_single_leaf_is_identity():
     psi = random_fixed_weight_state(4, 2, "real", seed=1)
     tree = build_partition_tree(4, 4)
-    circ = synthesize_gwdb_tree(psi, tree)
+    circ = synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree))
     assert circ.gates == []
 
 
@@ -125,7 +127,8 @@ def test_gwdb_tree_dicke_marginals():
     n, k, ell = 8, 2, 4
     psi = dicke_state(n, ell)
     tree = build_partition_tree(n, k)
-    res = simulate(synthesize_gwdb_tree(psi, tree), initial=packed(n, ell))
+    res = simulate(synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree)),
+                   initial=packed(n, ell))
     expected = tree_product_coefficients(psi, tree, [ell])
     for dist, value in expected.items():
         bits = "".join(packed(2, w) for w in dist)
@@ -160,7 +163,7 @@ def test_hwk_encoder_prepares_random_states(n, w, kind):
 
 def test_leaf_encoders_worked_example(worked_example, intermediate_example):
     tree = build_partition_tree(4, 2)
-    table = leaf_amplitude_table(worked_example, tree)
+    table = leaf_amplitude_table(worked_example, tree, distribution_table(worked_example, tree))
     gates = synthesize_leaf_encoders(table, tree, SynthesisConfig(n=4, k=2))
     circ = Circuit(n_system=4)
     circ.extend(gates)
@@ -171,7 +174,7 @@ def test_leaf_encoders_worked_example(worked_example, intermediate_example):
 def test_leaf_encoders_singleton_classes_silent():
     psi = StateVector.basis(4, "1100")
     tree = build_partition_tree(4, 2)
-    table = leaf_amplitude_table(psi, tree)
+    table = leaf_amplitude_table(psi, tree, distribution_table(psi, tree))
     assert synthesize_leaf_encoders(table, tree, SynthesisConfig(n=4, k=2)) == []
 
 
@@ -271,11 +274,12 @@ def _phased_targets(draw):
     n = draw(st.integers(2, 10))
     k = draw(st.integers(1, n))
     mode = draw(st.sampled_from([MODE_FREE, MODE_ANCILLA]))
+    field = draw(st.sampled_from(["real", "complex", "nonneg"]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     if draw(st.booleans()):
-        psi = random_mixed_leaf_separable(n, k, "complex", seed=seed)
+        psi = random_mixed_leaf_separable(n, k, field, seed=seed)
     else:
-        psi = random_leaf_separable(n, k, draw(st.integers(1, n - 1)), "complex", seed=seed)
+        psi = random_leaf_separable(n, k, draw(st.integers(1, n - 1)), field, seed=seed)
     phased = draw(st.booleans())
     if phased:
         psi = _with_distribution_phasors(psi, build_partition_tree(n, k), [seed, 1])
@@ -285,8 +289,8 @@ def _phased_targets(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_phased_targets())
 def test_distribution_phases_are_exact(case):
-    """Separable targets, with or without a random phasor per distribution, compile
-    exactly.  Generator targets have additive phases and need no full-register phase
+    """Separable targets (real, complex or non-negative fields), with or without a random
+    phasor per distribution, compile exactly.  Generator targets have additive phases and need no full-register phase
     gate; a random phasor needs at most one per live distribution after the first."""
     psi, config, phased = case
     circ = synthesize_full(psi, config)
@@ -294,8 +298,7 @@ def test_distribution_phases_are_exact(case):
     assert res.fidelity >= 1 - 1e-10
     assert res.purity >= 1 - 1e-10
     counts = circ.metadata["phase_gates"]
-    live = sum(info.norm > DEAD_BRANCH_TOL and info.reference is not None
-               for info in distribution_table(psi, build_partition_tree(config.n, config.k)))
+    live = np.sum(distribution_table(psi, build_partition_tree(config.n, config.k)).live)
     assert counts["residual"] <= live - 1
     if not phased:
         assert counts["residual"] == 0
@@ -320,7 +323,7 @@ def test_phase_gates_metadata():
     counts = circ.metadata["phase_gates"]
     assert set(counts) == {"leaf", "residual", "max_residual"}
     assert (counts["leaf"], counts["residual"]) == (len(leaf), len(full))
-    assert 0 < counts["residual"] < len(distribution_table(phased, tree)) - 1
+    assert 0 < counts["residual"] < len(distribution_table(phased, tree).weights) - 1
     assert counts["max_residual"] == max(abs(g.params[0]) for g in full)
     assert min(abs(g.params[0]) for g in full) > PHASE_FIT_TOL
     assert simulate(circ, target=phased).fidelity >= 1 - 1e-10
@@ -333,7 +336,7 @@ def _marker_scheme_circuit(psi, tree, table, class_order):
     from leafsep.synthesis import _distribution_phases, _leaf_detector, _rotation_chain
     circ = Circuit(n_system=tree.n, n_ancilla=tree.num_leaves)
     circ.extend(synthesize_initial(tree.n, max(psi.weights_present())).gates)
-    circ.extend(synthesize_gwdb_tree(psi, tree).gates)
+    circ.extend(synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree)).gates)
     table, phase_gates, _ = _distribution_phases(tree, distribution_table(psi, tree), table)
     circ.extend(phase_gates)
     for u, leaf in enumerate(tree.leaves):
@@ -355,7 +358,7 @@ def test_increasing_class_order_is_load_bearing():
     reversing the order lets a class chain corrupt already-marked branches."""
     psi = random_leaf_separable(6, 3, 3, "real", seed=44)
     tree = build_partition_tree(6, 3)
-    table = leaf_amplitude_table(psi, tree)
+    table = leaf_amplitude_table(psi, tree, distribution_table(psi, tree))
     sizes = [len(v) for v in table.values()]
     assert sum(1 for s in sizes if s > 1) >= 2  # order-sensitive target
 
