@@ -320,6 +320,8 @@ class SeparabilityReport:
         """c(I) per distribution of the checked table, built on request: a compile reads
         only the verdict."""
         table = self.table
+        if table is None:
+            return []
         return [{"I": weights, "c": norm}
                 for weights, norm in zip(table.weights.tolist(), table.norms.tolist())]
 
