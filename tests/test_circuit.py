@@ -181,9 +181,19 @@ def _circuits(draw):
     return circ
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_round_trip_random_circuits(seed):
+    circ = random_circuit(4, 25, seed=seed, n_ancilla=2)
+    text = export_text(circ)
+    parsed = parse_text(text)
+    assert (parsed.n_system, parsed.n_ancilla) == (circ.n_system, circ.n_ancilla)
+    assert parsed.gates == circ.gates
+    assert export_text(parsed) == text  # byte-identical
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_circuits())
-def test_round_trip_random_circuits(circ):
+def test_round_trip_generated_circuits(circ):
     """parse_text inverts export_text gate for gate, every angle bit for bit (the sign
     of -0.0 included), and re-export is byte-identical."""
     text = export_text(circ)
