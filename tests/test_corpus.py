@@ -2,12 +2,14 @@
 
 Any change to the analysis or emission layers that alters a single gate,
 control or angle bit changes the digest below, and a changed separability
-verdict changes the ``NON_SEPARABLE`` labels.  The verdict holds exactly when
-a free-mode circuit reaches fidelity 1, and the reconstruction equals the
-simulated state (``test_corpus_verdicts_match_fidelity``).  The corpus covers
-n <= 10 at every k: real, complex and non-negative separable targets in both
-modes, mixed-weight targets, dense fixed-weight (non-separable) targets and
-targets synthesized on a mismatched tree.
+verdict changes the ``NON_SEPARABLE`` labels.  A structure digest pins the same
+text with every parenthesised parameter list blanked (``mcry(0.7) [] q3`` reads
+``mcry() [] q3``): a change that moves only angle bits leaves it as it is.  The
+verdict holds exactly when a free-mode circuit reaches fidelity 1, and the
+reconstruction equals the simulated state (``test_corpus_verdicts_match_fidelity``).
+The corpus covers n <= 10 at every k: real, complex and non-negative separable
+targets in both modes, mixed-weight targets, dense fixed-weight (non-separable)
+targets and targets synthesized on a mismatched tree.
 
 A second digest pins the generated targets themselves, amplitude bytes and
 all, for n 2..12 at every k: real, complex and non-negative, fixed-weight and
@@ -21,6 +23,7 @@ it.  Fidelity and purity come from BLAS reductions whose low bits depend on
 the machine, so they are checked against 1 with a tolerance instead.
 """
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -37,6 +40,7 @@ from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthes
                                synthesize_general_baseline)
 
 CORPUS_SHA256 = "c8367717c0aeea384e600fef62847784af1b6b551f33da254a83a518c412e6ad"
+CORPUS_STRUCTURE_SHA256 = "9bbbb1f47586372f84da9f522eecd55e5c224d1b178cc2c12fd9f6dd38ff551d"
 CORPUS_SIZE = 441
 NON_SEPARABLE = [
     "dense-4-1", "dense-4-2", "dense-5-1", "dense-5-2", "dense-5-3", "mismatched-5-1",
@@ -101,19 +105,22 @@ def _simulated():
 
 
 def test_corpus_circuits_are_pinned():
-    digest = hashlib.sha256()
+    digest, structure = hashlib.sha256(), hashlib.sha256()
     verdicts = []
     count = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for label, psi, config in _corpus():
             circ = synthesize_full(psi, config)
-            digest.update(export_text(circ).encode())
+            text = export_text(circ)
+            digest.update(text.encode())
+            structure.update(re.sub(r"\([^)]*\)", "()", text).encode())
             if not circ.metadata["separable"]:
                 verdicts.append(label)
             count += 1
     assert count == CORPUS_SIZE
     assert verdicts == NON_SEPARABLE
+    assert structure.hexdigest() == CORPUS_STRUCTURE_SHA256
     assert digest.hexdigest() == CORPUS_SHA256
 
 
