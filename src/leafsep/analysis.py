@@ -7,7 +7,10 @@ and its phase per weight distribution I), the per-node split amplitudes, the
 per-(leaf, weight) unit local amplitudes in the enumeration order of
 :func:`leafsep.combinatorics.ehrlich_sequence`, and the input stage's weight
 profile.  c(I) is the profile at I's total weight times the product of the split
-amplitudes (:func:`tree_coefficients`).  The compiled state, which
+amplitudes (:func:`tree_coefficients`).  Only the distribution table sums the
+target's amplitudes: the split amplitudes and a mixed target's profile are
+``bincount``s of its c(I)^2, so they cover exactly its checked total weights, and
+the leaf tables read the target at its references.  The compiled state, which
 :func:`leafsep.synthesis.synthesize_full` prepares from these pieces, is the one
 model of separability: a target is leaf-separable on a tree when it equals it.
 
@@ -30,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import ehrlich_sequence
-from .core import (PartitionTree, StateVector, TreeNode, enumerate_weight_distributions,
+from .core import (PartitionTree, StateVector, enumerate_weight_distributions,
                    index_to_string, popcounts)
 
 DEAD_BRANCH_TOL = 1e-12
@@ -113,41 +116,37 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
 
 # --- node split amplitudes -------------------------------------------------
 
-@lru_cache(maxsize=1)  # a tree with one internal node reuses it from target to target
-def _part_weights(n: int, node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
-    """Hamming weight of every basis index on the left and on the right child of ``node``."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    return tuple(popcounts(idx & np.uint32(part.mask(n))).astype(np.uint8)
-                 for part in (node.left, node.right))
+def _node_weights(tree: PartitionTree, distributions: np.ndarray):
+    """Each internal node in preorder, with every row's weight on the node and on its left
+    child, for ``distributions`` a D x G array of leaf weights."""
+    first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
+    cum = np.cumsum(np.pad(distributions, ((0, 0), (1, 0))), axis=1)  # cum[:, u]: leaves < u
+    for node in tree.internal_nodes():
+        lo, mid, hi = (cum[:, first[q]] for q in (node.start, node.right.start,
+                                                  node.start + node.size))
+        yield node, hi - lo, mid - lo
 
 
-def weight_split_amplitudes(psi: StateVector, tree: PartitionTree,
-                            total_weights=None) -> dict:
+def weight_split_amplitudes(tree: PartitionTree, distributions: DistributionTable) -> dict:
     """Map internal node -> (size + 1) x (left size + 1) unit split amplitudes.
 
     Row m, column i is the norm of the target on the split (i, m - i) across the
-    node's children (a masked sum in ascending index order), over that of the m + 1
-    splits.  Row 0 is (1, 0, ...); a row whose node weight has norm at most
-    DEAD_BRANCH_TOL, or exceeds every one of ``total_weights``, is zero.
+    node's children, over that of the m + 1 splits: the sum of c(I)^2 over the
+    rows I of ``distributions`` that put m on the node and i on its left child, so
+    the splits cover exactly the table's total weights.  Row 0 is (1, 0, ...); a row
+    whose norm is at most DEAD_BRANCH_TOL, or that no distribution reaches, is zero.
     """
-    if total_weights is None:
-        total_weights = psi.weights_present()
-    cap = max(total_weights, default=0)
-    probs = np.abs(psi.amplitudes) ** 2
+    probs = distributions.norms ** 2
     splits: dict = {}
-    for node in tree.internal_nodes():
-        wl, wr = _part_weights(psi.n, node)
-        norms = np.sqrt(np.bincount(wl + wr, weights=probs, minlength=node.size + 1))
-        table = splits[node] = np.zeros((node.size + 1, node.left.size + 1))
+    for node, weight, left in _node_weights(tree, distributions.weights):
+        shape = (node.size + 1, node.left.size + 1)
+        sums = np.bincount(weight * shape[1] + left, weights=probs,
+                           minlength=shape[0] * shape[1]).reshape(shape)
+        betas = np.sqrt(sums)
+        norms = np.linalg.norm(betas, axis=1, keepdims=True)
+        table = splits[node] = np.divide(betas, norms, out=np.zeros(shape),
+                                         where=norms > DEAD_BRANCH_TOL)
         table[0, 0] = 1.0
-        for m in range(1, min(node.size, cap) + 1):
-            if norms[m] <= DEAD_BRANCH_TOL:
-                continue
-            betas = np.zeros(m + 1)  # infeasible splits stay 0, as their empty sums would
-            for i in range(max(0, m - node.right.size), min(m, node.left.size) + 1):
-                betas[i] = math.sqrt(float(np.sum(probs[(wl == i) & (wr == m - i)])))
-            row = (betas / math.sqrt(float(np.sum(betas ** 2))))[:node.left.size + 1]
-            table[m, :len(row)] = row
     return splits
 
 
@@ -232,31 +231,27 @@ class FactoredTarget:
 def analyze(psi: StateVector, tree: PartitionTree, total_weights=None) -> FactoredTarget:
     """The distribution, leaf and split tables of ``psi`` for ``total_weights`` (default:
     ``psi.weights_present()``) and its profile: 1 at the weight of a fixed-weight target,
-    else the norm of ``psi`` at each weight."""
+    else the norm of ``psi`` at each of ``total_weights``, summed over the table."""
     if total_weights is None:
         total_weights = psi.weights_present()
     table = distribution_table(psi, tree, total_weights)
     if len(total_weights) == 1:
         profile = np.eye(psi.n + 1)[total_weights[0]]
     else:
-        profile = np.sqrt(np.bincount(popcounts(np.arange(1 << psi.n)), minlength=psi.n + 1,
-                                      weights=np.abs(psi.amplitudes) ** 2))
+        profile = np.sqrt(np.bincount(np.sum(table.weights, axis=1), weights=table.norms ** 2,
+                                      minlength=psi.n + 1))
     return FactoredTarget(table, leaf_amplitude_table(psi, tree, table),
-                          weight_split_amplitudes(psi, tree, total_weights), profile)
+                          weight_split_amplitudes(tree, table), profile)
 
 
 def tree_coefficients(tree: PartitionTree, distributions: np.ndarray, profile,
                       splits: dict) -> np.ndarray:
     """c(I) = profile[|I|] * prod over internal nodes (preorder) of splits[node][w, l] per
     row I of ``distributions`` (D x G), w and l I's weight on the node and its left child."""
-    first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
-    cum = np.cumsum(np.pad(distributions, ((0, 0), (1, 0))), axis=1)  # cum[:, u]: leaves < u
     value = np.ones(len(distributions))
-    for node in tree.internal_nodes():
-        lo, mid, hi = (cum[:, first[q]] for q in (node.start, node.right.start,
-                                                  node.start + node.size))
-        value *= splits[node][hi - lo, mid - lo]
-    return np.asarray(profile)[cum[:, -1]] * value
+    for node, weight, left in _node_weights(tree, distributions):
+        value *= splits[node][weight, left]
+    return np.asarray(profile)[np.sum(distributions, axis=1)] * value
 
 
 def _compiled(tree: PartitionTree, target: FactoredTarget):

@@ -280,7 +280,7 @@ def test_batched_separability_matches_per_class_oracle(case):
 
 
 def test_split_amplitudes_worked_example(worked_example):
-    splits = weight_split_amplitudes(worked_example, TREE42)
+    splits = weight_split_amplitudes(TREE42, distribution_table(worked_example, TREE42))
     assert list(splits) == [TREE42.root]
     assert splits[TREE42.root].shape == (5, 3)
     assert np.allclose(splits[TREE42.root][2], [0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)],
@@ -289,27 +289,29 @@ def test_split_amplitudes_worked_example(worked_example):
 
 def test_split_amplitudes_dicke():
     # brute-force expectation: sqrt(C(2,i) C(2,2-i) / C(4,2))
-    betas = weight_split_amplitudes(dicke_state(4, 2), TREE42, [2])[TREE42.root][2]
+    table = distribution_table(dicke_state(4, 2), TREE42, [2])
+    betas = weight_split_amplitudes(TREE42, table)[TREE42.root][2]
     expected = np.sqrt(np.array([1.0, 4.0, 1.0]) / 6.0)
     assert np.allclose(betas, expected, atol=1e-12)
 
 
 def test_split_amplitudes_single_split():
     psi = StateVector.basis(4, "1100")
-    betas = weight_split_amplitudes(psi, TREE42)[TREE42.root][2]
+    betas = weight_split_amplitudes(TREE42, distribution_table(psi, TREE42))[TREE42.root][2]
     assert np.allclose(betas, [0.0, 0.0, 1.0])
 
 
 def test_split_amplitudes_dead_row_is_zero():
-    """Row 0 is (1, 0, ...); a node weight without support, or above every total
-    weight asked for, gives a zero row."""
+    """Row 0 is (1, 0, ...); a node weight without support, outside the table's total
+    weights, or with norm at most DEAD_BRANCH_TOL gives a zero row."""
     psi = StateVector.basis(4, "1100")
-    table = weight_split_amplitudes(psi, TREE42)[TREE42.root]
+    table = weight_split_amplitudes(TREE42, distribution_table(psi, TREE42))[TREE42.root]
     assert table.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
-    capped = weight_split_amplitudes(psi, TREE42, [1])[TREE42.root]
+    capped = weight_split_amplitudes(TREE42, distribution_table(psi, TREE42, [1]))[TREE42.root]
     assert capped.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
     faint = StateVector.from_terms(4, {"1100": 1.0, "0100": 1e-13})  # weight-1 norm 1e-13
-    assert weight_split_amplitudes(faint, TREE42, [1, 2])[TREE42.root].tolist() == table.tolist()
+    faint_table = distribution_table(faint, TREE42, [1, 2])
+    assert weight_split_amplitudes(TREE42, faint_table)[TREE42.root].tolist() == table.tolist()
 
 
 def test_ladder_angles_worked_example():
@@ -488,8 +490,9 @@ def test_split_norm_recomposition():
                       (random_mixed_leaf_separable(7, 3, "complex", seed=8),
                        build_partition_tree(7, 3)),
                       (random_fixed_weight_state(6, 3, "complex", seed=9),
-                       build_partition_tree(6, 1))]:
-        splits = weight_split_amplitudes(psi, tree)
+                       build_partition_tree(6, 1)),
+                      (StateVector.from_terms(4, {"0001": 0.6, "1110": 0.8}), TREE42)]:
+        splits = weight_split_amplitudes(tree, distribution_table(psi, tree))
         assert list(splits) == tree.internal_nodes()
         for node in tree.internal_nodes():
             norms = child_weight_norms(psi, tree, node)

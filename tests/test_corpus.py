@@ -39,7 +39,7 @@ from leafsep.simulator import simulate
 from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
                                synthesize_general_baseline)
 
-CORPUS_SHA256 = "c8367717c0aeea384e600fef62847784af1b6b551f33da254a83a518c412e6ad"
+CORPUS_SHA256 = "8ed940699bd7f89254c051b54f7a7bdfb9f1d0900f8dadb4f83a028a9cbe2ff5"
 CORPUS_STRUCTURE_SHA256 = "9bbbb1f47586372f84da9f522eecd55e5c224d1b178cc2c12fd9f6dd38ff551d"
 CORPUS_SIZE = 441
 NON_SEPARABLE = [
@@ -56,7 +56,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "24786b14c2b16f8e7771a415070b47db108631846c8e4c6ac004b2a194ad1a80"
+SIMULATED_SHA256 = "6a45c60d50722632709edc8ecbb7738bfeab9d7f3e38ebcd2c3662169c1a5d36"
 SIMULATED_SIZE = 185
 
 

@@ -8,8 +8,8 @@ from conftest import child_weight_norms, dicke_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (distribution_table, leaf_amplitude_table, rotation_ladder_angles,
-                              weight_split_amplitudes)
+from leafsep.analysis import (analyze, distribution_table, leaf_amplitude_table,
+                              rotation_ladder_angles)
 from leafsep.circuit import Circuit, cost, export_text, parse_text
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
@@ -39,7 +39,7 @@ def test_initial_state():
 
 def test_gwdb_worked_example(worked_example, intermediate_example):
     tree = build_partition_tree(4, 2)
-    thetas = rotation_ladder_angles(weight_split_amplitudes(worked_example, tree)[tree.root][2])
+    thetas = rotation_ladder_angles(analyze(worked_example, tree).splits[tree.root][2])
     circ = Circuit(n_system=4)
     circ.extend(synthesize_gwdb(tree.root, 2, thetas))
     res = simulate(circ, initial="0011")
@@ -54,7 +54,7 @@ def test_gwdb_zero_angles_is_identity():
 
 def test_gwdb_dicke_intermediate():
     tree = build_partition_tree(4, 2)
-    betas = weight_split_amplitudes(dicke_state(4, 2), tree)[tree.root][2]
+    betas = analyze(dicke_state(4, 2), tree).splits[tree.root][2]
     circ = Circuit(n_system=4)
     circ.extend(synthesize_gwdb(tree.root, 2, rotation_ladder_angles(betas)))
     res = simulate(circ, initial="0011")
@@ -101,7 +101,7 @@ def test_gwdb_tree_matches_product_formula(n, k, ell, kind, structured):
     else:
         psi = random_fixed_weight_state(n, ell, kind, seed=[22, n, k])
     tree = build_partition_tree(n, k)
-    circ = synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree))
+    circ = synthesize_gwdb_tree(tree, analyze(psi, tree).splits)
     res = simulate(circ, initial=packed(n, ell))
     expected = tree_product_coefficients(psi, tree, [ell])
     out = res.state
@@ -117,7 +117,7 @@ def test_gwdb_tree_matches_product_formula(n, k, ell, kind, structured):
 def test_gwdb_tree_single_leaf_is_identity():
     psi = random_fixed_weight_state(4, 2, "real", seed=1)
     tree = build_partition_tree(4, 4)
-    circ = synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree))
+    circ = synthesize_gwdb_tree(tree, analyze(psi, tree).splits)
     assert circ.gates == []
 
 
@@ -127,7 +127,7 @@ def test_gwdb_tree_dicke_marginals():
     n, k, ell = 8, 2, 4
     psi = dicke_state(n, ell)
     tree = build_partition_tree(n, k)
-    res = simulate(synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree)),
+    res = simulate(synthesize_gwdb_tree(tree, analyze(psi, tree).splits),
                    initial=packed(n, ell))
     expected = tree_product_coefficients(psi, tree, [ell])
     for dist, value in expected.items():
@@ -336,7 +336,7 @@ def _marker_scheme_circuit(psi, tree, table, class_order):
     from leafsep.synthesis import _distribution_phases, _leaf_detector, _rotation_chain
     circ = Circuit(n_system=tree.n, n_ancilla=tree.num_leaves)
     circ.extend(synthesize_initial(tree.n, max(psi.weights_present())).gates)
-    circ.extend(synthesize_gwdb_tree(tree, weight_split_amplitudes(psi, tree)).gates)
+    circ.extend(synthesize_gwdb_tree(tree, analyze(psi, tree).splits).gates)
     table, phase_gates, _ = _distribution_phases(tree, distribution_table(psi, tree), table)
     circ.extend(phase_gates)
     for u, leaf in enumerate(tree.leaves):
