@@ -187,11 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-state", help="sample a random leaf-separable state")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None)
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mixed", action="store_true",
-                   help="superpose weights 0..n/2 instead of one fixed weight")
+    weight = p.add_mutually_exclusive_group()
+    weight.add_argument("--ell", type=int, default=None)
+    weight.add_argument("--mixed", action="store_true",
+                        help="superpose weights 0..n/2 instead of one fixed weight")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_random_state)
 

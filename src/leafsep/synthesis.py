@@ -381,8 +381,8 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         raise ValueError("target state has no support")
     mixed = len(weights) > 1
     ell = max(weights)
-    if config.ell is not None and not mixed and config.ell != ell:
-        raise ValueError(f"state weight {ell} does not match config ell {config.ell}")
+    if config.ell is not None and config.ell != ell:
+        raise ValueError(f"largest state weight {ell} does not match config ell {config.ell}")
 
     factored = analysis.analyze(psi, tree, weights)
     report = analysis.is_leaf_separable(psi, tree, factored=factored)

@@ -148,6 +148,32 @@ def test_random_state_mixed(capsys):
     assert len(weights) > 1
 
 
+def test_random_state_mixed_rejects_ell(capsys):
+    """A mixed state has no single weight for --ell to pick."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["random-state", "--n", "4", "--k", "2", "--mixed", "--ell", "3"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --ell: not allowed with argument --mixed" in captured.err
+
+
+def test_synthesize_checks_ell_on_mixed_target(tmp_path, capsys):
+    """--ell is compared with a mixed target's largest weight, as with a fixed one."""
+    path = tmp_path / "mixed.json"
+    assert main(["random-state", "--n", "4", "--k", "2", "--mixed", "--seed", "3",
+                 "--out", str(path)]) == 0
+    out = tmp_path / "c.txt"
+    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2", "--ell", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: largest state weight 2 does not match config ell 1\n"
+    assert not out.exists()
+    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2", "--ell", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "# n=4 k=2 ell=2 mode=free"
+
+
 def test_bench_fidelity_csv(tmp_path):
     out = tmp_path / "fid.csv"
     assert main(["bench-fidelity", "--n-min", "4", "--n-max", "4",
