@@ -131,10 +131,11 @@ def weight_split_amplitudes(tree: PartitionTree, distributions: DistributionTabl
     """Map internal node -> (size + 1) x (left size + 1) unit split amplitudes.
 
     Row m, column i is the norm of the target on the split (i, m - i) across the
-    node's children, over that of the m + 1 splits: the sum of c(I)^2 over the
-    rows I of ``distributions`` that put m on the node and i on its left child, so
-    the splits cover exactly the table's total weights.  Row 0 is (1, 0, ...); a row
-    whose norm is at most DEAD_BRANCH_TOL, or that no distribution reaches, is zero.
+    node's children, over that of the m + 1 splits.  That norm is the root of the sum
+    of c(I)^2 over the rows I of ``distributions`` with m on the node and i on its
+    left child, so the splits cover exactly the table's total weights.  Row 0 is
+    (1, 0, ...); a row whose norm is at most DEAD_BRANCH_TOL, or that no row
+    reaches, is zero.
     """
     probs = distributions.norms ** 2
     splits: dict = {}
