@@ -119,11 +119,11 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
 def _node_weights(tree: PartitionTree, distributions: np.ndarray):
     """Each internal node in preorder, with every row's weight on the node and on its left
     child, for ``distributions`` a D x G array of leaf weights."""
-    first = {leaf.start: u for u, leaf in enumerate(tree.leaves)} | {tree.n: tree.num_leaves}
-    cum = np.cumsum(np.pad(distributions, ((0, 0), (1, 0))), axis=1)  # cum[:, u]: leaves < u
+    cum = np.empty((tree.num_leaves, len(distributions)), dtype=np.int64)
+    np.cumsum(distributions.T, axis=0, out=cum)  # at[q] below: the weight on qubits < q
+    at = {0: 0} | dict(zip([leaf.start + leaf.size for leaf in tree.leaves], cum))
     for node in tree.internal_nodes():
-        lo, mid, hi = (cum[:, first[q]] for q in (node.start, node.right.start,
-                                                  node.start + node.size))
+        lo, mid, hi = at[node.start], at[node.right.start], at[node.start + node.size]
         yield node, hi - lo, mid - lo
 
 

@@ -84,6 +84,8 @@ def _cmd_simulate(args) -> int:
         "gates": len(circ),
         "two_qubit_gates": circuit.cost(circ).two_qubit_count,
         "elapsed": result.elapsed,
+        "peak_support": result.peak_support,
+        "first_dense_gate": result.first_dense_gate,
     }
     _write(args.report, json.dumps(report, indent=2) + "\n")
     return 0
@@ -164,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("simulate", help="run a circuit on the dense simulator")
+    p = sub.add_parser("simulate", help="run a circuit on the statevector simulator")
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", default=None,
                    help="state JSON or basis:BITSTRING (default all zeros)")

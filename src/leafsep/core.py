@@ -210,9 +210,8 @@ class StateVector:
 
     def weights_present(self, tol: float = 1e-12) -> list[int]:
         """Hamming weights carrying probability above tol^2, ascending."""
-        w = popcounts(np.arange(1 << self.n))
         probs = np.abs(self.amplitudes) ** 2
-        return sorted(int(x) for x in np.unique(w[probs > tol * tol]))
+        return np.unique(popcounts(np.flatnonzero(probs > tol * tol))).tolist()
 
     def to_json_dict(self, tol: float = 1e-15) -> dict:
         entries = []

@@ -1,8 +1,39 @@
-"""Dense statevector execution of the gate IR plus fidelity/purity diagnostics.
+"""Statevector execution of the gate IR plus fidelity/purity diagnostics.
 
-Multi-controlled gates are applied natively: the state tensor is sliced at the
-control wires (selecting the matching polarity) and the 2x2 (or pair) update is
-applied to the target axes of that slice only.
+:func:`simulate` has two engines and picks between them from what it observes:
+the circuit's wire count and the size of the state's support.
+
+The support engine (:class:`_Support`) holds only the basis states the run has
+reached: their indices in wire order and their amplitudes, in arrays grown with
+amortised capacity.  Each gate selects the entries matching its controls with
+one mask test over the support.  ``x``/``cx``/``mcx`` XOR the matched indices in
+place, ``mcrz``/``mcphase`` multiply the matched amplitudes, and the mixing gates
+(``mcry``, ``crbs``) pair each matched entry with its partner (the index with the
+target bits flipped) by one sort of the matched entries; a partner the support
+lacks is appended with amplitude 0.  A weight-ell target on n qubits lives on
+C(n, ell) of 2^n amplitudes, and every gate after the input stage preserves the
+Hamming weight or toggles an ancilla that is a function of the system bits, so
+the support of a compiled circuit's run stays that small.
+
+The dense engine holds all 2^n amplitudes as a [2]*n tensor.  Multi-controlled
+gates are applied natively: the tensor is sliced at the control wires
+(selecting the matching polarity) and the 2x2 (or pair) update is applied to the
+target axes of that slice only.  Both engines take the gate arithmetic from
+:func:`_mixed` and :func:`_diagonal`.
+
+A run starts on the support when the circuit has at least ``SPARSE_MIN_WIRES``
+wires and the initial support holds at most ``SPARSE_MAX_FRACTION`` of the 2^n
+amplitudes.  The first gate that would grow the support past that share runs
+dense, and so does the rest of the run.  The support engine pays about 50 to
+60 us per gate even on a support of a few hundred entries (its mask test,
+selection and sort are a few dozen numpy calls), where a dense gate costs about
+15 us at 11 wires; at 15 wires it is 80 us against 50 us dense, at 16 wires
+(a 12 870-entry support) 75 us against 95 us, and at 20 wires (48 620 entries)
+70 us against 465 us.  (Compiled circuits of the benchmark's workloads, one
+core, best of five runs; the host's load moves them by 20 % or more.)
+Below 16 wires dense therefore wins.  At a quarter of 2^n entries the support's
+arrays (24 bytes an entry) are still smaller than the dense state (16 bytes an
+amplitude).
 
 :func:`simulate` plans a circuit before it runs it.  The plan orders the
 tensor's axes by decreasing wire load (the amplitudes its gates touch, summed
@@ -15,10 +46,10 @@ once per amplitude.  The residual distribution phases of a free-mode circuit
 (the part not additive over leaves, which only non-separable targets such as
 dense fixed-weight ones need) are such a run; in ancilla mode they leave the
 ancillas out and are applied gate by gate.
-The state starts in the plan's axis order and is permuted back once at the end,
-so the returned state is in wire order: ancilla wires sit after the system
-wires and are the least significant index bits, and a state on system wires
-embeds as a Kronecker product with |0...0> on the ancillas.
+The dense state starts in the plan's axis order and is permuted back once at
+the end, so the returned state is in wire order: ancilla wires sit after the
+system wires and are the least significant index bits, and a state on system
+wires embeds as a Kronecker product with |0...0> on the ancillas.
 """
 from __future__ import annotations
 
@@ -31,6 +62,32 @@ import numpy as np
 from .circuit import Circuit, Gate
 from .core import StateVector, dense_size
 
+# A run holds the state as its support only on circuits of at least this many wires...
+SPARSE_MIN_WIRES = 16
+# ...and while the support holds at most this share of the 2^wires amplitudes.
+SPARSE_MAX_FRACTION = 0.25
+
+
+def _mixed(gate: Gate, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes an ``mcry`` (``crbs``) mixes, after it: ``a`` on the target's |0>
+    (|1_t1 0_t2>) and ``b`` on its |1> (|0_t1 1_t2>)."""
+    if gate.kind == "mcry":
+        theta = gate.params[0]
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return c * a - s * b, s * a + c * b
+    theta, phi = gate.params
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    ep, em = np.exp(0.5j * phi), np.exp(-0.5j * phi)
+    return ep * c * a - ep * s * b, em * s * a + em * c * b
+
+
+def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
+    """Factors of a diagonal gate on its target's |0> and |1> amplitudes; None leaves them."""
+    phi = gate.params[0]
+    if gate.kind == "mcrz":
+        return np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    return None, np.exp(1j * phi)
+
 
 def _controls_slicer(gate: Gate, axis: list[int]) -> list:
     idx: list = [slice(None)] * len(axis)
@@ -41,51 +98,25 @@ def _controls_slicer(gate: Gate, axis: list[int]) -> list:
 
 def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
     """In-place application of one gate to a [2]*n tensor whose axis ``axis[w]`` is wire w."""
-    base = _controls_slicer(gate, axis)
+    i0 = _controls_slicer(gate, axis)
+    i1 = list(i0)
+    t = axis[gate.targets[0]]
+    i0[t], i1[t] = 0, 1
+    if gate.kind == "crbs":
+        u = axis[gate.targets[1]]
+        i0[t], i0[u], i1[t], i1[u] = 1, 0, 0, 1
+    s0, s1 = tuple(i0), tuple(i1)
     if gate.kind in ("x", "cx", "mcx"):
-        t = axis[gate.targets[0]]
-        i0, i1 = list(base), list(base)
-        i0[t], i1[t] = 0, 1
-        a = state[tuple(i0)].copy()
-        state[tuple(i0)] = state[tuple(i1)]
-        state[tuple(i1)] = a
-    elif gate.kind == "mcry":
-        theta = gate.params[0]
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        t = axis[gate.targets[0]]
-        i0, i1 = list(base), list(base)
-        i0[t], i1[t] = 0, 1
-        a = state[tuple(i0)].copy()
-        b = state[tuple(i1)].copy()
-        state[tuple(i0)] = c * a - s * b
-        state[tuple(i1)] = s * a + c * b
-    elif gate.kind == "mcrz":
-        phi = gate.params[0]
-        t = axis[gate.targets[0]]
-        i0, i1 = list(base), list(base)
-        i0[t], i1[t] = 0, 1
-        state[tuple(i0)] *= np.exp(-0.5j * phi)
-        state[tuple(i1)] *= np.exp(0.5j * phi)
-    elif gate.kind == "mcphase":
-        phi = gate.params[0]
-        t = axis[gate.targets[0]]
-        i1 = list(base)
-        i1[t] = 1
-        state[tuple(i1)] *= np.exp(1j * phi)
-    elif gate.kind == "crbs":
-        theta, phi = gate.params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        ep, em = np.exp(0.5j * phi), np.exp(-0.5j * phi)
-        t1, t2 = axis[gate.targets[0]], axis[gate.targets[1]]
-        i10, i01 = list(base), list(base)
-        i10[t1], i10[t2] = 1, 0
-        i01[t1], i01[t2] = 0, 1
-        a = state[tuple(i10)].copy()
-        b = state[tuple(i01)].copy()
-        state[tuple(i10)] = ep * c * a - ep * s * b
-        state[tuple(i01)] = em * s * a + em * c * b
-    else:  # pragma: no cover - rejected at Gate construction
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+        a = state[s0].copy()
+        state[s0] = state[s1]
+        state[s1] = a
+    elif gate.kind in ("mcry", "crbs"):
+        state[s0], state[s1] = _mixed(gate, state[s0].copy(), state[s1].copy())
+    else:
+        f0, f1 = _diagonal(gate)
+        if f0 is not None:
+            state[s0] *= f0
+        state[s1] *= f1
 
 
 def _plan(circuit: Circuit) -> tuple[list[int], list]:
@@ -114,11 +145,110 @@ def _plan(circuit: Circuit) -> tuple[list[int], list]:
     return sorted(range(n), key=lambda w: -load[w]), steps
 
 
-def _apply_phases(flat: np.ndarray, run: list[Gate], bit: list[int]) -> None:
-    """One run of single-amplitude phases; ``bit[w]`` is wire w's index bit."""
+def _phase_run(run: list[Gate], bit: list[int]) -> tuple[list[int], list[complex]]:
+    """The amplitude each single-amplitude phase of ``run`` multiplies, and its factor;
+    ``bit[w]`` is wire w's index bit."""
     index = [bit[g.targets[0]] + sum(bit[w] for w, pol in g.controls if pol == 1)
              for g in run]
-    np.multiply.at(flat, index, [np.exp(1j * g.params[0]) for g in run])
+    return index, [_diagonal(g)[1] for g in run]
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each of ``queries`` in the sorted, non-empty ``keys``, and if it is there."""
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return pos, keys[pos] == queries
+
+
+class _Support:
+    """A state held as its support: distinct wire-order basis indices and their
+    amplitudes, in the first ``size`` entries of arrays with spare capacity.
+
+    :meth:`apply` runs one plan step; it refuses a step that would grow the
+    support past ``limit`` entries and leaves the state as it was.
+    """
+
+    def __init__(self, n: int, indices: np.ndarray, amplitudes: np.ndarray, limit: int):
+        self.limit = limit
+        self.bit = [1 << (n - 1 - w) for w in range(n)]
+        self.idx = indices.astype(np.uint64)
+        self.amp = amplitudes.astype(np.complex128)
+        self.size = self.peak = len(indices)
+
+    @classmethod
+    def start(cls, n: int, wires: np.ndarray | None, limit: int) -> "_Support | None":
+        """The support of the wire-order amplitudes ``wires`` (None: |0...0>), or None
+        when it holds more than ``limit`` entries."""
+        if limit == 0:
+            return None
+        indices = np.zeros(1, dtype=np.int64) if wires is None else np.flatnonzero(wires)
+        amplitudes = np.ones(1) if wires is None else wires[indices]
+        return cls(n, indices, amplitudes, limit) if len(indices) <= limit else None
+
+    def apply(self, step) -> bool:
+        idx = self.idx[:self.size]
+        if isinstance(step, list):
+            index, factors = _phase_run(step, self.bit)
+            order = np.argsort(idx)
+            pos, hit = _lookup(idx[order], np.array(index, dtype=np.uint64))
+            np.multiply.at(self.amp, order[pos[hit]], np.array(factors)[hit])
+            return True
+        gate = step
+        mask = sum(self.bit[w] for w, _ in gate.controls)
+        value = sum(self.bit[w] for w, pol in gate.controls if pol == 1)
+        sel = np.flatnonzero((idx & np.uint64(mask)) == np.uint64(value))
+        target = np.uint64(self.bit[gate.targets[0]])
+        if gate.kind in ("x", "cx", "mcx"):
+            self.idx[sel] ^= target
+        elif gate.kind in ("mcrz", "mcphase"):
+            f0, f1 = _diagonal(gate)
+            on = (idx[sel] & target) != 0
+            if f0 is not None:
+                self.amp[sel[~on]] *= f0
+            self.amp[sel[on]] *= f1
+        else:
+            return self._mix(gate, sel)
+        return True
+
+    def _mix(self, gate: Gate, sel: np.ndarray) -> bool:
+        """Apply a mixing gate to the entries ``sel`` that match its controls."""
+        t = self.bit[gate.targets[0]]
+        first, second = (0, t) if gate.kind == "mcry" else (t, self.bit[gate.targets[1]])
+        first, second = np.uint64(first), np.uint64(second)
+        flip = first ^ second
+        if gate.kind == "crbs":  # |00> and |11> stay as they are
+            pattern = self.idx[sel] & flip
+            sel = sel[(pattern == first) | (pattern == second)]
+        if len(sel) == 0:
+            return True
+        keys = self.idx[sel]
+        order = np.argsort(keys)
+        keys, sel = keys[order], sel[order]
+        pos, found = _lookup(keys, keys ^ flip)
+        missing = np.flatnonzero(~found)
+        if self.size + len(missing) > self.limit:
+            return False
+        mates = np.empty_like(sel)
+        mates[found] = sel[pos[found]]
+        mates[missing] = self._append(keys[missing] ^ flip)
+        is_first = (keys & flip) == first
+        pair = is_first | ~found  # each pair once: at its first half, or at its only entry
+        i0 = np.where(is_first, sel, mates)[pair]
+        i1 = np.where(is_first, mates, sel)[pair]
+        self.amp[i0], self.amp[i1] = _mixed(gate, self.amp[i0], self.amp[i1])
+        return True
+
+    def _append(self, indices: np.ndarray) -> np.ndarray:
+        """Append ``indices`` with amplitude 0, growing the arrays by doubling up to
+        ``limit``, and return their positions."""
+        end = self.size + len(indices)
+        if end > len(self.idx):
+            cap = min(max(end, 2 * len(self.idx)), self.limit)
+            self.idx = np.concatenate((self.idx[:self.size], np.empty(cap - self.size, np.uint64)))
+            self.amp = np.concatenate((self.amp[:self.size], np.empty(cap - self.size, complex)))
+        self.idx[self.size:end] = indices
+        self.amp[self.size:end] = 0.0
+        self.size, self.peak = end, max(self.peak, end)
+        return np.arange(end - len(indices), end)
 
 
 @dataclass
@@ -130,6 +260,8 @@ class SimulationResult:
     elapsed: float
     fidelity: float | None = None
     purity: float | None = None
+    peak_support: int = 0       # most amplitudes held at once: 2^wires once the run is dense
+    first_dense_gate: int = 0   # gates run on the support before the dense engine took over
 
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
@@ -139,46 +271,70 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     initialized to |0>), a StateVector over all wires, or a bitstring.
     When ``target`` (system wires) is given, phase-insensitive fidelity and the
     system-register purity are filled in.  ``elapsed`` covers planning, the
-    gates and both permutations.
+    gates on either engine, the move from the support to the dense state and
+    both permutations of the dense state, but not fidelity or purity.
+    ``first_dense_gate`` is 0 when the whole run was dense and the gate count
+    when none of it was.
     """
     n = circuit.n_wires
     dense_size(n)  # too many wires fail here, before anything is allocated
+    limit = int(SPARSE_MAX_FRACTION * (1 << n)) if n >= SPARSE_MIN_WIRES else 0
     start = time.perf_counter()
-    final = StateVector(n, _run(circuit, initial), check=False)
+    amplitudes, peak, first_dense = _run(circuit, initial, limit)
+    final = StateVector(n, amplitudes, check=False)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
                               n_ancilla=circuit.n_ancilla, norm=final.norm(),
-                              elapsed=elapsed)
+                              elapsed=elapsed, peak_support=peak,
+                              first_dense_gate=first_dense)
     if target is not None:
         result.fidelity = fidelity(final, target, n_system=circuit.n_system)
         result.purity = system_purity(final, circuit.n_system)
     return result
 
 
-def _run(circuit: Circuit, initial) -> np.ndarray:
-    """Plan, permute ``initial`` into the plan's layout, apply every step and
-    return the final amplitudes in wire order.
+def _run(circuit: Circuit, initial, limit: int) -> tuple[np.ndarray, int, int]:
+    """Plan and run ``circuit`` on ``initial``: on the support while it holds at most
+    ``limit`` entries, then dense in the plan's layout.
 
-    Only this frame holds the planned-layout state, so it is freed on return
-    and no wire-order buffer of the input outlives the first permutation.
+    Returns the final amplitudes in wire order, the peak support and the index
+    of the first gate run dense (the gate count when none was).  Only this frame
+    holds the planned-layout state, so it is freed on return and no wire-order
+    buffer of the input outlives the first permutation.
     """
     n = circuit.n_wires
     order, steps = _plan(circuit)
-    if initial is None:
+    wires = None if initial is None else _initial_amplitudes(circuit, initial)
+    support = _Support.start(n, wires, limit)
+    done = first_dense = 0
+    if support is not None:
+        # Allocated before the run, as the dense path allocates its state: allocated
+        # after it, above the run's freed temporaries on the heap, it raised the
+        # benchmark's peak RSS by 1 MB on narrow-leaves and 4 MB on wide-leaves-ancilla.
+        wires = np.zeros(1 << n, dtype=np.complex128)
+        while done < len(steps) and support.apply(steps[done]):
+            done += 1
+        first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
+        wires[support.idx[:support.size]] = support.amp[:support.size]
+        if done == len(steps):
+            return wires, support.peak, first_dense
+        del support
+    if wires is None:
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0
     else:
-        state = _initial_amplitudes(circuit, initial).reshape([2] * n).transpose(order).copy()
+        state = wires.reshape([2] * n).transpose(order).copy()
+        del wires
     axis = [0] * n
     for a, wire in enumerate(order):
         axis[wire] = a
     bit = [1 << (n - 1 - a) for a in axis]
-    for step in steps:
+    for step in steps[done:]:
         if isinstance(step, list):
-            _apply_phases(state.reshape(-1), step, bit)
+            np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
         else:
             _apply_gate(state, step, axis)
-    return state.transpose(axis).reshape(-1)
+    return state.transpose(axis).reshape(-1), 1 << n, first_dense
 
 
 def _initial_amplitudes(circuit: Circuit, initial) -> np.ndarray:
@@ -227,5 +383,6 @@ def system_purity(state: StateVector, n_system: int) -> float:
     if n_system == state.n:
         return 1.0
     m = state.amplitudes.reshape(1 << n_system, 1 << (state.n - n_system))
-    gram = m.conj().T @ m
+    rows = max(1, (1 << 16) >> (state.n - n_system))  # blocks of 2^16: m is never copied whole
+    gram = sum(m[i:i + rows].conj().T @ m[i:i + rows] for i in range(0, len(m), rows))
     return float(np.sum(np.abs(gram) ** 2).real)

@@ -11,8 +11,9 @@ from test_circuit import random_circuit
 
 from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
 from leafsep.core import StateVector
-from leafsep.simulator import _plan, fidelity, simulate, system_purity
-from leafsep.synthesis import SynthesisConfig, synthesize_full
+from leafsep.experiments import random_leaf_separable
+from leafsep.simulator import _plan, _run, fidelity, simulate, system_purity
+from leafsep.synthesis import MODE_ANCILLA, SynthesisConfig, synthesize_full
 
 
 def test_empty_circuit_preserves_input():
@@ -98,22 +99,71 @@ def _skewed_circuits(draw):
     return circ, hot, initial
 
 
+def _start_vector(circ, initial) -> np.ndarray:
+    """Wire-order amplitudes of ``initial`` over every wire of ``circ``."""
+    if initial is None:
+        return np.eye(1 << circ.n_wires)[0]
+    start = StateVector.basis(circ.n_system, initial) if isinstance(initial, str) else initial
+    vec = start.amplitudes
+    if start.n == circ.n_system:
+        vec = np.kron(vec, np.eye(1 << circ.n_ancilla)[0])
+    return vec
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_skewed_circuits())
 def test_planned_layout_matches_oracle(case):
+    """The dense engine in the planned layout, and the support engine on its own,
+    without a wire floor or a size limit."""
     circ, hot, initial = case
     order, _ = _plan(circ)
     assert order[0] == hot
-    if initial is None:
-        vec = np.eye(1 << circ.n_wires)[0]
-    else:
-        start = StateVector.basis(circ.n_system, initial) if isinstance(initial, str) \
-            else initial
-        vec = start.amplitudes
-        if start.n == circ.n_system:
-            vec = np.kron(vec, np.eye(1 << circ.n_ancilla)[0])
+    expected = circuit_matrix(circ) @ _start_vector(circ, initial)
     res = simulate(circ, initial=initial)
-    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ vec)) < 1e-12
+    assert res.first_dense_gate == 0 and res.peak_support == 1 << circ.n_wires
+    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
+    amplitudes, peak, first_dense = _run(circ, initial, 1 << circ.n_wires)
+    assert first_dense == len(circ.gates) and peak <= 1 << circ.n_wires
+    assert np.max(np.abs(amplitudes - expected)) < 1e-12
+
+
+def test_support_engine_densifies_past_the_limit():
+    """Each mcry doubles the support: the third would hold 8 > 4 entries, so it and
+    every later gate run dense."""
+    circ = Circuit(n_system=4, n_ancilla=1)
+    for w in range(4):
+        circ.add(mcry(0.3 + w, w))
+    circ.add(x(4, controls=[(0, 1), (3, -1)]))
+    circ.add(crbs(0.9, 0.4, 1, 2, controls=[(4, 1)]))
+    amplitudes, peak, first_dense = _run(circ, None, 4)
+    assert (first_dense, peak) == (2, 1 << 5)
+    dense, _, _ = _run(circ, None, 0)
+    assert np.max(np.abs(amplitudes - dense)) <= 1e-15
+    assert np.max(np.abs(amplitudes - circuit_matrix(circ)[:, 0])) < 1e-12
+
+
+def test_dense_initial_state_above_the_limit_runs_dense():
+    circ = random_circuit(5, 40, seed=7)
+    rng = np.random.default_rng(7)
+    psi = StateVector(5, rng.standard_normal(32) + 1j * rng.standard_normal(32), normalize=True)
+    amplitudes, peak, first_dense = _run(circ, psi, 31)
+    assert (first_dense, peak) == (0, 32)
+    assert np.array_equal(amplitudes, _run(circ, psi, 0)[0])
+    _, peak, first_dense = _run(circ, psi, 32)
+    assert (first_dense, peak) == (len(circ.gates), 32)
+
+
+def test_simulate_runs_sixteen_wires_on_the_support():
+    """Two 7-qubit leaves in ancilla mode: 16 wires, and the weight-7 target's
+    C(14, 7) basis states are all the support ever holds."""
+    psi = random_leaf_separable(14, 7, 7, "complex", seed=[110])
+    circ = synthesize_full(psi, SynthesisConfig(n=14, k=7, mode=MODE_ANCILLA))
+    assert circ.n_wires == 16
+    res = simulate(circ, target=psi)
+    assert (res.first_dense_gate, res.peak_support) == (len(circ.gates), math.comb(14, 7))
+    assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
+    dense, _, _ = _run(circ, None, 0)
+    assert np.max(np.abs(res.state.amplitudes - dense)) <= 1e-15
 
 
 def test_crbs_theta_zero_is_identity():
@@ -225,3 +275,15 @@ def test_mcphase_only_hits_matching_pattern():
 def test_system_purity_pure_state():
     psi = StateVector.from_terms(3, {"101": 1.0})
     assert abs(system_purity(psi, 2) - 1.0) < 1e-12
+
+
+def test_system_purity_over_several_row_blocks():
+    """2^17 system rows are summed in four blocks; the result is the whole Gram matrix's."""
+    rng = np.random.default_rng(3)
+    psi = StateVector(18, rng.standard_normal(1 << 18) + 1j * rng.standard_normal(1 << 18),
+                      normalize=True)
+    m = psi.amplitudes.reshape(1 << 17, 2)
+    assert abs(system_purity(psi, 17) - np.sum(np.abs(m.conj().T @ m) ** 2)) < 1e-12
+    product = StateVector(18, np.kron(psi.amplitudes[::2] / np.linalg.norm(psi.amplitudes[::2]),
+                                      [0.6, 0.8j]))
+    assert abs(system_purity(product, 17) - 1.0) < 1e-12
