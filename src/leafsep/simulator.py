@@ -1,7 +1,8 @@
 """Statevector execution of the gate IR plus fidelity/purity diagnostics.
 
 :func:`simulate` has two engines and picks between them from what it observes:
-the circuit's wire count and the size of the state's support.
+the circuit's wire count, the amplitudes its remaining gates would update on
+the dense state and the size of the state's support.
 
 The support engine (:class:`_Support`) holds only the basis states the run has
 reached: their indices in wire order and their amplitudes, in arrays grown with
@@ -21,19 +22,23 @@ gates are applied natively: the tensor is sliced at the control wires
 target axes of that slice only.  Both engines take the gate arithmetic from
 :func:`_mixed` and :func:`_diagonal`.
 
-A run starts on the support when the circuit has at least ``SPARSE_MIN_WIRES``
-wires and the initial support holds at most ``SPARSE_MAX_FRACTION`` of the 2^n
-amplitudes.  The first gate that would grow the support past that share runs
-dense, and so does the rest of the run.  The support engine pays about 50 to
-60 us per gate even on a support of a few hundred entries (its mask test,
-selection and sort are a few dozen numpy calls), where a dense gate costs about
-15 us at 11 wires; at 15 wires it is 80 us against 50 us dense, at 16 wires
-(a 12 870-entry support) 75 us against 95 us, and at 20 wires (48 620 entries)
-70 us against 465 us.  (Compiled circuits of the benchmark's workloads, one
-core, best of five runs; the host's load moves them by 20 % or more.)
-Below 16 wires dense therefore wins.  At a quarter of 2^n entries the support's
-arrays (24 bytes an entry) are still smaller than the dense state (16 bytes an
-amplitude).
+A run starts on the support and stays there while a cost model says the rest
+of the run is cheaper there; from the first step it says otherwise, the run is
+dense.  Costs are in dense amplitude updates (about 5 ns each on one core of a
+Xeon host): a dense step updates the 2^(wires - controls) amplitudes its
+controls select; a support step costs ``SUPPORT_STEP_COST`` more, plus
+``SUPPORT_ENTRY_COST`` for each entry it matches, taken as the support's share
+of what the step updates dense (a share that never falls during a run); and
+the move to the dense state costs ``DENSIFY_COST`` per amplitude of 2^wires.
+Fitted per step on compiled 16- to 20-wire circuits: a mixing step costs about
+60 us plus 60 ns a matched entry on the support, against 10 to 30 us plus
+4.7 ns an amplitude dense, and the move 10 to 30 ns an amplitude.  The share
+alone does not decide: the narrowly controlled gates of a free-mode n = 18,
+k = 9 circuit lose on the support at every share, while a 10 % to 20 % support
+near the end of a 20-wire run is cheaper kept than moved.  The support holds
+at most 2^wires entries of 24 bytes (16 an amplitude dense).  Circuits below
+``SPARSE_MIN_WIRES`` wires run dense: there a dense gate costs 6 to 15 us, less
+than the support engine's fixed cost per step.
 
 :func:`simulate` plans a circuit before it runs it.  The plan orders the
 tensor's axes by decreasing wire load (the amplitudes its gates touch, summed
@@ -56,29 +61,36 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .circuit import Circuit, Gate
 from .core import StateVector, dense_size
 
-# A run holds the state as its support only on circuits of at least this many wires...
+# A run holds the state as its support only on circuits of at least this many wires.
 SPARSE_MIN_WIRES = 16
-# ...and while the support holds at most this share of the 2^wires amplitudes.
-SPARSE_MAX_FRACTION = 0.25
+# The support engine's costs, in dense amplitude updates: its extra fixed cost per
+# step, its cost per matched entry, and the cost per amplitude of moving to dense.
+SUPPORT_STEP_COST = 8000
+SUPPORT_ENTRY_COST = 12
+DENSIFY_COST = 4
 
 
-def _mixed(gate: Gate, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes an ``mcry`` (``crbs``) mixes, after it: ``a`` on the target's |0>
-    (|1_t1 0_t2>) and ``b`` on its |1> (|0_t1 1_t2>)."""
+def _mixed(gate: Gate) -> tuple:
+    """Coefficients (a0, b0, a1, b1) of an ``mcry`` (``crbs``) on the amplitudes a of
+    its target's |0> (|1_t1 0_t2>) and b of its |1> (|0_t1 1_t2>): after it they
+    hold a0 a - b0 b and a1 a + b1 b.  Both engines write these out in that order,
+    each output as soon as it is computed: building both before writing either
+    made the dense path 5 % slower on 15-wire circuits."""
     if gate.kind == "mcry":
         theta = gate.params[0]
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return c * a - s * b, s * a + c * b
+        return c, s, s, c
     theta, phi = gate.params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     ep, em = np.exp(0.5j * phi), np.exp(-0.5j * phi)
-    return ep * c * a - ep * s * b, em * s * a + em * c * b
+    return ep * c, ep * s, em * s, em * c
 
 
 def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
@@ -111,7 +123,10 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
         state[s0] = state[s1]
         state[s1] = a
     elif gate.kind in ("mcry", "crbs"):
-        state[s0], state[s1] = _mixed(gate, state[s0].copy(), state[s1].copy())
+        a0, b0, a1, b1 = _mixed(gate)
+        a, b = state[s0].copy(), state[s1].copy()
+        state[s0] = a0 * a - b0 * b
+        state[s1] = a1 * a + b1 * b
     else:
         f0, f1 = _diagonal(gate)
         if f0 is not None:
@@ -119,8 +134,9 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
         state[s1] *= f1
 
 
-def _plan(circuit: Circuit) -> tuple[list[int], list]:
-    """Axis order (wires, most significant axis first) and steps, in one pass.
+def _plan(circuit: Circuit) -> tuple[list[int], list, list[int]]:
+    """Axis order (wires, most significant axis first), steps and the amplitudes
+    each step updates on the dense state, in one pass.
 
     A step is a gate, or a list of consecutive ``mcphase`` gates controlled on
     every other wire: the residual distribution phases of a free-mode circuit.
@@ -129,12 +145,15 @@ def _plan(circuit: Circuit) -> tuple[list[int], list]:
     n = circuit.n_wires
     load = [0] * n
     steps: list = []
+    work: list[int] = []
     for gate in circuit.gates:
         if gate.kind == "mcphase" and len(gate.controls) == n - 1:
             if steps and isinstance(steps[-1], list):
                 steps[-1].append(gate)
+                work[-1] += 1
             else:
                 steps.append([gate])
+                work.append(1)
             continue
         touched = 1 << (n - len(gate.controls))
         for wire, _ in gate.controls:
@@ -142,7 +161,8 @@ def _plan(circuit: Circuit) -> tuple[list[int], list]:
         for wire in gate.targets:
             load[wire] += touched
         steps.append(gate)
-    return sorted(range(n), key=lambda w: -load[w]), steps
+        work.append(touched)
+    return sorted(range(n), key=lambda w: -load[w]), steps, work
 
 
 def _phase_run(run: list[Gate], bit: list[int]) -> tuple[list[int], list[complex]]:
@@ -159,39 +179,36 @@ def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pos, keys[pos] == queries
 
 
+def _support_pays(n: int, size: int, steps_left: int, work_left: int) -> bool:
+    """Whether the rest of a run on ``n`` wires is cheaper on a support of ``size``
+    entries than dense, by the cost model of the module docstring; the remaining
+    steps update ``work_left`` amplitudes of the dense state."""
+    if n < SPARSE_MIN_WIRES:
+        return False
+    dense = 1 << n
+    return (steps_left * SUPPORT_STEP_COST * dense + SUPPORT_ENTRY_COST * size * work_left
+            <= (work_left + DENSIFY_COST * dense) * dense)
+
+
 class _Support:
-    """A state held as its support: distinct wire-order basis indices and their
-    amplitudes, in the first ``size`` entries of arrays with spare capacity.
+    """A state on ``n`` wires held as its support: distinct wire-order basis indices
+    and their amplitudes, in the first ``size`` entries of arrays with spare capacity."""
 
-    :meth:`apply` runs one plan step; it refuses a step that would grow the
-    support past ``limit`` entries and leaves the state as it was.
-    """
-
-    def __init__(self, n: int, indices: np.ndarray, amplitudes: np.ndarray, limit: int):
-        self.limit = limit
+    def __init__(self, n: int, indices: np.ndarray, amplitudes: np.ndarray):
         self.bit = [1 << (n - 1 - w) for w in range(n)]
         self.idx = indices.astype(np.uint64)
         self.amp = amplitudes.astype(np.complex128)
-        self.size = self.peak = len(indices)
+        self.size = len(indices)
 
-    @classmethod
-    def start(cls, n: int, wires: np.ndarray | None, limit: int) -> "_Support | None":
-        """The support of the wire-order amplitudes ``wires`` (None: |0...0>), or None
-        when it holds more than ``limit`` entries."""
-        if limit == 0:
-            return None
-        indices = np.zeros(1, dtype=np.int64) if wires is None else np.flatnonzero(wires)
-        amplitudes = np.ones(1) if wires is None else wires[indices]
-        return cls(n, indices, amplitudes, limit) if len(indices) <= limit else None
-
-    def apply(self, step) -> bool:
+    def apply(self, step) -> None:
+        """Run one plan step."""
         idx = self.idx[:self.size]
         if isinstance(step, list):
             index, factors = _phase_run(step, self.bit)
             order = np.argsort(idx)
             pos, hit = _lookup(idx[order], np.array(index, dtype=np.uint64))
             np.multiply.at(self.amp, order[pos[hit]], np.array(factors)[hit])
-            return True
+            return
         gate = step
         mask = sum(self.bit[w] for w, _ in gate.controls)
         value = sum(self.bit[w] for w, pol in gate.controls if pol == 1)
@@ -206,10 +223,9 @@ class _Support:
                 self.amp[sel[~on]] *= f0
             self.amp[sel[on]] *= f1
         else:
-            return self._mix(gate, sel)
-        return True
+            self._mix(gate, sel)
 
-    def _mix(self, gate: Gate, sel: np.ndarray) -> bool:
+    def _mix(self, gate: Gate, sel: np.ndarray) -> None:
         """Apply a mixing gate to the entries ``sel`` that match its controls."""
         t = self.bit[gate.targets[0]]
         first, second = (0, t) if gate.kind == "mcry" else (t, self.bit[gate.targets[1]])
@@ -219,14 +235,12 @@ class _Support:
             pattern = self.idx[sel] & flip
             sel = sel[(pattern == first) | (pattern == second)]
         if len(sel) == 0:
-            return True
+            return
         keys = self.idx[sel]
         order = np.argsort(keys)
         keys, sel = keys[order], sel[order]
         pos, found = _lookup(keys, keys ^ flip)
         missing = np.flatnonzero(~found)
-        if self.size + len(missing) > self.limit:
-            return False
         mates = np.empty_like(sel)
         mates[found] = sel[pos[found]]
         mates[missing] = self._append(keys[missing] ^ flip)
@@ -234,20 +248,22 @@ class _Support:
         pair = is_first | ~found  # each pair once: at its first half, or at its only entry
         i0 = np.where(is_first, sel, mates)[pair]
         i1 = np.where(is_first, mates, sel)[pair]
-        self.amp[i0], self.amp[i1] = _mixed(gate, self.amp[i0], self.amp[i1])
-        return True
+        a0, b0, a1, b1 = _mixed(gate)
+        a, b = self.amp[i0], self.amp[i1]
+        self.amp[i0] = a0 * a - b0 * b
+        self.amp[i1] = a1 * a + b1 * b
 
     def _append(self, indices: np.ndarray) -> np.ndarray:
         """Append ``indices`` with amplitude 0, growing the arrays by doubling up to
-        ``limit``, and return their positions."""
+        2^n entries, and return their positions."""
         end = self.size + len(indices)
         if end > len(self.idx):
-            cap = min(max(end, 2 * len(self.idx)), self.limit)
+            cap = min(max(end, 2 * len(self.idx)), 1 << len(self.bit))
             self.idx = np.concatenate((self.idx[:self.size], np.empty(cap - self.size, np.uint64)))
             self.amp = np.concatenate((self.amp[:self.size], np.empty(cap - self.size, complex)))
         self.idx[self.size:end] = indices
         self.amp[self.size:end] = 0.0
-        self.size, self.peak = end, max(self.peak, end)
+        self.size = end
         return np.arange(end - len(indices), end)
 
 
@@ -278,9 +294,8 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     """
     n = circuit.n_wires
     dense_size(n)  # too many wires fail here, before anything is allocated
-    limit = int(SPARSE_MAX_FRACTION * (1 << n)) if n >= SPARSE_MIN_WIRES else 0
     start = time.perf_counter()
-    amplitudes, peak, first_dense = _run(circuit, initial, limit)
+    amplitudes, peak, first_dense = _run(circuit, initial, partial(_support_pays, n))
     final = StateVector(n, amplitudes, check=False)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
@@ -293,9 +308,10 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     return result
 
 
-def _run(circuit: Circuit, initial, limit: int) -> tuple[np.ndarray, int, int]:
-    """Plan and run ``circuit`` on ``initial``: on the support while it holds at most
-    ``limit`` entries, then dense in the plan's layout.
+def _run(circuit: Circuit, initial, stay) -> tuple[np.ndarray, int, int]:
+    """Plan and run ``circuit`` on ``initial``: on the support while
+    ``stay(size, steps_left, work_left)`` holds before each step, then dense in the
+    plan's layout.
 
     Returns the final amplitudes in wire order, the peak support and the index
     of the first gate run dense (the gate count when none was).  Only this frame
@@ -303,22 +319,27 @@ def _run(circuit: Circuit, initial, limit: int) -> tuple[np.ndarray, int, int]:
     buffer of the input outlives the first permutation.
     """
     n = circuit.n_wires
-    order, steps = _plan(circuit)
+    order, steps, work = _plan(circuit)
+    work_left = sum(work)
     wires = None if initial is None else _initial_amplitudes(circuit, initial)
-    support = _Support.start(n, wires, limit)
+    indices = np.zeros(1, dtype=np.int64) if wires is None else np.flatnonzero(wires)
     done = first_dense = 0
-    if support is not None:
+    if steps and stay(len(indices), len(steps), work_left):
+        support = _Support(n, indices, np.ones(1) if wires is None else wires[indices])
         # Allocated before the run, as the dense path allocates its state: allocated
         # after it, above the run's freed temporaries on the heap, it raised the
         # benchmark's peak RSS by 1 MB on narrow-leaves and 4 MB on wide-leaves-ancilla.
         wires = np.zeros(1 << n, dtype=np.complex128)
-        while done < len(steps) and support.apply(steps[done]):
+        while done < len(steps) and stay(support.size, len(steps) - done, work_left):
+            support.apply(steps[done])
+            work_left -= work[done]
             done += 1
         first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
         wires[support.idx[:support.size]] = support.amp[:support.size]
         if done == len(steps):
-            return wires, support.peak, first_dense
+            return wires, support.size, first_dense
         del support
+    del indices
     if wires is None:
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0

@@ -179,9 +179,9 @@ def test_support_engine_matches_dense_on_simulated_corpus():
     vector complex multiplies round differently, so the bytes may not)."""
     worst = 0.0
     for circ, _ in _simulated():
-        dense, _, first_dense = _run(circ, None, 0)
+        dense, _, first_dense = _run(circ, None, lambda *_: False)
         assert first_dense == 0
-        sparse, _, first_dense = _run(circ, None, 1 << circ.n_wires)
+        sparse, _, first_dense = _run(circ, None, lambda *_: True)
         assert first_dense == len(circ.gates)
         worst = max(worst, float(np.max(np.abs(sparse - dense))))
     assert worst <= 1e-15

@@ -11,9 +11,9 @@ from test_circuit import random_circuit
 
 from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
 from leafsep.core import StateVector
-from leafsep.experiments import random_leaf_separable
-from leafsep.simulator import _plan, _run, fidelity, simulate, system_purity
-from leafsep.synthesis import MODE_ANCILLA, SynthesisConfig, synthesize_full
+from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
+from leafsep.simulator import _plan, _run, _support_pays, fidelity, simulate, system_purity
+from leafsep.synthesis import SynthesisConfig, synthesize_full
 
 
 def test_empty_circuit_preserves_input():
@@ -114,56 +114,87 @@ def _start_vector(circ, initial) -> np.ndarray:
 @given(_skewed_circuits())
 def test_planned_layout_matches_oracle(case):
     """The dense engine in the planned layout, and the support engine on its own,
-    without a wire floor or a size limit."""
+    without a wire floor or a cost rule."""
     circ, hot, initial = case
-    order, _ = _plan(circ)
+    order, _, _ = _plan(circ)
     assert order[0] == hot
     expected = circuit_matrix(circ) @ _start_vector(circ, initial)
     res = simulate(circ, initial=initial)
     assert res.first_dense_gate == 0 and res.peak_support == 1 << circ.n_wires
     assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
-    amplitudes, peak, first_dense = _run(circ, initial, 1 << circ.n_wires)
+    amplitudes, peak, first_dense = _run(circ, initial, _always)
     assert first_dense == len(circ.gates) and peak <= 1 << circ.n_wires
     assert np.max(np.abs(amplitudes - expected)) < 1e-12
 
 
-def test_support_engine_densifies_past_the_limit():
-    """Each mcry doubles the support: the third would hold 8 > 4 entries, so it and
-    every later gate run dense."""
+def _always(*_):
+    return True
+
+
+def _never(*_):
+    return False
+
+
+def test_support_engine_densifies_mid_run():
+    """Each mcry doubles the support: the third finds 4 entries, so it and every
+    later gate run dense."""
     circ = Circuit(n_system=4, n_ancilla=1)
     for w in range(4):
         circ.add(mcry(0.3 + w, w))
     circ.add(x(4, controls=[(0, 1), (3, -1)]))
     circ.add(crbs(0.9, 0.4, 1, 2, controls=[(4, 1)]))
-    amplitudes, peak, first_dense = _run(circ, None, 4)
+    amplitudes, peak, first_dense = _run(circ, None, lambda size, *_: size < 4)
     assert (first_dense, peak) == (2, 1 << 5)
-    dense, _, _ = _run(circ, None, 0)
+    dense, _, _ = _run(circ, None, _never)
     assert np.max(np.abs(amplitudes - dense)) <= 1e-15
     assert np.max(np.abs(amplitudes - circuit_matrix(circ)[:, 0])) < 1e-12
 
 
-def test_dense_initial_state_above_the_limit_runs_dense():
+def test_dense_initial_state_can_start_dense():
     circ = random_circuit(5, 40, seed=7)
     rng = np.random.default_rng(7)
     psi = StateVector(5, rng.standard_normal(32) + 1j * rng.standard_normal(32), normalize=True)
-    amplitudes, peak, first_dense = _run(circ, psi, 31)
+    amplitudes, peak, first_dense = _run(circ, psi, lambda size, *_: size < 32)
     assert (first_dense, peak) == (0, 32)
-    assert np.array_equal(amplitudes, _run(circ, psi, 0)[0])
-    _, peak, first_dense = _run(circ, psi, 32)
+    assert np.array_equal(amplitudes, _run(circ, psi, _never)[0])
+    _, peak, first_dense = _run(circ, psi, _always)
     assert (first_dense, peak) == (len(circ.gates), 32)
 
 
 def test_simulate_runs_sixteen_wires_on_the_support():
-    """Two 7-qubit leaves in ancilla mode: 16 wires, and the weight-7 target's
-    C(14, 7) basis states are all the support ever holds."""
-    psi = random_leaf_separable(14, 7, 7, "complex", seed=[110])
-    circ = synthesize_full(psi, SynthesisConfig(n=14, k=7, mode=MODE_ANCILLA))
+    """Four 4-qubit leaves in free mode: 16 wires, and the weight-8 target's
+    C(16, 8) basis states are all the support ever holds."""
+    psi = random_leaf_separable(16, 4, 8, "complex", seed=[110])
+    circ = synthesize_full(psi, SynthesisConfig(n=16, k=4))
     assert circ.n_wires == 16
     res = simulate(circ, target=psi)
-    assert (res.first_dense_gate, res.peak_support) == (len(circ.gates), math.comb(14, 7))
+    assert (res.first_dense_gate, res.peak_support) == (len(circ.gates), math.comb(16, 8))
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
-    dense, _, _ = _run(circ, None, 0)
+    dense, _, _ = _run(circ, None, _never)
     assert np.max(np.abs(res.state.amplitudes - dense)) <= 1e-15
+
+
+def test_simulate_moves_a_mixed_weight_run_to_dense():
+    """Weights 0..8 on 16 wires: the support grows past what the cost rule keeps,
+    and the run finishes dense."""
+    psi = random_mixed_leaf_separable(16, 3, "complex", seed=[110])
+    circ = synthesize_full(psi, SynthesisConfig(n=16, k=3))
+    res = simulate(circ, target=psi)
+    assert 0 < res.first_dense_gate < len(circ.gates) and res.peak_support == 1 << 16
+    assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
+    dense, _, _ = _run(circ, None, _never)
+    assert np.max(np.abs(res.state.amplitudes - dense)) <= 1e-15
+
+
+def test_support_rule_weighs_the_remaining_work():
+    """Never below the wire floor; on a small support while the dense work ahead is
+    large; not on a large support with much work ahead, but kept near the end,
+    where moving to the dense state costs more than what is left."""
+    assert not _support_pays(15, 1, 10, 10 << 15)
+    assert _support_pays(20, 1, 100, 100 << 19)
+    assert not _support_pays(20, 1, 1000, 1000 << 3)   # narrow gates: dense is cheaper
+    assert not _support_pays(20, 1 << 18, 100, 100 << 19)
+    assert _support_pays(20, 1 << 18, 1, 1 << 19)
 
 
 def test_crbs_theta_zero_is_identity():
