@@ -6,7 +6,7 @@ from .analysis import (DistributionTable, FactoredTarget, SeparabilityReport, an
                        rotation_ladder_angles, tree_coefficients, weight_split_amplitudes)
 from .circuit import (Circuit, CostReport, Gate, ParseError, cost, crbs,
                       export_text, mcphase, mcrz, mcry, parse_text, x)
-from .combinatorics import RotationSlot, controls_and_targets, ehrlich_sequence
+from .combinatorics import ehrlich_patterns, ehrlich_sequence
 from .core import (PartitionTree, StateVector, TreeNode, build_partition_tree,
                    enumerate_weight_distributions, index_to_string, string_to_index)
 from .experiments import (ExperimentConfig, random_fixed_weight_state,

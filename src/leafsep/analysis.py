@@ -5,7 +5,7 @@ Everything here is a pure function of a target state and a partition tree.
 form (:class:`FactoredTarget`): the distribution table (c(I), a reference state
 and its phase per weight distribution I), the per-node split amplitudes, the
 per-(leaf, weight) unit local amplitudes in the enumeration order of
-:func:`leafsep.combinatorics.ehrlich_sequence`, and the input stage's weight
+:func:`leafsep.combinatorics.ehrlich_patterns`, and the input stage's weight
 profile.  c(I) is the profile at I's total weight times the product of the split
 amplitudes (:func:`tree_coefficients`).  Only the distribution table sums the
 target's amplitudes: the split amplitudes and a mixed target's profile are
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import ehrlich_sequence
+from .combinatorics import ehrlich_patterns
 from .core import (PartitionTree, StateVector, enumerate_weight_distributions,
                    index_to_string, popcounts)
 
@@ -61,12 +61,6 @@ def _grouping(tree: PartitionTree) -> _Grouping:
     starts = np.zeros(radix + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=radix), out=starts[1:])
     return _Grouping(strides, np.argsort(key, kind="stable").astype(np.int32), starts)
-
-
-@lru_cache(maxsize=None)
-def _leaf_patterns(size: int, w: int) -> np.ndarray:
-    """A ``size``-qubit leaf's local weight-``w`` patterns, as integers, in Ehrlich order."""
-    return np.array([int(g, 2) for g in ehrlich_sequence(size, w)])
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,7 @@ def leaf_amplitude_table(psi: StateVector, tree: PartitionTree,
             if w == 0:
                 table[(u, 0)] = np.array([1.0 + 0.0j])
                 continue
-            patterns = _leaf_patterns(leaf.size, w) << (psi.n - leaf.start - leaf.size)
+            patterns = ehrlich_patterns(leaf.size, w) << (psi.n - leaf.start - leaf.size)
             gammas = amps[(ref & ~leaf.mask(psi.n)) | patterns] / amps[ref]
             table[(u, w)] = gammas / np.linalg.norm(gammas)
     return table
@@ -263,7 +257,7 @@ def _compiled(tree: PartitionTree, target: FactoredTarget):
     coefficients = np.where(table.live, c * np.exp(1j * table.phases), 0)
     factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
     for (u, w), entry in target.leaves.items():
-        factors[u][_leaf_patterns(tree.leaf_sizes[u], w)] = entry
+        factors[u][ehrlich_patterns(tree.leaf_sizes[u], w)] = entry
     return table.weights, coefficients, factors
 
 

@@ -34,7 +34,7 @@ from .simulator import simulate
 from .synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
                         synthesize_full, synthesize_general_baseline,
                         synthesize_hwk_encoder, synthesize_initial)
-from .combinatorics import ehrlich_sequence
+from .combinatorics import ehrlich_patterns
 
 FIDELITY_CSV_HEADER = ("n,k,ell,mode,field,seed,mean_fidelity,min_fidelity,"
                        "max_fidelity,std_fidelity,count")
@@ -214,8 +214,7 @@ def run_cost_sweep(config: ExperimentConfig) -> list[dict]:
         }
         for method in COST_METHODS:
             if method == "hwk_encoder":
-                order = ehrlich_sequence(n, ell)
-                eta = np.array([psi.amplitude(g) for g in order])
+                eta = psi.amplitudes[ehrlich_patterns(n, ell)]
                 eta = eta / np.linalg.norm(eta)
                 circ = synthesize_initial(n, ell)
                 circ.extend(synthesize_hwk_encoder(n, ell, eta))

@@ -24,13 +24,14 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import analysis
 from .analysis import encoder_angles, rotation_ladder_angles
-from .circuit import Circuit, Gate, crbs, mcphase, mcry, mcrz, two_qubit_cost, x
-from .combinatorics import controls_and_targets, ehrlich_sequence
+from .circuit import Circuit, Gate, crbs, mcphase, mcry, mcrz, x
+from .combinatorics import ehrlich_patterns
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
 
 ANGLE_TOL = 1e-15
@@ -222,33 +223,66 @@ def _distribution_phases(tree: PartitionTree, distributions, table: dict):
 
 # --- Hamming-weight encoders -------------------------------------------------
 
-def _rotation_chain(order, amplitudes, offset: int = 0, extra_controls=(),
-                    zero_conditioned: bool = False) -> list[Gate]:
-    """Two-level rotations walking ``order`` to deposit ``amplitudes``.
+@lru_cache(maxsize=1024)
+def _chain_slots(size: int, w: int, offset: int, extra):
+    """Where the chain over ``ehrlich_patterns(size, w)`` acts on wires offset..offset+size-1.
 
-    ``zero_conditioned`` adds negative controls on the shared-zero positions of
-    each consecutive pair, confining every rotation to one two-dimensional
-    subspace of the whole register.
+    A pattern's bit i sits on wire offset + size - 1 - i.  One (target pair, controls)
+    per consecutive pair a, b: the pair is read from a ^ b with the 1 of a first; the
+    controls are the shared ones a & b (positive) plus the (wire, polarity) pairs
+    ``extra`` or, when ``extra`` is None, the shared zeros ~(a | b) (negative), which
+    confine the rotation to one two-dimensional subspace of the whole register.  Then
+    the trailing phase's target (the last pattern's lowest one) and controls (its
+    other ones, plus ``extra`` or its zeros), or None at weight 0.  Controls are
+    sorted, as ``Gate`` stores them.
     """
+    top, mask = offset + size - 1, (1 << size) - 1
+
+    def controls(ones: int, zeros: int) -> tuple:
+        out = [(top - i, 1) for i in range(size) if ones >> i & 1]
+        out += extra if extra is not None else [(top - i, -1) for i in range(size)
+                                                if zeros >> i & 1]
+        return tuple(sorted(out))
+
+    patterns = ehrlich_patterns(size, w).tolist()
+    steps = tuple(((top + 1 - (a & ~b).bit_length(), top + 1 - (b & ~a).bit_length()),
+                   controls(a & b, ~(a | b) & mask)) for a, b in zip(patterns, patterns[1:]))
+    last = patterns[-1]
+    low = last & -last
+    return steps, (top + 1 - low.bit_length(), controls(last ^ low, ~last & mask)) if last else None
+
+
+def _chain_angles(amplitudes):
+    """The :func:`encoder_angles` that emit a gate: each non-zero rotation as (step,
+    theta, phi), and the trailing phase, or None when it is zero."""
     pairs, trailing = encoder_angles(amplitudes)
-    gates: list[Gate] = []
-    for t, (theta, phi) in enumerate(pairs, start=1):
-        if abs(theta) <= ANGLE_TOL and abs(phi) <= ANGLE_TOL:
-            continue
-        slot = controls_and_targets(order[t - 1], order[t])
-        controls = [(offset + c, 1) for c in slot.controls] + list(extra_controls)
-        if zero_conditioned:
-            controls += [(offset + z, -1) for z in slot.shared_zeros]
-        gates.append(crbs(theta, phi, offset + slot.target_pair[0],
-                          offset + slot.target_pair[1], controls))
-    if abs(trailing) > ANGLE_TOL:
-        last = order[-1]
-        ones = [i for i, ch in enumerate(last) if ch == "1"]
-        controls = [(offset + o, 1) for o in ones[:-1]] + list(extra_controls)
-        if zero_conditioned:
-            controls += [(offset + i, -1) for i, ch in enumerate(last) if ch == "0"]
-        gates.append(mcphase(trailing, offset + ones[-1], controls))
+    rotations = [(t, theta, phi) for t, (theta, phi) in enumerate(pairs)
+                 if abs(theta) > ANGLE_TOL or abs(phi) > ANGLE_TOL]
+    return rotations, (trailing if abs(trailing) > ANGLE_TOL else None)
+
+
+def _rotation_chain(angles, slots) -> list[Gate]:
+    """The two-level rotations and trailing phase of :func:`_chain_angles` at their
+    :func:`_chain_slots`: the chain that deposits the amplitudes along the order."""
+    (rotations, trailing), (steps, phase) = angles, slots
+    gates = [Gate("crbs", *steps[t], (theta, phi)) for t, theta, phi in rotations]
+    if trailing is not None:
+        if phase is None:
+            raise ValueError("a weight-0 chain has no wire to carry its phase")
+        gates.append(Gate("mcphase", (phase[0],), phase[1], (trailing,)))
     return gates
+
+
+def _chain_cost(size: int, w: int, angles, ancilla: bool) -> int:
+    """:func:`leafsep.circuit.two_qubit_cost` summed over a leaf chain, in closed form.
+
+    A crbs has w - 1 shared ones and the ancilla, or size - w - 1 shared zeros, as
+    controls; the trailing phase w - 1 other ones and the ancilla, or size - w zeros.
+    """
+    rotations, trailing = angles
+    c = w if ancilla else size - 2
+    phase = max(1, 2 * (w if ancilla else size - 1)) if trailing is not None else 0
+    return len(rotations) * (2 + 2 * (c + 1)) + phase
 
 
 def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes,
@@ -256,18 +290,15 @@ def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes,
     """Standalone fixed-weight encoder: |0^(n-w) 1^w> -> sum_g amp(g) |g>.
 
     ``amplitudes`` must be unit norm and ordered like
-    :func:`ehrlich_sequence(n_bits, w)`.  One crbs per consecutive pair, each
-    controlled on the pair's shared ones (plus ``extra_controls``), and a
-    trailing conditioned phase when the amplitudes need one.
+    :func:`ehrlich_patterns(n_bits, w)`.  One crbs per consecutive pair, each
+    controlled on the pair's shared ones (plus the (wire, polarity) pairs
+    ``extra_controls``), and a trailing conditioned phase when the amplitudes need one.
     """
-    order = ehrlich_sequence(n_bits, w)
-    if len(order) != len(amplitudes):
-        raise ValueError(f"expected {len(order)} amplitudes, got {len(amplitudes)}")
-    return _rotation_chain(order, amplitudes, extra_controls=tuple(extra_controls))
-
-
-def _two_qubit_total(gates: list[Gate]) -> int:
-    return sum(two_qubit_cost(g) for g in gates)
+    count = len(ehrlich_patterns(n_bits, w))
+    if count != len(amplitudes):
+        raise ValueError(f"expected {count} amplitudes, got {len(amplitudes)}")
+    extra = tuple((int(q), int(pol)) for q, pol in extra_controls)
+    return _rotation_chain(_chain_angles(amplitudes), _chain_slots(n_bits, w, 0, extra))
 
 
 def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
@@ -276,6 +307,12 @@ def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
     controls = [(leaf.start + p, -1) for p in range(boundary)]
     controls += [(leaf.start + p, 1) for p in range(boundary, leaf.size)]
     return x(ancilla_wire, controls=controls)
+
+
+class _EncoderGates(list):
+    """Leaf encoder gates, with ``leaves``: each leaf's mode and both candidate costs."""
+
+    leaves: list
 
 
 def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
@@ -295,43 +332,33 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
     cheaper of the two schemes (under the two-qubit cost model) is emitted,
     and within a marked leaf each class may still use full conditioning when
     that costs less.
-    """
-    gates: list[Gate] = []
-    for u, leaf in enumerate(tree.leaves):
-        classes = sorted(w for (lu, w) in table if lu == u)
-        free_chains: dict[int, list[Gate]] = {}
-        for w in classes:
-            amps = table[(u, w)]
-            if len(amps) == 1:
-                free_chains[w] = []
-                continue
-            free_chains[w] = _rotation_chain(
-                ehrlich_sequence(leaf.size, w), amps, offset=leaf.start,
-                zero_conditioned=True)
-        if config.mode == MODE_FREE or not any(free_chains.values()):
-            for w in classes:
-                gates.extend(free_chains[w])
-            continue
 
-        ancilla_wire = tree.n + u
-        anc_plan: list[Gate] = []
+    The choice needs no gate: each class's angles are computed once, and a chain's
+    cost is a closed form in its leaf size, weight and non-zero angles
+    (:func:`_chain_cost`).  Only the chosen gates are then built, at slots cached
+    per tree (:func:`_chain_slots`).  The returned list's ``leaves`` gives, per leaf,
+    the mode emitted and the two-qubit cost of the free and of the ancilla scheme.
+    """
+    gates = _EncoderGates()
+    gates.leaves = []
+    for u, leaf in enumerate(tree.leaves):
+        size, ancilla = leaf.size, tree.n + u
+        classes = sorted(w for (lu, w) in table if lu == u)
+        angles = {w: _chain_angles(table[(u, w)]) for w in classes if len(table[(u, w)]) > 1}
+        free = {w: _chain_cost(size, w, a, False) for w, a in angles.items()}
+        marked = {w: _chain_cost(size, w, a, True) for w, a in angles.items()}
+        free_cost = sum(free.values())
+        ancilla_cost = (len(classes) * (2 * size if size > 1 else 1)   # the detectors
+                        + sum(min(marked[w], free[w]) for w in angles))
+        use_ancilla = config.mode == MODE_ANCILLA and ancilla_cost < free_cost
         for w in classes:
-            anc_plan.append(_leaf_detector(leaf, w, ancilla_wire))
-            amps = table[(u, w)]
-            if len(amps) == 1:
-                continue
-            chain = _rotation_chain(
-                ehrlich_sequence(leaf.size, w), amps, offset=leaf.start,
-                extra_controls=((ancilla_wire, 1),))
-            if _two_qubit_total(chain) <= _two_qubit_total(free_chains[w]):
-                anc_plan.extend(chain)
-            else:
-                anc_plan.extend(free_chains[w])
-        free_plan = [g for w in classes for g in free_chains[w]]
-        if _two_qubit_total(anc_plan) < _two_qubit_total(free_plan):
-            gates.extend(anc_plan)
-        else:
-            gates.extend(free_plan)
+            if use_ancilla:
+                gates.append(_leaf_detector(leaf, w, ancilla))
+            if w in angles:
+                extra = ((ancilla, 1),) if use_ancilla and marked[w] <= free[w] else None
+                gates.extend(_rotation_chain(angles[w], _chain_slots(size, w, leaf.start, extra)))
+        gates.leaves.append({"mode": MODE_ANCILLA if use_ancilla else MODE_FREE,
+                             "free_two_qubit": free_cost, "ancilla_two_qubit": ancilla_cost})
     return gates
 
 
@@ -370,7 +397,9 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     phases go on the leaf encoders; ``metadata["phase_gates"]`` counts the
     leaf-local phase gates (``leaf``) and the full-register ones left for the part
     of the phases that is not additive over (leaf, weight) (``residual``), and gives
-    the worst fit residual in radians (``max_residual``).
+    the worst fit residual in radians (``max_residual``).  ``metadata["leaf_encoders"]``
+    has one entry per leaf: the encoder mode emitted (``mode``) and the two-qubit cost of
+    the free and the ancilla scheme (``free_two_qubit``, ``ancilla_two_qubit``).
     """
     n, k = config.n, config.k
     if psi.n != n:
@@ -404,7 +433,9 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
 
     circ.extend(synthesize_gwdb_tree(tree, factored.splits).gates)
     circ.extend(phase_gates)
-    circ.extend(synthesize_leaf_encoders(table, tree, config))
+    encoders = synthesize_leaf_encoders(table, tree, config)
+    circ.extend(encoders)
+    circ.metadata["leaf_encoders"] = encoders.leaves
     return circ
 
 

@@ -11,7 +11,9 @@ tensor-factorization oracle decides the same per-class condition by singular
 values.  :func:`simulated_compiled_state` is the compiled state obtained the
 independent way: by simulating the synthesized circuit.  :func:`child_weight_norms`
 sums the target class by class over :func:`class_indices`, independent of the split
-tables in :mod:`leafsep.analysis`.
+tables in :mod:`leafsep.analysis`.  :func:`leaf_encoders_oracle` is the string-based
+encoder builder the synthesizer once used: it builds both candidate chains of every
+class by scanning bitstrings, sums their costs and keeps the cheaper one.
 """
 import cmath
 import itertools
@@ -21,12 +23,13 @@ import warnings
 import numpy as np
 import pytest
 
-from leafsep.analysis import SeparabilityReport, distribution_table
-from leafsep.circuit import Circuit
+from leafsep.analysis import SeparabilityReport, distribution_table, encoder_angles
+from leafsep.circuit import Circuit, crbs, mcphase, two_qubit_cost, x
+from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, enumerate_weight_distributions, index_to_string,
                           popcounts, string_to_index)
 from leafsep.simulator import simulate
-from leafsep.synthesis import SynthesisConfig, synthesize_full
+from leafsep.synthesis import ANGLE_TOL, MODE_FREE, SynthesisConfig, synthesize_full
 
 
 @pytest.fixture
@@ -208,3 +211,69 @@ def simulated_compiled_state(psi, tree) -> np.ndarray:
         warnings.simplefilter("ignore")
         circ = synthesize_full(psi, SynthesisConfig(n=psi.n, k=tree.leaf_size))
     return aligned_state(simulate(circ).state.amplitudes, psi, tree)
+
+
+def rotation_chain_oracle(order, amplitudes, offset: int = 0, extra_controls=(),
+                          zero_conditioned: bool = False) -> list:
+    """Two-level rotations walking the bitstrings ``order`` to deposit ``amplitudes``,
+    each controlled on its pair's shared ones (and shared zeros when
+    ``zero_conditioned``), found by comparing the strings character by character."""
+    pairs, trailing = encoder_angles(amplitudes)
+    gates = []
+    for t, (theta, phi) in enumerate(pairs, start=1):
+        if abs(theta) <= ANGLE_TOL and abs(phi) <= ANGLE_TOL:
+            continue
+        a, b = order[t - 1], order[t]
+        diff = [i for i, (p, q) in enumerate(zip(a, b)) if p != q]
+        assert len(diff) == 2 and a.count("1") == b.count("1")
+        q1, q2 = diff if a[diff[0]] == "1" else diff[::-1]
+        controls = [(offset + i, 1) for i, (p, q) in enumerate(zip(a, b)) if p == q == "1"]
+        controls += list(extra_controls)
+        if zero_conditioned:
+            controls += [(offset + i, -1) for i, (p, q) in enumerate(zip(a, b)) if p == q == "0"]
+        gates.append(crbs(theta, phi, offset + q1, offset + q2, controls))
+    if abs(trailing) > ANGLE_TOL:
+        last = order[-1]
+        ones = [i for i, ch in enumerate(last) if ch == "1"]
+        controls = [(offset + o, 1) for o in ones[:-1]] + list(extra_controls)
+        if zero_conditioned:
+            controls += [(offset + i, -1) for i, ch in enumerate(last) if ch == "0"]
+        gates.append(mcphase(trailing, offset + ones[-1], controls))
+    return gates
+
+
+def leaf_encoders_oracle(table: dict, tree, mode: str) -> list:
+    """Build-both selection of the leaf encoders: per class, the fully conditioned chain
+    and (in ancilla mode) the ancilla-controlled one are both built and the cheaper kept
+    (ties to the ancilla); per leaf, the ancilla plan with its class detectors is kept
+    when it costs strictly less than the free one.  Returns (gates, per-leaf
+    (mode, free cost, ancilla cost or None in free mode))."""
+    def total(gates):
+        return sum(two_qubit_cost(g) for g in gates)
+
+    gates, leaves = [], []
+    for u, leaf in enumerate(tree.leaves):
+        classes = sorted(w for (lu, w) in table if lu == u)
+        chains = {w: rotation_chain_oracle(ehrlich_sequence(leaf.size, w), table[(u, w)],
+                                           offset=leaf.start, zero_conditioned=True)
+                  if len(table[(u, w)]) > 1 else [] for w in classes}
+        free_plan = [g for w in classes for g in chains[w]]
+        if mode == MODE_FREE:
+            gates += free_plan
+            leaves.append(("free", total(free_plan), None))
+            continue
+        ancilla = tree.n + u
+        plan = []
+        for w in classes:
+            boundary = leaf.size - w
+            plan.append(x(ancilla, [(leaf.start + p, -1 if p < boundary else 1)
+                                    for p in range(leaf.size)]))
+            if len(table[(u, w)]) > 1:
+                chain = rotation_chain_oracle(ehrlich_sequence(leaf.size, w), table[(u, w)],
+                                              offset=leaf.start, extra_controls=((ancilla, 1),))
+                plan += chain if total(chain) <= total(chains[w]) else chains[w]
+        cheaper = any(chains.values()) and total(plan) < total(free_plan)
+        chosen = "ancilla" if cheaper else "free"
+        gates += plan if chosen == "ancilla" else free_plan
+        leaves.append((chosen, total(free_plan), total(plan)))
+    return gates, leaves

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from leafsep.circuit import Circuit, crbs
-from leafsep.combinatorics import controls_and_targets, ehrlich_sequence
+from leafsep.combinatorics import ehrlich_patterns, ehrlich_sequence
 from leafsep.core import StateVector, string_to_index
 from leafsep.simulator import simulate
+from leafsep.synthesis import _chain_slots
 
 
 def hamming_distance(a, b):
@@ -41,32 +42,48 @@ def test_ehrlich_permutation_and_chain(n):
         assert sorted(seq) == brute
 
 
-def test_controls_and_targets_examples():
-    slot = controls_and_targets("0011", "0101")
-    assert slot.controls == (3,)
-    assert slot.target_pair == (2, 1)
-
-    slot = controls_and_targets("01", "10")
-    assert slot.controls == ()
-    assert slot.target_pair == (1, 0)
-
-    slot = controls_and_targets("0111", "1011")
-    assert slot.controls == (2, 3)
-    assert slot.target_pair == (1, 0)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ehrlich_patterns_are_the_integer_order(n):
+    for w in range(n + 1):
+        order = ehrlich_patterns(n, w)
+        assert order.dtype == np.int64 and not order.flags.writeable
+        assert order.tolist() == [int(s, 2) for s in ehrlich_sequence(n, w)]
+        a, b = order[:-1], order[1:]
+        assert np.all(np.bitwise_count(a) == w) and np.all(np.bitwise_count(b) == w)
+        assert np.all(np.bitwise_count(a ^ b) == 2)
 
 
-def test_controls_and_targets_rejects_bad_input():
+def test_ehrlich_patterns_reject_bad_weight():
     with pytest.raises(ValueError):
-        controls_and_targets("0011", "0000")
+        ehrlich_patterns(3, 4)
     with pytest.raises(ValueError):
-        controls_and_targets("0011", "1100")  # distance 4
-    with pytest.raises(ValueError):
-        controls_and_targets("01", "011")
+        ehrlich_sequence(3, -1)
+
+
+def test_chain_slot_examples():
+    steps, phase = _chain_slots(4, 2, 0, ())          # 0011 -> 0110 first
+    assert steps[0] == ((3, 1), ((2, 1),))
+    assert phase == (3, ((0, 1),))                    # last pattern 1001
+    steps, phase = _chain_slots(4, 2, 0, None)
+    assert steps[0] == ((3, 1), ((0, -1), (2, 1)))
+    assert phase == (3, ((0, 1), (1, -1), (2, -1)))
+    steps, _ = _chain_slots(4, 2, 5, ((9, 1),))       # leaf at wires 5..8, ancilla 9
+    assert steps[0] == ((8, 6), ((7, 1), (9, 1)))
+    assert _chain_slots(2, 1, 0, ())[0] == (((1, 0), ()),)
+    assert _chain_slots(3, 0, 0, None) == ((), None)
 
 
 def test_shared_zeros():
-    slot = controls_and_targets("01010", "01100")
-    assert slot.shared_zeros == (0, 4)
+    steps, _ = _chain_slots(5, 2, 0, None)            # 01100 -> 01010
+    assert steps[3] == ((2, 3), ((0, -1), (1, 1), (4, -1)))
+    for n in range(2, 9):
+        for w in range(1, n):
+            seq = ehrlich_sequence(n, w)
+            steps, _ = _chain_slots(n, w, 0, None)
+            for (a, b), (pair, controls) in zip(zip(seq, seq[1:]), steps):
+                assert a[pair[0]] == b[pair[1]] == "1" and a[pair[1]] == b[pair[0]] == "0"
+                assert controls == tuple((i, 1 if p == "1" else -1)
+                                         for i, (p, q) in enumerate(zip(a, b)) if p == q)
 
 
 @pytest.mark.parametrize("n,w", [(4, 2), (5, 2), (6, 3)])
@@ -74,13 +91,12 @@ def test_slot_rotation_confined_to_pair(n, w):
     """A rotation on a slot must mix only the pair and fix every other
     weight-w state whose controls are all satisfied or not."""
     seq = ehrlich_sequence(n, w)
+    steps, _ = _chain_slots(n, w, 0, ())
     rng = np.random.default_rng(7)
-    for a, b in list(zip(seq, seq[1:]))[:4]:
-        slot = controls_and_targets(a, b)
+    for (a, b), (pair, controls) in list(zip(zip(seq, seq[1:]), steps))[:4]:
         theta = float(rng.uniform(0.3, 2.8))
         circ = Circuit(n_system=n)
-        circ.add(crbs(theta, 0.0, slot.target_pair[0], slot.target_pair[1],
-                      [(c, 1) for c in slot.controls]))
+        circ.add(crbs(theta, 0.0, pair[0], pair[1], controls))
         for other in seq:
             res = simulate(circ, initial=other)
             out = res.state.amplitudes

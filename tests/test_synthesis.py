@@ -1,16 +1,17 @@
+import cmath
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import child_weight_norms, dicke_state
+from conftest import child_weight_norms, dicke_state, leaf_encoders_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafsep.analysis import (analyze, distribution_table, leaf_amplitude_table,
                               rotation_ladder_angles)
-from leafsep.circuit import Circuit, cost, export_text, parse_text
+from leafsep.circuit import Circuit, Gate, cost, export_text, parse_text, two_qubit_cost
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
                           popcounts)
@@ -145,6 +146,8 @@ def test_hwk_encoder_examples():
     assert g.controls == ()
     assert abs(g.params[0] - math.pi / 2) < 1e-12
     assert synthesize_hwk_encoder(3, 0, [1.0]) == []
+    with pytest.raises(ValueError, match="weight-0"):
+        synthesize_hwk_encoder(3, 0, [cmath.exp(0.3j)])
 
 
 @pytest.mark.parametrize("n,w,kind", [(4, 2, "real"), (5, 2, "complex"),
@@ -333,7 +336,8 @@ def test_phase_gates_metadata():
 
 def _marker_scheme_circuit(psi, tree, table, class_order):
     """Pipeline with pure marker-plus-ancilla leaf encoders in a given order."""
-    from leafsep.synthesis import _distribution_phases, _leaf_detector, _rotation_chain
+    from leafsep.synthesis import (_chain_angles, _chain_slots, _distribution_phases,
+                                   _leaf_detector, _rotation_chain)
     circ = Circuit(n_system=tree.n, n_ancilla=tree.num_leaves)
     circ.extend(synthesize_initial(tree.n, max(psi.weights_present())).gates)
     circ.extend(synthesize_gwdb_tree(tree, analyze(psi, tree).splits).gates)
@@ -347,9 +351,8 @@ def _marker_scheme_circuit(psi, tree, table, class_order):
             circ.add(_leaf_detector(leaf, w, ancilla))
             amps = table[(u, w)]
             if len(amps) > 1:
-                circ.extend(_rotation_chain(ehrlich_sequence(leaf.size, w), amps,
-                                            offset=leaf.start,
-                                            extra_controls=((ancilla, 1),)))
+                slots = _chain_slots(leaf.size, w, leaf.start, ((ancilla, 1),))
+                circ.extend(_rotation_chain(_chain_angles(amps), slots))
     return circ
 
 
@@ -376,6 +379,101 @@ def test_ancilla_count_matches_leaf_count():
         psi = random_leaf_separable(n, k, max(1, n // 2), "real", seed=[45, n, k])
         circ = synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=MODE_ANCILLA))
         assert circ.n_ancilla == math.ceil(n / k)
+
+
+def _random_leaf_table(rng, tree) -> dict:
+    """Unit class vectors on a random subset of every leaf's classes: complex, with
+    zero amplitudes, real with a zero tail (zero angles) or one basis state (no gate)."""
+    table = {}
+    for u, leaf in enumerate(tree.leaves):
+        for w in range(leaf.size + 1):
+            if rng.random() < 0.25:
+                continue
+            count = math.comb(leaf.size, w)
+            amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+            style = rng.integers(4)
+            if style == 1:
+                amps[rng.random(count) < 0.5] = 0
+            elif style == 2:
+                amps = np.abs(amps)
+                amps[rng.integers(1, count + 1):] = 0
+            elif style == 3:
+                amps = np.eye(count)[0]
+            if not np.any(amps):
+                amps[0] = 1
+            table[(u, w)] = amps / np.linalg.norm(amps)
+    return table
+
+
+def test_leaf_encoders_match_the_build_both_oracle():
+    rng = np.random.default_rng(1212)
+    seen = set()
+    for size in range(1, 9):
+        tree = build_partition_tree(2 * size, size)
+        for _ in range(6):
+            table = _random_leaf_table(rng, tree)
+            for mode in (MODE_FREE, MODE_ANCILLA):
+                got = synthesize_leaf_encoders(table, tree, SynthesisConfig(2 * size, size, mode=mode))
+                want, leaves = leaf_encoders_oracle(table, tree, mode)
+                assert list(got) == want
+                for entry, (chosen, free_cost, ancilla_cost) in zip(got.leaves, leaves):
+                    assert (entry["mode"], entry["free_two_qubit"]) == (chosen, free_cost)
+                    if mode == MODE_ANCILLA:
+                        assert entry["ancilla_two_qubit"] == ancilla_cost
+                        seen.add(chosen)
+    assert seen == {MODE_FREE, MODE_ANCILLA}
+
+
+def test_chain_cost_closed_form():
+    from leafsep.synthesis import _chain_angles, _chain_cost, _chain_slots, _rotation_chain
+    rng = np.random.default_rng(10)
+    for size in range(2, 11):
+        for w in range(1, size):
+            count = math.comb(size, w)
+            tail = np.abs(rng.normal(size=count))
+            tail[count // 2 + 1:] = 0
+            for amps in (rng.normal(size=count) + 1j * rng.normal(size=count), tail):
+                angles = _chain_angles(amps / np.linalg.norm(amps))
+                for ancilla in (False, True):
+                    extra = ((size, 1),) if ancilla else None
+                    gates = _rotation_chain(angles, _chain_slots(size, w, 0, extra))
+                    assert gates
+                    assert _chain_cost(size, w, angles, ancilla) == \
+                        sum(two_qubit_cost(g) for g in gates)
+
+
+def test_leaf_encoders_build_only_the_chosen_gates(monkeypatch):
+    """Gates built while choosing: at most the emitted ones plus one detector per class."""
+    n, k = 12, 6
+    psi = random_leaf_separable(n, k, 6, "complex", seed=1212)
+    tree = build_partition_tree(n, k)
+    table = analyze(psi, tree).leaves
+    built = []
+    validate = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: (built.append(g), validate(g)))
+    gates = synthesize_leaf_encoders(table, tree, SynthesisConfig(n, k, mode=MODE_ANCILLA))
+    monkeypatch.undo()
+    assert MODE_ANCILLA in {entry["mode"] for entry in gates.leaves}
+    assert len(gates) <= len(built) <= len(gates) + len(table)
+
+
+@pytest.mark.parametrize("mode", [MODE_FREE, MODE_ANCILLA])
+def test_full_records_the_leaf_encoder_choice(mode):
+    from leafsep.synthesis import _distribution_phases
+    n, k = 12, 4
+    psi = random_leaf_separable(n, k, 6, "complex", seed=[1213, n])
+    tree = build_partition_tree(n, k)
+    circ = synthesize_full(psi, SynthesisConfig(n, k, mode=mode))
+    factored = analyze(psi, tree)
+    table, _, _ = _distribution_phases(tree, factored.distributions, factored.leaves)
+    _, free = leaf_encoders_oracle(table, tree, MODE_FREE)
+    _, marked = leaf_encoders_oracle(table, tree, MODE_ANCILLA)
+    chosen = [m for m, _, _ in (free if mode == MODE_FREE else marked)]
+    assert circ.metadata["leaf_encoders"] == [
+        {"mode": c, "free_two_qubit": f, "ancilla_two_qubit": a}
+        for c, (_, f, _), (_, _, a) in zip(chosen, free, marked)]
+    text = export_text(circ)
+    assert "leaf_encoders" not in text and export_text(parse_text(text)) == text
 
 
 def test_mixed_weight_input_examples():
