@@ -113,9 +113,13 @@ class Circuit:
         return self.n_system + self.n_ancilla
 
     def add(self, gate: Gate) -> None:
-        for w in gate.wires:
-            if w < 0 or w >= self.n_wires:
-                raise ValueError(f"wire {w} out of range for {self.n_wires} wires")
+        n = self.n_system + self.n_ancilla
+        for w in gate.targets:
+            if not 0 <= w < n:
+                raise ValueError(f"wire {w} out of range for {n} wires")
+        for w, _ in gate.controls:
+            if not 0 <= w < n:
+                raise ValueError(f"wire {w} out of range for {n} wires")
         self.gates.append(gate)
 
     def extend(self, gates) -> None:

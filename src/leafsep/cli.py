@@ -86,6 +86,7 @@ def _cmd_simulate(args) -> int:
         "elapsed": result.elapsed,
         "peak_support": result.peak_support,
         "first_dense_gate": result.first_dense_gate,
+        "block_gates": result.block_gates,
     }
     _write(args.report, json.dumps(report, indent=2) + "\n")
     return 0

@@ -28,7 +28,8 @@ dense.  Costs are in dense amplitude updates (about 5 ns each on one core of a
 Xeon host): a dense step updates the 2^(wires - controls) amplitudes its
 controls select; a support step costs ``SUPPORT_STEP_COST`` more, plus
 ``SUPPORT_ENTRY_COST`` for each entry it matches, taken as the support's share
-of what the step updates dense (a share that never falls during a run); and
+of what the step updates dense (a share that falls only where a block leaves
+out the outputs its gates zero); and
 the move to the dense state costs ``DENSIFY_COST`` per amplitude of 2^wires.
 Fitted per step on compiled 16- to 20-wire circuits: a mixing step costs about
 60 us plus 60 ns a matched entry on the support, against 10 to 30 us plus
@@ -39,6 +40,32 @@ near the end of a 20-wire run is cheaper kept than moved.  The support holds
 at most 2^wires entries of 24 bytes (16 an amplitude dense).  Circuits below
 ``SPARSE_MIN_WIRES`` wires run dense: there a dense gate costs 6 to 15 us, less
 than the support engine's fixed cost per step.
+
+On the support, a run of consecutive gates on at most ``BLOCK_MAX_WIRES`` wires,
+such as a leaf's Hamming-weight encoder on its k qubits and its ancilla, may
+run as one block step (:meth:`_Support.block`), which is gate fusion
+(qsim: Isakov et al., arXiv:2111.02396) on the support.  Each entry's index
+splits into its bits on the block's m wires (its local input) and the rest.
+The gates run once, on the dense kernel, on a [2]*m + [D] tensor whose D
+columns are the distinct local inputs present, and each entry becomes one entry
+per local output its column reaches, at the product of the two amplitudes;
+entries that meet at one index are summed.  Each gate of a leaf encoder then
+costs a slice of a 2^m x D tensor instead of a mask test and a sort on the
+support.  A block step costs ``BLOCK_STEP_COST``, plus its dense work on D
+columns (2^m to fill and read a column, plus 2^(m - controls) a gate), plus
+``SUPPORT_ENTRY_COST`` per support entry.  Its gates one by one cost
+``SUPPORT_STEP_COST`` each, plus ``SUPPORT_ENTRY_COST`` per entry they match,
+taken as size x 2^-controls.  The block runs only where it is the cheaper of
+the two.  ``BLOCK_STEP_COST`` was chosen from per-block timings of 26 compiled
+16- to 20-wire circuits (444 blocks, seeds 4 and 90210, best of 5, one core of
+the same 2-core Xeon host): a block step took about 80 us plus 12 us a gate and
+50 ns an entry, and the rule's choices took 4 % longer than the faster choice of
+every block, against 66 % longer for no blocks.  The width fits a leaf of 9
+qubits and its ancilla.  A 10-qubit leaf's encoder on 11 wires splits over
+blocks with hundreds of columns and gains nothing; at a width of 12 it gains
+3x, but blocks grown greedily over adjacent small leaves get so many columns
+that whole runs of 16- to 20-wire free-mode circuits slowed by up to 1.5x.  A
+circuit that runs dense never plans blocks.
 
 :func:`simulate` plans a circuit before it runs it.  The plan orders the
 tensor's axes by decreasing wire load (the amplitudes its gates touch, summed
@@ -75,6 +102,10 @@ SPARSE_MIN_WIRES = 16
 SUPPORT_STEP_COST = 8000
 SUPPORT_ENTRY_COST = 12
 DENSIFY_COST = 4
+# A block of consecutive gates on the support spans at most this many wires; its
+# fixed cost as one support step, in the same units.
+BLOCK_MAX_WIRES = 10
+BLOCK_STEP_COST = 16000
 
 
 def _mixed(gate: Gate) -> tuple:
@@ -101,16 +132,17 @@ def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
     return None, np.exp(1j * phi)
 
 
-def _controls_slicer(gate: Gate, axis: list[int]) -> list:
-    idx: list = [slice(None)] * len(axis)
+def _controls_slicer(gate: Gate, axis: list[int], ndim: int) -> list:
+    idx: list = [slice(None)] * ndim
     for wire, pol in gate.controls:
         idx[axis[wire]] = 1 if pol == 1 else 0
     return idx
 
 
 def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
-    """In-place application of one gate to a [2]*n tensor whose axis ``axis[w]`` is wire w."""
-    i0 = _controls_slicer(gate, axis)
+    """In-place application of one gate to a tensor whose axis ``axis[w]``, of length 2,
+    is wire w; its other axes are left alone."""
+    i0 = _controls_slicer(gate, axis, state.ndim)
     i1 = list(i0)
     t = axis[gate.targets[0]]
     i0[t], i1[t] = 0, 1
@@ -163,6 +195,40 @@ def _plan(circuit: Circuit) -> tuple[list[int], list, list[int]]:
         steps.append(gate)
         work.append(touched)
     return sorted(range(n), key=lambda w: -load[w]), steps, work
+
+
+def _blocks(steps: list, width: int) -> dict[int, tuple[int, list[int], int, float]]:
+    """Runs of at least two consecutive gate steps whose wires fit in ``width``
+    wires, each keyed by its first step.  Each gives the step after it, its m
+    wires in ascending order, the dense work of its gates on one column of 2^m
+    amplitudes (2^m to fill and read it plus 2^(m - controls) a gate) and the
+    sum of 2^-controls over its gates: the support entries they match in all,
+    as a multiple of the support's size, by the cost model of the module."""
+    blocks = {}
+    start, span, controls = 0, 0, []
+    for i, step in enumerate([*steps, None]):
+        wires = None
+        if isinstance(step, Gate):
+            wires = sum(1 << w for w in step.targets) | sum(1 << w for w, _ in step.controls)
+            if (span | wires).bit_count() <= width:
+                span |= wires
+                controls.append(len(step.controls))
+                continue
+        if len(controls) > 1:
+            block = [w for w in range(span.bit_length()) if span >> w & 1]
+            m = len(block)
+            blocks[start] = (i, block, (1 << m) + sum(1 << (m - c) for c in controls),
+                             sum(2.0 ** -c for c in controls))
+        start, span, controls = (i, wires, [len(step.controls)]) if wires else (i + 1, 0, [])
+    return blocks
+
+
+def _block_pays(gates: int, work: int, reach: float, columns: int, size: int) -> bool:
+    """Whether a block from :func:`_blocks` is cheaper as one step on ``columns``
+    columns than gate by gate, on a support of ``size`` entries, by the cost
+    model of the module docstring."""
+    return (BLOCK_STEP_COST + work * columns + SUPPORT_ENTRY_COST * size
+            <= gates * SUPPORT_STEP_COST + SUPPORT_ENTRY_COST * reach * size)
 
 
 def _phase_run(run: list[Gate], bit: list[int]) -> tuple[list[int], list[complex]]:
@@ -225,6 +291,65 @@ class _Support:
         else:
             self._mix(gate, sel)
 
+    def block(self, gates: list[Gate], wires: list[int], work: int, reach: float,
+              fuse) -> bool:
+        """Run ``gates``, which act on ``wires`` only, as one step if
+        ``fuse(len(gates), work, reach, columns, size)`` agrees; return whether it did.
+
+        Each entry's index splits into its bits on the m wires (its local input)
+        and the rest.  The gates run once on a [2]*m + [D] tensor whose D columns
+        are the distinct local inputs, and each entry becomes, for every local
+        output its column reaches, the rest with that output, at the entry's
+        amplitude times the column's.  Pairs that meet at one index are summed."""
+        n, m = len(self.bit), len(wires)
+        segments = []  # (global shift, local shift, mask) of each run of adjacent wires
+        for j, w in enumerate(wires):
+            if j and w == wires[j - 1] + 1:
+                g, _, length = segments[-1]
+                segments[-1] = (g - 1, m - 1 - j, length + 1)
+            else:
+                segments.append((n - 1 - w, m - 1 - j, 1))
+        idx = self.idx[:self.size]
+        local = np.zeros(self.size, np.uint64)
+        spread = np.zeros(1 << m, np.uint64)  # index bits of each local value
+        values = np.arange(1 << m, dtype=np.uint64)
+        for g, lo, length in segments:
+            mask = np.uint64((1 << length) - 1)
+            local |= ((idx >> np.uint64(g)) & mask) << np.uint64(lo)
+            spread |= ((values >> np.uint64(lo)) & mask) << np.uint64(g)
+        local = local.astype(np.intp)
+        present = np.bincount(local, minlength=1 << m) > 0
+        inputs = np.flatnonzero(present)
+        if not fuse(len(gates), work, reach, len(inputs), self.size):
+            return False
+        columns = np.zeros((1 << m, len(inputs)), dtype=np.complex128)
+        columns[inputs, np.arange(len(inputs))] = 1.0
+        tensor = columns.reshape([2] * m + [len(inputs)])
+        axis = dict(zip(wires, range(m)))
+        for gate in gates:
+            _apply_gate(tensor, gate, axis)
+        out = columns.T
+        reached = out != 0
+        counts = reached.sum(axis=1)
+        outputs = np.flatnonzero(reached) & ((1 << m) - 1)  # column by column
+        beta = out[reached]
+        column = (np.cumsum(present) - 1)[local]
+        repeat = counts[column]
+        # the i-th pair of an entry reads the i-th output of the entry's column
+        shift = (np.cumsum(counts) - counts)[column] - (np.cumsum(repeat) - repeat)
+        pair = np.arange(repeat.sum()) + np.repeat(shift, repeat)
+        rest = idx & np.uint64(((1 << n) - 1) ^ int(spread[-1]))
+        new_idx = np.repeat(rest, repeat) | spread[outputs[pair]]
+        new_amp = np.repeat(self.amp[:self.size], repeat) * beta[pair]
+        if (reached.sum(axis=0) > 1).any():  # two columns reach one output: sum what meets
+            new_idx, where = np.unique(new_idx, return_inverse=True)
+            new_amp = (np.bincount(where, new_amp.real, len(new_idx))
+                       + 1j * np.bincount(where, new_amp.imag, len(new_idx)))
+        self.size = 0  # kept in the arrays with their spare capacity
+        self._append(new_idx)
+        self.amp[:self.size] = new_amp
+        return True
+
     def _mix(self, gate: Gate, sel: np.ndarray) -> None:
         """Apply a mixing gate to the entries ``sel`` that match its controls."""
         t = self.bit[gate.targets[0]]
@@ -278,6 +403,7 @@ class SimulationResult:
     purity: float | None = None
     peak_support: int = 0       # most amplitudes held at once: 2^wires once the run is dense
     first_dense_gate: int = 0   # gates run on the support before the dense engine took over
+    block_gates: int = 0        # gates run on the support inside blocks
 
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
@@ -295,49 +421,63 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     n = circuit.n_wires
     dense_size(n)  # too many wires fail here, before anything is allocated
     start = time.perf_counter()
-    amplitudes, peak, first_dense = _run(circuit, initial, partial(_support_pays, n))
+    amplitudes, peak, first_dense, block_gates = _run(circuit, initial,
+                                                      partial(_support_pays, n), _block_pays)
     final = StateVector(n, amplitudes, check=False)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
                               n_ancilla=circuit.n_ancilla, norm=final.norm(),
                               elapsed=elapsed, peak_support=peak,
-                              first_dense_gate=first_dense)
+                              first_dense_gate=first_dense, block_gates=block_gates)
     if target is not None:
         result.fidelity = fidelity(final, target, n_system=circuit.n_system)
         result.purity = system_purity(final, circuit.n_system)
     return result
 
 
-def _run(circuit: Circuit, initial, stay) -> tuple[np.ndarray, int, int]:
+def _run(circuit: Circuit, initial, stay, fuse=None,
+         width: int = BLOCK_MAX_WIRES) -> tuple[np.ndarray, int, int, int]:
     """Plan and run ``circuit`` on ``initial``: on the support while
     ``stay(size, steps_left, work_left)`` holds before each step, then dense in the
-    plan's layout.
+    plan's layout.  On the support, runs of gates on at most ``width`` wires are
+    blocks, each run as one step when ``fuse`` (see :meth:`_Support.block`) agrees;
+    with no ``fuse`` every gate is a step of its own.
 
-    Returns the final amplitudes in wire order, the peak support and the index
-    of the first gate run dense (the gate count when none was).  Only this frame
-    holds the planned-layout state, so it is freed on return and no wire-order
-    buffer of the input outlives the first permutation.
+    Returns the final amplitudes in wire order, the peak support (taken between
+    steps), the index of the first gate run dense (the gate count when none
+    was) and the number of gates run in blocks.  Only this frame holds the
+    planned-layout state, so it is freed on return and no wire-order buffer of
+    the input outlives the first permutation.
     """
     n = circuit.n_wires
     order, steps, work = _plan(circuit)
     work_left = sum(work)
     wires = None if initial is None else _initial_amplitudes(circuit, initial)
     indices = np.zeros(1, dtype=np.int64) if wires is None else np.flatnonzero(wires)
-    done = first_dense = 0
+    done = first_dense = block_gates = 0
     if steps and stay(len(indices), len(steps), work_left):
         support = _Support(n, indices, np.ones(1) if wires is None else wires[indices])
         # Allocated before the run, as the dense path allocates its state: allocated
         # after it, above the run's freed temporaries on the heap, it raised the
         # benchmark's peak RSS by 1 MB on narrow-leaves and 4 MB on wide-leaves-ancilla.
         wires = np.zeros(1 << n, dtype=np.complex128)
+        blocks = {} if fuse is None else _blocks(steps, width)
+        peak = support.size
         while done < len(steps) and stay(support.size, len(steps) - done, work_left):
-            support.apply(steps[done])
-            work_left -= work[done]
-            done += 1
+            block = blocks.get(done)
+            if block and support.block(steps[done:block[0]], *block[1:], fuse):
+                stop = block[0]
+                block_gates += stop - done
+            else:
+                stop = done + 1
+                support.apply(steps[done])
+            work_left -= sum(work[done:stop])
+            done = stop
+            peak = max(peak, support.size)
         first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
         wires[support.idx[:support.size]] = support.amp[:support.size]
         if done == len(steps):
-            return wires, support.size, first_dense
+            return wires, peak, first_dense, block_gates
         del support
     del indices
     if wires is None:
@@ -355,7 +495,7 @@ def _run(circuit: Circuit, initial, stay) -> tuple[np.ndarray, int, int]:
             np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
         else:
             _apply_gate(state, step, axis)
-    return state.transpose(axis).reshape(-1), 1 << n, first_dense
+    return state.transpose(axis).reshape(-1), 1 << n, first_dense, block_gates
 
 
 def _initial_amplitudes(circuit: Circuit, initial) -> np.ndarray:

@@ -50,6 +50,16 @@ def test_gate_validation():
         mcphase(0.1, 2, controls=[(1, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("wire", [4, -1])
+def test_add_rejects_wires_out_of_range(wire):
+    circ = Circuit(n_system=3, n_ancilla=1)
+    circ.add(x(0))
+    for gate in (x(wire), x(0, controls=[(wire, 1)])):
+        with pytest.raises(ValueError, match=f"wire {wire} out of range for 4 wires"):
+            circ.add(gate)
+    assert circ.gates == [x(0)]
+
+
 def test_x_kind_normalization():
     assert x(0).kind == "x"
     assert x(0, controls=[(1, 1)]).kind == "cx"

@@ -62,7 +62,8 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
                  "--target", example_state_file, "--report", report_path]) == 0
     report = json.loads(open(report_path).read())
     assert set(report) == {"fidelity", "purity", "norm", "wires", "gates",
-                           "two_qubit_gates", "elapsed", "peak_support", "first_dense_gate"}
+                           "two_qubit_gates", "elapsed", "peak_support", "first_dense_gate",
+                           "block_gates"}
     assert report["fidelity"] >= 1 - 1e-10
     assert abs(report["norm"] - 1.0) < 1e-10
     assert report["wires"] == {"system": 4, "ancilla": 0}
@@ -71,7 +72,8 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     assert report["gates"] == len(circ) > 0
     assert report["two_qubit_gates"] == cost(circ).two_qubit_count > 0
     assert report["elapsed"] > 0
-    assert (report["peak_support"], report["first_dense_gate"]) == (16, 0)  # 4 wires: dense
+    assert (report["peak_support"], report["first_dense_gate"], report["block_gates"]) == (
+        16, 0, 0)  # 4 wires: dense
 
 
 def test_simulate_basis_input(example_state_file, tmp_path, capsys):

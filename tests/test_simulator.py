@@ -12,8 +12,9 @@ from test_circuit import random_circuit
 from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
 from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
-from leafsep.simulator import _plan, _run, _support_pays, fidelity, simulate, system_purity
-from leafsep.synthesis import SynthesisConfig, synthesize_full
+from leafsep.simulator import (_block_pays, _plan, _run, _support_pays, fidelity, simulate,
+                               system_purity)
+from leafsep.synthesis import MODE_ANCILLA, SynthesisConfig, synthesize_full
 
 
 def test_empty_circuit_preserves_input():
@@ -122,7 +123,7 @@ def test_planned_layout_matches_oracle(case):
     res = simulate(circ, initial=initial)
     assert res.first_dense_gate == 0 and res.peak_support == 1 << circ.n_wires
     assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
-    amplitudes, peak, first_dense = _run(circ, initial, _always)
+    amplitudes, peak, first_dense, _ = _run(circ, initial, _always)
     assert first_dense == len(circ.gates) and peak <= 1 << circ.n_wires
     assert np.max(np.abs(amplitudes - expected)) < 1e-12
 
@@ -135,6 +136,62 @@ def _never(*_):
     return False
 
 
+@st.composite
+def _block_circuits(draw):
+    """Circuits made of runs of gates on at most 4 wires each, x/cx/mcx among them,
+    started on a few basis states that differ only on the first run's wires (so
+    that one rest carries several local inputs and their outputs meet), on any
+    superposition, or on a basis state."""
+    n_system = draw(st.integers(2, 5))
+    n_ancilla = draw(st.integers(0, 2))
+    wires = n_system + n_ancilla
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    polarity = st.sampled_from([1, -1])
+    circ = Circuit(n_system=n_system, n_ancilla=n_ancilla)
+    spans = []
+    for _ in range(draw(st.integers(1, 3))):
+        span = draw(st.permutations(range(wires)))[:draw(st.integers(2, min(4, wires)))]
+        spans.append(span)
+        for _ in range(draw(st.integers(2, 10))):
+            kind = draw(st.sampled_from(["x", "mcry", "mcrz", "mcphase", "crbs"]))
+            order = draw(st.permutations(span))
+            n_targets = 2 if kind == "crbs" else 1
+            controls = [(w, draw(polarity)) for w in order[n_targets:] if draw(st.booleans())]
+            if kind == "x":
+                circ.add(x(order[0], controls))
+            elif kind == "crbs":
+                circ.add(crbs(draw(angle), draw(angle), order[0], order[1], controls))
+            else:
+                maker = {"mcry": mcry, "mcrz": mcrz, "mcphase": mcphase}[kind]
+                circ.add(maker(draw(angle), order[0], controls))
+    form = draw(st.sampled_from(["inputs", "inputs", "any", "bits"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if form == "bits":
+        return circ, "".join(str(b) for b in rng.integers(0, 2, n_system))
+    vec = rng.standard_normal(1 << wires) + 1j * rng.standard_normal(1 << wires)
+    if form == "inputs":
+        base = int(rng.integers(0, 1 << wires))
+        flips = rng.integers(0, 2, (int(rng.integers(2, 6)), len(spans[0])))
+        keep = {base ^ sum(1 << (wires - 1 - w) for w, f in zip(spans[0], row) if f)
+                for row in flips}
+        vec[[i for i in range(1 << wires) if i not in keep]] = 0
+    return circ, StateVector(wires, vec, normalize=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_block_circuits())
+def test_blocks_match_oracle_and_dense_engine(case):
+    """Every run of gates on at most 4 wires as one block step on the support."""
+    circ, initial = case
+    expected = circuit_matrix(circ) @ _start_vector(circ, initial)
+    amplitudes, peak, first_dense, block_gates = _run(circ, initial, _always, _always, width=4)
+    assert first_dense == len(circ.gates) and block_gates > 1
+    assert peak <= 1 << circ.n_wires
+    assert np.max(np.abs(amplitudes - expected)) < 1e-12
+    dense, *_ = _run(circ, initial, _never)
+    assert np.max(np.abs(amplitudes - dense)) <= 1e-15
+
+
 def test_support_engine_densifies_mid_run():
     """Each mcry doubles the support: the third finds 4 entries, so it and every
     later gate run dense."""
@@ -143,9 +200,9 @@ def test_support_engine_densifies_mid_run():
         circ.add(mcry(0.3 + w, w))
     circ.add(x(4, controls=[(0, 1), (3, -1)]))
     circ.add(crbs(0.9, 0.4, 1, 2, controls=[(4, 1)]))
-    amplitudes, peak, first_dense = _run(circ, None, lambda size, *_: size < 4)
+    amplitudes, peak, first_dense, _ = _run(circ, None, lambda size, *_: size < 4)
     assert (first_dense, peak) == (2, 1 << 5)
-    dense, _, _ = _run(circ, None, _never)
+    dense, _, _, _ = _run(circ, None, _never)
     assert np.max(np.abs(amplitudes - dense)) <= 1e-15
     assert np.max(np.abs(amplitudes - circuit_matrix(circ)[:, 0])) < 1e-12
 
@@ -154,10 +211,10 @@ def test_dense_initial_state_can_start_dense():
     circ = random_circuit(5, 40, seed=7)
     rng = np.random.default_rng(7)
     psi = StateVector(5, rng.standard_normal(32) + 1j * rng.standard_normal(32), normalize=True)
-    amplitudes, peak, first_dense = _run(circ, psi, lambda size, *_: size < 32)
+    amplitudes, peak, first_dense, _ = _run(circ, psi, lambda size, *_: size < 32)
     assert (first_dense, peak) == (0, 32)
     assert np.array_equal(amplitudes, _run(circ, psi, _never)[0])
-    _, peak, first_dense = _run(circ, psi, _always)
+    _, peak, first_dense, _ = _run(circ, psi, _always)
     assert (first_dense, peak) == (len(circ.gates), 32)
 
 
@@ -170,20 +227,56 @@ def test_simulate_runs_sixteen_wires_on_the_support():
     res = simulate(circ, target=psi)
     assert (res.first_dense_gate, res.peak_support) == (len(circ.gates), math.comb(16, 8))
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
-    dense, _, _ = _run(circ, None, _never)
+    dense, _, _, _ = _run(circ, None, _never)
     assert np.max(np.abs(res.state.amplitudes - dense)) <= 1e-15
 
 
 def test_simulate_moves_a_mixed_weight_run_to_dense():
-    """Weights 0..8 on 16 wires: the support grows past what the cost rule keeps,
-    and the run finishes dense."""
-    psi = random_mixed_leaf_separable(16, 3, "complex", seed=[110])
-    circ = synthesize_full(psi, SynthesisConfig(n=16, k=3))
+    """Mixed weights on 16 wires in 2-qubit leaves: the support grows past what the
+    cost rule keeps, and the run finishes dense."""
+    psi = random_mixed_leaf_separable(16, 2, "complex", seed=[110])
+    circ = synthesize_full(psi, SynthesisConfig(n=16, k=2))
     res = simulate(circ, target=psi)
     assert 0 < res.first_dense_gate < len(circ.gates) and res.peak_support == 1 << 16
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
-    dense, _, _ = _run(circ, None, _never)
+    dense, _, _, _ = _run(circ, None, _never)
     assert np.max(np.abs(res.state.amplitudes - dense)) <= 1e-15
+
+
+def test_fifteen_wires_run_no_blocks():
+    psi = random_leaf_separable(15, 5, 7, "complex", seed=[110])
+    circ = synthesize_full(psi, SynthesisConfig(n=15, k=5))
+    res = simulate(circ, target=psi)
+    assert circ.n_wires == 15 and (res.first_dense_gate, res.block_gates) == (0, 0)
+    assert abs(res.fidelity - 1.0) < 1e-10
+
+
+def test_leaf_encoders_run_in_blocks():
+    """Two 9-qubit leaves in ancilla mode: each leaf encoder acts on its leaf and
+    its ancilla only, 10 wires, and runs as blocks on the support."""
+    psi = random_leaf_separable(18, 9, 9, "complex", seed=[110])
+    circ = synthesize_full(psi, SynthesisConfig(n=18, k=9, mode=MODE_ANCILLA))
+    leaf_wires = [set(range(9)) | {18}, set(range(9, 18)) | {19}]
+    encoders = 0
+    for gate in reversed(circ.gates):
+        if not any(gate.wires <= wires for wires in leaf_wires):
+            break
+        encoders += 1
+    res = simulate(circ, target=psi)
+    assert encoders > 1000 and res.block_gates >= encoders
+    assert res.first_dense_gate == len(circ.gates)
+    assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
+    dense, *_ = _run(circ, None, _never)
+    assert np.max(np.abs(res.state.amplitudes - dense)) <= 1e-15
+
+
+def test_block_rule_weighs_columns_and_support():
+    """A long block on few columns pays; one on many columns, or a short one on a
+    large support whose gates match few entries, does not."""
+    assert _block_pays(520, 2 ** 10 * 40, 30.0, 10, 512)
+    assert not _block_pays(5, 2 ** 10 * 4, 0.2, 231, 1107)
+    assert not _block_pays(3, 2 ** 10 * 2, 0.1, 5, 150_000)
+    assert _block_pays(30, 2 ** 5 * 8, 3.0, 6, 30_000)
 
 
 def test_support_rule_weighs_the_remaining_work():
