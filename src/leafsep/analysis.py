@@ -15,10 +15,13 @@ the leaf tables read the target at its references.  The compiled state, which
 model of separability: a target is leaf-separable on a tree when it equals it.
 
 Basis states are integer indices (MSB-first, see :mod:`leafsep.core`);
-bitstrings appear only in reports.  Per tree, one cached grouping stably sorts
-all 2^n indices by the mixed-radix key sum_u I_u * prod_{v>u} (size_v + 1) of
-their weight distribution I, so the class of I is one ascending slice of that
-order.  Leaf u owns the index bits of ``mask_u``: the basis state carrying the
+bitstrings appear only in reports.  The class of a weight distribution I, the
+basis states of weight I_u on each leaf u, is the OR of one weight-I_u pattern per
+leaf, as the leaves own disjoint bits.  :func:`_classes` expands every class leaf
+by leaf, from one empty prefix per distribution, so each comes out ascending, and
+caches them per (tree, total weights): the table, the compiled state and the
+separability check enumerate a target's classes once, never all 2^n indices.
+Leaf u owns the index bits of ``mask_u``: the basis state carrying the
 leaf-u pattern of ``idx`` and agreeing with ``ref`` everywhere else is
 ``(ref & ~mask_u) | (idx & mask_u)``.  :func:`factored_amplitudes` goes the
 other way, from c(I) and per-leaf tables to the dense vector.
@@ -33,69 +36,56 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import ehrlich_patterns
-from .core import (PartitionTree, StateVector, enumerate_weight_distributions,
-                   index_to_string, popcounts)
+from .core import PartitionTree, StateVector, enumerate_weight_distributions, index_to_string
 
 DEAD_BRANCH_TOL = 1e-12
 REFERENCE_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class _Grouping:
-    """Basis indices of one tree sorted by weight distribution (see module docstring)."""
-
-    strides: tuple[int, ...]    # mixed-radix place value of each leaf weight
-    order: np.ndarray           # all basis indices, stably sorted by key
-    starts: np.ndarray          # the class with key K is order[starts[K]:starts[K + 1]]
-
-
-@lru_cache(maxsize=64)
-def _grouping(tree: PartitionTree) -> _Grouping:
-    n, sizes = tree.n, tree.leaf_sizes
-    strides = tuple(math.prod(s + 1 for s in sizes[u + 1:]) for u in range(len(sizes)))
-    idx = np.arange(1 << n, dtype=np.uint32)
-    key = np.zeros(1 << n, dtype=np.int64)
-    for leaf, stride in zip(tree.leaves, strides):
-        key += stride * popcounts(idx & np.uint32(leaf.mask(n)))
-    radix = strides[0] * (sizes[0] + 1)
-    starts = np.zeros(radix + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=radix), out=starts[1:])
-    return _Grouping(strides, np.argsort(key, kind="stable").astype(np.int32), starts)
+@lru_cache(maxsize=32)
+def _classes(tree: PartitionTree, total_weights: tuple[int, ...]):
+    """The distributions of ``total_weights`` (D x G leaf weights, in the given order, each
+    total's ascending), their members concatenated row by row, each class ascending, and
+    each row's end in that concatenation; all read-only (see module docstring)."""
+    dists = np.array([dist for ell in total_weights
+                      for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)],
+                     dtype=np.int64).reshape(-1, tree.num_leaves)
+    rows, members = np.arange(len(dists)), np.zeros(len(dists), dtype=np.int64)
+    for leaf, weights in zip(tree.leaves, dists.T):
+        local = np.bitwise_count(np.arange(1 << leaf.size))
+        patterns = np.argsort(local, kind="stable") << (tree.n - leaf.start - leaf.size)
+        counts = np.bincount(local, minlength=leaf.size + 1)
+        w = weights[rows]
+        repeats = counts[w]
+        rows, members = np.repeat(rows, repeats), np.repeat(members, repeats)
+        # the j-th copy of a prefix takes the j-th pattern of weight w
+        skip = np.cumsum(repeats) - repeats - (np.cumsum(counts) - counts)[w]
+        members |= patterns[np.arange(len(members)) - np.repeat(skip, repeats)]
+    ends = np.cumsum(np.bincount(rows, minlength=len(dists)))
+    for array in (dists, members, ends):
+        array.flags.writeable = False
+    return dists, members, ends
 
 
 @dataclass(frozen=True)
 class DistributionTable:
     """One row per distribution of the checked total weights (in the order given), ascending."""
 
-    weights: np.ndarray      # D x G leaf weights
+    total_weights: tuple     # the checked total weights
+    weights: np.ndarray      # D x G leaf weights, read-only
     norms: np.ndarray        # norm of the target on the distribution's class
     references: np.ndarray   # smallest index in the class with non-negligible amplitude, or -1
     phases: np.ndarray       # complex argument of the target there, 0 without a reference
     live: np.ndarray         # a reference and norm > DEAD_BRANCH_TOL
 
 
-def _concat_members(groups: _Grouping, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Members of the classes with the given keys, concatenated, and each class's end."""
-    keys = np.asarray(keys, dtype=np.int64)
-    lo = groups.starts[keys]
-    lengths = groups.starts[keys + 1] - lo
-    ends = np.cumsum(lengths)
-    shift = np.repeat(lo - ends + lengths, lengths)  # grouping position minus batch position
-    return groups.order[np.arange(len(shift)) + shift], ends
-
-
 def distribution_table(psi: StateVector, tree: PartitionTree,
                        total_weights=None) -> DistributionTable:
     """All valid distributions for the given total weights, with c(I) and reference."""
-    if total_weights is None:
-        total_weights = psi.weights_present()
+    total_weights = tuple(psi.weights_present() if total_weights is None else total_weights)
     amps = psi.amplitudes
     cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
-    groups = _grouping(tree)
-    dists = np.array([dist for ell in total_weights
-                      for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)],
-                     dtype=np.int64).reshape(-1, tree.num_leaves)
-    idx, ends = _concat_members(groups, dists @ groups.strides)
+    dists, idx, ends = _classes(tree, total_weights)
     mags = np.abs(amps[idx])
     live = np.append(np.flatnonzero(mags > cutoff), len(mags))
     begins = np.append(0, ends[:-1])
@@ -105,7 +95,8 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
     norms = np.sqrt(np.bincount(np.repeat(np.arange(len(dists)), ends - begins),
                                 weights=mags ** 2, minlength=len(dists)))
     phases = np.where(found, np.angle(amps[refs]), 0.0)
-    return DistributionTable(dists, norms, refs, phases, found & (norms > DEAD_BRANCH_TOL))
+    return DistributionTable(total_weights, dists, norms, refs, phases,
+                             found & (norms > DEAD_BRANCH_TOL))
 
 
 # --- node split amplitudes -------------------------------------------------
@@ -227,11 +218,9 @@ def analyze(psi: StateVector, tree: PartitionTree, total_weights=None) -> Factor
     """The distribution, leaf and split tables of ``psi`` for ``total_weights`` (default:
     ``psi.weights_present()``) and its profile: 1 at the weight of a fixed-weight target,
     else the norm of ``psi`` at each of ``total_weights``, summed over the table."""
-    if total_weights is None:
-        total_weights = psi.weights_present()
     table = distribution_table(psi, tree, total_weights)
-    if len(total_weights) == 1:
-        profile = np.eye(psi.n + 1)[total_weights[0]]
+    if len(table.total_weights) == 1:
+        profile = np.eye(psi.n + 1)[table.total_weights[0]]
     else:
         profile = np.sqrt(np.bincount(np.sum(table.weights, axis=1), weights=table.norms ** 2,
                                       minlength=psi.n + 1))
@@ -250,7 +239,7 @@ def tree_coefficients(tree: PartitionTree, distributions: np.ndarray, profile,
 
 
 def _compiled(tree: PartitionTree, target: FactoredTarget):
-    """Distributions, coefficients and leaf factors of the state ``synthesize_full``
+    """Total weights, coefficients and leaf factors of the state ``synthesize_full``
     prepares: c(I) (:func:`tree_coefficients`) with I's phase on live rows, else 0."""
     table = target.distributions
     c = tree_coefficients(tree, table.weights, target.profile, target.splits)
@@ -258,19 +247,19 @@ def _compiled(tree: PartitionTree, target: FactoredTarget):
     factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
     for (u, w), entry in target.leaves.items():
         factors[u][ehrlich_patterns(tree.leaf_sizes[u], w)] = entry
-    return table.weights, coefficients, factors
+    return table.total_weights, coefficients, factors
 
 
-def _product(tree: PartitionTree, distributions, coefficients, factors):
-    """Members of the given distributions (a D x G array; each ascending), each one's
-    end, and ``coefficients[j] * prod_u factors[u][g_u(b)]`` at each member b of the
-    j-th, multiplied leaf by leaf on real and imaginary parts and added into zeros."""
-    n, groups = tree.n, _grouping(tree)
-    idx, ends = _concat_members(groups, distributions @ np.array(groups.strides))
+def _product(tree: PartitionTree, total_weights: tuple, coefficients, factors):
+    """Members of the distributions of ``total_weights`` (each ascending, see
+    :func:`_classes`), each one's end, and ``coefficients[j] * prod_u factors[u][g_u(b)]``
+    at each member b of the j-th, multiplied leaf by leaf on real and imaginary parts and
+    added into zeros."""
+    _, idx, ends = _classes(tree, tuple(total_weights))
     coeff = np.repeat(np.asarray(coefficients, dtype=np.complex128), np.diff(ends, prepend=0))
     re, im = coeff.real, coeff.imag
     for leaf, table in zip(tree.leaves, factors):
-        f = table[(idx >> (n - leaf.start - leaf.size)) & ((1 << leaf.size) - 1)]
+        f = table[(idx >> (tree.n - leaf.start - leaf.size)) & ((1 << leaf.size) - 1)]
         re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
     values = np.zeros(len(idx), dtype=np.complex128)
     values.real += re
@@ -278,11 +267,12 @@ def _product(tree: PartitionTree, distributions, coefficients, factors):
     return idx, ends, values
 
 
-def factored_amplitudes(tree: PartitionTree, distributions, coefficients,
+def factored_amplitudes(tree: PartitionTree, total_weights, coefficients,
                         factors: list[np.ndarray]) -> np.ndarray:
-    """``coefficients[j] * prod_u factors[u][g_u(b)]`` on each member b of ``distributions[j]``
-    (a D x G array of leaf weights), g_u(b) the local pattern of leaf u; 0 elsewhere."""
-    idx, _, values = _product(tree, distributions, coefficients, factors)
+    """``coefficients[j] * prod_u factors[u][g_u(b)]`` on each member b of the j-th
+    distribution of ``total_weights`` (the rows of their :func:`distribution_table`),
+    g_u(b) the local pattern of leaf u; 0 elsewhere."""
+    idx, _, values = _product(tree, total_weights, coefficients, factors)
     amps = np.zeros(1 << tree.n, dtype=np.complex128)
     amps[idx] = values
     return amps
@@ -335,8 +325,8 @@ def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, 
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if factored is None:
         factored = analyze(psi, tree)
-    dists, coefficients, factors = _compiled(tree, factored)
-    idx, ends, compiled = _product(tree, dists, coefficients, factors)
+    idx, ends, compiled = _product(tree, *_compiled(tree, factored))
+    dists = factored.distributions.weights
     delta = np.abs(psi.amplitudes[idx] - compiled)
     violations = [{"I": dists[np.searchsorted(ends, b, side="right")].tolist(),
                    "bitstring": index_to_string(int(idx[b]), psi.n), "delta": float(delta[b])}

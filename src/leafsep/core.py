@@ -7,17 +7,16 @@ So ``"0011"`` on 4 qubits is index 3, with qubits 2 and 3 set.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NORM_TOL = 1e-12
 
-# Basis indices must fit the uint32 cast in :func:`popcounts`.
+# Largest register a dense state (2^n amplitudes) may span.
 MAX_QUBITS = 32
-
-# 16-bit popcount table; indices fit in 32 bits for every register size we support.
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
 
 class ParseError(ValueError):
@@ -29,11 +28,20 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _parse_number(kind, value, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{what} must be a number, got {value!r}") from None
+def _parse_integer(value, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_real(value, what: str) -> float:
+    """A finite JSON number; booleans and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    if abs(value) > sys.float_info.max or not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 def string_to_index(bits: str) -> int:
@@ -53,12 +61,6 @@ def dense_size(n: int) -> int:
     if n > MAX_QUBITS:
         raise ValueError(f"{n} wires exceed the maximum of {MAX_QUBITS} for dense states")
     return 1 << n
-
-
-def popcounts(indices: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for arrays of basis-state indices (< 2^32)."""
-    idx = np.asarray(indices, dtype=np.uint32)
-    return (_POP16[idx & 0xFFFF] + _POP16[idx >> 16]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,9 @@ class StateVector:
 
     def weights_present(self, tol: float = 1e-12) -> list[int]:
         """Hamming weights carrying probability above tol^2, ascending."""
-        probs = np.abs(self.amplitudes) ** 2
-        return np.unique(popcounts(np.flatnonzero(probs > tol * tol))).tolist()
+        nonzero = np.flatnonzero(np.abs(self.amplitudes) ** 2 > tol * tol)
+        return np.flatnonzero(np.bincount(np.bitwise_count(nonzero),
+                                          minlength=self.n + 1)).tolist()
 
     def to_json_dict(self, tol: float = 1e-15) -> dict:
         entries = []
@@ -223,14 +226,17 @@ class StateVector:
 
     @classmethod
     def from_json_dict(cls, data: dict, normalize: bool = False) -> "StateVector":
-        """Inverse of :meth:`to_json_dict`; a malformed structure raises :class:`ParseError`."""
+        """Inverse of :meth:`to_json_dict`.  A malformed structure, an ``n`` or ``index`` that
+        is not a JSON integer, a repeated basis state or an amplitude part that is not a
+        finite JSON number raises :class:`ParseError`."""
         if not isinstance(data, dict) or "n" not in data \
                 or not isinstance(data.get("amplitudes"), list):
             raise ParseError('a state must be an object with "n" and an "amplitudes" array')
-        n = _parse_number(int, data["n"], '"n"')
+        n = _parse_integer(data["n"], '"n"')
         if n < 0:
             raise ParseError(f'"n" must be non-negative, got {n}')
         amps = np.zeros(dense_size(n), dtype=np.complex128)
+        listed: dict[int, int] = {}  # basis index -> position of its entry
         for pos, entry in enumerate(data["amplitudes"]):
             where = f"amplitudes[{pos}]"
             if not isinstance(entry, dict):
@@ -241,11 +247,15 @@ class StateVector:
                     raise ParseError(f"{where}: bitstring {bits!r} is not {n} binary digits")
                 idx = string_to_index(bits)
             else:
-                idx = _parse_number(int, entry.get("index"), f"{where} index")
+                idx = _parse_integer(entry.get("index"), f"{where} index")
                 if not 0 <= idx < 1 << n:
                     raise ParseError(f"{where}: index {idx} out of range for n={n}")
-            amps[idx] = (_parse_number(float, entry.get("re", 0.0), f"{where} re")
-                         + 1j * _parse_number(float, entry.get("im", 0.0), f"{where} im"))
+            if idx in listed:
+                raise ParseError(f"{where}: basis state {index_to_string(idx, n)} is already "
+                                 f"listed at amplitudes[{listed[idx]}]")
+            listed[idx] = pos
+            amps[idx] = (_parse_real(entry.get("re", 0.0), f"{where} re")
+                         + 1j * _parse_real(entry.get("im", 0.0), f"{where} im"))
         return cls(n, amps, normalize=normalize)
 
     def dumps(self) -> str:

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import factored_amplitudes, tree_coefficients
+from .analysis import _classes, factored_amplitudes, tree_coefficients
 from .circuit import cost
-from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, \
-    dense_size, enumerate_weight_distributions, popcounts
+from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, dense_size
 from .simulator import simulate
 from .synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
                         synthesize_full, synthesize_general_baseline,
@@ -98,18 +97,16 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
               rng: np.random.Generator) -> StateVector:
     splits = _node_split_samples(tree, weights, rng, 0.05 if kind == "nonneg" else 0.0)
 
-    leaf_weights = np.array([dist for ell in weights
-                             for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)],
-                            dtype=np.int64)
+    leaf_weights = _classes(tree, weights)[0]
     factors = []
     for u, size in enumerate(tree.leaf_sizes):
         factors.append(np.zeros(1 << size, dtype=np.complex128))
-        slots = popcounts(np.arange(1 << size))  # lexicographic order: ascending pattern
+        slots = np.bitwise_count(np.arange(1 << size))  # lexicographic order: ascending pattern
         for w in np.unique(leaf_weights[:, u]):
             factors[u][slots == w] = _sample_unit(rng, math.comb(size, int(w)), kind)
 
     coeffs = tree_coefficients(tree, leaf_weights, profile, splits)
-    amps = factored_amplitudes(tree, leaf_weights, coeffs, factors)
+    amps = factored_amplitudes(tree, weights, coeffs, factors)
     return StateVector(tree.n, amps, normalize=True)
 
 
@@ -124,7 +121,7 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     """
     _check_size(n, k, "ell", ell, n)
     tree = build_partition_tree(n, k)
-    return _assemble(tree, [ell], np.eye(ell + 1)[ell], kind, np.random.default_rng(seed))
+    return _assemble(tree, (ell,), np.eye(ell + 1)[ell], kind, np.random.default_rng(seed))
 
 
 def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
@@ -135,13 +132,13 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
     rng = np.random.default_rng(seed)
     tree = build_partition_tree(n, k)
     profile = np.sqrt(rng.dirichlet(np.ones(top + 1)))
-    return _assemble(tree, list(range(top + 1)), profile, kind, rng)
+    return _assemble(tree, tuple(range(top + 1)), profile, kind, rng)
 
 
 def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> StateVector:
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
     _check_size(n, 1, "w", w, n)
-    support = np.flatnonzero(popcounts(np.arange(1 << n)) == w)  # lexicographic order
+    support = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == w)  # lexicographic order
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[support] = _sample_unit(np.random.default_rng(seed), len(support), kind)
     return StateVector(n, amps)

@@ -6,7 +6,8 @@ can check each other.  The separability oracle checks one weight class at a
 time for the per-class product condition (each class rank one), which every
 target the compiler prepares exactly satisfies, so a target it rejects the
 compiled-state check in :mod:`leafsep.analysis` must reject too; its classes
-come from per-leaf popcounts, not from the analysis layer's grouping.  The
+come from per-leaf popcounts over all 2^n indices, not from the analysis layer's
+leaf-by-leaf class expansion.  The
 tensor-factorization oracle decides the same per-class condition by singular
 values.  :func:`simulated_compiled_state` is the compiled state obtained the
 independent way: by simulating the synthesized circuit.  :func:`child_weight_norms`
@@ -27,7 +28,7 @@ from leafsep.analysis import SeparabilityReport, distribution_table, encoder_ang
 from leafsep.circuit import Circuit, crbs, mcphase, two_qubit_cost, x
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, enumerate_weight_distributions, index_to_string,
-                          popcounts, string_to_index)
+                          string_to_index)
 from leafsep.simulator import simulate
 from leafsep.synthesis import ANGLE_TOL, MODE_FREE, SynthesisConfig, synthesize_full
 
@@ -107,7 +108,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
 
 def dicke_state(n: int, weight: int) -> StateVector:
     """Uniform superposition of all weight-``weight`` basis states on ``n`` qubits."""
-    hits = popcounts(np.arange(1 << n)) == weight
+    hits = np.bitwise_count(np.arange(1 << n)) == weight
     return StateVector(n, hits / math.sqrt(math.comb(n, weight)))
 
 
@@ -116,7 +117,7 @@ def class_indices(tree, distribution) -> np.ndarray:
     idx = np.arange(1 << tree.n)
     hit = np.ones(len(idx), dtype=bool)
     for leaf, w in zip(tree.leaves, distribution, strict=True):
-        hit &= popcounts(idx & leaf.mask(tree.n)) == w
+        hit &= np.bitwise_count(idx & leaf.mask(tree.n)) == w
     return np.flatnonzero(hit)
 
 

@@ -7,10 +7,10 @@ from conftest import (child_weight_norms, class_indices, dicke_state, separabili
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (DEAD_BRANCH_TOL, _concat_members, _grouping, analyze,
-                              distribution_table, encoder_angles, is_leaf_separable,
-                              leaf_amplitude_table, reconstruct_amplitudes,
-                              rotation_ladder_angles, weight_split_amplitudes)
+from leafsep.analysis import (DEAD_BRANCH_TOL, _classes, analyze, distribution_table,
+                              encoder_angles, is_leaf_separable, leaf_amplitude_table,
+                              reconstruct_amplitudes, rotation_ladder_angles,
+                              weight_split_amplitudes)
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
                           index_to_string)
@@ -22,18 +22,36 @@ TREE42 = build_partition_tree(4, 2)
 
 
 def test_class_indices_are_ascending_slices():
-    """The grouping's class slices, gathered for every distribution of a weight, are
-    the popcount oracle's classes in order and together cover every index once."""
-    tree = build_partition_tree(7, 3)
-    groups = _grouping(tree)
-    seen = []
-    for w in range(8):
-        dists = enumerate_weight_distributions(tree.leaf_sizes, w)
-        idx, ends = _concat_members(groups, np.array(dists) @ np.array(groups.strides))
-        for dist, part in zip(dists, np.split(idx, ends[:-1])):
-            assert np.array_equal(part, class_indices(tree, dist))
-        seen.extend(idx.tolist())
-    assert sorted(seen) == list(range(1 << 7))
+    """``_classes`` returns the rows of the given total weights in order, and each row's
+    slice of members is the popcount oracle's class; a full weight set covers every index
+    once, an infeasible weight adds no row."""
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            tree = build_partition_tree(n, k)
+            for weights in [tuple(range(n + 1)), (n // 2,), (n + 1, 0, n - 1), (n + 1,)]:
+                dists, members, ends = _classes(tree, weights)
+                assert dists.dtype == members.dtype == ends.dtype == np.int64
+                assert not (dists.flags.writeable or members.flags.writeable
+                            or ends.flags.writeable)
+                assert dists.tolist() == [
+                    list(dist) for w in weights
+                    for dist in enumerate_weight_distributions(tree.leaf_sizes, w)]
+                assert len(ends) == len(dists) and len(members) == (ends[-1] if len(ends) else 0)
+                for dist, part in zip(dists, np.split(members, ends[:-1])):
+                    assert np.array_equal(part, class_indices(tree, dist))
+            assert sorted(_classes(tree, tuple(range(n + 1)))[1]) == list(range(1 << n))
+
+
+def test_classes_need_no_dense_index_space():
+    """The classes come from the leaves alone: 40 qubits, past any dense state."""
+    tree = build_partition_tree(40, 4)
+    dists, members, ends = _classes(tree, (2,))
+    assert members.dtype == np.int64 and len(members) == math.comb(40, 2) == 780
+    assert len(set(members.tolist())) == 780 and np.all(np.bitwise_count(members) == 2)
+    for dist, part in zip(dists, np.split(members, ends[:-1])):
+        assert np.all(np.diff(part) > 0)
+        for leaf, w in zip(tree.leaves, dist):
+            assert np.all(np.bitwise_count(part & leaf.mask(40)) == w)
 
 
 def _rows(table, column) -> dict:

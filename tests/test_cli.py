@@ -102,15 +102,28 @@ def test_malformed_json_exit_code(tmp_path, capsys):
             ({"amplitudes": [one]}, '"n"'),
             ([2, [one]], '"n"'),
             ({"n": 2}, '"amplitudes"'),
-            ({"n": "2x", "amplitudes": [one]}, '"n" must be a number'),
+            ({"n": "2x", "amplitudes": [one]}, '"n" must be an integer'),
+            ({"n": 2.7, "amplitudes": [one]}, '"n" must be an integer, got 2.7'),
+            ({"n": True, "amplitudes": [one]}, '"n" must be an integer, got True'),
             ({"n": 2, "amplitudes": [{"bitstring": "0101", "re": 1.0}]}, "amplitudes[0]"),
             ({"n": 2, "amplitudes": [one, {"bitstring": "12", "re": 1.0}]}, "amplitudes[1]"),
             ({"n": 2, "amplitudes": [{"bitstring": 10, "re": 1.0}]}, "binary digits"),
             ({"n": 2, "amplitudes": [{"index": 4, "re": 1.0}]}, "index 4 out of range"),
             ({"n": 2, "amplitudes": [{"index": -1, "re": 1.0}]}, "index -1 out of range"),
-            ({"n": 2, "amplitudes": [{"index": "x", "re": 1.0}]}, "index must be a number"),
+            ({"n": 2, "amplitudes": [{"index": "x", "re": 1.0}]}, "index must be an integer"),
+            ({"n": 2, "amplitudes": [{"index": 1.9, "re": 1.0}]}, "index must be an integer"),
+            ({"n": 2, "amplitudes": [{"index": "3", "re": 1.0}]}, "index must be an integer"),
+            ({"n": 2, "amplitudes": [one, {"index": 2, "re": 0.5}]},
+             "amplitudes[1]: basis state 10 is already listed at amplitudes[0]"),
+            ({"n": 2, "amplitudes": [{"bitstring": "01", "re": float("nan")}]},
+             "amplitudes[0] re must be finite"),
+            ({"n": 2, "amplitudes": [one, {"bitstring": "01", "im": float("-inf")}]},
+             "amplitudes[1] im must be finite"),
             ({"n": 2, "amplitudes": [{"bitstring": "10", "re": "2x"}]}, "re must be a number"),
             ({"n": 2, "amplitudes": [{"bitstring": "10", "im": [1]}]}, "im must be a number"),
+            ({"n": 2, "amplitudes": [{"bitstring": "10", "re": True}]}, "re must be a number"),
+            ({"n": 2, "amplitudes": [{"bitstring": "10", "im": "0.5"}]}, "im must be a number"),
+            ({"n": 2, "amplitudes": [{"bitstring": "10", "re": 10 ** 400}]}, "re must be finite"),
             ({"n": 2, "amplitudes": ["10"]}, "amplitudes[0] must be an object")]:
         path.write_text(json.dumps(data))
         assert main(["check-separable", "--input", str(path), "--n", "2", "--k", "1"]) == 2
@@ -250,8 +263,8 @@ def test_nan_amplitude_exit_code(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"n": 2, "amplitudes": [{"bitstring": "01", "re": NaN, "im": 0.0}]}')
     assert main(["check-separable", "--input", str(path), "--n", "2", "--k", "1",
-                 "--normalize"]) == 1
-    assert "finite" in capsys.readouterr().err
+                 "--normalize"]) == 2
+    assert "amplitudes[0] re must be finite" in capsys.readouterr().err
 
 
 def test_ancilla_out_of_range_exit_code(tmp_path, capsys):

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from leafsep.core import (MAX_QUBITS, ParseError, StateVector, build_partition_tree,
-                          enumerate_weight_distributions, index_to_string, popcounts,
-                          string_to_index)
+                          enumerate_weight_distributions, index_to_string, string_to_index)
 
 
 def test_hamming_weight():
-    assert popcounts(np.array([0b0011, 0b0000, 0b1100])).tolist() == [2, 0, 2]
-    assert popcounts(np.array([(1 << 32) - 1, 1 << 31, 0xFFFF0000])).tolist() == [32, 1, 16]
+    """``weights_present`` lists the Hamming weights of the support above ``tol``, once each."""
+    psi = StateVector.from_terms(4, {"0011": 0.6, "0000": 0.0, "1100": 0.6, "1110": 0.53},
+                                 normalize=True)
+    assert psi.weights_present() == [2, 3]
+    assert psi.weights_present(tol=0.55) == [2]
+    assert StateVector.basis(5, "11111").weights_present() == [5]
+    assert StateVector(3, np.full(8, 1e-13), check=False).weights_present() == []
 
 
 def test_string_index_round_trip():
@@ -87,8 +91,7 @@ def test_enumerate_weight_distributions_brute_force():
 
 
 def _weight_distribution(index: int, tree) -> tuple[int, ...]:
-    return tuple(int(popcounts(np.array([index & leaf.mask(tree.n)]))[0])
-                 for leaf in tree.leaves)
+    return tuple(int(np.bitwise_count(index & leaf.mask(tree.n))) for leaf in tree.leaves)
 
 
 def test_weight_distribution_of():
@@ -106,8 +109,9 @@ def test_weight_distribution_sums_to_weight():
     for n, k in [(6, 2), (7, 3), (8, 3)]:
         tree = build_partition_tree(n, k)
         idx = np.arange(1 << n)
-        per_leaf = sum(popcounts(idx & leaf.mask(n)) for leaf in tree.leaves)
-        assert np.array_equal(per_leaf, popcounts(idx))
+        per_leaf = sum(np.bitwise_count(idx & leaf.mask(n)).astype(np.int64)
+                       for leaf in tree.leaves)
+        assert np.array_equal(per_leaf, np.bitwise_count(idx))
         assert sum(leaf.mask(n) for leaf in tree.leaves) == (1 << n) - 1
 
 

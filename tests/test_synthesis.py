@@ -13,8 +13,7 @@ from leafsep.analysis import (analyze, distribution_table, leaf_amplitude_table,
                               rotation_ladder_angles)
 from leafsep.circuit import Circuit, Gate, cost, export_text, parse_text, two_qubit_cost
 from leafsep.combinatorics import ehrlich_sequence
-from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
-                          popcounts)
+from leafsep.core import StateVector, build_partition_tree, enumerate_weight_distributions
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 from leafsep.simulator import fidelity, simulate, system_purity
@@ -250,7 +249,7 @@ def _with_distribution_phasors(psi, tree, seed):
     """``psi`` with each weight distribution's amplitudes times its own random unit
     phasor: still leaf-separable, but the distribution phases are not additive."""
     idx = np.arange(1 << tree.n)
-    key = sum(popcounts(idx & leaf.mask(tree.n)) * (tree.n + 1) ** u
+    key = sum(np.bitwise_count(idx & leaf.mask(tree.n)).astype(np.int64) * (tree.n + 1) ** u
               for u, leaf in enumerate(tree.leaves))
     _, dist = np.unique(key, return_inverse=True)
     alpha = np.random.default_rng(seed).uniform(0, 2 * math.pi, dist.max() + 1)
