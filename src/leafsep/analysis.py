@@ -36,7 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import ehrlich_patterns
-from .core import PartitionTree, StateVector, enumerate_weight_distributions, index_to_string
+from .core import (PartitionTree, StateVector, dense_size, enumerate_weight_distributions,
+                   index_to_string)
 
 DEAD_BRANCH_TOL = 1e-12
 REFERENCE_REL_TOL = 1e-9
@@ -272,8 +273,9 @@ def factored_amplitudes(tree: PartitionTree, total_weights, coefficients,
     """``coefficients[j] * prod_u factors[u][g_u(b)]`` on each member b of the j-th
     distribution of ``total_weights`` (the rows of their :func:`distribution_table`),
     g_u(b) the local pattern of leaf u; 0 elsewhere."""
+    size = dense_size(tree.n)  # too many qubits fail here, before anything is allocated
     idx, _, values = _product(tree, total_weights, coefficients, factors)
-    amps = np.zeros(1 << tree.n, dtype=np.complex128)
+    amps = np.zeros(size, dtype=np.complex128)
     amps[idx] = values
     return amps
 

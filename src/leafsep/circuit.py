@@ -15,6 +15,9 @@ Gate semantics (applied only when every control matches its polarity):
 
 The crbs |01> column is the unique unitary completion of the |10> action up to
 phase; with phi=0 it is a plain Givens rotation on the pair.
+
+In the text format a gate is one line, ``kind`` or ``kind(p,...)`` followed by its
+operands in the order ``_KINDS`` gives, e.g. ``crbs(0.5,0) [q0+,a0-] q1 q2``.
 """
 from __future__ import annotations
 
@@ -23,9 +26,27 @@ from dataclasses import dataclass, field
 
 from .core import ParseError
 
-GATE_KINDS = ("x", "cx", "mcx", "mcry", "mcrz", "mcphase", "crbs")
+# Each kind's parameter count and its text operands in order: a target wire, the one
+# positive control of a cx, or a bracketed list of signed controls.
+_KINDS = {
+    "x": (0, ("target",)),
+    "cx": (0, ("control", "target")),
+    "mcx": (0, ("controls", "target")),
+    "mcry": (1, ("controls", "target")),
+    "mcrz": (1, ("controls", "target")),
+    "mcphase": (1, ("controls", "target")),
+    "crbs": (2, ("controls", "target", "target")),
+}
+GATE_KINDS = tuple(_KINDS)
 
 _X_FAMILY = ("x", "cx", "mcx")
+
+
+def _x_kind(controls) -> str:
+    """The x-family kind of an X with these controls."""
+    if not controls:
+        return "x"
+    return "cx" if len(controls) == 1 and controls[0][1] == 1 else "mcx"
 
 
 @dataclass(frozen=True)
@@ -36,8 +57,14 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        shape = _KINDS.get(self.kind)
+        if shape is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        n_params, operands = shape
+        n_targets = operands.count("target")
+        if len(self.targets) != n_targets or len(self.params) != n_params:
+            raise ValueError(f"{self.kind} takes {n_targets} target(s) and {n_params} "
+                             f"parameter(s)")
         tset = set(self.targets)
         cset = {w for w, _ in self.controls}
         if len(tset) != len(self.targets) or tset & cset:
@@ -47,6 +74,9 @@ class Gate:
         for _, pol in self.controls:
             if pol not in (1, -1):
                 raise ValueError("control polarity must be +1 or -1")
+        if self.kind in _X_FAMILY and self.kind != _x_kind(self.controls):
+            raise ValueError(f"an x with controls {list(self.controls)} is "
+                             f"{_x_kind(self.controls)}, not {self.kind}")
 
     @property
     def wires(self) -> frozenset[int]:
@@ -70,13 +100,7 @@ def _norm_controls(controls) -> tuple[tuple[int, int], ...]:
 def x(target: int, controls=()) -> Gate:
     """X on ``target``; with controls this becomes cx/mcx automatically."""
     ctrls = _norm_controls(controls)
-    if not ctrls:
-        kind = "x"
-    elif len(ctrls) == 1 and ctrls[0][1] == 1:
-        kind = "cx"
-    else:
-        kind = "mcx"
-    return Gate(kind=kind, targets=(target,), controls=ctrls)
+    return Gate(kind=_x_kind(ctrls), targets=(target,), controls=ctrls)
 
 
 def mcry(theta: float, target: int, controls=()) -> Gate:
@@ -135,7 +159,6 @@ class CostReport:
     two_qubit_count: int
     total_gate_count: int
     depth: int
-    by_kind: dict
 
 
 def two_qubit_cost(g: Gate) -> int:
@@ -171,63 +194,49 @@ def cost(circuit: Circuit) -> CostReport:
     """
     two_q = 0
     total = 0
-    by_kind: dict[str, int] = {}
     wire_depth: dict[int, int] = {}
     depth = 0
     for g in circuit.gates:
         two = two_qubit_cost(g)
         two_q += two
         total += two + _gate_single_qubit_cost(g)
-        by_kind[g.kind] = by_kind.get(g.kind, 0) + 1
-        layer = 1 + max((wire_depth.get(w, 0) for w in g.wires), default=0)
-        for w in g.wires:
+        wires = g.wires
+        layer = 1 + max((wire_depth.get(w, 0) for w in wires), default=0)
+        for w in wires:
             wire_depth[w] = layer
         depth = max(depth, layer)
-    return CostReport(two_qubit_count=two_q, total_gate_count=total, depth=depth,
-                      by_kind=by_kind)
+    return CostReport(two_qubit_count=two_q, total_gate_count=total, depth=depth)
 
 
 # --- textual interchange format -------------------------------------------
-
-def _fmt_angle(value: float) -> str:
-    return format(value, ".17g")
-
 
 def _wire_name(w: int, n_system: int) -> str:
     return f"q{w}" if w < n_system else f"a{w - n_system}"
 
 
-def _fmt_controls(g: Gate, n_system: int) -> str:
-    inner = ",".join(f"{_wire_name(w, n_system)}{'+' if pol == 1 else '-'}"
-                     for w, pol in g.controls)
-    return f"[{inner}]"
-
-
 def export_text(circuit: Circuit) -> str:
     """Serialize to the line-oriented text format (bit-exact, round-trips)."""
     meta = circuit.metadata
-    lines = ["# format=1"]
-    lines.append("# n={} k={} ell={} mode={}".format(
+    lines = ["# format=1", "# n={} k={} ell={} mode={}".format(
         meta.get("n", circuit.n_system), meta.get("k", 0), meta.get("ell", 0),
-        meta.get("mode", "none")))
+        meta.get("mode", "none"))]
     if circuit.n_ancilla:
         lines.append(f"# ancilla={circuit.n_ancilla}")
     ns = circuit.n_system
     for g in circuit.gates:
-        if g.kind == "x":
-            lines.append(f"x {_wire_name(g.targets[0], ns)}")
-        elif g.kind == "cx":
-            cw = g.controls[0][0]
-            lines.append(f"cx {_wire_name(cw, ns)} {_wire_name(g.targets[0], ns)}")
-        elif g.kind == "mcx":
-            lines.append(f"mcx {_fmt_controls(g, ns)} {_wire_name(g.targets[0], ns)}")
-        elif g.kind in ("mcry", "mcrz", "mcphase"):
-            lines.append(f"{g.kind}({_fmt_angle(g.params[0])}) {_fmt_controls(g, ns)} "
-                         f"{_wire_name(g.targets[0], ns)}")
-        else:
-            lines.append("crbs({},{}) {} {} {}".format(
-                _fmt_angle(g.params[0]), _fmt_angle(g.params[1]), _fmt_controls(g, ns),
-                _wire_name(g.targets[0], ns), _wire_name(g.targets[1], ns)))
+        n_params, operands = _KINDS[g.kind]
+        words = [f"{g.kind}({','.join(format(p, '.17g') for p in g.params)})" if n_params
+                 else g.kind]
+        targets = iter(g.targets)
+        for operand in operands:
+            if operand == "target":
+                words.append(_wire_name(next(targets), ns))
+            elif operand == "control":
+                words.append(_wire_name(g.controls[0][0], ns))
+            else:
+                words.append("[" + ",".join(_wire_name(w, ns) + ("+" if pol == 1 else "-")
+                                            for w, pol in g.controls) + "]")
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
 
 
@@ -262,30 +271,28 @@ def _parse_controls(token: str, wires: tuple[int, int], line_no: int, col: int):
     return tuple(out)
 
 
-def _parse_params(head: str, expected: int, line_no: int,
-                  col: int) -> tuple[str, tuple[float, ...]]:
-    open_idx = head.find("(")
-    if open_idx < 0 or not head.endswith(")"):
+def _parse_head(head: str, line_no: int, col: int):
+    """The kind, parameters and operands of a gate line's first token, ``kind`` or
+    ``kind(p,...)``."""
+    name, paren, rest = head.partition("(")
+    shape = _KINDS.get(name)
+    if shape is None:
+        raise ParseError(f"unknown gate {name!r}", line_no, col)
+    n_params, operands = shape
+    if not (paren or n_params):
+        return name, (), operands
+    if not (paren and rest.endswith(")")):
         raise ParseError(f"expected parameters on {head!r}", line_no, col)
-    name = head[:open_idx]
-    raw = head[open_idx + 1:-1].split(",")
-    if len(raw) != expected:
-        raise ParseError(f"{name} expects {expected} parameter(s)", line_no, col + open_idx)
+    raw, at = rest[:-1].split(","), col + len(name)
+    if len(raw) != n_params:
+        raise ParseError(f"{name} expects {n_params} parameter(s)", line_no, at)
     try:
         params = tuple(float(r) for r in raw)
     except ValueError:
-        raise ParseError(f"bad numeric parameter in {head!r}", line_no, col + open_idx) from None
+        raise ParseError(f"bad numeric parameter in {head!r}", line_no, at) from None
     if not all(math.isfinite(p) for p in params):
-        raise ParseError(f"non-finite parameter in {head!r}", line_no, col + open_idx)
-    return name, params
-
-
-def _construct(make, line_no: int, col: int, *args, **kwargs) -> Gate:
-    """``make(*args, **kwargs)``, with the gate's own wire checks raised as a ParseError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no, col) from None
+        raise ParseError(f"non-finite parameter in {head!r}", line_no, at)
+    return name, params, operands
 
 
 def parse_text(text: str) -> Circuit:
@@ -322,45 +329,24 @@ def parse_text(text: str) -> Circuit:
             raise ParseError("gate line before '# n=...' header", line_no, 0)
         wires = (n_system, n_ancilla)
         tokens = line.split()
-        head = tokens[0]
-        col = raw.index(head) + 1
-        if head == "x":
-            if len(tokens) != 2:
-                raise ParseError("x expects one wire", line_no, col)
-            gates.append(x(_parse_wire(tokens[1], wires, line_no, col)))
-        elif head == "cx":
-            if len(tokens) != 3:
-                raise ParseError("cx expects control and target wires", line_no, col)
-            c = _parse_wire(tokens[1], wires, line_no, col)
-            t = _parse_wire(tokens[2], wires, line_no, col)
-            gates.append(_construct(x, line_no, col, t, controls=[(c, 1)]))
-        elif head == "mcx":
-            if len(tokens) != 3:
-                raise ParseError("mcx expects controls and target", line_no, col)
-            ctrls = _parse_controls(tokens[1], wires, line_no, col)
-            t = _parse_wire(tokens[2], wires, line_no, col)
-            gates.append(_construct(x, line_no, col, t, controls=ctrls))
-        elif head.startswith(("mcry", "mcrz", "mcphase")):
-            name, params = _parse_params(head, 1, line_no, col)
-            if len(tokens) != 3:
-                raise ParseError(f"{name} expects controls and target", line_no, col)
-            ctrls = _parse_controls(tokens[1], wires, line_no, col)
-            t = _parse_wire(tokens[2], wires, line_no, col)
-            maker = {"mcry": mcry, "mcrz": mcrz, "mcphase": mcphase}.get(name)
-            if maker is None:
-                raise ParseError(f"unknown gate {name!r}", line_no, col)
-            gates.append(_construct(maker, line_no, col, params[0], t, controls=ctrls))
-        elif head.startswith("crbs"):
-            _, params = _parse_params(head, 2, line_no, col)
-            if len(tokens) != 4:
-                raise ParseError("crbs expects controls and two targets", line_no, col)
-            ctrls = _parse_controls(tokens[1], wires, line_no, col)
-            t1 = _parse_wire(tokens[2], wires, line_no, col)
-            t2 = _parse_wire(tokens[3], wires, line_no, col)
-            gates.append(_construct(crbs, line_no, col, params[0], params[1], t1, t2,
-                                    controls=ctrls))
-        else:
-            raise ParseError(f"unknown gate {head!r}", line_no, col)
+        col = raw.index(tokens[0]) + 1
+        name, params, operands = _parse_head(tokens[0], line_no, col)
+        if len(tokens) != 1 + len(operands):
+            raise ParseError(f"{name} expects {len(operands)} operand(s): "
+                             f"{' '.join(operands)}", line_no, col)
+        targets, controls = [], ()
+        for operand, token in zip(operands, tokens[1:]):
+            if operand == "target":
+                targets.append(_parse_wire(token, wires, line_no, col))
+            elif operand == "control":
+                controls = ((_parse_wire(token, wires, line_no, col), 1),)
+            else:
+                controls = _parse_controls(token, wires, line_no, col)
+        try:  # an x-family line takes the kind x() derives, so `mcx [q0+] q1` is a cx
+            gates.append(x(targets[0], controls) if name in _X_FAMILY else
+                         Gate(name, tuple(targets), _norm_controls(controls), params))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no, col) from None
     if n_system is None:
         raise ParseError("missing '# n=...' header", 1, 0)
     meta = {"n": n_system, "k": metadata.get("k", 0), "ell": metadata.get("ell", 0),

@@ -135,7 +135,7 @@ def _cmd_bench_fidelity(args) -> int:
         return _fail(1, f"--k {args.k[0] if args.k else 'all'} leaves no (n, k) cell with "
                         f"k <= n for n in [{args.n_min}, {n_max}]")
     rows = experiments.run_fidelity_sweep(config)
-    _write(args.out, experiments.fidelity_rows_to_csv(rows))
+    _write(args.out, experiments.rows_to_csv(rows, experiments.FIDELITY_CSV_HEADER))
     return 0
 
 
@@ -143,7 +143,7 @@ def _cmd_bench_cost(args) -> int:
     config = experiments.ExperimentConfig(n_values=tuple(range(args.n_min, args.n_max + 1)),
                                           seed=args.seed)
     rows = experiments.run_cost_sweep(config)
-    _write(args.out, experiments.cost_rows_to_csv(rows))
+    _write(args.out, experiments.rows_to_csv(rows, experiments.COST_CSV_HEADER))
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _classes, factored_amplitudes, tree_coefficients
+from .analysis import _classes, _node_weights, factored_amplitudes, tree_coefficients
 from .circuit import cost
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, dense_size
 from .simulator import simulate
@@ -67,37 +67,26 @@ def _sample_unit(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _node_split_samples(tree: PartitionTree, weights, rng, nonneg_floor: float = 0.0):
-    """Per-node conditional split amplitudes: row w of a node's table holds the
-    amplitudes of the splits (i, w - i) over its feasible window, indexed by i."""
+def _node_split_samples(tree: PartitionTree, rows: np.ndarray, rng, nonneg_floor: float = 0.0):
+    """Per-node conditional split amplitudes for the distributions ``rows`` (D x G leaf
+    weights): row w of a node's table, for each weight w the rows put on the node, holds
+    the amplitudes of the splits (i, w - i) over its feasible window, indexed by i."""
     splits: dict[TreeNode, np.ndarray] = {}
-    node_weights: dict[TreeNode, set[int]] = {tree.root: set(weights)}
-
-    def walk(node: TreeNode) -> None:
-        if node.is_leaf:
-            return
+    for node, weight, _ in _node_weights(tree, rows):
         m, n_r = node.left.size, node.right.size
         table = splits[node] = np.zeros((node.size + 1, m + 1))
-        for w in sorted(node_weights.get(node, ())):
+        for w in np.flatnonzero(np.bincount(weight)).tolist():
             i_min, i_max = max(0, w - n_r), min(w, m)
             probs = rng.dirichlet(np.ones(i_max - i_min + 1))
             amp = np.sqrt(probs + nonneg_floor)
             table[w, i_min:i_max + 1] = amp / np.linalg.norm(amp)
-            for i in range(i_min, i_max + 1):
-                node_weights.setdefault(node.left, set()).add(i)
-                node_weights.setdefault(node.right, set()).add(w - i)
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
     return splits
 
 
 def _assemble(tree: PartitionTree, weights, profile, kind: str,
               rng: np.random.Generator) -> StateVector:
-    splits = _node_split_samples(tree, weights, rng, 0.05 if kind == "nonneg" else 0.0)
-
     leaf_weights = _classes(tree, weights)[0]
+    splits = _node_split_samples(tree, leaf_weights, rng, 0.05 if kind == "nonneg" else 0.0)
     factors = []
     for u, size in enumerate(tree.leaf_sizes):
         factors.append(np.zeros(1 << size, dtype=np.complex128))
@@ -225,19 +214,7 @@ def run_cost_sweep(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def fidelity_rows_to_csv(rows: list[dict]) -> str:
-    lines = [FIDELITY_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r["n"]), str(r["k"]), str(r["ell"]), r["mode"], r["field"],
-            str(r["seed"]), repr(r["mean_fidelity"]), repr(r["min_fidelity"]),
-            repr(r["max_fidelity"]), repr(r["std_fidelity"]), str(r["count"])]))
-    return "\n".join(lines) + "\n"
-
-
-def cost_rows_to_csv(rows: list[dict]) -> str:
-    lines = [COST_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([str(r["n"]), str(r["k"]), r["method"],
-                               str(r["two_qubit"]), str(r["total"]), str(r["depth"])]))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(rows: list[dict], header: str) -> str:
+    """``header``, then one line per row of its values under the header's column names."""
+    columns = header.split(",")
+    return "\n".join([header] + [",".join(str(r[c]) for c in columns) for r in rows]) + "\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafsep.analysis import (DEAD_BRANCH_TOL, _classes, analyze, distribution_table,
-                              encoder_angles, is_leaf_separable, leaf_amplitude_table,
+                              encoder_angles, factored_amplitudes, is_leaf_separable,
+                              leaf_amplitude_table,
                               reconstruct_amplitudes, rotation_ladder_angles,
                               weight_split_amplitudes)
 from leafsep.combinatorics import ehrlich_sequence
-from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
+from leafsep.core import (MAX_QUBITS, StateVector, build_partition_tree, enumerate_weight_distributions,
                           index_to_string)
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
@@ -524,3 +526,16 @@ def test_split_norm_recomposition():
                     assert np.allclose(table[m], want / np.linalg.norm(want), rtol=0, atol=1e-12)
                 else:
                     assert not table[m].any()
+
+
+def test_factored_amplitudes_rejects_too_many_qubits_before_work():
+    tree = build_partition_tree(40, 4)
+    factors = [np.ones(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"40 wires exceed the maximum of {MAX_QUBITS}"):
+            factored_amplitudes(tree, (1,), np.ones(tree.num_leaves), factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -50,6 +50,24 @@ def test_gate_validation():
         mcphase(0.1, 2, controls=[(1, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("kind,targets,controls,params,message", [
+    ("crbs", (0,), (), (0.1, 0.0), r"crbs takes 2 target\(s\) and 2 parameter\(s\)"),
+    ("mcry", (0, 1), (), (0.1,), r"mcry takes 1 target\(s\) and 1 parameter\(s\)"),
+    ("crbs", (0, 1), (), (0.1,), r"crbs takes 2 target\(s\) and 2 parameter\(s\)"),
+    ("mcphase", (0,), (), (), r"mcphase takes 1 target\(s\) and 1 parameter\(s\)"),
+    ("x", (0,), (), (0.1,), r"x takes 1 target\(s\) and 0 parameter\(s\)"),
+    ("x", (1,), ((0, 1),), (), "is cx, not x"),
+    ("cx", (1,), ((0, -1),), (), "is mcx, not cx"),
+    ("mcx", (1,), (), (), "is x, not mcx"),
+    ("mcx", (2,), ((0, 1),), (), "is cx, not mcx"),
+])
+def test_gate_rejects_a_shape_its_kind_does_not_have(kind, targets, controls, params, message):
+    """A gate is checked against its kind's row of the table; an x-family kind must be
+    the one ``x`` derives from its controls, so no gate exports a wrong line."""
+    with pytest.raises(ValueError, match=message):
+        Gate(kind, targets, controls, params)
+
+
 @pytest.mark.parametrize("wire", [4, -1])
 def test_add_rejects_wires_out_of_range(wire):
     circ = Circuit(n_system=3, n_ancilla=1)
@@ -256,11 +274,21 @@ def test_parse_errors_report_position():
     ("# n=3 k=1 ell=1 mode=none\ncx q0 q0\n", 2, 1, "disjoint wires"),
     ("# n=3 k=1 ell=1 mode=none\ncrbs(1,0) [] q1 q1\n", 2, 1, "disjoint wires"),
     ("# n=3 k=1 ell=1 mode=none\nmcx [q0+,q0-] q1\n", 2, 1, "controlled more than once"),
+    ("# n=3 k=1 ell=1 mode=none\ncrbsx(1,2) [] q0 q1\n", 2, 1, "unknown gate 'crbsx'"),
+    ("# n=3 k=1 ell=1 mode=none\nmcryz(1) [] q0\n", 2, 1, "unknown gate 'mcryz'"),
+    ("# n=3 k=1 ell=1 mode=none\n x(1) q0\n", 2, 3, r"x expects 0 parameter\(s\)"),
+    ("# n=3 k=1 ell=1 mode=none\ncx q0 q1 q2\n", 2, 1, r"cx expects 2 operand\(s\)"),
 ])
 def test_parse_rejects_malformed_gates_with_position(text, line, column, message):
     with pytest.raises(ParseError, match=message) as info:
         parse_text(text)
     assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_x_family_lines_take_the_kind_x_derives():
+    parsed = parse_text("# n=3 k=1 ell=1 mode=none\nmcx [q0+] q1\nmcx [] q2\ncx q2 q0\n")
+    assert parsed.gates == [x(1, [0]), x(2), x(0, [2])]
+    assert [g.kind for g in parsed.gates] == ["cx", "x", "cx"]
 
 
 def test_ancilla_wire_names():

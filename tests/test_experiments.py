@@ -7,10 +7,9 @@ from conftest import tensor_factorization_check
 
 from leafsep.analysis import is_leaf_separable
 from leafsep.core import MAX_QUBITS, build_partition_tree
-from leafsep.experiments import (ExperimentConfig, cost_rows_to_csv,
-                                 fidelity_rows_to_csv, random_fixed_weight_state,
-                                 random_leaf_separable,
-                                 random_mixed_leaf_separable, run_cost_sweep,
+from leafsep.experiments import (COST_CSV_HEADER, FIDELITY_CSV_HEADER, ExperimentConfig,
+                                 random_fixed_weight_state, random_leaf_separable,
+                                 random_mixed_leaf_separable, rows_to_csv, run_cost_sweep,
                                  run_fidelity_sweep)
 
 
@@ -130,11 +129,16 @@ def test_fidelity_sweep_rows_and_determinism():
     for r in rows:
         assert r["count"] == 4
         assert 0.0 <= r["min_fidelity"] <= r["mean_fidelity"] <= r["max_fidelity"] <= 1 + 1e-12
-    csv1 = fidelity_rows_to_csv(rows)
-    csv2 = fidelity_rows_to_csv(run_fidelity_sweep(cfg))
+    csv1 = rows_to_csv(rows, FIDELITY_CSV_HEADER)
+    csv2 = rows_to_csv(run_fidelity_sweep(cfg), FIDELITY_CSV_HEADER)
     assert csv1 == csv2
     assert csv1.splitlines()[0] == ("n,k,ell,mode,field,seed,mean_fidelity,"
                                     "min_fidelity,max_fidelity,std_fidelity,count")
+    r = rows[0]
+    assert csv1.splitlines()[1] == ",".join([
+        str(r["n"]), str(r["k"]), str(r["ell"]), r["mode"], r["field"], str(r["seed"]),
+        repr(r["mean_fidelity"]), repr(r["min_fidelity"]), repr(r["max_fidelity"]),
+        repr(r["std_fidelity"]), str(r["count"])])
 
 
 def test_exact_cells_dominate():
@@ -159,13 +163,13 @@ def test_cost_sweep_rows():
         for r in (anc, free):
             assert r["k"] == math.ceil(n / 2)
             assert r["depth"] <= r["total"]
-    csv = cost_rows_to_csv(rows)
+    csv = rows_to_csv(rows, COST_CSV_HEADER)
     assert csv.splitlines()[0] == "n,k,method,two_qubit,total,depth"
 
 
 def test_cost_sweep_empty():
     assert run_cost_sweep(ExperimentConfig(n_values=())) == []
-    assert cost_rows_to_csv([]) == "n,k,method,two_qubit,total,depth\n"
+    assert rows_to_csv([], COST_CSV_HEADER) == "n,k,method,two_qubit,total,depth\n"
 
 
 def test_cross_tree_transfer_is_approximate():
