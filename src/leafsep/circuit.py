@@ -17,7 +17,10 @@ The crbs |01> column is the unique unitary completion of the |10> action up to
 phase; with phi=0 it is a plain Givens rotation on the pair.
 
 In the text format a gate is one line, ``kind`` or ``kind(p,...)`` followed by its
-operands in the order ``_KINDS`` gives, e.g. ``crbs(0.5,0) [q0+,a0-] q1 q2``.
+operands in the order ``_KINDS`` gives, e.g. ``crbs(0.5,0) [q0+,a0-] q1 q2``. Parameters are
+written with ``%.17g``, which reads back bit for bit and keeps the sign of zero. The
+header is one ``# format=1``, ``# n=...`` and an optional ``# ancilla=...``, all before
+the first gate line; a repeated ``n`` must have the same value.
 """
 from __future__ import annotations
 
@@ -57,26 +60,27 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        shape = _KINDS.get(self.kind)
+        kind, targets, controls = self.kind, self.targets, self.controls
+        shape = _KINDS.get(kind)
         if shape is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {kind!r}")
         n_params, operands = shape
         n_targets = operands.count("target")
-        if len(self.targets) != n_targets or len(self.params) != n_params:
-            raise ValueError(f"{self.kind} takes {n_targets} target(s) and {n_params} "
-                             f"parameter(s)")
-        tset = set(self.targets)
-        cset = {w for w, _ in self.controls}
-        if len(tset) != len(self.targets) or tset & cset:
-            raise ValueError("controls and targets must be disjoint wires")
-        if len(cset) != len(self.controls):
-            raise ValueError("a wire is controlled more than once")
-        for _, pol in self.controls:
+        if len(targets) != n_targets or len(self.params) != n_params:
+            raise ValueError(f"{kind} takes {n_targets} target(s) and {n_params} parameter(s)")
+        wires = set(targets)
+        for w, pol in controls:
             if pol not in (1, -1):
                 raise ValueError("control polarity must be +1 or -1")
-        if self.kind in _X_FAMILY and self.kind != _x_kind(self.controls):
-            raise ValueError(f"an x with controls {list(self.controls)} is "
-                             f"{_x_kind(self.controls)}, not {self.kind}")
+            wires.add(w)
+        if len(wires) != len(targets) + len(controls):  # a wire used twice: say how
+            tset = set(targets)
+            if len(tset) != len(targets) or tset.intersection(w for w, _ in controls):
+                raise ValueError("controls and targets must be disjoint wires")
+            raise ValueError("a wire is controlled more than once")
+        if kind in _X_FAMILY and kind != _x_kind(controls):
+            raise ValueError(f"an x with controls {list(controls)} is "
+                             f"{_x_kind(controls)}, not {kind}")
 
     @property
     def wires(self) -> frozenset[int]:
@@ -161,28 +165,19 @@ class CostReport:
     depth: int
 
 
+def _kind_cost(kind: str, c: int) -> tuple[int, int]:
+    """Two-qubit and single-qubit equivalents of a ``kind`` gate with c controls."""
+    if kind in _X_FAMILY:
+        return (0, 1) if c == 0 else (1, 0) if c == 1 else (2 * c, 0)
+    if kind != "crbs":
+        return max(1, 2 * c), 2 * c + 1
+    # crbs: CX framing plus a rotation picking up the pair-partner as one extra control
+    return 2 + max(1, 2 * (c + 1)), 2 * (c + 1) + 1
+
+
 def two_qubit_cost(g: Gate) -> int:
     """Two-qubit-equivalent cost of one gate, as summed by :func:`cost`."""
-    c = g.num_controls
-    if g.kind in _X_FAMILY:
-        if c == 0:
-            return 0
-        if c == 1:
-            return 1
-        return 2 * c
-    if g.kind in ("mcry", "mcrz", "mcphase"):
-        return max(1, 2 * c)
-    # crbs: CX framing plus a rotation picking up the pair-partner as one extra control
-    return 2 + max(1, 2 * (c + 1))
-
-
-def _gate_single_qubit_cost(g: Gate) -> int:
-    c = g.num_controls
-    if g.kind in _X_FAMILY:
-        return 1 if c == 0 else 0
-    if g.kind in ("mcry", "mcrz", "mcphase"):
-        return 2 * c + 1
-    return 2 * (c + 1) + 1
+    return _kind_cost(g.kind, len(g.controls))[0]
 
 
 def cost(circuit: Circuit) -> CostReport:
@@ -192,26 +187,44 @@ def cost(circuit: Circuit) -> CostReport:
     c-controlled crbs counts 2 + max(1, 2(c+1)); x is free, cx is 1, mcx with
     c >= 2 controls is 2c. Depth layers gates as early as their wires allow.
     """
-    two_q = 0
-    total = 0
-    wire_depth: dict[int, int] = {}
-    depth = 0
+    tally: dict[tuple[str, int], int] = {}
+    wire_depth = [0] * circuit.n_wires
     for g in circuit.gates:
-        two = two_qubit_cost(g)
-        two_q += two
-        total += two + _gate_single_qubit_cost(g)
-        wires = g.wires
-        layer = 1 + max((wire_depth.get(w, 0) for w in wires), default=0)
-        for w in wires:
+        key = (g.kind, len(g.controls))
+        tally[key] = tally.get(key, 0) + 1
+        layer = max([wire_depth[w] for w in g.targets])
+        for w, _ in g.controls:
+            if wire_depth[w] > layer:
+                layer = wire_depth[w]
+        layer += 1
+        for w in g.targets:
             wire_depth[w] = layer
-        depth = max(depth, layer)
-    return CostReport(two_qubit_count=two_q, total_gate_count=total, depth=depth)
+        for w, _ in g.controls:
+            wire_depth[w] = layer
+    two_q = total = 0
+    for key, count in tally.items():
+        two, one = _kind_cost(*key)
+        two_q += two * count
+        total += (two + one) * count
+    return CostReport(two_qubit_count=two_q, total_gate_count=total,
+                      depth=max(wire_depth, default=0))
 
 
 # --- textual interchange format -------------------------------------------
 
-def _wire_name(w: int, n_system: int) -> str:
-    return f"q{w}" if w < n_system else f"a{w - n_system}"
+# Each kind's line as a %-format: "%.17g" per parameter (17 significant digits read
+# back exactly, the sign of zero kept), then "%s" per operand.
+_LINE_FORMATS = {kind: " ".join([kind + (f"({','.join(['%.17g'] * n_params)})" if n_params
+                                        else "")] + ["%s"] * len(operands))
+                 for kind, (n_params, operands) in _KINDS.items()}
+
+
+def _wire_names(n_system: int, n_ancilla: int) -> tuple[dict, dict]:
+    """Each wire's token (``q3``, ``a0``) and each signed control's (``(3, -1)`` -> ``q3-``)."""
+    names = dict(enumerate([f"q{w}" for w in range(n_system)] + [f"a{w}" for w in range(n_ancilla)]))
+    signed = {(w, pol): name + sign for w, name in names.items()
+              for pol, sign in ((1, "+"), (-1, "-"))}
+    return names, signed
 
 
 def export_text(circuit: Circuit) -> str:
@@ -222,21 +235,19 @@ def export_text(circuit: Circuit) -> str:
         meta.get("mode", "none"))]
     if circuit.n_ancilla:
         lines.append(f"# ancilla={circuit.n_ancilla}")
-    ns = circuit.n_system
+    names, signed = _wire_names(circuit.n_system, circuit.n_ancilla)
+    by_id: dict[int, str] = {}  # keyed on the object: equal gates may differ (-0.0 == 0.0)
     for g in circuit.gates:
-        n_params, operands = _KINDS[g.kind]
-        words = [f"{g.kind}({','.join(format(p, '.17g') for p in g.params)})" if n_params
-                 else g.kind]
-        targets = iter(g.targets)
-        for operand in operands:
-            if operand == "target":
-                words.append(_wire_name(next(targets), ns))
-            elif operand == "control":
-                words.append(_wire_name(g.controls[0][0], ns))
-            else:
-                words.append("[" + ",".join(_wire_name(w, ns) + ("+" if pol == 1 else "-")
-                                            for w, pol in g.controls) + "]")
-        lines.append(" ".join(words))
+        line = by_id.get(id(g))
+        if line is None:
+            words = [names[w] for w in g.targets]
+            lead = _KINDS[g.kind][1][0]
+            if lead == "controls":
+                words.insert(0, f"[{','.join([signed[c] for c in g.controls])}]")
+            elif lead == "control":
+                words.insert(0, names[g.controls[0][0]])
+            line = by_id[id(g)] = _LINE_FORMATS[g.kind] % (*g.params, *words)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -256,19 +267,21 @@ def _parse_wire(token: str, wires: tuple[int, int], line_no: int, col: int) -> i
     raise ParseError(f"bad wire token {token!r}", line_no, col)
 
 
-def _parse_controls(token: str, wires: tuple[int, int], line_no: int, col: int):
+def _parse_controls(token: str, part_of: dict, wires: tuple[int, int], line_no: int,
+                    col: int):
+    """Sorted signed controls of a ``[q0+,a1-]`` token; ``part_of`` holds the parts
+    :func:`export_text` writes, any other part is read (or rejected) here."""
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected control list, got {token!r}", line_no, col)
-    inner = token[1:-1]
-    if not inner:
-        return ()
     out = []
-    for part in inner.split(","):
-        if len(part) < 2 or part[-1] not in "+-":
-            raise ParseError(f"bad control token {part!r}", line_no, col)
-        out.append((_parse_wire(part[:-1], wires, line_no, col),
-                    1 if part[-1] == "+" else -1))
-    return tuple(out)
+    for part in token[1:-1].split(",") if len(token) > 2 else ():
+        control = part_of.get(part)
+        if control is None:
+            if len(part) < 2 or part[-1] not in "+-":
+                raise ParseError(f"bad control token {part!r}", line_no, col)
+            control = (_parse_wire(part[:-1], wires, line_no, col), 1 if part[-1] == "+" else -1)
+        out.append(control)
+    return tuple(sorted(out))
 
 
 def _parse_head(head: str, line_no: int, col: int):
@@ -287,47 +300,57 @@ def _parse_head(head: str, line_no: int, col: int):
     if len(raw) != n_params:
         raise ParseError(f"{name} expects {n_params} parameter(s)", line_no, at)
     try:
-        params = tuple(float(r) for r in raw)
+        params = tuple(map(float, raw))
     except ValueError:
         raise ParseError(f"bad numeric parameter in {head!r}", line_no, at) from None
-    if not all(math.isfinite(p) for p in params):
+    if not all(map(math.isfinite, params)):
         raise ParseError(f"non-finite parameter in {head!r}", line_no, at)
     return name, params, operands
 
 
 def parse_text(text: str) -> Circuit:
     """Inverse of :func:`export_text`; raises :class:`ParseError` with positions."""
-    n_system = None
-    n_ancilla = 0
     metadata: dict = {}
     gates: list[Gate] = []
+    by_line: dict[str, Gate] = {}  # keyed on the text: equal gates may differ (-0.0 == 0.0)
+    wire_of = None  # token -> wire, built at the first gate line
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        gate = by_line.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            for item in body.split():
-                if "=" not in item:
-                    continue
-                key, _, value = item.partition("=")
-                if key in ("format", "n", "k", "ell", "ancilla"):
-                    col = raw.index(item) + 1
-                    try:
-                        metadata[key] = int(value)
-                    except ValueError:
-                        raise ParseError(f"bad header value {item!r}", line_no, col) from None
-                    if key in ("n", "ancilla") and metadata[key] < 0:
-                        raise ParseError(f"{key} must be non-negative, got {value}", line_no, col)
-                elif key == "mode":
+            for item in line[1:].split():
+                key, eq, value = item.partition("=")
+                if key == "mode" and eq:
                     metadata[key] = value
-            if "n" in metadata and n_system is None:
-                n_system = metadata["n"]
-            n_ancilla = metadata.get("ancilla", n_ancilla)
+                if key not in ("format", "n", "k", "ell", "ancilla") or not eq:
+                    continue
+                col = raw.index(item) + 1
+                try:
+                    number = int(value)
+                except ValueError:
+                    raise ParseError(f"bad header value {item!r}", line_no, col) from None
+                if key in ("n", "ancilla") and number < 0:
+                    raise ParseError(f"{key} must be non-negative, got {value}", line_no, col)
+                if key == "format" and number != 1:
+                    raise ParseError(f"unsupported format {value}, expected 1", line_no, col)
+                if key in ("n", "ancilla") and wire_of is not None:
+                    raise ParseError(f"'{key}=' header after the first gate line", line_no, col)
+                if key == "n" and metadata.get("n", number) != number:
+                    raise ParseError(f"n={value} after n={metadata['n']}", line_no, col)
+                metadata[key] = number
             continue
-        if n_system is None:
-            raise ParseError("gate line before '# n=...' header", line_no, 0)
-        wires = (n_system, n_ancilla)
+        if wire_of is None:
+            if "n" not in metadata:
+                raise ParseError("gate line before '# n=...' header", line_no, 0)
+            wires = (metadata["n"], metadata.get("ancilla", 0))
+            names, signed = _wire_names(*wires)
+            wire_of = {name: w for w, name in names.items()}
+            part_of = {name: c for c, name in signed.items()}
         tokens = line.split()
         col = raw.index(tokens[0]) + 1
         name, params, operands = _parse_head(tokens[0], line_no, col)
@@ -336,21 +359,27 @@ def parse_text(text: str) -> Circuit:
                              f"{' '.join(operands)}", line_no, col)
         targets, controls = [], ()
         for operand, token in zip(operands, tokens[1:]):
+            if operand == "controls":
+                controls = _parse_controls(token, part_of, wires, line_no, col)
+                continue
+            w = wire_of.get(token)
+            if w is None:
+                w = _parse_wire(token, wires, line_no, col)
             if operand == "target":
-                targets.append(_parse_wire(token, wires, line_no, col))
-            elif operand == "control":
-                controls = ((_parse_wire(token, wires, line_no, col), 1),)
+                targets.append(w)
             else:
-                controls = _parse_controls(token, wires, line_no, col)
+                controls = ((w, 1),)
         try:  # an x-family line takes the kind x() derives, so `mcx [q0+] q1` is a cx
-            gates.append(x(targets[0], controls) if name in _X_FAMILY else
-                         Gate(name, tuple(targets), _norm_controls(controls), params))
+            gate = Gate(_x_kind(controls) if name in _X_FAMILY else name, tuple(targets),
+                        controls, params)
         except ValueError as exc:
             raise ParseError(str(exc), line_no, col) from None
-    if n_system is None:
+        by_line[raw] = gate
+        gates.append(gate)
+    if "n" not in metadata:
         raise ParseError("missing '# n=...' header", 1, 0)
-    meta = {"n": n_system, "k": metadata.get("k", 0), "ell": metadata.get("ell", 0),
+    meta = {"n": metadata["n"], "k": metadata.get("k", 0), "ell": metadata.get("ell", 0),
             "mode": metadata.get("mode", "none")}
-    circ = Circuit(n_system=n_system, n_ancilla=n_ancilla, metadata=meta)
+    circ = Circuit(n_system=meta["n"], n_ancilla=metadata.get("ancilla", 0), metadata=meta)
     circ.extend(gates)
     return circ

@@ -463,12 +463,13 @@ def _gray_multiplexed_rotation(kind: str, angles: np.ndarray, controls: list[int
         pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
     tilde /= size
     gray = np.arange(size) ^ (np.arange(size) >> 1)
+    changed = np.bitwise_count((gray ^ np.roll(gray, -1)) - 1)  # the bit g_i, g_(i+1) differ in
+    cxs = [x(target, controls=[(controls[m - 1 - b], 1)]) for b in range(m)]  # frozen, shared
     gates: list[Gate] = []
-    for i, g in enumerate(gray):
-        if abs(tilde[g]) > ANGLE_TOL:
-            gates.append(maker(float(tilde[g]), target))
-        changed = int(g ^ gray[(i + 1) % size]).bit_length() - 1
-        gates.append(x(target, controls=[(controls[m - 1 - changed], 1)]))
+    for angle, b in zip(tilde[gray].tolist(), changed.tolist()):
+        if abs(angle) > ANGLE_TOL:
+            gates.append(maker(angle, target))
+        gates.append(cxs[b])
     return gates
 
 

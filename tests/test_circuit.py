@@ -134,24 +134,42 @@ def test_depth_layering():
     assert cost(circ).depth == 2
 
 
-def test_depth_layers_have_disjoint_wires():
-    circ = random_circuit(5, 40, seed=3)
-    layer_of = {}
-    wire_depth = {}
-    for i, g in enumerate(circ.gates):
+def _reference_costs(g):
+    """(two-qubit, single-qubit) equivalents of one gate, from the cost model as stated."""
+    c = len(g.controls)
+    if g.kind in ("x", "cx", "mcx"):
+        return (0, 1) if c == 0 else (1, 0) if c == 1 else (2 * c, 0)
+    if g.kind == "crbs":
+        return 2 + max(1, 2 * (c + 1)), 2 * (c + 1) + 1
+    return max(1, 2 * c), 2 * c + 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(0, 2), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_depth_layers_have_disjoint_wires(n, n_ancilla, n_gates, seed):
+    """cost agrees with a set-based reference: each gate goes one layer after the
+    deepest of its wires, the gates of a layer touch disjoint wires, and the counts
+    are the per-gate model summed."""
+    circ = random_circuit(n, n_gates, seed=[seed], n_ancilla=n_ancilla)
+    layer_of, wire_depth = [], {}
+    for g in circ.gates:
         layer = 1 + max((wire_depth.get(w, 0) for w in g.wires), default=0)
         for w in g.wires:
             wire_depth[w] = layer
-        layer_of[i] = layer
+        layer_of.append(layer)
     by_layer = {}
-    for i, g in enumerate(circ.gates):
-        by_layer.setdefault(layer_of[i], []).append(g)
+    for layer, g in zip(layer_of, circ.gates):
+        by_layer.setdefault(layer, []).append(g)
     for gates in by_layer.values():
         seen = set()
         for g in gates:
             assert not (g.wires & seen)
             seen |= g.wires
-    assert cost(circ).depth == max(layer_of.values())
+    counts = [_reference_costs(g) for g in circ.gates]
+    report = cost(circ)
+    assert report.two_qubit_count == sum(two for two, _ in counts)
+    assert report.total_gate_count == sum(two + one for two, one in counts)
+    assert report.depth == max(layer_of, default=0)
 
 
 def test_export_examples():
@@ -283,6 +301,61 @@ def test_parse_rejects_malformed_gates_with_position(text, line, column, message
     with pytest.raises(ParseError, match=message) as info:
         parse_text(text)
     assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text,line,column,message", [
+    ("# format=7\n# n=2 k=1 ell=1 mode=free\n", 1, 3, "unsupported format 7, expected 1"),
+    ("# n=2 k=1 ell=1 mode=free\n# ancilla=1\nx a0\n# ancilla=0\n", 4, 3,
+     "'ancilla=' header after the first gate line"),
+    ("# n=2 k=1 ell=1 mode=free\nx q0\n# n=5\n", 3, 3, "'n=' header after the first gate line"),
+    ("# n=2 k=1 ell=1 mode=free\nx q0\n#  k=0 n=2\n", 3, 8, "'n=' header after the first"),
+    ("# n=2 k=1 ell=1 mode=free\n# n=3\nx q0\n", 2, 3, "n=3 after n=2"),
+])
+def test_parse_rejects_misplaced_headers_with_position(text, line, column, message):
+    """One format, 1, and the wire counts only before the first gate line, so every
+    gate line is read against the same wires."""
+    with pytest.raises(ParseError, match=message) as info:
+        parse_text(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_parse_accepts_repeated_equal_headers():
+    text = "# format=1\n# n=2 k=1 ell=1 mode=free\n# n=2 ancilla=1\n# ancilla=2\nx a1\n# k=3\n"
+    parsed = parse_text(text)
+    assert (parsed.n_system, parsed.n_ancilla, parsed.metadata["k"]) == (2, 2, 3)
+    assert parsed.gates == [x(3)]
+
+
+def test_signed_zero_angles_export_and_parse_apart():
+    """-0.0 == 0.0, so a cache keyed on gate equality would merge these two lines."""
+    circ = Circuit(n_system=1, metadata={"n": 1, "k": 1, "ell": 1, "mode": "free"})
+    circ.add(mcry(-0.0, 0))
+    circ.add(mcry(0.0, 0))
+    text = export_text(circ)
+    assert text.splitlines()[2:] == ["mcry(-0) [] q0", "mcry(0) [] q0"]
+    parsed = parse_text(text)
+    assert [math.copysign(1.0, g.params[0]) for g in parsed.gates] == [-1.0, 1.0]
+    assert export_text(parsed) == text
+
+
+def test_one_gate_object_added_twice_exports_twice():
+    circ = Circuit(n_system=3, n_ancilla=1)
+    gate = crbs(0.25, -0.5, 0, 3, controls=[(2, -1), (1, 1)])
+    circ.extend([gate, x(1), gate])
+    lines = export_text(circ).splitlines()[3:]
+    assert lines == ["crbs(0.25,-0.5) [q1+,q2-] q0 a0", "x q1", "crbs(0.25,-0.5) [q1+,q2-] q0 a0"]
+
+
+def test_repeated_line_parses_to_equal_gates():
+    line = "mcrz(0.5) [q2-,a0+] q1"
+    parsed = parse_text("# n=3 k=1 ell=1 mode=none\n# ancilla=1\n" + (line + "\n") * 100)
+    assert parsed.gates == [mcrz(0.5, 1, controls=[(2, -1), (3, 1)])] * 100
+
+
+def test_parse_reads_tokens_outside_the_wire_tables():
+    """A wire or control token that export_text would not write is still read."""
+    parsed = parse_text("# n=3 k=1 ell=1 mode=none\nmcry(1) [q02-,q1+] q00\ncx q01 q2\n")
+    assert parsed.gates == [mcry(1.0, 0, controls=[(1, 1), (2, -1)]), x(2, [1])]
 
 
 def test_x_family_lines_take_the_kind_x_derives():

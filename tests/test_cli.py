@@ -280,6 +280,9 @@ def test_ancilla_out_of_range_exit_code(tmp_path, capsys):
     ("# n=-1 k=1 ell=1 mode=none\n", "line 1, column 3"),
     ("# n=2 k=1 ell=1 mode=none\ncx q0 q0\n", "line 2, column 1"),
     ("# n=3 k=1 ell=1 mode=none\nmcx [q0+,q0-] q1\n", "line 2, column 1"),
+    ("# n=2 k=1 ell=1 mode=free\n# ancilla=1\nx a0\n# ancilla=0\n", "line 4, column 3"),
+    ("# n=2 k=1 ell=1 mode=free\nx q0\n# n=5\n", "line 3, column 3"),
+    ("# format=7\n# n=2 k=1 ell=1 mode=free\nx q0\n", "line 1, column 3"),
 ])
 def test_malformed_circuit_exit_code(tmp_path, capsys, body, position):
     path = tmp_path / "c.txt"

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from leafsep.analysis import (analyze, distribution_table, leaf_amplitude_table,
                               rotation_ladder_angles)
-from leafsep.circuit import Circuit, Gate, cost, export_text, parse_text, two_qubit_cost
+from leafsep.circuit import (Circuit, Gate, cost, export_text, mcry, mcrz, parse_text,
+                             two_qubit_cost, x)
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import StateVector, build_partition_tree, enumerate_weight_distributions
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 from leafsep.simulator import fidelity, simulate, system_purity
-from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, PHASE_FIT_TOL, SynthesisConfig,
+from leafsep.synthesis import (ANGLE_TOL, MODE_ANCILLA, MODE_FREE, PHASE_FIT_TOL, SynthesisConfig,
                                _gray_multiplexed_rotation, synthesize_full, synthesize_general_baseline,
                                synthesize_gwdb, synthesize_gwdb_tree,
                                synthesize_hwk_encoder, synthesize_initial,
@@ -555,6 +556,58 @@ def test_gray_multiplexed_rotation_matches_sign_matrix(m, kind):
         assert gate.targets == (4,)
         assert gate.controls == ((controls[m - 1 - changed], 1),)
     assert all(g.targets == (4,) and not g.controls for g in gates[::2])
+
+
+def _gray_cascade_reference(kind, angles, controls, target):
+    """The cascade built one Gray step at a time: Walsh-Hadamard butterflies on a
+    list, then per step the rotation (when not zero) and a new cx on the changed bit."""
+    maker = {"ry": mcry, "rz": mcrz}[kind]
+    m, size = len(controls), 1 << len(controls)
+    if max(abs(a) for a in angles) <= ANGLE_TOL:
+        return [], []
+    tilde = [float(a) for a in angles]
+    for j in range(m):
+        for start in range(0, size, 2 << j):
+            for i in range(start, start + (1 << j)):
+                a, b = tilde[i], tilde[i + (1 << j)]
+                tilde[i], tilde[i + (1 << j)] = a + b, a - b
+    tilde = [t / size for t in tilde]
+    if m == 0:
+        return [maker(tilde[0], target)], []
+    gray = [i ^ (i >> 1) for i in range(size)]
+    gates, cx_controls = [], []
+    for i, g in enumerate(gray):
+        if abs(tilde[g]) > ANGLE_TOL:
+            gates.append(maker(tilde[g], target))
+        changed = (g ^ gray[(i + 1) % size]).bit_length() - 1
+        cx_controls.append(controls[m - 1 - changed])
+        gates.append(x(target, controls=[(cx_controls[-1], 1)]))
+    return gates, cx_controls
+
+
+@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("kind", ["ry", "rz"])
+@pytest.mark.parametrize("zeros", ["none", "some", "constant", "all"])
+def test_gray_cascade_matches_step_by_step_reference(m, kind, zeros):
+    """Same gates in the same order, the same cx control at each step, and one shared
+    cx object per control wire."""
+    rng = np.random.default_rng([m, len(zeros)])
+    angles = rng.standard_normal(1 << m)
+    if zeros == "some":
+        angles[rng.random(1 << m) < 0.5] = 0.0
+    elif zeros == "constant":  # only the first Walsh coefficient survives
+        angles[:] = angles[0]
+    elif zeros == "all":
+        angles[:] = 0.0
+    controls = [5, 2, 7, 1, 3, 6][:m]
+    gates = _gray_multiplexed_rotation(kind, angles, controls, 4)
+    expected, cx_controls = _gray_cascade_reference(kind, angles, controls, 4)
+    assert gates == expected
+    assert [repr(p) for g in gates for p in g.params] == \
+        [repr(p) for g in expected for p in g.params]
+    assert [g.controls[0][0] for g in gates if g.kind == "cx"] == cx_controls
+    if gates and m:
+        assert len({id(g) for g in gates if g.kind == "cx"}) == m
 
 
 def test_gate_count_linear_growth_fixed_k():
