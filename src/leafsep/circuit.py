@@ -25,6 +25,7 @@ the first gate line; a repeated ``n`` must have the same value.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import ParseError
@@ -187,27 +188,23 @@ def cost(circuit: Circuit) -> CostReport:
     c-controlled crbs counts 2 + max(1, 2(c+1)); x is free, cx is 1, mcx with
     c >= 2 controls is 2c. Depth layers gates as early as their wires allow.
     """
-    tally: dict[tuple[str, int], int] = {}
-    wire_depth = [0] * circuit.n_wires
+    tally = Counter([(g.kind, len(g.controls)) for g in circuit.gates])
+    wire_depth: dict[int, int] = {}  # only the wires gates use: n may come from a file
+    depth_of = wire_depth.get
     for g in circuit.gates:
-        key = (g.kind, len(g.controls))
-        tally[key] = tally.get(key, 0) + 1
-        layer = max([wire_depth[w] for w in g.targets])
+        layer = max([depth_of(w, 0) for w in g.targets])
         for w, _ in g.controls:
-            if wire_depth[w] > layer:
+            if depth_of(w, 0) > layer:
                 layer = wire_depth[w]
         layer += 1
         for w in g.targets:
             wire_depth[w] = layer
         for w, _ in g.controls:
             wire_depth[w] = layer
-    two_q = total = 0
-    for key, count in tally.items():
-        two, one = _kind_cost(*key)
-        two_q += two * count
-        total += (two + one) * count
-    return CostReport(two_qubit_count=two_q, total_gate_count=total,
-                      depth=max(wire_depth, default=0))
+    return CostReport(
+        two_qubit_count=sum(_kind_cost(*key)[0] * count for key, count in tally.items()),
+        total_gate_count=sum(sum(_kind_cost(*key)) * count for key, count in tally.items()),
+        depth=max(wire_depth.values(), default=0))
 
 
 # --- textual interchange format -------------------------------------------
@@ -219,12 +216,15 @@ _LINE_FORMATS = {kind: " ".join([kind + (f"({','.join(['%.17g'] * n_params)})" i
                  for kind, (n_params, operands) in _KINDS.items()}
 
 
-def _wire_names(n_system: int, n_ancilla: int) -> tuple[dict, dict]:
-    """Each wire's token (``q3``, ``a0``) and each signed control's (``(3, -1)`` -> ``q3-``)."""
-    names = dict(enumerate([f"q{w}" for w in range(n_system)] + [f"a{w}" for w in range(n_ancilla)]))
-    signed = {(w, pol): name + sign for w, name in names.items()
-              for pol, sign in ((1, "+"), (-1, "-"))}
-    return names, signed
+class _Names(dict):
+    """Wire tokens, ``q3`` or ``a0`` past the system wires, each made when first asked for."""
+
+    def __init__(self, n_system: int):
+        self.n_system = n_system
+
+    def __missing__(self, w: int) -> str:
+        self[w] = name = f"q{w}" if w < self.n_system else f"a{w - self.n_system}"
+        return name
 
 
 def export_text(circuit: Circuit) -> str:
@@ -235,7 +235,7 @@ def export_text(circuit: Circuit) -> str:
         meta.get("mode", "none"))]
     if circuit.n_ancilla:
         lines.append(f"# ancilla={circuit.n_ancilla}")
-    names, signed = _wire_names(circuit.n_system, circuit.n_ancilla)
+    names = _Names(circuit.n_system)
     by_id: dict[int, str] = {}  # keyed on the object: equal gates may differ (-0.0 == 0.0)
     for g in circuit.gates:
         line = by_id.get(id(g))
@@ -243,7 +243,8 @@ def export_text(circuit: Circuit) -> str:
             words = [names[w] for w in g.targets]
             lead = _KINDS[g.kind][1][0]
             if lead == "controls":
-                words.insert(0, f"[{','.join([signed[c] for c in g.controls])}]")
+                words.insert(0, "[%s]" % ",".join([names[w] + ("+" if pol == 1 else "-")
+                                                   for w, pol in g.controls]))
             elif lead == "control":
                 words.insert(0, names[g.controls[0][0]])
             line = by_id[id(g)] = _LINE_FORMATS[g.kind] % (*g.params, *words)
@@ -269,8 +270,7 @@ def _parse_wire(token: str, wires: tuple[int, int], line_no: int, col: int) -> i
 
 def _parse_controls(token: str, part_of: dict, wires: tuple[int, int], line_no: int,
                     col: int):
-    """Sorted signed controls of a ``[q0+,a1-]`` token; ``part_of`` holds the parts
-    :func:`export_text` writes, any other part is read (or rejected) here."""
+    """Sorted signed controls of a ``[q0+,a1-]`` token; ``part_of`` memoises each part."""
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected control list, got {token!r}", line_no, col)
     out = []
@@ -279,7 +279,8 @@ def _parse_controls(token: str, part_of: dict, wires: tuple[int, int], line_no: 
         if control is None:
             if len(part) < 2 or part[-1] not in "+-":
                 raise ParseError(f"bad control token {part!r}", line_no, col)
-            control = (_parse_wire(part[:-1], wires, line_no, col), 1 if part[-1] == "+" else -1)
+            control = part_of[part] = (_parse_wire(part[:-1], wires, line_no, col),
+                                       1 if part[-1] == "+" else -1)
         out.append(control)
     return tuple(sorted(out))
 
@@ -313,7 +314,9 @@ def parse_text(text: str) -> Circuit:
     metadata: dict = {}
     gates: list[Gate] = []
     by_line: dict[str, Gate] = {}  # keyed on the text: equal gates may differ (-0.0 == 0.0)
-    wire_of = None  # token -> wire, built at the first gate line
+    wires = None  # (system, ancilla) wire counts, fixed at the first gate line
+    wire_of: dict[str, int] = {}  # memos by token, so each distinct token is read once
+    part_of: dict[str, tuple[int, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         gate = by_line.get(raw)
         if gate is not None:
@@ -338,19 +341,16 @@ def parse_text(text: str) -> Circuit:
                     raise ParseError(f"{key} must be non-negative, got {value}", line_no, col)
                 if key == "format" and number != 1:
                     raise ParseError(f"unsupported format {value}, expected 1", line_no, col)
-                if key in ("n", "ancilla") and wire_of is not None:
+                if key in ("n", "ancilla") and wires is not None:
                     raise ParseError(f"'{key}=' header after the first gate line", line_no, col)
                 if key == "n" and metadata.get("n", number) != number:
                     raise ParseError(f"n={value} after n={metadata['n']}", line_no, col)
                 metadata[key] = number
             continue
-        if wire_of is None:
+        if wires is None:
             if "n" not in metadata:
                 raise ParseError("gate line before '# n=...' header", line_no, 0)
             wires = (metadata["n"], metadata.get("ancilla", 0))
-            names, signed = _wire_names(*wires)
-            wire_of = {name: w for w, name in names.items()}
-            part_of = {name: c for c, name in signed.items()}
         tokens = line.split()
         col = raw.index(tokens[0]) + 1
         name, params, operands = _parse_head(tokens[0], line_no, col)
@@ -364,7 +364,7 @@ def parse_text(text: str) -> Circuit:
                 continue
             w = wire_of.get(token)
             if w is None:
-                w = _parse_wire(token, wires, line_no, col)
+                w = wire_of[token] = _parse_wire(token, wires, line_no, col)
             if operand == "target":
                 targets.append(w)
             else:

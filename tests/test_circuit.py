@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,10 +353,33 @@ def test_repeated_line_parses_to_equal_gates():
     assert parsed.gates == [mcrz(0.5, 1, controls=[(2, -1), (3, 1)])] * 100
 
 
-def test_parse_reads_tokens_outside_the_wire_tables():
+def test_parse_reads_non_canonical_wire_tokens():
     """A wire or control token that export_text would not write is still read."""
     parsed = parse_text("# n=3 k=1 ell=1 mode=none\nmcry(1) [q02-,q1+] q00\ncx q01 q2\n")
     assert parsed.gates == [mcry(1.0, 0, controls=[(1, 1), (2, -1)]), x(2, [1])]
+
+
+@pytest.mark.parametrize("text", [
+    "# format=1\n# n=1000000 k=1 ell=1 mode=none\nmcx [q0+,q999999-] q1\n",
+    "# format=1\n# n=1 k=1 ell=1 mode=none\n# ancilla=1000000\nmcx [q0+,a999999-] a0\n",
+])
+def test_header_wire_counts_size_nothing(text):
+    """Parse, cost and export of a one-gate file stay small whatever its header says.
+
+    A table of 10**6 wire names would take about 100 MB, far over the bound; a header
+    of 10**9 would not fail such a test but exhaust memory, so the test uses 10**6.
+    """
+    tracemalloc.start()
+    try:
+        circ = parse_text(text)
+        report = cost(circ)
+        out = export_text(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert out == text
+    assert (report.two_qubit_count, report.depth) == (4, 1)
 
 
 def test_x_family_lines_take_the_kind_x_derives():
