@@ -1,9 +1,9 @@
 """leafsep: compile leaf-separable quantum states into verified gate sequences."""
 
 from .analysis import (DistributionTable, FactoredTarget, SeparabilityReport, analyze,
-                       distribution_table, encoder_angles, factored_amplitudes,
-                       is_leaf_separable, leaf_amplitude_table, reconstruct_amplitudes,
-                       rotation_ladder_angles, tree_coefficients, weight_split_amplitudes)
+                       distribution_table, encoder_angles, is_leaf_separable,
+                       leaf_amplitude_table, reconstruct_amplitudes, rotation_ladder_angles,
+                       tree_coefficients, weight_split_amplitudes)
 from .circuit import (Circuit, CostReport, Gate, ParseError, cost, crbs,
                       export_text, mcphase, mcrz, mcry, parse_text, x)
 from .combinatorics import ehrlich_patterns, ehrlich_sequence

@@ -21,10 +21,14 @@ leaf, as the leaves own disjoint bits.  :func:`_classes` expands every class lea
 by leaf, from one empty prefix per distribution, so each comes out ascending, and
 caches them per (tree, total weights): the table, the compiled state and the
 separability check enumerate a target's classes once, never all 2^n indices.
-Leaf u owns the index bits of ``mask_u``: the basis state carrying the
-leaf-u pattern of ``idx`` and agreeing with ``ref`` everywhere else is
-``(ref & ~mask_u) | (idx & mask_u)``.  :func:`factored_amplitudes` goes the
-other way, from c(I) and per-leaf tables to the dense vector.
+The target is its support (:class:`leafsep.core.StateVector`), read at the members
+once: the table looks the members up in their sorted order, which :func:`_classes`
+caches with each member's rank in it, and keeps that read for the separability check.  Leaf
+u owns the index bits of ``mask_u``: the basis state carrying the leaf-u pattern of
+``idx`` and agreeing with ``ref`` everywhere else is ``(ref & ~mask_u) | (idx &
+mask_u)``; the leaf tables read all of theirs in one lookup.  :func:`_product` goes
+the other way, from c(I) and per-leaf tables to amplitudes on the members: the
+compiled state, and the targets :mod:`leafsep.experiments` generates.
 """
 from __future__ import annotations
 
@@ -36,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import ehrlich_patterns
-from .core import (PartitionTree, StateVector, dense_size, enumerate_weight_distributions,
-                   index_to_string)
+from .core import (PartitionTree, StateVector, check_index_width,
+                   enumerate_weight_distributions, index_to_string)
 
 DEAD_BRANCH_TOL = 1e-12
 REFERENCE_REL_TOL = 1e-9
@@ -46,8 +50,10 @@ REFERENCE_REL_TOL = 1e-9
 @lru_cache(maxsize=32)
 def _classes(tree: PartitionTree, total_weights: tuple[int, ...]):
     """The distributions of ``total_weights`` (D x G leaf weights, in the given order, each
-    total's ascending), their members concatenated row by row, each class ascending, and
-    each row's end in that concatenation; all read-only (see module docstring)."""
+    total's ascending), their members concatenated row by row, each class ascending, each
+    row's end in that concatenation, the members sorted and each member's rank among them;
+    all read-only (see module docstring)."""
+    check_index_width(tree.n)
     dists = np.array([dist for ell in total_weights
                       for dist in enumerate_weight_distributions(tree.leaf_sizes, ell)],
                      dtype=np.int64).reshape(-1, tree.num_leaves)
@@ -63,9 +69,11 @@ def _classes(tree: PartitionTree, total_weights: tuple[int, ...]):
         skip = np.cumsum(repeats) - repeats - (np.cumsum(counts) - counts)[w]
         members |= patterns[np.arange(len(members)) - np.repeat(skip, repeats)]
     ends = np.cumsum(np.bincount(rows, minlength=len(dists)))
-    for array in (dists, members, ends):
+    ascending = np.sort(members)
+    rank = np.searchsorted(ascending, members)
+    for array in (dists, members, ends, ascending, rank):
         array.flags.writeable = False
-    return dists, members, ends
+    return dists, members, ends, ascending, rank
 
 
 @dataclass(frozen=True)
@@ -78,16 +86,17 @@ class DistributionTable:
     references: np.ndarray   # smallest index in the class with non-negligible amplitude, or -1
     phases: np.ndarray       # complex argument of the target there, 0 without a reference
     live: np.ndarray         # a reference and norm > DEAD_BRANCH_TOL
+    member_amplitudes: np.ndarray  # the target at each member of each row's class, in order
 
 
 def distribution_table(psi: StateVector, tree: PartitionTree,
                        total_weights=None) -> DistributionTable:
     """All valid distributions for the given total weights, with c(I) and reference."""
     total_weights = tuple(psi.weights_present() if total_weights is None else total_weights)
-    amps = psi.amplitudes
-    cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(amps)))
-    dists, idx, ends = _classes(tree, total_weights)
-    mags = np.abs(amps[idx])
+    cutoff = REFERENCE_REL_TOL * float(np.max(np.abs(psi.values), initial=0.0))
+    dists, idx, ends, ascending, rank = _classes(tree, total_weights)
+    amps = psi.lookup(ascending)[rank]  # the target at each member
+    mags = np.abs(amps)
     live = np.append(np.flatnonzero(mags > cutoff), len(mags))
     begins = np.append(0, ends[:-1])
     first = live[np.searchsorted(live, begins)]  # first live position of each class
@@ -95,9 +104,9 @@ def distribution_table(psi: StateVector, tree: PartitionTree,
     refs = np.where(found, np.append(idx, -1)[first], -1)
     norms = np.sqrt(np.bincount(np.repeat(np.arange(len(dists)), ends - begins),
                                 weights=mags ** 2, minlength=len(dists)))
-    phases = np.where(found, np.angle(amps[refs]), 0.0)
+    phases = np.where(found, np.angle(amps.take(first, mode="clip")), 0.0)
     return DistributionTable(total_weights, dists, norms, refs, phases,
-                             found & (norms > DEAD_BRANCH_TOL))
+                             found & (norms > DEAD_BRANCH_TOL), amps)
 
 
 # --- node split amplitudes -------------------------------------------------
@@ -161,19 +170,24 @@ def leaf_amplitude_table(psi: StateVector, tree: PartitionTree,
     has a reference, normalized to unit 2-norm.  Rows without a reference are
     skipped.
     """
-    amps = psi.amplitudes
     rows = np.flatnonzero(distributions.references >= 0)
     refs = distributions.references[rows]
-    table: dict[tuple[int, int], np.ndarray] = {}
+    table, reads = {}, []  # reads: (key, the reference, the class members it reads)
     for u, leaf in enumerate(tree.leaves):
         weights, first = np.unique(distributions.weights[rows, u], return_index=True)
         for w, ref in zip(weights.tolist(), refs[first].tolist()):
-            if w == 0:
-                table[(u, 0)] = np.array([1.0 + 0.0j])
-                continue
-            patterns = ehrlich_patterns(leaf.size, w) << (psi.n - leaf.start - leaf.size)
-            gammas = amps[(ref & ~leaf.mask(psi.n)) | patterns] / amps[ref]
-            table[(u, w)] = gammas / np.linalg.norm(gammas)
+            table[(u, w)] = np.array([1.0 + 0.0j])
+            if w:
+                patterns = ehrlich_patterns(leaf.size, w) << (psi.n - leaf.start - leaf.size)
+                reads.append(((u, w), ref, (ref & ~leaf.mask(psi.n)) | patterns))
+    if reads:
+        keys, ref_of, queries = zip(*reads)
+        amps = psi.lookup(np.concatenate([ref_of, *queries]))
+        start = len(keys)
+        for key, ref_amp, members in zip(keys, amps[:start].tolist(), queries):
+            gammas = amps[start:start + len(members)] / ref_amp
+            table[key] = gammas / np.linalg.norm(gammas)
+            start += len(members)
     return table
 
 
@@ -196,10 +210,8 @@ def encoder_angles(amplitudes) -> tuple[list[tuple[float, float]], float]:
                if mags[t - 1] > 1e-15 else 0.0)
         pairs.append((theta, phi))
         chi -= phi / 2.0
-    if len(a) and mags[-1] > 1e-15:
-        trailing = math.remainder(cmath.phase(a[-1]) - chi, 2.0 * math.pi)
-    else:
-        trailing = 0.0
+    trailing = (math.remainder(cmath.phase(a[-1]) - chi, 2.0 * math.pi)
+                if len(a) and mags[-1] > 1e-15 else 0.0)
     return pairs, trailing
 
 
@@ -256,7 +268,7 @@ def _product(tree: PartitionTree, total_weights: tuple, coefficients, factors):
     :func:`_classes`), each one's end, and ``coefficients[j] * prod_u factors[u][g_u(b)]``
     at each member b of the j-th, multiplied leaf by leaf on real and imaginary parts and
     added into zeros."""
-    _, idx, ends = _classes(tree, tuple(total_weights))
+    _, idx, ends = _classes(tree, tuple(total_weights))[:3]
     coeff = np.repeat(np.asarray(coefficients, dtype=np.complex128), np.diff(ends, prepend=0))
     re, im = coeff.real, coeff.imag
     for leaf, table in zip(tree.leaves, factors):
@@ -268,25 +280,13 @@ def _product(tree: PartitionTree, total_weights: tuple, coefficients, factors):
     return idx, ends, values
 
 
-def factored_amplitudes(tree: PartitionTree, total_weights, coefficients,
-                        factors: list[np.ndarray]) -> np.ndarray:
-    """``coefficients[j] * prod_u factors[u][g_u(b)]`` on each member b of the j-th
-    distribution of ``total_weights`` (the rows of their :func:`distribution_table`),
-    g_u(b) the local pattern of leaf u; 0 elsewhere."""
-    size = dense_size(tree.n)  # too many qubits fail here, before anything is allocated
-    idx, _, values = _product(tree, total_weights, coefficients, factors)
-    amps = np.zeros(size, dtype=np.complex128)
-    amps[idx] = values
-    return amps
-
-
 def reconstruct_amplitudes(psi: StateVector, tree: PartitionTree) -> StateVector:
     """The state ``synthesize_full`` prepares from ``psi``, up to the global phase that
     gives the first live distribution's reference its target phase; ``psi`` itself
     exactly when separable.  (The circuit applies each distribution's phase through
     the leaf encoders and residual gates, so its own global phase differs.)"""
-    compiled = _compiled(tree, analyze(psi, tree))
-    return StateVector(psi.n, factored_amplitudes(tree, *compiled), check=False)
+    idx, _, values = _product(tree, *_compiled(tree, analyze(psi, tree)))
+    return StateVector(psi.n, idx, values, check=False)
 
 
 @dataclass
@@ -301,11 +301,10 @@ class SeparabilityReport:
     def distributions(self) -> list[dict]:
         """c(I) per distribution of the checked table, built on request: a compile reads
         only the verdict."""
-        table = self.table
-        if table is None:
+        if self.table is None:
             return []
-        return [{"I": weights, "c": norm}
-                for weights, norm in zip(table.weights.tolist(), table.norms.tolist())]
+        return [{"I": weights, "c": norm} for weights, norm
+                in zip(self.table.weights.tolist(), self.table.norms.tolist())]
 
     def to_json_dict(self) -> dict:
         return {"separable": self.separable, "tol": self.tol, "max_delta": self.max_delta,
@@ -329,7 +328,7 @@ def is_leaf_separable(psi: StateVector, tree: PartitionTree, tol: float = 1e-9, 
         factored = analyze(psi, tree)
     idx, ends, compiled = _product(tree, *_compiled(tree, factored))
     dists = factored.distributions.weights
-    delta = np.abs(psi.amplitudes[idx] - compiled)
+    delta = np.abs(factored.distributions.member_amplitudes - compiled)
     violations = [{"I": dists[np.searchsorted(ends, b, side="right")].tolist(),
                    "bitstring": index_to_string(int(idx[b]), psi.n), "delta": float(delta[b])}
                   for b in np.flatnonzero(delta > tol)[:1]]

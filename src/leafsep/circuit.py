@@ -93,13 +93,8 @@ class Gate:
 
 
 def _norm_controls(controls) -> tuple[tuple[int, int], ...]:
-    out = []
-    for c in controls or ():
-        if isinstance(c, tuple):
-            out.append((int(c[0]), int(c[1])))
-        else:
-            out.append((int(c), 1))
-    return tuple(sorted(out))
+    return tuple(sorted([(int(c[0]), int(c[1])) if isinstance(c, tuple) else (int(c), 1)
+                         for c in controls or ()]))
 
 
 def x(target: int, controls=()) -> Gate:
@@ -380,6 +375,6 @@ def parse_text(text: str) -> Circuit:
         raise ParseError("missing '# n=...' header", 1, 0)
     meta = {"n": metadata["n"], "k": metadata.get("k", 0), "ell": metadata.get("ell", 0),
             "mode": metadata.get("mode", "none")}
-    circ = Circuit(n_system=meta["n"], n_ancilla=metadata.get("ancilla", 0), metadata=meta)
-    circ.extend(gates)
-    return circ
+    # every wire is in range: _parse_wire bounds it by the headers, fixed at the first gate
+    return Circuit(n_system=meta["n"], n_ancilla=metadata.get("ancilla", 0), gates=gates,
+                   metadata=meta)

@@ -1,8 +1,13 @@
-"""Shared vocabulary: bitstrings, state vectors, partition trees, weight distributions.
+"""Shared vocabulary: bitstrings, states, partition trees, weight distributions.
 
 Bit order convention used everywhere in this package: the leftmost character
 of a bitstring is qubit 0 and the most significant bit of the integer index.
 So ``"0011"`` on 4 qubits is index 3, with qubits 2 and 3 set.
+
+A :class:`StateVector` is held as its support: ascending int64 basis indices and
+their non-zero amplitudes, so a weight-ell target on n qubits takes C(n, ell)
+entries, not 2^n.  It is read by sorted search (:func:`find_sorted`,
+:meth:`StateVector.lookup`); its 2^n dense amplitudes are built only on request.
 """
 from __future__ import annotations
 
@@ -17,6 +22,8 @@ NORM_TOL = 1e-12
 
 # Largest register a dense state (2^n amplitudes) may span.
 MAX_QUBITS = 32
+# Basis indices are int64, so no state spans more than this many qubits.
+MAX_INDEX_QUBITS = 63
 
 
 class ParseError(ValueError):
@@ -63,6 +70,22 @@ def dense_size(n: int) -> int:
     return 1 << n
 
 
+def check_index_width(n: int) -> None:
+    """Reject registers whose basis indices do not fit in int64."""
+    if not 0 <= n <= MAX_INDEX_QUBITS:
+        raise ValueError(f"n = {n} is outside the {MAX_INDEX_QUBITS}-qubit index limit of "
+                         "int64 basis indices")
+
+
+def find_sorted(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each of ``queries`` in the ascending ``keys``, and whether it is there;
+    both arrays of one integer type."""
+    if len(keys) == 0:
+        return np.zeros(len(queries), dtype=np.intp), np.zeros(len(queries), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return pos, keys[pos] == queries
+
+
 @dataclass(frozen=True)
 class TreeNode:
     """One node of a partition tree over a contiguous qubit range."""
@@ -82,10 +105,7 @@ class TreeNode:
 
     def mask(self, n: int) -> int:
         """Integer mask selecting this node's qubits under the MSB-first order."""
-        m = 0
-        for q in self.qubits:
-            m |= 1 << (n - 1 - q)
-        return m
+        return ((1 << self.size) - 1) << (n - self.start - self.size)
 
 
 @dataclass(frozen=True)
@@ -107,16 +127,12 @@ class PartitionTree:
 
     def internal_nodes(self) -> list[TreeNode]:
         """Internal nodes in preorder (each parent before its children)."""
-        out: list[TreeNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                return
-            out.append(node)
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
+        out, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                out.append(node)
+                stack += [node.right, node.left]
         return out
 
 
@@ -162,67 +178,97 @@ def enumerate_weight_distributions(leaf_sizes, total: int) -> list[tuple[int, ..
 
 
 class StateVector:
-    """Dense complex amplitudes over an n-qubit register, indexed MSB-first."""
+    """A state on an n-qubit register held as its support: ascending basis indices
+    (MSB-first) and their non-zero amplitudes.  The constructor sorts indices given out
+    of order, rejects one given twice and drops zero amplitudes."""
 
-    __slots__ = ("n", "amplitudes")
+    __slots__ = ("n", "indices", "values")
 
-    def __init__(self, n: int, amplitudes, normalize: bool = False, check: bool = True):
-        size = dense_size(n)
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.shape[0] != size:
-            raise ValueError(f"expected {size} amplitudes for n={n}, got {amps.shape[0]}")
-        if (normalize or check) and not np.all(np.isfinite(amps)):
+    def __init__(self, n: int, indices, values, normalize: bool = False, check: bool = True):
+        check_index_width(n)
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        vals = np.asarray(values, dtype=np.complex128).reshape(-1)
+        if idx.shape != vals.shape:
+            raise ValueError(f"{len(idx)} indices but {len(vals)} amplitudes")
+        if np.any(idx[1:] <= idx[:-1]):
+            order = np.argsort(idx)
+            idx, vals = idx[order], vals[order]
+            if np.any(idx[1:] == idx[:-1]):
+                raise ValueError("a basis index is listed twice")
+        if len(idx) and (idx[0] < 0 or idx[-1] >= 1 << n):
+            raise ValueError(f"basis indices must be in [0, 2^{n}) for n={n}")
+        kept = vals != 0
+        if not kept.all():
+            idx, vals = idx[kept], vals[kept]
+        if (normalize or check) and not np.all(np.isfinite(vals)):
             raise ValueError("amplitudes must be finite, got NaN or infinity")
         if normalize:
-            norm = np.linalg.norm(amps)
+            norm = np.linalg.norm(vals)
             if norm == 0:
                 raise ValueError("cannot normalize the zero vector")
-            amps = amps / norm
-        elif check and abs(np.vdot(amps, amps).real - 1.0) > 1e-9:
+            vals = vals / norm
+        elif check and abs(np.vdot(vals, vals).real - 1.0) > 1e-9:
             raise ValueError("state vector is not normalized")
-        self.n = n
-        self.amplitudes = amps
+        self.n, self.indices, self.values = n, idx, vals
+
+    @classmethod
+    def from_dense(cls, n: int, amplitudes, normalize: bool = False,
+                   check: bool = True) -> "StateVector":
+        """From all 2^n amplitudes in index order."""
+        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(dense_size(n))
+        idx = np.flatnonzero(amps)
+        return cls(n, idx, amps[idx], normalize=normalize, check=check)
 
     @classmethod
     def basis(cls, n: int, bits: str) -> "StateVector":
         if len(bits) != n:
             raise ValueError(f"expected a {n}-bit string, got {bits!r}")
-        amps = np.zeros(dense_size(n), dtype=np.complex128)
-        amps[string_to_index(bits)] = 1.0
-        return cls(n, amps)
+        return cls(n, [string_to_index(bits)], [1.0])
 
     @classmethod
     def from_terms(cls, n: int, terms: dict, normalize: bool = False) -> "StateVector":
         """Build from a {bitstring-or-index: amplitude} mapping; missing entries are zero."""
-        amps = np.zeros(dense_size(n), dtype=np.complex128)
-        for key, value in terms.items():
-            idx = string_to_index(key) if isinstance(key, str) else int(key)
-            amps[idx] = value
-        return cls(n, amps, normalize=normalize)
+        indices = [string_to_index(key) if isinstance(key, str) else int(key) for key in terms]
+        return cls(n, indices, list(terms.values()), normalize=normalize)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """All 2^n amplitudes in index order, built on each request."""
+        amps = np.zeros(dense_size(self.n), dtype=np.complex128)
+        amps[self.indices] = self.values
+        return amps
+
+    def lookup(self, indices) -> np.ndarray:
+        """The amplitudes at ``indices``, 0 where the support has none."""
+        queries = np.asarray(indices, dtype=np.int64)
+        if np.array_equal(queries, self.indices):  # the support itself: nothing to search
+            return self.values.copy()
+        pos, found = find_sorted(self.indices, queries)
+        out = np.zeros(len(pos), dtype=np.complex128)
+        out[found] = self.values[pos[found]]
+        return out
 
     def amplitude(self, bits: str) -> complex:
-        return complex(self.amplitudes[string_to_index(bits)])
+        index = string_to_index(bits)
+        pos = self.indices.searchsorted(index)
+        if pos < len(self.indices) and self.indices.item(pos) == index:
+            return self.values.item(pos)
+        return 0j
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def support(self, tol: float = 1e-12) -> list[str]:
-        """Bitstrings with |amplitude| above ``tol``, in index order."""
-        return [index_to_string(i, self.n) for i in np.flatnonzero(np.abs(self.amplitudes) > tol)]
+        return float(np.linalg.norm(self.values))
 
     def weights_present(self, tol: float = 1e-12) -> list[int]:
         """Hamming weights carrying probability above tol^2, ascending."""
-        nonzero = np.flatnonzero(np.abs(self.amplitudes) ** 2 > tol * tol)
-        return np.flatnonzero(np.bincount(np.bitwise_count(nonzero),
+        kept = self.indices[np.abs(self.values) ** 2 > tol * tol]
+        return np.flatnonzero(np.bincount(np.bitwise_count(kept),
                                           minlength=self.n + 1)).tolist()
 
     def to_json_dict(self, tol: float = 1e-15) -> dict:
-        entries = []
-        for i in np.flatnonzero(np.abs(self.amplitudes) > tol):
-            a = self.amplitudes[i]
-            entries.append({"bitstring": index_to_string(int(i), self.n),
-                            "re": float(a.real), "im": float(a.imag)})
-        return {"n": self.n, "amplitudes": entries}
+        kept = np.abs(self.values) > tol
+        return {"n": self.n, "amplitudes": [
+            {"bitstring": index_to_string(i, self.n), "re": a.real, "im": a.imag}
+            for i, a in zip(self.indices[kept].tolist(), self.values[kept].tolist())]}
 
     @classmethod
     def from_json_dict(cls, data: dict, normalize: bool = False) -> "StateVector":
@@ -235,8 +281,9 @@ class StateVector:
         n = _parse_integer(data["n"], '"n"')
         if n < 0:
             raise ParseError(f'"n" must be non-negative, got {n}')
-        amps = np.zeros(dense_size(n), dtype=np.complex128)
+        dense_size(n)
         listed: dict[int, int] = {}  # basis index -> position of its entry
+        values = []
         for pos, entry in enumerate(data["amplitudes"]):
             where = f"amplitudes[{pos}]"
             if not isinstance(entry, dict):
@@ -254,9 +301,9 @@ class StateVector:
                 raise ParseError(f"{where}: basis state {index_to_string(idx, n)} is already "
                                  f"listed at amplitudes[{listed[idx]}]")
             listed[idx] = pos
-            amps[idx] = (_parse_real(entry.get("re", 0.0), f"{where} re")
-                         + 1j * _parse_real(entry.get("im", 0.0), f"{where} im"))
-        return cls(n, amps, normalize=normalize)
+            values.append(complex(_parse_real(entry.get("re", 0.0), f"{where} re"),
+                                  _parse_real(entry.get("im", 0.0), f"{where} im")))
+        return cls(n, list(listed), values, normalize=normalize)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -267,9 +314,11 @@ class StateVector:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, StateVector) and self.n == other.n
-                and np.array_equal(self.amplitudes, other.amplitudes))
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self) -> str:
-        kept = ", ".join(f"{b}: {self.amplitude(b):.4g}" for b in self.support()[:4])
-        more = "" if len(self.support()) <= 4 else ", ..."
+        kept = ", ".join(f"{index_to_string(i, self.n)}: {a:.4g}"
+                         for i, a in zip(self.indices[:4].tolist(), self.values[:4].tolist()))
+        more = "" if len(self.indices) <= 4 else ", ..."
         return f"StateVector(n={self.n}, {{{kept}{more}}})"

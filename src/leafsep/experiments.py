@@ -11,9 +11,9 @@ Assembly works on basis indices, never bitstrings.  A leaf's class vectors fill
 one table indexed by its local pattern (lexicographic class order is ascending
 pattern), the coefficient of every weight distribution is its profile weight
 times its per-node splits (:func:`leafsep.analysis.tree_coefficients`, taken for all
-distributions at once), and :func:`leafsep.analysis.factored_amplitudes` multiplies
-both out over the members of every distribution: the product behind the compiled
-state and the separability check.
+distributions at once), and :func:`leafsep.analysis._product` multiplies both out
+over the members of every distribution, the product behind the compiled state and
+the separability check, into the state's support; nothing is sized by 2^n.
 
 All randomness flows from integer seeds; per-target seeds derive from
 (master seed, n, k, state index), so a cell's results do not depend on which
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _classes, _node_weights, factored_amplitudes, tree_coefficients
+from .analysis import _classes, _node_weights, _product, tree_coefficients
 from .circuit import cost
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, dense_size
 from .simulator import simulate
@@ -87,16 +87,15 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
               rng: np.random.Generator) -> StateVector:
     leaf_weights = _classes(tree, weights)[0]
     splits = _node_split_samples(tree, leaf_weights, rng, 0.05 if kind == "nonneg" else 0.0)
-    factors = []
+    factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
     for u, size in enumerate(tree.leaf_sizes):
-        factors.append(np.zeros(1 << size, dtype=np.complex128))
-        slots = np.bitwise_count(np.arange(1 << size))  # lexicographic order: ascending pattern
-        for w in np.unique(leaf_weights[:, u]):
-            factors[u][slots == w] = _sample_unit(rng, math.comb(size, int(w)), kind)
+        for w in np.unique(leaf_weights[:, u]).tolist():  # lexicographic order: ascending
+            slots = np.sort(ehrlich_patterns(size, w))
+            factors[u][slots] = _sample_unit(rng, len(slots), kind)
 
     coeffs = tree_coefficients(tree, leaf_weights, profile, splits)
-    amps = factored_amplitudes(tree, weights, coeffs, factors)
-    return StateVector(tree.n, amps, normalize=True)
+    idx, _, values = _product(tree, weights, coeffs, factors)
+    return StateVector(tree.n, idx, values, normalize=True)
 
 
 def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
@@ -127,10 +126,8 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
 def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> StateVector:
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
     _check_size(n, 1, "w", w, n)
-    support = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == w)  # lexicographic order
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[support] = _sample_unit(np.random.default_rng(seed), len(support), kind)
-    return StateVector(n, amps)
+    support = np.sort(ehrlich_patterns(n, w))  # lexicographic order
+    return StateVector(n, support, _sample_unit(np.random.default_rng(seed), len(support), kind))
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -161,13 +158,10 @@ class ExperimentConfig:
 
 def _fidelity_cell(n: int, k: int, ell: int, mode: str, kind: str, master: int,
                    count: int) -> dict:
-    fids = []
-    for idx in range(count):
-        psi = random_leaf_separable(n, k, ell, kind, seed=derive_seed(master, n, k, idx))
-        circ = synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=mode))
-        res = simulate(circ, target=psi)
-        fids.append(res.fidelity)
-    arr = np.array(fids)
+    config = SynthesisConfig(n=n, k=k, mode=mode)
+    targets = (random_leaf_separable(n, k, ell, kind, seed=derive_seed(master, n, k, idx))
+               for idx in range(count))
+    arr = np.array([simulate(synthesize_full(psi, config), target=psi).fidelity for psi in targets])
     return {"n": n, "k": k, "ell": ell, "mode": mode, "field": kind, "seed": master,
             "mean_fidelity": float(arr.mean()), "min_fidelity": float(arr.min()),
             "max_fidelity": float(arr.max()), "std_fidelity": float(arr.std()),
@@ -200,10 +194,9 @@ def run_cost_sweep(config: ExperimentConfig) -> list[dict]:
         }
         for method in COST_METHODS:
             if method == "hwk_encoder":
-                eta = psi.amplitudes[ehrlich_patterns(n, ell)]
-                eta = eta / np.linalg.norm(eta)
+                eta = psi.lookup(ehrlich_patterns(n, ell))
                 circ = synthesize_initial(n, ell)
-                circ.extend(synthesize_hwk_encoder(n, ell, eta))
+                circ.extend(synthesize_hwk_encoder(n, ell, eta / np.linalg.norm(eta)))
             else:
                 circ = circuits[method]
             report = cost(circ)

@@ -79,9 +79,11 @@ once per amplitude.  The residual distribution phases of a free-mode circuit
 dense fixed-weight ones need) are such a run; in ancilla mode they leave the
 ancillas out and are applied gate by gate.
 The dense state starts in the plan's axis order and is permuted back once at
-the end, so the returned state is in wire order: ancilla wires sit after the
-system wires and are the least significant index bits, and a state on system
-wires embeds as a Kronecker product with |0...0> on the ancillas.
+the end.  Either engine returns the state's support in wire order: ancilla wires
+sit after the system wires as the low index bits, so a state on the system wires
+embeds with |0...0> on the ancillas by a shift of its indices.  Fidelity and
+purity read one matrix over the support: a row per system index present, a
+column per ancilla pattern present.
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ from functools import partial
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .core import StateVector, dense_size
+from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
 # The cost rule alone is not enough below it: with no floor it starts the 15-wire
@@ -136,17 +138,12 @@ def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
     return None, np.exp(1j * phi)
 
 
-def _controls_slicer(gate: Gate, axis: list[int], ndim: int) -> list:
-    idx: list = [slice(None)] * ndim
-    for wire, pol in gate.controls:
-        idx[axis[wire]] = 1 if pol == 1 else 0
-    return idx
-
-
 def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
     """In-place application of one gate to a tensor whose axis ``axis[w]``, of length 2,
     is wire w; its other axes are left alone."""
-    i0 = _controls_slicer(gate, axis, state.ndim)
+    i0: list = [slice(None)] * state.ndim
+    for wire, pol in gate.controls:
+        i0[axis[wire]] = 1 if pol == 1 else 0
     i1 = list(i0)
     t = axis[gate.targets[0]]
     i0[t], i1[t] = 0, 1
@@ -243,12 +240,6 @@ def _phase_run(run: list[Gate], bit: list[int]) -> tuple[list[int], list[complex
     return index, [_diagonal(g)[1] for g in run]
 
 
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each of ``queries`` in the sorted, non-empty ``keys``, and if it is there."""
-    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return pos, keys[pos] == queries
-
-
 def _support_pays(n: int, size: int, steps_left: int, work_left: int) -> bool:
     """Whether the rest of a run on ``n`` wires is cheaper on a support of ``size``
     entries than dense, by the cost model of the module docstring; the remaining
@@ -276,7 +267,7 @@ class _Support:
         if isinstance(step, list):
             index, factors = _phase_run(step, self.bit)
             order = np.argsort(idx)
-            pos, hit = _lookup(idx[order], np.array(index, dtype=np.uint64))
+            pos, hit = find_sorted(idx[order], np.array(index, dtype=np.uint64))
             np.multiply.at(self.amp, order[pos[hit]], np.array(factors)[hit])
             return
         gate = step
@@ -368,7 +359,7 @@ class _Support:
         keys = self.idx[sel]
         order = np.argsort(keys)
         keys, sel = keys[order], sel[order]
-        pos, found = _lookup(keys, keys ^ flip)
+        pos, found = find_sorted(keys, keys ^ flip)
         missing = np.flatnonzero(~found)
         mates = np.empty_like(sel)
         mates[found] = sel[pos[found]]
@@ -422,12 +413,10 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     ``first_dense_gate`` is 0 when the whole run was dense and the gate count
     when none of it was.
     """
-    n = circuit.n_wires
-    dense_size(n)  # too many wires fail here, before anything is allocated
+    dense_size(circuit.n_wires)  # too many wires fail here, before anything is allocated
     start = time.perf_counter()
-    amplitudes, peak, first_dense, block_gates = _run(circuit, initial,
-                                                      partial(_support_pays, n), _block_pays)
-    final = StateVector(n, amplitudes, check=False)
+    final, peak, first_dense, block_gates = _run(
+        circuit, initial, partial(_support_pays, circuit.n_wires), _block_pays)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
                               n_ancilla=circuit.n_ancilla, norm=final.norm(),
@@ -440,31 +429,32 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
 
 
 def _run(circuit: Circuit, initial, stay, fuse=None,
-         width: int = BLOCK_MAX_WIRES) -> tuple[np.ndarray, int, int, int]:
+         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int]:
     """Plan and run ``circuit`` on ``initial``: on the support while
     ``stay(size, steps_left, work_left)`` holds before each step, then dense in the
     plan's layout.  On the support, runs of gates on at most ``width`` wires are
     blocks, each run as one step when ``fuse`` (see :meth:`_Support.block`) agrees;
     with no ``fuse`` every gate is a step of its own.
 
-    Returns the final amplitudes in wire order, the peak support (taken between
-    steps), the index of the first gate run dense (the gate count when none
-    was) and the number of gates run in blocks.  Only this frame holds the
-    planned-layout state, so it is freed on return and no wire-order buffer of
-    the input outlives the first permutation.
+    Returns the final state, the peak support (taken between steps), the index of
+    the first gate run dense (the gate count when none was) and the number of
+    gates run in blocks.
     """
     n = circuit.n_wires
     order, steps, work = _plan(circuit)
     work_left = sum(work)
-    wires = None if initial is None else _initial_amplitudes(circuit, initial)
-    indices = np.zeros(1, dtype=np.int64) if wires is None else np.flatnonzero(wires)
+    start = StateVector.basis(n, "0" * n) if initial is None else initial
+    if isinstance(start, str):
+        start = StateVector.basis(circuit.n_system, start)
+    if not isinstance(start, StateVector):
+        raise TypeError("initial must be None, a bitstring, or a StateVector")
+    if start.n not in (n, circuit.n_system):
+        raise ValueError(f"initial state has {start.n} wires, circuit has "
+                         f"{circuit.n_system}+{circuit.n_ancilla}")
+    indices, values = start.indices << (n - start.n), start.values  # ancillas: low bits, |0>
     done = first_dense = block_gates = 0
     if steps and stay(len(indices), len(steps), work_left):
-        support = _Support(n, indices, np.ones(1) if wires is None else wires[indices])
-        # Allocated before the run, as the dense path allocates its state: allocated
-        # after it, above the run's freed temporaries on the heap, it raised the
-        # benchmark's peak RSS by 1 MB on narrow-leaves and 4 MB on wide-leaves-ancilla.
-        wires = np.zeros(1 << n, dtype=np.complex128)
+        support = _Support(n, indices, values)
         blocks = {} if fuse is None else _blocks(steps, width)
         peak = support.size
         while done < len(steps) and stay(support.size, len(steps) - done, work_left):
@@ -479,17 +469,17 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
             done = stop
             peak = max(peak, support.size)
         first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
-        wires[support.idx[:support.size]] = support.amp[:support.size]
+        indices, values = support.idx[:support.size], support.amp[:support.size]
         if done == len(steps):
-            return wires, peak, first_dense, block_gates
-        del support
-    del indices
-    if wires is None:
+            return StateVector(n, indices, values, check=False), peak, first_dense, block_gates
+    if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0
     else:
-        state = wires.reshape([2] * n).transpose(order).copy()
-        del wires
+        state = np.zeros(1 << n, dtype=np.complex128)  # in wire order until the copy
+        state[indices] = values
+        del indices, values
+        state = state.reshape([2] * n).transpose(order).copy()
     axis = [0] * n
     for a, wire in enumerate(order):
         axis[wire] = a
@@ -499,30 +489,23 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
             np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
         else:
             _apply_gate(state, step, axis)
-    return state.transpose(axis).reshape(-1), 1 << n, first_dense, block_gates
+    amps = state.transpose(axis).reshape(-1)
+    indices = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
+    return StateVector(n, indices, amps[indices], check=False), 1 << n, first_dense, block_gates
 
 
-def _initial_amplitudes(circuit: Circuit, initial) -> np.ndarray:
-    """Wire-order amplitudes over all wires for a given ``initial``; may share its buffer."""
-    if isinstance(initial, str):
-        return _embed(StateVector.basis(circuit.n_system, initial).amplitudes,
-                      circuit.n_ancilla)
-    if isinstance(initial, StateVector):
-        if initial.n == circuit.n_wires:
-            return initial.amplitudes
-        if initial.n == circuit.n_system:
-            return _embed(initial.amplitudes, circuit.n_ancilla)
-        raise ValueError(f"initial state has {initial.n} wires, circuit has "
-                         f"{circuit.n_system}+{circuit.n_ancilla}")
-    raise TypeError("initial must be None, a bitstring, or a StateVector")
-
-
-def _embed(system_amps: np.ndarray, n_ancilla: int) -> np.ndarray:
-    if n_ancilla == 0:
-        return system_amps
-    anc = np.zeros(1 << n_ancilla, dtype=np.complex128)
-    anc[0] = 1.0
-    return np.kron(system_amps, anc)
+def _system_matrix(state: StateVector, n_system: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending system indices present in ``state``, and its amplitudes as a matrix:
+    a row per system index, a column per pattern of the ancillas (low index bits) present."""
+    shift = state.n - n_system
+    if not shift:
+        return state.indices, state.values[:, None]
+    system = state.indices >> shift
+    first = np.append(True, system[1:] != system[:-1])  # ascending: a new value, a new row
+    columns, column = np.unique(state.indices & ((1 << shift) - 1), return_inverse=True)
+    matrix = np.zeros((np.count_nonzero(first), len(columns)), dtype=np.complex128)
+    matrix[np.cumsum(first) - 1, column] = state.values
+    return system[first], matrix
 
 
 def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> float:
@@ -531,23 +514,17 @@ def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> flo
     With ancillas, returns <b| rho_sys |b> where rho_sys traces the ancilla
     block out of |a><a|.  Global phase never matters.
     """
-    if a.n == b.n:
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
     if a.n < b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    ns = b.n if n_system is None else n_system
-    if ns != b.n:
+    if a.n > b.n and n_system is not None and n_system != b.n:
         raise ValueError("target must live on the system wires")
-    m = a.amplitudes.reshape(1 << ns, 1 << (a.n - ns))
-    overlaps = b.amplitudes.conj() @ m
-    return float(np.sum(np.abs(overlaps) ** 2))
+    rows, matrix = _system_matrix(a, b.n)
+    return float(np.sum(np.abs(b.lookup(rows).conj() @ matrix) ** 2))
 
 
 def system_purity(state: StateVector, n_system: int) -> float:
     """Tr(rho^2) of the reduced system state; 1 means no residual entanglement."""
     if n_system == state.n:
         return 1.0
-    m = state.amplitudes.reshape(1 << n_system, 1 << (state.n - n_system))
-    rows = max(1, (1 << 16) >> (state.n - n_system))  # blocks of 2^16: m is never copied whole
-    gram = sum(m[i:i + rows].conj().T @ m[i:i + rows] for i in range(0, len(m), rows))
-    return float(np.sum(np.abs(gram) ** 2).real)
+    matrix = _system_matrix(state, n_system)[1]
+    return float(np.sum(np.abs(matrix.conj().T @ matrix) ** 2))

@@ -23,6 +23,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from leafsep.analysis import SeparabilityReport, distribution_table, encoder_angles
 from leafsep.circuit import Circuit, crbs, mcphase, two_qubit_cost, x
@@ -31,6 +32,11 @@ from leafsep.core import (StateVector, enumerate_weight_distributions, index_to_
                           string_to_index)
 from leafsep.simulator import simulate
 from leafsep.synthesis import ANGLE_TOL, MODE_FREE, SynthesisConfig, synthesize_full
+
+# Every property test runs the same examples each time, with no time limit and no
+# example database; each test sets only its own max_examples.
+settings.register_profile("leafsep", deadline=None, derandomize=True, database=None)
+settings.load_profile("leafsep")
 
 
 @pytest.fixture
@@ -109,7 +115,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
 def dicke_state(n: int, weight: int) -> StateVector:
     """Uniform superposition of all weight-``weight`` basis states on ``n`` qubits."""
     hits = np.bitwise_count(np.arange(1 << n)) == weight
-    return StateVector(n, hits / math.sqrt(math.comb(n, weight)))
+    return StateVector.from_dense(n, hits / math.sqrt(math.comb(n, weight)))
 
 
 def class_indices(tree, distribution) -> np.ndarray:
@@ -194,6 +200,12 @@ def separability_oracle(psi, tree, table, tol: float = 1e-9) -> SeparabilityRepo
                                           "delta": float(delta[bad[0]])})
             report.separable, found = False, True
     return report
+
+
+def support_gap(a, b) -> float:
+    """Largest difference between two states' amplitudes over the union of their supports."""
+    union = np.union1d(a.indices, b.indices)
+    return float(np.max(np.abs(a.lookup(union) - b.lookup(union)), initial=0.0))
 
 
 def aligned_state(state: np.ndarray, psi, tree) -> np.ndarray:

@@ -110,7 +110,7 @@ def test_cost_model_values():
     assert cost(circ).two_qubit_count == 0 + 2 + 1 + 6 + 4 + 8 + 4
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(2, 6), st.integers(0, 2), st.integers(0, 20), st.integers(0, 20),
        st.integers(0, 2 ** 32 - 1))
 def test_cost_is_additive_over_concatenation(n, n_ancilla, len_a, len_b, seed):
@@ -145,7 +145,7 @@ def _reference_costs(g):
     return max(1, 2 * c), 2 * c + 1
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.integers(2, 6), st.integers(0, 2), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
 def test_depth_layers_have_disjoint_wires(n, n_ancilla, n_gates, seed):
     """cost agrees with a set-based reference: each gate goes one layer after the
@@ -238,7 +238,7 @@ def test_round_trip_random_circuits(seed):
     assert export_text(parsed) == text  # byte-identical
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_circuits())
 def test_round_trip_generated_circuits(circ):
     """parse_text inverts export_text gate for gate, every angle bit for bit (the sign
@@ -256,7 +256,7 @@ def test_round_trip_generated_circuits(circ):
 def test_round_trip_strategy_covers_every_gate_kind():
     kinds, angles, roles = set(), set(), set()
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(_circuits())
     def collect(circ):
         kinds.update(g.kind for g in circ.gates)

@@ -319,3 +319,18 @@ def test_synthesize_has_no_complex_flag(example_state_file):
     with pytest.raises(SystemExit):
         main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
               "--complex"])
+
+
+def test_thirty_wire_ancilla_pipeline(tmp_path, capsys):
+    """random-state, synthesize and simulate on 24 qubits and 6 ancillas, whose dense
+    state would take 16 GiB."""
+    state, circ, report = tmp_path / "psi.json", tmp_path / "circ.txt", tmp_path / "rep.json"
+    assert main(["random-state", "--n", "24", "--k", "4", "--ell", "3", "--field", "complex",
+                 "--seed", "111", "--out", str(state)]) == 0
+    assert main(["synthesize", "--input", str(state), "--n", "24", "--k", "4",
+                 "--mode", "ancilla", "--out", str(circ)]) == 0
+    assert main(["simulate", "--circuit", str(circ), "--target", str(state),
+                 "--report", str(report)]) == 0
+    result = json.loads(report.read_text())
+    assert result["wires"] == {"system": 24, "ancilla": 6}
+    assert result["fidelity"] >= 1 - 1e-10 and result["purity"] >= 1 - 1e-10

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafsep.core import (MAX_QUBITS, ParseError, StateVector, build_partition_tree,
                           enumerate_weight_distributions, index_to_string, string_to_index)
+from leafsep.simulator import fidelity, system_purity
 
 
 def test_hamming_weight():
@@ -15,7 +18,7 @@ def test_hamming_weight():
     assert psi.weights_present() == [2, 3]
     assert psi.weights_present(tol=0.55) == [2]
     assert StateVector.basis(5, "11111").weights_present() == [5]
-    assert StateVector(3, np.full(8, 1e-13), check=False).weights_present() == []
+    assert StateVector.from_dense(3, np.full(8, 1e-13), check=False).weights_present() == []
 
 
 def test_string_index_round_trip():
@@ -117,8 +120,8 @@ def test_weight_distribution_sums_to_weight():
 
 def test_state_vector_normalization_guard():
     with pytest.raises(ValueError):
-        StateVector(2, [1.0, 1.0, 0.0, 0.0])
-    psi = StateVector(2, [1.0, 1.0, 0.0, 0.0], normalize=True)
+        StateVector.from_dense(2, [1.0, 1.0, 0.0, 0.0])
+    psi = StateVector.from_dense(2, [1.0, 1.0, 0.0, 0.0], normalize=True)
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
@@ -140,17 +143,73 @@ def test_state_vector_json_accepts_index_key():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
 def test_state_vector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        StateVector(2, [bad, 0.0, 0.0, 0.0])
+        StateVector.from_dense(2, [bad, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
-        StateVector(2, [bad, 1.0, 0.0, 0.0], normalize=True)
+        StateVector.from_dense(2, [bad, 1.0, 0.0, 0.0], normalize=True)
 
 
 def test_state_vector_rejects_too_many_wires():
+    """Dense amplitudes, both ways, and the state JSON stop at MAX_QUBITS."""
     n = MAX_QUBITS + 1
-    for build in (lambda: StateVector(n, []),
-                  lambda: StateVector.basis(n, "0" * n),
-                  lambda: StateVector.from_terms(n, {}),
+    for build in (lambda: StateVector.from_dense(n, []),
+                  lambda: StateVector.basis(n, "0" * n).amplitudes,
+                  lambda: StateVector.from_terms(n, {1: 1.0}).amplitudes,
                   lambda: StateVector.from_json_dict({"n": n, "amplitudes": []})):
         with pytest.raises(ValueError, match=f"maximum of {MAX_QUBITS}") as err:
             build()
         assert not isinstance(err.value, ParseError)
+
+
+def test_state_vector_rejects_indices_past_63_bits():
+    """Indices are int64: 63 qubits fit, 64 fail with an error naming the limit."""
+    assert StateVector.basis(63, "1" * 63).indices.tolist() == [(1 << 63) - 1]
+    for build in (lambda: StateVector(64, [0], [1.0]),
+                  lambda: StateVector.basis(64, "0" * 64)):
+        with pytest.raises(ValueError, match="n = 64 is outside the 63-qubit index limit"):
+            build()
+
+
+@st.composite
+def _dense_states(draw):
+    """A random unit vector on n_system + n_ancilla <= 12 qubits, as 2^n numpy amplitudes
+    of which a random share is zero, with a random unit target on the system qubits."""
+    n_system = draw(st.integers(1, 10))
+    n_ancilla = draw(st.integers(0, 2))
+    n = n_system + n_ancilla
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    amps = (rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)) \
+        * (rng.random(1 << n) < share)
+    amps[rng.integers(1 << n)] = 1.0 + 0.5j
+    target = rng.standard_normal(1 << n_system) + 1j * rng.standard_normal(1 << n_system)
+    return n_system, n, amps / np.linalg.norm(amps), target / np.linalg.norm(target), rng
+
+
+@settings(max_examples=100)
+@given(_dense_states())
+def test_support_form_matches_dense_oracles(case):
+    """Every reading of a support-form state against numpy on its dense amplitudes."""
+    n_system, n, amps, target, rng = case
+    present = np.flatnonzero(amps)
+    shuffled = rng.permutation(present)
+    psi = StateVector(n, shuffled, amps[shuffled])
+    assert psi == StateVector.from_dense(n, amps)
+    assert np.array_equal(psi.indices, present) and np.array_equal(psi.amplitudes, amps)
+    queries = rng.integers(0, 1 << n, 40)
+    assert np.array_equal(psi.lookup(queries), amps[queries])
+    assert abs(psi.norm() - np.linalg.norm(amps)) < 1e-12
+    for tol in (1e-12, 0.05, 0.3):
+        weights = {bin(i).count("1") for i in range(1 << n) if abs(amps[i]) ** 2 > tol * tol}
+        assert psi.weights_present(tol) == sorted(weights)
+    assert np.array_equal(StateVector.loads(psi.dumps()).amplitudes, amps)
+
+    matrix = amps.reshape(1 << n_system, 1 << (n - n_system))
+    expected = np.sum(np.abs(target.conj() @ matrix) ** 2)
+    system = StateVector.from_dense(n_system, target)
+    assert abs(fidelity(psi, system, n_system=n_system) - expected) < 1e-12
+    assert abs(system_purity(psi, n_system)
+               - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
+
+    repeated = np.append(shuffled, shuffled[0])
+    with pytest.raises(ValueError, match="listed twice"):
+        StateVector(n, repeated, amps[repeated], check=False)

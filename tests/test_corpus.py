@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import aligned_state
+from conftest import aligned_state, support_gap
 from leafsep.analysis import reconstruct_amplitudes
 from leafsep.circuit import export_text
 from leafsep.core import build_partition_tree
@@ -39,7 +39,7 @@ from leafsep.simulator import _run, simulate
 from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
                                synthesize_general_baseline)
 
-CORPUS_SHA256 = "8ed940699bd7f89254c051b54f7a7bdfb9f1d0900f8dadb4f83a028a9cbe2ff5"
+CORPUS_SHA256 = "d8dda69e40e812e3ae8ff67f0c2b45e984e057c1429bd99c0d94bb629396731f"
 CORPUS_STRUCTURE_SHA256 = "9bbbb1f47586372f84da9f522eecd55e5c224d1b178cc2c12fd9f6dd38ff551d"
 CORPUS_SIZE = 441
 NON_SEPARABLE = [
@@ -53,10 +53,10 @@ NON_SEPARABLE = [
     "mismatched-10-3"
 ]
 
-GENERATED_SHA256 = "8954aea22bad627d2ab22663e7193a5a61d7601e5bbd68ed2936b55b7127e361"
+GENERATED_SHA256 = "74d0e606fc0cad6e10d38e8ef9c02441f00dab8c09b2361fac3acddbe6ce7a17"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "6a45c60d50722632709edc8ecbb7738bfeab9d7f3e38ebcd2c3662169c1a5d36"
+SIMULATED_SHA256 = "ed53bd1c08bef8563f59efffe4bfa000c747a500616fd9843e6f944c736f48db"
 SIMULATED_SIZE = 185
 
 
@@ -183,5 +183,5 @@ def test_support_engine_matches_dense_on_simulated_corpus():
         assert first_dense == 0
         sparse, _, first_dense, _ = _run(circ, None, lambda *_: True)
         assert first_dense == len(circ.gates)
-        worst = max(worst, float(np.max(np.abs(sparse - dense))))
+        worst = max(worst, support_gap(sparse, dense))
     assert worst <= 1e-15

@@ -254,7 +254,7 @@ def _with_distribution_phasors(psi, tree, seed):
               for u, leaf in enumerate(tree.leaves))
     _, dist = np.unique(key, return_inverse=True)
     alpha = np.random.default_rng(seed).uniform(0, 2 * math.pi, dist.max() + 1)
-    return StateVector(tree.n, psi.amplitudes * np.exp(1j * alpha[dist]), check=False)
+    return StateVector.from_dense(tree.n, psi.amplitudes * np.exp(1j * alpha[dist]), check=False)
 
 
 def _phase_gate_split(circ):
@@ -289,7 +289,7 @@ def _phased_targets(draw):
     return psi, SynthesisConfig(n=n, k=k, mode=mode), phased
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_phased_targets())
 def test_distribution_phases_are_exact(case):
     """Separable targets (real, complex or non-negative fields), with or without a random
@@ -532,7 +532,7 @@ def test_general_baseline_prepares_random_states(n, kind):
     vec = rng.standard_normal(1 << n)
     if kind == "complex":
         vec = vec + 1j * rng.standard_normal(1 << n)
-    psi = StateVector(n, vec, normalize=True)
+    psi = StateVector.from_dense(n, vec, normalize=True)
     circ = synthesize_general_baseline(psi)
     assert simulate(circ, target=psi).fidelity >= 1 - 1e-9
 
