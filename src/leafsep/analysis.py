@@ -210,8 +210,10 @@ def encoder_angles(amplitudes) -> tuple[list[tuple[float, float]], float]:
                if mags[t - 1] > 1e-15 else 0.0)
         pairs.append((theta, phi))
         chi -= phi / 2.0
-    trailing = (math.remainder(cmath.phase(a[-1]) - chi, 2.0 * math.pi)
-                if len(a) and mags[-1] > 1e-15 else 0.0)
+    if len(a) and mags[-1] > 1e-15:
+        trailing = math.remainder(cmath.phase(a[-1]) - chi, 2.0 * math.pi)
+    else:
+        trailing = 0.0
     return pairs, trailing
 
 
@@ -301,10 +303,11 @@ class SeparabilityReport:
     def distributions(self) -> list[dict]:
         """c(I) per distribution of the checked table, built on request: a compile reads
         only the verdict."""
-        if self.table is None:
+        table = self.table
+        if table is None:
             return []
-        return [{"I": weights, "c": norm} for weights, norm
-                in zip(self.table.weights.tolist(), self.table.norms.tolist())]
+        return [{"I": weights, "c": norm}
+                for weights, norm in zip(table.weights.tolist(), table.norms.tolist())]
 
     def to_json_dict(self) -> dict:
         return {"separable": self.separable, "tol": self.tol, "max_delta": self.max_delta,

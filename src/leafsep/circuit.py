@@ -93,8 +93,13 @@ class Gate:
 
 
 def _norm_controls(controls) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted([(int(c[0]), int(c[1])) if isinstance(c, tuple) else (int(c), 1)
-                         for c in controls or ()]))
+    out = []
+    for c in controls or ():
+        if isinstance(c, tuple):
+            out.append((int(c[0]), int(c[1])))
+        else:
+            out.append((int(c), 1))
+    return tuple(sorted(out))
 
 
 def x(target: int, controls=()) -> Gate:

@@ -105,7 +105,10 @@ class TreeNode:
 
     def mask(self, n: int) -> int:
         """Integer mask selecting this node's qubits under the MSB-first order."""
-        return ((1 << self.size) - 1) << (n - self.start - self.size)
+        m = 0
+        for q in self.qubits:
+            m |= 1 << (n - 1 - q)
+        return m
 
 
 @dataclass(frozen=True)
@@ -127,12 +130,16 @@ class PartitionTree:
 
     def internal_nodes(self) -> list[TreeNode]:
         """Internal nodes in preorder (each parent before its children)."""
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                out.append(node)
-                stack += [node.right, node.left]
+        out: list[TreeNode] = []
+
+        def walk(node: TreeNode) -> None:
+            if node.is_leaf:
+                return
+            out.append(node)
+            walk(node.left)
+            walk(node.right)
+
+        walk(self.root)
         return out
 
 
@@ -241,7 +248,10 @@ class StateVector:
     def lookup(self, indices) -> np.ndarray:
         """The amplitudes at ``indices``, 0 where the support has none."""
         queries = np.asarray(indices, dtype=np.int64)
-        if np.array_equal(queries, self.indices):  # the support itself: nothing to search
+        # Most reads ask for the support itself: the class members of a full-class
+        # target, or a simulated output's rows against its target.  Searching those
+        # costs about 25 ns an entry (0.4 ms of a 15-qubit fidelity).
+        if np.array_equal(queries, self.indices):
             return self.values.copy()
         pos, found = find_sorted(self.indices, queries)
         out = np.zeros(len(pos), dtype=np.complex128)
@@ -249,6 +259,8 @@ class StateVector:
         return out
 
     def amplitude(self, bits: str) -> complex:
+        if len(bits) != self.n:
+            raise ValueError(f"expected a {self.n}-bit string, got {bits!r}")
         index = string_to_index(bits)
         pos = self.indices.searchsorted(index)
         if pos < len(self.indices) and self.indices.item(pos) == index:

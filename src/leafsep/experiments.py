@@ -87,11 +87,12 @@ def _assemble(tree: PartitionTree, weights, profile, kind: str,
               rng: np.random.Generator) -> StateVector:
     leaf_weights = _classes(tree, weights)[0]
     splits = _node_split_samples(tree, leaf_weights, rng, 0.05 if kind == "nonneg" else 0.0)
-    factors = [np.zeros(1 << size, dtype=np.complex128) for size in tree.leaf_sizes]
+    factors = []
     for u, size in enumerate(tree.leaf_sizes):
-        for w in np.unique(leaf_weights[:, u]).tolist():  # lexicographic order: ascending
-            slots = np.sort(ehrlich_patterns(size, w))
-            factors[u][slots] = _sample_unit(rng, len(slots), kind)
+        factors.append(np.zeros(1 << size, dtype=np.complex128))
+        slots = np.bitwise_count(np.arange(1 << size))  # lexicographic order: ascending pattern
+        for w in np.unique(leaf_weights[:, u]):
+            factors[u][slots == w] = _sample_unit(rng, math.comb(size, int(w)), kind)
 
     coeffs = tree_coefficients(tree, leaf_weights, profile, splits)
     idx, _, values = _product(tree, weights, coeffs, factors)
@@ -158,10 +159,13 @@ class ExperimentConfig:
 
 def _fidelity_cell(n: int, k: int, ell: int, mode: str, kind: str, master: int,
                    count: int) -> dict:
-    config = SynthesisConfig(n=n, k=k, mode=mode)
-    targets = (random_leaf_separable(n, k, ell, kind, seed=derive_seed(master, n, k, idx))
-               for idx in range(count))
-    arr = np.array([simulate(synthesize_full(psi, config), target=psi).fidelity for psi in targets])
+    fids = []
+    for idx in range(count):
+        psi = random_leaf_separable(n, k, ell, kind, seed=derive_seed(master, n, k, idx))
+        circ = synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=mode))
+        res = simulate(circ, target=psi)
+        fids.append(res.fidelity)
+    arr = np.array(fids)
     return {"n": n, "k": k, "ell": ell, "mode": mode, "field": kind, "seed": master,
             "mean_fidelity": float(arr.mean()), "min_fidelity": float(arr.min()),
             "max_fidelity": float(arr.max()), "std_fidelity": float(arr.std()),
@@ -195,8 +199,9 @@ def run_cost_sweep(config: ExperimentConfig) -> list[dict]:
         for method in COST_METHODS:
             if method == "hwk_encoder":
                 eta = psi.lookup(ehrlich_patterns(n, ell))
+                eta = eta / np.linalg.norm(eta)
                 circ = synthesize_initial(n, ell)
-                circ.extend(synthesize_hwk_encoder(n, ell, eta / np.linalg.norm(eta)))
+                circ.extend(synthesize_hwk_encoder(n, ell, eta))
             else:
                 circ = circuits[method]
             report = cost(circ)

@@ -82,8 +82,9 @@ The dense state starts in the plan's axis order and is permuted back once at
 the end.  Either engine returns the state's support in wire order: ancilla wires
 sit after the system wires as the low index bits, so a state on the system wires
 embeds with |0...0> on the ancillas by a shift of its indices.  Fidelity and
-purity read one matrix over the support: a row per system index present, a
-column per ancilla pattern present.
+purity read the support as a matrix, a row per system index present and a
+column per ancilla pattern present, summed over blocks of ``DIAGNOSTIC_BLOCK``
+entries cut at whole rows, so a large dense-run output is never copied whole.
 """
 from __future__ import annotations
 
@@ -112,6 +113,8 @@ DENSIFY_COST = 4
 # fixed cost as one support step, in the same units.
 BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
+# Fidelity and purity read the support in blocks of about this many entries.
+DIAGNOSTIC_BLOCK = 1 << 16
 
 
 def _mixed(gate: Gate) -> tuple:
@@ -138,12 +141,17 @@ def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
     return None, np.exp(1j * phi)
 
 
+def _controls_slicer(gate: Gate, axis: list[int], ndim: int) -> list:
+    idx: list = [slice(None)] * ndim
+    for wire, pol in gate.controls:
+        idx[axis[wire]] = 1 if pol == 1 else 0
+    return idx
+
+
 def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
     """In-place application of one gate to a tensor whose axis ``axis[w]``, of length 2,
     is wire w; its other axes are left alone."""
-    i0: list = [slice(None)] * state.ndim
-    for wire, pol in gate.controls:
-        i0[axis[wire]] = 1 if pol == 1 else 0
+    i0 = _controls_slicer(gate, axis, state.ndim)
     i1 = list(i0)
     t = axis[gate.targets[0]]
     i0[t], i1[t] = 0, 1
@@ -490,22 +498,35 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         else:
             _apply_gate(state, step, axis)
     amps = state.transpose(axis).reshape(-1)
+    del state  # the planned layout, unless it was wire order and ``amps`` is a view of it
     indices = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
-    return StateVector(n, indices, amps[indices], check=False), 1 << n, first_dense, block_gates
+    values = amps if len(indices) == len(amps) else amps[indices]
+    return StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates
 
 
-def _system_matrix(state: StateVector, n_system: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending system indices present in ``state``, and its amplitudes as a matrix:
-    a row per system index, a column per pattern of the ancillas (low index bits) present."""
+def _system_blocks(state: StateVector, n_system: int):
+    """The support cut at whole system indices into blocks of about ``DIAGNOSTIC_BLOCK``
+    entries, each as its ascending system indices and its amplitudes as a matrix: a row
+    per system index, a column per pattern of the ancillas (low index bits) present in
+    ``state``.  No temporary spans the whole support of a large dense-run output."""
     shift = state.n - n_system
     if not shift:
-        return state.indices, state.values[:, None]
-    system = state.indices >> shift
-    first = np.append(True, system[1:] != system[:-1])  # ascending: a new value, a new row
-    columns, column = np.unique(state.indices & ((1 << shift) - 1), return_inverse=True)
-    matrix = np.zeros((np.count_nonzero(first), len(columns)), dtype=np.complex128)
-    matrix[np.cumsum(first) - 1, column] = state.values
-    return system[first], matrix
+        yield state.indices, state.values[:, None]
+        return
+    idx, low = state.indices, (1 << shift) - 1
+    ends = [0]
+    while ends[-1] < len(idx):  # a block ends with the last entry of its last row
+        last = int(idx[min(ends[-1] + DIAGNOSTIC_BLOCK, len(idx)) - 1]) | low
+        ends.append(int(np.searchsorted(idx, last, side="right")))
+    spans = list(zip(ends, ends[1:]))
+    parts = [np.unique(idx[a:b] & low) for a, b in spans]
+    columns = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts or [idx]))
+    for a, b in spans:
+        system = idx[a:b] >> shift
+        first = np.append(True, system[1:] != system[:-1])  # ascending: a new value, a new row
+        matrix = np.zeros((np.count_nonzero(first), len(columns)), dtype=np.complex128)
+        matrix[np.cumsum(first) - 1, np.searchsorted(columns, idx[a:b] & low)] = state.values[a:b]
+        yield system[first], matrix
 
 
 def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> float:
@@ -518,13 +539,13 @@ def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> flo
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
     if a.n > b.n and n_system is not None and n_system != b.n:
         raise ValueError("target must live on the system wires")
-    rows, matrix = _system_matrix(a, b.n)
-    return float(np.sum(np.abs(b.lookup(rows).conj() @ matrix) ** 2))
+    overlaps = sum(b.lookup(rows).conj() @ matrix for rows, matrix in _system_blocks(a, b.n))
+    return float(np.sum(np.abs(overlaps) ** 2))
 
 
 def system_purity(state: StateVector, n_system: int) -> float:
     """Tr(rho^2) of the reduced system state; 1 means no residual entanglement."""
     if n_system == state.n:
         return 1.0
-    matrix = _system_matrix(state, n_system)[1]
-    return float(np.sum(np.abs(matrix.conj().T @ matrix) ** 2))
+    gram = sum(matrix.conj().T @ matrix for _, matrix in _system_blocks(state, n_system))
+    return float(np.sum(np.abs(gram) ** 2))

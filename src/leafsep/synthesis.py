@@ -61,8 +61,10 @@ def synthesize_initial(n: int, ell: int) -> Circuit:
     """X gates flipping the last ``ell`` qubits: |0^n> -> |0^(n-ell) 1^ell>."""
     if ell < 0 or ell > n:
         raise ValueError(f"ell must be in [0, {n}]")
-    return Circuit(n_system=n, gates=[x(q) for q in range(n - ell, n)],
-                   metadata={"n": n, "k": n, "ell": ell, "mode": "none"})
+    circ = Circuit(n_system=n, metadata={"n": n, "k": n, "ell": ell, "mode": "none"})
+    for q in range(n - ell, n):
+        circ.add(x(q))
+    return circ
 
 
 # --- weight-transfer blocks -------------------------------------------------
@@ -101,9 +103,16 @@ def synthesize_gwdb(node: TreeNode, total_weight: int, thetas) -> list[Gate]:
     """
     if node.is_leaf:
         raise ValueError("transfer blocks act on internal nodes")
-    window = range(max(0, total_weight - node.right.size), min(total_weight, node.left.size))
-    return [_transfer_step(node, total_weight, i, thetas[i]) for i in window
-            if abs(thetas[i]) > ANGLE_TOL]
+    m, n_r = node.left.size, node.right.size
+    i_min = max(0, total_weight - n_r)
+    i_max = min(total_weight, m)
+    gates: list[Gate] = []
+    for i in range(i_min, i_max):
+        theta = thetas[i]
+        if abs(theta) <= ANGLE_TOL:
+            continue
+        gates.append(_transfer_step(node, total_weight, i, theta))
+    return gates
 
 
 def synthesize_gwdb_tree(tree: PartitionTree, splits: dict) -> Circuit:
@@ -295,7 +304,9 @@ def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes,
 def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
     """Flip the leaf's ancilla exactly on the packed weight pattern."""
     boundary = leaf.size - weight
-    return x(ancilla_wire, [(leaf.start + p, -1 if p < boundary else 1) for p in range(leaf.size)])
+    controls = [(leaf.start + p, -1) for p in range(boundary)]
+    controls += [(leaf.start + p, 1) for p in range(boundary, leaf.size)]
+    return x(ancilla_wire, controls=controls)
 
 
 class _EncoderGates(list):
@@ -366,8 +377,14 @@ def synthesize_mixed_weight_input(profile, n: int) -> list[Gate]:
     if abs(float(np.sum(prof ** 2)) - 1.0) > 1e-9:
         raise ValueError("profile must have unit norm")
     thetas = rotation_ladder_angles(prof[:n // 2 + 1])
-    return [mcry(theta, n - step - 1, [(n - step, 1)] if step else [])
-            for step, theta in enumerate(thetas) if abs(theta) > ANGLE_TOL]
+    gates: list[Gate] = []
+    for step, theta in enumerate(thetas):
+        if abs(theta) <= ANGLE_TOL:
+            continue
+        target = n - step - 1
+        controls = [] if step == 0 else [(n - step, 1)]
+        gates.append(mcry(theta, target, controls))
+    return gates
 
 
 def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
@@ -409,8 +426,10 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
                    metadata={"n": n, "k": k, "ell": ell, "mode": config.mode,
                              "separable": report.separable, "phase_gates": phase_counts})
 
-    circ.extend(synthesize_mixed_weight_input(factored.profile, n) if mixed
-                else synthesize_initial(n, ell).gates)
+    if mixed:
+        circ.extend(synthesize_mixed_weight_input(factored.profile, n))
+    else:
+        circ.extend(synthesize_initial(n, ell).gates)
 
     circ.extend(synthesize_gwdb_tree(tree, factored.splits).gates)
     circ.extend(phase_gates)

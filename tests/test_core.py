@@ -140,6 +140,14 @@ def test_state_vector_json_accepts_index_key():
     assert psi.amplitude("11") == 1.0
 
 
+def test_amplitude_rejects_a_bitstring_of_another_length():
+    psi = StateVector.basis(4, "0011")
+    assert psi.amplitude("0011") == 1.0 and psi.amplitude("0001") == 0.0
+    for bits in ("11111", "011"):
+        with pytest.raises(ValueError, match="expected a 4-bit string"):
+            psi.amplitude(bits)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
 def test_state_vector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -197,6 +205,10 @@ def test_support_form_matches_dense_oracles(case):
     assert np.array_equal(psi.indices, present) and np.array_equal(psi.amplitudes, amps)
     queries = rng.integers(0, 1 << n, 40)
     assert np.array_equal(psi.lookup(queries), amps[queries])
+    own = psi.lookup(present)  # the support itself
+    assert np.array_equal(own, amps[present])
+    own[:] = 0
+    assert np.array_equal(psi.amplitudes, amps)
     assert abs(psi.norm() - np.linalg.norm(amps)) < 1e-12
     for tol in (1e-12, 0.05, 0.3):
         weights = {bin(i).count("1") for i in range(1 << n) if abs(amps[i]) ** 2 > tol * tol}

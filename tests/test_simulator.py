@@ -10,6 +10,7 @@ from conftest import circuit_matrix, support_gap
 from test_circuit import random_circuit
 
 from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
+from leafsep import simulator
 from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
 from leafsep.simulator import (_block_pays, _plan, _run, _support_pays, fidelity, simulate,
@@ -286,6 +287,26 @@ def test_thirty_wire_ancilla_run_needs_no_dense_state():
     assert peak < 64 << 20
 
 
+def test_dense_ancilla_run_peak_memory():
+    """An 18-wire ancilla-mode run from a dense input goes dense from its first gate
+    and ends on nearly all 2^18 amplitudes.  Its peak stays at the gate kernel's
+    (about 3 amplitude arrays of 2^wires): neither the output's support nor the
+    diagnostics copy the state whole."""
+    psi = random_mixed_leaf_separable(16, 8, seed=1)
+    circ = synthesize_full(psi, SynthesisConfig(n=16, k=8, mode=MODE_ANCILLA))
+    amps = np.random.default_rng(0).standard_normal(1 << 16).astype(complex)
+    initial = StateVector.from_dense(16, amps, normalize=True)
+    tracemalloc.start()
+    try:
+        res = simulate(circ, initial=initial, target=psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert circ.n_wires == 18 and res.first_dense_gate == 0
+    assert len(res.state.indices) > 1 << 17
+    assert peak < 3.25 * 16 * (1 << 18)
+
+
 def test_block_rule_weighs_columns_and_support():
     """A long block on few columns pays; one on many columns, or a short one on a
     large support whose gates match few entries, does not."""
@@ -418,7 +439,7 @@ def test_system_purity_pure_state():
 
 
 def test_system_purity_over_several_row_blocks():
-    """2^17 system rows: the result is the whole Gram matrix's."""
+    """2^17 system rows are summed in four blocks; the result is the whole Gram matrix's."""
     rng = np.random.default_rng(3)
     psi = StateVector.from_dense(
         18, rng.standard_normal(1 << 18) + 1j * rng.standard_normal(1 << 18), normalize=True)
@@ -427,3 +448,26 @@ def test_system_purity_over_several_row_blocks():
     even = psi.amplitudes[::2]
     product = StateVector.from_dense(18, np.kron(even / np.linalg.norm(even), [0.6, 0.8j]))
     assert abs(system_purity(product, 17) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_ancilla", [1, 2, 3])
+def test_diagnostics_cut_the_support_at_whole_rows(monkeypatch, n_ancilla):
+    """Blocks of a few entries, cut only between system indices, each missing some of
+    the ancilla patterns present: fidelity and purity are the whole matrix's."""
+    monkeypatch.setattr(simulator, "DIAGNOSTIC_BLOCK", 3)
+    rng = np.random.default_rng(n_ancilla)
+    n_system = 6
+    n = n_system + n_ancilla
+    for share in (0.1, 0.5, 1.0):
+        amps = (rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)) \
+            * (rng.random(1 << n) < share)
+        amps[rng.integers(1 << n)] = 1.0
+        amps /= np.linalg.norm(amps)
+        target = rng.standard_normal(1 << n_system) + 1j * rng.standard_normal(1 << n_system)
+        target /= np.linalg.norm(target)
+        matrix = amps.reshape(1 << n_system, 1 << n_ancilla)
+        psi = StateVector.from_dense(n, amps)
+        assert abs(fidelity(psi, StateVector.from_dense(n_system, target), n_system=n_system)
+                   - np.sum(np.abs(target.conj() @ matrix) ** 2)) < 1e-12
+        assert abs(system_purity(psi, n_system)
+                   - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
