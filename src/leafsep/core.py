@@ -187,14 +187,17 @@ def enumerate_weight_distributions(leaf_sizes, total: int) -> list[tuple[int, ..
 class StateVector:
     """A state on an n-qubit register held as its support: ascending basis indices
     (MSB-first) and their non-zero amplitudes.  The constructor sorts indices given out
-    of order, rejects one given twice and drops zero amplitudes."""
+    of order, rejects one given twice and drops zero amplitudes.  A checked state owns
+    copies of the arrays it is given; ``check=False`` skips the finiteness and norm
+    checks and keeps arrays of the right type, for callers that own them."""
 
     __slots__ = ("n", "indices", "values")
 
     def __init__(self, n: int, indices, values, normalize: bool = False, check: bool = True):
         check_index_width(n)
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        vals = np.asarray(values, dtype=np.complex128).reshape(-1)
+        convert = np.array if check else np.asarray
+        idx = convert(indices, dtype=np.int64).reshape(-1)
+        vals = convert(values, dtype=np.complex128).reshape(-1)
         if idx.shape != vals.shape:
             raise ValueError(f"{len(idx)} indices but {len(vals)} amplitudes")
         if np.any(idx[1:] <= idx[:-1]):

@@ -22,6 +22,20 @@ gates are applied natively: the tensor is sliced at the control wires
 target axes of that slice only.  Both engines take the gate arithmetic from
 :func:`_mixed` and :func:`_diagonal`.
 
+Dense, a run of consecutive gates on one target wire made of ``x``/``cx``/``mcx``
+gates and one rotation kind (``mcry`` or ``mcrz``) is one step
+(:func:`_apply_run`).  The uniformly controlled rotations of the general-state
+baseline, Gray-code cascades of rotations and cx gates (Mottonen et al.,
+quant-ph/0407010), are such runs; compiled leafsep circuits hold none.  The step
+walks the run once on an angle and a sign per pattern of the run's control
+wires, one numpy operation per gate on the patterns its controls select: an x
+gate flips the sign, and a rotation adds its angle times the sign.  That is
+exact, since X R(theta) X = R(-theta) for RY and RZ and rotations about one axis
+add.  It then rotates the target axis of the dense state by each pattern's
+angle, and swaps the target's halves where an odd number of x gates matched.
+On the 11-qubit baseline a gate costs about 2.4 us in a run against 10 to 12 us
+on its own (best of 7, one core of the same 2-core Xeon host).
+
 A run starts on the support and stays there while a cost model says the rest
 of the run is cheaper there; from the first step it says otherwise, the run is
 dense.  Costs are in dense amplitude updates (about 5 ns each on one core of a
@@ -115,6 +129,9 @@ BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
+# Gate kinds a rotation run may hold, each with the rotation kind it fixes ("" for none).
+_X_KINDS = ("x", "cx", "mcx")
+_RUN_KINDS = dict.fromkeys(_X_KINDS, "") | {"mcry": "mcry", "mcrz": "mcrz"}
 
 
 def _mixed(gate: Gate) -> tuple:
@@ -159,7 +176,7 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
         u = axis[gate.targets[1]]
         i0[t], i0[u], i1[t], i1[u] = 1, 0, 0, 1
     s0, s1 = tuple(i0), tuple(i1)
-    if gate.kind in ("x", "cx", "mcx"):
+    if gate.kind in _X_KINDS:
         a = state[s0].copy()
         state[s0] = state[s1]
         state[s1] = a
@@ -173,6 +190,95 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
         if f0 is not None:
             state[s0] *= f0
         state[s1] *= f1
+
+
+def _rotation_runs(steps: list, start: int) -> dict[int, int]:
+    """Runs, from step ``start`` on, of at least two consecutive gate steps on one
+    target wire: ``x``/``cx``/``mcx`` gates and one rotation kind (``mcry`` or
+    ``mcrz``), with at least one rotation.  Each is keyed by its first step and
+    gives the step after it."""
+    runs = {}
+    first, target, rotation = start, None, ""
+    for i in range(start, len(steps) + 1):
+        step = steps[i] if i < len(steps) else None
+        fixes = _RUN_KINDS.get(step.kind) if isinstance(step, Gate) else None
+        # the run goes on through x-family gates on its target, and through rotations
+        # of the kind its first rotation fixed
+        if fixes is not None and step.targets[0] == target and fixes in ("", rotation or fixes):
+            rotation = rotation or fixes
+            continue
+        if rotation and i - first > 1:
+            runs[first] = i
+        if fixes is None:
+            first, target, rotation = i + 1, None, ""
+        else:
+            first, target, rotation = i, step.targets[0], fixes
+    return runs
+
+
+def _run_angles(steps: list, start: int, stop: int, axis: list[int]):
+    """The rotation kind of the run ``steps[start:stop]`` from :func:`_rotation_runs`,
+    and the angle and the x parity it leaves on each pattern of its control wires,
+    as arrays that broadcast against its target's half of a tensor laid out as for
+    :func:`_apply_gate`.
+
+    The gates a pattern matches compose to X^q R(angle).  An x gate flips q; a
+    rotation R(theta) adds (-1)^q theta to the angle, since X R(theta) X = R(-theta)
+    for RY and RZ and rotations about one axis add.  Each gate is one or two numpy
+    operations on the entries its controls select, a view made once per distinct
+    controls."""
+    n = len(axis)
+    shape = [1] * n
+    for i in range(start, stop):
+        for wire, _ in steps[i].controls:
+            shape[axis[wire]] = 2
+    angle, sign = np.zeros(shape), np.ones(shape)  # sign: (-1)^q
+    views = {}  # controls -> the entries of angle and sign they select
+    for i in range(start, stop):
+        gate = steps[i]
+        if gate.controls not in views:
+            sl = tuple(_controls_slicer(gate, axis, n))
+            views[gate.controls] = angle[sl], sign[sl]
+        part, flip = views[gate.controls]
+        if gate.kind in _X_KINDS:
+            np.negative(flip, out=flip)
+        else:
+            rotation = gate.kind
+            part += gate.params[0] * flip
+    half = (slice(None),) * axis[steps[start].targets[0]] + (0,)
+    return rotation, angle[half], sign[half] < 0
+
+
+def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
+               axis: list[int]) -> None:
+    """Apply the run ``steps[start:stop]`` from :func:`_rotation_runs` to a tensor laid
+    out as for :func:`_apply_gate`, as one step: each pattern's rotation from
+    :func:`_run_angles` on the target axis, then a swap of the target's halves
+    where the pattern's x parity is odd.  Beyond the tensor it holds two of its
+    quarters and the pattern arrays at most."""
+    rotation, angle, odd = _run_angles(steps, start, stop, axis)
+    t = axis[steps[start].targets[0]]
+    a, b = state[(slice(None),) * t + (0,)], state[(slice(None),) * t + (1,)]
+    if rotation == "mcry":  # the coefficients of _mixed, pattern by pattern
+        angle /= 2
+        c, s = np.cos(angle), np.sin(angle, out=angle)
+        # part by part: a complex operand would cast c and s whole, half a tensor each
+        for x, y in ((a.real, b.real), (a.imag, b.imag)):
+            kept = x.copy()
+            x *= c
+            x -= s * y
+            y *= c
+            kept *= s
+            y += kept
+    else:  # _diagonal's factors: the |1> factor is the conjugate of the |0> one
+        factor = angle * -0.5j
+        np.exp(factor, out=factor)
+        a *= factor
+        b *= np.conjugate(factor, out=factor)
+    if odd.any():
+        kept = b.copy()
+        np.copyto(b, a, where=odd)
+        np.copyto(a, kept, where=odd)
 
 
 def _plan(circuit: Circuit) -> tuple[list[int], list, list[int]]:
@@ -283,7 +389,7 @@ class _Support:
         value = sum(self.bit[w] for w, pol in gate.controls if pol == 1)
         sel = np.flatnonzero((idx & np.uint64(mask)) == np.uint64(value))
         target = np.uint64(self.bit[gate.targets[0]])
-        if gate.kind in ("x", "cx", "mcx"):
+        if gate.kind in _X_KINDS:
             self.idx[sel] ^= target
         elif gate.kind in ("mcrz", "mcphase"):
             f0, f1 = _diagonal(gate)
@@ -407,6 +513,7 @@ class SimulationResult:
     peak_support: int = 0       # most amplitudes held at once: 2^wires once the run is dense
     first_dense_gate: int = 0   # gates run on the support before the dense engine took over
     block_gates: int = 0        # gates run on the support inside blocks
+    run_gates: int = 0          # gates run dense inside rotation runs
 
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
@@ -423,13 +530,14 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     """
     dense_size(circuit.n_wires)  # too many wires fail here, before anything is allocated
     start = time.perf_counter()
-    final, peak, first_dense, block_gates = _run(
+    final, peak, first_dense, block_gates, run_gates = _run(
         circuit, initial, partial(_support_pays, circuit.n_wires), _block_pays)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
                               n_ancilla=circuit.n_ancilla, norm=final.norm(),
                               elapsed=elapsed, peak_support=peak,
-                              first_dense_gate=first_dense, block_gates=block_gates)
+                              first_dense_gate=first_dense, block_gates=block_gates,
+                              run_gates=run_gates)
     if target is not None:
         result.fidelity = fidelity(final, target, n_system=circuit.n_system)
         result.purity = system_purity(final, circuit.n_system)
@@ -437,16 +545,17 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
 
 
 def _run(circuit: Circuit, initial, stay, fuse=None,
-         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int]:
+         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int, int]:
     """Plan and run ``circuit`` on ``initial``: on the support while
     ``stay(size, steps_left, work_left)`` holds before each step, then dense in the
     plan's layout.  On the support, runs of gates on at most ``width`` wires are
     blocks, each run as one step when ``fuse`` (see :meth:`_Support.block`) agrees;
-    with no ``fuse`` every gate is a step of its own.
+    with no ``fuse`` every gate is a step of its own.  Dense, each run from
+    :func:`_rotation_runs` is one step (:func:`_apply_run`).
 
     Returns the final state, the peak support (taken between steps), the index of
-    the first gate run dense (the gate count when none was) and the number of
-    gates run in blocks.
+    the first gate run dense (the gate count when none was), the number of gates
+    run in blocks and the number run in rotation runs.
     """
     n = circuit.n_wires
     order, steps, work = _plan(circuit)
@@ -460,7 +569,7 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         raise ValueError(f"initial state has {start.n} wires, circuit has "
                          f"{circuit.n_system}+{circuit.n_ancilla}")
     indices, values = start.indices << (n - start.n), start.values  # ancillas: low bits, |0>
-    done = first_dense = block_gates = 0
+    done = first_dense = block_gates = run_gates = 0
     if steps and stay(len(indices), len(steps), work_left):
         support = _Support(n, indices, values)
         blocks = {} if fuse is None else _blocks(steps, width)
@@ -479,7 +588,7 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
         indices, values = support.idx[:support.size], support.amp[:support.size]
         if done == len(steps):
-            return StateVector(n, indices, values, check=False), peak, first_dense, block_gates
+            return StateVector(n, indices, values, check=False), peak, first_dense, block_gates, 0
     if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0
@@ -492,16 +601,22 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     for a, wire in enumerate(order):
         axis[wire] = a
     bit = [1 << (n - 1 - a) for a in axis]
-    for step in steps[done:]:
-        if isinstance(step, list):
-            np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
-        else:
-            _apply_gate(state, step, axis)
+    for start, stop in [*_rotation_runs(steps, done).items(), (len(steps), len(steps))]:
+        for step in steps[done:start]:  # the steps before the next run, one by one
+            if isinstance(step, list):
+                np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
+            else:
+                _apply_gate(state, step, axis)
+        if stop > start:
+            _apply_run(state, steps, start, stop, axis)
+            run_gates += stop - start
+        done = stop
     amps = state.transpose(axis).reshape(-1)
     del state  # the planned layout, unless it was wire order and ``amps`` is a view of it
     indices = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
     values = amps if len(indices) == len(amps) else amps[indices]
-    return StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates
+    return (StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates,
+            run_gates)
 
 
 def _system_blocks(state: StateVector, n_system: int):

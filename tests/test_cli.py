@@ -63,7 +63,7 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     report = json.loads(open(report_path).read())
     assert set(report) == {"fidelity", "purity", "norm", "wires", "gates",
                            "two_qubit_gates", "elapsed", "peak_support", "first_dense_gate",
-                           "block_gates"}
+                           "block_gates", "run_gates"}
     assert report["fidelity"] >= 1 - 1e-10
     assert abs(report["norm"] - 1.0) < 1e-10
     assert report["wires"] == {"system": 4, "ancilla": 0}

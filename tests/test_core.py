@@ -125,6 +125,17 @@ def test_state_vector_normalization_guard():
     assert abs(psi.norm() - 1.0) < 1e-12
 
 
+def test_checked_state_vector_owns_its_arrays():
+    """Changing the arrays a checked state was built from leaves the state as it was."""
+    idx = np.array([0, 3], dtype=np.int64)
+    vals = np.array([0.6, 0.8], dtype=np.complex128)
+    psi = StateVector(2, idx, vals)
+    vals[0], idx[1] = 5.0, 7
+    assert abs(psi.norm() - 1.0) < 1e-12
+    assert psi.indices.tolist() == [0, 3] and psi.values.tolist() == [0.6, 0.8]
+    assert psi.amplitude("11") == 0.8
+
+
 def test_state_vector_json_round_trip():
     psi = StateVector.from_terms(3, {"001": 0.6, "110": 0.8j})
     data = json.loads(psi.dumps())

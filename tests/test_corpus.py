@@ -56,7 +56,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "74d0e606fc0cad6e10d38e8ef9c02441f00dab8c09b2361fac3acddbe6ce7a17"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "ed53bd1c08bef8563f59efffe4bfa000c747a500616fd9843e6f944c736f48db"
+SIMULATED_SHA256 = "2a9604240202505fc02ce990700ed267ee5b74021ef3ded6a03c3505526a0b42"
 SIMULATED_SIZE = 185
 
 
@@ -179,9 +179,9 @@ def test_support_engine_matches_dense_on_simulated_corpus():
     vector complex multiplies round differently, so the bytes may not)."""
     worst = 0.0
     for circ, _ in _simulated():
-        dense, _, first_dense, _ = _run(circ, None, lambda *_: False)
+        dense, _, first_dense, *_ = _run(circ, None, lambda *_: False)
         assert first_dense == 0
-        sparse, _, first_dense, _ = _run(circ, None, lambda *_: True)
+        sparse, _, first_dense, *_ = _run(circ, None, lambda *_: True)
         assert first_dense == len(circ.gates)
         worst = max(worst, support_gap(sparse, dense))
     assert worst <= 1e-15

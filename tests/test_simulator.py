@@ -13,9 +13,10 @@ from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
 from leafsep import simulator
 from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
-from leafsep.simulator import (_block_pays, _plan, _run, _support_pays, fidelity, simulate,
-                               system_purity)
-from leafsep.synthesis import MODE_ANCILLA, SynthesisConfig, synthesize_full
+from leafsep.simulator import (_apply_gate, _block_pays, _plan, _run, _support_pays, fidelity,
+                               simulate, system_purity)
+from leafsep.synthesis import (MODE_ANCILLA, SynthesisConfig, synthesize_full,
+                               synthesize_general_baseline)
 
 
 def test_empty_circuit_preserves_input():
@@ -124,7 +125,7 @@ def test_planned_layout_matches_oracle(case):
     res = simulate(circ, initial=initial)
     assert res.first_dense_gate == 0 and res.peak_support == 1 << circ.n_wires
     assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
-    final, peak, first_dense, _ = _run(circ, initial, _always)
+    final, peak, first_dense, *_ = _run(circ, initial, _always)
     assert first_dense == len(circ.gates) and peak <= 1 << circ.n_wires
     assert np.max(np.abs(final.amplitudes - expected)) < 1e-12
 
@@ -185,12 +186,114 @@ def test_blocks_match_oracle_and_dense_engine(case):
     """Every run of gates on at most 4 wires as one block step on the support."""
     circ, initial = case
     expected = circuit_matrix(circ) @ _start_vector(circ, initial)
-    final, peak, first_dense, block_gates = _run(circ, initial, _always, _always, width=4)
+    final, peak, first_dense, block_gates, _ = _run(circ, initial, _always, _always, width=4)
     assert first_dense == len(circ.gates) and block_gates > 1
     assert peak <= 1 << circ.n_wires
     assert np.max(np.abs(final.amplitudes - expected)) < 1e-12
     dense, *_ = _run(circ, initial, _never)
     assert support_gap(final, dense) <= 1e-15
+
+
+@st.composite
+def _rotation_run_circuits(draw):
+    """Runs on one target of x/cx/mcx gates with +/- controls and one rotation kind,
+    each ended by a crbs, an mcphase, a new target or the other rotation kind, on
+    any superposition.  Returns the circuit, the length of its first run (which
+    holds a rotation) and the input."""
+    n = draw(st.integers(2, 7))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    target, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(["mcry", "mcrz"]))
+    circ, lengths = Circuit(n_system=n), []
+    for _ in range(draw(st.integers(1, 4))):
+        others = [w for w in range(n) if w != target]
+        length = draw(st.integers(2, 6))
+        rotations = draw(st.sets(st.integers(0, length - 1), min_size=1))
+        for i in range(length):
+            wires = draw(st.permutations(others))[:draw(st.integers(0, len(others)))]
+            controls = [(w, draw(st.sampled_from([1, -1]))) for w in wires]
+            if i in rotations:
+                maker = mcry if kind == "mcry" else mcrz
+                circ.add(maker(draw(angle), target, controls))
+            else:
+                circ.add(x(target, controls))
+        lengths.append(length)
+        end = draw(st.sampled_from(["crbs", "mcphase", "target", "kind"]))
+        if end == "crbs":
+            t1, t2 = draw(st.permutations(range(n)))[:2]
+            circ.add(crbs(draw(angle), draw(angle), t1, t2))
+        elif end == "mcphase":
+            circ.add(mcphase(draw(angle), draw(st.integers(0, n - 1))))
+        elif end == "target":
+            target = draw(st.sampled_from(others))
+        else:
+            kind = "mcrz" if kind == "mcry" else "mcry"
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return circ, lengths[0], StateVector.from_dense(n, vec, normalize=True)
+
+
+@settings(max_examples=80)
+@given(_rotation_run_circuits())
+def test_rotation_runs_match_oracle(case):
+    """Each run of x-family gates and one rotation kind on one target is one dense step."""
+    circ, first, initial = case
+    expected = circuit_matrix(circ) @ initial.amplitudes
+    res = simulate(circ, initial=initial)
+    assert res.run_gates >= first
+    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
+
+
+def _gate_by_gate(circ: Circuit) -> np.ndarray:
+    """Wire-order amplitudes of ``circ`` run densely on |0...0>, one gate a step."""
+    state = np.zeros([2] * circ.n_wires, dtype=np.complex128)
+    state[(0,) * circ.n_wires] = 1.0
+    for gate in circ.gates:
+        _apply_gate(state, gate, list(range(circ.n_wires)))
+    return state.reshape(-1)
+
+
+def _general_state(n: int, kind: str) -> StateVector:
+    """A state on all 2^n basis states: real, complex, or the moduli of a real one."""
+    rng = np.random.default_rng([n, len(kind)])
+    vec = rng.standard_normal(1 << n) + (1j * rng.standard_normal(1 << n)
+                                         if kind == "complex" else 0.0)
+    return StateVector.from_dense(n, np.abs(vec) if kind == "nonneg" else vec, normalize=True)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "nonneg"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_baseline_runs_match_gate_by_gate(n, kind):
+    """Every gate of a general-state baseline but the rotations of qubit 0, which
+    have no controls and stand alone, runs inside a rotation run."""
+    psi = _general_state(n, kind)
+    circ = synthesize_general_baseline(psi)
+    res = simulate(circ, target=psi)
+    lone = sum(gate.targets[0] == 0 for gate in circ.gates)
+    assert lone == (1 if kind == "nonneg" else 2)  # an RY, and an RZ where signs or phases vary
+    assert res.run_gates == len(circ.gates) - lone
+    assert np.max(np.abs(res.state.amplitudes - _gate_by_gate(circ))) < 1e-13
+    assert abs(res.fidelity - 1.0) < 1e-10
+
+
+def test_dense_baseline_run_peak_memory():
+    """A 15-qubit baseline runs dense from its first gate.  Beyond its plan (a list
+    entry and a dense work count per gate, about 6 amplitude arrays for the 2^16
+    gates), its peak stays under the bound of the ancilla run below: the pattern
+    arrays of a run are at most a quarter of the tensor each."""
+    psi = random_leaf_separable(15, 5, 5, "nonneg", seed=4)
+    circ = synthesize_general_baseline(psi)
+    tracemalloc.start()
+    try:
+        plan = _plan(circ)
+        held = tracemalloc.get_traced_memory()[0]
+        del plan
+        tracemalloc.reset_peak()
+        res = simulate(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.first_dense_gate == 0 and res.run_gates == len(circ.gates) - 1
+    assert peak - held < 3.25 * 16 * (1 << 15)
 
 
 def test_support_engine_densifies_mid_run():
@@ -201,9 +304,9 @@ def test_support_engine_densifies_mid_run():
         circ.add(mcry(0.3 + w, w))
     circ.add(x(4, controls=[(0, 1), (3, -1)]))
     circ.add(crbs(0.9, 0.4, 1, 2, controls=[(4, 1)]))
-    final, peak, first_dense, _ = _run(circ, None, lambda size, *_: size < 4)
+    final, peak, first_dense, *_ = _run(circ, None, lambda size, *_: size < 4)
     assert (first_dense, peak) == (2, 1 << 5)
-    dense, _, _, _ = _run(circ, None, _never)
+    dense, *_ = _run(circ, None, _never)
     assert support_gap(final, dense) <= 1e-15
     assert np.max(np.abs(final.amplitudes - circuit_matrix(circ)[:, 0])) < 1e-12
 
@@ -212,10 +315,10 @@ def test_dense_initial_state_can_start_dense():
     circ = random_circuit(5, 40, seed=7)
     rng = np.random.default_rng(7)
     psi = StateVector.from_dense(5, rng.standard_normal(32) + 1j * rng.standard_normal(32), normalize=True)
-    final, peak, first_dense, _ = _run(circ, psi, lambda size, *_: size < 32)
+    final, peak, first_dense, *_ = _run(circ, psi, lambda size, *_: size < 32)
     assert (first_dense, peak) == (0, 32)
     assert final == _run(circ, psi, _never)[0]
-    _, peak, first_dense, _ = _run(circ, psi, _always)
+    _, peak, first_dense, *_ = _run(circ, psi, _always)
     assert (first_dense, peak) == (len(circ.gates), 32)
 
 
@@ -228,7 +331,7 @@ def test_simulate_runs_sixteen_wires_on_the_support():
     res = simulate(circ, target=psi)
     assert (res.first_dense_gate, res.peak_support) == (len(circ.gates), math.comb(16, 8))
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
-    dense, _, _, _ = _run(circ, None, _never)
+    dense, *_ = _run(circ, None, _never)
     assert support_gap(res.state, dense) <= 1e-15
 
 
@@ -240,7 +343,7 @@ def test_simulate_moves_a_mixed_weight_run_to_dense():
     res = simulate(circ, target=psi)
     assert 0 < res.first_dense_gate < len(circ.gates) and res.peak_support == 1 << 16
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
-    dense, _, _, _ = _run(circ, None, _never)
+    dense, *_ = _run(circ, None, _never)
     assert support_gap(res.state, dense) <= 1e-15
 
 
