@@ -201,11 +201,9 @@ def encoder_angles(amplitudes) -> tuple[list[tuple[float, float]], float]:
     """
     a = np.asarray(amplitudes, dtype=np.complex128)
     mags = np.abs(a)
-    tails = np.sqrt(np.cumsum((mags ** 2)[::-1])[::-1])
     pairs: list[tuple[float, float]] = []
     chi = 0.0
-    for t in range(1, len(a)):
-        theta = 2.0 * math.atan2(float(tails[t]), float(mags[t - 1]))
+    for t, theta in enumerate(rotation_ladder_angles(mags), 1):
         phi = (math.remainder(2.0 * (cmath.phase(a[t - 1]) - chi), 4.0 * math.pi)
                if mags[t - 1] > 1e-15 else 0.0)
         pairs.append((theta, phi))

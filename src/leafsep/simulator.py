@@ -1,8 +1,7 @@
 """Statevector execution of the gate IR plus fidelity/purity diagnostics.
 
 :func:`simulate` has two engines and picks between them from what it observes:
-the circuit's wire count, the amplitudes its remaining gates would update on
-the dense state and the size of the state's support.
+the circuit's wire count and the size of the state's support.
 
 The support engine (:class:`_Support`) holds only the basis states the run has
 reached: their indices in wire order and their amplitudes, in arrays grown with
@@ -36,24 +35,15 @@ angle, and swaps the target's halves where an odd number of x gates matched.
 On the 11-qubit baseline a gate costs about 2.4 us in a run against 10 to 12 us
 on its own (best of 7, one core of the same 2-core Xeon host).
 
-A run starts on the support and stays there while a cost model says the rest
-of the run is cheaper there; from the first step it says otherwise, the run is
-dense.  Costs are in dense amplitude updates (about 5 ns each on one core of a
-Xeon host): a dense step updates the 2^(wires - controls) amplitudes its
-controls select; a support step costs ``SUPPORT_STEP_COST`` more, plus
-``SUPPORT_ENTRY_COST`` for each entry it matches, taken as the support's share
-of what the step updates dense (a share that falls only where a block leaves
-out the outputs its gates zero); and
-the move to the dense state costs ``DENSIFY_COST`` per amplitude of 2^wires.
-Fitted per step on compiled 16- to 20-wire circuits: a mixing step costs about
-60 us plus 60 ns a matched entry on the support, against 10 to 30 us plus
-4.7 ns an amplitude dense, and the move 10 to 30 ns an amplitude.  The share
-alone does not decide: the narrowly controlled gates of a free-mode n = 18,
-k = 9 circuit lose on the support at every share, while a 10 % to 20 % support
-near the end of a 20-wire run is cheaper kept than moved.  The support holds
-at most 2^wires entries of 24 bytes (16 an amplitude dense).  Circuits below
-``SPARSE_MIN_WIRES`` wires run dense: there a dense gate costs 6 to 15 us, less
-than the support engine's fixed cost per step.
+A run starts on the support and stays there while the support holds at most a
+quarter of the 2^wires amplitudes; from the first step at which it holds more,
+the run is dense.  A weight-ell target's C(n, ell) basis states are at most
+0.196 of 2^n from 16 qubits up, so a compiled run of one weight stays on the
+support, whose arrays (24 bytes an entry) stay smaller than the dense state (16
+bytes an amplitude); a mixed-weight run moves to dense once its support passes
+the quarter.  A per-gate cost rule fitted before blocks (below) sent free-mode
+runs at n = 18, k = 9 and n = 20, k = 10 dense, where they ran 2.4x and 4.1x
+slower.  Circuits below ``SPARSE_MIN_WIRES`` wires run dense (see there).
 
 On the support, a run of consecutive gates on at most ``BLOCK_MAX_WIRES`` wires,
 such as a leaf's Hamming-weight encoder on its k qubits and its ancilla, may
@@ -65,7 +55,8 @@ columns are the distinct local inputs present, and each entry becomes one entry
 per local output its column reaches, at the product of the two amplitudes;
 entries that meet at one index are summed.  Each gate of a leaf encoder then
 costs a slice of a 2^m x D tensor instead of a mask test and a sort on the
-support.  A block step costs ``BLOCK_STEP_COST``, plus its dense work on D
+support.  Costs are in dense amplitude updates, about 5 ns each on one core of a
+Xeon host.  A block step costs ``BLOCK_STEP_COST``, plus its dense work on D
 columns (2^m to fill and read a column, plus 2^(m - controls) a gate), plus
 ``SUPPORT_ENTRY_COST`` per support entry.  Its gates one by one cost
 ``SUPPORT_STEP_COST`` each, plus ``SUPPORT_ENTRY_COST`` per entry they match,
@@ -113,16 +104,17 @@ from .circuit import Circuit, Gate
 from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
-# The cost rule alone is not enough below it: with no floor it starts the 15-wire
-# mixed-weight k = 3 circuits on the support and hands them to dense at gate 88 of 104,
-# which ran them 19-36 % slower; 15-wire free-mode (k = 1, 3) and ancilla (n = 11, k = 3)
-# circuits ran 13-39 % slower, and only ancilla n = 10, k = 2 ran faster.
+# Below it a compiled circuit's dense gates cost less than a support step's fixed cost:
+# with no floor, the share limit keeps 15-wire circuits on the support, and mixed-weight
+# k = 3 and free-mode k = 1 and 3 ones ran 14-38 % slower; only ancilla mode at n = 10,
+# k = 2 and n = 11, k = 3 ran faster (2.2x and 8 %).
 SPARSE_MIN_WIRES = 16
-# The support engine's costs, in dense amplitude updates: its extra fixed cost per
-# step, its cost per matched entry, and the cost per amplitude of moving to dense.
+# The support engine's costs, in dense amplitude updates, which price a block against
+# its gates one by one: its extra fixed cost per step and its cost per matched entry
+# (fitted per step on compiled 16- to 20-wire circuits: a mixing step took about 60 us
+# plus 60 ns a matched entry).
 SUPPORT_STEP_COST = 8000
 SUPPORT_ENTRY_COST = 12
-DENSIFY_COST = 4
 # A block of consecutive gates on the support spans at most this many wires; its
 # fixed cost as one support step, in the same units.
 BLOCK_MAX_WIRES = 10
@@ -245,7 +237,7 @@ def _run_angles(steps: list, start: int, stop: int, axis: list[int]):
         else:
             rotation = gate.kind
             part += gate.params[0] * flip
-    half = (slice(None),) * axis[steps[start].targets[0]] + (0,)
+    half = (slice(None),) * axis[steps[start].targets[0]] + (0, ...)  # a view, even at 1 wire
     return rotation, angle[half], sign[half] < 0
 
 
@@ -258,7 +250,7 @@ def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
     quarters and the pattern arrays at most."""
     rotation, angle, odd = _run_angles(steps, start, stop, axis)
     t = axis[steps[start].targets[0]]
-    a, b = state[(slice(None),) * t + (0,)], state[(slice(None),) * t + (1,)]
+    a, b = state[(slice(None),) * t + (0, ...)], state[(slice(None),) * t + (1, ...)]
     if rotation == "mcry":  # the coefficients of _mixed, pattern by pattern
         angle /= 2
         c, s = np.cos(angle), np.sin(angle, out=angle)
@@ -271,7 +263,7 @@ def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
             kept *= s
             y += kept
     else:  # _diagonal's factors: the |1> factor is the conjugate of the |0> one
-        factor = angle * -0.5j
+        factor = np.asarray(angle * -0.5j)  # an array even at 1 wire, for ``out=``
         np.exp(factor, out=factor)
         a *= factor
         b *= np.conjugate(factor, out=factor)
@@ -281,9 +273,8 @@ def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
         np.copyto(a, kept, where=odd)
 
 
-def _plan(circuit: Circuit) -> tuple[list[int], list, list[int]]:
-    """Axis order (wires, most significant axis first), steps and the amplitudes
-    each step updates on the dense state, in one pass.
+def _plan(circuit: Circuit) -> tuple[list[int], list]:
+    """Axis order (wires, most significant axis first) and steps, in one pass.
 
     A step is a gate, or a list of consecutive ``mcphase`` gates controlled on
     every other wire: the residual distribution phases of a free-mode circuit.
@@ -292,15 +283,12 @@ def _plan(circuit: Circuit) -> tuple[list[int], list, list[int]]:
     n = circuit.n_wires
     load = [0] * n
     steps: list = []
-    work: list[int] = []
     for gate in circuit.gates:
         if gate.kind == "mcphase" and len(gate.controls) == n - 1:
             if steps and isinstance(steps[-1], list):
                 steps[-1].append(gate)
-                work[-1] += 1
             else:
                 steps.append([gate])
-                work.append(1)
             continue
         touched = 1 << (n - len(gate.controls))
         for wire, _ in gate.controls:
@@ -308,8 +296,7 @@ def _plan(circuit: Circuit) -> tuple[list[int], list, list[int]]:
         for wire in gate.targets:
             load[wire] += touched
         steps.append(gate)
-        work.append(touched)
-    return sorted(range(n), key=lambda w: -load[w]), steps, work
+    return sorted(range(n), key=lambda w: -load[w]), steps
 
 
 def _blocks(steps: list, width: int) -> dict[int, tuple[int, list[int], int, float]]:
@@ -354,24 +341,20 @@ def _phase_run(run: list[Gate], bit: list[int]) -> tuple[list[int], list[complex
     return index, [_diagonal(g)[1] for g in run]
 
 
-def _support_pays(n: int, size: int, steps_left: int, work_left: int) -> bool:
-    """Whether the rest of a run on ``n`` wires is cheaper on a support of ``size``
-    entries than dense, by the cost model of the module docstring; the remaining
-    steps update ``work_left`` amplitudes of the dense state."""
-    if n < SPARSE_MIN_WIRES:
-        return False
-    dense = 1 << n
-    return (steps_left * SUPPORT_STEP_COST * dense + SUPPORT_ENTRY_COST * size * work_left
-            <= (work_left + DENSIFY_COST * dense) * dense)
+def _support_pays(n: int, size: int) -> bool:
+    """Whether a run on ``n`` wires stays on a support of ``size`` entries: from
+    ``SPARSE_MIN_WIRES`` wires up, while it holds at most a quarter of 2^n."""
+    return n >= SPARSE_MIN_WIRES and size <= 1 << (n - 2)
 
 
 class _Support:
     """A state on ``n`` wires held as its support: distinct wire-order basis indices
-    and their amplitudes, in the first ``size`` entries of arrays with spare capacity."""
+    and their amplitudes, in the first ``size`` entries of arrays that may have spare
+    capacity.  It updates ``indices`` in place."""
 
     def __init__(self, n: int, indices: np.ndarray, amplitudes: np.ndarray):
         self.bit = [1 << (n - 1 - w) for w in range(n)]
-        self.idx = indices.astype(np.uint64)
+        self.idx = indices
         self.amp = amplitudes.astype(np.complex128)
         self.size = len(indices)
 
@@ -381,14 +364,14 @@ class _Support:
         if isinstance(step, list):
             index, factors = _phase_run(step, self.bit)
             order = np.argsort(idx)
-            pos, hit = find_sorted(idx[order], np.array(index, dtype=np.uint64))
+            pos, hit = find_sorted(idx[order], np.array(index))
             np.multiply.at(self.amp, order[pos[hit]], np.array(factors)[hit])
             return
         gate = step
         mask = sum(self.bit[w] for w, _ in gate.controls)
         value = sum(self.bit[w] for w, pol in gate.controls if pol == 1)
-        sel = np.flatnonzero((idx & np.uint64(mask)) == np.uint64(value))
-        target = np.uint64(self.bit[gate.targets[0]])
+        sel = np.flatnonzero((idx & mask) == value)
+        target = self.bit[gate.targets[0]]
         if gate.kind in _X_KINDS:
             self.idx[sel] ^= target
         elif gate.kind in ("mcrz", "mcphase"):
@@ -419,14 +402,13 @@ class _Support:
             else:
                 segments.append((n - 1 - w, m - 1 - j, 1))
         idx = self.idx[:self.size]
-        local = np.zeros(self.size, np.uint64)
-        spread = np.zeros(1 << m, np.uint64)  # index bits of each local value
-        values = np.arange(1 << m, dtype=np.uint64)
+        local = np.zeros(self.size, np.intp)
+        spread = np.zeros(1 << m, np.int64)  # index bits of each local value
+        values = np.arange(1 << m)
         for g, lo, length in segments:
-            mask = np.uint64((1 << length) - 1)
-            local |= ((idx >> np.uint64(g)) & mask) << np.uint64(lo)
-            spread |= ((values >> np.uint64(lo)) & mask) << np.uint64(g)
-        local = local.astype(np.intp)
+            mask = (1 << length) - 1
+            local |= ((idx >> g) & mask) << lo
+            spread |= ((values >> lo) & mask) << g
         present = np.bincount(local, minlength=1 << m) > 0
         inputs = np.flatnonzero(present)
         if not fuse(len(gates), work, reach, len(inputs), self.size):
@@ -447,23 +429,20 @@ class _Support:
         # the i-th pair of an entry reads the i-th output of the entry's column
         shift = (np.cumsum(counts) - counts)[column] - (np.cumsum(repeat) - repeat)
         pair = np.arange(repeat.sum()) + np.repeat(shift, repeat)
-        rest = idx & np.uint64(((1 << n) - 1) ^ int(spread[-1]))
+        rest = idx & (((1 << n) - 1) ^ int(spread[-1]))
         new_idx = np.repeat(rest, repeat) | spread[outputs[pair]]
         new_amp = np.repeat(self.amp[:self.size], repeat) * beta[pair]
         if (reached.sum(axis=0) > 1).any():  # two columns reach one output: sum what meets
             new_idx, where = np.unique(new_idx, return_inverse=True)
             new_amp = (np.bincount(where, new_amp.real, len(new_idx))
                        + 1j * np.bincount(where, new_amp.imag, len(new_idx)))
-        self.size = 0  # kept in the arrays with their spare capacity
-        self._append(new_idx)
-        self.amp[:self.size] = new_amp
+        self.idx, self.amp, self.size = new_idx, new_amp, len(new_idx)
         return True
 
     def _mix(self, gate: Gate, sel: np.ndarray) -> None:
         """Apply a mixing gate to the entries ``sel`` that match its controls."""
         t = self.bit[gate.targets[0]]
         first, second = (0, t) if gate.kind == "mcry" else (t, self.bit[gate.targets[1]])
-        first, second = np.uint64(first), np.uint64(second)
         flip = first ^ second
         if gate.kind == "crbs":  # |00> and |11> stay as they are
             pattern = self.idx[sel] & flip
@@ -493,7 +472,7 @@ class _Support:
         end = self.size + len(indices)
         if end > len(self.idx):
             cap = min(max(end, 2 * len(self.idx)), 1 << len(self.bit))
-            self.idx = np.concatenate((self.idx[:self.size], np.empty(cap - self.size, np.uint64)))
+            self.idx = np.concatenate((self.idx[:self.size], np.empty(cap - self.size, np.int64)))
             self.amp = np.concatenate((self.amp[:self.size], np.empty(cap - self.size, complex)))
         self.idx[self.size:end] = indices
         self.amp[self.size:end] = 0.0
@@ -546,20 +525,19 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
 
 def _run(circuit: Circuit, initial, stay, fuse=None,
          width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int, int]:
-    """Plan and run ``circuit`` on ``initial``: on the support while
-    ``stay(size, steps_left, work_left)`` holds before each step, then dense in the
-    plan's layout.  On the support, runs of gates on at most ``width`` wires are
-    blocks, each run as one step when ``fuse`` (see :meth:`_Support.block`) agrees;
-    with no ``fuse`` every gate is a step of its own.  Dense, each run from
-    :func:`_rotation_runs` is one step (:func:`_apply_run`).
+    """Plan and run ``circuit`` on ``initial``: on the support while ``stay(size)``
+    holds before each step, then dense in the plan's layout.  On the support, runs
+    of gates on at most ``width`` wires are blocks, each run as one step when
+    ``fuse`` (see :meth:`_Support.block`) agrees; with no ``fuse`` every gate is a
+    step of its own.  Dense, each run from :func:`_rotation_runs` is one step
+    (:func:`_apply_run`).
 
     Returns the final state, the peak support (taken between steps), the index of
     the first gate run dense (the gate count when none was), the number of gates
     run in blocks and the number run in rotation runs.
     """
     n = circuit.n_wires
-    order, steps, work = _plan(circuit)
-    work_left = sum(work)
+    order, steps = _plan(circuit)
     start = StateVector.basis(n, "0" * n) if initial is None else initial
     if isinstance(start, str):
         start = StateVector.basis(circuit.n_system, start)
@@ -570,11 +548,11 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
                          f"{circuit.n_system}+{circuit.n_ancilla}")
     indices, values = start.indices << (n - start.n), start.values  # ancillas: low bits, |0>
     done = first_dense = block_gates = run_gates = 0
-    if steps and stay(len(indices), len(steps), work_left):
+    if steps and stay(len(indices)):
         support = _Support(n, indices, values)
         blocks = {} if fuse is None else _blocks(steps, width)
         peak = support.size
-        while done < len(steps) and stay(support.size, len(steps) - done, work_left):
+        while done < len(steps) and stay(support.size):
             block = blocks.get(done)
             if block and support.block(steps[done:block[0]], *block[1:], fuse):
                 stop = block[0]
@@ -582,7 +560,6 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
             else:
                 stop = done + 1
                 support.apply(steps[done])
-            work_left -= sum(work[done:stop])
             done = stop
             peak = max(peak, support.size)
         first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])

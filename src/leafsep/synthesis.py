@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import encoder_angles, rotation_ladder_angles
-from .circuit import Circuit, Gate, crbs, mcphase, mcry, mcrz, x
+from .circuit import Circuit, Gate, _kind_cost, crbs, mcphase, mcry, mcrz, x
 from .combinatorics import ehrlich_patterns
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
 
@@ -280,9 +280,8 @@ def _chain_cost(size: int, w: int, angles, ancilla: bool) -> int:
     controls; the trailing phase w - 1 other ones and the ancilla, or size - w zeros.
     """
     rotations, trailing = angles
-    c = w if ancilla else size - 2
-    phase = max(1, 2 * (w if ancilla else size - 1)) if trailing is not None else 0
-    return len(rotations) * (2 + 2 * (c + 1)) + phase
+    phase = _kind_cost("mcphase", w if ancilla else size - 1)[0] if trailing is not None else 0
+    return len(rotations) * _kind_cost("crbs", w if ancilla else size - 2)[0] + phase
 
 
 def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes,
@@ -348,7 +347,7 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
         free = {w: _chain_cost(size, w, a, False) for w, a in angles.items()}
         marked = {w: _chain_cost(size, w, a, True) for w, a in angles.items()}
         free_cost = sum(free.values())
-        ancilla_cost = (len(classes) * (2 * size if size > 1 else 1)   # the detectors
+        ancilla_cost = (len(classes) * _kind_cost("mcx", size)[0]   # the detectors
                         + sum(min(marked[w], free[w]) for w in angles))
         use_ancilla = config.mode == MODE_ANCILLA and ancilla_cost < free_cost
         for w in classes:

@@ -15,7 +15,7 @@ from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
 from leafsep.simulator import (_apply_gate, _block_pays, _plan, _run, _support_pays, fidelity,
                                simulate, system_purity)
-from leafsep.synthesis import (MODE_ANCILLA, SynthesisConfig, synthesize_full,
+from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
                                synthesize_general_baseline)
 
 
@@ -117,9 +117,9 @@ def _start_vector(circ, initial) -> np.ndarray:
 @given(_skewed_circuits())
 def test_planned_layout_matches_oracle(case):
     """The dense engine in the planned layout, and the support engine on its own,
-    without a wire floor or a cost rule."""
+    without a wire floor or a share limit."""
     circ, hot, initial = case
-    order, _, _ = _plan(circ)
+    order, _ = _plan(circ)
     assert order[0] == hot
     expected = circuit_matrix(circ) @ _start_vector(circ, initial)
     res = simulate(circ, initial=initial)
@@ -243,6 +243,17 @@ def test_rotation_runs_match_oracle(case):
     assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("maker", [mcry, mcrz])
+def test_one_wire_rotation_run_matches_oracle(maker):
+    """On a one-wire circuit a run's halves and pattern arrays have no axes left."""
+    circ = Circuit(n_system=1)
+    circ.extend([maker(0.3, 0), x(0), maker(0.5, 0)])
+    psi = StateVector(1, [0, 1], [0.6, 0.8])
+    res = simulate(circ, initial=psi)
+    assert res.run_gates == 3
+    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
+
+
 def _gate_by_gate(circ: Circuit) -> np.ndarray:
     """Wire-order amplitudes of ``circ`` run densely on |0...0>, one gate a step."""
     state = np.zeros([2] * circ.n_wires, dtype=np.complex128)
@@ -277,9 +288,9 @@ def test_baseline_runs_match_gate_by_gate(n, kind):
 
 def test_dense_baseline_run_peak_memory():
     """A 15-qubit baseline runs dense from its first gate.  Beyond its plan (a list
-    entry and a dense work count per gate, about 6 amplitude arrays for the 2^16
-    gates), its peak stays under the bound of the ancilla run below: the pattern
-    arrays of a run are at most a quarter of the tensor each."""
+    entry per gate, about one amplitude array for the 2^16 gates), its peak stays
+    under the bound of the ancilla run below: the pattern arrays of a run are at
+    most a quarter of the tensor each."""
     psi = random_leaf_separable(15, 5, 5, "nonneg", seed=4)
     circ = synthesize_general_baseline(psi)
     tracemalloc.start()
@@ -304,7 +315,7 @@ def test_support_engine_densifies_mid_run():
         circ.add(mcry(0.3 + w, w))
     circ.add(x(4, controls=[(0, 1), (3, -1)]))
     circ.add(crbs(0.9, 0.4, 1, 2, controls=[(4, 1)]))
-    final, peak, first_dense, *_ = _run(circ, None, lambda size, *_: size < 4)
+    final, peak, first_dense, *_ = _run(circ, None, lambda size: size < 4)
     assert (first_dense, peak) == (2, 1 << 5)
     dense, *_ = _run(circ, None, _never)
     assert support_gap(final, dense) <= 1e-15
@@ -315,7 +326,7 @@ def test_dense_initial_state_can_start_dense():
     circ = random_circuit(5, 40, seed=7)
     rng = np.random.default_rng(7)
     psi = StateVector.from_dense(5, rng.standard_normal(32) + 1j * rng.standard_normal(32), normalize=True)
-    final, peak, first_dense, *_ = _run(circ, psi, lambda size, *_: size < 32)
+    final, peak, first_dense, *_ = _run(circ, psi, lambda size: size < 32)
     assert (first_dense, peak) == (0, 32)
     assert final == _run(circ, psi, _never)[0]
     _, peak, first_dense, *_ = _run(circ, psi, _always)
@@ -335,9 +346,23 @@ def test_simulate_runs_sixteen_wires_on_the_support():
     assert support_gap(res.state, dense) <= 1e-15
 
 
+@pytest.mark.parametrize("n, k, mode", [(18, 9, MODE_FREE), (20, 10, MODE_FREE),
+                                        (16, 2, MODE_FREE), (18, 9, MODE_ANCILLA)])
+def test_compiled_fixed_weight_runs_stay_on_the_support(n, k, mode):
+    """Free mode at n = 18, k = 9 and n = 20, k = 10, and the shapes of the
+    narrow-leaves and wide-leaves-ancilla benchmarks: every gate runs on the
+    support, which never holds more than a quarter of 2^wires."""
+    psi = random_leaf_separable(n, k, n // 2, "complex", seed=[4, 0])
+    circ = synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=mode))
+    res = simulate(circ, target=psi)
+    assert res.first_dense_gate == len(circ.gates)
+    assert res.peak_support <= 1 << (circ.n_wires - 2)
+    assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
+
+
 def test_simulate_moves_a_mixed_weight_run_to_dense():
-    """Mixed weights on 16 wires in 2-qubit leaves: the support grows past what the
-    cost rule keeps, and the run finishes dense."""
+    """Mixed weights on 16 wires in 2-qubit leaves: the support grows past a quarter
+    of 2^16, and the run finishes dense."""
     psi = random_mixed_leaf_separable(16, 2, "complex", seed=[110])
     circ = synthesize_full(psi, SynthesisConfig(n=16, k=2))
     res = simulate(circ, target=psi)
@@ -391,14 +416,14 @@ def test_thirty_wire_ancilla_run_needs_no_dense_state():
 
 
 def test_dense_ancilla_run_peak_memory():
-    """An 18-wire ancilla-mode run from a dense input goes dense from its first gate
-    and ends on nearly all 2^18 amplitudes.  Its peak stays at the gate kernel's
-    (about 3 amplitude arrays of 2^wires): neither the output's support nor the
-    diagnostics copy the state whole."""
+    """An 18-wire ancilla-mode run from a dense input on every wire goes dense from
+    its first gate and ends on nearly all 2^18 amplitudes.  Its peak stays at the
+    gate kernel's (about 3 amplitude arrays of 2^wires): neither the output's
+    support nor the diagnostics copy the state whole."""
     psi = random_mixed_leaf_separable(16, 8, seed=1)
     circ = synthesize_full(psi, SynthesisConfig(n=16, k=8, mode=MODE_ANCILLA))
-    amps = np.random.default_rng(0).standard_normal(1 << 16).astype(complex)
-    initial = StateVector.from_dense(16, amps, normalize=True)
+    amps = np.random.default_rng(0).standard_normal(1 << 18).astype(complex)
+    initial = StateVector.from_dense(18, amps, normalize=True)
     tracemalloc.start()
     try:
         res = simulate(circ, initial=initial, target=psi)
@@ -419,15 +444,28 @@ def test_block_rule_weighs_columns_and_support():
     assert _block_pays(30, 2 ** 5 * 8, 3.0, 6, 30_000)
 
 
-def test_support_rule_weighs_the_remaining_work():
-    """Never below the wire floor; on a small support while the dense work ahead is
-    large; not on a large support with much work ahead, but kept near the end,
-    where moving to the dense state costs more than what is left."""
-    assert not _support_pays(15, 1, 10, 10 << 15)
-    assert _support_pays(20, 1, 100, 100 << 19)
-    assert not _support_pays(20, 1, 1000, 1000 << 3)   # narrow gates: dense is cheaper
-    assert not _support_pays(20, 1 << 18, 100, 100 << 19)
-    assert _support_pays(20, 1 << 18, 1, 1 << 19)
+def test_support_rule_is_a_quarter_share_from_sixteen_wires():
+    """Never below the wire floor; from it, a support of at most a quarter of 2^wires."""
+    assert not any(_support_pays(15, size) for size in (1, 1 << 13))
+    assert _support_pays(16, 1) and _support_pays(16, 1 << 14)
+    assert not _support_pays(16, (1 << 14) + 1)
+    assert _support_pays(20, 1 << 18) and not _support_pays(20, (1 << 18) + 1)
+
+
+@pytest.mark.parametrize("wires, share, first_dense",
+                         [(15, 1, 0), (16, 1 << 14, 1), (16, (1 << 14) + 1, 0)])
+def test_run_starts_on_a_support_of_at_most_a_quarter(wires, share, first_dense):
+    """At 15 wires even one entry runs dense from gate 0.  At 16 wires a support of
+    exactly a quarter of 2^16 starts on the support, and the mcry that doubles it
+    sends the rest dense; one entry more runs dense from gate 0."""
+    psi = StateVector(wires, np.arange(share), np.ones(share), normalize=True)
+    circ = Circuit(n_system=wires)
+    circ.add(mcry(0.7, 0))  # no entry has wire 0 set: every one gains a partner
+    circ.add(x(1, controls=[(w, -1) for w in range(2, 12)]))  # too wide to share a block
+    res = simulate(circ, initial=psi)
+    assert (res.first_dense_gate, res.peak_support) == (first_dense, 1 << wires)
+    dense, *_ = _run(circ, psi, _never)
+    assert support_gap(res.state, dense) <= 1e-15
 
 
 def test_crbs_theta_zero_is_identity():

@@ -425,7 +425,10 @@ def test_leaf_encoders_match_the_build_both_oracle():
 
 
 def test_chain_cost_closed_form():
-    from leafsep.synthesis import _chain_angles, _chain_cost, _chain_slots, _rotation_chain
+    """Chains priced in closed form cost what their gates cost, and so do the leaf
+    encoders' reported costs of both schemes, detectors included."""
+    from leafsep.synthesis import (_chain_angles, _chain_cost, _chain_slots, _leaf_detector,
+                                   _rotation_chain)
     rng = np.random.default_rng(10)
     for size in range(2, 11):
         for w in range(1, size):
@@ -440,6 +443,29 @@ def test_chain_cost_closed_form():
                     assert gates
                     assert _chain_cost(size, w, angles, ancilla) == \
                         sum(two_qubit_cost(g) for g in gates)
+
+    def built(gates) -> int:
+        return sum(two_qubit_cost(g) for g in gates)
+
+    for n, k, ell in ((12, 6, 6), (12, 6, 3), (10, 5, None), (9, 3, 4), (8, 1, 4)):
+        psi = (random_mixed_leaf_separable(n, k, "complex", seed=5) if ell is None
+               else random_leaf_separable(n, k, ell, "complex", seed=5))
+        tree = build_partition_tree(n, k)
+        table = analyze(psi, tree).leaves
+        gates = synthesize_leaf_encoders(table, tree, SynthesisConfig(n, k, mode=MODE_ANCILLA))
+        for u, (leaf, entry) in enumerate(zip(tree.leaves, gates.leaves)):
+            classes = sorted(w for lu, w in table if lu == u)
+            free = marked = 0
+            for w in classes:
+                if len(table[(u, w)]) > 1:
+                    angles = _chain_angles(table[(u, w)])
+                    chain = built(_rotation_chain(angles, _chain_slots(leaf.size, w, leaf.start,
+                                                                      None)))
+                    free += chain
+                    marked += min(chain, built(_rotation_chain(angles, _chain_slots(
+                        leaf.size, w, leaf.start, ((n + u, 1),)))))
+                marked += two_qubit_cost(_leaf_detector(leaf, w, n + u))
+            assert (entry["free_two_qubit"], entry["ancilla_two_qubit"]) == (free, marked)
 
 
 def test_leaf_encoders_build_only_the_chosen_gates(monkeypatch):
