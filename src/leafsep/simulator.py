@@ -86,10 +86,16 @@ ancillas out and are applied gate by gate.
 The dense state starts in the plan's axis order and is permuted back once at
 the end.  Either engine returns the state's support in wire order: ancilla wires
 sit after the system wires as the low index bits, so a state on the system wires
-embeds with |0...0> on the ancillas by a shift of its indices.  Fidelity and
-purity read the support as a matrix, a row per system index present and a
-column per ancilla pattern present, summed over blocks of ``DIAGNOSTIC_BLOCK``
-entries cut at whole rows, so a large dense-run output is never copied whole.
+embeds with |0...0> on the ancillas by a shift of its indices.
+
+Fidelity and purity come from one pass over the output (:func:`_diagnostics`),
+read as a matrix with a row per system index present and a column per ancilla
+pattern present.  A compiled ancilla-mode run from |0...0> ends with its
+ancillas in one pattern: the fidelity is then one read of the target at the
+system indices and the purity the squared norm, squared, with no sort and no
+search over the support.  With several patterns the support is read in blocks
+of about ``DIAGNOSTIC_BLOCK`` entries cut at whole rows, so a large dense-run
+output is never copied whole.
 """
 from __future__ import annotations
 
@@ -311,7 +317,11 @@ def _blocks(steps: list, width: int) -> dict[int, tuple[int, list[int], int, flo
     for i, step in enumerate([*steps, None]):
         wires = None
         if isinstance(step, Gate):
-            wires = sum(1 << w for w in step.targets) | sum(1 << w for w, _ in step.controls)
+            wires = 0
+            for w in step.targets:
+                wires |= 1 << w
+            for w, _ in step.controls:
+                wires |= 1 << w
             if (span | wires).bit_count() <= width:
                 span |= wires
                 controls.append(len(step.controls))
@@ -501,7 +511,8 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     ``initial`` may be a StateVector over the system wires (ancillas are
     initialized to |0>), a StateVector over all wires, or a bitstring.
     When ``target`` (system wires) is given, phase-insensitive fidelity and the
-    system-register purity are filled in.  ``elapsed`` covers planning, the
+    system-register purity are filled in, both from one pass over the output
+    (:func:`_diagnostics`).  ``elapsed`` covers planning, the
     gates on either engine, the move from the support to the dense state and
     both permutations of the dense state, but not fidelity or purity.
     ``first_dense_gate`` is 0 when the whole run was dense and the gate count
@@ -518,8 +529,7 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
                               first_dense_gate=first_dense, block_gates=block_gates,
                               run_gates=run_gates)
     if target is not None:
-        result.fidelity = fidelity(final, target, n_system=circuit.n_system)
-        result.purity = system_purity(final, circuit.n_system)
+        result.fidelity, result.purity = _diagnostics(final, circuit.n_system, target)
     return result
 
 
@@ -596,48 +606,66 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
             run_gates)
 
 
-def _system_blocks(state: StateVector, n_system: int):
-    """The support cut at whole system indices into blocks of about ``DIAGNOSTIC_BLOCK``
-    entries, each as its ascending system indices and its amplitudes as a matrix: a row
-    per system index, a column per pattern of the ancillas (low index bits) present in
-    ``state``.  No temporary spans the whole support of a large dense-run output."""
+def _diagnostics(state: StateVector, n_system: int,
+                 target: StateVector | None) -> tuple[float | None, float]:
+    """Reduced-state fidelity of ``state`` against ``target`` on its first ``n_system``
+    wires (None with no target) and the system purity, in one pass (see the module
+    docstring).  With M the matrix of system rows by ancilla columns, they are the
+    squared norm of target^H M and the squared Frobenius norm of M^H M; with no
+    ancillas the purity is 1."""
+    if not 0 <= n_system <= state.n:
+        raise ValueError(f"n_system must be in [0, {state.n}], got {n_system}")
+    if target is not None and target.n != n_system:
+        raise ValueError("target must live on the system wires")
     shift = state.n - n_system
-    if not shift:
-        yield state.indices, state.values[:, None]
-        return
-    idx, low = state.indices, (1 << shift) - 1
+    idx, values, low = state.indices, state.values, (1 << shift) - 1
+    if not (shift and len(idx)  # no ancillas, or one pattern of them: M is the values
+            and (int(np.bitwise_or.reduce(idx)) ^ int(np.bitwise_and.reduce(idx))) & low):
+        return (None if target is None
+                else float(abs(np.vdot(target.lookup(idx >> shift), values)) ** 2),
+                float(np.vdot(values, values).real ** 2) if shift else 1.0)
     ends = [0]
     while ends[-1] < len(idx):  # a block ends with the last entry of its last row
         last = int(idx[min(ends[-1] + DIAGNOSTIC_BLOCK, len(idx)) - 1]) | low
         ends.append(int(np.searchsorted(idx, last, side="right")))
     spans = list(zip(ends, ends[1:]))
-    parts = [np.unique(idx[a:b] & low) for a, b in spans]
-    columns = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts or [idx]))
+    table = None  # pattern -> column, where it costs no more than the support
+    if 1 << shift <= len(idx):
+        present = sum(np.bincount(idx[a:b] & low, minlength=1 << shift) for a, b in spans) > 0
+        table, width = np.cumsum(present) - 1, int(np.count_nonzero(present))
+    else:
+        patterns = np.unique(np.concatenate([np.unique(idx[a:b] & low) for a, b in spans]))
+        width = len(patterns)
+    overlaps = np.zeros(width, dtype=np.complex128)
+    gram = np.zeros((width, width), dtype=np.complex128)
     for a, b in spans:
-        system = idx[a:b] >> shift
-        first = np.append(True, system[1:] != system[:-1])  # ascending: a new value, a new row
-        matrix = np.zeros((np.count_nonzero(first), len(columns)), dtype=np.complex128)
-        matrix[np.cumsum(first) - 1, np.searchsorted(columns, idx[a:b] & low)] = state.values[a:b]
-        yield system[first], matrix
+        rows, pattern = idx[a:b] >> shift, idx[a:b] & low
+        row = np.cumsum(np.append(True, rows[1:] != rows[:-1])) - 1  # sorted: a row is a run
+        column = table[pattern] if table is not None else np.searchsorted(patterns, pattern)
+        matrix = np.zeros((int(row[-1]) + 1, width), dtype=np.complex128)
+        matrix.reshape(-1)[row * width + column] = values[a:b]
+        if target is not None:
+            lo, hi = np.searchsorted(target.indices, (rows[0], rows[-1] + 1))
+            pos, hit = find_sorted(rows, target.indices[lo:hi])
+            overlaps += target.values[lo:hi][hit].conj() @ matrix[row[pos[hit]]]
+        gram += matrix.T.conj() @ matrix
+    return (None if target is None else float(np.sum(np.abs(overlaps) ** 2)),
+            float(np.sum(np.abs(gram) ** 2)))
 
 
 def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> float:
     """|<a|b>|^2 for equal sizes; reduced-state fidelity when ``a`` has ancillas.
 
     With ancillas, returns <b| rho_sys |b> where rho_sys traces the ancilla
-    block out of |a><a|.  Global phase never matters.
+    block out of |a><a|.  Global phase never matters.  ``n_system``, when given,
+    must be in [0, a.n] and equal ``b.n``.
     """
     if a.n < b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    if a.n > b.n and n_system is not None and n_system != b.n:
-        raise ValueError("target must live on the system wires")
-    overlaps = sum(b.lookup(rows).conj() @ matrix for rows, matrix in _system_blocks(a, b.n))
-    return float(np.sum(np.abs(overlaps) ** 2))
+    return _diagnostics(a, b.n if n_system is None else n_system, b)[0]
 
 
 def system_purity(state: StateVector, n_system: int) -> float:
-    """Tr(rho^2) of the reduced system state; 1 means no residual entanglement."""
-    if n_system == state.n:
-        return 1.0
-    gram = sum(matrix.conj().T @ matrix for _, matrix in _system_blocks(state, n_system))
-    return float(np.sum(np.abs(gram) ** 2))
+    """Tr(rho^2) of the reduced state on the first ``n_system`` wires (in [0, state.n]);
+    1 means no residual entanglement."""
+    return _diagnostics(state, n_system, None)[1]

@@ -612,3 +612,60 @@ def test_diagnostics_cut_the_support_at_whole_rows(monkeypatch, n_ancilla):
                    - np.sum(np.abs(target.conj() @ matrix) ** 2)) < 1e-12
         assert abs(system_purity(psi, n_system)
                    - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
+
+
+@st.composite
+def _diagnostic_cases(draw):
+    """A state on 1-6 system wires and 0-3 ancillas whose ancillas hold one pattern,
+    several, a few scattered entries or every entry, and a target on the system wires
+    that covers part of the system indices."""
+    n_system, n_ancilla = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    layout = draw(st.sampled_from(["one", "several", "scattered", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = n_system + n_ancilla
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    matrix = amps.reshape(1 << n_system, 1 << n_ancilla)  # a view: rows system, columns ancilla
+    if layout == "one":
+        matrix[:, np.arange(1 << n_ancilla) != rng.integers(1 << n_ancilla)] = 0
+    elif layout == "several":
+        matrix[:, rng.random(1 << n_ancilla) < 0.5] = 0
+        matrix[rng.random(matrix.shape) < 0.3] = 0
+    elif layout == "scattered":
+        amps[rng.permutation(1 << n)[int(rng.integers(1, 5)):]] = 0
+    amps[rng.integers(1 << n)] = 1.0
+    target = (rng.standard_normal(1 << n_system) + 1j * rng.standard_normal(1 << n_system)) \
+        * (rng.random(1 << n_system) < 0.6)
+    target[rng.integers(1 << n_system)] = 1.0
+    return (n_system, n_ancilla, amps / np.linalg.norm(amps), target / np.linalg.norm(target),
+            int(rng.integers(2 ** 32)))
+
+
+@settings(max_examples=150)
+@given(_diagnostic_cases())
+def test_diagnostics_match_the_dense_reshape(case):
+    """One-pass fidelity and purity equal the dense reshape's (2^system x 2^ancilla), and
+    ``simulate(..., target=)`` gives what the public functions give on its output."""
+    n_system, n_ancilla, amps, target, seed = case
+    n = n_system + n_ancilla
+    matrix = amps.reshape(1 << n_system, 1 << n_ancilla)
+    psi, system = StateVector.from_dense(n, amps), StateVector.from_dense(n_system, target)
+    assert abs(fidelity(psi, system, n_system=n_system)
+               - np.sum(np.abs(target.conj() @ matrix) ** 2)) < 1e-12
+    assert abs(system_purity(psi, n_system)
+               - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
+    circ = random_circuit(n_system, 6, seed, n_ancilla) if n > 1 else Circuit(n_system=1)
+    res = simulate(circ, initial=psi, target=system)
+    assert res.fidelity == fidelity(res.state, system, n_system=n_system)
+    assert res.purity == system_purity(res.state, n_system)
+
+
+def test_diagnostics_reject_an_out_of_range_n_system():
+    psi = StateVector.from_terms(3, {"101": 0.6, "110": 0.8})
+    for n_system in (5, -1):
+        with pytest.raises(ValueError, match="n_system"):
+            system_purity(psi, n_system)
+        with pytest.raises(ValueError, match="n_system"):
+            fidelity(psi, StateVector.basis(2, "10"), n_system=n_system)
+    assert abs(system_purity(psi, 0) - 1.0) < 1e-12 and system_purity(psi, 3) == 1.0
+    with pytest.raises(ValueError, match="system wires"):
+        fidelity(psi, StateVector.basis(2, "10"), n_system=1)
