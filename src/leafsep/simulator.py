@@ -606,13 +606,21 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
             run_gates)
 
 
-def _diagnostics(state: StateVector, n_system: int,
-                 target: StateVector | None) -> tuple[float | None, float]:
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by a sort and a mask: numpy's hash-table unique took 5-15x
+    as long on blocks of ancilla patterns."""
+    ordered = np.sort(values)
+    return ordered[np.append(True, ordered[1:] != ordered[:-1])]
+
+
+def _diagnostics(state: StateVector, n_system: int, target: StateVector | None,
+                 purity: bool = True) -> tuple[float | None, float | None]:
     """Reduced-state fidelity of ``state`` against ``target`` on its first ``n_system``
     wires (None with no target) and the system purity, in one pass (see the module
     docstring).  With M the matrix of system rows by ancilla columns, they are the
     squared norm of target^H M and the squared Frobenius norm of M^H M; with no
-    ancillas the purity is 1."""
+    ancillas the purity is 1.  With several ancilla patterns and ``purity`` false, the
+    M^H M over the patterns is not built and the purity is None."""
     if not 0 <= n_system <= state.n:
         raise ValueError(f"n_system must be in [0, {state.n}], got {n_system}")
     if target is not None and target.n != n_system:
@@ -629,28 +637,23 @@ def _diagnostics(state: StateVector, n_system: int,
         last = int(idx[min(ends[-1] + DIAGNOSTIC_BLOCK, len(idx)) - 1]) | low
         ends.append(int(np.searchsorted(idx, last, side="right")))
     spans = list(zip(ends, ends[1:]))
-    table = None  # pattern -> column, where it costs no more than the support
-    if 1 << shift <= len(idx):
-        present = sum(np.bincount(idx[a:b] & low, minlength=1 << shift) for a, b in spans) > 0
-        table, width = np.cumsum(present) - 1, int(np.count_nonzero(present))
-    else:
-        patterns = np.unique(np.concatenate([np.unique(idx[a:b] & low) for a, b in spans]))
-        width = len(patterns)
+    patterns = _distinct(np.concatenate([_distinct(idx[a:b] & low) for a, b in spans]))
+    width = len(patterns)
     overlaps = np.zeros(width, dtype=np.complex128)
-    gram = np.zeros((width, width), dtype=np.complex128)
+    gram = np.zeros((width, width), dtype=np.complex128) if purity else None
     for a, b in spans:
-        rows, pattern = idx[a:b] >> shift, idx[a:b] & low
+        rows = idx[a:b] >> shift
         row = np.cumsum(np.append(True, rows[1:] != rows[:-1])) - 1  # sorted: a row is a run
-        column = table[pattern] if table is not None else np.searchsorted(patterns, pattern)
         matrix = np.zeros((int(row[-1]) + 1, width), dtype=np.complex128)
-        matrix.reshape(-1)[row * width + column] = values[a:b]
+        matrix.reshape(-1)[row * width + np.searchsorted(patterns, idx[a:b] & low)] = values[a:b]
         if target is not None:
             lo, hi = np.searchsorted(target.indices, (rows[0], rows[-1] + 1))
             pos, hit = find_sorted(rows, target.indices[lo:hi])
             overlaps += target.values[lo:hi][hit].conj() @ matrix[row[pos[hit]]]
-        gram += matrix.T.conj() @ matrix
+        if purity:
+            gram += matrix.T.conj() @ matrix
     return (None if target is None else float(np.sum(np.abs(overlaps) ** 2)),
-            float(np.sum(np.abs(gram) ** 2)))
+            float(np.sum(np.abs(gram) ** 2)) if purity else None)
 
 
 def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> float:
@@ -662,7 +665,7 @@ def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> flo
     """
     if a.n < b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    return _diagnostics(a, b.n if n_system is None else n_system, b)[0]
+    return _diagnostics(a, b.n if n_system is None else n_system, b, purity=False)[0]
 
 
 def system_purity(state: StateVector, n_system: int) -> float:

@@ -669,3 +669,15 @@ def test_diagnostics_reject_an_out_of_range_n_system():
     assert abs(system_purity(psi, 0) - 1.0) < 1e-12 and system_purity(psi, 3) == 1.0
     with pytest.raises(ValueError, match="system wires"):
         fidelity(psi, StateVector.basis(2, "10"), n_system=1)
+
+
+def test_fidelity_with_many_ancilla_patterns_builds_no_pattern_gram():
+    """A dense 16-qubit state read on one system wire has 2^15 ancilla patterns: the
+    fidelity needs only target^H M, not the 2^15 x 2^15 M^H M of the purity."""
+    rng = np.random.default_rng(16)
+    psi = StateVector.from_dense(
+        16, rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16), normalize=True)
+    target = StateVector.from_dense(1, np.array([0.6, 0.8j]))
+    matrix = psi.amplitudes.reshape(2, 1 << 15)
+    assert abs(fidelity(psi, target, n_system=1)
+               - np.sum(np.abs(target.amplitudes.conj() @ matrix) ** 2)) < 1e-12
