@@ -231,7 +231,7 @@ def export_text(circuit: Circuit) -> str:
     """Serialize to the line-oriented text format (bit-exact, round-trips)."""
     meta = circuit.metadata
     lines = ["# format=1", "# n={} k={} ell={} mode={}".format(
-        meta.get("n", circuit.n_system), meta.get("k", 0), meta.get("ell", 0),
+        circuit.n_system, meta.get("k", 0), meta.get("ell", 0),
         meta.get("mode", "none"))]
     if circuit.n_ancilla:
         lines.append(f"# ancilla={circuit.n_ancilla}")

@@ -4,6 +4,8 @@ Subcommands: synthesize, simulate, check-separable, random-state,
 bench-fidelity, bench-cost.  Exit codes: 0 success, 1 domain error
 (e.g. non-separable input under --strict), 2 I/O or parse error.
 Machine-readable output goes to stdout or files; diagnostics to stderr.
+``simulate --input`` takes a state JSON file or ``basis:BITS`` on the system
+wires; ``bench-fidelity --n-max 15 --states 200`` is the paper's scale.
 """
 from __future__ import annotations
 
@@ -12,8 +14,6 @@ import json
 import math
 import sys
 import warnings
-
-import numpy as np
 
 from . import analysis, circuit, experiments, simulator, synthesis
 from .core import StateVector, build_partition_tree
@@ -68,9 +68,10 @@ def _cmd_simulate(args) -> int:
     if args.input is None:
         initial = None
     elif args.input.startswith("basis:"):
-        initial = args.input[len("basis:"):]
-        if len(initial) != circ.n_system or set(initial) - {"0", "1"}:
-            return _fail(2, f"bad basis string {initial!r} for {circ.n_system} wires")
+        bits = args.input[len("basis:"):]
+        if len(bits) != circ.n_system or set(bits) - {"0", "1"}:
+            return _fail(2, f"bad basis string {bits!r} for {circ.n_system} wires")
+        initial = StateVector.basis(circ.n_system, bits)
     else:
         initial = _load_state(args.input)
     target = _load_state(args.target) if args.target else None
@@ -126,24 +127,20 @@ def _k_values(text: str) -> tuple[int, ...] | None:
 
 
 def _cmd_bench_fidelity(args) -> int:
-    states = 200 if args.paper_scale else args.states
-    n_max = 15 if args.paper_scale else args.n_max
     config = experiments.ExperimentConfig(
-        n_values=tuple(range(args.n_min, n_max + 1)), k_values=args.k, ell=args.ell,
-        states_per_cell=states, seed=args.seed, kind=args.field,
+        n_values=tuple(range(args.n_min, args.n_max + 1)), k_values=args.k, ell=args.ell,
+        states_per_cell=args.states, seed=args.seed, kind=args.field,
         modes=tuple(args.modes.split(",")))
     if not any(config.cells()):
         return _fail(1, f"--k {args.k[0] if args.k else 'all'} leaves no (n, k) cell with "
-                        f"k <= n for n in [{args.n_min}, {n_max}]")
+                        f"k <= n for n in [{args.n_min}, {args.n_max}]")
     rows = experiments.run_fidelity_sweep(config)
     _write(args.out, experiments.rows_to_csv(rows, experiments.FIDELITY_CSV_HEADER))
     return 0
 
 
 def _cmd_bench_cost(args) -> int:
-    config = experiments.ExperimentConfig(n_values=tuple(range(args.n_min, args.n_max + 1)),
-                                          seed=args.seed)
-    rows = experiments.run_cost_sweep(config)
+    rows = experiments.run_cost_sweep(tuple(range(args.n_min, args.n_max + 1)), args.seed)
     _write(args.out, experiments.rows_to_csv(rows, experiments.COST_CSV_HEADER))
     return 0
 
@@ -200,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_random_state)
 
-    p = sub.add_parser("bench-fidelity", help="fidelity sweep CSV")
+    p = sub.add_parser("bench-fidelity", help="fidelity sweep CSV",
+                       description="Fidelity sweep CSV.  The paper's scale is "
+                                   "--n-max 15 --states 200.")
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--k", type=_k_values, default="all")
@@ -209,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--modes", default="free")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="200 states per cell over 4..15 qubits")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench_fidelity)
 

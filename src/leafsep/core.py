@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12
-
 # Largest register a dense state (2^n amplitudes) may span.
 MAX_QUBITS = 32
 # Basis indices are int64, so no state spans more than this many qubits.
@@ -279,8 +277,8 @@ class StateVector:
         return np.flatnonzero(np.bincount(np.bitwise_count(kept),
                                           minlength=self.n + 1)).tolist()
 
-    def to_json_dict(self, tol: float = 1e-15) -> dict:
-        kept = np.abs(self.values) > tol
+    def to_json_dict(self) -> dict:
+        kept = np.abs(self.values) > 1e-15
         return {"n": self.n, "amplitudes": [
             {"bitstring": index_to_string(i, self.n), "re": a.real, "im": a.imag}
             for i, a in zip(self.indices[kept].tolist(), self.values[kept].tolist())]}

@@ -184,13 +184,13 @@ def run_fidelity_sweep(config: ExperimentConfig) -> list[dict]:
 COST_METHODS = ("leafsep_free", "leafsep_ancilla", "hwk_encoder", "general_baseline")
 
 
-def run_cost_sweep(config: ExperimentConfig) -> list[dict]:
-    """Worst-case gate counts at k = ceil(n/2) on a full-support target."""
+def run_cost_sweep(n_values: tuple[int, ...], seed: int = 0) -> list[dict]:
+    """Worst-case gate counts at k = ceil(n/2) on a full-support target, per n."""
     rows: list[dict] = []
-    for n in config.n_values:
+    for n in n_values:
         k = math.ceil(n / 2)
         ell = k
-        psi = random_leaf_separable(n, k, ell, "nonneg", seed=derive_seed(config.seed, n, 0, 0))
+        psi = random_leaf_separable(n, k, ell, "nonneg", seed=derive_seed(seed, n, 0, 0))
         circuits = {
             "leafsep_free": synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=MODE_FREE)),
             "leafsep_ancilla": synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=MODE_ANCILLA)),

@@ -41,9 +41,7 @@ the run is dense.  A weight-ell target's C(n, ell) basis states are at most
 0.196 of 2^n from 16 qubits up, so a compiled run of one weight stays on the
 support, whose arrays (24 bytes an entry) stay smaller than the dense state (16
 bytes an amplitude); a mixed-weight run moves to dense once its support passes
-the quarter.  A per-gate cost rule fitted before blocks (below) sent free-mode
-runs at n = 18, k = 9 and n = 20, k = 10 dense, where they ran 2.4x and 4.1x
-slower.  Circuits below ``SPARSE_MIN_WIRES`` wires run dense (see there).
+the quarter.  Circuits below ``SPARSE_MIN_WIRES`` wires run dense (see there).
 
 On the support, a run of consecutive gates on at most ``BLOCK_MAX_WIRES`` wires,
 such as a leaf's Hamming-weight encoder on its k qubits and its ancilla, may
@@ -106,7 +104,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import _X_FAMILY, Circuit, Gate
 from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
@@ -128,8 +126,7 @@ BLOCK_STEP_COST = 16000
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
 # Gate kinds a rotation run may hold, each with the rotation kind it fixes ("" for none).
-_X_KINDS = ("x", "cx", "mcx")
-_RUN_KINDS = dict.fromkeys(_X_KINDS, "") | {"mcry": "mcry", "mcrz": "mcrz"}
+_RUN_KINDS = dict.fromkeys(_X_FAMILY, "") | {"mcry": "mcry", "mcrz": "mcrz"}
 
 
 def _mixed(gate: Gate) -> tuple:
@@ -174,7 +171,7 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
         u = axis[gate.targets[1]]
         i0[t], i0[u], i1[t], i1[u] = 1, 0, 0, 1
     s0, s1 = tuple(i0), tuple(i1)
-    if gate.kind in _X_KINDS:
+    if gate.kind in _X_FAMILY:
         a = state[s0].copy()
         state[s0] = state[s1]
         state[s1] = a
@@ -238,7 +235,7 @@ def _run_angles(steps: list, start: int, stop: int, axis: list[int]):
             sl = tuple(_controls_slicer(gate, axis, n))
             views[gate.controls] = angle[sl], sign[sl]
         part, flip = views[gate.controls]
-        if gate.kind in _X_KINDS:
+        if gate.kind in _X_FAMILY:
             np.negative(flip, out=flip)
         else:
             rotation = gate.kind
@@ -382,7 +379,7 @@ class _Support:
         value = sum(self.bit[w] for w, pol in gate.controls if pol == 1)
         sel = np.flatnonzero((idx & mask) == value)
         target = self.bit[gate.targets[0]]
-        if gate.kind in _X_KINDS:
+        if gate.kind in _X_FAMILY:
             self.idx[sel] ^= target
         elif gate.kind in ("mcrz", "mcphase"):
             f0, f1 = _diagonal(gate)
@@ -509,7 +506,7 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     """Run ``circuit`` on ``initial`` (default |0...0>), returning diagnostics.
 
     ``initial`` may be a StateVector over the system wires (ancillas are
-    initialized to |0>), a StateVector over all wires, or a bitstring.
+    initialized to |0>) or over all wires.
     When ``target`` (system wires) is given, phase-insensitive fidelity and the
     system-register purity are filled in, both from one pass over the output
     (:func:`_diagnostics`).  ``elapsed`` covers planning, the
@@ -548,15 +545,15 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     """
     n = circuit.n_wires
     order, steps = _plan(circuit)
-    start = StateVector.basis(n, "0" * n) if initial is None else initial
-    if isinstance(start, str):
-        start = StateVector.basis(circuit.n_system, start)
-    if not isinstance(start, StateVector):
-        raise TypeError("initial must be None, a bitstring, or a StateVector")
-    if start.n not in (n, circuit.n_system):
-        raise ValueError(f"initial state has {start.n} wires, circuit has "
+    if initial is None:  # |0...0>
+        indices, values = np.zeros(1, np.int64), np.ones(1, np.complex128)
+    elif not isinstance(initial, StateVector):
+        raise TypeError("initial must be None or a StateVector")
+    elif initial.n not in (n, circuit.n_system):
+        raise ValueError(f"initial state has {initial.n} wires, circuit has "
                          f"{circuit.n_system}+{circuit.n_ancilla}")
-    indices, values = start.indices << (n - start.n), start.values  # ancillas: low bits, |0>
+    else:  # ancillas: low bits, |0>
+        indices, values = initial.indices << (n - initial.n), initial.values
     done = first_dense = block_gates = run_gates = 0
     if steps and stay(len(indices)):
         support = _Support(n, indices, values)
@@ -619,8 +616,10 @@ def _diagnostics(state: StateVector, n_system: int, target: StateVector | None,
     wires (None with no target) and the system purity, in one pass (see the module
     docstring).  With M the matrix of system rows by ancilla columns, they are the
     squared norm of target^H M and the squared Frobenius norm of M^H M; with no
-    ancillas the purity is 1.  With several ancilla patterns and ``purity`` false, the
-    M^H M over the patterns is not built and the purity is None."""
+    ancillas the purity is 1.  With more ancilla patterns than 2^n_system, the purity
+    is that of M M^H (Tr rho_sys^2 = Tr rho_anc^2), read from the state with its
+    system and ancilla wires swapped.  With several ancilla patterns and ``purity``
+    false, no Gram matrix is built and the purity is None."""
     if not 0 <= n_system <= state.n:
         raise ValueError(f"n_system must be in [0, {state.n}], got {n_system}")
     if target is not None and target.n != n_system:
@@ -638,6 +637,10 @@ def _diagnostics(state: StateVector, n_system: int, target: StateVector | None,
         ends.append(int(np.searchsorted(idx, last, side="right")))
     spans = list(zip(ends, ends[1:]))
     patterns = _distinct(np.concatenate([_distinct(idx[a:b] & low) for a, b in spans]))
+    if purity and len(patterns) > 1 << n_system:
+        swapped = StateVector(state.n, (idx & low) << n_system | idx >> shift, values, check=False)
+        return (None if target is None else _diagnostics(state, n_system, target, False)[0],
+                _diagnostics(swapped, shift, None)[1])
     width = len(patterns)
     overlaps = np.zeros(width, dtype=np.complex128)
     gram = np.zeros((width, width), dtype=np.complex128) if purity else None
@@ -656,16 +659,16 @@ def _diagnostics(state: StateVector, n_system: int, target: StateVector | None,
             float(np.sum(np.abs(gram) ** 2)) if purity else None)
 
 
-def fidelity(a: StateVector, b: StateVector, n_system: int | None = None) -> float:
+def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for equal sizes; reduced-state fidelity when ``a`` has ancillas.
 
-    With ancillas, returns <b| rho_sys |b> where rho_sys traces the ancilla
-    block out of |a><a|.  Global phase never matters.  ``n_system``, when given,
-    must be in [0, a.n] and equal ``b.n``.
+    With ancillas, ``a``'s first ``b.n`` wires are the system and the rest the
+    ancillas; the result is <b| rho_sys |b>, where rho_sys traces the ancillas out
+    of |a><a|.  Global phase never matters.
     """
     if a.n < b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    return _diagnostics(a, b.n if n_system is None else n_system, b, purity=False)[0]
+    return _diagnostics(a, b.n, b, purity=False)[0]
 
 
 def system_purity(state: StateVector, n_system: int) -> float:

@@ -238,6 +238,18 @@ def test_round_trip_random_circuits(seed):
     assert export_text(parsed) == text  # byte-identical
 
 
+def test_round_trip_writes_the_wire_count_not_the_metadata():
+    """The header's n is the circuit's system wire count, even when its metadata says
+    otherwise, so the text parses back to the same wires and gates."""
+    circ = Circuit(n_system=3, metadata={"n": 2})
+    circ.add(x(2))
+    text = export_text(circ)
+    assert text.splitlines()[1] == "# n=3 k=0 ell=0 mode=none"
+    parsed = parse_text(text)
+    assert (parsed.n_system, parsed.gates) == (3, circ.gates)
+    assert export_text(parsed) == text
+
+
 @settings(max_examples=300)
 @given(_circuits())
 def test_round_trip_generated_circuits(circ):

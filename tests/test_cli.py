@@ -6,6 +6,7 @@ import pytest
 
 from leafsep.circuit import cost, parse_text
 from leafsep.cli import main
+from leafsep.core import StateVector
 
 
 @pytest.fixture
@@ -86,6 +87,26 @@ def test_simulate_basis_input(example_state_file, tmp_path, capsys):
                  "--target", example_state_file]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["fidelity"] >= 1 - 1e-10
+
+
+def test_simulate_basis_input_matches_its_state_file(example_state_file, tmp_path, capsys):
+    """``basis:BITS`` reports what the same basis state's JSON file reports; a string of
+    the wrong length or with other digits exits 2."""
+    circuit_path, state_path = str(tmp_path / "c.txt"), tmp_path / "basis.json"
+    main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+          "--mode", "ancilla", "--out", circuit_path])
+    state_path.write_text(StateVector.basis(4, "0110").dumps())
+    reports = []
+    for source in ("basis:0110", str(state_path)):
+        assert main(["simulate", "--circuit", circuit_path, "--input", source,
+                     "--target", example_state_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["elapsed"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    for bits in ("011", "01a0"):
+        assert main(["simulate", "--circuit", circuit_path, "--input", "basis:" + bits]) == 2
+        assert capsys.readouterr().err == f"error: bad basis string {bits!r} for 4 wires\n"
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):
@@ -209,6 +230,17 @@ def test_bench_fidelity_rejects_bad_input(capsys):
         warnings.simplefilter("error")
         assert main(["bench-fidelity", "--n-min", "4", "--n-max", "4", "--states", "0"]) == 1
     assert capsys.readouterr().err == "error: states per cell must be at least 1, got 0\n"
+
+
+def test_bench_fidelity_has_no_paper_scale_flag(capsys):
+    """The paper's scale is spelled --n-max 15 --states 200, which the help names."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench-fidelity", "--paper-scale"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["bench-fidelity", "--help"])
+    assert "--n-max 15 --states 200" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bench_fidelity_rejects_k_above_every_n(tmp_path, capsys):

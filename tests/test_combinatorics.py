@@ -98,7 +98,7 @@ def test_slot_rotation_confined_to_pair(n, w):
         circ = Circuit(n_system=n)
         circ.add(crbs(theta, 0.0, pair[0], pair[1], controls))
         for other in seq:
-            res = simulate(circ, initial=other)
+            res = simulate(circ, initial=StateVector.basis(n, other))
             out = res.state.amplitudes
             if other in (a, b):
                 support = {string_to_index(a), string_to_index(b)}

@@ -229,7 +229,7 @@ def test_support_form_matches_dense_oracles(case):
     matrix = amps.reshape(1 << n_system, 1 << (n - n_system))
     expected = np.sum(np.abs(target.conj() @ matrix) ** 2)
     system = StateVector.from_dense(n_system, target)
-    assert abs(fidelity(psi, system, n_system=n_system) - expected) < 1e-12
+    assert abs(fidelity(psi, system) - expected) < 1e-12
     assert abs(system_purity(psi, n_system)
                - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
 

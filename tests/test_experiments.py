@@ -151,7 +151,7 @@ def test_exact_cells_dominate():
 
 
 def test_cost_sweep_rows():
-    rows = run_cost_sweep(ExperimentConfig(n_values=(6, 8), seed=1))
+    rows = run_cost_sweep((6, 8), seed=1)
     methods = {r["method"] for r in rows}
     assert methods == {"leafsep_free", "leafsep_ancilla", "hwk_encoder",
                        "general_baseline"}
@@ -168,7 +168,7 @@ def test_cost_sweep_rows():
 
 
 def test_cost_sweep_empty():
-    assert run_cost_sweep(ExperimentConfig(n_values=())) == []
+    assert run_cost_sweep(()) == []
     assert rows_to_csv([], COST_CSV_HEADER) == "n,k,method,two_qubit,total,depth\n"
 
 

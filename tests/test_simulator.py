@@ -19,6 +19,14 @@ from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthes
                                synthesize_general_baseline)
 
 
+def test_initial_is_a_state_not_a_bitstring():
+    circ = Circuit(n_system=2)
+    circ.add(x(0))
+    assert simulate(circ, initial=StateVector.basis(2, "01")).state.amplitude("11") == 1.0
+    with pytest.raises(TypeError, match="initial must be None or a StateVector"):
+        simulate(circ, initial="01")
+
+
 def test_empty_circuit_preserves_input():
     psi = StateVector.from_terms(3, {"010": 0.6, "111": 0.8})
     res = simulate(Circuit(n_system=3), initial=psi)
@@ -94,7 +102,8 @@ def _skewed_circuits(draw):
     if form == "none":
         initial = None
     elif form == "bits":
-        initial = "".join(str(b) for b in rng.integers(0, 2, n_system))
+        bits = "".join(str(b) for b in rng.integers(0, 2, n_system))
+        initial = StateVector.basis(n_system, bits)
     else:
         n = n_system if form == "system" else wires
         vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
@@ -106,9 +115,8 @@ def _start_vector(circ, initial) -> np.ndarray:
     """Wire-order amplitudes of ``initial`` over every wire of ``circ``."""
     if initial is None:
         return np.eye(1 << circ.n_wires)[0]
-    start = StateVector.basis(circ.n_system, initial) if isinstance(initial, str) else initial
-    vec = start.amplitudes
-    if start.n == circ.n_system:
+    vec = initial.amplitudes
+    if initial.n == circ.n_system:
         vec = np.kron(vec, np.eye(1 << circ.n_ancilla)[0])
     return vec
 
@@ -169,7 +177,8 @@ def _block_circuits(draw):
     form = draw(st.sampled_from(["inputs", "inputs", "any", "bits"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if form == "bits":
-        return circ, "".join(str(b) for b in rng.integers(0, 2, n_system))
+        bits = "".join(str(b) for b in rng.integers(0, 2, n_system))
+        return circ, StateVector.basis(n_system, bits)
     vec = rng.standard_normal(1 << wires) + 1j * rng.standard_normal(1 << wires)
     if form == "inputs":
         base = int(rng.integers(0, 1 << wires))
@@ -477,12 +486,12 @@ def test_crbs_theta_zero_is_identity():
 def test_crbs_theta_pi_swaps_pair_populations():
     circ = Circuit(n_system=2)
     circ.add(crbs(math.pi, 0.0, 0, 1))
-    res10 = simulate(circ, initial="10")
+    res10 = simulate(circ, initial=StateVector.basis(2, "10"))
     assert abs(abs(res10.state.amplitude("01")) - 1.0) < 1e-12
-    res01 = simulate(circ, initial="01")
+    res01 = simulate(circ, initial=StateVector.basis(2, "01"))
     assert abs(abs(res01.state.amplitude("10")) - 1.0) < 1e-12
     for basis in ("00", "11"):
-        res = simulate(circ, initial=basis)
+        res = simulate(circ, initial=StateVector.basis(2, basis))
         assert abs(res.state.amplitude(basis) - 1.0) < 1e-12
 
 
@@ -490,7 +499,7 @@ def test_crbs_matches_stated_action():
     theta, phi = 1.1, -0.7
     circ = Circuit(n_system=2)
     circ.add(crbs(theta, phi, 0, 1))
-    res = simulate(circ, initial="10")
+    res = simulate(circ, initial=StateVector.basis(2, "10"))
     amp10 = res.state.amplitude("10")
     amp01 = res.state.amplitude("01")
     assert abs(amp10 - np.exp(0.5j * phi) * math.cos(theta / 2)) < 1e-12
@@ -567,10 +576,10 @@ def test_wire_limit_fails_before_allocation():
 def test_mcphase_only_hits_matching_pattern():
     circ = Circuit(n_system=3)
     circ.add(mcphase(0.5, 2, controls=[(0, 1), (1, -1)]))
-    res = simulate(circ, initial="101")
+    res = simulate(circ, initial=StateVector.basis(3, "101"))
     assert abs(res.state.amplitude("101") - np.exp(0.5j)) < 1e-12
     for other in ("111", "001", "100"):
-        res = simulate(circ, initial=other)
+        res = simulate(circ, initial=StateVector.basis(3, other))
         assert res.state.amplitude(other) == 1.0
 
 
@@ -608,7 +617,7 @@ def test_diagnostics_cut_the_support_at_whole_rows(monkeypatch, n_ancilla):
         target /= np.linalg.norm(target)
         matrix = amps.reshape(1 << n_system, 1 << n_ancilla)
         psi = StateVector.from_dense(n, amps)
-        assert abs(fidelity(psi, StateVector.from_dense(n_system, target), n_system=n_system)
+        assert abs(fidelity(psi, StateVector.from_dense(n_system, target))
                    - np.sum(np.abs(target.conj() @ matrix) ** 2)) < 1e-12
         assert abs(system_purity(psi, n_system)
                    - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
@@ -649,13 +658,13 @@ def test_diagnostics_match_the_dense_reshape(case):
     n = n_system + n_ancilla
     matrix = amps.reshape(1 << n_system, 1 << n_ancilla)
     psi, system = StateVector.from_dense(n, amps), StateVector.from_dense(n_system, target)
-    assert abs(fidelity(psi, system, n_system=n_system)
+    assert abs(fidelity(psi, system)
                - np.sum(np.abs(target.conj() @ matrix) ** 2)) < 1e-12
     assert abs(system_purity(psi, n_system)
                - np.sum(np.abs(matrix.conj().T @ matrix) ** 2)) < 1e-12
     circ = random_circuit(n_system, 6, seed, n_ancilla) if n > 1 else Circuit(n_system=1)
     res = simulate(circ, initial=psi, target=system)
-    assert res.fidelity == fidelity(res.state, system, n_system=n_system)
+    assert res.fidelity == fidelity(res.state, system)
     assert res.purity == system_purity(res.state, n_system)
 
 
@@ -664,11 +673,9 @@ def test_diagnostics_reject_an_out_of_range_n_system():
     for n_system in (5, -1):
         with pytest.raises(ValueError, match="n_system"):
             system_purity(psi, n_system)
-        with pytest.raises(ValueError, match="n_system"):
-            fidelity(psi, StateVector.basis(2, "10"), n_system=n_system)
     assert abs(system_purity(psi, 0) - 1.0) < 1e-12 and system_purity(psi, 3) == 1.0
     with pytest.raises(ValueError, match="system wires"):
-        fidelity(psi, StateVector.basis(2, "10"), n_system=1)
+        simulate(Circuit(n_system=3), target=StateVector.basis(2, "10"))
 
 
 def test_fidelity_with_many_ancilla_patterns_builds_no_pattern_gram():
@@ -679,5 +686,22 @@ def test_fidelity_with_many_ancilla_patterns_builds_no_pattern_gram():
         16, rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16), normalize=True)
     target = StateVector.from_dense(1, np.array([0.6, 0.8j]))
     matrix = psi.amplitudes.reshape(2, 1 << 15)
-    assert abs(fidelity(psi, target, n_system=1)
+    assert abs(fidelity(psi, target)
                - np.sum(np.abs(target.amplitudes.conj() @ matrix) ** 2)) < 1e-12
+
+
+def test_purity_with_more_patterns_than_system_indices_stays_small():
+    """A dense 12-qubit state read on one system wire has 2^11 ancilla patterns; its
+    purity comes from the 2 x 2 system-side Gram matrix, not a 2^11 x 2^11 one."""
+    rng = np.random.default_rng(12)
+    psi = StateVector.from_dense(
+        12, rng.standard_normal(1 << 12) + 1j * rng.standard_normal(1 << 12), normalize=True)
+    matrix = psi.amplitudes.reshape(2, 1 << 11)
+    tracemalloc.start()
+    try:
+        purity = system_purity(psi, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(purity - np.sum(np.abs(matrix @ matrix.conj().T) ** 2)) < 1e-12
+    assert peak < 1 << 20

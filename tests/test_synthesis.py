@@ -43,7 +43,7 @@ def test_gwdb_worked_example(worked_example, intermediate_example):
     thetas = rotation_ladder_angles(analyze(worked_example, tree).splits[tree.root][2])
     circ = Circuit(n_system=4)
     circ.extend(synthesize_gwdb(tree.root, 2, thetas))
-    res = simulate(circ, initial="0011")
+    res = simulate(circ, initial=StateVector.basis(4, "0011"))
     assert np.max(np.abs(res.state.amplitudes - intermediate_example.amplitudes)) < 1e-12
 
 
@@ -58,7 +58,7 @@ def test_gwdb_dicke_intermediate():
     betas = analyze(dicke_state(4, 2), tree).splits[tree.root][2]
     circ = Circuit(n_system=4)
     circ.extend(synthesize_gwdb(tree.root, 2, rotation_ladder_angles(betas)))
-    res = simulate(circ, initial="0011")
+    res = simulate(circ, initial=StateVector.basis(4, "0011"))
     for i, bits in enumerate(("0011", "0101", "1100")):
         assert abs(res.state.amplitude(bits) - betas[i]) < 1e-12
 
@@ -103,7 +103,7 @@ def test_gwdb_tree_matches_product_formula(n, k, ell, kind, structured):
         psi = random_fixed_weight_state(n, ell, kind, seed=[22, n, k])
     tree = build_partition_tree(n, k)
     circ = synthesize_gwdb_tree(tree, analyze(psi, tree).splits)
-    res = simulate(circ, initial=packed(n, ell))
+    res = simulate(circ, initial=StateVector.basis(n, packed(n, ell)))
     expected = tree_product_coefficients(psi, tree, [ell])
     out = res.state
     support = set()
@@ -129,7 +129,7 @@ def test_gwdb_tree_dicke_marginals():
     psi = dicke_state(n, ell)
     tree = build_partition_tree(n, k)
     res = simulate(synthesize_gwdb_tree(tree, analyze(psi, tree).splits),
-                   initial=packed(n, ell))
+                   initial=StateVector.basis(n, packed(n, ell)))
     expected = tree_product_coefficients(psi, tree, [ell])
     for dist, value in expected.items():
         bits = "".join(packed(2, w) for w in dist)
