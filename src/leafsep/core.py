@@ -84,6 +84,15 @@ def find_sorted(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.n
     return pos, keys[pos] == queries
 
 
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """``values`` (2^m contiguous floats) in place, entry p becoming sum_q (-1)^|p & q|
+    values[q]: the unnormalised Walsh-Hadamard transform, bit 0's butterflies first."""
+    for j in range((len(values) - 1).bit_length()):
+        pairs = values.reshape(-1, 2, 1 << j)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    return values
+
+
 @dataclass(frozen=True)
 class TreeNode:
     """One node of a partition tree over a contiguous qubit range."""

@@ -32,7 +32,7 @@ from . import analysis
 from .analysis import encoder_angles, rotation_ladder_angles
 from .circuit import Circuit, Gate, _kind_cost, crbs, mcphase, mcry, mcrz, x
 from .combinatorics import ehrlich_patterns
-from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
+from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, walsh_hadamard
 
 ANGLE_TOL = 1e-15
 PHASE_FIT_TOL = 1e-12   # distribution phases the leaf phases leave unexplained
@@ -456,11 +456,7 @@ def _gray_multiplexed_rotation(kind: str, angles: np.ndarray, controls: list[int
     if m == 0:
         return [maker(float(angles[0]), target)]
     size = 1 << m
-    tilde = np.array(angles, dtype=float)
-    for j in range(m):
-        pairs = tilde.reshape(-1, 2, 1 << j)
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-    tilde /= size
+    tilde = walsh_hadamard(np.array(angles, dtype=float)) / size
     gray = np.arange(size) ^ (np.arange(size) >> 1)
     changed = np.bitwise_count((gray ^ np.roll(gray, -1)) - 1)  # the bit g_i, g_(i+1) differ in
     cxs = [x(target, controls=[(controls[m - 1 - b], 1)]) for b in range(m)]  # frozen, shared

@@ -56,7 +56,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "74d0e606fc0cad6e10d38e8ef9c02441f00dab8c09b2361fac3acddbe6ce7a17"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "2a9604240202505fc02ce990700ed267ee5b74021ef3ded6a03c3505526a0b42"
+SIMULATED_SHA256 = "8a5030011056cb08a10629a23f345f7a6fe5d4d79cb382efede48ad813baa22f"
 SIMULATED_SIZE = 185
 
 

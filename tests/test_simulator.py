@@ -15,7 +15,8 @@ from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
 from leafsep.simulator import (_apply_gate, _block_pays, _plan, _run, _support_pays, fidelity,
                                simulate, system_purity)
-from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
+from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
+                               _gray_multiplexed_rotation, synthesize_full,
                                synthesize_general_baseline)
 
 
@@ -261,6 +262,94 @@ def test_one_wire_rotation_run_matches_oracle(maker):
     res = simulate(circ, initial=psi)
     assert res.run_gates == 3
     assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
+
+
+@st.composite
+def _linear_run_circuits(draw):
+    """One run on 2-10 wires: stretches of uncontrolled x gates, x gates with one
+    control of either polarity and uncontrolled rotations of one kind, with an mcx
+    of at least two controls or a controlled rotation between some of them, on any
+    superposition."""
+    n = draw(st.integers(2, 10))
+    target, maker = draw(st.integers(0, n - 1)), draw(st.sampled_from([mcry, mcrz]))
+    others = [w for w in range(n) if w != target]
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    circ = Circuit(n_system=n)
+    circ.add(maker(draw(angle), target))
+    sweep = len(others) if draw(st.booleans()) else draw(st.integers(0, len(others)))
+    for w in draw(st.permutations(others))[:sweep]:  # a cx on each of every or some wires
+        circ.add(x(target, [(w, draw(st.sampled_from([1, -1])))]))
+        circ.add(maker(draw(angle), target))
+    for stretch in range(draw(st.integers(1, 3))):
+        if stretch:
+            wires = draw(st.permutations(others))[:draw(st.integers(1, len(others)))]
+            controls = [(w, draw(st.sampled_from([1, -1]))) for w in wires]
+            if len(controls) > 1 and draw(st.booleans()):
+                circ.add(x(target, controls))
+            else:
+                circ.add(maker(draw(angle), target, controls))
+        for _ in range(draw(st.integers(1, 24))):
+            form = draw(st.sampled_from(["x", "cx", "cx", "rotation", "rotation"]))
+            if form == "rotation":
+                circ.add(maker(draw(angle), target))
+            else:
+                controls = [(draw(st.sampled_from(others)), draw(st.sampled_from([1, -1])))]
+                circ.add(x(target, controls if form == "cx" else []))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return circ, StateVector.from_dense(n, vec, normalize=True)
+
+
+@settings(max_examples=60)
+@given(_linear_run_circuits())
+def test_linear_rotation_runs_match_oracle(case):
+    """Linear stretches of a run are walked on scalars and folded by one transform;
+    the gates between them run on the pattern arrays."""
+    circ, initial = case
+    res = simulate(circ, initial=initial)
+    assert res.run_gates == len(circ.gates)
+    expected = circuit_matrix(circ) @ initial.amplitudes
+    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
+
+
+def test_rotation_run_mcx_on_strided_patterns_matches_oracle():
+    """The mcx's entries of the x-parity array lie 64 bytes apart, where numpy 2.4's
+    in-place ``np.negative`` miscomputes some of them."""
+    circ = Circuit(n_system=6)
+    circ.extend([mcry(0.3, 0), x(0, [(1, 1)]), x(0, [(2, 1)]), x(0, [(3, 1), (4, 1), (5, 1)])])
+    vec = np.random.default_rng(6).standard_normal(64) + 0j
+    psi = StateVector.from_dense(6, vec, normalize=True)
+    res = simulate(circ, initial=psi)
+    assert res.run_gates == 4
+    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ry", "rz"])
+@pytest.mark.parametrize("m", range(1, 11))
+def test_gray_cascade_simulates_to_its_angles(m, kind):
+    """The Gray-code cascade of a uniformly controlled rotation, simulated on every
+    pattern of its controls at once, applies RY or RZ(angles[p]) on pattern p."""
+    rng = np.random.default_rng([m, len(kind)])
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, 1 << m)
+    controls = [int(w) for w in rng.permutation(m + 1) if w != m // 2]  # controls[0]: p's top bit
+    circ = Circuit(n_system=m + 1)
+    circ.extend(_gray_multiplexed_rotation(kind, angles, controls, m // 2))
+    start = np.array([0.6, 0.8j])  # the target's state, alone
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    if kind == "ry":
+        out = np.stack([c * start[0] - s * start[1], s * start[0] + c * start[1]], axis=1)
+    else:
+        out = np.stack([np.exp(-0.5j * angles) * start[0], np.exp(0.5j * angles) * start[1]],
+                       axis=1)
+    p = np.arange(1 << m)
+    index = sum(((p >> (m - 1 - j)) & 1) << (m - w) for j, w in enumerate(controls))
+    initial, expected = (np.zeros(2 << m, dtype=complex) for _ in range(2))
+    for bit in (0, 1):
+        initial[index + (bit << (m - m // 2))] = start[bit] / math.sqrt(1 << m)
+        expected[index + (bit << (m - m // 2))] = out[:, bit] / math.sqrt(1 << m)
+    res = simulate(circ, initial=StateVector.from_dense(m + 1, initial))
+    assert res.run_gates == len(circ.gates)
+    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
 
 
 def _gate_by_gate(circ: Circuit) -> np.ndarray:
