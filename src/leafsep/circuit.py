@@ -252,15 +252,21 @@ def export_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_number(text: str) -> bool:
+    """Whether ``text`` is ASCII digits only: ``int`` and ``str.isdigit`` also take
+    signs, underscores and the digits of other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_wire(token: str, wires: tuple[int, int], line_no: int, col: int) -> int:
     """Wire number of ``token`` given the (system, ancilla) wire counts."""
     n_system, n_ancilla = wires
-    if token.startswith("q") and token[1:].isdigit():
+    if token.startswith("q") and _is_number(token[1:]):
         w = int(token[1:])
         if w >= n_system:
             raise ParseError(f"system wire {token} out of range", line_no, col)
         return w
-    if token.startswith("a") and token[1:].isdigit():
+    if token.startswith("a") and _is_number(token[1:]):
         w = int(token[1:])
         if w >= n_ancilla:
             raise ParseError(f"ancilla wire {token} out of range", line_no, col)
@@ -333,10 +339,9 @@ def parse_text(text: str) -> Circuit:
                 if key not in ("format", "n", "k", "ell", "ancilla") or not eq:
                     continue
                 col = raw.index(item) + 1
-                try:
-                    number = int(value)
-                except ValueError:
-                    raise ParseError(f"bad header value {item!r}", line_no, col) from None
+                if not _is_number(value[1:] if value.startswith("-") else value):
+                    raise ParseError(f"bad header value {item!r}", line_no, col)
+                number = int(value)
                 if key in ("n", "ancilla") and number < 0:
                     raise ParseError(f"{key} must be non-negative, got {value}", line_no, col)
                 if key == "format" and number != 1:

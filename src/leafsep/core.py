@@ -50,7 +50,10 @@ def _parse_real(value, what: str) -> float:
 
 
 def string_to_index(bits: str) -> int:
-    """Interpret a bitstring as a binary number, leftmost character most significant."""
+    """Interpret a bitstring of ``0`` and ``1`` characters as a binary number, leftmost
+    character most significant."""
+    if bits.strip("01"):  # int(bits, 2) also takes signs, prefixes, underscores, spaces
+        raise ValueError(f"not a bitstring: {bits!r}")
     return int(bits, 2) if bits else 0
 
 

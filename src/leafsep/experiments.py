@@ -191,20 +191,17 @@ def run_cost_sweep(n_values: tuple[int, ...], seed: int = 0) -> list[dict]:
         k = math.ceil(n / 2)
         ell = k
         psi = random_leaf_separable(n, k, ell, "nonneg", seed=derive_seed(seed, n, 0, 0))
+        eta = psi.lookup(ehrlich_patterns(n, ell))
+        hwk = synthesize_initial(n, ell)
+        hwk.extend(synthesize_hwk_encoder(n, ell, eta / np.linalg.norm(eta)))
         circuits = {
             "leafsep_free": synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=MODE_FREE)),
             "leafsep_ancilla": synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=MODE_ANCILLA)),
+            "hwk_encoder": hwk,
             "general_baseline": synthesize_general_baseline(psi),
         }
         for method in COST_METHODS:
-            if method == "hwk_encoder":
-                eta = psi.lookup(ehrlich_patterns(n, ell))
-                eta = eta / np.linalg.norm(eta)
-                circ = synthesize_initial(n, ell)
-                circ.extend(synthesize_hwk_encoder(n, ell, eta))
-            else:
-                circ = circuits[method]
-            report = cost(circ)
+            report = cost(circuits[method])
             rows.append({"n": n, "k": k, "method": method,
                          "two_qubit": report.two_qubit_count,
                          "total": report.total_gate_count,

@@ -21,20 +21,18 @@ gates are applied natively: the tensor is sliced at the control wires
 target axes of that slice only.  Both engines take the gate arithmetic from
 :func:`_mixed` and :func:`_diagonal`.
 
-Dense, a run of consecutive gates on one target wire made of ``x``/``cx``/``mcx``
-gates and one rotation kind (``mcry`` or ``mcrz``) is one step
-(:func:`_apply_run`).  The uniformly controlled rotations of the general-state
-baseline, Gray-code cascades of rotations and cx gates (Mottonen et al.,
-quant-ph/0407010), are such runs; compiled leafsep circuits hold none.  The step
-finds an angle and a sign per pattern of the run's control wires (an x gate
-flips the sign, a rotation adds its angle times the sign; exact, since X R(theta)
-X = R(-theta) for RY and RZ), walking a cascade's cx gates and rotations as
-scalars and then one Walsh-Hadamard transform over the m patterns, O(m log m),
-not O(m) a gate (:func:`_run_angles`).  It then rotates the target axis of the
-dense state by each pattern's angle, and swaps the target's halves where an odd
-number of x gates matched.  On the 11-qubit baseline a gate costs about 0.7 us
-in a run against 10 to 14 us on its own (best of 7, one core of the same 2-core
-Xeon host).
+Dense, a run of consecutive gates on one target wire made of x gates with at most
+one control and uncontrolled rotations of one kind (``mcry`` or ``mcrz``) is one
+step (:func:`_apply_run`); any other gate ends it and runs on its own.  The
+uniformly controlled rotations of the general-state baseline, Gray-code cascades
+of rotations and cx gates (Mottonen et al., quant-ph/0407010), are such runs;
+compiled leafsep circuits hold none.  The step walks the run's gates as scalars
+and folds them with one Walsh-Hadamard transform over the m patterns of its
+control wires, O(m log m) rather than O(m) a gate, into an angle and an x parity
+per pattern (:func:`_run_angles`).  It then rotates the target axis of the dense
+state by each pattern's angle, and swaps the target's halves where the parity is
+odd.  On the 11-qubit baseline a gate costs about 0.7 us in a run against 10 to
+14 us on its own (best of 7, one core of the same 2-core Xeon host).
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -126,8 +124,9 @@ BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
-# Gate kinds a rotation run may hold, each with the rotation kind it fixes ("" for none).
-_RUN_KINDS = dict.fromkeys(_X_FAMILY, "") | {"mcry": "mcry", "mcrz": "mcrz"}
+# Gate kinds a rotation run may hold, each with the rotation kind it fixes ("" for none)
+# and the most controls it may have: one for an x gate, none for a rotation.
+_RUN_KINDS = dict.fromkeys(_X_FAMILY, ("", 1)) | {"mcry": ("mcry", 0), "mcrz": ("mcrz", 0)}
 
 
 def _mixed(gate: Gate) -> tuple:
@@ -154,17 +153,12 @@ def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
     return None, np.exp(1j * phi)
 
 
-def _controls_slicer(gate: Gate, axis: list[int], ndim: int) -> list:
-    idx: list = [slice(None)] * ndim
-    for wire, pol in gate.controls:
-        idx[axis[wire]] = 1 if pol == 1 else 0
-    return idx
-
-
 def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
     """In-place application of one gate to a tensor whose axis ``axis[w]``, of length 2,
     is wire w; its other axes are left alone."""
-    i0 = _controls_slicer(gate, axis, state.ndim)
+    i0: list = [slice(None)] * state.ndim
+    for wire, pol in gate.controls:
+        i0[axis[wire]] = 1 if pol == 1 else 0
     i1 = list(i0)
     t = axis[gate.targets[0]]
     i0[t], i1[t] = 0, 1
@@ -190,16 +184,20 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
 
 def _rotation_runs(steps: list, start: int) -> dict[int, int]:
     """Runs, from step ``start`` on, of at least two consecutive gate steps on one
-    target wire: ``x``/``cx``/``mcx`` gates and one rotation kind (``mcry`` or
-    ``mcrz``), with at least one rotation.  Each is keyed by its first step and
-    gives the step after it."""
+    target wire from ``_RUN_KINDS`` (x gates with at most one control and
+    uncontrolled rotations of one kind), with at least one rotation.  Each is keyed
+    by its first step and gives the step after it."""
     runs = {}
     first, target, rotation = start, None, ""
-    for i in range(start, len(steps) + 1):
-        step = steps[i] if i < len(steps) else None
-        fixes = _RUN_KINDS.get(step.kind) if isinstance(step, Gate) else None
-        # the run goes on through x-family gates on its target, and through rotations
-        # of the kind its first rotation fixed
+    for i, step in enumerate([*steps[start:], None], start):
+        # one lookup a gate (keyed on kind and control count, the scan took a third longer)
+        fixes = None
+        if isinstance(step, Gate):
+            fixes, most = _RUN_KINDS.get(step.kind, (None, 0))
+            if len(step.controls) > most:
+                fixes = None
+        # the run goes on through x gates on its target, and through rotations of the
+        # kind its first rotation fixed
         if fixes is not None and step.targets[0] == target and fixes in ("", rotation or fixes):
             rotation = rotation or fixes
             continue
@@ -220,48 +218,27 @@ def _run_angles(steps: list, start: int, stop: int, axis: list[int]):
 
     The gates a pattern matches compose to X^q R(angle).  An x gate flips q; a
     rotation R(theta) adds (-1)^q theta to the angle, since X R(theta) X = R(-theta)
-    for RY and RZ and rotations about one axis add.  In a stretch of x gates with at
-    most one control and rotations with none, its x gates give pattern p the factor
-    s (-1)^|m & p|: the walk keeps s and the mask m and adds s theta to h[m].  At any
-    other gate and at the end, the angle gains (-1)^q times the Walsh-Hadamard
-    transform of h and (-1)^q takes that factor; the other gate is one numpy
-    operation on a view of the entries its controls select, made once per controls."""
+    for RY and RZ and rotations about one axis add.  The run's x gates give pattern
+    p the factor (-1)^q = s (-1)^|m & p|: the walk keeps s and the mask m and adds
+    s theta to h[m], and the angle is the Walsh-Hadamard transform of h."""
     wires = sorted({w for i in range(start, stop) for w, _ in steps[i].controls},
                    key=axis.__getitem__)
     shape = [1] * len(axis)
     for w in wires:
         shape[axis[w]] = 2
     bit = {w: 1 << j for j, w in enumerate(reversed(wires))}  # in a flat pattern index
-    angle, sign = np.zeros(shape), np.ones(shape)  # sign: (-1)^q
     h, mask, s = np.zeros(1 << len(wires)), 0, 1.0
-    views = {}  # controls -> the entries of angle and sign they select
-    for i in range(start, stop + 1):
-        gate = steps[i] if i < stop else None
-        if gate is not None and len(gate.controls) <= (gate.kind in _X_FAMILY):
-            if gate.kind in _X_FAMILY:  # "x" and a one-control "mcx" flip s, "cx" does not
-                for wire, _ in gate.controls:
-                    mask ^= bit[wire]
-                s = s if gate.kind == "cx" else -s
-            else:
-                rotation = gate.kind
-                h[mask] += s * gate.params[0]
-            continue
-        angle += sign * walsh_hadamard(h).reshape(shape)
-        sign *= np.where(np.bitwise_count(np.arange(len(h)) & mask) & 1, -s, s).reshape(shape)
-        h[:], mask, s = 0.0, 0, 1.0
-        if gate is None:
-            break
-        if gate.controls not in views:
-            sl = tuple(_controls_slicer(gate, axis, len(axis)))
-            views[gate.controls] = angle[sl], sign[sl]
-        part, flip = views[gate.controls]
-        if gate.kind in _X_FAMILY:
-            flip *= -1.0  # numpy 2.4's in-place np.negative miscomputes entries 64 bytes apart
+    for gate in steps[start:stop]:
+        if gate.kind in _X_FAMILY:  # "x" and a one-control "mcx" flip s, "cx" does not
+            for wire, _ in gate.controls:
+                mask ^= bit[wire]
+            s = s if gate.kind == "cx" else -s
         else:
             rotation = gate.kind
-            part += gate.params[0] * flip
+            h[mask] += s * gate.params[0]
+    odd = (np.bitwise_count(np.arange(len(h)) & mask) & 1) != (s < 0)
     half = (slice(None),) * axis[steps[start].targets[0]] + (0, ...)  # a view, even at 1 wire
-    return rotation, angle[half], sign[half] < 0
+    return rotation, walsh_hadamard(h).reshape(shape)[half], odd.reshape(shape)[half]
 
 
 def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
@@ -269,8 +246,8 @@ def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
     """Apply the run ``steps[start:stop]`` from :func:`_rotation_runs` to a tensor laid
     out as for :func:`_apply_gate`, as one step: each pattern's rotation from
     :func:`_run_angles` on the target axis, then a swap of the target's halves
-    where the pattern's x parity is odd.  Beyond the tensor it holds at most five pattern
-    arrays (a quarter of it each) as it walks, then two of its quarters and two arrays."""
+    where the pattern's x parity is odd.  Beyond the tensor it holds at most three
+    pattern arrays (a quarter of it each), then two of its quarters and two arrays."""
     rotation, angle, odd = _run_angles(steps, start, stop, axis)
     t = axis[steps[start].targets[0]]
     a, b = state[(slice(None),) * t + (0, ...)], state[(slice(None),) * t + (1, ...)]

@@ -284,20 +284,18 @@ def _chain_cost(size: int, w: int, angles, ancilla: bool) -> int:
     return len(rotations) * _kind_cost("crbs", w if ancilla else size - 2)[0] + phase
 
 
-def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes,
-                           extra_controls=()) -> list[Gate]:
+def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes) -> list[Gate]:
     """Standalone fixed-weight encoder: |0^(n-w) 1^w> -> sum_g amp(g) |g>.
 
     ``amplitudes`` must be unit norm and ordered like
     :func:`ehrlich_patterns(n_bits, w)`.  One crbs per consecutive pair, each
-    controlled on the pair's shared ones (plus the (wire, polarity) pairs
-    ``extra_controls``), and a trailing conditioned phase when the amplitudes need one.
+    controlled on the pair's shared ones, and a trailing conditioned phase when the
+    amplitudes need one.
     """
     count = len(ehrlich_patterns(n_bits, w))
     if count != len(amplitudes):
         raise ValueError(f"expected {count} amplitudes, got {len(amplitudes)}")
-    extra = tuple((int(q), int(pol)) for q, pol in extra_controls)
-    return _rotation_chain(_chain_angles(amplitudes), _chain_slots(n_bits, w, 0, extra))
+    return _rotation_chain(_chain_angles(amplitudes), _chain_slots(n_bits, w, 0, ()))
 
 
 def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
@@ -368,14 +366,15 @@ def synthesize_mixed_weight_input(profile, n: int) -> list[Gate]:
 
     One rotation per step: the first on the last qubit, then singly-controlled
     rotations walking leftward, since consecutive packed patterns differ in one
-    bit.  ``profile`` must be unit norm with support at weights <= n/2.
+    bit.  ``profile`` must be unit norm, on weights 0..n; the ladder angles past its
+    last non-zero entry are 0 and emit no gate.
     """
     prof = np.asarray(profile, dtype=float)
-    if float(np.sum(prof[n // 2 + 1:] ** 2)) > 1e-18:
-        raise ValueError(f"profile supports weights above {n // 2}")
+    if len(prof) > n + 1:
+        raise ValueError(f"profile has {len(prof)} weights, {n} qubits hold 0..{n}")
     if abs(float(np.sum(prof ** 2)) - 1.0) > 1e-9:
         raise ValueError("profile must have unit norm")
-    thetas = rotation_ladder_angles(prof[:n // 2 + 1])
+    thetas = rotation_ladder_angles(prof)
     gates: list[Gate] = []
     for step, theta in enumerate(thetas):
         if abs(theta) <= ANGLE_TOL:

@@ -16,6 +16,7 @@ from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_di
                           index_to_string)
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
+from leafsep.simulator import simulate
 from leafsep.synthesis import SynthesisConfig, synthesize_full
 
 TREE42 = build_partition_tree(4, 2)
@@ -137,8 +138,8 @@ def test_separability_scans_every_distribution():
 
 
 def test_heavy_mixed_target_is_checked():
-    """Support above weight n/2 is out of scope for the input stage, not for the check:
-    the compiled state puts 0.8 on 1101 (leaf 1's weight-1 entry comes from 0001)."""
+    """Support above weight n/2 is checked like the rest: the compiled state puts 0.8
+    on 1101 (leaf 1's weight-1 entry comes from 0001)."""
     psi = StateVector.from_terms(4, {"0001": 0.6, "1110": 0.8})
     report = is_leaf_separable(psi, TREE42)
     assert not report.separable
@@ -479,7 +480,7 @@ def _assert_chain_recovers(n, w, eta):
 
 def test_mixed_weight_profile():
     """The input stage's profile: exactly one-hot at a fixed weight, else the norm of
-    the target at each weight, support above n/2 included (the input stage rejects it)."""
+    the target at each weight, support above n/2 included (the input stage prepares it)."""
     psi = StateVector.basis(6, "000111")
     assert analyze(psi, build_partition_tree(6, 3)).profile.tolist() == [0, 0, 0, 1, 0, 0, 0]
 
@@ -489,8 +490,8 @@ def test_mixed_weight_profile():
 
     heavy = StateVector.from_terms(4, {"0001": 0.6, "0111": 0.8})
     assert np.allclose(analyze(heavy, TREE42).profile, [0, 0.6, 0, 0.8, 0])
-    with pytest.raises(ValueError, match="profile supports weights above 2"):
-        synthesize_full(heavy, SynthesisConfig(n=4, k=2))
+    assert simulate(synthesize_full(heavy, SynthesisConfig(n=4, k=2)),
+                    target=heavy).fidelity == pytest.approx(1.0, abs=1e-15)
 
 
 def test_mixed_weight_profile_random_unit_norm():

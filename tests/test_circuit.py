@@ -332,6 +332,23 @@ def test_parse_rejects_misplaced_headers_with_position(text, line, column, messa
     assert (info.value.line, info.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("text,line,column,message", [
+    ("# n=1_0 k=1 ell=1 mode=none\n", 1, 3, "bad header value 'n=1_0'"),
+    ("# n=+3 k=1 ell=1 mode=none\n", 1, 3, r"bad header value 'n=\+3'"),
+    ("# n=3 k=١ ell=1 mode=none\n", 1, 7, "bad header value 'k=١'"),
+    ("# n=3 k=1 ell=- mode=none\n", 1, 11, "bad header value 'ell=-'"),
+    ("# n=3 k=1 ell=1 mode=none\nx q١\n", 2, 1, "bad wire token 'q١'"),
+    ("# n=3 k=1 ell=1 mode=none\n# ancilla=1\n mcx [a¹+] q0\n", 3, 2,
+     "bad wire token 'a¹'"),
+])
+def test_parse_rejects_numbers_that_are_not_ascii_digits(text, line, column, message):
+    """``int`` and ``str.isdigit`` take signs, underscores and the digits of other
+    scripts, which export_text would write back as other text."""
+    with pytest.raises(ParseError, match=message) as info:
+        parse_text(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_parse_accepts_repeated_equal_headers():
     text = "# format=1\n# n=2 k=1 ell=1 mode=free\n# n=2 ancilla=1\n# ancilla=2\nx a1\n# k=3\n"
     parsed = parse_text(text)

@@ -29,6 +29,18 @@ def test_string_index_round_trip():
             assert len(s) == n
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StateVector.basis(2, "+1"),                  # a sign
+    lambda: StateVector.basis(3, "0b1"),                 # a base prefix
+    lambda: StateVector.from_terms(4, {"1_01": 1.0}),    # an underscore between digits
+    lambda: StateVector.basis(2, "01").amplitude(" 1"),  # whitespace
+])
+def test_bitstrings_hold_only_zeros_and_ones(build):
+    """``int(bits, 2)`` takes each of these; a bitstring is ``0`` and ``1`` characters only."""
+    with pytest.raises(ValueError, match="not a bitstring"):
+        build()
+
+
 def test_partition_tree_4_2():
     tree = build_partition_tree(4, 2)
     assert tree.root.qubits == range(0, 4)

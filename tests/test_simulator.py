@@ -13,8 +13,8 @@ from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
 from leafsep import simulator
 from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
-from leafsep.simulator import (_apply_gate, _block_pays, _plan, _run, _support_pays, fidelity,
-                               simulate, system_purity)
+from leafsep.simulator import (_apply_gate, _block_pays, _plan, _rotation_runs, _run,
+                               _support_pays, fidelity, simulate, system_purity)
 from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
                                _gray_multiplexed_rotation, synthesize_full,
                                synthesize_general_baseline)
@@ -208,18 +208,21 @@ def test_blocks_match_oracle_and_dense_engine(case):
 def _rotation_run_circuits(draw):
     """Runs on one target of x/cx/mcx gates with +/- controls and one rotation kind,
     each ended by a crbs, an mcphase, a new target or the other rotation kind, on
-    any superposition.  Returns the circuit, the length of its first run (which
-    holds a rotation) and the input."""
+    any superposition.  The first run's x gates have at most one control and its
+    rotations none, so it is a rotation run; the later ones draw any controls, which
+    split them.  Returns the circuit, the length of its first run (which holds a
+    rotation) and the input."""
     n = draw(st.integers(2, 7))
     angle = st.floats(-2 * math.pi, 2 * math.pi)
     target, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(["mcry", "mcrz"]))
     circ, lengths = Circuit(n_system=n), []
-    for _ in range(draw(st.integers(1, 4))):
+    for run in range(draw(st.integers(1, 4))):
         others = [w for w in range(n) if w != target]
         length = draw(st.integers(2, 6))
         rotations = draw(st.sets(st.integers(0, length - 1), min_size=1))
         for i in range(length):
-            wires = draw(st.permutations(others))[:draw(st.integers(0, len(others)))]
+            most = len(others) if run else int(i not in rotations)
+            wires = draw(st.permutations(others))[:draw(st.integers(0, most))]
             controls = [(w, draw(st.sampled_from([1, -1]))) for w in wires]
             if i in rotations:
                 maker = mcry if kind == "mcry" else mcrz
@@ -245,7 +248,8 @@ def _rotation_run_circuits(draw):
 @settings(max_examples=80)
 @given(_rotation_run_circuits())
 def test_rotation_runs_match_oracle(case):
-    """Each run of x-family gates and one rotation kind on one target is one dense step."""
+    """Each run of x gates with at most one control and uncontrolled rotations of one
+    kind on one target is one dense step; any other gate runs on its own."""
     circ, first, initial = case
     expected = circuit_matrix(circ) @ initial.amplitudes
     res = simulate(circ, initial=initial)
@@ -266,10 +270,11 @@ def test_one_wire_rotation_run_matches_oracle(maker):
 
 @st.composite
 def _linear_run_circuits(draw):
-    """One run on 2-10 wires: stretches of uncontrolled x gates, x gates with one
-    control of either polarity and uncontrolled rotations of one kind, with an mcx
-    of at least two controls or a controlled rotation between some of them, on any
-    superposition."""
+    """Stretches on 2-10 wires of uncontrolled x gates, x gates with one control of
+    either polarity and uncontrolled rotations of one kind, with an mcx of at least
+    two controls or a controlled rotation between some of them, on any
+    superposition.  Returns the circuit, the gates in its stretches of at least two
+    gates with a rotation (the gates of its rotation runs) and the input."""
     n = draw(st.integers(2, 10))
     target, maker = draw(st.integers(0, n - 1)), draw(st.sampled_from([mcry, mcrz]))
     others = [w for w in range(n) if w != target]
@@ -280,6 +285,7 @@ def _linear_run_circuits(draw):
     for w in draw(st.permutations(others))[:sweep]:  # a cx on each of every or some wires
         circ.add(x(target, [(w, draw(st.sampled_from([1, -1])))]))
         circ.add(maker(draw(angle), target))
+    first = in_runs = 0  # the current stretch's first gate; the gates of earlier runs
     for stretch in range(draw(st.integers(1, 3))):
         if stretch:
             wires = draw(st.permutations(others))[:draw(st.integers(1, len(others)))]
@@ -288,6 +294,7 @@ def _linear_run_circuits(draw):
                 circ.add(x(target, controls))
             else:
                 circ.add(maker(draw(angle), target, controls))
+            first = len(circ.gates)
         for _ in range(draw(st.integers(1, 24))):
             form = draw(st.sampled_from(["x", "cx", "cx", "rotation", "rotation"]))
             if form == "rotation":
@@ -295,32 +302,53 @@ def _linear_run_circuits(draw):
             else:
                 controls = [(draw(st.sampled_from(others)), draw(st.sampled_from([1, -1])))]
                 circ.add(x(target, controls if form == "cx" else []))
+        part = circ.gates[first:]
+        if len(part) > 1 and any(g.kind in ("mcry", "mcrz") for g in part):
+            in_runs += len(part)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return circ, StateVector.from_dense(n, vec, normalize=True)
+    return circ, in_runs, StateVector.from_dense(n, vec, normalize=True)
 
 
 @settings(max_examples=60)
 @given(_linear_run_circuits())
 def test_linear_rotation_runs_match_oracle(case):
-    """Linear stretches of a run are walked on scalars and folded by one transform;
-    the gates between them run on the pattern arrays."""
-    circ, initial = case
+    """Each linear stretch with a rotation is a run, walked on scalars and folded by
+    one transform; the gates between stretches run on their own."""
+    circ, in_runs, initial = case
     res = simulate(circ, initial=initial)
-    assert res.run_gates == len(circ.gates)
+    assert res.run_gates == in_runs
     expected = circuit_matrix(circ) @ initial.amplitudes
     assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
 
 
 def test_rotation_run_mcx_on_strided_patterns_matches_oracle():
-    """The mcx's entries of the x-parity array lie 64 bytes apart, where numpy 2.4's
-    in-place ``np.negative`` miscomputes some of them."""
+    """An mcx of three controls ends the run of the gates before it and runs alone."""
     circ = Circuit(n_system=6)
     circ.extend([mcry(0.3, 0), x(0, [(1, 1)]), x(0, [(2, 1)]), x(0, [(3, 1), (4, 1), (5, 1)])])
     vec = np.random.default_rng(6).standard_normal(64) + 0j
     psi = StateVector.from_dense(6, vec, normalize=True)
     res = simulate(circ, initial=psi)
-    assert res.run_gates == 4
+    assert res.run_gates == 3
+    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("maker", [mcry, mcrz])
+def test_rotation_runs_split_at_controlled_rotation_and_mcx(maker):
+    """Three linear stretches of 4, 4 and 2 gates, split by a controlled rotation and
+    by a three-control mcx: three runs, and the two splitting gates run alone."""
+    circ = Circuit(n_system=5)
+    circ.extend([maker(0.3, 0), x(0, [(1, 1)]), maker(0.2, 0), x(0, [(2, -1)]),
+                 maker(0.7, 0, [(3, 1)]),
+                 x(0), maker(0.4, 0), x(0, [(4, 1)]), maker(-0.1, 0),
+                 x(0, [(1, 1), (2, -1), (3, 1)]),
+                 maker(0.5, 0), x(0, [(3, 1)])])
+    assert _rotation_runs(circ.gates, 0) == {0: 4, 5: 9, 10: 12}
+    rng = np.random.default_rng(5)
+    psi = StateVector.from_dense(5, rng.standard_normal(32) + 1j * rng.standard_normal(32),
+                                 normalize=True)
+    res = simulate(circ, initial=psi)
+    assert res.run_gates == 10
     assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
 
 

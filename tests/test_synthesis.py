@@ -527,9 +527,31 @@ def test_mixed_weight_input_random_profile():
         assert abs(res.state.amplitude(packed(n, ell)) - expected) < 1e-10
 
 
-def test_mixed_weight_input_rejects_heavy_profiles():
-    with pytest.raises(ValueError):
-        synthesize_mixed_weight_input([0.0, 0.0, 0.0, 1.0], 4)
+def test_mixed_weight_input_prepares_heavy_profiles():
+    """The staircase prepares weights above n/2 as it does the others; a profile
+    needs at most n + 1 weights."""
+    for n, profile in [(4, [0.0, 0.0, 0.0, 1.0]), (4, [0.0, 0.6, 0.0, 0.0, 0.8]),
+                       (5, np.sqrt(np.random.default_rng(3).dirichlet(np.ones(6))))]:
+        circ = Circuit(n_system=n)
+        circ.extend(synthesize_mixed_weight_input(profile, n))
+        res = simulate(circ)
+        expected = np.zeros(1 << n)
+        expected[[(1 << ell) - 1 for ell in range(len(profile))]] = profile
+        assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
+    with pytest.raises(ValueError, match="profile has 4 weights, 2 qubits hold 0..2"):
+        synthesize_mixed_weight_input([0.0, 0.0, 0.0, 1.0], 2)
+
+
+@pytest.mark.parametrize("mode", [MODE_FREE, MODE_ANCILLA])
+def test_full_pipeline_on_heavy_mixed_targets(mode):
+    """The bit complement of a mixed-weight target lives on weights ceil(n/2)..n and
+    stays leaf-separable; it compiles and prepares like the target itself."""
+    for n, k in [(4, 2), (7, 3), (9, 4)]:
+        psi = random_mixed_leaf_separable(n, k, "complex", seed=[47, n, k])
+        heavy = StateVector(n, psi.indices ^ ((1 << n) - 1), psi.values)
+        circ = synthesize_full(heavy, SynthesisConfig(n=n, k=k, mode=mode))
+        assert circ.metadata["separable"]
+        assert simulate(circ, target=heavy).fidelity >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
