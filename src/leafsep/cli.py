@@ -4,6 +4,7 @@ Subcommands: synthesize, simulate, check-separable, random-state,
 bench-fidelity, bench-cost.  Exit codes: 0 success, 1 domain error
 (e.g. non-separable input under --strict), 2 I/O or parse error.
 Machine-readable output goes to stdout or files; diagnostics to stderr.
+``synthesize`` and ``check-separable`` read n and ell from the target state file.
 ``simulate --input`` takes a state JSON file or ``basis:BITS`` on the system
 wires; ``bench-fidelity --n-max 15 --states 200`` is the paper's scale.
 """
@@ -48,9 +49,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _cmd_synthesize(args) -> int:
     psi = _load_state(args.input, normalize=args.normalize)
-    config = synthesis.SynthesisConfig(
-        n=args.n, k=args.k, ell=args.ell,
-        mode=synthesis.MODE_ANCILLA if args.mode == "ancilla" else synthesis.MODE_FREE)
+    config = synthesis.SynthesisConfig(n=psi.n, k=args.k, mode=args.mode)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         circ = synthesis.synthesize_full(psi, config)
@@ -98,9 +97,7 @@ def _cmd_check_separable(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         return _fail(2, f"--tol must be finite and non-negative, got {args.tol}")
     psi = _load_state(args.input, normalize=args.normalize)
-    if psi.n != args.n:
-        return _fail(1, f"state has {psi.n} qubits, expected {args.n}")
-    tree = build_partition_tree(args.n, args.k)
+    tree = build_partition_tree(psi.n, args.k)
     report = analysis.is_leaf_separable(psi, tree, tol=args.tol)
     _write(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 1 if args.strict and not report.separable else 0
@@ -152,11 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "preparation circuits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synthesize", help="compile a target state to a circuit")
+    p = sub.add_parser("synthesize", help="compile a target state (n, ell read from it)")
     p.add_argument("--input", required=True, help="target state JSON file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None)
+    p.add_argument("--k", type=int, required=True, help="leaf size, in [1, n]")
     p.add_argument("--mode", choices=("free", "ancilla"), default="free")
     p.add_argument("--normalize", action="store_true",
                    help="normalize the input state first")
@@ -174,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check-separable",
-                       help="compare the target with the state the compiler prepares")
+                       help="compare the target (n read from it) with the compiled state")
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="leaf size, in [1, n]")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="bound on the per-amplitude error of the compiled state")
     p.add_argument("--normalize", action="store_true")

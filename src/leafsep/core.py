@@ -161,7 +161,7 @@ def build_partition_tree(n: int, leaf_size: int) -> PartitionTree:
     ``n mod leaf_size`` qubits when that is nonzero).
     """
     if leaf_size < 1 or leaf_size > n:
-        raise ValueError(f"leaf_size must be in [1, {n}], got {leaf_size}")
+        raise ValueError(f"k must be in [1, {n}] for n={n}, got {leaf_size}")
 
     chunks = [(i, min(leaf_size, n - i)) for i in range(0, n, leaf_size)]
 

@@ -44,13 +44,11 @@ def derive_seed(master: int, *parts: int) -> list[int]:
     return [int(master)] + [int(p) for p in parts]
 
 
-def _check_size(n: int, k: int, name: str, weight: int, top: int) -> None:
-    """Reject n outside [1, MAX_QUBITS], k outside [1, n] or a weight outside [0, top]."""
+def _check_size(n: int, name: str, weight: int, top: int) -> None:
+    """Reject n outside [1, MAX_QUBITS] or a weight outside [0, top] (the tree checks k)."""
     dense_size(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}] for n={n}, got {k}")
     if not 0 <= weight <= top:
         raise ValueError(f"{name} must be in [0, {top}] for n={n}, got {weight}")
 
@@ -108,7 +106,7 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     ``kind`` is "real", "complex", or "nonneg" (all-positive amplitudes, used
     for worst-case gate counting).
     """
-    _check_size(n, k, "ell", ell, n)
+    _check_size(n, "ell", ell, n)
     tree = build_partition_tree(n, k)
     return _assemble(tree, (ell,), np.eye(ell + 1)[ell], kind, np.random.default_rng(seed))
 
@@ -117,7 +115,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
                                 max_weight: int | None = None) -> StateVector:
     """Random superposition over weights 0..floor(n/2) with per-weight structure."""
     top = n // 2 if max_weight is None else max_weight
-    _check_size(n, k, "max_weight", top, n // 2)
+    _check_size(n, "max_weight", top, n // 2)
     rng = np.random.default_rng(seed)
     tree = build_partition_tree(n, k)
     profile = np.sqrt(rng.dirichlet(np.ones(top + 1)))
@@ -126,7 +124,7 @@ def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
 
 def random_fixed_weight_state(n: int, w: int, kind: str = "real", seed=0) -> StateVector:
     """Dense random unit vector in the fixed-weight subspace (not leaf-structured)."""
-    _check_size(n, 1, "w", w, n)
+    _check_size(n, "w", w, n)
     support = np.sort(ehrlich_patterns(n, w))  # lexicographic order
     return StateVector(n, support, _sample_unit(np.random.default_rng(seed), len(support), kind))
 

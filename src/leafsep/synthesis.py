@@ -43,18 +43,11 @@ MODE_ANCILLA = "ancilla"
 
 @dataclass(frozen=True)
 class SynthesisConfig:
+    """The tree's leaf size ``k`` and the encoder ``mode``; ``n`` must be the target's."""
+
     n: int
     k: int
-    ell: int | None = None
     mode: str = MODE_FREE
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
-        if self.ell is not None and not 0 <= self.ell <= self.n:
-            raise ValueError(f"ell must be in [0, {self.n}], got {self.ell}")
-        if self.mode not in (MODE_FREE, MODE_ANCILLA):
-            raise ValueError(f"mode must be '{MODE_FREE}' or '{MODE_ANCILLA}'")
 
 
 def synthesize_initial(n: int, ell: int) -> Circuit:
@@ -312,11 +305,10 @@ class _EncoderGates(list):
     leaves: list
 
 
-def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
-                             config: SynthesisConfig) -> list[Gate]:
+def synthesize_leaf_encoders(table: dict, tree: PartitionTree, mode: str) -> list[Gate]:
     """Per-leaf encoders applied per weight class in increasing class order.
 
-    ``table`` is a :func:`leaf_amplitude_table`.
+    ``table`` is a :func:`leaf_amplitude_table`; ``mode`` is MODE_FREE or MODE_ANCILLA.
 
     free mode: every rotation is conditioned on the whole leaf register
     (shared ones positive, shared zeros negative), making it exact on any
@@ -336,6 +328,8 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
     per tree (:func:`_chain_slots`).  The returned list's ``leaves`` gives, per leaf,
     the mode emitted and the two-qubit cost of the free and of the ancilla scheme.
     """
+    if mode not in (MODE_FREE, MODE_ANCILLA):
+        raise ValueError(f"mode must be '{MODE_FREE}' or '{MODE_ANCILLA}', got {mode!r}")
     gates = _EncoderGates()
     gates.leaves = []
     for u, leaf in enumerate(tree.leaves):
@@ -347,7 +341,7 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree,
         free_cost = sum(free.values())
         ancilla_cost = (len(classes) * _kind_cost("mcx", size)[0]   # the detectors
                         + sum(min(marked[w], free[w]) for w in angles))
-        use_ancilla = config.mode == MODE_ANCILLA and ancilla_cost < free_cost
+        use_ancilla = mode == MODE_ANCILLA and ancilla_cost < free_cost
         for w in classes:
             if use_ancilla:
                 gates.append(_leaf_detector(leaf, w, ancilla))
@@ -388,16 +382,18 @@ def synthesize_mixed_weight_input(profile, n: int) -> list[Gate]:
 def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
     """End-to-end pipeline: packed input, transfer tree, phases, leaf encoders.
 
-    The circuit prepares the compiled state of :func:`analysis.reconstruct_amplitudes`
-    up to a global phase.  A target farther from it than the separability check's
-    tolerance synthesizes with a warning that names the worst residual
-    (``max_delta``), and ``metadata["separable"]`` is False.  The distribution
-    phases go on the leaf encoders; ``metadata["phase_gates"]`` counts the
-    leaf-local phase gates (``leaf``) and the full-register ones left for the part
-    of the phases that is not additive over (leaf, weight) (``residual``), and gives
-    the worst fit residual in radians (``max_residual``).  ``metadata["leaf_encoders"]``
-    has one entry per leaf: the encoder mode emitted (``mode``) and the two-qubit cost of
-    the free and the ancilla scheme (``free_two_qubit``, ``ancilla_two_qubit``).
+    The target fixes n (``config.n`` must equal ``psi.n``) and ell, its largest
+    weight; ``config`` chooses only the leaf size k and the encoder mode.  The circuit
+    prepares the compiled state of :func:`analysis.reconstruct_amplitudes` up to a
+    global phase.  A target farther from it than the separability check's tolerance
+    synthesizes with a warning that names the worst residual (``max_delta``), and
+    ``metadata["separable"]`` is False.  The distribution phases go on the leaf
+    encoders; ``metadata["phase_gates"]`` counts the leaf-local phase gates (``leaf``)
+    and the full-register ones left for the part of the phases that is not additive
+    over (leaf, weight) (``residual``), and gives the worst fit residual in radians
+    (``max_residual``).  ``metadata["leaf_encoders"]`` has one entry per leaf: the
+    encoder mode emitted (``mode``) and the two-qubit cost of the free and the ancilla
+    scheme (``free_two_qubit``, ``ancilla_two_qubit``).
     """
     n, k = config.n, config.k
     if psi.n != n:
@@ -408,8 +404,6 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
         raise ValueError("target state has no support")
     mixed = len(weights) > 1
     ell = max(weights)
-    if config.ell is not None and config.ell != ell:
-        raise ValueError(f"largest state weight {ell} does not match config ell {config.ell}")
 
     factored = analysis.analyze(psi, tree, weights)
     report = analysis.is_leaf_separable(psi, tree, factored=factored)
@@ -431,7 +425,7 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
 
     circ.extend(synthesize_gwdb_tree(tree, factored.splits).gates)
     circ.extend(phase_gates)
-    encoders = synthesize_leaf_encoders(table, tree, config)
+    encoders = synthesize_leaf_encoders(table, tree, config.mode)
     circ.extend(encoders)
     circ.metadata["leaf_encoders"] = encoders.leaves
     return circ

@@ -309,6 +309,10 @@ def test_parse_errors_report_position():
     ("# n=3 k=1 ell=1 mode=none\nmcryz(1) [] q0\n", 2, 1, "unknown gate 'mcryz'"),
     ("# n=3 k=1 ell=1 mode=none\n x(1) q0\n", 2, 3, r"x expects 0 parameter\(s\)"),
     ("# n=3 k=1 ell=1 mode=none\ncx q0 q1 q2\n", 2, 1, r"cx expects 2 operand\(s\)"),
+    ("# n=3 k=1 ell=1 mode=none\nmcx q0 q1\n", 2, 1, "expected control list, got 'q0'"),
+    ("# n=3 k=1 ell=1 mode=none\n mcx [q0] q1\n", 2, 2, "bad control token 'q0'"),
+    ("# n=3 k=1 ell=1 mode=none\nmcry [] q1\n", 2, 1, "expected parameters on 'mcry'"),
+    ("# k=1 ell=1 mode=none\n", 1, 0, r"missing '# n=\.\.\.' header"),
 ])
 def test_parse_rejects_malformed_gates_with_position(text, line, column, message):
     with pytest.raises(ParseError, match=message) as info:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ def example_state_file(tmp_path, worked_example):
 
 def test_check_separable_worked_example(example_state_file, capsys):
     assert main(["check-separable", "--input", example_state_file,
-                 "--n", "4", "--k", "2"]) == 0
+                 "--k", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["separable"] is True
     assert report["violations"] == []
@@ -31,7 +35,7 @@ def test_check_separable_strict_failure(tmp_path, capsys):
         {"bitstring": "0110", "re": 1 / math.sqrt(2), "im": 0.0}]}
     path = tmp_path / "bad_state.json"
     path.write_text(json.dumps(bad))
-    assert main(["check-separable", "--input", str(path), "--n", "4", "--k", "2",
+    assert main(["check-separable", "--input", str(path), "--k", "2",
                  "--strict"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["separable"] is False
@@ -44,12 +48,12 @@ def test_check_separable_strict_failure(tmp_path, capsys):
                                        ("-1", "-1.0"), ("-5e-324", "-5e-324")])
 def test_check_separable_rejects_bad_tolerance(example_state_file, tol, shown, capsys):
     """A NaN bound passes every state and a negative one fails a zero residual."""
-    assert main(["check-separable", "--input", example_state_file, "--n", "4", "--k", "2",
+    assert main(["check-separable", "--input", example_state_file, "--k", "2",
                  "--strict", f"--tol={tol}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --tol must be finite and non-negative, got {shown}\n"
-    assert main(["check-separable", "--input", example_state_file, "--n", "4", "--k", "2",
+    assert main(["check-separable", "--input", example_state_file, "--k", "2",
                  "--tol", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
@@ -57,8 +61,8 @@ def test_check_separable_rejects_bad_tolerance(example_state_file, tol, shown, c
 def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     circuit_path = str(tmp_path / "circ.txt")
     report_path = str(tmp_path / "report.json")
-    assert main(["synthesize", "--input", example_state_file, "--n", "4",
-                 "--k", "2", "--out", circuit_path]) == 0
+    assert main(["synthesize", "--input", example_state_file, "--k", "2",
+                 "--out", circuit_path]) == 0
     assert main(["simulate", "--circuit", circuit_path,
                  "--target", example_state_file, "--report", report_path]) == 0
     report = json.loads(open(report_path).read())
@@ -79,7 +83,7 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
 
 def test_simulate_basis_input(example_state_file, tmp_path, capsys):
     circuit_path = str(tmp_path / "c.txt")
-    main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+    main(["synthesize", "--input", example_state_file, "--k", "2",
           "--out", circuit_path])
     # the synthesized circuit contains its own initial-state gates, so feeding
     # the packed pattern by hand double-flips and lands elsewhere
@@ -93,7 +97,7 @@ def test_simulate_basis_input_matches_its_state_file(example_state_file, tmp_pat
     """``basis:BITS`` reports what the same basis state's JSON file reports; a string of
     the wrong length or with other digits exits 2."""
     circuit_path, state_path = str(tmp_path / "c.txt"), tmp_path / "basis.json"
-    main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+    main(["synthesize", "--input", example_state_file, "--k", "2",
           "--mode", "ancilla", "--out", circuit_path])
     state_path.write_text(StateVector.basis(4, "0110").dumps())
     reports = []
@@ -112,11 +116,11 @@ def test_simulate_basis_input_matches_its_state_file(example_state_file, tmp_pat
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 4, "amplitudes": [')
-    assert main(["check-separable", "--input", str(path), "--n", "4", "--k", "2"]) == 2
+    assert main(["check-separable", "--input", str(path), "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
     path.write_text('{"n": 4,\n "amplitudes": [}')
-    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2"]) == 2
+    assert main(["synthesize", "--input", str(path), "--k", "2"]) == 2
     assert "line 2, column 17" in capsys.readouterr().err
     one = {"bitstring": "10", "re": 1.0}
     for data, message in [
@@ -147,7 +151,7 @@ def test_malformed_json_exit_code(tmp_path, capsys):
             ({"n": 2, "amplitudes": [{"bitstring": "10", "re": 10 ** 400}]}, "re must be finite"),
             ({"n": 2, "amplitudes": ["10"]}, "amplitudes[0] must be an object")]:
         path.write_text(json.dumps(data))
-        assert main(["check-separable", "--input", str(path), "--n", "2", "--k", "1"]) == 2
+        assert main(["check-separable", "--input", str(path), "--k", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad state in") and message in err, (data, err)
 
@@ -162,7 +166,7 @@ def test_synthesize_strict_non_separable(tmp_path, capsys):
         {"bitstring": "0110", "re": 1 / math.sqrt(2), "im": 0.0}]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2",
+    assert main(["synthesize", "--input", str(path), "--k", "2",
                  "--strict", "--out", str(tmp_path / "c.txt")]) == 1
     assert "not leaf-separable" in capsys.readouterr().err
 
@@ -196,19 +200,45 @@ def test_random_state_mixed_rejects_ell(capsys):
 
 
 def test_synthesize_checks_ell_on_mixed_target(tmp_path, capsys):
-    """--ell is compared with a mixed target's largest weight, as with a fixed one."""
+    """ell is read from a mixed target as its largest weight, as from a fixed one."""
     path = tmp_path / "mixed.json"
     assert main(["random-state", "--n", "4", "--k", "2", "--mixed", "--seed", "3",
                  "--out", str(path)]) == 0
     out = tmp_path / "c.txt"
-    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2", "--ell", "1",
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == \
-        "error: largest state weight 2 does not match config ell 1\n"
-    assert not out.exists()
-    assert main(["synthesize", "--input", str(path), "--n", "4", "--k", "2", "--ell", "2",
-                 "--out", str(out)]) == 0
+    assert main(["synthesize", "--input", str(path), "--k", "2", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "# n=4 k=2 ell=2 mode=free"
+
+
+def test_target_fixes_n_and_ell(example_state_file, capsys):
+    """synthesize and check-separable read n and ell from the state file: --n and --ell
+    exit 2 (--n reads as a prefix of --normalize, so its value is the unknown argument),
+    and a k outside [1, n] fails with the generators' message."""
+    for command, option in [("synthesize", "--n"), ("synthesize", "--ell"),
+                            ("check-separable", "--n")]:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--input", example_state_file, "--k", "2", option, "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
+    for args in (["synthesize", "--input", example_state_file],
+                 ["synthesize", "--input", example_state_file, "--mode", "ancilla"],
+                 ["check-separable", "--input", example_state_file],
+                 ["random-state", "--n", "4"]):
+        assert main([*args, "--k", "9"]) == 1
+        assert capsys.readouterr() == ("", "error: k must be in [1, 4] for n=4, got 9\n")
+
+
+def test_exit_codes_reach_the_shell(example_state_file, tmp_path):
+    """``python -m leafsep.cli`` exits with the code ``main`` returns."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for args, code, err in [(["--k", "2"], 0, ""),
+                            (["--k", "9"], 1, "error: k must be in [1, 4] for n=4, got 9\n"),
+                            (["--k", "2", "--input", str(tmp_path / "missing.json")], 2,
+                             f"error: cannot open {tmp_path / 'missing.json'}\n")]:
+        done = subprocess.run([sys.executable, "-m", "leafsep.cli", "check-separable",
+                               "--input", example_state_file, *args], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (code, err), args
 
 
 def test_bench_fidelity_csv(tmp_path):
@@ -285,7 +315,7 @@ def test_bench_cost_csv(tmp_path):
 def test_circuit_file_round_trips_bytes(example_state_file, tmp_path):
     from leafsep.circuit import export_text, parse_text
     circuit_path = tmp_path / "c.txt"
-    main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+    main(["synthesize", "--input", example_state_file, "--k", "2",
           "--mode", "ancilla", "--out", str(circuit_path)])
     text = circuit_path.read_text()
     assert export_text(parse_text(text)) == text
@@ -294,7 +324,7 @@ def test_circuit_file_round_trips_bytes(example_state_file, tmp_path):
 def test_nan_amplitude_exit_code(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"n": 2, "amplitudes": [{"bitstring": "01", "re": NaN, "im": 0.0}]}')
-    assert main(["check-separable", "--input", str(path), "--n", "2", "--k", "1",
+    assert main(["check-separable", "--input", str(path), "--k", "1",
                  "--normalize"]) == 2
     assert "amplitudes[0] re must be finite" in capsys.readouterr().err
 
@@ -332,13 +362,13 @@ def test_too_many_wires_exit_code(tmp_path, capsys):
     assert "maximum of 32" in capsys.readouterr().err
     path = tmp_path / "s.json"
     path.write_text('{"n": 33, "amplitudes": []}')
-    assert main(["check-separable", "--input", str(path), "--n", "33", "--k", "1"]) == 1
+    assert main(["check-separable", "--input", str(path), "--k", "1"]) == 1
     assert "maximum of 32" in capsys.readouterr().err
 
 
 def test_simulate_closes_circuit_file(example_state_file, tmp_path):
     circuit_path = str(tmp_path / "c.txt")
-    main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+    main(["synthesize", "--input", example_state_file, "--k", "2",
           "--out", circuit_path])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -349,7 +379,7 @@ def test_simulate_closes_circuit_file(example_state_file, tmp_path):
 
 def test_synthesize_has_no_complex_flag(example_state_file):
     with pytest.raises(SystemExit):
-        main(["synthesize", "--input", example_state_file, "--n", "4", "--k", "2",
+        main(["synthesize", "--input", example_state_file, "--k", "2",
               "--complex"])
 
 
@@ -359,7 +389,7 @@ def test_thirty_wire_ancilla_pipeline(tmp_path, capsys):
     state, circ, report = tmp_path / "psi.json", tmp_path / "circ.txt", tmp_path / "rep.json"
     assert main(["random-state", "--n", "24", "--k", "4", "--ell", "3", "--field", "complex",
                  "--seed", "111", "--out", str(state)]) == 0
-    assert main(["synthesize", "--input", str(state), "--n", "24", "--k", "4",
+    assert main(["synthesize", "--input", str(state), "--k", "4",
                  "--mode", "ancilla", "--out", str(circ)]) == 0
     assert main(["simulate", "--circuit", str(circ), "--target", str(state),
                  "--report", str(report)]) == 0

@@ -80,10 +80,9 @@ def test_partition_tree_invariants_exhaustive(n):
 
 
 def test_partition_tree_rejects_bad_leaf_size():
-    with pytest.raises(ValueError):
-        build_partition_tree(4, 0)
-    with pytest.raises(ValueError):
-        build_partition_tree(4, 5)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=rf"^k must be in \[1, 4\] for n=4, got {k}$"):
+            build_partition_tree(4, k)
 
 
 def test_enumerate_weight_distributions_examples():
@@ -146,6 +145,19 @@ def test_checked_state_vector_owns_its_arrays():
     assert abs(psi.norm() - 1.0) < 1e-12
     assert psi.indices.tolist() == [0, 3] and psi.values.tolist() == [0.6, 0.8]
     assert psi.amplitude("11") == 0.8
+
+
+def test_state_vector_rejects_malformed_support():
+    for build, message in [
+            (lambda: StateVector(2, [0, 1], [1.0]), "2 indices but 1 amplitudes"),
+            (lambda: StateVector(2, [4], [1.0]), r"basis indices must be in \[0, 2\^2\) for n=2"),
+            (lambda: StateVector(2, [-1], [1.0]), r"basis indices must be in \[0, 2\^2\)"),
+            (lambda: StateVector(2, [1], [0.0], normalize=True), "cannot normalize the zero vector"),
+            (lambda: StateVector.basis(3, "01"), "expected a 3-bit string, got '01'"),
+            (lambda: StateVector.from_json_dict({"n": -1, "amplitudes": []}),
+             '"n" must be non-negative, got -1')]:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_state_vector_json_round_trip():

@@ -26,12 +26,26 @@ def test_initial_is_a_state_not_a_bitstring():
     assert simulate(circ, initial=StateVector.basis(2, "01")).state.amplitude("11") == 1.0
     with pytest.raises(TypeError, match="initial must be None or a StateVector"):
         simulate(circ, initial="01")
+    circ = Circuit(n_system=4, n_ancilla=2)
+    with pytest.raises(ValueError, match=r"initial state has 3 wires, circuit has 4\+2"):
+        simulate(circ, initial=StateVector.basis(3, "000"))
 
 
 def test_empty_circuit_preserves_input():
     psi = StateVector.from_terms(3, {"010": 0.6, "111": 0.8})
     res = simulate(Circuit(n_system=3), initial=psi)
     assert np.allclose(res.state.amplitudes, psi.amplitudes)
+
+
+@pytest.mark.parametrize("ancillas", [0, 2])
+def test_empty_wide_circuit_stays_on_its_support(ancillas):
+    """A gate-less circuit on 20 wires holds |0...0> as one entry, not 2^20 amplitudes."""
+    res = simulate(Circuit(n_system=20, n_ancilla=ancillas),
+                   target=StateVector.basis(20, "0" * 20))
+    assert (res.peak_support, res.first_dense_gate) == (1, 0)
+    assert (res.state.n, res.state.indices.tolist(), res.state.values.tolist()) == (
+        20 + ancillas, [0], [1.0])
+    assert res.fidelity == res.purity == 1.0
 
 
 def test_worked_example_circuit_prepares_target(worked_example):

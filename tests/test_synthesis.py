@@ -167,7 +167,7 @@ def test_hwk_encoder_prepares_random_states(n, w, kind):
 def test_leaf_encoders_worked_example(worked_example, intermediate_example):
     tree = build_partition_tree(4, 2)
     table = leaf_amplitude_table(worked_example, tree, distribution_table(worked_example, tree))
-    gates = synthesize_leaf_encoders(table, tree, SynthesisConfig(n=4, k=2))
+    gates = synthesize_leaf_encoders(table, tree, MODE_FREE)
     circ = Circuit(n_system=4)
     circ.extend(gates)
     res = simulate(circ, initial=intermediate_example, target=worked_example)
@@ -178,7 +178,26 @@ def test_leaf_encoders_singleton_classes_silent():
     psi = StateVector.basis(4, "1100")
     tree = build_partition_tree(4, 2)
     table = leaf_amplitude_table(psi, tree, distribution_table(psi, tree))
-    assert synthesize_leaf_encoders(table, tree, SynthesisConfig(n=4, k=2)) == []
+    assert synthesize_leaf_encoders(table, tree, MODE_FREE) == []
+
+
+def test_full_rejects_bad_inputs_before_emitting(worked_example):
+    """n is the target's, the target has a support, k is in [1, n] and the mode is one of
+    the two: each is checked once, and fails before any circuit is returned."""
+    for psi, config, message in [
+            (worked_example, SynthesisConfig(n=5, k=2), "state has 4 qubits, config expects 5"),
+            (StateVector(4, [], [], check=False), SynthesisConfig(n=4, k=2),
+             "target state has no support"),
+            (worked_example, SynthesisConfig(n=4, k=0), r"k must be in \[1, 4\] for n=4, got 0"),
+            (worked_example, SynthesisConfig(n=4, k=9), r"k must be in \[1, 4\] for n=4, got 9"),
+            (worked_example, SynthesisConfig(n=4, k=2, mode="Ancilla"),
+             "mode must be 'free' or 'ancilla', got 'Ancilla'")]:
+        with pytest.raises(ValueError, match=message):
+            synthesize_full(psi, config)
+    tree = build_partition_tree(4, 2)
+    table = leaf_amplitude_table(worked_example, tree, distribution_table(worked_example, tree))
+    with pytest.raises(ValueError, match="mode must be 'free' or 'ancilla', got 'ancila'"):
+        synthesize_leaf_encoders(table, tree, "ancila")
 
 
 def test_full_worked_example_both_modes(worked_example):
@@ -413,7 +432,7 @@ def test_leaf_encoders_match_the_build_both_oracle():
         for _ in range(6):
             table = _random_leaf_table(rng, tree)
             for mode in (MODE_FREE, MODE_ANCILLA):
-                got = synthesize_leaf_encoders(table, tree, SynthesisConfig(2 * size, size, mode=mode))
+                got = synthesize_leaf_encoders(table, tree, mode)
                 want, leaves = leaf_encoders_oracle(table, tree, mode)
                 assert list(got) == want
                 for entry, (chosen, free_cost, ancilla_cost) in zip(got.leaves, leaves):
@@ -452,7 +471,7 @@ def test_chain_cost_closed_form():
                else random_leaf_separable(n, k, ell, "complex", seed=5))
         tree = build_partition_tree(n, k)
         table = analyze(psi, tree).leaves
-        gates = synthesize_leaf_encoders(table, tree, SynthesisConfig(n, k, mode=MODE_ANCILLA))
+        gates = synthesize_leaf_encoders(table, tree, MODE_ANCILLA)
         for u, (leaf, entry) in enumerate(zip(tree.leaves, gates.leaves)):
             classes = sorted(w for lu, w in table if lu == u)
             free = marked = 0
@@ -477,7 +496,7 @@ def test_leaf_encoders_build_only_the_chosen_gates(monkeypatch):
     built = []
     validate = Gate.__post_init__
     monkeypatch.setattr(Gate, "__post_init__", lambda g: (built.append(g), validate(g)))
-    gates = synthesize_leaf_encoders(table, tree, SynthesisConfig(n, k, mode=MODE_ANCILLA))
+    gates = synthesize_leaf_encoders(table, tree, MODE_ANCILLA)
     monkeypatch.undo()
     assert MODE_ANCILLA in {entry["mode"] for entry in gates.leaves}
     assert len(gates) <= len(built) <= len(gates) + len(table)
