@@ -16,22 +16,36 @@ Gate semantics (applied only when every control matches its polarity):
 The crbs |01> column is the unique unitary completion of the |10> action up to
 phase; with phi=0 it is a plain Givens rotation on the pair.
 
+A multiplexor (uniformly controlled rotation; Shende, Bullock & Markov,
+quant-ph/0406176) has c positive controls, which select nothing, and 2^c angles:
+``ucry(t_0,...)`` (``ucrz``) is RY(t_p) (RZ(t_p)) on the target, where p is the
+pattern its controls read in their given order, ``controls[0]`` the top bit.
+:func:`lower` expands it into its Gray-code cascade, as which :func:`cost` prices it.
+
 In the text format a gate is one line, ``kind`` or ``kind(p,...)`` followed by its
-operands in the order ``_KINDS`` gives, e.g. ``crbs(0.5,0) [q0+,a0-] q1 q2``. Parameters are
-written with ``%.17g``, which reads back bit for bit and keeps the sign of zero. The
-header is one ``# format=1``, ``# n=...`` and an optional ``# ancilla=...``, all before
-the first gate line; a repeated ``n`` must have the same value.
+operands in the order ``_KINDS`` gives, e.g. ``crbs(0.5,0) [q0+,a0-] q1 q2``, or
+``ucry(0.1,0.2,0.3,0.4) [q2+,q0+] q1``, whose 0.3 applies where q2 reads 1 and q0 0.
+Parameters are written with ``%.17g``, which reads back bit for bit and keeps the sign
+of zero. The header is one ``# format=1``, ``# n=...`` and an optional
+``# ancilla=...``, all before the first gate line; a repeated ``n`` must have the same
+value.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .core import ParseError
+import numpy as np
 
-# Each kind's parameter count and its text operands in order: a target wire, the one
-# positive control of a cx, or a bracketed list of signed controls.
+from .core import ParseError, walsh_hadamard
+
+ANGLE_TOL = 1e-15  # a rotation angle at most this large emits no gate
+
+# Each kind's parameter count (None: one per pattern of its controls, 2^c) and its text
+# operands in order: a target wire, the one positive control of a cx, or a bracketed
+# list of signed controls.
 _KINDS = {
     "x": (0, ("target",)),
     "cx": (0, ("control", "target")),
@@ -40,10 +54,13 @@ _KINDS = {
     "mcrz": (1, ("controls", "target")),
     "mcphase": (1, ("controls", "target")),
     "crbs": (2, ("controls", "target", "target")),
+    "ucry": (None, ("controls", "target")),
+    "ucrz": (None, ("controls", "target")),
 }
 GATE_KINDS = tuple(_KINDS)
 
 _X_FAMILY = ("x", "cx", "mcx")
+_MULTIPLEXORS = ("ucry", "ucrz")
 
 
 def _x_kind(controls) -> str:
@@ -66,6 +83,10 @@ class Gate:
         if shape is None:
             raise ValueError(f"unknown gate kind {kind!r}")
         n_params, operands = shape
+        if n_params is None:  # a multiplexor: one finite angle per pattern of + controls
+            n_params = 1 << len(controls)
+            if any(pol != 1 for _, pol in controls) or not all(map(math.isfinite, self.params)):
+                raise ValueError(f"{kind} takes positive controls and finite parameters only")
         n_targets = operands.count("target")
         if len(targets) != n_targets or len(self.params) != n_params:
             raise ValueError(f"{kind} takes {n_targets} target(s) and {n_params} parameter(s)")
@@ -176,9 +197,25 @@ def _kind_cost(kind: str, c: int) -> tuple[int, int]:
     return 2 + max(1, 2 * (c + 1)), 2 * (c + 1) + 1
 
 
+def _cascade(gate: Gate) -> list[tuple[float, int | None]]:
+    """A multiplexor's Gray-code cascade (Mottonen et al., quant-ph/0407010) as steps
+    (angle, wire): a rotation by the angle, left out within ANGLE_TOL, then a cx
+    controlled on the wire (none with no controls).  Step i takes entry g_i (the i-th
+    Gray code) of the Walsh-Hadamard transform of the angles / 2^c, and the control of
+    the bit where g_i and g_(i+1) differ.  No steps when every angle is within ANGLE_TOL."""
+    angles = np.array(gate.params)
+    if np.max(np.abs(angles)) <= ANGLE_TOL:
+        return []
+    size, c = len(angles), len(gate.controls)
+    gray = np.arange(size) ^ (np.arange(size) >> 1)
+    bits = np.bitwise_count((gray ^ np.roll(gray, -1)) - 1).tolist()
+    wires = [gate.controls[c - 1 - b][0] for b in bits] if c else [None]
+    return list(zip((walsh_hadamard(angles)[gray] / size).tolist(), wires))
+
+
 def two_qubit_cost(g: Gate) -> int:
     """Two-qubit-equivalent cost of one gate, as summed by :func:`cost`."""
-    return _kind_cost(g.kind, len(g.controls))[0]
+    return cost(Circuit(n_system=0, gates=[g])).two_qubit_count
 
 
 def cost(circuit: Circuit) -> CostReport:
@@ -186,12 +223,26 @@ def cost(circuit: Circuit) -> CostReport:
 
     A c-controlled rotation or phase counts max(1, 2c) two-qubit equivalents; a
     c-controlled crbs counts 2 + max(1, 2(c+1)); x is free, cx is 1, mcx with
-    c >= 2 controls is 2c. Depth layers gates as early as their wires allow.
+    c >= 2 controls is 2c. Depth layers gates as early as their wires allow.  A
+    multiplexor counts and layers as its cascade, so ``cost(c) == cost(lower(c))``.
     """
-    tally = Counter([(g.kind, len(g.controls)) for g in circuit.gates])
+    tally = Counter([(g.kind, len(g.controls)) for g in circuit.gates
+                     if g.kind not in _MULTIPLEXORS])
+    rotations = cxs = 0  # in multiplexors' cascades
     wire_depth: dict[int, int] = {}  # only the wires gates use: n may come from a file
     depth_of = wire_depth.get
     for g in circuit.gates:
+        if g.kind in _MULTIPLEXORS:  # step by step, as lower() emits it
+            layer = depth_of(g.targets[0], 0)
+            for angle, w in _cascade(g):
+                if abs(angle) > ANGLE_TOL:
+                    layer += 1
+                    rotations += 1
+                if w is not None:
+                    layer = wire_depth[w] = max(layer, depth_of(w, 0)) + 1
+                    cxs += 1
+            wire_depth[g.targets[0]] = layer
+            continue
         layer = max([depth_of(w, 0) for w in g.targets])
         for w, _ in g.controls:
             if depth_of(w, 0) > layer:
@@ -201,19 +252,43 @@ def cost(circuit: Circuit) -> CostReport:
             wire_depth[w] = layer
         for w, _ in g.controls:
             wire_depth[w] = layer
+    tally["mcry", 0] += rotations
+    tally["cx", 1] += cxs
     return CostReport(
         two_qubit_count=sum(_kind_cost(*key)[0] * count for key, count in tally.items()),
         total_gate_count=sum(sum(_kind_cost(*key)) * count for key, count in tally.items()),
         depth=max(wire_depth.values(), default=0))
 
 
+def lower(circuit: Circuit) -> Circuit:
+    """A copy of ``circuit`` with each multiplexor expanded into the steps of its
+    Gray-code cascade: an ``mcry`` (of a ``ucry``) or ``mcrz`` (of a ``ucrz``) on the
+    target, then a cx, one cx object per control wire.  Every other gate is kept."""
+    out = Circuit(n_system=circuit.n_system, n_ancilla=circuit.n_ancilla,
+                  metadata=dict(circuit.metadata))
+    for g in circuit.gates:
+        if g.kind not in _MULTIPLEXORS:
+            out.gates.append(g)
+            continue
+        t, kind = g.targets[0], "mcry" if g.kind == "ucry" else "mcrz"
+        cxs = {w: x(t, [w]) for w, _ in g.controls}
+        for angle, w in _cascade(g):
+            if abs(angle) > ANGLE_TOL:
+                out.gates.append(Gate(kind, (t,), (), (angle,)))
+            if w is not None:
+                out.gates.append(cxs[w])
+    return out
+
+
 # --- textual interchange format -------------------------------------------
 
-# Each kind's line as a %-format: "%.17g" per parameter (17 significant digits read
-# back exactly, the sign of zero kept), then "%s" per operand.
-_LINE_FORMATS = {kind: " ".join([kind + (f"({','.join(['%.17g'] * n_params)})" if n_params
-                                        else "")] + ["%s"] * len(operands))
-                 for kind, (n_params, operands) in _KINDS.items()}
+@lru_cache(maxsize=None)
+def _line_format(kind: str, n_params: int) -> str:
+    """A ``kind`` line with ``n_params`` parameters as a %-format: "%.17g" per parameter
+    (17 significant digits read back exactly, the sign of zero kept), then "%s" per
+    operand."""
+    head = kind + (f"({','.join(['%.17g'] * n_params)})" if n_params else "")
+    return " ".join([head] + ["%s"] * len(_KINDS[kind][1]))
 
 
 class _Names(dict):
@@ -247,7 +322,7 @@ def export_text(circuit: Circuit) -> str:
                                                    for w, pol in g.controls]))
             elif lead == "control":
                 words.insert(0, names[g.controls[0][0]])
-            line = by_id[id(g)] = _LINE_FORMATS[g.kind] % (*g.params, *words)
+            line = by_id[id(g)] = _line_format(g.kind, len(g.params)) % (*g.params, *words)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -275,8 +350,9 @@ def _parse_wire(token: str, wires: tuple[int, int], line_no: int, col: int) -> i
 
 
 def _parse_controls(token: str, part_of: dict, wires: tuple[int, int], line_no: int,
-                    col: int):
-    """Sorted signed controls of a ``[q0+,a1-]`` token; ``part_of`` memoises each part."""
+                    col: int) -> list:
+    """Signed controls of a ``[q0+,a1-]`` token in written order; ``part_of`` memoises
+    each part."""
     if not (token.startswith("[") and token.endswith("]")):
         raise ParseError(f"expected control list, got {token!r}", line_no, col)
     out = []
@@ -288,7 +364,7 @@ def _parse_controls(token: str, part_of: dict, wires: tuple[int, int], line_no: 
             control = part_of[part] = (_parse_wire(part[:-1], wires, line_no, col),
                                        1 if part[-1] == "+" else -1)
         out.append(control)
-    return tuple(sorted(out))
+    return out
 
 
 def _parse_head(head: str, line_no: int, col: int):
@@ -299,12 +375,12 @@ def _parse_head(head: str, line_no: int, col: int):
     if shape is None:
         raise ParseError(f"unknown gate {name!r}", line_no, col)
     n_params, operands = shape
-    if not (paren or n_params):
+    if not paren and n_params == 0:
         return name, (), operands
     if not (paren and rest.endswith(")")):
         raise ParseError(f"expected parameters on {head!r}", line_no, col)
     raw, at = rest[:-1].split(","), col + len(name)
-    if len(raw) != n_params:
+    if n_params is not None and len(raw) != n_params:  # a multiplexor's Gate checks 2^c
         raise ParseError(f"{name} expects {n_params} parameter(s)", line_no, at)
     try:
         params = tuple(map(float, raw))
@@ -364,8 +440,10 @@ def parse_text(text: str) -> Circuit:
                              f"{' '.join(operands)}", line_no, col)
         targets, controls = [], ()
         for operand, token in zip(operands, tokens[1:]):
-            if operand == "controls":
+            if operand == "controls":  # sorted as the factories store them, but a
+                # multiplexor's order sets the bits of its patterns
                 controls = _parse_controls(token, part_of, wires, line_no, col)
+                controls = tuple(controls if name in _MULTIPLEXORS else sorted(controls))
                 continue
             w = wire_of.get(token)
             if w is None:

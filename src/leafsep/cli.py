@@ -87,7 +87,6 @@ def _cmd_simulate(args) -> int:
         "peak_support": result.peak_support,
         "first_dense_gate": result.first_dense_gate,
         "block_gates": result.block_gates,
-        "run_gates": result.run_gates,
     }
     _write(args.report, json.dumps(report, indent=2) + "\n")
     return 0

@@ -21,18 +21,10 @@ gates are applied natively: the tensor is sliced at the control wires
 target axes of that slice only.  Both engines take the gate arithmetic from
 :func:`_mixed` and :func:`_diagonal`.
 
-Dense, a run of consecutive gates on one target wire made of x gates with at most
-one control and uncontrolled rotations of one kind (``mcry`` or ``mcrz``) is one
-step (:func:`_apply_run`); any other gate ends it and runs on its own.  The
-uniformly controlled rotations of the general-state baseline, Gray-code cascades
-of rotations and cx gates (Mottonen et al., quant-ph/0407010), are such runs;
-compiled leafsep circuits hold none.  The step walks the run's gates as scalars
-and folds them with one Walsh-Hadamard transform over the m patterns of its
-control wires, O(m log m) rather than O(m) a gate, into an angle and an x parity
-per pattern (:func:`_run_angles`).  It then rotates the target axis of the dense
-state by each pattern's angle, and swaps the target's halves where the parity is
-odd.  On the 11-qubit baseline a gate costs about 0.7 us in a run against 10 to
-14 us on its own (best of 7, one core of the same 2-core Xeon host).
+A multiplexor (``ucry``/``ucrz``, such as the general-state baseline's) is one
+step on either engine, and its controls slice nothing: dense, the target axis
+turns by each pattern's angle, an array broadcast over the control axes
+(:func:`_rotate`); on the support, each entry by the angle of its own pattern.
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -103,8 +95,8 @@ from functools import partial
 
 import numpy as np
 
-from .circuit import _X_FAMILY, Circuit, Gate
-from .core import StateVector, dense_size, find_sorted, walsh_hadamard
+from .circuit import _MULTIPLEXORS, _X_FAMILY, Circuit, Gate
+from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
 # Below it a compiled circuit's dense gates cost less than a support step's fixed cost:
@@ -124,9 +116,6 @@ BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
-# Gate kinds a rotation run may hold, each with the rotation kind it fixes ("" for none)
-# and the most controls it may have: one for an x gate, none for a rotation.
-_RUN_KINDS = dict.fromkeys(_X_FAMILY, ("", 1)) | {"mcry": ("mcry", 0), "mcrz": ("mcrz", 0)}
 
 
 def _mixed(gate: Gate) -> tuple:
@@ -156,11 +145,17 @@ def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
 def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
     """In-place application of one gate to a tensor whose axis ``axis[w]``, of length 2,
     is wire w; its other axes are left alone."""
+    t = axis[gate.targets[0]]
+    if gate.kind in _MULTIPLEXORS:  # the angles on the control axes of the target's half
+        c, dest = len(gate.controls), [axis[w] - (axis[w] > t) for w, _ in gate.controls]
+        angle = np.array(gate.params).reshape([2] * c + [1] * (state.ndim - 1 - c))
+        _rotate(gate.kind, np.moveaxis(angle, range(c), dest),
+                state[(slice(None),) * t + (0, ...)], state[(slice(None),) * t + (1, ...)])
+        return
     i0: list = [slice(None)] * state.ndim
     for wire, pol in gate.controls:
         i0[axis[wire]] = 1 if pol == 1 else 0
     i1 = list(i0)
-    t = axis[gate.targets[0]]
     i0[t], i1[t] = 0, 1
     if gate.kind == "crbs":
         u = axis[gate.targets[1]]
@@ -182,95 +177,25 @@ def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
         state[s1] *= f1
 
 
-def _rotation_runs(steps: list, start: int) -> dict[int, int]:
-    """Runs, from step ``start`` on, of at least two consecutive gate steps on one
-    target wire from ``_RUN_KINDS`` (x gates with at most one control and
-    uncontrolled rotations of one kind), with at least one rotation.  Each is keyed
-    by its first step and gives the step after it."""
-    runs = {}
-    first, target, rotation = start, None, ""
-    for i, step in enumerate([*steps[start:], None], start):
-        # one lookup a gate (keyed on kind and control count, the scan took a third longer)
-        fixes = None
-        if isinstance(step, Gate):
-            fixes, most = _RUN_KINDS.get(step.kind, (None, 0))
-            if len(step.controls) > most:
-                fixes = None
-        # the run goes on through x gates on its target, and through rotations of the
-        # kind its first rotation fixed
-        if fixes is not None and step.targets[0] == target and fixes in ("", rotation or fixes):
-            rotation = rotation or fixes
-            continue
-        if rotation and i - first > 1:
-            runs[first] = i
-        if fixes is None:
-            first, target, rotation = i + 1, None, ""
-        else:
-            first, target, rotation = i, step.targets[0], fixes
-    return runs
-
-
-def _run_angles(steps: list, start: int, stop: int, axis: list[int]):
-    """The rotation kind of the run ``steps[start:stop]`` from :func:`_rotation_runs`,
-    and the angle and the x parity it leaves on each pattern of its control wires,
-    as arrays that broadcast against its target's half of a tensor laid out as for
-    :func:`_apply_gate`.
-
-    The gates a pattern matches compose to X^q R(angle).  An x gate flips q; a
-    rotation R(theta) adds (-1)^q theta to the angle, since X R(theta) X = R(-theta)
-    for RY and RZ and rotations about one axis add.  The run's x gates give pattern
-    p the factor (-1)^q = s (-1)^|m & p|: the walk keeps s and the mask m and adds
-    s theta to h[m], and the angle is the Walsh-Hadamard transform of h."""
-    wires = sorted({w for i in range(start, stop) for w, _ in steps[i].controls},
-                   key=axis.__getitem__)
-    shape = [1] * len(axis)
-    for w in wires:
-        shape[axis[w]] = 2
-    bit = {w: 1 << j for j, w in enumerate(reversed(wires))}  # in a flat pattern index
-    h, mask, s = np.zeros(1 << len(wires)), 0, 1.0
-    for gate in steps[start:stop]:
-        if gate.kind in _X_FAMILY:  # "x" and a one-control "mcx" flip s, "cx" does not
-            for wire, _ in gate.controls:
-                mask ^= bit[wire]
-            s = s if gate.kind == "cx" else -s
-        else:
-            rotation = gate.kind
-            h[mask] += s * gate.params[0]
-    odd = (np.bitwise_count(np.arange(len(h)) & mask) & 1) != (s < 0)
-    half = (slice(None),) * axis[steps[start].targets[0]] + (0, ...)  # a view, even at 1 wire
-    return rotation, walsh_hadamard(h).reshape(shape)[half], odd.reshape(shape)[half]
-
-
-def _apply_run(state: np.ndarray, steps: list, start: int, stop: int,
-               axis: list[int]) -> None:
-    """Apply the run ``steps[start:stop]`` from :func:`_rotation_runs` to a tensor laid
-    out as for :func:`_apply_gate`, as one step: each pattern's rotation from
-    :func:`_run_angles` on the target axis, then a swap of the target's halves
-    where the pattern's x parity is odd.  Beyond the tensor it holds at most three
-    pattern arrays (a quarter of it each), then two of its quarters and two arrays."""
-    rotation, angle, odd = _run_angles(steps, start, stop, axis)
-    t = axis[steps[start].targets[0]]
-    a, b = state[(slice(None),) * t + (0, ...)], state[(slice(None),) * t + (1, ...)]
-    if rotation == "mcry":  # the coefficients of _mixed, pattern by pattern
-        angle /= 2
-        c, s = np.cos(angle), np.sin(angle, out=angle)
-        # part by part: a complex operand would cast c and s whole, half a tensor each
-        for x, y in ((a.real, b.real), (a.imag, b.imag)):
-            kept = x.copy()
-            x *= c
-            x -= s * y
-            y *= c
-            kept *= s
-            y += kept
-    else:  # _diagonal's factors: the |1> factor is the conjugate of the |0> one
-        factor = np.asarray(angle * -0.5j)  # an array even at 1 wire, for ``out=``
-        np.exp(factor, out=factor)
-        a *= factor
-        b *= np.conjugate(factor, out=factor)
-    if odd.any():
-        kept = b.copy()
-        np.copyto(b, a, where=odd)
-        np.copyto(a, kept, where=odd)
+def _rotate(kind: str, angle: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Turn the target's |0> amplitudes ``a`` and |1> amplitudes ``b`` in place by RY
+    (``ucry``) or RZ (``ucrz``) of ``angle``, which broadcasts against them and is
+    overwritten; beyond them it holds two arrays like ``angle`` and two like ``a.real``."""
+    angle /= 2
+    c, s = np.cos(angle), np.sin(angle, out=angle)
+    # part by part, each pair (x, y) turned to (c x - s y, s x + c y): a complex operand
+    # would cast c and s whole, half a tensor each.  RY (_mixed's coefficients) turns
+    # the real and the imaginary parts of (a, b); RZ (_diagonal's factors, e^{-+i angle/2})
+    # turns (a.imag, a.real) and (b.real, b.imag)
+    pairs = ((a.real, b.real), (a.imag, b.imag)) if kind == "ucry" else \
+        ((a.imag, a.real), (b.real, b.imag))
+    for x, y in pairs:
+        kept = x.copy()
+        x *= c
+        x -= s * y
+        y *= c
+        kept *= s
+        y += kept
 
 
 def _plan(circuit: Circuit) -> tuple[list[int], list]:
@@ -278,7 +203,7 @@ def _plan(circuit: Circuit) -> tuple[list[int], list]:
 
     A step is a gate, or a list of consecutive ``mcphase`` gates controlled on
     every other wire: the residual distribution phases of a free-mode circuit.
-    Those touch one amplitude each, so they add no load.
+    Those touch one amplitude each, so they add no load; a multiplexor touches all.
     """
     n = circuit.n_wires
     load = [0] * n
@@ -290,7 +215,7 @@ def _plan(circuit: Circuit) -> tuple[list[int], list]:
             else:
                 steps.append([gate])
             continue
-        touched = 1 << (n - len(gate.controls))
+        touched = 1 << (n if gate.kind in _MULTIPLEXORS else n - len(gate.controls))
         for wire, _ in gate.controls:
             load[wire] += touched
         for wire in gate.targets:
@@ -310,22 +235,22 @@ def _blocks(steps: list, width: int) -> dict[int, tuple[int, list[int], int, flo
     start, span, controls = 0, 0, []
     for i, step in enumerate([*steps, None]):
         wires = None
-        if isinstance(step, Gate):
-            wires = 0
+        if isinstance(step, Gate):  # a multiplexor's controls slice nothing
+            wires, sliced = 0, (0 if step.kind in _MULTIPLEXORS else len(step.controls))
             for w in step.targets:
                 wires |= 1 << w
             for w, _ in step.controls:
                 wires |= 1 << w
             if (span | wires).bit_count() <= width:
                 span |= wires
-                controls.append(len(step.controls))
+                controls.append(sliced)
                 continue
         if len(controls) > 1:
             block = [w for w in range(span.bit_length()) if span >> w & 1]
             m = len(block)
             blocks[start] = (i, block, (1 << m) + sum(1 << (m - c) for c in controls),
                              sum(2.0 ** -c for c in controls))
-        start, span, controls = (i, wires, [len(step.controls)]) if wires else (i + 1, 0, [])
+        start, span, controls = (i, wires, [sliced]) if wires else (i + 1, 0, [])
     return blocks
 
 
@@ -372,10 +297,15 @@ class _Support:
             np.multiply.at(self.amp, order[pos[hit]], np.array(factors)[hit])
             return
         gate = step
-        mask = sum(self.bit[w] for w, _ in gate.controls)
-        value = sum(self.bit[w] for w, pol in gate.controls if pol == 1)
-        sel = np.flatnonzero((idx & mask) == value)
         target = self.bit[gate.targets[0]]
+        if gate.kind == "ucrz":
+            angle = self._angles(gate, idx)
+            self.amp[:self.size] *= np.exp(0.5j * np.where(idx & target, angle, -angle))
+            return
+        controls = () if gate.kind in _MULTIPLEXORS else gate.controls
+        mask = sum(self.bit[w] for w, _ in controls)
+        value = sum(self.bit[w] for w, pol in controls if pol == 1)
+        sel = np.flatnonzero((idx & mask) == value)
         if gate.kind in _X_FAMILY:
             self.idx[sel] ^= target
         elif gate.kind in ("mcrz", "mcphase"):
@@ -443,10 +373,18 @@ class _Support:
         self.idx, self.amp, self.size = new_idx, new_amp, len(new_idx)
         return True
 
+    def _angles(self, gate: Gate, indices: np.ndarray) -> np.ndarray:
+        """A multiplexor's angle at each of ``indices``, by the pattern read there."""
+        pattern = np.zeros(len(indices), np.intp)
+        for w, _ in gate.controls:
+            pattern <<= 1
+            pattern |= (indices & self.bit[w]) != 0
+        return np.array(gate.params)[pattern]
+
     def _mix(self, gate: Gate, sel: np.ndarray) -> None:
         """Apply a mixing gate to the entries ``sel`` that match its controls."""
         t = self.bit[gate.targets[0]]
-        first, second = (0, t) if gate.kind == "mcry" else (t, self.bit[gate.targets[1]])
+        first, second = (t, self.bit[gate.targets[1]]) if gate.kind == "crbs" else (0, t)
         flip = first ^ second
         if gate.kind == "crbs":  # |00> and |11> stay as they are
             pattern = self.idx[sel] & flip
@@ -465,8 +403,12 @@ class _Support:
         pair = is_first | ~found  # each pair once: at its first half, or at its only entry
         i0 = np.where(is_first, sel, mates)[pair]
         i1 = np.where(is_first, mates, sel)[pair]
-        a0, b0, a1, b1 = _mixed(gate)
         a, b = self.amp[i0], self.amp[i1]
+        if gate.kind == "ucry":
+            _rotate(gate.kind, self._angles(gate, self.idx[i0]), a, b)
+            self.amp[i0], self.amp[i1] = a, b
+            return
+        a0, b0, a1, b1 = _mixed(gate)
         self.amp[i0] = a0 * a - b0 * b
         self.amp[i1] = a1 * a + b1 * b
 
@@ -497,7 +439,6 @@ class SimulationResult:
     peak_support: int = 0       # most amplitudes held at once: 2^wires once the run is dense
     first_dense_gate: int = 0   # gates run on the support before the dense engine took over
     block_gates: int = 0        # gates run on the support inside blocks
-    run_gates: int = 0          # gates run dense inside rotation runs
 
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
@@ -515,31 +456,29 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     """
     dense_size(circuit.n_wires)  # too many wires fail here, before anything is allocated
     start = time.perf_counter()
-    final, peak, first_dense, block_gates, run_gates = _run(
+    final, peak, first_dense, block_gates = _run(
         circuit, initial, partial(_support_pays, circuit.n_wires), _block_pays)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
                               n_ancilla=circuit.n_ancilla, norm=final.norm(),
                               elapsed=elapsed, peak_support=peak,
-                              first_dense_gate=first_dense, block_gates=block_gates,
-                              run_gates=run_gates)
+                              first_dense_gate=first_dense, block_gates=block_gates)
     if target is not None:
         result.fidelity, result.purity = _diagnostics(final, circuit.n_system, target)
     return result
 
 
 def _run(circuit: Circuit, initial, stay, fuse=None,
-         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int, int]:
+         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int]:
     """Plan and run ``circuit`` on ``initial``: on the support while ``stay(size)``
     holds before each step, then dense in the plan's layout.  On the support, runs
     of gates on at most ``width`` wires are blocks, each run as one step when
     ``fuse`` (see :meth:`_Support.block`) agrees; with no ``fuse`` every gate is a
-    step of its own.  Dense, each run from :func:`_rotation_runs` is one step
-    (:func:`_apply_run`).
+    step of its own.
 
     Returns the final state, the peak support (taken between steps), the index of
-    the first gate run dense (the gate count when none was), the number of gates
-    run in blocks and the number run in rotation runs.
+    the first gate run dense (the gate count when none was) and the number of gates
+    run in blocks.
     """
     n = circuit.n_wires
     order, steps = _plan(circuit)
@@ -552,7 +491,7 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
                          f"{circuit.n_system}+{circuit.n_ancilla}")
     else:  # ancillas: low bits, |0>
         indices, values = initial.indices << (n - initial.n), initial.values
-    done = first_dense = block_gates = run_gates = 0
+    done = first_dense = block_gates = 0
     if stay(len(indices)):
         support = _Support(n, indices, values)
         blocks = {} if fuse is None else _blocks(steps, width)
@@ -570,7 +509,7 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
         indices, values = support.idx[:support.size], support.amp[:support.size]
         if done == len(steps):
-            return StateVector(n, indices, values, check=False), peak, first_dense, block_gates, 0
+            return StateVector(n, indices, values, check=False), peak, first_dense, block_gates
     if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0
@@ -583,22 +522,16 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     for a, wire in enumerate(order):
         axis[wire] = a
     bit = [1 << (n - 1 - a) for a in axis]
-    for start, stop in [*_rotation_runs(steps, done).items(), (len(steps), len(steps))]:
-        for step in steps[done:start]:  # the steps before the next run, one by one
-            if isinstance(step, list):
-                np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
-            else:
-                _apply_gate(state, step, axis)
-        if stop > start:
-            _apply_run(state, steps, start, stop, axis)
-            run_gates += stop - start
-        done = stop
+    for step in steps[done:]:
+        if isinstance(step, list):
+            np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
+        else:
+            _apply_gate(state, step, axis)
     amps = state.transpose(axis).reshape(-1)
     del state  # the planned layout, unless it was wire order and ``amps`` is a view of it
     indices = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
     values = amps if len(indices) == len(amps) else amps[indices]
-    return (StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates,
-            run_gates)
+    return StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

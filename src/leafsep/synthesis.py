@@ -30,11 +30,10 @@ import numpy as np
 
 from . import analysis
 from .analysis import encoder_angles, rotation_ladder_angles
-from .circuit import Circuit, Gate, _kind_cost, crbs, mcphase, mcry, mcrz, x
+from .circuit import ANGLE_TOL, Circuit, Gate, _kind_cost, crbs, mcphase, mcry, x
 from .combinatorics import ehrlich_patterns
-from .core import PartitionTree, StateVector, TreeNode, build_partition_tree, walsh_hadamard
+from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
 
-ANGLE_TOL = 1e-15
 PHASE_FIT_TOL = 1e-12   # distribution phases the leaf phases leave unexplained
 
 MODE_FREE = "free"
@@ -433,54 +432,33 @@ def synthesize_full(psi: StateVector, config: SynthesisConfig) -> Circuit:
 
 # --- general-state baseline ---------------------------------------------------
 
-def _gray_multiplexed_rotation(kind: str, angles: np.ndarray, controls: list[int],
-                               target: int) -> list[Gate]:
-    """Uniformly controlled rotation as the Gray-code cx/rotation cascade.
-
-    ``angles[p]`` applies when the control wires (controls[0] most significant)
-    read the bits of p.  Rotation i takes entry g_i (the i-th Gray code) of the
-    Walsh-Hadamard transform of ``angles`` / 2^m; the cx after it is controlled
-    on the bit where g_i and g_(i+1) differ.
-    """
-    maker = mcry if kind == "ry" else mcrz
-    m = len(controls)
-    if np.max(np.abs(angles)) <= ANGLE_TOL:
-        return []
-    if m == 0:
-        return [maker(float(angles[0]), target)]
-    size = 1 << m
-    tilde = walsh_hadamard(np.array(angles, dtype=float)) / size
-    gray = np.arange(size) ^ (np.arange(size) >> 1)
-    changed = np.bitwise_count((gray ^ np.roll(gray, -1)) - 1)  # the bit g_i, g_(i+1) differ in
-    cxs = [x(target, controls=[(controls[m - 1 - b], 1)]) for b in range(m)]  # frozen, shared
-    gates: list[Gate] = []
-    for angle, b in zip(tilde[gray].tolist(), changed.tolist()):
-        if abs(angle) > ANGLE_TOL:
-            gates.append(maker(angle, target))
-        gates.append(cxs[b])
-    return gates
-
-
 def synthesize_general_baseline(psi: StateVector) -> Circuit:
-    """Arbitrary-state preparation via uniformly controlled rotation cascades.
+    """Arbitrary-state preparation by uniformly controlled rotations (multiplexors).
 
-    Magnitudes come from an RY multiplexer per qubit (conditioned on all
-    previous qubits); phases, when present, from RZ multiplexers over the same
-    control structure.  Output matches the target up to global phase.
+    Qubit j gets a ``ucry`` on the magnitudes, controlled on qubits 0..j-1 with qubit 0
+    the top bit of its patterns; phases, when present, come from a ``ucrz`` per qubit
+    over the same controls.  A multiplexor whose angles are all within ANGLE_TOL is
+    left out, so a real target takes at most n gates and a complex one 2n.
+    :func:`leafsep.circuit.lower` expands the multiplexor of qubit j into its Gray-code
+    cascade of about 2^(j+1) cx gates and rotations.  Output matches the target up to
+    global phase.
     """
     n = psi.n
     amps = psi.amplitudes
     circ = Circuit(n_system=n, metadata={"n": n, "k": 0, "ell": 0, "mode": "baseline"})
+
+    def emit(kind: str, angles: np.ndarray, j: int) -> None:
+        if np.max(np.abs(angles)) > ANGLE_TOL:
+            circ.add(Gate(kind, (j,), tuple((q, 1) for q in range(j)), tuple(angles.tolist())))
+
     mags = np.abs(amps)
     for j in range(n):
         blocks = mags.reshape(1 << j, 2, 1 << (n - 1 - j))
         norms = np.sqrt(np.sum(blocks ** 2, axis=2))
-        thetas = 2.0 * np.arctan2(norms[:, 1], norms[:, 0])
-        circ.extend(_gray_multiplexed_rotation("ry", thetas, list(range(j)), j))
+        emit("ucry", 2.0 * np.arctan2(norms[:, 1], norms[:, 0]), j)
     omega = np.where(mags > 1e-15, np.angle(amps), 0.0)
     if np.max(np.abs(omega)) > ANGLE_TOL:
         for j in range(n):
             blocks = omega.reshape(1 << j, 2, 1 << (n - 1 - j))
-            phis = np.mean(blocks[:, 1, :] - blocks[:, 0, :], axis=1)
-            circ.extend(_gray_multiplexed_rotation("rz", phis, list(range(j)), j))
+            emit("ucrz", np.mean(blocks[:, 1, :] - blocks[:, 0, :], axis=1), j)
     return circ

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import settings
 
 from leafsep.analysis import SeparabilityReport, distribution_table, encoder_angles
-from leafsep.circuit import Circuit, crbs, mcphase, two_qubit_cost, x
+from leafsep.circuit import Circuit, Gate, crbs, mcphase, two_qubit_cost, x
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, enumerate_weight_distributions, index_to_string,
                           string_to_index)
@@ -56,7 +56,11 @@ def intermediate_example():
 
 
 def gate_action_on_basis(gate, bits: str) -> list[tuple[str, complex]]:
-    """Scalar semantics: image of one basis state under one gate."""
+    """Scalar semantics: image of one basis state under one gate.  A multiplexor acts
+    as the uncontrolled rotation by the angle of the pattern its controls read."""
+    if gate.kind in ("ucry", "ucrz"):
+        pattern = int("".join(bits[w] for w, _ in gate.controls) or "0", 2)
+        gate = Gate("mc" + gate.kind[2:], gate.targets, (), (gate.params[pattern],))
     for wire, pol in gate.controls:
         if bits[wire] != ("1" if pol == 1 else "0"):
             return [(bits, 1.0)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafsep.circuit import (GATE_KINDS, Circuit, Gate, ParseError, cost, crbs, export_text,
-                             mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
+                             lower, mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
 
 
 def random_circuit(n, n_gates, seed, n_ancilla=0):
@@ -61,6 +61,12 @@ def test_gate_validation():
     ("cx", (1,), ((0, -1),), (), "is mcx, not cx"),
     ("mcx", (1,), (), (), "is x, not mcx"),
     ("mcx", (2,), ((0, 1),), (), "is cx, not mcx"),
+    ("ucry", (0,), ((1, 1),), (0.1,), r"ucry takes 1 target\(s\) and 2 parameter\(s\)"),
+    ("ucrz", (0,), ((2, 1), (1, 1)), (0.1,) * 3, r"ucrz takes 1 target\(s\) and 4 parameter"),
+    ("ucrz", (0, 1), (), (0.1,), r"ucrz takes 1 target\(s\) and 1 parameter"),
+    ("ucry", (0,), ((1, -1),), (0.1, 0.2), "positive controls and finite parameters only"),
+    ("ucry", (0,), (), (math.nan,), "positive controls and finite parameters only"),
+    ("ucrz", (0,), ((1, 1),), (0.1, -math.inf), "positive controls and finite parameters"),
 ])
 def test_gate_rejects_a_shape_its_kind_does_not_have(kind, targets, controls, params, message):
     """A gate is checked against its kind's row of the table; an x-family kind must be
@@ -203,22 +209,26 @@ EXTREME_ANGLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
 
 
 @st.composite
-def _circuits(draw):
+def _circuits(draw, angles=st.one_of(st.sampled_from(EXTREME_ANGLES),
+                                     st.floats(allow_nan=False, allow_infinity=False))):
     """Gate lists over system and ancilla wires: x with 0, 1 or more signed controls
-    (x, cx, mcx), the rotations, phases and crbs, with finite angles of any size."""
+    (x, cx, mcx), the rotations, phases and crbs, and multiplexors on positive controls
+    in any order, with finite angles of any size."""
     n_system, n_ancilla = draw(st.integers(2, 5)), draw(st.integers(0, 2))
-    angles = st.one_of(st.sampled_from(EXTREME_ANGLES),
-                       st.floats(allow_nan=False, allow_infinity=False))
     circ = Circuit(n_system=n_system, n_ancilla=n_ancilla, metadata={
         "n": n_system, "k": draw(st.integers(0, 9)), "ell": draw(st.integers(0, 9)),
         "mode": draw(st.sampled_from(["free", "ancilla", "none"]))})
-    for kind in draw(st.lists(st.sampled_from(["x", "mcry", "mcrz", "mcphase", "crbs"]),
-                              max_size=12)):
+    for kind in draw(st.lists(st.sampled_from(["x", "mcry", "mcrz", "mcphase", "crbs", "ucry",
+                                               "ucrz"]), max_size=12)):
         order = draw(st.permutations(range(n_system + n_ancilla)))
         free = order[2 if kind == "crbs" else 1:]
         ctrls = [(w, draw(st.sampled_from([1, -1])))
                  for w in free[:draw(st.integers(0, len(free)))]]
-        if kind == "x":
+        if kind in ("ucry", "ucrz"):
+            ctrls = tuple((w, 1) for w, _ in ctrls)
+            params = tuple(draw(angles) for _ in range(1 << len(ctrls)))
+            circ.add(Gate(kind, (order[0],), ctrls, params))
+        elif kind == "x":
             circ.add(x(order[0], controls=ctrls))
         elif kind == "crbs":
             circ.add(crbs(draw(angles), draw(angles), order[0], order[1], controls=ctrls))
@@ -312,6 +322,14 @@ def test_parse_errors_report_position():
     ("# n=3 k=1 ell=1 mode=none\nmcx q0 q1\n", 2, 1, "expected control list, got 'q0'"),
     ("# n=3 k=1 ell=1 mode=none\n mcx [q0] q1\n", 2, 2, "bad control token 'q0'"),
     ("# n=3 k=1 ell=1 mode=none\nmcry [] q1\n", 2, 1, "expected parameters on 'mcry'"),
+    ("# n=3 k=1 ell=1 mode=none\nucry [q0+] q1\n", 2, 1, "expected parameters on 'ucry'"),
+    ("# n=3 k=1 ell=1 mode=none\nucry(1) [q0+] q1\n", 2, 1,
+     r"ucry takes 1 target\(s\) and 2 parameter\(s\)"),
+    ("# n=3 k=1 ell=1 mode=none\nucrz(1,2,3) [q2+,q0+] q1\n", 2, 1,
+     r"ucrz takes 1 target\(s\) and 4 parameter\(s\)"),
+    ("# n=3 k=1 ell=1 mode=none\n  ucry(1,inf) [q0+] q1\n", 2, 7, "non-finite parameter"),
+    ("# n=3 k=1 ell=1 mode=none\nucrz(1,2) [q0-] q1\n", 2, 1, "positive controls"),
+    ("# n=3 k=1 ell=1 mode=none\nucry(1,2) q0 q1\n", 2, 1, "expected control list"),
     ("# k=1 ell=1 mode=none\n", 1, 0, r"missing '# n=\.\.\.' header"),
 ])
 def test_parse_rejects_malformed_gates_with_position(text, line, column, message):
@@ -443,3 +461,29 @@ def test_parse_rejects_ancilla_wire_out_of_range():
 def test_two_qubit_cost_sums_to_cost():
     circ = random_circuit(4, 40, seed=3, n_ancilla=1)
     assert sum(two_qubit_cost(g) for g in circ.gates) == cost(circ).two_qubit_count
+
+
+@settings(max_examples=200)
+@given(_circuits(st.one_of(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 2e-15]),
+                           st.floats(-10, 10))))
+def test_multiplexors_cost_as_their_lowering(circ):
+    """A multiplexor's counts and layers are those of its cascade, angles within
+    ANGLE_TOL left out, among gates of every kind; per-gate costs still sum to cost."""
+    lowered = lower(circ)
+    assert cost(circ) == cost(lowered)
+    assert sum(two_qubit_cost(g) for g in circ.gates) == cost(circ).two_qubit_count
+    assert [g for g in lowered.gates if g.kind in ("ucry", "ucrz")] == []
+    assert (lowered.n_system, lowered.n_ancilla, lowered.metadata) == (
+        circ.n_system, circ.n_ancilla, circ.metadata)
+
+
+def test_multiplexor_line_keeps_its_control_order():
+    """A multiplexor's controls are written and read in the order that sets its pattern
+    bits; other gates' controls are sorted."""
+    text = ("# format=1\n# n=3 k=0 ell=0 mode=baseline\n"
+            "ucry(0.10000000000000001,0.20000000000000001,0.29999999999999999,0.40000000000000002)"
+            " [q2+,q0+] q1\nucrz(-0) [] q2\nmcry(1) [q2+,q0-] q1\n")
+    circ = parse_text(text)
+    assert [g.controls for g in circ.gates] == [((2, 1), (0, 1)), (), ((0, -1), (2, 1))]
+    assert circ.gates[0].params == (0.1, 0.2, 0.3, 0.4)
+    assert export_text(circ) == text.replace("[q2+,q0-]", "[q0-,q2+]")

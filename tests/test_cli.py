@@ -68,7 +68,7 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     report = json.loads(open(report_path).read())
     assert set(report) == {"fidelity", "purity", "norm", "wires", "gates",
                            "two_qubit_gates", "elapsed", "peak_support", "first_dense_gate",
-                           "block_gates", "run_gates"}
+                           "block_gates"}
     assert report["fidelity"] >= 1 - 1e-10
     assert abs(report["norm"] - 1.0) < 1e-10
     assert report["wires"] == {"system": 4, "ancilla": 0}
@@ -345,6 +345,9 @@ def test_ancilla_out_of_range_exit_code(tmp_path, capsys):
     ("# n=2 k=1 ell=1 mode=free\n# ancilla=1\nx a0\n# ancilla=0\n", "line 4, column 3"),
     ("# n=2 k=1 ell=1 mode=free\nx q0\n# n=5\n", "line 3, column 3"),
     ("# format=7\n# n=2 k=1 ell=1 mode=free\nx q0\n", "line 1, column 3"),
+    ("# n=2 k=1 ell=1 mode=none\nucry(1,2,3) [q0+] q1\n", "line 2, column 1"),
+    ("# n=2 k=1 ell=1 mode=none\n ucrz(1,nan) [q0+] q1\n", "line 2, column 6"),
+    ("# n=2 k=1 ell=1 mode=none\nucry(1,2) [q0-] q1\n", "line 2, column 1"),
 ])
 def test_malformed_circuit_exit_code(tmp_path, capsys, body, position):
     path = tmp_path / "c.txt"

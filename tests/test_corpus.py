@@ -31,8 +31,8 @@ import pytest
 
 from conftest import aligned_state, support_gap
 from leafsep.analysis import reconstruct_amplitudes
-from leafsep.circuit import export_text
-from leafsep.core import build_partition_tree
+from leafsep.circuit import cost, export_text, lower
+from leafsep.core import StateVector, build_partition_tree
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
                                  random_mixed_leaf_separable)
 from leafsep.simulator import _run, simulate
@@ -56,8 +56,13 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "74d0e606fc0cad6e10d38e8ef9c02441f00dab8c09b2361fac3acddbe6ce7a17"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "8a5030011056cb08a10629a23f345f7a6fe5d4d79cb382efede48ad813baa22f"
+SIMULATED_SHA256 = "9f57646ea9f64b1c541e73caa9f8d6c643ff79eef4c9b85a69f4cbdf6c58f464"
 SIMULATED_SIZE = 185
+
+# The general-state baseline's export when it emitted Gray-code cascades instead of
+# multiplexors, which lower() must reproduce byte for byte.
+BASELINE_LOWERED_SHA256 = "0eb7438c769532a49248f4adb96edb139610aa96dca01098da99cdcd108f899d"
+BASELINE_SIZE = 81
 
 
 def _generated(n_values=range(2, 13)):
@@ -102,6 +107,33 @@ def _simulated():
     for n in range(4, 9):
         psi = random_fixed_weight_state(n, n // 2, "complex", seed=[109, n])
         yield synthesize_general_baseline(psi), psi
+
+
+def _baselines():
+    """General-state baselines of real, complex and nonneg dense targets on 2-10 qubits,
+    three seeds each, in a fixed order."""
+    for n in range(2, 11):
+        for kind in ("real", "complex", "nonneg"):
+            for seed in range(3):
+                rng = np.random.default_rng([110, n, seed])
+                vec = rng.standard_normal(1 << n) + (1j * rng.standard_normal(1 << n)
+                                                     if kind == "complex" else 0.0)
+                yield synthesize_general_baseline(StateVector.from_dense(
+                    n, np.abs(vec) if kind == "nonneg" else vec, normalize=True))
+
+
+def test_lowered_baselines_are_pinned():
+    """The lowered baseline is the cascade the baseline once emitted, and its cost
+    is the multiplexors' cost."""
+    digest = hashlib.sha256()
+    count = 0
+    for circ in _baselines():
+        lowered = lower(circ)
+        digest.update(export_text(lowered).encode())
+        assert cost(lowered) == cost(circ)
+        count += 1
+    assert count == BASELINE_SIZE
+    assert digest.hexdigest() == BASELINE_LOWERED_SHA256
 
 
 def test_corpus_circuits_are_pinned():

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from conftest import circuit_matrix, support_gap
 from test_circuit import random_circuit
 
-from leafsep.circuit import Circuit, crbs, mcphase, mcry, mcrz, parse_text, x
+from leafsep.circuit import Circuit, Gate, crbs, lower, mcphase, mcry, mcrz, parse_text, x
 from leafsep import simulator
 from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
-from leafsep.simulator import (_apply_gate, _block_pays, _plan, _rotation_runs, _run,
-                               _support_pays, fidelity, simulate, system_purity)
-from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig,
-                               _gray_multiplexed_rotation, synthesize_full,
+from leafsep.simulator import (_apply_gate, _block_pays, _plan, _run, _support_pays, fidelity,
+                               simulate, system_purity)
+from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
                                synthesize_general_baseline)
 
 
@@ -210,7 +209,7 @@ def test_blocks_match_oracle_and_dense_engine(case):
     """Every run of gates on at most 4 wires as one block step on the support."""
     circ, initial = case
     expected = circuit_matrix(circ) @ _start_vector(circ, initial)
-    final, peak, first_dense, block_gates, _ = _run(circ, initial, _always, _always, width=4)
+    final, peak, first_dense, block_gates = _run(circ, initial, _always, _always, width=4)
     assert first_dense == len(circ.gates) and block_gates > 1
     assert peak <= 1 << circ.n_wires
     assert np.max(np.abs(final.amplitudes - expected)) < 1e-12
@@ -219,163 +218,67 @@ def test_blocks_match_oracle_and_dense_engine(case):
 
 
 @st.composite
-def _rotation_run_circuits(draw):
-    """Runs on one target of x/cx/mcx gates with +/- controls and one rotation kind,
-    each ended by a crbs, an mcphase, a new target or the other rotation kind, on
-    any superposition.  The first run's x gates have at most one control and its
-    rotations none, so it is a rotation run; the later ones draw any controls, which
-    split them.  Returns the circuit, the length of its first run (which holds a
-    rotation) and the input."""
-    n = draw(st.integers(2, 7))
-    angle = st.floats(-2 * math.pi, 2 * math.pi)
-    target, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from(["mcry", "mcrz"]))
-    circ, lengths = Circuit(n_system=n), []
-    for run in range(draw(st.integers(1, 4))):
-        others = [w for w in range(n) if w != target]
-        length = draw(st.integers(2, 6))
-        rotations = draw(st.sets(st.integers(0, length - 1), min_size=1))
-        for i in range(length):
-            most = len(others) if run else int(i not in rotations)
-            wires = draw(st.permutations(others))[:draw(st.integers(0, most))]
-            controls = [(w, draw(st.sampled_from([1, -1]))) for w in wires]
-            if i in rotations:
-                maker = mcry if kind == "mcry" else mcrz
-                circ.add(maker(draw(angle), target, controls))
-            else:
-                circ.add(x(target, controls))
-        lengths.append(length)
-        end = draw(st.sampled_from(["crbs", "mcphase", "target", "kind"]))
-        if end == "crbs":
-            t1, t2 = draw(st.permutations(range(n)))[:2]
-            circ.add(crbs(draw(angle), draw(angle), t1, t2))
-        elif end == "mcphase":
-            circ.add(mcphase(draw(angle), draw(st.integers(0, n - 1))))
-        elif end == "target":
-            target = draw(st.sampled_from(others))
-        else:
-            kind = "mcrz" if kind == "mcry" else "mcry"
+def _multiplexor_circuits(draw):
+    """One to four multiplexors of either kind on 1-10 wires, each on any target with
+    positive controls on any of the other wires in any order, with random angles (none,
+    some or all of them zero), on any superposition."""
+    n = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    circ = Circuit(n_system=n)
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(n)))
+        controls = tuple((w, 1) for w in order[1:1 + draw(st.integers(0, n - 1))])
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, 1 << len(controls))
+        angles[rng.random(len(angles)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+        circ.add(Gate(draw(st.sampled_from(["ucry", "ucrz"])), (order[0],), controls,
+                      tuple(angles.tolist())))
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return circ, lengths[0], StateVector.from_dense(n, vec, normalize=True)
+    return circ, StateVector.from_dense(n, vec, normalize=True)
 
 
 @settings(max_examples=80)
-@given(_rotation_run_circuits())
-def test_rotation_runs_match_oracle(case):
-    """Each run of x gates with at most one control and uncontrolled rotations of one
-    kind on one target is one dense step; any other gate runs on its own."""
-    circ, first, initial = case
-    expected = circuit_matrix(circ) @ initial.amplitudes
-    res = simulate(circ, initial=initial)
-    assert res.run_gates >= first
-    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
+@given(_multiplexor_circuits())
+def test_multiplexors_match_their_lowering(case):
+    """Each multiplexor is one step on the dense engine, on the support engine (forced
+    for every step) and inside blocks, and all three give the state of its Gray-code
+    cascade run gate by gate; on up to 6 wires, also the scalar oracle's."""
+    circ, initial = case
+    expected = simulate(lower(circ), initial=initial).state.amplitudes
+    if circ.n_wires <= 6:
+        oracle = circuit_matrix(circ) @ initial.amplitudes
+        assert np.max(np.abs(oracle - expected)) < 1e-12
+    dense = simulate(circ, initial=initial)
+    assert dense.first_dense_gate == 0
+    assert np.max(np.abs(dense.state.amplitudes - expected)) < 1e-12
+    support, _, first_dense, _ = _run(circ, initial, _always)
+    assert first_dense == len(circ.gates)
+    assert np.max(np.abs(support.amplitudes - expected)) < 1e-12
+    blocked, *_ = _run(circ, initial, _always, _always, width=4)
+    assert np.max(np.abs(blocked.amplitudes - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("maker", [mcry, mcrz])
-def test_one_wire_rotation_run_matches_oracle(maker):
-    """On a one-wire circuit a run's halves and pattern arrays have no axes left."""
+@pytest.mark.parametrize("kind", ["ucry", "ucrz"])
+def test_one_wire_multiplexor_matches_oracle(kind):
+    """On a one-wire circuit a multiplexor's halves and angle array have no axes left."""
     circ = Circuit(n_system=1)
-    circ.extend([maker(0.3, 0), x(0), maker(0.5, 0)])
+    circ.extend([Gate(kind, (0,), (), (0.3,)), x(0), Gate(kind, (0,), (), (0.5,))])
     psi = StateVector(1, [0, 1], [0.6, 0.8])
-    res = simulate(circ, initial=psi)
-    assert res.run_gates == 3
-    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
-
-
-@st.composite
-def _linear_run_circuits(draw):
-    """Stretches on 2-10 wires of uncontrolled x gates, x gates with one control of
-    either polarity and uncontrolled rotations of one kind, with an mcx of at least
-    two controls or a controlled rotation between some of them, on any
-    superposition.  Returns the circuit, the gates in its stretches of at least two
-    gates with a rotation (the gates of its rotation runs) and the input."""
-    n = draw(st.integers(2, 10))
-    target, maker = draw(st.integers(0, n - 1)), draw(st.sampled_from([mcry, mcrz]))
-    others = [w for w in range(n) if w != target]
-    angle = st.floats(-2 * math.pi, 2 * math.pi)
-    circ = Circuit(n_system=n)
-    circ.add(maker(draw(angle), target))
-    sweep = len(others) if draw(st.booleans()) else draw(st.integers(0, len(others)))
-    for w in draw(st.permutations(others))[:sweep]:  # a cx on each of every or some wires
-        circ.add(x(target, [(w, draw(st.sampled_from([1, -1])))]))
-        circ.add(maker(draw(angle), target))
-    first = in_runs = 0  # the current stretch's first gate; the gates of earlier runs
-    for stretch in range(draw(st.integers(1, 3))):
-        if stretch:
-            wires = draw(st.permutations(others))[:draw(st.integers(1, len(others)))]
-            controls = [(w, draw(st.sampled_from([1, -1]))) for w in wires]
-            if len(controls) > 1 and draw(st.booleans()):
-                circ.add(x(target, controls))
-            else:
-                circ.add(maker(draw(angle), target, controls))
-            first = len(circ.gates)
-        for _ in range(draw(st.integers(1, 24))):
-            form = draw(st.sampled_from(["x", "cx", "cx", "rotation", "rotation"]))
-            if form == "rotation":
-                circ.add(maker(draw(angle), target))
-            else:
-                controls = [(draw(st.sampled_from(others)), draw(st.sampled_from([1, -1])))]
-                circ.add(x(target, controls if form == "cx" else []))
-        part = circ.gates[first:]
-        if len(part) > 1 and any(g.kind in ("mcry", "mcrz") for g in part):
-            in_runs += len(part)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return circ, in_runs, StateVector.from_dense(n, vec, normalize=True)
-
-
-@settings(max_examples=60)
-@given(_linear_run_circuits())
-def test_linear_rotation_runs_match_oracle(case):
-    """Each linear stretch with a rotation is a run, walked on scalars and folded by
-    one transform; the gates between stretches run on their own."""
-    circ, in_runs, initial = case
-    res = simulate(circ, initial=initial)
-    assert res.run_gates == in_runs
-    expected = circuit_matrix(circ) @ initial.amplitudes
-    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
-
-
-def test_rotation_run_mcx_on_strided_patterns_matches_oracle():
-    """An mcx of three controls ends the run of the gates before it and runs alone."""
-    circ = Circuit(n_system=6)
-    circ.extend([mcry(0.3, 0), x(0, [(1, 1)]), x(0, [(2, 1)]), x(0, [(3, 1), (4, 1), (5, 1)])])
-    vec = np.random.default_rng(6).standard_normal(64) + 0j
-    psi = StateVector.from_dense(6, vec, normalize=True)
-    res = simulate(circ, initial=psi)
-    assert res.run_gates == 3
-    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
-
-
-@pytest.mark.parametrize("maker", [mcry, mcrz])
-def test_rotation_runs_split_at_controlled_rotation_and_mcx(maker):
-    """Three linear stretches of 4, 4 and 2 gates, split by a controlled rotation and
-    by a three-control mcx: three runs, and the two splitting gates run alone."""
-    circ = Circuit(n_system=5)
-    circ.extend([maker(0.3, 0), x(0, [(1, 1)]), maker(0.2, 0), x(0, [(2, -1)]),
-                 maker(0.7, 0, [(3, 1)]),
-                 x(0), maker(0.4, 0), x(0, [(4, 1)]), maker(-0.1, 0),
-                 x(0, [(1, 1), (2, -1), (3, 1)]),
-                 maker(0.5, 0), x(0, [(3, 1)])])
-    assert _rotation_runs(circ.gates, 0) == {0: 4, 5: 9, 10: 12}
-    rng = np.random.default_rng(5)
-    psi = StateVector.from_dense(5, rng.standard_normal(32) + 1j * rng.standard_normal(32),
-                                 normalize=True)
-    res = simulate(circ, initial=psi)
-    assert res.run_gates == 10
-    assert np.max(np.abs(res.state.amplitudes - circuit_matrix(circ) @ psi.amplitudes)) < 1e-12
+    expected = circuit_matrix(circ) @ psi.amplitudes
+    for stay in (_never, _always):
+        final, *_ = _run(circ, psi, stay)
+        assert np.max(np.abs(final.amplitudes - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["ry", "rz"])
 @pytest.mark.parametrize("m", range(1, 11))
 def test_gray_cascade_simulates_to_its_angles(m, kind):
-    """The Gray-code cascade of a uniformly controlled rotation, simulated on every
-    pattern of its controls at once, applies RY or RZ(angles[p]) on pattern p."""
+    """A uniformly controlled rotation and its Gray-code cascade, each simulated on
+    every pattern of its controls at once, apply RY or RZ(angles[p]) on pattern p."""
     rng = np.random.default_rng([m, len(kind)])
     angles = rng.uniform(-2 * math.pi, 2 * math.pi, 1 << m)
     controls = [int(w) for w in rng.permutation(m + 1) if w != m // 2]  # controls[0]: p's top bit
     circ = Circuit(n_system=m + 1)
-    circ.extend(_gray_multiplexed_rotation(kind, angles, controls, m // 2))
+    circ.add(Gate("uc" + kind, (m // 2,), tuple((w, 1) for w in controls), tuple(angles.tolist())))
     start = np.array([0.6, 0.8j])  # the target's state, alone
     c, s = np.cos(angles / 2), np.sin(angles / 2)
     if kind == "ry":
@@ -389,9 +292,9 @@ def test_gray_cascade_simulates_to_its_angles(m, kind):
     for bit in (0, 1):
         initial[index + (bit << (m - m // 2))] = start[bit] / math.sqrt(1 << m)
         expected[index + (bit << (m - m // 2))] = out[:, bit] / math.sqrt(1 << m)
-    res = simulate(circ, initial=StateVector.from_dense(m + 1, initial))
-    assert res.run_gates == len(circ.gates)
-    assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
+    for run in (circ, lower(circ)):
+        res = simulate(run, initial=StateVector.from_dense(m + 1, initial))
+        assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
 
 
 def _gate_by_gate(circ: Circuit) -> np.ndarray:
@@ -414,23 +317,22 @@ def _general_state(n: int, kind: str) -> StateVector:
 @pytest.mark.parametrize("kind", ["real", "complex", "nonneg"])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_baseline_runs_match_gate_by_gate(n, kind):
-    """Every gate of a general-state baseline but the rotations of qubit 0, which
-    have no controls and stand alone, runs inside a rotation run."""
+    """A general-state baseline is one multiplexor step per qubit (two where signs or
+    phases vary), and its state is that of its lowering run gate by gate."""
     psi = _general_state(n, kind)
     circ = synthesize_general_baseline(psi)
     res = simulate(circ, target=psi)
-    lone = sum(gate.targets[0] == 0 for gate in circ.gates)
-    assert lone == (1 if kind == "nonneg" else 2)  # an RY, and an RZ where signs or phases vary
-    assert res.run_gates == len(circ.gates) - lone
-    assert np.max(np.abs(res.state.amplitudes - _gate_by_gate(circ))) < 1e-13
+    phases = [g for g in circ.gates if g.kind == "ucrz"]
+    assert [g.targets for g in circ.gates if g.kind == "ucry"] == [(j,) for j in range(n)]
+    assert len(circ.gates) == n + len(phases) and (kind == "nonneg") == (not phases)
+    assert np.max(np.abs(res.state.amplitudes - _gate_by_gate(lower(circ)))) < 1e-13
     assert abs(res.fidelity - 1.0) < 1e-10
 
 
 def test_dense_baseline_run_peak_memory():
-    """A 15-qubit baseline runs dense from its first gate.  Beyond its plan (a list
-    entry per gate, about one amplitude array for the 2^16 gates), its peak stays
-    under the bound of the ancilla run below: the pattern arrays of a run are at
-    most a quarter of the tensor each."""
+    """A 15-qubit baseline runs dense from its first gate.  Beyond its plan, its peak
+    stays under the bound of the ancilla run below: a multiplexor's angle arrays are
+    at most a quarter of the tensor each."""
     psi = random_leaf_separable(15, 5, 5, "nonneg", seed=4)
     circ = synthesize_general_baseline(psi)
     tracemalloc.start()
@@ -443,7 +345,7 @@ def test_dense_baseline_run_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.first_dense_gate == 0 and res.run_gates == len(circ.gates) - 1
+    assert res.first_dense_gate == 0
     assert peak - held < 3.25 * 16 * (1 << 15)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from leafsep.analysis import (analyze, distribution_table, leaf_amplitude_table,
                               rotation_ladder_angles)
-from leafsep.circuit import (Circuit, Gate, cost, export_text, mcry, mcrz, parse_text,
+from leafsep.circuit import (Circuit, Gate, cost, export_text, lower, mcry, mcrz, parse_text,
                              two_qubit_cost, x)
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import StateVector, build_partition_tree, enumerate_weight_distributions
@@ -19,7 +19,7 @@ from leafsep.experiments import (random_fixed_weight_state, random_leaf_separabl
                                  random_mixed_leaf_separable)
 from leafsep.simulator import fidelity, simulate, system_purity
 from leafsep.synthesis import (ANGLE_TOL, MODE_ANCILLA, MODE_FREE, PHASE_FIT_TOL, SynthesisConfig,
-                               _gray_multiplexed_rotation, synthesize_full, synthesize_general_baseline,
+                               synthesize_full, synthesize_general_baseline,
                                synthesize_gwdb, synthesize_gwdb_tree,
                                synthesize_hwk_encoder, synthesize_initial,
                                synthesize_leaf_encoders,
@@ -587,9 +587,29 @@ def test_general_baseline_examples():
 
     plus = StateVector.from_terms(2, {"00": 1 / math.sqrt(2), "10": 1 / math.sqrt(2)})
     circ = synthesize_general_baseline(plus)
-    assert len(circ.gates) == 1
-    assert circ.gates[0].kind == "mcry"
+    assert [(g.kind, g.targets, g.controls) for g in circ.gates] == [("ucry", (0,), ())]
     assert abs(circ.gates[0].params[0] - math.pi / 2) < 1e-12
+    assert lower(circ).gates == [mcry(circ.gates[0].params[0], 0)]
+
+
+@pytest.mark.parametrize("kind", ["nonneg", "complex"])
+def test_general_baseline_is_one_multiplexor_per_qubit(kind):
+    """Qubit j gets a ucry on qubits 0..j-1, and a ucrz where phases vary."""
+    rng = np.random.default_rng(5)
+    vec = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    vec = vec if kind == "complex" else np.abs(vec)
+    circ = synthesize_general_baseline(StateVector.from_dense(5, vec, normalize=True))
+    kinds = ["ucry", "ucrz"] if kind == "complex" else ["ucry"]
+    assert [(g.kind, g.targets, g.controls, len(g.params)) for g in circ.gates] == [
+        (k, (j,), tuple((q, 1) for q in range(j)), 1 << j) for k in kinds for j in range(5)]
+
+
+def _gray_multiplexed_rotation(kind, angles, controls, target) -> list:
+    """The lowering of one ``uc`` + ``kind`` multiplexor, ``controls[0]`` its top bit."""
+    circ = Circuit(n_system=8)
+    circ.add(Gate("uc" + kind, (target,), tuple((w, 1) for w in controls),
+                  tuple(map(float, angles))))
+    return lower(circ).gates
 
 
 @pytest.mark.parametrize("n,kind", [(3, "real"), (5, "real"), (4, "complex"),
