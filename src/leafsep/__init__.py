@@ -5,7 +5,7 @@ from .analysis import (DistributionTable, FactoredTarget, SeparabilityReport, an
                        leaf_amplitude_table, reconstruct_amplitudes, rotation_ladder_angles,
                        tree_coefficients, weight_split_amplitudes)
 from .circuit import (Circuit, CostReport, Gate, ParseError, cost, crbs,
-                      export_text, lower, mcphase, mcrz, mcry, parse_text, x)
+                      export_text, hwk, lower, mcphase, mcrz, mcry, parse_text, x)
 from .combinatorics import ehrlich_patterns, ehrlich_sequence
 from .core import (PartitionTree, StateVector, TreeNode, build_partition_tree,
                    enumerate_weight_distributions, index_to_string, string_to_index)

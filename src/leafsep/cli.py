@@ -5,12 +5,14 @@ bench-fidelity, bench-cost.  Exit codes: 0 success, 1 domain error
 (e.g. non-separable input under --strict), 2 I/O or parse error.
 Machine-readable output goes to stdout or files; diagnostics to stderr.
 ``synthesize`` and ``check-separable`` read n and ell from the target state file.
+Options must be spelled out in full: ``--n`` is not read as ``--normalize``.
 ``simulate --input`` takes a state JSON file or ``basis:BITS`` on the system
 wires; ``bench-fidelity --n-max 15 --states 200`` is the paper's scale.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -143,12 +145,13 @@ def _cmd_bench_cost(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="leafsep",
+        prog="leafsep", allow_abbrev=False,
         description="Synthesize, simulate and benchmark leaf-separable state "
                     "preparation circuits.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(subparsers.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synthesize", help="compile a target state (n, ell read from it)")
+    p = add("synthesize", help="compile a target state (n, ell read from it)")
     p.add_argument("--input", required=True, help="target state JSON file")
     p.add_argument("--k", type=int, required=True, help="leaf size, in [1, n]")
     p.add_argument("--mode", choices=("free", "ancilla"), default="free")
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("simulate", help="run a circuit on the statevector simulator")
+    p = add("simulate", help="run a circuit on the statevector simulator")
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", default=None,
                    help="state JSON or basis:BITSTRING (default all zeros)")
@@ -167,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="-")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("check-separable",
-                       help="compare the target (n read from it) with the compiled state")
+    p = add("check-separable",
+            help="compare the target (n read from it) with the compiled state")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True, help="leaf size, in [1, n]")
     p.add_argument("--tol", type=float, default=1e-9,
@@ -178,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_check_separable)
 
-    p = sub.add_parser("random-state", help="sample a random leaf-separable state")
+    p = add("random-state", help="sample a random leaf-separable state")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--field", choices=("real", "complex"), default="real")
@@ -190,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_random_state)
 
-    p = sub.add_parser("bench-fidelity", help="fidelity sweep CSV",
-                       description="Fidelity sweep CSV.  The paper's scale is "
-                                   "--n-max 15 --states 200.")
+    p = add("bench-fidelity", help="fidelity sweep CSV",
+            description="Fidelity sweep CSV.  The paper's scale is --n-max 15 --states 200.")
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--k", type=_k_values, default="all")
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bench_fidelity)
 
-    p = sub.add_parser("bench-cost", help="worst-case gate count CSV")
+    p = add("bench-cost", help="worst-case gate count CSV")
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--seed", type=int, default=0)

@@ -25,6 +25,12 @@ A multiplexor (``ucry``/``ucrz``, such as the general-state baseline's) is one
 step on either engine, and its controls slice nothing: dense, the target axis
 turns by each pattern's angle, an array broadcast over the control axes
 (:func:`_rotate`); on the support, each entry by the angle of its own pattern.
+A leaf encoder's chain (``hwk``/``hwkz``) is the other way round: the plan
+expands it into the crbs steps and trailing mcphase of its lowering, in order,
+and both engines and the block planner see those steps as they would see the
+lowered circuit's gates, so a chain runs bit for bit as ``lower`` of it does.
+The engines read every gate as a plain (kind, targets, controls, params) tuple
+(:func:`_plan`), so a chain's steps are built as tuples, not as checked gates.
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -90,12 +96,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
-from .circuit import _MULTIPLEXORS, _X_FAMILY, Circuit, Gate
+from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_extra, _chain_live,
+                      _chain_steps, _chain_wires)
 from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
@@ -118,60 +127,62 @@ BLOCK_STEP_COST = 16000
 DIAGNOSTIC_BLOCK = 1 << 16
 
 
-def _mixed(gate: Gate) -> tuple:
+def _mixed(kind: str, params: tuple) -> tuple:
     """Coefficients (a0, b0, a1, b1) of an ``mcry`` (``crbs``) on the amplitudes a of
     its target's |0> (|1_t1 0_t2>) and b of its |1> (|0_t1 1_t2>): after it they
     hold a0 a - b0 b and a1 a + b1 b.  Both engines write these out in that order,
     each output as soon as it is computed: building both before writing either
     made the dense path 5 % slower on 15-wire circuits."""
-    if gate.kind == "mcry":
-        theta = gate.params[0]
+    if kind == "mcry":
+        theta = params[0]
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         return c, s, s, c
-    theta, phi = gate.params
+    theta, phi = params
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     ep, em = np.exp(0.5j * phi), np.exp(-0.5j * phi)
     return ep * c, ep * s, em * s, em * c
 
 
-def _diagonal(gate: Gate) -> tuple[complex | None, complex]:
+def _diagonal(kind: str, params: tuple) -> tuple[complex | None, complex]:
     """Factors of a diagonal gate on its target's |0> and |1> amplitudes; None leaves them."""
-    phi = gate.params[0]
-    if gate.kind == "mcrz":
+    phi = params[0]
+    if kind == "mcrz":
         return np.exp(-0.5j * phi), np.exp(0.5j * phi)
     return None, np.exp(1j * phi)
 
 
-def _apply_gate(state: np.ndarray, gate: Gate, axis: list[int]) -> None:
-    """In-place application of one gate to a tensor whose axis ``axis[w]``, of length 2,
-    is wire w; its other axes are left alone."""
-    t = axis[gate.targets[0]]
-    if gate.kind in _MULTIPLEXORS:  # the angles on the control axes of the target's half
-        c, dest = len(gate.controls), [axis[w] - (axis[w] > t) for w, _ in gate.controls]
-        angle = np.array(gate.params).reshape([2] * c + [1] * (state.ndim - 1 - c))
-        _rotate(gate.kind, np.moveaxis(angle, range(c), dest),
+def _apply_gate(state: np.ndarray, step: tuple, axis: list[int]) -> None:
+    """In-place application of one gate, given as (kind, targets, controls, params), to
+    a tensor whose axis ``axis[w]``, of length 2, is wire w; its other axes are left
+    alone."""
+    kind, targets, controls, params = step
+    t = axis[targets[0]]
+    if kind in _MULTIPLEXORS:  # the angles on the control axes of the target's half
+        c, dest = len(controls), [axis[w] - (axis[w] > t) for w, _ in controls]
+        angle = np.array(params).reshape([2] * c + [1] * (state.ndim - 1 - c))
+        _rotate(kind, np.moveaxis(angle, range(c), dest),
                 state[(slice(None),) * t + (0, ...)], state[(slice(None),) * t + (1, ...)])
         return
     i0: list = [slice(None)] * state.ndim
-    for wire, pol in gate.controls:
+    for wire, pol in controls:
         i0[axis[wire]] = 1 if pol == 1 else 0
     i1 = list(i0)
     i0[t], i1[t] = 0, 1
-    if gate.kind == "crbs":
-        u = axis[gate.targets[1]]
+    if kind == "crbs":
+        u = axis[targets[1]]
         i0[t], i0[u], i1[t], i1[u] = 1, 0, 0, 1
     s0, s1 = tuple(i0), tuple(i1)
-    if gate.kind in _X_FAMILY:
+    if kind in _X_FAMILY:
         a = state[s0].copy()
         state[s0] = state[s1]
         state[s1] = a
-    elif gate.kind in ("mcry", "crbs"):
-        a0, b0, a1, b1 = _mixed(gate)
+    elif kind in ("mcry", "crbs"):
+        a0, b0, a1, b1 = _mixed(kind, params)
         a, b = state[s0].copy(), state[s1].copy()
         state[s0] = a0 * a - b0 * b
         state[s1] = a1 * a + b1 * b
     else:
-        f0, f1 = _diagonal(gate)
+        f0, f1 = _diagonal(kind, params)
         if f0 is not None:
             state[s0] *= f0
         state[s1] *= f1
@@ -198,49 +209,104 @@ def _rotate(kind: str, angle: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         y += kept
 
 
-def _plan(circuit: Circuit) -> tuple[list[int], list]:
-    """Axis order (wires, most significant axis first) and steps, in one pass.
+def _plan(circuit: Circuit, blocks: bool = False) -> tuple[list[int], list, list | None]:
+    """Axis order (wires, most significant axis first), steps and, for ``blocks``, their
+    spans, in one pass.
 
-    A step is a gate, or a list of consecutive ``mcphase`` gates controlled on
-    every other wire: the residual distribution phases of a free-mode circuit.
-    Those touch one amplitude each, so they add no load; a multiplexor touches all.
+    A step is a gate as the engines read it, (kind, targets, controls, params), one per
+    gate of the circuit's lowering, or a list of consecutive ``mcphase`` steps
+    controlled on every other wire: the residual distribution phases of a free-mode
+    circuit.  Those touch one amplitude each, so they add no load; a multiplexor
+    touches all.  A step's span, for :func:`_blocks`, is its wires as a bit mask and
+    the controls that slice it (none of a multiplexor's), or None for a run of phases.
+    Tuples cost a third of the time of any object with named fields to build.  When
+    every step of a chain lowers to a gate, its crbs steps, which all have as many
+    controls, take their loads and spans in bulk from what :func:`_chain_spans` keeps
+    per chain shape.
     """
     n = circuit.n_wires
     load = [0] * n
     steps: list = []
-    for gate in circuit.gates:
-        if gate.kind == "mcphase" and len(gate.controls) == n - 1:
-            if steps and isinstance(steps[-1], list):
-                steps[-1].append(gate)
-            else:
-                steps.append([gate])
-            continue
-        touched = 1 << (n if gate.kind in _MULTIPLEXORS else n - len(gate.controls))
-        for wire, _ in gate.controls:
-            load[wire] += touched
-        for wire in gate.targets:
-            load[wire] += touched
-        steps.append(gate)
-    return sorted(range(n), key=lambda w: -load[w]), steps
+    spans: list | None = [] if blocks else None
+    for g in circuit.gates:
+        if g.kind not in _CHAINS:
+            rest = ((g.kind, g.targets, g.controls, g.params),)
+        else:
+            rest = _chain_steps(g)
+            chain_spans, counts = _chain_spans(g.targets, g.weight, _chain_extra(g))
+            trailing = bool(rest) and rest[-1][0] == "mcphase"
+            if len(rest) - trailing == len(chain_spans):  # every step lowers: in bulk
+                touched = 1 << (n - chain_spans[0][1])
+                for wire, count in counts:
+                    load[wire] += touched * count
+                steps += rest[:len(chain_spans)]
+                if blocks:
+                    spans += chain_spans
+                rest = rest[len(chain_spans):]
+        for step in rest:
+            kind, targets, controls, _ = step
+            if kind == "mcphase" and len(controls) == n - 1:
+                if steps and isinstance(steps[-1], list):
+                    steps[-1].append(step)
+                else:
+                    steps.append([step])
+                    if blocks:
+                        spans.append(None)
+                continue
+            sliced = 0 if kind in _MULTIPLEXORS else len(controls)
+            touched = 1 << (n - sliced)
+            for wire, _ in controls:
+                load[wire] += touched
+            for wire in targets:
+                load[wire] += touched
+            steps.append(step)
+            if blocks:
+                mask = 0
+                for wire, _ in controls:
+                    mask |= 1 << wire
+                for wire in targets:
+                    mask |= 1 << wire
+                spans.append((mask, sliced))
+    return sorted(range(n), key=lambda w: -load[w]), steps, spans
 
 
-def _blocks(steps: list, width: int) -> dict[int, tuple[int, list[int], int, float]]:
+@lru_cache(maxsize=1024)
+def _chain_spans(register: tuple, w: int, extra) -> tuple[tuple, tuple]:
+    """The :func:`_plan` span of each crbs step of a chain of this shape, and how many
+    of the steps each wire is in."""
+    wires = _chain_wires(register, w, extra)[:-1]
+    return (tuple((sum(1 << v for v in ws), len(ws) - 2) for ws in wires),
+            tuple(Counter(chain.from_iterable(wires)).items()))
+
+
+def _gates_before(circuit: Circuit, lowered: int) -> int:
+    """How many of ``circuit``'s gates lower to gates all before the first ``lowered``
+    of its lowering."""
+    for index, g in enumerate(circuit.gates):
+        if g.kind in _CHAINS:
+            live, trailing = _chain_live(g.params)
+            lowered -= len(live) + trailing
+        else:
+            lowered -= 1
+        if lowered < 0:
+            return index
+    return len(circuit.gates)
+
+
+def _blocks(spans: list, width: int) -> dict[int, tuple[int, list[int], int, float]]:
     """Runs of at least two consecutive gate steps whose wires fit in ``width``
-    wires, each keyed by its first step.  Each gives the step after it, its m
-    wires in ascending order, the dense work of its gates on one column of 2^m
-    amplitudes (2^m to fill and read it plus 2^(m - controls) a gate) and the
-    sum of 2^-controls over its gates: the support entries they match in all,
-    as a multiple of the support's size, by the cost model of the module."""
+    wires, found from the steps' :func:`_plan` spans, each keyed by its first step.
+    Each gives the step after it, its m wires in ascending order, the dense work of
+    its gates on one column of 2^m amplitudes (2^m to fill and read it plus
+    2^(m - controls) a gate) and the sum of 2^-controls over its gates: the support
+    entries they match in all, as a multiple of the support's size, by the cost
+    model of the module."""
     blocks = {}
     start, span, controls = 0, 0, []
-    for i, step in enumerate([*steps, None]):
+    for i, entry in enumerate([*spans, None]):
         wires = None
-        if isinstance(step, Gate):  # a multiplexor's controls slice nothing
-            wires, sliced = 0, (0 if step.kind in _MULTIPLEXORS else len(step.controls))
-            for w in step.targets:
-                wires |= 1 << w
-            for w, _ in step.controls:
-                wires |= 1 << w
+        if entry is not None:
+            wires, sliced = entry
             if (span | wires).bit_count() <= width:
                 span |= wires
                 controls.append(sliced)
@@ -262,12 +328,12 @@ def _block_pays(gates: int, work: int, reach: float, columns: int, size: int) ->
             <= gates * SUPPORT_STEP_COST + SUPPORT_ENTRY_COST * reach * size)
 
 
-def _phase_run(run: list[Gate], bit: list[int]) -> tuple[list[int], list[complex]]:
+def _phase_run(run: list[tuple], bit: list[int]) -> tuple[list[int], list[complex]]:
     """The amplitude each single-amplitude phase of ``run`` multiplies, and its factor;
     ``bit[w]`` is wire w's index bit."""
-    index = [bit[g.targets[0]] + sum(bit[w] for w, pol in g.controls if pol == 1)
-             for g in run]
-    return index, [_diagonal(g)[1] for g in run]
+    index = [bit[targets[0]] + sum(bit[w] for w, pol in controls if pol == 1)
+             for _, targets, controls, _ in run]
+    return index, [_diagonal(kind, params)[1] for kind, _, _, params in run]
 
 
 def _support_pays(n: int, size: int) -> bool:
@@ -296,28 +362,29 @@ class _Support:
             pos, hit = find_sorted(idx[order], np.array(index))
             np.multiply.at(self.amp, order[pos[hit]], np.array(factors)[hit])
             return
-        gate = step
-        target = self.bit[gate.targets[0]]
-        if gate.kind == "ucrz":
-            angle = self._angles(gate, idx)
+        kind, targets, controls, params = step
+        target = self.bit[targets[0]]
+        if kind == "ucrz":
+            angle = self._angles(controls, params, idx)
             self.amp[:self.size] *= np.exp(0.5j * np.where(idx & target, angle, -angle))
             return
-        controls = () if gate.kind in _MULTIPLEXORS else gate.controls
+        if kind in _MULTIPLEXORS:
+            controls = ()
         mask = sum(self.bit[w] for w, _ in controls)
         value = sum(self.bit[w] for w, pol in controls if pol == 1)
         sel = np.flatnonzero((idx & mask) == value)
-        if gate.kind in _X_FAMILY:
+        if kind in _X_FAMILY:
             self.idx[sel] ^= target
-        elif gate.kind in ("mcrz", "mcphase"):
-            f0, f1 = _diagonal(gate)
+        elif kind in ("mcrz", "mcphase"):
+            f0, f1 = _diagonal(kind, params)
             on = (idx[sel] & target) != 0
             if f0 is not None:
                 self.amp[sel[~on]] *= f0
             self.amp[sel[on]] *= f1
         else:
-            self._mix(gate, sel)
+            self._mix(step, sel)
 
-    def block(self, gates: list[Gate], wires: list[int], work: int, reach: float,
+    def block(self, gates: list[tuple], wires: list[int], work: int, reach: float,
               fuse) -> bool:
         """Run ``gates``, which act on ``wires`` only, as one step if
         ``fuse(len(gates), work, reach, columns, size)`` agrees; return whether it did.
@@ -373,20 +440,21 @@ class _Support:
         self.idx, self.amp, self.size = new_idx, new_amp, len(new_idx)
         return True
 
-    def _angles(self, gate: Gate, indices: np.ndarray) -> np.ndarray:
+    def _angles(self, controls: tuple, params: tuple, indices: np.ndarray) -> np.ndarray:
         """A multiplexor's angle at each of ``indices``, by the pattern read there."""
         pattern = np.zeros(len(indices), np.intp)
-        for w, _ in gate.controls:
+        for w, _ in controls:
             pattern <<= 1
             pattern |= (indices & self.bit[w]) != 0
-        return np.array(gate.params)[pattern]
+        return np.array(params)[pattern]
 
-    def _mix(self, gate: Gate, sel: np.ndarray) -> None:
+    def _mix(self, step: tuple, sel: np.ndarray) -> None:
         """Apply a mixing gate to the entries ``sel`` that match its controls."""
-        t = self.bit[gate.targets[0]]
-        first, second = (t, self.bit[gate.targets[1]]) if gate.kind == "crbs" else (0, t)
+        kind, targets, controls, params = step
+        t = self.bit[targets[0]]
+        first, second = (t, self.bit[targets[1]]) if kind == "crbs" else (0, t)
         flip = first ^ second
-        if gate.kind == "crbs":  # |00> and |11> stay as they are
+        if kind == "crbs":  # |00> and |11> stay as they are
             pattern = self.idx[sel] & flip
             sel = sel[(pattern == first) | (pattern == second)]
         if len(sel) == 0:
@@ -404,11 +472,11 @@ class _Support:
         i0 = np.where(is_first, sel, mates)[pair]
         i1 = np.where(is_first, mates, sel)[pair]
         a, b = self.amp[i0], self.amp[i1]
-        if gate.kind == "ucry":
-            _rotate(gate.kind, self._angles(gate, self.idx[i0]), a, b)
+        if kind == "ucry":
+            _rotate(kind, self._angles(controls, params, self.idx[i0]), a, b)
             self.amp[i0], self.amp[i1] = a, b
             return
-        a0, b0, a1, b1 = _mixed(gate)
+        a0, b0, a1, b1 = _mixed(kind, params)
         self.amp[i0] = a0 * a - b0 * b
         self.amp[i1] = a1 * a + b1 * b
 
@@ -438,7 +506,7 @@ class SimulationResult:
     purity: float | None = None
     peak_support: int = 0       # most amplitudes held at once: 2^wires once the run is dense
     first_dense_gate: int = 0   # gates run on the support before the dense engine took over
-    block_gates: int = 0        # gates run on the support inside blocks
+    block_gates: int = 0        # lowered gates run on the support inside blocks
 
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
@@ -477,11 +545,10 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     step of its own.
 
     Returns the final state, the peak support (taken between steps), the index of
-    the first gate run dense (the gate count when none was) and the number of gates
-    run in blocks.
+    the first circuit gate run dense, even in part (the gate count when none was), and
+    the number of lowered gates run in blocks.
     """
     n = circuit.n_wires
-    order, steps = _plan(circuit)
     if initial is None:  # |0...0>
         indices, values = np.zeros(1, np.int64), np.ones(1, np.complex128)
     elif not isinstance(initial, StateVector):
@@ -492,9 +559,11 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     else:  # ancillas: low bits, |0>
         indices, values = initial.indices << (n - initial.n), initial.values
     done = first_dense = block_gates = 0
-    if stay(len(indices)):
+    on_support = stay(len(indices))
+    order, steps, spans = _plan(circuit, on_support and fuse is not None)
+    if on_support:
         support = _Support(n, indices, values)
-        blocks = {} if fuse is None else _blocks(steps, width)
+        blocks = {} if spans is None else _blocks(spans, width)
         peak = support.size
         while done < len(steps) and stay(support.size):
             block = blocks.get(done)
@@ -506,10 +575,12 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
                 support.apply(steps[done])
             done = stop
             peak = max(peak, support.size)
-        first_dense = sum(len(s) if isinstance(s, list) else 1 for s in steps[:done])
         indices, values = support.idx[:support.size], support.amp[:support.size]
         if done == len(steps):
-            return StateVector(n, indices, values, check=False), peak, first_dense, block_gates
+            return (StateVector(n, indices, values, check=False), peak, len(circuit.gates),
+                    block_gates)
+        first_dense = _gates_before(circuit, sum(len(s) if isinstance(s, list) else 1
+                                                 for s in steps[:done]))
     if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0

@@ -24,13 +24,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import analysis
 from .analysis import encoder_angles, rotation_ladder_angles
-from .circuit import ANGLE_TOL, Circuit, Gate, _kind_cost, crbs, mcphase, mcry, x
+from .circuit import (ANGLE_TOL, Circuit, Gate, _chain_live, _chain_slots, _kind_cost, crbs,
+                      hwk, mcphase, mcry, x)
 from .combinatorics import ehrlich_patterns
 from .core import PartitionTree, StateVector, TreeNode, build_partition_tree
 
@@ -215,79 +215,51 @@ def _distribution_phases(tree: PartitionTree, distributions, table: dict):
 
 # --- Hamming-weight encoders -------------------------------------------------
 
-@lru_cache(maxsize=1024)
-def _chain_slots(size: int, w: int, offset: int, extra):
-    """Where the chain over ``ehrlich_patterns(size, w)`` acts on wires offset..offset+size-1.
-
-    A pattern's bit i sits on wire offset + size - 1 - i.  One (target pair, controls)
-    per consecutive pair a, b: the pair is read from a ^ b with the 1 of a first; the
-    controls are the shared ones a & b (positive) plus the (wire, polarity) pairs
-    ``extra`` or, when ``extra`` is None, the shared zeros ~(a | b) (negative), which
-    confine the rotation to one two-dimensional subspace of the whole register.  Then
-    the trailing phase's target (the last pattern's lowest one) and controls (its
-    other ones, plus ``extra`` or its zeros), or None at weight 0.  Controls are
-    sorted, as ``Gate`` stores them.
-    """
-    top, mask = offset + size - 1, (1 << size) - 1
-
-    def controls(ones: int, zeros: int) -> tuple:
-        out = [(top - i, 1) for i in range(size) if ones >> i & 1]
-        out += extra if extra is not None else [(top - i, -1) for i in range(size)
-                                                if zeros >> i & 1]
-        return tuple(sorted(out))
-
-    patterns = ehrlich_patterns(size, w).tolist()
-    steps = tuple(((top + 1 - (a & ~b).bit_length(), top + 1 - (b & ~a).bit_length()),
-                   controls(a & b, ~(a | b) & mask)) for a, b in zip(patterns, patterns[1:]))
-    last = patterns[-1]
-    low = last & -last
-    return steps, (top + 1 - low.bit_length(), controls(last ^ low, ~last & mask)) if last else None
-
-
 def _chain_angles(amplitudes):
-    """The :func:`encoder_angles` that emit a gate: each non-zero rotation as (step,
-    theta, phi), and the trailing phase, or None when it is zero."""
+    """A chain's :func:`encoder_angles` as its gate's parameters (each step's theta and
+    phi, then the trailing phase), with the number of its steps that lower to a gate
+    and whether its trailing phase does (:func:`leafsep.circuit._chain_live`)."""
     pairs, trailing = encoder_angles(amplitudes)
-    rotations = [(t, theta, phi) for t, (theta, phi) in enumerate(pairs)
-                 if abs(theta) > ANGLE_TOL or abs(phi) > ANGLE_TOL]
-    return rotations, (trailing if abs(trailing) > ANGLE_TOL else None)
-
-
-def _rotation_chain(angles, slots) -> list[Gate]:
-    """The two-level rotations and trailing phase of :func:`_chain_angles` at their
-    :func:`_chain_slots`: the chain that deposits the amplitudes along the order."""
-    (rotations, trailing), (steps, phase) = angles, slots
-    gates = [Gate("crbs", *steps[t], (theta, phi)) for t, theta, phi in rotations]
-    if trailing is not None:
-        if phase is None:
-            raise ValueError("a weight-0 chain has no wire to carry its phase")
-        gates.append(Gate("mcphase", (phase[0],), phase[1], (trailing,)))
-    return gates
+    params = (*(a for pair in pairs for a in pair), trailing)
+    live, phase = _chain_live(params)
+    return params, len(live), phase
 
 
 def _chain_cost(size: int, w: int, angles, ancilla: bool) -> int:
-    """:func:`leafsep.circuit.two_qubit_cost` summed over a leaf chain, in closed form.
+    """:func:`leafsep.circuit.two_qubit_cost` of a leaf chain, in closed form.
 
     A crbs has w - 1 shared ones and the ancilla, or size - w - 1 shared zeros, as
     controls; the trailing phase w - 1 other ones and the ancilla, or size - w zeros.
     """
-    rotations, trailing = angles
-    phase = _kind_cost("mcphase", w if ancilla else size - 1)[0] if trailing is not None else 0
-    return len(rotations) * _kind_cost("crbs", w if ancilla else size - 2)[0] + phase
+    _, rotations, trailing = angles
+    phase = _kind_cost("mcphase", w if ancilla else size - 1)[0] if trailing else 0
+    return rotations * _kind_cost("crbs", w if ancilla else size - 2)[0] + phase
 
 
 def synthesize_hwk_encoder(n_bits: int, w: int, amplitudes) -> list[Gate]:
     """Standalone fixed-weight encoder: |0^(n-w) 1^w> -> sum_g amp(g) |g>.
 
     ``amplitudes`` must be unit norm and ordered like
-    :func:`ehrlich_patterns(n_bits, w)`.  One crbs per consecutive pair, each
-    controlled on the pair's shared ones, and a trailing conditioned phase when the
-    amplitudes need one.
+    :func:`ehrlich_patterns(n_bits, w)`.  With several patterns, one ``hwk`` chain on
+    wires 0..n_bits-1 with no listed controls: :func:`leafsep.circuit.lower` gives a
+    crbs per consecutive pair, each controlled on the pair's shared ones, and a
+    trailing conditioned phase when the amplitudes need one.  With one pattern, that
+    phase alone, as an ``mcphase``; none at all if it is zero.  No gate when nothing
+    lowers to one.
     """
     count = len(ehrlich_patterns(n_bits, w))
     if count != len(amplitudes):
         raise ValueError(f"expected {count} amplitudes, got {len(amplitudes)}")
-    return _rotation_chain(_chain_angles(amplitudes), _chain_slots(n_bits, w, 0, ()))
+    params, rotations, trailing = _chain_angles(amplitudes)
+    register = tuple(range(n_bits))
+    if count > 1:
+        return [hwk(params, w, register)] if rotations or trailing else []
+    if not trailing:
+        return []
+    if w == 0:
+        raise ValueError("a weight-0 chain has no wire to carry its phase")
+    target, controls = _chain_slots(register, w, ())[1]
+    return [mcphase(params[-1], target, controls)]
 
 
 def _leaf_detector(leaf: TreeNode, weight: int, ancilla_wire: int) -> Gate:
@@ -321,11 +293,14 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree, mode: str) -> lis
     and within a marked leaf each class may still use full conditioning when
     that costs less.
 
-    The choice needs no gate: each class's angles are computed once, and a chain's
-    cost is a closed form in its leaf size, weight and non-zero angles
-    (:func:`_chain_cost`).  Only the chosen gates are then built, at slots cached
-    per tree (:func:`_chain_slots`).  The returned list's ``leaves`` gives, per leaf,
-    the mode emitted and the two-qubit cost of the free and of the ancilla scheme.
+    Each multi-pattern class with an angle beyond ANGLE_TOL is one chain gate on the
+    leaf's wires: an ``hwkz`` when fully conditioned, an ``hwk`` listing the ancilla
+    when marked; :func:`leafsep.circuit.lower` expands it into its crbs steps and
+    trailing phase.  The choice needs no gate: each class's angles are computed once,
+    and a chain's cost is a closed form in its leaf size, weight and non-zero angles
+    (:func:`_chain_cost`).  Only the chosen gates are then built.  The returned list's
+    ``leaves`` gives, per leaf, the mode emitted and the two-qubit cost of the free and
+    of the ancilla scheme.
     """
     if mode not in (MODE_FREE, MODE_ANCILLA):
         raise ValueError(f"mode must be '{MODE_FREE}' or '{MODE_ANCILLA}', got {mode!r}")
@@ -333,6 +308,7 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree, mode: str) -> lis
     gates.leaves = []
     for u, leaf in enumerate(tree.leaves):
         size, ancilla = leaf.size, tree.n + u
+        register = tuple(range(leaf.start, leaf.start + size))
         classes = sorted(w for (lu, w) in table if lu == u)
         angles = {w: _chain_angles(table[(u, w)]) for w in classes if len(table[(u, w)]) > 1}
         free = {w: _chain_cost(size, w, a, False) for w, a in angles.items()}
@@ -344,9 +320,9 @@ def synthesize_leaf_encoders(table: dict, tree: PartitionTree, mode: str) -> lis
         for w in classes:
             if use_ancilla:
                 gates.append(_leaf_detector(leaf, w, ancilla))
-            if w in angles:
+            if w in angles and (angles[w][1] or angles[w][2]):
                 extra = ((ancilla, 1),) if use_ancilla and marked[w] <= free[w] else None
-                gates.extend(_rotation_chain(angles[w], _chain_slots(size, w, leaf.start, extra)))
+                gates.append(hwk(angles[w][0], w, register, extra))
         gates.leaves.append({"mode": MODE_ANCILLA if use_ancilla else MODE_FREE,
                              "free_two_qubit": free_cost, "ancilla_two_qubit": ancilla_cost})
     return gates

@@ -57,7 +57,17 @@ def intermediate_example():
 
 def gate_action_on_basis(gate, bits: str) -> list[tuple[str, complex]]:
     """Scalar semantics: image of one basis state under one gate.  A multiplexor acts
-    as the uncontrolled rotation by the angle of the pattern its controls read."""
+    as the uncontrolled rotation by the angle of the pattern its controls read, and a
+    chain as the gates :func:`chain_oracle` finds for it, one after another."""
+    if gate.kind in ("hwk", "hwkz"):
+        image = {bits: 1.0}
+        for step in chain_oracle(gate):
+            out: dict = {}
+            for before, amp in image.items():
+                for after, coeff in gate_action_on_basis(step, before):
+                    out[after] = out.get(after, 0.0) + amp * coeff
+            image = out
+        return list(image.items())
     if gate.kind in ("ucry", "ucrz"):
         pattern = int("".join(bits[w] for w, _ in gate.controls) or "0", 2)
         gate = Gate("mc" + gate.kind[2:], gate.targets, (), (gate.params[pattern],))
@@ -237,7 +247,23 @@ def rotation_chain_oracle(order, amplitudes, offset: int = 0, extra_controls=(),
     """Two-level rotations walking the bitstrings ``order`` to deposit ``amplitudes``,
     each controlled on its pair's shared ones (and shared zeros when
     ``zero_conditioned``), found by comparing the strings character by character."""
-    pairs, trailing = encoder_angles(amplitudes)
+    return _walk_oracle(order, *encoder_angles(amplitudes), range(offset, offset + len(order[0])),
+                        extra_controls, zero_conditioned)
+
+
+def chain_oracle(gate) -> list:
+    """The gates of an ``hwk`` or ``hwkz`` chain, found from its patterns' bitstrings
+    (string position j on register wire j) as :func:`rotation_chain_oracle` finds them."""
+    p = gate.params
+    full = gate.kind == "hwkz"
+    return _walk_oracle(ehrlich_sequence(len(gate.targets), gate.weight),
+                        list(zip(p[0:-1:2], p[1:-1:2])), p[-1], gate.targets,
+                        () if full else gate.controls, full)
+
+
+def _walk_oracle(order, pairs, trailing, wires, extra_controls, zero_conditioned) -> list:
+    """The rotations ``pairs`` and ``trailing`` phase along ``order`` on ``wires``, string
+    position j on wires[j], each left out within ANGLE_TOL."""
     gates = []
     for t, (theta, phi) in enumerate(pairs, start=1):
         if abs(theta) <= ANGLE_TOL and abs(phi) <= ANGLE_TOL:
@@ -246,18 +272,18 @@ def rotation_chain_oracle(order, amplitudes, offset: int = 0, extra_controls=(),
         diff = [i for i, (p, q) in enumerate(zip(a, b)) if p != q]
         assert len(diff) == 2 and a.count("1") == b.count("1")
         q1, q2 = diff if a[diff[0]] == "1" else diff[::-1]
-        controls = [(offset + i, 1) for i, (p, q) in enumerate(zip(a, b)) if p == q == "1"]
+        controls = [(wires[i], 1) for i, (p, q) in enumerate(zip(a, b)) if p == q == "1"]
         controls += list(extra_controls)
         if zero_conditioned:
-            controls += [(offset + i, -1) for i, (p, q) in enumerate(zip(a, b)) if p == q == "0"]
-        gates.append(crbs(theta, phi, offset + q1, offset + q2, controls))
+            controls += [(wires[i], -1) for i, (p, q) in enumerate(zip(a, b)) if p == q == "0"]
+        gates.append(crbs(theta, phi, wires[q1], wires[q2], controls))
     if abs(trailing) > ANGLE_TOL:
         last = order[-1]
         ones = [i for i, ch in enumerate(last) if ch == "1"]
-        controls = [(offset + o, 1) for o in ones[:-1]] + list(extra_controls)
+        controls = [(wires[o], 1) for o in ones[:-1]] + list(extra_controls)
         if zero_conditioned:
-            controls += [(offset + i, -1) for i, ch in enumerate(last) if ch == "0"]
-        gates.append(mcphase(trailing, offset + ones[-1], controls))
+            controls += [(wires[i], -1) for i, ch in enumerate(last) if ch == "0"]
+        gates.append(mcphase(trailing, wires[ones[-1]], controls))
     return gates
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafsep.circuit import (GATE_KINDS, Circuit, Gate, ParseError, cost, crbs, export_text,
-                             lower, mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
+                             hwk, lower, mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
 
 
 def random_circuit(n, n_gates, seed, n_ancilla=0):
@@ -67,12 +67,31 @@ def test_gate_validation():
     ("ucry", (0,), ((1, -1),), (0.1, 0.2), "positive controls and finite parameters only"),
     ("ucry", (0,), (), (math.nan,), "positive controls and finite parameters only"),
     ("ucrz", (0,), ((1, 1),), (0.1, -math.inf), "positive controls and finite parameters"),
+    ("hwk", (0, 1, 2), (), (0.1,) * 5, r"hwk on 3 wires takes a weight in \[1, 2\], got 0"),
 ])
 def test_gate_rejects_a_shape_its_kind_does_not_have(kind, targets, controls, params, message):
     """A gate is checked against its kind's row of the table; an x-family kind must be
     the one ``x`` derives from its controls, so no gate exports a wrong line."""
     with pytest.raises(ValueError, match=message):
         Gate(kind, targets, controls, params)
+
+
+@pytest.mark.parametrize("kind,targets,controls,params,weight,message", [
+    ("mcry", (0,), (), (0.1,), 1, "mcry takes no weight"),
+    ("hwkz", (0, 1), (), (0.1,) * 3, 2, r"hwkz on 2 wires takes a weight in \[1, 1\], got 2"),
+    ("hwk", (0,), (), (0.1,), 1, r"hwk on 1 wires takes a weight in \[1, 0\], got 1"),
+    ("hwk", (0, 1, 2), (), (0.1,) * 6, 1, r"hwk takes 3 target\(s\) and 5 parameter\(s\)"),
+    ("hwkz", (0, 1), ((2, 1),), (0.1,) * 3, 1, "hwkz takes no controls"),
+    ("hwk", (0, 1), (), (0.1, math.nan, 0.3), 1, "hwk takes finite parameters only"),
+    ("hwk", (0, 1, 0), (), (0.1,) * 5, 1, "distinct register wires, none of them a control"),
+    ("hwk", (0, 1), ((1, 1),), (0.1,) * 3, 1, "distinct register wires, none of them a control"),
+])
+def test_gate_rejects_a_chain_shape(kind, targets, controls, params, weight, message):
+    """A chain's weight has several patterns on its register, whose wires are distinct
+    and not its controls; it has 2 C(size, w) - 1 finite parameters and no other kind
+    has a weight."""
+    with pytest.raises(ValueError, match=message):
+        Gate(kind, targets, controls, params, weight)
 
 
 @pytest.mark.parametrize("wire", [4, -1])
@@ -212,15 +231,25 @@ EXTREME_ANGLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
 def _circuits(draw, angles=st.one_of(st.sampled_from(EXTREME_ANGLES),
                                      st.floats(allow_nan=False, allow_infinity=False))):
     """Gate lists over system and ancilla wires: x with 0, 1 or more signed controls
-    (x, cx, mcx), the rotations, phases and crbs, and multiplexors on positive controls
-    in any order, with finite angles of any size."""
+    (x, cx, mcx), the rotations, phases and crbs, multiplexors on positive controls
+    in any order, and chains on any register of 2 to 4 wires at any weight, fully
+    conditioned or with none or some signed controls, with finite angles of any size."""
     n_system, n_ancilla = draw(st.integers(2, 5)), draw(st.integers(0, 2))
     circ = Circuit(n_system=n_system, n_ancilla=n_ancilla, metadata={
         "n": n_system, "k": draw(st.integers(0, 9)), "ell": draw(st.integers(0, 9)),
         "mode": draw(st.sampled_from(["free", "ancilla", "none"]))})
     for kind in draw(st.lists(st.sampled_from(["x", "mcry", "mcrz", "mcphase", "crbs", "ucry",
-                                               "ucrz"]), max_size=12)):
+                                               "ucrz", "hwk", "hwkz"]), max_size=12)):
         order = draw(st.permutations(range(n_system + n_ancilla)))
+        if kind in ("hwk", "hwkz"):
+            size = draw(st.integers(2, min(len(order), 4)))
+            weight = draw(st.integers(1, size - 1))
+            params = [draw(angles) for _ in range(2 * math.comb(size, weight) - 1)]
+            rest = order[size:]
+            ctrls = None if kind == "hwkz" else [
+                (w, draw(st.sampled_from([1, -1]))) for w in rest[:draw(st.integers(0, len(rest)))]]
+            circ.add(hwk(params, weight, order[:size], ctrls))
+            continue
         free = order[2 if kind == "crbs" else 1:]
         ctrls = [(w, draw(st.sampled_from([1, -1])))
                  for w in free[:draw(st.integers(0, len(free)))]]
@@ -331,6 +360,27 @@ def test_parse_errors_report_position():
     ("# n=3 k=1 ell=1 mode=none\nucrz(1,2) [q0-] q1\n", 2, 1, "positive controls"),
     ("# n=3 k=1 ell=1 mode=none\nucry(1,2) q0 q1\n", 2, 1, "expected control list"),
     ("# k=1 ell=1 mode=none\n", 1, 0, r"missing '# n=\.\.\.' header"),
+    ("# n=3 k=1 ell=1 mode=none\nhwk(1,2) 1 [] q0 q1\n", 2, 1,
+     r"hwk takes 2 target\(s\) and 3 parameter\(s\)"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1,2,3,4) 1 q0 q1\n", 2, 1,
+     r"hwkz takes 2 target\(s\) and 3 parameter\(s\)"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1) 0 q0 q1\n", 2, 1, r"weight in \[1, 1\], got 0"),
+    ("# n=3 k=1 ell=1 mode=none\nhwk(1) 2 [] q0 q1\n", 2, 1, r"weight in \[1, 1\], got 2"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1,2,3) 1 q0 q0\n", 2, 1, "distinct register wires"),
+    ("# n=3 k=1 ell=1 mode=none\nhwk(1,2,3) 1 [q1+] q0 q1\n", 2, 1, "distinct register wires"),
+    ("# n=3 k=1 ell=1 mode=none\n hwkz(1,2,3) 1 q0 q3\n", 2, 2, "system wire q3 out of range"),
+    ("# n=3 k=1 ell=1 mode=none\n# ancilla=1\nhwk(1,2,3) 1 [a1+] q0 q1\n", 3, 1,
+     "ancilla wire a1 out of range"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1,2,3) -1 q0 q1\n", 2, 1, "bad weight '-1'"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1,2,3) ١ q0 q1\n", 2, 1, "bad weight '١'"),
+    ("# n=3 k=1 ell=1 mode=none\nhwk(1,2,3) 1 [q2+]\n", 2, 1,
+     r"hwk expects 3 operand\(s\): weight controls register"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1,2,3) 1\n", 2, 1,
+     r"hwkz expects 2 operand\(s\): weight register"),
+    ("# n=3 k=1 ell=1 mode=none\nhwkz(1,2,3) 1 [q2+] q0 q1\n", 2, 1,
+     r"bad wire token '\[q2\+\]'"),
+    ("# n=3 k=1 ell=1 mode=none\n  hwkz(1,nan,3) 1 q0 q1\n", 2, 7, "non-finite parameter"),
+    ("# n=3 k=1 ell=1 mode=none\nhwk 1 [] q0 q1\n", 2, 1, "expected parameters on 'hwk'"),
 ])
 def test_parse_rejects_malformed_gates_with_position(text, line, column, message):
     with pytest.raises(ParseError, match=message) as info:
@@ -376,6 +426,30 @@ def test_parse_accepts_repeated_equal_headers():
     parsed = parse_text(text)
     assert (parsed.n_system, parsed.n_ancilla, parsed.metadata["k"]) == (2, 2, 3)
     assert parsed.gates == [x(3)]
+
+
+def test_export_rejects_wires_outside_the_circuit():
+    """A gate on a wire the circuit does not have would export a line parse_text
+    rejects; export_text names the gate and the wire instead."""
+    with pytest.raises(ValueError, match=r"^gate 0: wire 5 out of range for 2 wires$"):
+        export_text(Circuit(n_system=2, gates=[x(5)]))
+    chain = hwk((0.1, 0.2, 0.3), 1, (2, 3), None)
+    with pytest.raises(ValueError, match=r"^gate 2: wire 3 out of range for 3 wires$"):
+        export_text(Circuit(n_system=2, n_ancilla=1, gates=[x(2), x(2), chain]))
+    with pytest.raises(ValueError, match=r"^gate 1: wire -1 out of range for 2 wires$"):
+        export_text(Circuit(n_system=2, gates=[x(1), x(0, [(-1, 1)])]))
+
+
+def test_chain_line_examples():
+    """A chain's line: parameters, weight, listed controls (hwk only), register in order."""
+    circ = Circuit(n_system=3, n_ancilla=1)
+    circ.add(hwk((0.5, 0.0, 1.25, -0.0, 0.25), 1, (2, 0, 1), [(3, 1)]))
+    circ.add(hwk((1.5, 0.5, 0.0), 1, (1, 2), None))
+    text = export_text(circ)
+    assert text.splitlines()[3:] == ["hwk(0.5,0,1.25,-0,0.25) 1 [a0+] q2 q0 q1",
+                                     "hwkz(1.5,0.5,0) 1 q1 q2"]
+    assert parse_text(text).gates == circ.gates
+    assert [g.weight for g in parse_text(text).gates] == [1, 1]
 
 
 def test_signed_zero_angles_export_and_parse_apart():

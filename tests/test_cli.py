@@ -211,20 +211,38 @@ def test_synthesize_checks_ell_on_mixed_target(tmp_path, capsys):
 
 def test_target_fixes_n_and_ell(example_state_file, capsys):
     """synthesize and check-separable read n and ell from the state file: --n and --ell
-    exit 2 (--n reads as a prefix of --normalize, so its value is the unknown argument),
-    and a k outside [1, n] fails with the generators' message."""
+    exit 2, and a k outside [1, n] fails with the generators' message."""
     for command, option in [("synthesize", "--n"), ("synthesize", "--ell"),
                             ("check-separable", "--n")]:
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--input", example_state_file, "--k", "2", option, "4"])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: " in capsys.readouterr().err
+        assert f"unrecognized arguments: {option} 4" in capsys.readouterr().err
     for args in (["synthesize", "--input", example_state_file],
                  ["synthesize", "--input", example_state_file, "--mode", "ancilla"],
                  ["check-separable", "--input", example_state_file],
                  ["random-state", "--n", "4"]):
         assert main([*args, "--k", "9"]) == 1
         assert capsys.readouterr() == ("", "error: k must be in [1, 4] for n=4, got 9\n")
+
+
+def test_options_are_not_abbreviated(example_state_file, capsys):
+    """An option is read only when spelled out: --n is not --normalize, nor is --norm,
+    --str is not --strict, --se is not random-state's --seed and --hel is not --help."""
+    for args in (["synthesize", "--input", example_state_file, "--k", "2", "--n", "4"],
+                 ["synthesize", "--input", example_state_file, "--k", "2", "--norm"],
+                 ["check-separable", "--input", example_state_file, "--k", "2", "--str"],
+                 ["random-state", "--n", "4", "--k", "2", "--se", "1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith("unrecognized arguments: " + " ".join(
+            args[args.index("--k") + 2:])), captured.err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--hel"])  # not --help
+    assert exit_info.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_exit_codes_reach_the_shell(example_state_file, tmp_path):
@@ -348,6 +366,10 @@ def test_ancilla_out_of_range_exit_code(tmp_path, capsys):
     ("# n=2 k=1 ell=1 mode=none\nucry(1,2,3) [q0+] q1\n", "line 2, column 1"),
     ("# n=2 k=1 ell=1 mode=none\n ucrz(1,nan) [q0+] q1\n", "line 2, column 6"),
     ("# n=2 k=1 ell=1 mode=none\nucry(1,2) [q0-] q1\n", "line 2, column 1"),
+    ("# n=2 k=1 ell=1 mode=none\nhwkz(1,2) 1 q0 q1\n", "line 2, column 1"),
+    ("# n=2 k=1 ell=1 mode=none\nhwkz(1,2,3) 2 q0 q1\n", "line 2, column 1"),
+    ("# n=2 k=1 ell=1 mode=none\nhwk(1,2,3) 1 [] q0 q0\n", "line 2, column 1"),
+    ("# n=2 k=1 ell=1 mode=none\n hwkz(1,2,3) 1 q0 q2\n", "line 2, column 2"),
 ])
 def test_malformed_circuit_exit_code(tmp_path, capsys, body, position):
     path = tmp_path / "c.txt"

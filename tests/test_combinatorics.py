@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from leafsep.circuit import Circuit, crbs
+from leafsep.circuit import Circuit, _chain_slots, crbs
 from leafsep.combinatorics import ehrlich_patterns, ehrlich_sequence
 from leafsep.core import StateVector, string_to_index
 from leafsep.simulator import simulate
-from leafsep.synthesis import _chain_slots
 
 
 def hamming_distance(a, b):
@@ -61,25 +60,27 @@ def test_ehrlich_patterns_reject_bad_weight():
 
 
 def test_chain_slot_examples():
-    steps, phase = _chain_slots(4, 2, 0, ())          # 0011 -> 0110 first
+    steps, phase = _chain_slots((0, 1, 2, 3), 2, ())  # 0011 -> 0110 first
     assert steps[0] == ((3, 1), ((2, 1),))
     assert phase == (3, ((0, 1),))                    # last pattern 1001
-    steps, phase = _chain_slots(4, 2, 0, None)
+    steps, phase = _chain_slots((0, 1, 2, 3), 2, None)
     assert steps[0] == ((3, 1), ((0, -1), (2, 1)))
     assert phase == (3, ((0, 1), (1, -1), (2, -1)))
-    steps, _ = _chain_slots(4, 2, 5, ((9, 1),))       # leaf at wires 5..8, ancilla 9
+    steps, _ = _chain_slots((5, 6, 7, 8), 2, ((9, 1),))  # leaf at wires 5..8, ancilla 9
     assert steps[0] == ((8, 6), ((7, 1), (9, 1)))
-    assert _chain_slots(2, 1, 0, ())[0] == (((1, 0), ()),)
-    assert _chain_slots(3, 0, 0, None) == ((), None)
+    assert _chain_slots((0, 1), 1, ())[0] == (((1, 0), ()),)
+    assert _chain_slots((0, 1, 2), 0, None) == ((), None)
+    steps, _ = _chain_slots((8, 5, 7, 6), 2, ())      # bit i on the (size-1-i)-th wire
+    assert steps[0] == ((6, 5), ((7, 1),))
 
 
 def test_shared_zeros():
-    steps, _ = _chain_slots(5, 2, 0, None)            # 01100 -> 01010
+    steps, _ = _chain_slots((0, 1, 2, 3, 4), 2, None)  # 01100 -> 01010
     assert steps[3] == ((2, 3), ((0, -1), (1, 1), (4, -1)))
     for n in range(2, 9):
         for w in range(1, n):
             seq = ehrlich_sequence(n, w)
-            steps, _ = _chain_slots(n, w, 0, None)
+            steps, _ = _chain_slots(tuple(range(n)), w, None)
             for (a, b), (pair, controls) in zip(zip(seq, seq[1:]), steps):
                 assert a[pair[0]] == b[pair[1]] == "1" and a[pair[1]] == b[pair[0]] == "0"
                 assert controls == tuple((i, 1 if p == "1" else -1)
@@ -91,7 +92,7 @@ def test_slot_rotation_confined_to_pair(n, w):
     """A rotation on a slot must mix only the pair and fix every other
     weight-w state whose controls are all satisfied or not."""
     seq = ehrlich_sequence(n, w)
-    steps, _ = _chain_slots(n, w, 0, ())
+    steps, _ = _chain_slots(tuple(range(n)), w, ())
     rng = np.random.default_rng(7)
     for (a, b), (pair, controls) in list(zip(zip(seq, seq[1:]), steps))[:4]:
         theta = float(rng.uniform(0.3, 2.8))

@@ -1,10 +1,13 @@
 """Byte-level pin of the synthesized circuits over a fixed seeded corpus.
 
 Any change to the analysis or emission layers that alters a single gate,
-control or angle bit changes the digest below, and a changed separability
-verdict changes the ``NON_SEPARABLE`` labels.  A structure digest pins the same
-text with every parenthesised parameter list blanked (``mcry(0.7) [] q3`` reads
-``mcry() [] q3``): a change that moves only angle bits leaves it as it is.  The
+control or angle bit changes the digests below, and a changed separability
+verdict changes the ``NON_SEPARABLE`` labels.  The first digest pins the text
+of each circuit's lowering, every leaf encoder chain written out as its crbs
+steps and trailing phase, and the second the circuit's own text, a chain per
+line.  A structure digest pins the lowered text with every parenthesised
+parameter list blanked (``mcry(0.7) [] q3`` reads ``mcry() [] q3``): a change
+that moves only angle bits leaves it as it is.  The
 verdict holds exactly when a free-mode circuit reaches fidelity 1, and the
 reconstruction equals the simulated state (``test_corpus_verdicts_match_fidelity``).
 The corpus covers n <= 10 at every k: real, complex and non-negative separable
@@ -40,6 +43,7 @@ from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthes
                                synthesize_general_baseline)
 
 CORPUS_SHA256 = "d8dda69e40e812e3ae8ff67f0c2b45e984e057c1429bd99c0d94bb629396731f"
+CORPUS_CHAINS_SHA256 = "e80461245a61636fe7064ab2cf85292703061f0a1e7cbe4f81c53abe27277ffa"
 CORPUS_STRUCTURE_SHA256 = "9bbbb1f47586372f84da9f522eecd55e5c224d1b178cc2c12fd9f6dd38ff551d"
 CORPUS_SIZE = 441
 NON_SEPARABLE = [
@@ -137,16 +141,17 @@ def test_lowered_baselines_are_pinned():
 
 
 def test_corpus_circuits_are_pinned():
-    digest, structure = hashlib.sha256(), hashlib.sha256()
+    digest, structure, chains = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     verdicts = []
     count = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for label, psi, config in _corpus():
             circ = synthesize_full(psi, config)
-            text = export_text(circ)
+            text = export_text(lower(circ))
             digest.update(text.encode())
             structure.update(re.sub(r"\([^)]*\)", "()", text).encode())
+            chains.update(export_text(circ).encode())
             if not circ.metadata["separable"]:
                 verdicts.append(label)
             count += 1
@@ -154,6 +159,7 @@ def test_corpus_circuits_are_pinned():
     assert verdicts == NON_SEPARABLE
     assert structure.hexdigest() == CORPUS_STRUCTURE_SHA256
     assert digest.hexdigest() == CORPUS_SHA256
+    assert chains.hexdigest() == CORPUS_CHAINS_SHA256
 
 
 def test_corpus_verdicts_match_fidelity():

@@ -141,7 +141,7 @@ def test_planned_layout_matches_oracle(case):
     """The dense engine in the planned layout, and the support engine on its own,
     without a wire floor or a share limit."""
     circ, hot, initial = case
-    order, _ = _plan(circ)
+    order, *_ = _plan(circ)
     assert order[0] == hot
     expected = circuit_matrix(circ) @ _start_vector(circ, initial)
     res = simulate(circ, initial=initial)
@@ -302,7 +302,8 @@ def _gate_by_gate(circ: Circuit) -> np.ndarray:
     state = np.zeros([2] * circ.n_wires, dtype=np.complex128)
     state[(0,) * circ.n_wires] = 1.0
     for gate in circ.gates:
-        _apply_gate(state, gate, list(range(circ.n_wires)))
+        _apply_gate(state, (gate.kind, gate.targets, gate.controls, gate.params),
+                    list(range(circ.n_wires)))
     return state.reshape(-1)
 
 
@@ -429,7 +430,7 @@ def test_leaf_encoders_run_in_blocks():
     circ = synthesize_full(psi, SynthesisConfig(n=18, k=9, mode=MODE_ANCILLA))
     leaf_wires = [set(range(9)) | {18}, set(range(9, 18)) | {19}]
     encoders = 0
-    for gate in reversed(circ.gates):
+    for gate in reversed(lower(circ).gates):
         if not any(gate.wires <= wires for wires in leaf_wires):
             break
         encoders += 1

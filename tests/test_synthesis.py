@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from leafsep.analysis import (analyze, distribution_table, leaf_amplitude_table,
                               rotation_ladder_angles)
-from leafsep.circuit import (Circuit, Gate, cost, export_text, lower, mcry, mcrz, parse_text,
-                             two_qubit_cost, x)
+from leafsep.circuit import (Circuit, Gate, cost, export_text, hwk, lower, mcphase, mcry,
+                             mcrz, parse_text, two_qubit_cost, x)
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import StateVector, build_partition_tree, enumerate_weight_distributions
 from leafsep.experiments import (random_fixed_weight_state, random_leaf_separable,
@@ -138,13 +138,20 @@ def test_gwdb_tree_dicke_marginals():
         assert abs(value - direct) < 1e-12
 
 
+def _lowered(gates, wires: int) -> list:
+    return lower(Circuit(n_system=wires, gates=list(gates))).gates
+
+
 def test_hwk_encoder_examples():
     gates = synthesize_hwk_encoder(2, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    assert len(gates) == 1
-    g = gates[0]
-    assert g.kind == "crbs"
-    assert g.controls == ()
+    assert [(g.kind, g.targets, g.controls, g.weight) for g in gates] == [
+        ("hwk", (0, 1), (), 1)]
+    (g,) = _lowered(gates, 2)
+    assert (g.kind, g.targets, g.controls) == ("crbs", (1, 0), ())
     assert abs(g.params[0] - math.pi / 2) < 1e-12
+    assert synthesize_hwk_encoder(3, 1, [1.0, 0.0, 0.0]) == []
+    assert _lowered(synthesize_hwk_encoder(3, 3, [cmath.exp(0.3j)]), 3) == [
+        mcphase(0.3, 2, [(0, 1), (1, 1)])]
     assert synthesize_hwk_encoder(3, 0, [1.0]) == []
     with pytest.raises(ValueError, match="weight-0"):
         synthesize_hwk_encoder(3, 0, [cmath.exp(0.3j)])
@@ -355,8 +362,7 @@ def test_phase_gates_metadata():
 
 def _marker_scheme_circuit(psi, tree, table, class_order):
     """Pipeline with pure marker-plus-ancilla leaf encoders in a given order."""
-    from leafsep.synthesis import (_chain_angles, _chain_slots, _distribution_phases,
-                                   _leaf_detector, _rotation_chain)
+    from leafsep.synthesis import _chain_angles, _distribution_phases, _leaf_detector
     circ = Circuit(n_system=tree.n, n_ancilla=tree.num_leaves)
     circ.extend(synthesize_initial(tree.n, max(psi.weights_present())).gates)
     circ.extend(synthesize_gwdb_tree(tree, analyze(psi, tree).splits).gates)
@@ -370,8 +376,8 @@ def _marker_scheme_circuit(psi, tree, table, class_order):
             circ.add(_leaf_detector(leaf, w, ancilla))
             amps = table[(u, w)]
             if len(amps) > 1:
-                slots = _chain_slots(leaf.size, w, leaf.start, ((ancilla, 1),))
-                circ.extend(_rotation_chain(_chain_angles(amps), slots))
+                circ.add(hwk(_chain_angles(amps)[0], w, range(leaf.start, leaf.start + leaf.size),
+                             ((ancilla, 1),)))
     return circ
 
 
@@ -434,7 +440,7 @@ def test_leaf_encoders_match_the_build_both_oracle():
             for mode in (MODE_FREE, MODE_ANCILLA):
                 got = synthesize_leaf_encoders(table, tree, mode)
                 want, leaves = leaf_encoders_oracle(table, tree, mode)
-                assert list(got) == want
+                assert _lowered(got, tree.n + tree.num_leaves) == want
                 for entry, (chosen, free_cost, ancilla_cost) in zip(got.leaves, leaves):
                     assert (entry["mode"], entry["free_two_qubit"]) == (chosen, free_cost)
                     if mode == MODE_ANCILLA:
@@ -444,10 +450,13 @@ def test_leaf_encoders_match_the_build_both_oracle():
 
 
 def test_chain_cost_closed_form():
-    """Chains priced in closed form cost what their gates cost, and so do the leaf
-    encoders' reported costs of both schemes, detectors included."""
-    from leafsep.synthesis import (_chain_angles, _chain_cost, _chain_slots, _leaf_detector,
-                                   _rotation_chain)
+    """Chains priced in closed form cost what their lowered gates cost, and so do the
+    leaf encoders' reported costs of both schemes, detectors included."""
+    from leafsep.synthesis import _chain_angles, _chain_cost, _leaf_detector
+
+    def chain(angles, w, start, size, extra) -> list:
+        return _lowered([hwk(angles[0], w, range(start, start + size), extra)], start + size)
+
     rng = np.random.default_rng(10)
     for size in range(2, 11):
         for w in range(1, size):
@@ -458,7 +467,7 @@ def test_chain_cost_closed_form():
                 angles = _chain_angles(amps / np.linalg.norm(amps))
                 for ancilla in (False, True):
                     extra = ((size, 1),) if ancilla else None
-                    gates = _rotation_chain(angles, _chain_slots(size, w, 0, extra))
+                    gates = chain(angles, w, 0, size, extra)
                     assert gates
                     assert _chain_cost(size, w, angles, ancilla) == \
                         sum(two_qubit_cost(g) for g in gates)
@@ -478,11 +487,10 @@ def test_chain_cost_closed_form():
             for w in classes:
                 if len(table[(u, w)]) > 1:
                     angles = _chain_angles(table[(u, w)])
-                    chain = built(_rotation_chain(angles, _chain_slots(leaf.size, w, leaf.start,
-                                                                      None)))
-                    free += chain
-                    marked += min(chain, built(_rotation_chain(angles, _chain_slots(
-                        leaf.size, w, leaf.start, ((n + u, 1),)))))
+                    full = built(chain(angles, w, leaf.start, leaf.size, None))
+                    free += full
+                    marked += min(full, built(chain(angles, w, leaf.start, leaf.size,
+                                                    ((n + u, 1),))))
                 marked += two_qubit_cost(_leaf_detector(leaf, w, n + u))
             assert (entry["free_two_qubit"], entry["ancilla_two_qubit"]) == (free, marked)
 
