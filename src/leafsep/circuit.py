@@ -49,7 +49,6 @@ value.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -83,7 +82,6 @@ GATE_KINDS = tuple(_KINDS)
 _X_FAMILY = ("x", "cx", "mcx")
 _MULTIPLEXORS = ("ucry", "ucrz")
 _CHAINS = ("hwk", "hwkz")
-_COMPOSITE = _MULTIPLEXORS + _CHAINS  # the kinds lower() expands
 
 
 def _x_kind(controls) -> str:
@@ -226,11 +224,6 @@ def _chain_slots(register: tuple, w: int, extra):
     return steps, (wire[low.bit_length() - 1], controls(last ^ low, ~last & mask)) if last else None
 
 
-def _chain_extra(gate: Gate):
-    """A chain's ``extra`` for :func:`_chain_slots`: its listed controls, or None."""
-    return gate.controls if gate.kind == "hwk" else None
-
-
 def _chain_live(params: tuple) -> tuple[list[int], bool]:
     """The steps of a chain with ``params`` that lower to a gate, those whose |theta| or
     |phi| exceeds ANGLE_TOL, and whether its trailing phase does."""
@@ -244,7 +237,8 @@ def _chain_steps(gate: Gate) -> list[tuple]:
     of :func:`_chain_live`, then the trailing mcphase if it is live (see the module
     docstring)."""
     p = gate.params
-    steps, (target, controls) = _chain_slots(gate.targets, gate.weight, _chain_extra(gate))
+    steps, (target, controls) = _chain_slots(gate.targets, gate.weight,
+                                             gate.controls if gate.kind == "hwk" else None)
     angles = iter(p)  # zip takes each step's theta and phi from it in turn
     out = [("crbs", pair, ctrls, (theta, phi)) for (pair, ctrls), theta, phi
            in zip(steps, angles, angles) if abs(theta) > ANGLE_TOL or abs(phi) > ANGLE_TOL]
@@ -329,27 +323,28 @@ def cost(circuit: Circuit) -> CostReport:
     A c-controlled rotation or phase counts max(1, 2c) two-qubit equivalents; a
     c-controlled crbs counts 2 + max(1, 2(c+1)); x is free, cx is 1, mcx with
     c >= 2 controls is 2c. Depth layers gates as early as their wires allow.  A
-    multiplexor or a chain counts and layers as its lowering, which is not built, so
-    ``cost(c) == cost(lower(c))``.
+    multiplexor counts and layers as its lowering, which is not built, and a chain as
+    the steps of its lowering (:func:`_chain_steps`), so ``cost(c) == cost(lower(c))``.
     """
-    tally = Counter([(g.kind, len(g.controls)) for g in circuit.gates
-                     if g.kind not in _COMPOSITE])
+    tally: Counter = Counter()
     wire_depth: dict[int, int] = {}  # only the wires gates use: n may come from a file
     depth_of = wire_depth.get
     for g in circuit.gates:
-        if g.kind in _COMPOSITE:
-            (_price_multiplexor if g.kind in _MULTIPLEXORS else _price_chain)(
-                g, tally, wire_depth)
+        if g.kind in _MULTIPLEXORS:
+            _price_multiplexor(g, tally, wire_depth)
             continue
-        layer = max([depth_of(w, 0) for w in g.targets])
-        for w, _ in g.controls:
-            if depth_of(w, 0) > layer:
-                layer = wire_depth[w]
-        layer += 1
-        for w in g.targets:
-            wire_depth[w] = layer
-        for w, _ in g.controls:
-            wire_depth[w] = layer
+        for kind, targets, controls, _ in (_chain_steps(g) if g.kind in _CHAINS else
+                                           ((g.kind, g.targets, g.controls, g.params),)):
+            tally[kind, len(controls)] += 1
+            layer = max([depth_of(w, 0) for w in targets])
+            for w, _ in controls:
+                if depth_of(w, 0) > layer:
+                    layer = wire_depth[w]
+            layer += 1
+            for w in targets:
+                wire_depth[w] = layer
+            for w, _ in controls:
+                wire_depth[w] = layer
     return CostReport(
         two_qubit_count=sum(_kind_cost(*key)[0] * count for key, count in tally.items()),
         total_gate_count=sum(sum(_kind_cost(*key)) * count for key, count in tally.items()),
@@ -385,79 +380,6 @@ def _price_multiplexor(g: Gate, tally: Counter, wire_depth: dict) -> None:
         last = size - 1 - (1 << b) if b < c - 1 else size - 1
         wire_depth[w] = ups[last] + last + lead
     wire_depth[t] = ups[-1] + size - 1 + lead
-
-
-def _chain_wires(register: tuple, w: int, extra) -> tuple:
-    """The wires of each step of :func:`_chain_slots`, then those of its trailing phase;
-    kept only for the chains layered gate by gate (``_kept_chain_wires``), the other
-    shapes' caches keep only what they derive from them."""
-    steps, (target, controls) = _chain_slots(register, w, extra)
-    return tuple(pair + tuple(v for v, _ in controls)
-                 for pair, controls in (*steps, ((target,), controls)))
-
-
-_kept_chain_wires = lru_cache(maxsize=64)(_chain_wires)
-
-
-def _price_chain(g: Gate, tally: Counter, wire_depth: dict) -> None:
-    """Count and layer a chain's lowering (:func:`_chain_steps`) without building it.
-
-    A step has w - 1 shared ones and the listed controls, or size - w - 1 shared zeros,
-    as controls; the trailing phase the same in an ``hwk``, one zero more in an
-    ``hwkz``.  Each gate of an ``hwkz`` acts on the whole register and each of an
-    ``hwk`` with listed controls on those, so each gate waits for the one before:
-    gate j sits at layer j + 1 + max over k <= j of (D_k - k), where D_k is the depth
-    of the deepest wire that gate k is the first to touch, and each wire ends at the
-    layer of the last gate on it (:func:`_touches`).  An ``hwk`` with no listed
-    controls is layered gate by gate.
-    """
-    size, w, extra = len(g.targets), g.weight, _chain_extra(g)
-    live, phase = _chain_live(g.params)
-    c = w - 1 + (size - w - 1 if extra is None else len(extra))
-    tally["crbs", c] += len(live)
-    tally["mcphase", c + (extra is None)] += phase
-    if extra == ():
-        wires = _kept_chain_wires(g.targets, w, extra)
-        for v in g.targets:
-            wire_depth.setdefault(v, 0)
-        depth_of = wire_depth.__getitem__
-        for t in live + [len(wires) - 1] * phase:
-            layer = max(map(depth_of, wires[t])) + 1
-            wire_depth.update(dict.fromkeys(wires[t], layer))
-        return
-    if 2 * len(live) + 1 == len(g.params):  # every step lowers to a gate: the shape's
-        starts, firsts, lasts = _serial_touches(g.targets, w, extra, phase)
-    else:
-        wires = _chain_wires(g.targets, w, extra)
-        starts, firsts, lasts = _touches([wires[t] for t in live] + [wires[-1]] * phase)
-    depth_of, lead, leads = wire_depth.get, -1, []
-    for k, new in zip(starts, firsts):
-        lead = max(lead, max([depth_of(v, 0) for v in new]) - k)
-        leads.append(lead)
-    for v, j in lasts:
-        wire_depth[v] = j + 1 + leads[bisect_right(starts, j) - 1]
-
-
-def _touches(steps: list) -> tuple[tuple, tuple, tuple]:
-    """For gates on the wires ``steps``, in order: the gates that touch a wire first,
-    the wires each of them touches first, and each wire with the last gate on it."""
-    first: dict = {}
-    last: dict = {}
-    for j, ws in enumerate(steps):
-        for v in ws:
-            first.setdefault(v, j)
-            last[v] = j
-    starts = tuple(sorted(set(first.values())))
-    return (starts, tuple(tuple(v for v in first if first[v] == k) for k in starts),
-            tuple(last.items()))
-
-
-@lru_cache(maxsize=1024)
-def _serial_touches(register: tuple, w: int, extra, trailing: bool) -> tuple:
-    """:func:`_touches` of a chain of this shape whose steps all lower to a gate, with
-    or without its trailing phase."""
-    wires = _chain_wires(register, w, extra)
-    return _touches(wires if trailing else wires[:-1])
 
 
 def lower(circuit: Circuit) -> Circuit:

@@ -84,6 +84,7 @@ def _cmd_simulate(args) -> int:
         "norm": result.norm,
         "wires": {"system": circ.n_system, "ancilla": circ.n_ancilla},
         "gates": len(circ),
+        "simulated_gates": result.gates,
         "two_qubit_gates": circuit.cost(circ).two_qubit_count,
         "elapsed": result.elapsed,
         "peak_support": result.peak_support,

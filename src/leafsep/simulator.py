@@ -96,15 +96,12 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain
+from functools import partial
 
 import numpy as np
 
-from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_extra, _chain_live,
-                      _chain_steps, _chain_wires)
+from .circuit import _CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_steps
 from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
@@ -213,37 +210,22 @@ def _plan(circuit: Circuit, blocks: bool = False) -> tuple[list[int], list, list
     """Axis order (wires, most significant axis first), steps and, for ``blocks``, their
     spans, in one pass.
 
-    A step is a gate as the engines read it, (kind, targets, controls, params), one per
-    gate of the circuit's lowering, or a list of consecutive ``mcphase`` steps
-    controlled on every other wire: the residual distribution phases of a free-mode
-    circuit.  Those touch one amplitude each, so they add no load; a multiplexor
-    touches all.  A step's span, for :func:`_blocks`, is its wires as a bit mask and
-    the controls that slice it (none of a multiplexor's), or None for a run of phases.
-    Tuples cost a third of the time of any object with named fields to build.  When
-    every step of a chain lowers to a gate, its crbs steps, which all have as many
-    controls, take their loads and spans in bulk from what :func:`_chain_spans` keeps
-    per chain shape.
+    A step is a gate as the engines read it, (kind, targets, controls, params): a gate
+    of the circuit or of a chain's lowering (a simulated gate), or a list of consecutive
+    ``mcphase`` steps controlled on every other wire: the residual distribution phases
+    of a free-mode circuit.  Those touch one amplitude each, so they add no load; a
+    multiplexor touches all.  A step's span, for :func:`_blocks`, is its wires as a bit
+    mask and the controls that slice it (none of a multiplexor's), or None for a run of
+    phases.
+    Tuples cost a third of the time of any object with named fields to build.
     """
     n = circuit.n_wires
     load = [0] * n
     steps: list = []
     spans: list | None = [] if blocks else None
     for g in circuit.gates:
-        if g.kind not in _CHAINS:
-            rest = ((g.kind, g.targets, g.controls, g.params),)
-        else:
-            rest = _chain_steps(g)
-            chain_spans, counts = _chain_spans(g.targets, g.weight, _chain_extra(g))
-            trailing = bool(rest) and rest[-1][0] == "mcphase"
-            if len(rest) - trailing == len(chain_spans):  # every step lowers: in bulk
-                touched = 1 << (n - chain_spans[0][1])
-                for wire, count in counts:
-                    load[wire] += touched * count
-                steps += rest[:len(chain_spans)]
-                if blocks:
-                    spans += chain_spans
-                rest = rest[len(chain_spans):]
-        for step in rest:
+        for step in _chain_steps(g) if g.kind in _CHAINS else (
+                (g.kind, g.targets, g.controls, g.params),):
             kind, targets, controls, _ = step
             if kind == "mcphase" and len(controls) == n - 1:
                 if steps and isinstance(steps[-1], list):
@@ -268,29 +250,6 @@ def _plan(circuit: Circuit, blocks: bool = False) -> tuple[list[int], list, list
                     mask |= 1 << wire
                 spans.append((mask, sliced))
     return sorted(range(n), key=lambda w: -load[w]), steps, spans
-
-
-@lru_cache(maxsize=1024)
-def _chain_spans(register: tuple, w: int, extra) -> tuple[tuple, tuple]:
-    """The :func:`_plan` span of each crbs step of a chain of this shape, and how many
-    of the steps each wire is in."""
-    wires = _chain_wires(register, w, extra)[:-1]
-    return (tuple((sum(1 << v for v in ws), len(ws) - 2) for ws in wires),
-            tuple(Counter(chain.from_iterable(wires)).items()))
-
-
-def _gates_before(circuit: Circuit, lowered: int) -> int:
-    """How many of ``circuit``'s gates lower to gates all before the first ``lowered``
-    of its lowering."""
-    for index, g in enumerate(circuit.gates):
-        if g.kind in _CHAINS:
-            live, trailing = _chain_live(g.params)
-            lowered -= len(live) + trailing
-        else:
-            lowered -= 1
-        if lowered < 0:
-            return index
-    return len(circuit.gates)
 
 
 def _blocks(spans: list, width: int) -> dict[int, tuple[int, list[int], int, float]]:
@@ -505,8 +464,10 @@ class SimulationResult:
     fidelity: float | None = None
     purity: float | None = None
     peak_support: int = 0       # most amplitudes held at once: 2^wires once the run is dense
-    first_dense_gate: int = 0   # gates run on the support before the dense engine took over
-    block_gates: int = 0        # lowered gates run on the support inside blocks
+    # counted in simulated gates: the circuit's, with each chain as the gates of its lowering
+    gates: int = 0              # simulated gates run
+    first_dense_gate: int = 0   # simulated gates run on the support before the dense engine
+    block_gates: int = 0        # simulated gates run on the support inside blocks
 
 
 def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) -> SimulationResult:
@@ -519,17 +480,19 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     (:func:`_diagnostics`).  ``elapsed`` covers planning, the
     gates on either engine, the move from the support to the dense state and
     both permutations of the dense state, but not fidelity or purity.
-    ``first_dense_gate`` is 0 when the whole run was dense and the gate count
-    when none of it was.
+    ``gates``, ``first_dense_gate`` and ``block_gates`` count simulated gates: the
+    circuit's, with each chain (``hwk``/``hwkz``) as the gates of its lowering and a
+    multiplexor as one.  ``first_dense_gate`` is 0 when the whole run was dense and
+    ``gates`` when none of it was.
     """
     dense_size(circuit.n_wires)  # too many wires fail here, before anything is allocated
     start = time.perf_counter()
-    final, peak, first_dense, block_gates = _run(
+    final, peak, first_dense, block_gates, gates = _run(
         circuit, initial, partial(_support_pays, circuit.n_wires), _block_pays)
     elapsed = time.perf_counter() - start
     result = SimulationResult(state=final, n_system=circuit.n_system,
                               n_ancilla=circuit.n_ancilla, norm=final.norm(),
-                              elapsed=elapsed, peak_support=peak,
+                              elapsed=elapsed, peak_support=peak, gates=gates,
                               first_dense_gate=first_dense, block_gates=block_gates)
     if target is not None:
         result.fidelity, result.purity = _diagnostics(final, circuit.n_system, target)
@@ -537,16 +500,16 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
 
 
 def _run(circuit: Circuit, initial, stay, fuse=None,
-         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int]:
+         width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int, int]:
     """Plan and run ``circuit`` on ``initial``: on the support while ``stay(size)``
     holds before each step, then dense in the plan's layout.  On the support, runs
     of gates on at most ``width`` wires are blocks, each run as one step when
     ``fuse`` (see :meth:`_Support.block`) agrees; with no ``fuse`` every gate is a
     step of its own.
 
-    Returns the final state, the peak support (taken between steps), the index of
-    the first circuit gate run dense, even in part (the gate count when none was), and
-    the number of lowered gates run in blocks.
+    Returns the final state, the peak support (taken between steps) and, counted in
+    simulated gates (see :func:`simulate`), the index of the first gate run dense (the
+    gate count when none was), the gates run in blocks and the gate count.
     """
     n = circuit.n_wires
     if initial is None:  # |0...0>
@@ -570,17 +533,17 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
             if block and support.block(steps[done:block[0]], *block[1:], fuse):
                 stop = block[0]
                 block_gates += stop - done
+                first_dense += stop - done
             else:
                 stop = done + 1
                 support.apply(steps[done])
+                first_dense += len(steps[done]) if isinstance(steps[done], list) else 1
             done = stop
             peak = max(peak, support.size)
         indices, values = support.idx[:support.size], support.amp[:support.size]
         if done == len(steps):
-            return (StateVector(n, indices, values, check=False), peak, len(circuit.gates),
-                    block_gates)
-        first_dense = _gates_before(circuit, sum(len(s) if isinstance(s, list) else 1
-                                                 for s in steps[:done]))
+            return (StateVector(n, indices, values, check=False), peak, first_dense,
+                    block_gates, first_dense)
     if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0
@@ -593,16 +556,20 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     for a, wire in enumerate(order):
         axis[wire] = a
     bit = [1 << (n - 1 - a) for a in axis]
+    gates = first_dense + len(steps) - done
     for step in steps[done:]:
         if isinstance(step, list):
             np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
+            gates += len(step) - 1
         else:
             _apply_gate(state, step, axis)
     amps = state.transpose(axis).reshape(-1)
     del state  # the planned layout, unless it was wire order and ``amps`` is a view of it
     indices = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
     values = amps if len(indices) == len(amps) else amps[indices]
-    return StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates
+    return (StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates,
+            gates)
+
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

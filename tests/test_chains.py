@@ -78,10 +78,10 @@ def test_chains_run_as_their_lowering(case):
     assert {g.kind for g in lowered.gates} <= {"crbs", "mcphase"}
     assert _same(simulate(circ, initial=initial).state, simulate(lowered, initial=initial).state)
     for args in ((_always,), (_always, _always, 4), (_always, _always, 10)):
-        chain, _, first_dense, block_gates = _run(circ, initial, *args)
-        flat, _, _, flat_blocks = _run(lowered, initial, *args)
+        chain, _, first_dense, block_gates, gates = _run(circ, initial, *args)
+        flat, _, _, flat_blocks, flat_gates = _run(lowered, initial, *args)
         assert _same(chain, flat) and block_gates == flat_blocks
-        assert first_dense == len(circ.gates)
+        assert first_dense == gates == flat_gates == len(lowered.gates)
     if circ.n_wires <= 6:
         expected = circuit_matrix(circ) @ initial.amplitudes
         got = simulate(circ, initial=initial).state.amplitudes
@@ -201,10 +201,10 @@ def test_wide_multiplexors_cost_as_their_lowering(controls):
     assert cost(circ) == cost(lower(circ))
 
 
-def test_first_dense_gate_counts_circuit_gates():
+def test_gate_counters_count_lowered_chains():
     """A mixed-weight run that goes dense part way: the chain circuit runs bit for bit
-    as its lowering, and its first dense gate is the first circuit gate whose lowered
-    gates are not all run before the lowering's first dense gate."""
+    as its lowering and reports the same counters, each chain counted as the gates of
+    its lowering."""
     from leafsep.experiments import random_mixed_leaf_separable
     from leafsep.synthesis import SynthesisConfig, synthesize_full
     psi = random_mixed_leaf_separable(16, 2, "complex", seed=[110])
@@ -212,6 +212,6 @@ def test_first_dense_gate_counts_circuit_gates():
     lowered = lower(circ)
     chained, flat = simulate(circ), simulate(lowered)
     assert _same(chained.state, flat.state)
-    ends = np.cumsum([len(lower(Circuit(n_system=16, gates=[g])).gates) for g in circ.gates])
-    assert 0 < flat.first_dense_gate < len(lowered.gates)
-    assert chained.first_dense_gate == int(np.sum(ends <= flat.first_dense_gate))
+    assert 0 < flat.first_dense_gate < flat.gates == len(lowered.gates)
+    assert (chained.gates, chained.first_dense_gate, chained.block_gates) == (
+        flat.gates, flat.first_dense_gate, flat.block_gates)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from leafsep.circuit import cost, parse_text
+from leafsep.circuit import cost, lower, parse_text
 from leafsep.cli import main
 from leafsep.core import StateVector
 
@@ -66,7 +66,7 @@ def test_synthesize_simulate_round_trip(example_state_file, tmp_path, capsys):
     assert main(["simulate", "--circuit", circuit_path,
                  "--target", example_state_file, "--report", report_path]) == 0
     report = json.loads(open(report_path).read())
-    assert set(report) == {"fidelity", "purity", "norm", "wires", "gates",
+    assert set(report) == {"fidelity", "purity", "norm", "wires", "gates", "simulated_gates",
                            "two_qubit_gates", "elapsed", "peak_support", "first_dense_gate",
                            "block_gates"}
     assert report["fidelity"] >= 1 - 1e-10
@@ -400,6 +400,24 @@ def test_simulate_closes_circuit_file(example_state_file, tmp_path):
         assert main(["simulate", "--circuit", circuit_path, "--report",
                      str(tmp_path / "r.json")]) == 0
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_simulate_counts_chains_as_their_lowering(tmp_path):
+    """Two 9-qubit leaves in ancilla mode: ``gates`` counts the file's lines, each leaf
+    encoder chain one, and the simulator's counters count simulated gates, each chain as
+    the gates of its lowering, so ``block_gates`` and ``first_dense_gate`` stay within
+    ``simulated_gates``."""
+    state, circ, report = tmp_path / "psi.json", tmp_path / "circ.txt", tmp_path / "rep.json"
+    assert main(["random-state", "--n", "18", "--k", "9", "--ell", "9", "--field", "complex",
+                 "--seed", "110", "--out", str(state)]) == 0
+    assert main(["synthesize", "--input", str(state), "--k", "9",
+                 "--mode", "ancilla", "--out", str(circ)]) == 0
+    assert main(["simulate", "--circuit", str(circ), "--report", str(report)]) == 0
+    result = json.loads(report.read_text())
+    parsed = parse_text(circ.read_text())
+    assert result["gates"] == len(parsed) < result["simulated_gates"] == len(lower(parsed))
+    assert 0 < result["block_gates"] <= result["simulated_gates"]
+    assert result["first_dense_gate"] <= result["simulated_gates"]
 
 
 def test_synthesize_has_no_complex_flag(example_state_file):

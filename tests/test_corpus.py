@@ -219,7 +219,7 @@ def test_support_engine_matches_dense_on_simulated_corpus():
     for circ, _ in _simulated():
         dense, _, first_dense, *_ = _run(circ, None, lambda *_: False)
         assert first_dense == 0
-        sparse, _, first_dense, *_ = _run(circ, None, lambda *_: True)
-        assert first_dense == len(circ.gates)
+        sparse, _, first_dense, _, gates = _run(circ, None, lambda *_: True)
+        assert first_dense == gates
         worst = max(worst, support_gap(sparse, dense))
     assert worst <= 1e-15

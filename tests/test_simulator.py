@@ -209,8 +209,8 @@ def test_blocks_match_oracle_and_dense_engine(case):
     """Every run of gates on at most 4 wires as one block step on the support."""
     circ, initial = case
     expected = circuit_matrix(circ) @ _start_vector(circ, initial)
-    final, peak, first_dense, block_gates = _run(circ, initial, _always, _always, width=4)
-    assert first_dense == len(circ.gates) and block_gates > 1
+    final, peak, first_dense, block_gates, gates = _run(circ, initial, _always, _always, width=4)
+    assert first_dense == gates == len(circ.gates) and block_gates > 1
     assert peak <= 1 << circ.n_wires
     assert np.max(np.abs(final.amplitudes - expected)) < 1e-12
     dense, *_ = _run(circ, initial, _never)
@@ -250,8 +250,8 @@ def test_multiplexors_match_their_lowering(case):
     dense = simulate(circ, initial=initial)
     assert dense.first_dense_gate == 0
     assert np.max(np.abs(dense.state.amplitudes - expected)) < 1e-12
-    support, _, first_dense, _ = _run(circ, initial, _always)
-    assert first_dense == len(circ.gates)
+    support, _, first_dense, _, gates = _run(circ, initial, _always)
+    assert first_dense == gates == len(circ.gates)  # a multiplexor is one simulated gate
     assert np.max(np.abs(support.amplitudes - expected)) < 1e-12
     blocked, *_ = _run(circ, initial, _always, _always, width=4)
     assert np.max(np.abs(blocked.amplitudes - expected)) < 1e-12
@@ -383,7 +383,7 @@ def test_simulate_runs_sixteen_wires_on_the_support():
     circ = synthesize_full(psi, SynthesisConfig(n=16, k=4))
     assert circ.n_wires == 16
     res = simulate(circ, target=psi)
-    assert (res.first_dense_gate, res.peak_support) == (len(circ.gates), math.comb(16, 8))
+    assert (res.first_dense_gate, res.peak_support) == (res.gates, math.comb(16, 8))
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
     dense, *_ = _run(circ, None, _never)
     assert support_gap(res.state, dense) <= 1e-15
@@ -398,7 +398,7 @@ def test_compiled_fixed_weight_runs_stay_on_the_support(n, k, mode):
     psi = random_leaf_separable(n, k, n // 2, "complex", seed=[4, 0])
     circ = synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=mode))
     res = simulate(circ, target=psi)
-    assert res.first_dense_gate == len(circ.gates)
+    assert res.first_dense_gate == res.gates == len(lower(circ).gates)
     assert res.peak_support <= 1 << (circ.n_wires - 2)
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
 
@@ -409,7 +409,7 @@ def test_simulate_moves_a_mixed_weight_run_to_dense():
     psi = random_mixed_leaf_separable(16, 2, "complex", seed=[110])
     circ = synthesize_full(psi, SynthesisConfig(n=16, k=2))
     res = simulate(circ, target=psi)
-    assert 0 < res.first_dense_gate < len(circ.gates) and res.peak_support == 1 << 16
+    assert 0 < res.first_dense_gate < res.gates and res.peak_support == 1 << 16
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
     dense, *_ = _run(circ, None, _never)
     assert support_gap(res.state, dense) <= 1e-15
@@ -435,8 +435,8 @@ def test_leaf_encoders_run_in_blocks():
             break
         encoders += 1
     res = simulate(circ, target=psi)
-    assert encoders > 1000 and res.block_gates >= encoders
-    assert res.first_dense_gate == len(circ.gates)
+    assert encoders > 1000 and res.gates >= res.block_gates >= encoders
+    assert res.first_dense_gate == res.gates == len(lower(circ).gates)
     assert abs(res.fidelity - 1.0) < 1e-10 and abs(res.purity - 1.0) < 1e-10
     dense, *_ = _run(circ, None, _never)
     assert support_gap(res.state, dense) <= 1e-15
