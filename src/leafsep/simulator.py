@@ -25,12 +25,15 @@ A multiplexor (``ucry``/``ucrz``, such as the general-state baseline's) is one
 step on either engine, and its controls slice nothing: dense, the target axis
 turns by each pattern's angle, an array broadcast over the control axes
 (:func:`_rotate`); on the support, each entry by the angle of its own pattern.
-A leaf encoder's chain (``hwk``/``hwkz``) is the other way round: the plan
-expands it into the crbs steps and trailing mcphase of its lowering, in order,
-and both engines and the block planner see those steps as they would see the
-lowered circuit's gates, so a chain runs bit for bit as ``lower`` of it does.
-The engines read every gate as a plain (kind, targets, controls, params) tuple
-(:func:`_plan`), so a chain's steps are built as tuples, not as checked gates.
+A leaf encoder's chain (``hwk``/``hwkz``) of at least ``SCAN_MIN_PATTERNS``
+patterns is one step as well: dense and in blocks, one Givens scan over its
+C(s, w) weight-w rows (:func:`_scan`), which rounds differently from its lowered
+gates by about 1e-16 in amplitude and leaves the same support.  Shorter chains,
+an ``hwk`` whose higher-weight rows are populated and chains on the support
+outside blocks run the crbs steps and trailing mcphase of their lowering, bit
+for bit as ``lower`` of them does.  Axis order, blocks and gate counters are the
+lowered circuit's.  The engines read every other gate as a plain (kind, targets,
+controls, params) tuple.
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -56,7 +59,8 @@ columns (2^m to fill and read a column, plus 2^(m - controls) a gate), plus
 ``SUPPORT_ENTRY_COST`` per support entry.  Its gates one by one cost
 ``SUPPORT_STEP_COST`` each, plus ``SUPPORT_ENTRY_COST`` per entry they match,
 taken as size x 2^-controls.  The block runs only where it is the cheaper of
-the two.  ``BLOCK_STEP_COST`` was chosen from per-block timings of 26 compiled
+the two; a chain counts there as its lowering's gates, though a block scans it.
+``BLOCK_STEP_COST`` was chosen from per-block timings of 26 compiled
 16- to 20-wire circuits (444 blocks, seeds 4 and 90210, best of 5, one core of
 the same 2-core Xeon host): a block step took about 80 us plus 12 us a gate and
 50 ns an entry, and the rule's choices took 4 % longer than the faster choice of
@@ -97,11 +101,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import _CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_steps
+from .circuit import ANGLE_TOL, _CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_steps
+from .combinatorics import ehrlich_patterns
 from .core import StateVector, dense_size, find_sorted
 
 # A run holds the state as its support only on circuits of at least this many wires.
@@ -120,6 +125,10 @@ SUPPORT_ENTRY_COST = 12
 # fixed cost as one support step, in the same units.
 BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
+# A chain of fewer patterns runs as its lowered gates, not as one scan: the scan's fixed
+# cost, about 24 us, is that of 3 to 4 lowered gates on a small dense state (8 wires, one
+# core of the Xeon host, best of 5: 3 patterns 26 us against 22, 4 patterns 24 against 28).
+SCAN_MIN_PATTERNS = 4
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
 
@@ -148,10 +157,13 @@ def _diagonal(kind: str, params: tuple) -> tuple[complex | None, complex]:
     return None, np.exp(1j * phi)
 
 
-def _apply_gate(state: np.ndarray, step: tuple, axis: list[int]) -> None:
-    """In-place application of one gate, given as (kind, targets, controls, params), to
-    a tensor whose axis ``axis[w]``, of length 2, is wire w; its other axes are left
-    alone."""
+def _apply_gate(state: np.ndarray, step, axis) -> None:
+    """In-place application of one gate, given as (kind, targets, controls, params), or
+    of a :class:`_Chain`, to a tensor whose axis ``axis[w]``, of length 2, is wire w;
+    its other axes are left alone."""
+    if isinstance(step, _Chain):
+        _scan(state, step, axis)
+        return
     kind, targets, controls, params = step
     t = axis[targets[0]]
     if kind in _MULTIPLEXORS:  # the angles on the control axes of the target's half
@@ -185,6 +197,125 @@ def _apply_gate(state: np.ndarray, step: tuple, axis: list[int]) -> None:
         state[s1] *= f1
 
 
+class _Chain:
+    """A chain as one plan step on ``n`` wires: each step's theta and phi, which steps
+    lower to a gate (``live``), whether the trailing phase does, the lowering's gates,
+    and what they add to :func:`_plan`: (wire, load) pairs, their wires and the first
+    gate's as masks (``first`` None if they miss a register wire, whose rows a block
+    would lack), (controls, count) pairs, and whether the trailing phase joins a phase
+    run.  An ``hwkz`` gate acts on the whole register with size - 2 controls (its
+    trailing phase size - 1), an ``hwk`` gate on its pattern pair's ones (or the last
+    pattern's) and its w - 1 + listed controls."""
+
+    def __init__(self, gate, n: int):
+        p = np.array(gate.params)
+        self.gate, self.theta, self.phi = gate, p[0:-1:2], p[1:-1:2]
+        self.live = (np.abs(self.theta) > ANGLE_TOL) | (np.abs(self.phi) > ANGLE_TOL)
+        self.trailing = bool(abs(p[-1]) > ANGLE_TOL)
+        steps = int(np.count_nonzero(self.live))
+        self.gates = steps + self.trailing
+        size, wire = len(gate.targets), gate.targets[::-1]  # pattern bit i is on wire[i]
+        full = (1 << size) - 1
+        if gate.kind == "hwkz":
+            c_step, c_phase, last, used, first = size - 2, size - 1, full, full, full
+            counts = [steps] * size
+        else:
+            c_step = c_phase = gate.weight - 1 + len(gate.controls)
+            union, counts = _step_bits(size, gate.weight)
+            last, live = int(ehrlich_patterns(size, gate.weight)[-1]), union[self.live]
+            if steps < len(union):  # leave out the steps that lower to no gate
+                dead = union[~self.live]
+                counts = [c - int(np.count_nonzero(dead >> i & 1)) for i, c in enumerate(counts)]
+            used = int(np.bitwise_or.reduce(live, initial=last if self.trailing else 0))
+            first = int(live[0]) if steps else last
+        self.phase_run = self.trailing and c_phase == n - 1
+        phase = self.trailing << (n - c_phase)
+        self.loads = [(wire[i], (counts[i] << (n - c_step)) + (phase if last >> i & 1 else 0))
+                      for i in range(size)]
+        self.loads += [(w, (steps << (n - c_step)) + phase) for w, _ in gate.controls]
+        listed = sum(1 << w for w, _ in gate.controls)
+        self.mask = listed + sum(1 << wire[i] for i in range(size) if used >> i & 1)
+        self.first = None if used != full else listed + sum(
+            1 << wire[i] for i in range(size) if first >> i & 1)
+        self.parts = ((c_step, steps), (c_phase, 1)) if self.trailing else ((c_step, steps),)
+
+
+@lru_cache(maxsize=64)
+def _step_bits(size: int, w: int) -> tuple[np.ndarray, list[int]]:
+    """Per step of the weight-``w`` chain on ``size`` wires, the pattern bits of its pair
+    and shared ones (a | b), and for each bit i the number of steps that have it."""
+    patterns = ehrlich_patterns(size, w)
+    union = patterns[:-1] | patterns[1:]
+    return union, [int(np.count_nonzero(union >> i & 1)) for i in range(size)]
+
+
+@lru_cache(maxsize=16)
+def _higher(size: int, w: int) -> np.ndarray:
+    """The ``size``-bit patterns of a weight greater than ``w``."""
+    every = np.arange(1 << size)
+    return every[np.bitwise_count(every) > w]
+
+
+def _scan(state: np.ndarray, chain: _Chain, axis) -> None:
+    """Run a chain on a tensor as one Givens scan.  With a row per register pattern
+    where the listed controls match, step t mixes rows t and t + 1 of the weight-w rows
+    in chain order (an ``hwk`` step also higher-weight rows), gathered and scattered
+    once.  Only the packed row non-zero, as in every compiled chain: that row times
+    :func:`_from_packed`; else :func:`_row_scan`, or the lowered gates for an ``hwk``
+    with higher-weight rows populated."""
+    g = chain.gate
+    size, fixed = len(g.targets), tuple(1 if pol == 1 else 0 for _, pol in g.controls)
+    lead = [axis[w] for w in g.targets] + [axis[w] for w, _ in g.controls]
+    view = state.transpose(lead + sorted(set(range(state.ndim)).difference(lead)))
+    view = view[(slice(None),) * size + fixed]
+    block = view.reshape(1 << size, -1)
+    if g.kind == "hwk" and np.count_nonzero(block[_higher(size, g.weight)]):
+        _apply_lowered(state, chain, axis)
+        return
+    patterns = ehrlich_patterns(size, g.weight)
+    rows = block[patterns]
+    if np.count_nonzero(rows[1:]):
+        _row_scan(rows, chain)
+    else:
+        rows = np.multiply.outer(_from_packed(chain), rows[0])
+    block[patterns] = rows
+    if not np.may_share_memory(block, state):
+        view[...] = block.reshape(view.shape)
+
+
+def _from_packed(chain: _Chain) -> np.ndarray:
+    """Each weight-w row a chain leaves from its first row alone, as a multiple of it:
+    the product of the a1 (:func:`_mixed`) of the steps before it times its own step's
+    a0 or, at the last row, the trailing phase.  A step with no gate keeps both rows."""
+    turn = np.exp(0.5j * chain.phi)
+    a0, a1 = turn * np.cos(chain.theta / 2), turn.conj() * np.sin(chain.theta / 2)
+    a0[~chain.live], a1[~chain.live] = 1.0, 0.0
+    factor = np.ones(len(a0) + 1, dtype=np.complex128)
+    np.cumprod(a1, out=factor[1:])
+    factor[:-1] *= a0
+    if chain.trailing:
+        factor[-1] *= np.exp(1j * chain.gate.params[-1])
+    return factor
+
+
+def _row_scan(rows: np.ndarray, chain: _Chain) -> None:
+    """Run a chain's live steps, then its trailing phase, on its weight-w ``rows``."""
+    c, s = np.cos(chain.theta / 2), np.sin(chain.theta / 2)
+    ep, em = np.exp(0.5j * chain.phi), np.exp(-0.5j * chain.phi)
+    for t in np.flatnonzero(chain.live).tolist():
+        a, b = rows[t].copy(), rows[t + 1].copy()
+        rows[t] = ep[t] * c[t] * a - ep[t] * s[t] * b
+        rows[t + 1] = em[t] * s[t] * a + em[t] * c[t] * b
+    if chain.trailing:
+        rows[-1] *= np.exp(1j * chain.gate.params[-1])
+
+
+def _apply_lowered(state: np.ndarray, chain: _Chain, axis) -> None:
+    """Run a chain's lowered gates one by one."""
+    for step in _chain_steps(chain.gate):
+        _apply_gate(state, step, axis)
+
+
 def _rotate(kind: str, angle: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Turn the target's |0> amplitudes ``a`` and |1> amplitudes ``b`` in place by RY
     (``ucry``) or RZ (``ucrz``) of ``angle``, which broadcasts against them and is
@@ -206,34 +337,65 @@ def _rotate(kind: str, angle: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         y += kept
 
 
-def _plan(circuit: Circuit, blocks: bool = False) -> tuple[list[int], list, list | None]:
-    """Axis order (wires, most significant axis first), steps and, for ``blocks``, their
-    spans, in one pass.
+def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]:
+    """Axis order (wires, most significant axis first), steps, blocks (with a ``width``)
+    and the count of simulated gates, in one pass.
 
-    A step is a gate as the engines read it, (kind, targets, controls, params): a gate
-    of the circuit or of a chain's lowering (a simulated gate), or a list of consecutive
-    ``mcphase`` steps controlled on every other wire: the residual distribution phases
-    of a free-mode circuit.  Those touch one amplitude each, so they add no load; a
-    multiplexor touches all.  A step's span, for :func:`_blocks`, is its wires as a bit
-    mask and the controls that slice it (none of a multiplexor's), or None for a run of
-    phases.
+    A step is a gate as the engines read it, (kind, targets, controls, params), of the
+    circuit or of a chain's lowering; a list of consecutive ``mcphase`` steps
+    controlled on every other wire (the residual distribution phases of a free-mode
+    circuit); or a :class:`_Chain`, where no block starts or ends inside it.  A
+    simulated gate is a gate of the lowered circuit, whose load and blocks these are:
+    phases in a run touch one amplitude each, so they add no load; a multiplexor
+    touches all.  Blocks are runs of at least two consecutive simulated gates on at
+    most ``width`` wires, grown greedily and keyed by their first step.
     Tuples cost a third of the time of any object with named fields to build.
     """
     n = circuit.n_wires
     load = [0] * n
     steps: list = []
-    spans: list | None = [] if blocks else None
+    blocks: dict = {}
+    start, span, controls_of, chained = 0, 0, [], []  # the open run (see _add_block)
+    extra = 0  # simulated gates beyond one a step
     for g in circuit.gates:
-        for step in _chain_steps(g) if g.kind in _CHAINS else (
-                (g.kind, g.targets, g.controls, g.params),):
+        if g.kind not in _CHAINS:
+            lowered = ((g.kind, g.targets, g.controls, g.params),)
+        elif len(g.params) < 2 * SCAN_MIN_PATTERNS - 1:
+            lowered = _chain_steps(g)
+        else:
+            chain = _Chain(g, n)
+            if not chain.gates:
+                continue
+            whole = not chain.phase_run
+            if whole and width:  # in the open run, or in a run that its first gate starts
+                whole = chain.first is not None and (
+                    (span | chain.mask).bit_count() <= width
+                    or (span | chain.first).bit_count() > width >= chain.mask.bit_count())
+            if not whole:
+                lowered = _chain_steps(g)
+            else:
+                for wire, touched in chain.loads:
+                    load[wire] += touched
+                if width:
+                    if (span | chain.mask).bit_count() > width:
+                        _add_block(blocks, start, len(steps), span, controls_of, chained)
+                        start, span, controls_of, chained = len(steps), 0, [], []
+                    span |= chain.mask
+                    chained += chain.parts
+                steps.append(chain)
+                extra += chain.gates - 1
+                continue
+        for step in lowered:
             kind, targets, controls, _ = step
             if kind == "mcphase" and len(controls) == n - 1:
                 if steps and isinstance(steps[-1], list):
                     steps[-1].append(step)
+                    extra += 1
                 else:
+                    if width:  # no block holds a phase run
+                        _add_block(blocks, start, len(steps), span, controls_of, chained)
+                        start, span, controls_of, chained = len(steps) + 1, 0, [], []
                     steps.append([step])
-                    if blocks:
-                        spans.append(None)
                 continue
             sliced = 0 if kind in _MULTIPLEXORS else len(controls)
             touched = 1 << (n - sliced)
@@ -241,46 +403,46 @@ def _plan(circuit: Circuit, blocks: bool = False) -> tuple[list[int], list, list
                 load[wire] += touched
             for wire in targets:
                 load[wire] += touched
-            steps.append(step)
-            if blocks:
+            if width:
                 mask = 0
                 for wire, _ in controls:
                     mask |= 1 << wire
                 for wire in targets:
                     mask |= 1 << wire
-                spans.append((mask, sliced))
-    return sorted(range(n), key=lambda w: -load[w]), steps, spans
+                if (span | mask).bit_count() > width:
+                    _add_block(blocks, start, len(steps), span, controls_of, chained)
+                    start, span, controls_of, chained = len(steps), 0, [], []
+                span |= mask
+                controls_of.append(sliced)
+            steps.append(step)
+    if width:
+        _add_block(blocks, start, len(steps), span, controls_of, chained)
+    return sorted(range(n), key=lambda w: -load[w]), steps, blocks, len(steps) + extra
 
 
-def _blocks(spans: list, width: int) -> dict[int, tuple[int, list[int], int, float]]:
-    """Runs of at least two consecutive gate steps whose wires fit in ``width``
-    wires, found from the steps' :func:`_plan` spans, each keyed by its first step.
-    Each gives the step after it, its m wires in ascending order, the dense work of
-    its gates on one column of 2^m amplitudes (2^m to fill and read it plus
-    2^(m - controls) a gate) and the sum of 2^-controls over its gates: the support
-    entries they match in all, as a multiple of the support's size, by the cost
-    model of the module."""
-    blocks = {}
-    start, span, controls = 0, 0, []
-    for i, entry in enumerate([*spans, None]):
-        wires = None
-        if entry is not None:
-            wires, sliced = entry
-            if (span | wires).bit_count() <= width:
-                span |= wires
-                controls.append(sliced)
-                continue
-        if len(controls) > 1:
-            block = [w for w in range(span.bit_length()) if span >> w & 1]
-            m = len(block)
-            blocks[start] = (i, block, (1 << m) + sum(1 << (m - c) for c in controls),
-                             sum(2.0 ** -c for c in controls))
-        start, span, controls = (i, wires, [sliced]) if wires else (i + 1, 0, [])
-    return blocks
+def _add_block(blocks: dict, start: int, stop: int, span: int, controls: list,
+               chained: list) -> None:
+    """Key by ``start`` the run of steps ``start`` to ``stop`` on the wires ``span`` if
+    it has two simulated gates or more: gates with ``controls`` and, of chains,
+    (controls, count) pairs ``chained``.  It gives the step after it, its m wires in
+    ascending order, its simulated gates, their dense work on one column of 2^m
+    amplitudes (2^m to fill and read it plus 2^(m - controls) a gate) and the sum of
+    2^-controls over them: the support entries they match, as a multiple of the
+    support's size, by the cost model of the module."""
+    gates = len(controls) + sum([k for _, k in chained]) if chained else len(controls)
+    if gates > 1:
+        block = [w for w in range(span.bit_length()) if span >> w & 1]
+        m = len(block)
+        work = (1 << m) + sum([1 << (m - c) for c in controls])
+        reach = sum([2.0 ** -c for c in controls])
+        for c, k in chained:
+            work += k << (m - c)
+            reach += k * 2.0 ** -c
+        blocks[start] = (stop, block, gates, work, reach)
 
 
 def _block_pays(gates: int, work: int, reach: float, columns: int, size: int) -> bool:
-    """Whether a block from :func:`_blocks` is cheaper as one step on ``columns``
+    """Whether a block from :func:`_plan` is cheaper as one step on ``columns``
     columns than gate by gate, on a support of ``size`` entries, by the cost
     model of the module docstring."""
     return (BLOCK_STEP_COST + work * columns + SUPPORT_ENTRY_COST * size
@@ -343,10 +505,10 @@ class _Support:
         else:
             self._mix(step, sel)
 
-    def block(self, gates: list[tuple], wires: list[int], work: int, reach: float,
+    def block(self, steps: list, wires: list[int], gates: int, work: int, reach: float,
               fuse) -> bool:
-        """Run ``gates``, which act on ``wires`` only, as one step if
-        ``fuse(len(gates), work, reach, columns, size)`` agrees; return whether it did.
+        """Run ``steps``, ``gates`` simulated gates acting on ``wires`` only, as one step
+        if ``fuse(gates, work, reach, columns, size)`` agrees; return whether it did.
 
         Each entry's index splits into its bits on the m wires (its local input)
         and the rest.  The gates run once on a [2]*m + [D] tensor whose D columns
@@ -371,14 +533,14 @@ class _Support:
             spread |= ((values >> lo) & mask) << g
         present = np.bincount(local, minlength=1 << m) > 0
         inputs = np.flatnonzero(present)
-        if not fuse(len(gates), work, reach, len(inputs), self.size):
+        if not fuse(gates, work, reach, len(inputs), self.size):
             return False
         columns = np.zeros((1 << m, len(inputs)), dtype=np.complex128)
         columns[inputs, np.arange(len(inputs))] = 1.0
         tensor = columns.reshape([2] * m + [len(inputs)])
         axis = dict(zip(wires, range(m)))
-        for gate in gates:
-            _apply_gate(tensor, gate, axis)
+        for step in steps:
+            _apply_gate(tensor, step, axis)
         out = columns.T
         reached = out != 0
         counts = reached.sum(axis=1)
@@ -523,27 +685,38 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         indices, values = initial.indices << (n - initial.n), initial.values
     done = first_dense = block_gates = 0
     on_support = stay(len(indices))
-    order, steps, spans = _plan(circuit, on_support and fuse is not None)
+    order, steps, blocks, gates = _plan(circuit, width if on_support and fuse is not None else 0)
+    rest: list = []  # a chain's lowered gates still to run, when the run left the support
     if on_support:
         support = _Support(n, indices, values)
-        blocks = {} if spans is None else _blocks(spans, width)
         peak = support.size
         while done < len(steps) and stay(support.size):
-            block = blocks.get(done)
+            step, block = steps[done], blocks.get(done)
             if block and support.block(steps[done:block[0]], *block[1:], fuse):
-                stop = block[0]
-                block_gates += stop - done
-                first_dense += stop - done
+                done = block[0]
+                block_gates += block[2]
+                first_dense += block[2]
+            elif isinstance(step, _Chain):  # gate by gate, each a step of its own
+                done += 1
+                lowered = _chain_steps(step.gate)
+                for j, gate in enumerate(lowered):
+                    if j and not stay(support.size):
+                        rest = lowered[j:]
+                        break
+                    support.apply(gate)
+                    first_dense += 1
+                    peak = max(peak, support.size)
+                if rest:
+                    break
             else:
-                stop = done + 1
-                support.apply(steps[done])
-                first_dense += len(steps[done]) if isinstance(steps[done], list) else 1
-            done = stop
+                done += 1
+                support.apply(step)
+                first_dense += len(step) if isinstance(step, list) else 1
             peak = max(peak, support.size)
         indices, values = support.idx[:support.size], support.amp[:support.size]
-        if done == len(steps):
+        if done == len(steps) and not rest:
             return (StateVector(n, indices, values, check=False), peak, first_dense,
-                    block_gates, first_dense)
+                    block_gates, gates)
     if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
         state = np.zeros([2] * n, dtype=np.complex128)
         state[(0,) * n] = 1.0
@@ -556,20 +729,17 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
     for a, wire in enumerate(order):
         axis[wire] = a
     bit = [1 << (n - 1 - a) for a in axis]
-    gates = first_dense + len(steps) - done
-    for step in steps[done:]:
+    for step in rest + steps[done:]:
         if isinstance(step, list):
             np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
-            gates += len(step) - 1
         else:
             _apply_gate(state, step, axis)
     amps = state.transpose(axis).reshape(-1)
     del state  # the planned layout, unless it was wire order and ``amps`` is a view of it
-    indices = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
+    indices = np.flatnonzero(amps != 0)
     values = amps if len(indices) == len(amps) else amps[indices]
     return (StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates,
             gates)
-
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

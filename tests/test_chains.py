@@ -1,9 +1,13 @@
 """Hamming-weight encoder chains (``hwk``/``hwkz``) against their lowering, and every
 gate kind through every layer.
 
-A chain is one gate whose lowering is a crbs per step and a trailing mcphase.  Its
-simulation on either engine and inside blocks must equal that of its lowering bit for
-bit, its cost must be the lowering's, and its text must round-trip.
+A chain is one gate whose lowering is a crbs per step and a trailing mcphase.  The
+dense engine and blocks run a chain of at least ``SCAN_MIN_PATTERNS`` patterns as one
+Givens scan, which must leave the support of its lowering's state with amplitudes
+within 1e-14; shorter chains, an ``hwk`` whose higher-weight rows are populated and
+chains on the support outside blocks run their lowered gates, bit for bit.  Either
+way the plan's axis order, blocks and gate counters are the lowering's.  A chain's
+cost must be the lowering's, and its text must round-trip.
 """
 import math
 
@@ -16,8 +20,12 @@ from conftest import circuit_matrix
 
 from leafsep.circuit import (ANGLE_TOL, GATE_KINDS, Circuit, Gate, cost, crbs, export_text, hwk,
                              lower, mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
+from leafsep import simulator
 from leafsep.core import StateVector
-from leafsep.simulator import _run, simulate
+from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
+from leafsep.simulator import SCAN_MIN_PATTERNS, _Chain, _plan, _run, simulate
+from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
+                               synthesize_hwk_encoder)
 
 # Angles at and near ANGLE_TOL: a step of them may or may not lower to a gate
 EDGE_ANGLES = np.array([0.0, -0.0, ANGLE_TOL, -ANGLE_TOL, 2 * ANGLE_TOL,
@@ -67,21 +75,47 @@ def _same(a, b) -> bool:
     return np.array_equal(a.indices, b.indices) and np.array_equal(a.values, b.values)
 
 
+def _close(a, b) -> bool:
+    """The same support, amplitudes within 1e-14: a scan against the lowered gates."""
+    return np.array_equal(a.indices, b.indices) and (
+        not len(a.values) or np.max(np.abs(a.values - b.values)) <= 1e-14)
+
+
+def _scans(gate) -> bool:
+    """Whether a gate is a chain long enough to run as one scan."""
+    return gate.kind in ("hwk", "hwkz") and len(gate.params) >= 2 * SCAN_MIN_PATTERNS - 1
+
+
+def _lowered_plan(circ: Circuit, width: int) -> tuple:
+    """:func:`_plan`'s axis order, blocks and gate count, the blocks keyed and ended by
+    simulated gate (a chain counts as its lowering's gates, a phase run as its gates)."""
+    order, steps, blocks, gates = _plan(circ, width)
+    at = np.cumsum([0] + [s.gates if isinstance(s, _Chain) else len(s) if isinstance(s, list)
+                          else 1 for s in steps]).tolist()
+    return order, {at[i]: (at[stop], *rest) for i, (stop, *rest) in blocks.items()}, gates
+
+
 @settings(max_examples=80)
 @given(_chain_circuits())
 def test_chains_run_as_their_lowering(case):
     """Dense, on the support (forced at every step) and in blocks of 4 and 10 wires, a
-    chain gives the state its lowering gives bit for bit; up to 6 wires, also the scalar
-    oracle's."""
+    chain gives the support its lowering gives, with the same counters and peak, and
+    amplitudes within 1e-14 (bit for bit where no chain scans: on the support outside
+    blocks, or with short chains only); its plan has the lowering's axis order and
+    blocks; up to 6 wires, it also gives the scalar oracle's state."""
     circ, initial = case
     lowered = lower(circ)
     assert {g.kind for g in lowered.gates} <= {"crbs", "mcphase"}
-    assert _same(simulate(circ, initial=initial).state, simulate(lowered, initial=initial).state)
+    agree = _close if any(map(_scans, circ.gates)) else _same
+    assert agree(simulate(circ, initial=initial).state, simulate(lowered, initial=initial).state)
     for args in ((_always,), (_always, _always, 4), (_always, _always, 10)):
-        chain, _, first_dense, block_gates, gates = _run(circ, initial, *args)
-        flat, _, _, flat_blocks, flat_gates = _run(lowered, initial, *args)
-        assert _same(chain, flat) and block_gates == flat_blocks
-        assert first_dense == gates == flat_gates == len(lowered.gates)
+        chain, *counters = _run(circ, initial, *args)
+        flat, *flat_counters = _run(lowered, initial, *args)
+        assert (_same if len(args) == 1 else agree)(chain, flat)
+        assert counters == flat_counters
+        assert counters[1] == counters[3] == len(lowered.gates)  # first dense gate, gates
+    for width in (0, 4, 10):
+        assert _lowered_plan(circ, width) == _lowered_plan(lowered, width)
     if circ.n_wires <= 6:
         expected = circuit_matrix(circ) @ initial.amplitudes
         got = simulate(circ, initial=initial).state.amplitudes
@@ -108,8 +142,11 @@ def test_chains_cost_and_round_trip_as_their_lowering(case):
 @pytest.mark.parametrize("size", range(2, 10))
 def test_every_size_weight_and_conditioning_runs_as_its_lowering(size):
     """Every weight of a chain on ``size`` of ``size`` + 1 wires, in all three
-    conditionings, with random, zero and ANGLE_TOL-edge steps: states bit for bit,
-    cost and text as in the property tests."""
+    conditionings, with random, zero and ANGLE_TOL-edge steps, on a random dense state:
+    an ``hwk`` there meets populated higher-weight rows and runs its lowered gates bit
+    for bit, as every chain does on the support outside blocks; an ``hwkz`` of at least
+    ``SCAN_MIN_PATTERNS`` patterns scans dense and in blocks, to 1e-14.  Cost and text as
+    in the property tests."""
     rng = np.random.default_rng(size)
     vec = rng.standard_normal(2 << size) + 1j * rng.standard_normal(2 << size)
     initial = StateVector.from_dense(size + 1, vec, normalize=True)
@@ -124,8 +161,10 @@ def test_every_size_weight_and_conditioning_runs_as_its_lowering(size):
             circ = Circuit(n_system=size + 1, gates=[hwk(params.tolist(), weight, register,
                                                          controls)])
             lowered = lower(circ)
+            agree = _close if controls is None and _scans(circ.gates[0]) else _same
             for args in ((_never,), (_always,), (_always, _always, 4)):
-                assert _same(_run(circ, initial, *args)[0], _run(lowered, initial, *args)[0])
+                assert (_same if len(args) == 1 and args[0] is _always else agree)(
+                    _run(circ, initial, *args)[0], _run(lowered, initial, *args)[0])
             assert cost(circ) == cost(lowered)
             assert parse_text(export_text(circ)).gates == circ.gates
 
@@ -215,3 +254,68 @@ def test_gate_counters_count_lowered_chains():
     assert 0 < flat.first_dense_gate < flat.gates == len(lowered.gates)
     assert (chained.gates, chained.first_dense_gate, chained.block_gates) == (
         flat.gates, flat.first_dense_gate, flat.block_gates)
+
+
+def test_chain_on_the_support_goes_dense_where_its_lowering_does():
+    """A chain on the support outside blocks runs its lowered gates as steps, so a run
+    that leaves the support inside the chain leaves it at the gate its lowering's run
+    does and goes on with the rest of the chain dense, bit for bit."""
+    circ = Circuit(n_system=6, gates=[x(4), x(5), hwk(np.linspace(0.3, 2.1, 19), 2,
+                                                         range(1, 6), None)])
+    lowered = lower(circ)
+    chain, *counters = _run(circ, None, lambda size: size < 4)
+    flat, *flat_counters = _run(lowered, None, lambda size: size < 4)
+    assert _same(chain, flat) and counters == flat_counters
+    assert 2 < counters[1] < counters[3] == len(lowered.gates)  # first dense gate, gates
+
+
+def _compiled_chain_circuits():
+    """Compiled circuits, n <= 12: fixed- and mixed-weight targets in both modes on
+    leaves of 4 and 6 qubits, whose chains have 4 to 20 patterns, and the standalone
+    encoder."""
+    for n, k in ((8, 4), (12, 6), (12, 4)):
+        for psi in (random_leaf_separable(n, k, n // 2, "complex", seed=[112, n, k]),
+                    random_mixed_leaf_separable(n, k, "complex", seed=[113, n, k])):
+            for mode in (MODE_FREE, MODE_ANCILLA):
+                yield synthesize_full(psi, SynthesisConfig(n=n, k=k, mode=mode))
+    for n, w in ((9, 4), (12, 5)):
+        rng = np.random.default_rng([114, n])
+        amps = rng.standard_normal(math.comb(n, w)) + 1j * rng.standard_normal(math.comb(n, w))
+        circ = Circuit(n_system=n, gates=[x(q) for q in range(n - w, n)])
+        circ.extend(synthesize_hwk_encoder(n, w, amps / np.linalg.norm(amps)))
+        yield circ
+
+
+def test_compiled_chains_take_the_closed_form(monkeypatch):
+    """A compiled chain meets its weight-w rows empty but for the packed one, so every
+    chain of at least SCAN_MIN_PATTERNS patterns runs in closed form: with the row scan
+    and the lowered fallback made to raise, each circuit still runs, dense and in
+    blocks, to its lowering's support and counters, and the closed form runs once per
+    such chain on the dense engine.  ``simulate`` reports the lowering's gates, first
+    dense gate, block gates and peak support."""
+    calls = []
+    closed = simulator._from_packed
+
+    def refuse(*_):
+        raise AssertionError("a compiled chain left the closed form")
+
+    monkeypatch.setattr(simulator, "_from_packed", lambda chain: calls.append(chain) or
+                        closed(chain))
+    monkeypatch.setattr(simulator, "_row_scan", refuse)
+    monkeypatch.setattr(simulator, "_apply_lowered", refuse)
+    scanned = 0
+    for circ in _compiled_chain_circuits():
+        lowered = lower(circ)
+        chains = sum(map(_scans, circ.gates))
+        scanned += chains
+        for args in ((_never,), (_always, _always)):
+            calls.clear()
+            got, *counters = _run(circ, None, *args)
+            flat, *flat_counters = _run(lowered, None, *args)
+            assert _close(got, flat) and counters == flat_counters
+            assert len(calls) == chains or args[0] is _always
+        report, flat = simulate(circ), simulate(lowered)
+        assert (report.gates, report.first_dense_gate, report.block_gates,
+                report.peak_support) == (flat.gates, flat.first_dense_gate, flat.block_gates,
+                                         flat.peak_support)
+    assert scanned > 50

@@ -60,7 +60,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "74d0e606fc0cad6e10d38e8ef9c02441f00dab8c09b2361fac3acddbe6ce7a17"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "9f57646ea9f64b1c541e73caa9f8d6c643ff79eef4c9b85a69f4cbdf6c58f464"
+SIMULATED_SHA256 = "5e3917508f6be05433ba4ebcadc043f20b424097b0fcefdcde272c063fdee1af"
 SIMULATED_SIZE = 185
 
 # The general-state baseline's export when it emitted Gray-code cascades instead of
