@@ -26,14 +26,15 @@ step on either engine, and its controls slice nothing: dense, the target axis
 turns by each pattern's angle, an array broadcast over the control axes
 (:func:`_rotate`); on the support, each entry by the angle of its own pattern.
 A leaf encoder's chain (``hwk``/``hwkz``) of at least ``SCAN_MIN_PATTERNS``
-patterns is one step as well: dense and in blocks, one Givens scan over its
-C(s, w) weight-w rows (:func:`_scan`), which rounds differently from its lowered
-gates by about 1e-16 in amplitude and leaves the same support.  Shorter chains,
-an ``hwk`` whose higher-weight rows are populated and chains on the support
-outside blocks run the crbs steps and trailing mcphase of their lowering, bit
-for bit as ``lower`` of them does.  Axis order, blocks and gate counters are the
-lowered circuit's.  The engines read every other gate as a plain (kind, targets,
-controls, params) tuple.
+patterns, each step of which lowers to a gate, is one step as well.  Dense and in
+blocks, where the rows it reads are empty but the packed one, as in every compiled
+chain, it runs as one Givens scan in closed form over its C(s, w) weight-w rows
+(:func:`_scan`), which rounds differently from its lowered gates by about 1e-16 in
+amplitude and leaves the same support.  On any other input, and for other chains
+and chains on the support outside blocks, the crbs steps and trailing mcphase of
+its lowering run, bit for bit as ``lower`` of it does.  Axis order, blocks and
+gate counters are the lowered circuit's.  The engines read every other gate as a
+plain (kind, targets, controls, params) tuple.
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -101,11 +102,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from .circuit import ANGLE_TOL, _CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_steps
+from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_live, _chain_slots,
+                      _chain_steps)
 from .combinatorics import ehrlich_patterns
 from .core import StateVector, dense_size, find_sorted
 
@@ -126,9 +128,10 @@ SUPPORT_ENTRY_COST = 12
 BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
 # A chain of fewer patterns runs as its lowered gates, not as one scan: the scan's fixed
-# cost, about 24 us, is that of 3 to 4 lowered gates on a small dense state (8 wires, one
-# core of the Xeon host, best of 5: 3 patterns 26 us against 22, 4 patterns 24 against 28).
-SCAN_MIN_PATTERNS = 4
+# cost, 30-40 us, is that of 4 to 5 lowered gates on a small dense state (8 wires, one core
+# of the Xeon host, best of 5: 4 patterns 30-41 us against 28-32, 5 patterns 30-39 against
+# 34-40).
+SCAN_MIN_PATTERNS = 5
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
 
@@ -198,116 +201,56 @@ def _apply_gate(state: np.ndarray, step, axis) -> None:
 
 
 class _Chain:
-    """A chain as one plan step on ``n`` wires: each step's theta and phi, which steps
-    lower to a gate (``live``), whether the trailing phase does, the lowering's gates,
-    and what they add to :func:`_plan`: (wire, load) pairs, their wires and the first
-    gate's as masks (``first`` None if they miss a register wire, whose rows a block
-    would lack), (controls, count) pairs, and whether the trailing phase joins a phase
-    run.  An ``hwkz`` gate acts on the whole register with size - 2 controls (its
-    trailing phase size - 1), an ``hwk`` gate on its pattern pair's ones (or the last
-    pattern's) and its w - 1 + listed controls."""
+    """A chain as one plan step: its gate, every step of which lowers to a gate, and
+    whether its trailing phase does (:func:`_chain_live`)."""
 
-    def __init__(self, gate, n: int):
-        p = np.array(gate.params)
-        self.gate, self.theta, self.phi = gate, p[0:-1:2], p[1:-1:2]
-        self.live = (np.abs(self.theta) > ANGLE_TOL) | (np.abs(self.phi) > ANGLE_TOL)
-        self.trailing = bool(abs(p[-1]) > ANGLE_TOL)
-        steps = int(np.count_nonzero(self.live))
-        self.gates = steps + self.trailing
-        size, wire = len(gate.targets), gate.targets[::-1]  # pattern bit i is on wire[i]
-        full = (1 << size) - 1
-        if gate.kind == "hwkz":
-            c_step, c_phase, last, used, first = size - 2, size - 1, full, full, full
-            counts = [steps] * size
-        else:
-            c_step = c_phase = gate.weight - 1 + len(gate.controls)
-            union, counts = _step_bits(size, gate.weight)
-            last, live = int(ehrlich_patterns(size, gate.weight)[-1]), union[self.live]
-            if steps < len(union):  # leave out the steps that lower to no gate
-                dead = union[~self.live]
-                counts = [c - int(np.count_nonzero(dead >> i & 1)) for i, c in enumerate(counts)]
-            used = int(np.bitwise_or.reduce(live, initial=last if self.trailing else 0))
-            first = int(live[0]) if steps else last
-        self.phase_run = self.trailing and c_phase == n - 1
-        phase = self.trailing << (n - c_phase)
-        self.loads = [(wire[i], (counts[i] << (n - c_step)) + (phase if last >> i & 1 else 0))
-                      for i in range(size)]
-        self.loads += [(w, (steps << (n - c_step)) + phase) for w, _ in gate.controls]
-        listed = sum(1 << w for w, _ in gate.controls)
-        self.mask = listed + sum(1 << wire[i] for i in range(size) if used >> i & 1)
-        self.first = None if used != full else listed + sum(
-            1 << wire[i] for i in range(size) if first >> i & 1)
-        self.parts = ((c_step, steps), (c_phase, 1)) if self.trailing else ((c_step, steps),)
-
-
-@lru_cache(maxsize=64)
-def _step_bits(size: int, w: int) -> tuple[np.ndarray, list[int]]:
-    """Per step of the weight-``w`` chain on ``size`` wires, the pattern bits of its pair
-    and shared ones (a | b), and for each bit i the number of steps that have it."""
-    patterns = ehrlich_patterns(size, w)
-    union = patterns[:-1] | patterns[1:]
-    return union, [int(np.count_nonzero(union >> i & 1)) for i in range(size)]
-
-
-@lru_cache(maxsize=16)
-def _higher(size: int, w: int) -> np.ndarray:
-    """The ``size``-bit patterns of a weight greater than ``w``."""
-    every = np.arange(1 << size)
-    return every[np.bitwise_count(every) > w]
+    def __init__(self, gate, trailing: bool):
+        self.gate, self.trailing = gate, trailing
 
 
 def _scan(state: np.ndarray, chain: _Chain, axis) -> None:
-    """Run a chain on a tensor as one Givens scan.  With a row per register pattern
-    where the listed controls match, step t mixes rows t and t + 1 of the weight-w rows
-    in chain order (an ``hwk`` step also higher-weight rows), gathered and scattered
-    once.  Only the packed row non-zero, as in every compiled chain: that row times
-    :func:`_from_packed`; else :func:`_row_scan`, or the lowered gates for an ``hwk``
-    with higher-weight rows populated."""
+    """Run a chain on a tensor as one Givens scan.  Where the listed controls match, a
+    row per register pattern: step t mixes rows t and t + 1 of the weight-w rows in
+    chain order, and an ``hwk`` step also rows of a higher weight.  When every row the
+    chain reads is empty but the packed (first) one, as in every compiled chain, the
+    weight-w rows become that row times :func:`_from_packed`, scattered in parts whose
+    index arrays hold no more entries than the slice; else the lowered gates run."""
     g = chain.gate
-    size, fixed = len(g.targets), tuple(1 if pol == 1 else 0 for _, pol in g.controls)
+    size = len(g.targets)
     lead = [axis[w] for w in g.targets] + [axis[w] for w, _ in g.controls]
-    view = state.transpose(lead + sorted(set(range(state.ndim)).difference(lead)))
-    view = view[(slice(None),) * size + fixed]
-    block = view.reshape(1 << size, -1)
-    if g.kind == "hwk" and np.count_nonzero(block[_higher(size, g.weight)]):
+    view = state.transpose(lead + sorted(set(range(state.ndim)).difference(lead)))[
+        (slice(None),) * size + tuple(1 if pol == 1 else 0 for _, pol in g.controls)]
+    patterns = ehrlich_patterns(size, g.weight)
+    packed = view[np.unravel_index(patterns[0], (2,) * size)].copy()
+    starts = range(0, len(patterns), max(view.size // size, 1))
+    if g.kind == "hwk":  # it reads the rows of weight w and up: those held, by a reduction
+        held = np.flatnonzero(np.any(view, axis=tuple(range(size, view.ndim))))
+        mixed = np.any(np.bitwise_count(held[held != patterns[0]]) >= g.weight)
+    else:  # it reads the weight-w rows, gathered
+        mixed = np.count_nonzero(packed) < sum(np.count_nonzero(view[np.unravel_index(
+            patterns[lo:lo + starts.step], (2,) * size)]) for lo in starts)
+    if mixed:
         _apply_lowered(state, chain, axis)
         return
-    patterns = ehrlich_patterns(size, g.weight)
-    rows = block[patterns]
-    if np.count_nonzero(rows[1:]):
-        _row_scan(rows, chain)
-    else:
-        rows = np.multiply.outer(_from_packed(chain), rows[0])
-    block[patterns] = rows
-    if not np.may_share_memory(block, state):
-        view[...] = block.reshape(view.shape)
+    factor = _from_packed(chain)
+    for lo in starts:
+        at = np.unravel_index(patterns[lo:lo + starts.step], (2,) * size)
+        view[at] = np.multiply.outer(factor[lo:lo + starts.step], packed)
 
 
 def _from_packed(chain: _Chain) -> np.ndarray:
     """Each weight-w row a chain leaves from its first row alone, as a multiple of it:
     the product of the a1 (:func:`_mixed`) of the steps before it times its own step's
-    a0 or, at the last row, the trailing phase.  A step with no gate keeps both rows."""
-    turn = np.exp(0.5j * chain.phi)
-    a0, a1 = turn * np.cos(chain.theta / 2), turn.conj() * np.sin(chain.theta / 2)
-    a0[~chain.live], a1[~chain.live] = 1.0, 0.0
+    a0 or, at the last row, the trailing phase."""
+    p = np.array(chain.gate.params)
+    theta, turn = p[0:-1:2], np.exp(0.5j * p[1:-1:2])
+    a0, a1 = turn * np.cos(theta / 2), turn.conj() * np.sin(theta / 2)
     factor = np.ones(len(a0) + 1, dtype=np.complex128)
     np.cumprod(a1, out=factor[1:])
     factor[:-1] *= a0
     if chain.trailing:
-        factor[-1] *= np.exp(1j * chain.gate.params[-1])
+        factor[-1] *= np.exp(1j * p[-1])
     return factor
-
-
-def _row_scan(rows: np.ndarray, chain: _Chain) -> None:
-    """Run a chain's live steps, then its trailing phase, on its weight-w ``rows``."""
-    c, s = np.cos(chain.theta / 2), np.sin(chain.theta / 2)
-    ep, em = np.exp(0.5j * chain.phi), np.exp(-0.5j * chain.phi)
-    for t in np.flatnonzero(chain.live).tolist():
-        a, b = rows[t].copy(), rows[t + 1].copy()
-        rows[t] = ep[t] * c[t] * a - ep[t] * s[t] * b
-        rows[t + 1] = em[t] * s[t] * a + em[t] * c[t] * b
-    if chain.trailing:
-        rows[-1] *= np.exp(1j * chain.gate.params[-1])
 
 
 def _apply_lowered(state: np.ndarray, chain: _Chain, axis) -> None:
@@ -344,47 +287,46 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
     A step is a gate as the engines read it, (kind, targets, controls, params), of the
     circuit or of a chain's lowering; a list of consecutive ``mcphase`` steps
     controlled on every other wire (the residual distribution phases of a free-mode
-    circuit); or a :class:`_Chain`, where no block starts or ends inside it.  A
-    simulated gate is a gate of the lowered circuit, whose load and blocks these are:
-    phases in a run touch one amplitude each, so they add no load; a multiplexor
-    touches all.  Blocks are runs of at least two consecutive simulated gates on at
-    most ``width`` wires, grown greedily and keyed by their first step.
+    circuit); or a :class:`_Chain`.  A simulated gate is a gate of the lowered circuit,
+    whose load and blocks these are: phases in a run touch one amplitude each, so they
+    add no load; a multiplexor touches all.  Blocks are runs of at least two
+    consecutive simulated gates on at most ``width`` wires, grown greedily and keyed by
+    their first step.  A chain of at least ``SCAN_MIN_PATTERNS`` patterns, every step
+    of which lowers to a gate, is one step where no block starts or ends inside it and
+    its trailing phase joins no phase run (:func:`_whole`); otherwise its lowered gates
+    are steps.
     Tuples cost a third of the time of any object with named fields to build.
     """
     n = circuit.n_wires
     load = [0] * n
     steps: list = []
     blocks: dict = {}
-    start, span, controls_of, chained = 0, 0, [], []  # the open run (see _add_block)
+    start, span, controls_of = 0, 0, []  # the open run (see _add_block)
     extra = 0  # simulated gates beyond one a step
     for g in circuit.gates:
         if g.kind not in _CHAINS:
             lowered = ((g.kind, g.targets, g.controls, g.params),)
-        elif len(g.params) < 2 * SCAN_MIN_PATTERNS - 1:
+        elif len(g.params) < 2 * SCAN_MIN_PATTERNS - 1 or not (
+                scan := _whole(g, n, span, width)):
             lowered = _chain_steps(g)
         else:
-            chain = _Chain(g, n)
-            if not chain.gates:
-                continue
-            whole = not chain.phase_run
-            if whole and width:  # in the open run, or in a run that its first gate starts
-                whole = chain.first is not None and (
-                    (span | chain.mask).bit_count() <= width
-                    or (span | chain.first).bit_count() > width >= chain.mask.bit_count())
-            if not whole:
-                lowered = _chain_steps(g)
-            else:
-                for wire, touched in chain.loads:
+            chain, gates = scan
+            for targets, controls in gates:
+                touched = 1 << (n - len(controls))
+                for wire, _ in controls:
                     load[wire] += touched
-                if width:
-                    if (span | chain.mask).bit_count() > width:
-                        _add_block(blocks, start, len(steps), span, controls_of, chained)
-                        start, span, controls_of, chained = len(steps), 0, [], []
-                    span |= chain.mask
-                    chained += chain.parts
-                steps.append(chain)
-                extra += chain.gates - 1
-                continue
+                for wire in targets:
+                    load[wire] += touched
+            if width:
+                mask = _wires(g.targets, g.controls)
+                if (span | mask).bit_count() > width:
+                    _add_block(blocks, start, len(steps), span, controls_of)
+                    start, span, controls_of = len(steps), 0, []
+                span |= mask
+                controls_of += [len(controls) for _, controls in gates]
+            steps.append(chain)
+            extra += len(gates) - 1
+            continue
         for step in lowered:
             kind, targets, controls, _ = step
             if kind == "mcphase" and len(controls) == n - 1:
@@ -393,8 +335,8 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
                     extra += 1
                 else:
                     if width:  # no block holds a phase run
-                        _add_block(blocks, start, len(steps), span, controls_of, chained)
-                        start, span, controls_of, chained = len(steps) + 1, 0, [], []
+                        _add_block(blocks, start, len(steps), span, controls_of)
+                        start, span, controls_of = len(steps) + 1, 0, []
                     steps.append([step])
                 continue
             sliced = 0 if kind in _MULTIPLEXORS else len(controls)
@@ -410,35 +352,53 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
                 for wire in targets:
                     mask |= 1 << wire
                 if (span | mask).bit_count() > width:
-                    _add_block(blocks, start, len(steps), span, controls_of, chained)
-                    start, span, controls_of, chained = len(steps), 0, [], []
+                    _add_block(blocks, start, len(steps), span, controls_of)
+                    start, span, controls_of = len(steps), 0, []
                 span |= mask
                 controls_of.append(sliced)
             steps.append(step)
     if width:
-        _add_block(blocks, start, len(steps), span, controls_of, chained)
+        _add_block(blocks, start, len(steps), span, controls_of)
     return sorted(range(n), key=lambda w: -load[w]), steps, blocks, len(steps) + extra
 
 
-def _add_block(blocks: dict, start: int, stop: int, span: int, controls: list,
-               chained: list) -> None:
+def _wires(targets: tuple, controls: tuple) -> int:
+    """A gate's wires, which are distinct, as a bit mask."""
+    return sum(1 << wire for wire in targets) + sum(1 << wire for wire, _ in controls)
+
+
+def _whole(gate, n: int, span: int, width: int) -> tuple[_Chain, tuple] | None:
+    """A chain as one plan step after a run of steps on the wires ``span``, and the
+    (targets, controls) of its lowered gates (:func:`_chain_slots`), if it may be one
+    (see :func:`_plan`): every step lowers to a gate, its trailing phase joins no phase
+    run and, with blocks of ``width`` wires, its gates fit in the run or start a run
+    that holds them all."""
+    live, trailing = _chain_live(gate.params)
+    slots, (target, controls) = _chain_slots(gate.targets, gate.weight,
+                                             gate.controls if gate.kind == "hwk" else None)
+    if len(live) < len(slots) or trailing and len(controls) == n - 1:
+        return None
+    if width:
+        mask = _wires(gate.targets, gate.controls)
+        if (span | mask).bit_count() > width and not (
+                (span | _wires(*slots[0])).bit_count() > width >= mask.bit_count()):
+            return None
+    return _Chain(gate, trailing), slots + (((target,), controls),) if trailing else slots
+
+
+def _add_block(blocks: dict, start: int, stop: int, span: int, controls: list) -> None:
     """Key by ``start`` the run of steps ``start`` to ``stop`` on the wires ``span`` if
-    it has two simulated gates or more: gates with ``controls`` and, of chains,
-    (controls, count) pairs ``chained``.  It gives the step after it, its m wires in
-    ascending order, its simulated gates, their dense work on one column of 2^m
-    amplitudes (2^m to fill and read it plus 2^(m - controls) a gate) and the sum of
-    2^-controls over them: the support entries they match, as a multiple of the
-    support's size, by the cost model of the module."""
-    gates = len(controls) + sum([k for _, k in chained]) if chained else len(controls)
-    if gates > 1:
+    it has two simulated gates or more, with ``controls`` each.  It gives the step after
+    it, its m wires in ascending order, its simulated gates, their dense work on one
+    column of 2^m amplitudes (2^m to fill and read it plus 2^(m - controls) a gate) and
+    the sum of 2^-controls over them: the support entries they match, as a multiple of
+    the support's size, by the cost model of the module."""
+    if len(controls) > 1:
         block = [w for w in range(span.bit_length()) if span >> w & 1]
         m = len(block)
-        work = (1 << m) + sum([1 << (m - c) for c in controls])
-        reach = sum([2.0 ** -c for c in controls])
-        for c, k in chained:
-            work += k << (m - c)
-            reach += k * 2.0 ** -c
-        blocks[start] = (stop, block, gates, work, reach)
+        blocks[start] = (stop, block, len(controls),
+                         (1 << m) + sum([1 << (m - c) for c in controls]),
+                         sum([2.0 ** -c for c in controls]))
 
 
 def _block_pays(gates: int, work: int, reach: float, columns: int, size: int) -> bool:

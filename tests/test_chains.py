@@ -2,14 +2,15 @@
 gate kind through every layer.
 
 A chain is one gate whose lowering is a crbs per step and a trailing mcphase.  The
-dense engine and blocks run a chain of at least ``SCAN_MIN_PATTERNS`` patterns as one
-Givens scan, which must leave the support of its lowering's state with amplitudes
-within 1e-14; shorter chains, an ``hwk`` whose higher-weight rows are populated and
+dense engine and blocks run a chain of at least ``SCAN_MIN_PATTERNS`` patterns whose
+rows are empty but for the packed one in closed form, which must leave the support of
+its lowering's state with amplitudes within 1e-14; other inputs, shorter chains and
 chains on the support outside blocks run their lowered gates, bit for bit.  Either
 way the plan's axis order, blocks and gate counters are the lowering's.  A chain's
 cost must be the lowering's, and its text must round-trip.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +91,8 @@ def _lowered_plan(circ: Circuit, width: int) -> tuple:
     """:func:`_plan`'s axis order, blocks and gate count, the blocks keyed and ended by
     simulated gate (a chain counts as its lowering's gates, a phase run as its gates)."""
     order, steps, blocks, gates = _plan(circ, width)
-    at = np.cumsum([0] + [s.gates if isinstance(s, _Chain) else len(s) if isinstance(s, list)
+    at = np.cumsum([0] + [len(lower(Circuit(circ.n_system, circ.n_ancilla, [s.gate])).gates)
+                          if isinstance(s, _Chain) else len(s) if isinstance(s, list)
                           else 1 for s in steps]).tolist()
     return order, {at[i]: (at[stop], *rest) for i, (stop, *rest) in blocks.items()}, gates
 
@@ -100,13 +102,14 @@ def _lowered_plan(circ: Circuit, width: int) -> tuple:
 def test_chains_run_as_their_lowering(case):
     """Dense, on the support (forced at every step) and in blocks of 4 and 10 wires, a
     chain gives the support its lowering gives, with the same counters and peak, and
-    amplitudes within 1e-14 (bit for bit where no chain scans: on the support outside
-    blocks, or with short chains only); its plan has the lowering's axis order and
-    blocks; up to 6 wires, it also gives the scalar oracle's state."""
+    amplitudes within 1e-14 (bit for bit where no chain scans: from a superposition,
+    which populates every row a chain reads, on the support outside blocks, or with
+    short chains only); its plan has the lowering's axis order and blocks; up to 6
+    wires, it also gives the scalar oracle's state."""
     circ, initial = case
     lowered = lower(circ)
     assert {g.kind for g in lowered.gates} <= {"crbs", "mcphase"}
-    agree = _close if any(map(_scans, circ.gates)) else _same
+    agree = _close if len(initial.indices) == 1 and any(map(_scans, circ.gates)) else _same
     assert agree(simulate(circ, initial=initial).state, simulate(lowered, initial=initial).state)
     for args in ((_always,), (_always, _always, 4), (_always, _always, 10)):
         chain, *counters = _run(circ, initial, *args)
@@ -142,11 +145,10 @@ def test_chains_cost_and_round_trip_as_their_lowering(case):
 @pytest.mark.parametrize("size", range(2, 10))
 def test_every_size_weight_and_conditioning_runs_as_its_lowering(size):
     """Every weight of a chain on ``size`` of ``size`` + 1 wires, in all three
-    conditionings, with random, zero and ANGLE_TOL-edge steps, on a random dense state:
-    an ``hwk`` there meets populated higher-weight rows and runs its lowered gates bit
-    for bit, as every chain does on the support outside blocks; an ``hwkz`` of at least
-    ``SCAN_MIN_PATTERNS`` patterns scans dense and in blocks, to 1e-14.  Cost and text as
-    in the property tests."""
+    conditionings, with random, zero and ANGLE_TOL-edge steps, on a random dense state,
+    which populates every row a chain reads: each chain runs its lowered gates, bit for
+    bit, dense, on the support and in blocks.  Cost and text as in the property
+    tests."""
     rng = np.random.default_rng(size)
     vec = rng.standard_normal(2 << size) + 1j * rng.standard_normal(2 << size)
     initial = StateVector.from_dense(size + 1, vec, normalize=True)
@@ -161,10 +163,8 @@ def test_every_size_weight_and_conditioning_runs_as_its_lowering(size):
             circ = Circuit(n_system=size + 1, gates=[hwk(params.tolist(), weight, register,
                                                          controls)])
             lowered = lower(circ)
-            agree = _close if controls is None and _scans(circ.gates[0]) else _same
             for args in ((_never,), (_always,), (_always, _always, 4)):
-                assert (_same if len(args) == 1 and args[0] is _always else agree)(
-                    _run(circ, initial, *args)[0], _run(lowered, initial, *args)[0])
+                assert _same(_run(circ, initial, *args)[0], _run(lowered, initial, *args)[0])
             assert cost(circ) == cost(lowered)
             assert parse_text(export_text(circ)).gates == circ.gates
 
@@ -269,6 +269,10 @@ def test_chain_on_the_support_goes_dense_where_its_lowering_does():
     assert 2 < counters[1] < counters[3] == len(lowered.gates)  # first dense gate, gates
 
 
+def _refuse(*_):
+    raise AssertionError("a compiled chain left the closed form")
+
+
 def _compiled_chain_circuits():
     """Compiled circuits, n <= 12: fixed- and mixed-weight targets in both modes on
     leaves of 4 and 6 qubits, whose chains have 4 to 20 patterns, and the standalone
@@ -288,21 +292,17 @@ def _compiled_chain_circuits():
 
 def test_compiled_chains_take_the_closed_form(monkeypatch):
     """A compiled chain meets its weight-w rows empty but for the packed one, so every
-    chain of at least SCAN_MIN_PATTERNS patterns runs in closed form: with the row scan
-    and the lowered fallback made to raise, each circuit still runs, dense and in
-    blocks, to its lowering's support and counters, and the closed form runs once per
-    such chain on the dense engine.  ``simulate`` reports the lowering's gates, first
-    dense gate, block gates and peak support."""
+    chain of at least SCAN_MIN_PATTERNS patterns runs in closed form: with the lowered
+    fallback made to raise, each circuit still runs, dense and in blocks, to its
+    lowering's support and counters, and the closed form runs once per such chain on
+    the dense engine.  ``simulate`` reports the lowering's gates, first dense gate,
+    block gates and peak support."""
     calls = []
     closed = simulator._from_packed
 
-    def refuse(*_):
-        raise AssertionError("a compiled chain left the closed form")
-
     monkeypatch.setattr(simulator, "_from_packed", lambda chain: calls.append(chain) or
                         closed(chain))
-    monkeypatch.setattr(simulator, "_row_scan", refuse)
-    monkeypatch.setattr(simulator, "_apply_lowered", refuse)
+    monkeypatch.setattr(simulator, "_apply_lowered", _refuse)
     scanned = 0
     for circ in _compiled_chain_circuits():
         lowered = lower(circ)
@@ -319,3 +319,26 @@ def test_compiled_chains_take_the_closed_form(monkeypatch):
                 report.peak_support) == (flat.gates, flat.first_dense_gate, flat.block_gates,
                                          flat.peak_support)
     assert scanned > 50
+
+
+@pytest.mark.parametrize("n, w", [(16, 2), (14, 7)])
+def test_a_dense_whole_register_scan_holds_no_more_than_its_lowering(monkeypatch, n, w):
+    """The standalone encoder run dense scans its whole register in closed form, where
+    its gather and scatter index every weight-w row with n index arrays: the run's peak
+    traced memory is no more than its lowering's, at a weight that reads few rows and
+    at the weight that reads the most."""
+    monkeypatch.setattr(simulator, "_apply_lowered", _refuse)
+    rng = np.random.default_rng([115, n, w])
+    amps = rng.standard_normal(math.comb(n, w)) + 1j * rng.standard_normal(math.comb(n, w))
+    circ = Circuit(n_system=n, gates=[x(q) for q in range(n - w, n)])
+    circ.extend(synthesize_hwk_encoder(n, w, amps / np.linalg.norm(amps)))
+    states, peaks = [], []
+    for c in (circ, lower(circ)):
+        tracemalloc.start()
+        try:
+            states.append(_run(c, None, _never)[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert _close(*states)
+    assert peaks[0] <= peaks[1]

@@ -60,7 +60,7 @@ NON_SEPARABLE = [
 GENERATED_SHA256 = "74d0e606fc0cad6e10d38e8ef9c02441f00dab8c09b2361fac3acddbe6ce7a17"
 GENERATED_SIZE = 462
 
-SIMULATED_SHA256 = "5e3917508f6be05433ba4ebcadc043f20b424097b0fcefdcde272c063fdee1af"
+SIMULATED_SHA256 = "6bff21407c68425868015e3892423479cb63b153851fdc8c16cfa329f96bb91e"
 SIMULATED_SIZE = 185
 
 # The general-state baseline's export when it emitted Gray-code cascades instead of
