@@ -49,9 +49,11 @@ value.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,6 +61,11 @@ from .combinatorics import ehrlich_patterns
 from .core import ParseError, walsh_hadamard
 
 ANGLE_TOL = 1e-15  # a rotation angle at most this large emits no gate
+# A chain of fewer patterns is priced, planned and simulated step by step: a scan's fixed
+# cost, 30-40 us, is that of 4-5 lowered gates on 8 dense wires (one Xeon core, best of 5),
+# and summaries of its shape priced 2- and 3-pattern chains 1.1-1.7x slower.
+SCAN_MIN_PATTERNS = 5
+ChainSummary = namedtuple("ChainSummary", "controls loads first")  # see _chain_summary
 
 # Each kind's parameter count (None: one per pattern of a multiplexor's controls, 2^c,
 # or 2 C(s, w) - 1 for a chain) and its text operands in order: a target wire, the one
@@ -209,12 +216,13 @@ def _chain_slots(register: tuple, w: int, extra):
     """
     size = len(register)
     wire, mask = register[::-1], (1 << size) - 1
+    order = sorted(range(size), key=wire.__getitem__)  # the bits by wire, so sorted
+    signed = [((v, -1), (v, 1)) for v in wire]  # bit i's control at 0 and at 1
 
     def controls(ones: int, zeros: int) -> tuple:
-        out = [(wire[i], 1) for i in range(size) if ones >> i & 1]
-        out += extra if extra is not None else [(wire[i], -1) for i in range(size)
-                                                if zeros >> i & 1]
-        return tuple(sorted(out))
+        held = ones | zeros if extra is None else ones
+        out = [signed[i][ones >> i & 1] for i in order if held >> i & 1]
+        return tuple(sorted(out + list(extra)) if extra else out)
 
     patterns = ehrlich_patterns(size, w).tolist()
     steps = tuple(((wire[(a & ~b).bit_length() - 1], wire[(b & ~a).bit_length() - 1]),
@@ -224,12 +232,57 @@ def _chain_slots(register: tuple, w: int, extra):
     return steps, (wire[low.bit_length() - 1], controls(last ^ low, ~last & mask)) if last else None
 
 
+@lru_cache(maxsize=1024)
+def _chain_summary(register: tuple, w: int, extra, trailing: bool) -> ChainSummary:
+    """What the simulator's plan reads of the lowering of the chain :func:`_chain_shape`
+    keys: each gate's control count, (c, wires, c-controlled gates on each) per c and the
+    first gate's (targets, controls); wires are bytes (at most ``core.MAX_INDEX_QUBITS``)."""
+    steps, phase = _chain_slots(register, w, extra)
+    gates = steps + ((phase[:1], phase[1]),) if trailing else steps
+    controls = bytes(map(len, map(itemgetter(1), gates)))
+    loads = []
+    for c in set(controls):  # the wires of its c-controlled gates, a byte each
+        picked = list(compress(gates, map(c.__eq__, controls)))
+        touched = bytes(chain(chain.from_iterable(map(itemgetter(0), picked)), map(
+            itemgetter(0), chain.from_iterable(map(itemgetter(1), picked)))))
+        wires = bytes(set(touched))
+        loads.append((c, wires, tuple(map(touched.count, wires))))
+    return ChainSummary(controls, tuple(loads), gates[0])
+
+
+@lru_cache(maxsize=1024)
+def _chain_layers(register: tuple, w: int, extra, trailing: bool) -> tuple:
+    """What :func:`cost` reads of the chain :func:`_chain_shape` keys: its gates' tally by
+    (kind, control count), and (wire, first gate, last + 1, wires first touched by then - 1)."""
+    steps, phase = _chain_slots(register, w, extra)
+    gates = steps + ((phase[:1], phase[1]),) if trailing else steps
+    first, last = {}, {}
+    for j, (pair, signed) in enumerate(gates):
+        for v in chain(pair, map(itemgetter(0), signed)):
+            first.setdefault(v, j)
+            last[v] = j
+    tally = Counter(zip(["crbs"] * len(steps) + ["mcphase"] * trailing,
+                        map(len, map(itemgetter(1), gates))))
+    return tuple(tally.items()), tuple((v, first[v], last[v] + 1, sum(
+        j <= last[v] for j in first.values()) - 1) for v in first)
+
+
 def _chain_live(params: tuple) -> tuple[list[int], bool]:
     """The steps of a chain with ``params`` that lower to a gate, those whose |theta| or
     |phi| exceeds ANGLE_TOL, and whether its trailing phase does."""
     p = params
     return ([t for t, (theta, phi) in enumerate(zip(p[0:-1:2], p[1:-1:2]))
              if abs(theta) > ANGLE_TOL or abs(phi) > ANGLE_TOL], bool(abs(p[-1]) > ANGLE_TOL))
+
+
+def _chain_shape(gate: Gate) -> tuple | None:
+    """The key of a chain's summaries, (register, weight, listed controls or None for an
+    ``hwkz``, trailing phase live), if every one of its SCAN_MIN_PATTERNS+ steps is live."""
+    p = gate.params
+    if len(p) >= 2 * SCAN_MIN_PATTERNS - 1 and (
+            min(map(abs, p[0:-1:2])) > ANGLE_TOL or len(_chain_live(p)[0]) == len(p) // 2):
+        return (gate.targets, gate.weight, gate.controls if gate.kind == "hwk" else None,
+                abs(p[-1]) > ANGLE_TOL)
 
 
 def _chain_steps(gate: Gate) -> list[tuple]:
@@ -323,8 +376,8 @@ def cost(circuit: Circuit) -> CostReport:
     A c-controlled rotation or phase counts max(1, 2c) two-qubit equivalents; a
     c-controlled crbs counts 2 + max(1, 2(c+1)); x is free, cx is 1, mcx with
     c >= 2 controls is 2c. Depth layers gates as early as their wires allow.  A
-    multiplexor counts and layers as its lowering, which is not built, and a chain as
-    the steps of its lowering (:func:`_chain_steps`), so ``cost(c) == cost(lower(c))``.
+    multiplexor counts and layers as its lowering, which is not built, and a chain as its
+    lowering's gates (:func:`_price_chain` or step by step), so ``cost(c) == cost(lower(c))``.
     """
     tally: Counter = Counter()
     wire_depth: dict[int, int] = {}  # only the wires gates use: n may come from a file
@@ -332,6 +385,9 @@ def cost(circuit: Circuit) -> CostReport:
     for g in circuit.gates:
         if g.kind in _MULTIPLEXORS:
             _price_multiplexor(g, tally, wire_depth)
+            continue
+        if g.kind in _CHAINS and (shape := _chain_shape(g)):
+            _price_chain(*_chain_layers(*shape), tally, wire_depth)
             continue
         for kind, targets, controls, _ in (_chain_steps(g) if g.kind in _CHAINS else
                                            ((g.kind, g.targets, g.controls, g.params),)):
@@ -349,6 +405,16 @@ def cost(circuit: Circuit) -> CostReport:
         two_qubit_count=sum(_kind_cost(*key)[0] * count for key, count in tally.items()),
         total_gate_count=sum(sum(_kind_cost(*key)) * count for key, count in tally.items()),
         depth=max(wire_depth.values(), default=0))
+
+
+def _price_chain(counts: tuple, spans: tuple, tally: Counter, wire_depth: dict) -> None:
+    """Count and layer a chain's lowering from its :func:`_chain_layers`, in O(wires): as
+    consecutive gates share a wire, gate j sits at layer j + 1 + max(d(v) - first(v)) over
+    the wires v with first(v) <= j, d(v) their depth before the chain."""
+    tally.update(dict(counts))
+    lead = list(accumulate([wire_depth.get(v, 0) - first for v, first, _, _ in spans], max))
+    for v, _, stop, reach in spans:
+        wire_depth[v] = stop + lead[reach]
 
 
 def _price_multiplexor(g: Gate, tally: Counter, wire_depth: dict) -> None:

@@ -25,16 +25,16 @@ A multiplexor (``ucry``/``ucrz``, such as the general-state baseline's) is one
 step on either engine, and its controls slice nothing: dense, the target axis
 turns by each pattern's angle, an array broadcast over the control axes
 (:func:`_rotate`); on the support, each entry by the angle of its own pattern.
-A leaf encoder's chain (``hwk``/``hwkz``) of at least ``SCAN_MIN_PATTERNS``
+A leaf encoder's chain (``hwk``/``hwkz``) of at least ``circuit.SCAN_MIN_PATTERNS``
 patterns, each step of which lowers to a gate, is one step as well.  Dense and in
 blocks, where the rows it reads are empty but the packed one, as in every compiled
 chain, it runs as one Givens scan in closed form over its C(s, w) weight-w rows
 (:func:`_scan`), which rounds differently from its lowered gates by about 1e-16 in
 amplitude and leaves the same support.  On any other input, and for other chains
 and chains on the support outside blocks, the crbs steps and trailing mcphase of
-its lowering run, bit for bit as ``lower`` of it does.  Axis order, blocks and
-gate counters are the lowered circuit's.  The engines read every other gate as a
-plain (kind, targets, controls, params) tuple.
+its lowering run, bit for bit as ``lower`` of it does.  Axis order, blocks and gate
+counters are the lowered circuit's, a one-step chain's read from its shape's
+``circuit._chain_summary``.  The engines read every other gate as a tuple.
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -106,8 +106,8 @@ from functools import partial
 
 import numpy as np
 
-from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, Circuit, _chain_live, _chain_slots,
-                      _chain_steps)
+from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, ANGLE_TOL, ChainSummary, Circuit, Gate,
+                      _chain_shape, _chain_steps, _chain_summary)
 from .combinatorics import ehrlich_patterns
 from .core import StateVector, dense_size, find_sorted
 
@@ -127,11 +127,6 @@ SUPPORT_ENTRY_COST = 12
 # fixed cost as one support step, in the same units.
 BLOCK_MAX_WIRES = 10
 BLOCK_STEP_COST = 16000
-# A chain of fewer patterns runs as its lowered gates, not as one scan: the scan's fixed
-# cost, 30-40 us, is that of 4 to 5 lowered gates on a small dense state (8 wires, one core
-# of the Xeon host, best of 5: 4 patterns 30-41 us against 28-32, 5 patterns 30-39 against
-# 34-40).
-SCAN_MIN_PATTERNS = 5
 # Fidelity and purity read the support in blocks of about this many entries.
 DIAGNOSTIC_BLOCK = 1 << 16
 
@@ -161,10 +156,10 @@ def _diagonal(kind: str, params: tuple) -> tuple[complex | None, complex]:
 
 
 def _apply_gate(state: np.ndarray, step, axis) -> None:
-    """In-place application of one gate, given as (kind, targets, controls, params), or
-    of a :class:`_Chain`, to a tensor whose axis ``axis[w]``, of length 2, is wire w;
-    its other axes are left alone."""
-    if isinstance(step, _Chain):
+    """In-place application of one gate, given as (kind, targets, controls, params) or as
+    a chain's :class:`Gate` (:func:`_scan`), to a tensor whose axis ``axis[w]``, of length
+    2, is wire w; its other axes are left alone."""
+    if isinstance(step, Gate):
         _scan(state, step, axis)
         return
     kind, targets, controls, params = step
@@ -200,22 +195,13 @@ def _apply_gate(state: np.ndarray, step, axis) -> None:
         state[s1] *= f1
 
 
-class _Chain:
-    """A chain as one plan step: its gate, every step of which lowers to a gate, and
-    whether its trailing phase does (:func:`_chain_live`)."""
-
-    def __init__(self, gate, trailing: bool):
-        self.gate, self.trailing = gate, trailing
-
-
-def _scan(state: np.ndarray, chain: _Chain, axis) -> None:
+def _scan(state: np.ndarray, g: Gate, axis) -> None:
     """Run a chain on a tensor as one Givens scan.  Where the listed controls match, a
     row per register pattern: step t mixes rows t and t + 1 of the weight-w rows in
     chain order, and an ``hwk`` step also rows of a higher weight.  When every row the
     chain reads is empty but the packed (first) one, as in every compiled chain, the
     weight-w rows become that row times :func:`_from_packed`, scattered in parts whose
     index arrays hold no more entries than the slice; else the lowered gates run."""
-    g = chain.gate
     size = len(g.targets)
     lead = [axis[w] for w in g.targets] + [axis[w] for w, _ in g.controls]
     view = state.transpose(lead + sorted(set(range(state.ndim)).difference(lead)))[
@@ -230,32 +216,32 @@ def _scan(state: np.ndarray, chain: _Chain, axis) -> None:
         mixed = np.count_nonzero(packed) < sum(np.count_nonzero(view[np.unravel_index(
             patterns[lo:lo + starts.step], (2,) * size)]) for lo in starts)
     if mixed:
-        _apply_lowered(state, chain, axis)
+        _apply_lowered(state, g, axis)
         return
-    factor = _from_packed(chain)
+    factor = _from_packed(g)
     for lo in starts:
         at = np.unravel_index(patterns[lo:lo + starts.step], (2,) * size)
         view[at] = np.multiply.outer(factor[lo:lo + starts.step], packed)
 
 
-def _from_packed(chain: _Chain) -> np.ndarray:
+def _from_packed(g: Gate) -> np.ndarray:
     """Each weight-w row a chain leaves from its first row alone, as a multiple of it:
     the product of the a1 (:func:`_mixed`) of the steps before it times its own step's
     a0 or, at the last row, the trailing phase."""
-    p = np.array(chain.gate.params)
+    p = np.array(g.params)
     theta, turn = p[0:-1:2], np.exp(0.5j * p[1:-1:2])
     a0, a1 = turn * np.cos(theta / 2), turn.conj() * np.sin(theta / 2)
     factor = np.ones(len(a0) + 1, dtype=np.complex128)
     np.cumprod(a1, out=factor[1:])
     factor[:-1] *= a0
-    if chain.trailing:
+    if abs(p[-1]) > ANGLE_TOL:
         factor[-1] *= np.exp(1j * p[-1])
     return factor
 
 
-def _apply_lowered(state: np.ndarray, chain: _Chain, axis) -> None:
+def _apply_lowered(state: np.ndarray, g: Gate, axis) -> None:
     """Run a chain's lowered gates one by one."""
-    for step in _chain_steps(chain.gate):
+    for step in _chain_steps(g):
         _apply_gate(state, step, axis)
 
 
@@ -287,14 +273,13 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
     A step is a gate as the engines read it, (kind, targets, controls, params), of the
     circuit or of a chain's lowering; a list of consecutive ``mcphase`` steps
     controlled on every other wire (the residual distribution phases of a free-mode
-    circuit); or a :class:`_Chain`.  A simulated gate is a gate of the lowered circuit,
+    circuit); or a chain's :class:`Gate`.  A simulated gate is a gate of the lowered circuit,
     whose load and blocks these are: phases in a run touch one amplitude each, so they
     add no load; a multiplexor touches all.  Blocks are runs of at least two
     consecutive simulated gates on at most ``width`` wires, grown greedily and keyed by
-    their first step.  A chain of at least ``SCAN_MIN_PATTERNS`` patterns, every step
-    of which lowers to a gate, is one step where no block starts or ends inside it and
-    its trailing phase joins no phase run (:func:`_whole`); otherwise its lowered gates
-    are steps.
+    their first step.  A chain that :func:`circuit._chain_shape` keys is one step, loaded
+    and blocked from its shape's summary in O(wires), where no block starts or ends inside
+    it and its trailing phase joins no phase run (:func:`_whole`); else its lowered gates are.
     Tuples cost a third of the time of any object with named fields to build.
     """
     n = circuit.n_wires
@@ -306,26 +291,21 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
     for g in circuit.gates:
         if g.kind not in _CHAINS:
             lowered = ((g.kind, g.targets, g.controls, g.params),)
-        elif len(g.params) < 2 * SCAN_MIN_PATTERNS - 1 or not (
-                scan := _whole(g, n, span, width)):
+        elif not (scan := _whole(g, n, span, width)):
             lowered = _chain_steps(g)
         else:
-            chain, gates = scan
-            for targets, controls in gates:
-                touched = 1 << (n - len(controls))
-                for wire, _ in controls:
-                    load[wire] += touched
-                for wire in targets:
-                    load[wire] += touched
+            for c, wires, counts in scan.loads:
+                for wire, k in zip(wires, counts):
+                    load[wire] += k << (n - c)
             if width:
                 mask = _wires(g.targets, g.controls)
                 if (span | mask).bit_count() > width:
                     _add_block(blocks, start, len(steps), span, controls_of)
                     start, span, controls_of = len(steps), 0, []
                 span |= mask
-                controls_of += [len(controls) for _, controls in gates]
-            steps.append(chain)
-            extra += len(gates) - 1
+                controls_of += scan.controls
+            steps.append(g)
+            extra += len(scan.controls) - 1
             continue
         for step in lowered:
             kind, targets, controls, _ = step
@@ -367,23 +347,17 @@ def _wires(targets: tuple, controls: tuple) -> int:
     return sum(1 << wire for wire in targets) + sum(1 << wire for wire, _ in controls)
 
 
-def _whole(gate, n: int, span: int, width: int) -> tuple[_Chain, tuple] | None:
-    """A chain as one plan step after a run of steps on the wires ``span``, and the
-    (targets, controls) of its lowered gates (:func:`_chain_slots`), if it may be one
-    (see :func:`_plan`): every step lowers to a gate, its trailing phase joins no phase
-    run and, with blocks of ``width`` wires, its gates fit in the run or start a run
-    that holds them all."""
-    live, trailing = _chain_live(gate.params)
-    slots, (target, controls) = _chain_slots(gate.targets, gate.weight,
-                                             gate.controls if gate.kind == "hwk" else None)
-    if len(live) < len(slots) or trailing and len(controls) == n - 1:
-        return None
-    if width:
+def _whole(gate, n: int, span: int, width: int) -> ChainSummary | None:
+    """A chain's :func:`circuit._chain_summary` if it may be one plan step after a run on
+    the wires ``span`` (:func:`_plan`): :func:`circuit._chain_shape` keys it, its phase
+    joins no phase run and its gates fit in the run's ``width`` wires or all in a new one."""
+    summary = (shape := _chain_shape(gate)) and _chain_summary(*shape)
+    if summary and summary.controls[-1] < n - 1:  # else its phase would join a phase run
         mask = _wires(gate.targets, gate.controls)
-        if (span | mask).bit_count() > width and not (
-                (span | _wires(*slots[0])).bit_count() > width >= mask.bit_count()):
-            return None
-    return _Chain(gate, trailing), slots + (((target,), controls),) if trailing else slots
+        if not width or (span | mask).bit_count() <= width or (
+                (span | _wires(*summary.first)).bit_count() > width >= mask.bit_count()):
+            return summary
+    return None
 
 
 def _add_block(blocks: dict, start: int, stop: int, span: int, controls: list) -> None:
@@ -656,9 +630,9 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
                 done = block[0]
                 block_gates += block[2]
                 first_dense += block[2]
-            elif isinstance(step, _Chain):  # gate by gate, each a step of its own
+            elif isinstance(step, Gate):  # a chain, gate by gate, each a step of its own
                 done += 1
-                lowered = _chain_steps(step.gate)
+                lowered = _chain_steps(step)
                 for j, gate in enumerate(lowered):
                     if j and not stay(support.size):
                         rest = lowered[j:]

@@ -7,10 +7,15 @@ rows are empty but for the packed one in closed form, which must leave the suppo
 its lowering's state with amplitudes within 1e-14; other inputs, shorter chains and
 chains on the support outside blocks run their lowered gates, bit for bit.  Either
 way the plan's axis order, blocks and gate counters are the lowering's.  A chain's
-cost must be the lowering's, and its text must round-trip.
+cost must be the lowering's, and its text must round-trip.  Such a long chain, every
+step of which lowers to a gate, is costed and planned from the summaries of its shape,
+which must agree with a walk of its lowered gates.
 """
+import itertools
 import math
 import tracemalloc
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,12 +24,14 @@ from hypothesis import strategies as st
 
 from conftest import circuit_matrix
 
-from leafsep.circuit import (ANGLE_TOL, GATE_KINDS, Circuit, Gate, cost, crbs, export_text, hwk,
-                             lower, mcphase, mcrz, mcry, parse_text, two_qubit_cost, x)
+from leafsep.circuit import (ANGLE_TOL, GATE_KINDS, SCAN_MIN_PATTERNS, Circuit, Gate,
+                             _chain_layers, _chain_shape, _chain_steps, _chain_summary,
+                             _price_chain, cost, crbs, export_text, hwk, lower, mcphase, mcrz,
+                             mcry, parse_text, two_qubit_cost, x)
 from leafsep import simulator
 from leafsep.core import StateVector
 from leafsep.experiments import random_leaf_separable, random_mixed_leaf_separable
-from leafsep.simulator import SCAN_MIN_PATTERNS, _Chain, _plan, _run, simulate
+from leafsep.simulator import _plan, _run, simulate
 from leafsep.synthesis import (MODE_ANCILLA, MODE_FREE, SynthesisConfig, synthesize_full,
                                synthesize_hwk_encoder)
 
@@ -46,13 +53,21 @@ def _chain_circuits(draw):
     """One to three chains of size 2-9 at any weight, each fully conditioned, with no
     controls or with one or two signed controls, on any register of 2-11 wires, with
     zero, ANGLE_TOL-edge and random steps and trailing phases, on any superposition or
-    a basis state."""
+    a basis state.  Before each chain, up to three x, cx, mcx, mcry and mcphase gates
+    on its register with random signed controls leave its wires at unequal depths."""
     wires = draw(st.integers(2, 11))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     circ = Circuit(n_system=wires)
     for _ in range(draw(st.integers(1, 3))):
         order = draw(st.permutations(range(wires)))
         size = draw(st.integers(2, min(9, wires)))
+        for _ in range(draw(st.integers(0, 3))):
+            target = order[rng.integers(size)]
+            others = [w for w in rng.permutation(wires).tolist() if w != target]
+            make = draw(st.sampled_from([x, partial(mcry, rng.uniform(-7, 7)),
+                                         partial(mcphase, rng.uniform(-7, 7))]))
+            circ.add(make(target=target, controls=[(w, int(rng.choice([1, -1])))
+                                                   for w in others[:rng.integers(3)]]))
         weight = draw(st.integers(1, size - 1))
         # each (theta, phi), the last one's phi the trailing phase: both 0, at or near
         # ANGLE_TOL, or random, in one of four mixes
@@ -91,8 +106,8 @@ def _lowered_plan(circ: Circuit, width: int) -> tuple:
     """:func:`_plan`'s axis order, blocks and gate count, the blocks keyed and ended by
     simulated gate (a chain counts as its lowering's gates, a phase run as its gates)."""
     order, steps, blocks, gates = _plan(circ, width)
-    at = np.cumsum([0] + [len(lower(Circuit(circ.n_system, circ.n_ancilla, [s.gate])).gates)
-                          if isinstance(s, _Chain) else len(s) if isinstance(s, list)
+    at = np.cumsum([0] + [len(lower(Circuit(circ.n_system, circ.n_ancilla, [s])).gates)
+                          if isinstance(s, Gate) else len(s) if isinstance(s, list)
                           else 1 for s in steps]).tolist()
     return order, {at[i]: (at[stop], *rest) for i, (stop, *rest) in blocks.items()}, gates
 
@@ -108,7 +123,8 @@ def test_chains_run_as_their_lowering(case):
     wires, it also gives the scalar oracle's state."""
     circ, initial = case
     lowered = lower(circ)
-    assert {g.kind for g in lowered.gates} <= {"crbs", "mcphase"}
+    assert {h.kind for g in circ.gates if g.kind in ("hwk", "hwkz")
+            for h in lower(Circuit(circ.n_system, gates=[g])).gates} <= {"crbs", "mcphase"}
     agree = _close if len(initial.indices) == 1 and any(map(_scans, circ.gates)) else _same
     assert agree(simulate(circ, initial=initial).state, simulate(lowered, initial=initial).state)
     for args in ((_always,), (_always, _always, 4), (_always, _always, 10)):
@@ -179,6 +195,72 @@ def test_chain_lowering_drops_steps_within_the_tolerance():
     circ.gates.append(hwk((0.0,) * 6 + (edge,), 1, (3, 2, 1, 0), None))
     assert lower(circ).gates[2:] == [mcphase(edge, 3, [(0, -1), (1, -1), (2, -1)])]
     assert cost(circ) == cost(lower(circ))
+
+
+@pytest.mark.parametrize("size", range(2, 12))
+def test_chain_summary_is_a_walk_of_its_lowering(size):
+    """Every weight of a fully live chain on ``size`` wires, as an hwkz and as an hwk with
+    zero, one or two listed controls, with its trailing phase live and dead: the summaries
+    of its shape, which are keyed from SCAN_MIN_PATTERNS patterns on, agree with a walk of
+    the lowered gates: the tally, the layering from random per-wire depths, the loads, the
+    control counts and the first gate; and consecutive lowered gates share a wire (the
+    premise of the layering)."""
+    rng = np.random.default_rng([116, size])
+    for weight, listed, phase in itertools.product(range(1, size), (None, 0, 1, 2), (0.0, 0.7)):
+        order = rng.permutation(size + 2).tolist()
+        controls = None if listed is None else [(w, int(rng.choice([1, -1])))
+                                                 for w in order[size:size + listed]]
+        params = rng.uniform(0.1, 3, 2 * math.comb(size, weight) - 1)
+        params[-1] = phase
+        gate = hwk(params.tolist(), weight, order[:size], controls)
+        shape = (gate.targets, weight, None if controls is None else gate.controls, bool(phase))
+        keyed = math.comb(size, weight) >= SCAN_MIN_PATTERNS
+        assert _chain_shape(gate) == (shape if keyed else None)
+        depth = dict(enumerate(rng.integers(0, 2 * size, size + 2).tolist()))
+        walked, tally, load, counts, previous = dict(depth), Counter(), Counter(), [], None
+        lowered = _chain_steps(gate)
+        for kind, targets, ctrls, _ in lowered:
+            wires = [*targets, *(w for w, _ in ctrls)]
+            assert previous is None or previous & set(wires)
+            previous = set(wires)
+            tally[kind, len(ctrls)] += 1
+            counts.append(len(ctrls))
+            layer = 1 + max(walked[w] for w in wires)
+            for w in wires:
+                walked[w] = layer
+                load[w, len(ctrls)] += 1
+        priced, priced_tally = dict(depth), Counter()
+        _price_chain(*_chain_layers(*shape), priced_tally, priced)
+        assert priced_tally == tally and priced == walked
+        summary = _chain_summary(*shape)
+        assert summary.controls == bytes(counts)
+        assert summary.first == lowered[0][1:3]
+        assert Counter({(w, c): k for c, wires, counts in summary.loads
+                        for w, k in zip(wires, counts)}) == load
+
+
+def test_a_chain_with_a_dead_middle_step_costs_and_plans_as_its_lowering():
+    """A chain whose middle step's theta and phi are drawn from EDGE_ANGLES, so that the
+    step may lower to no gate, costs and plans as its lowering after other gates on its
+    wires, with the summary cache cleared and with it warm from the same shape fully
+    live."""
+    rng = np.random.default_rng(117)
+    for theta, phi in itertools.product(EDGE_ANGLES, repeat=2):
+        for controls in (None, [], [(7, -1)]):
+            params = rng.uniform(0.1, 3, 2 * math.comb(6, 3) - 1)
+            live = hwk(params.tolist(), 3, (5, 0, 3, 1, 4, 2), controls)
+            params[18:20] = theta, phi
+            dead = hwk(params.tolist(), 3, live.targets, controls)
+            circ = Circuit(n_system=8, gates=[x(0), mcry(0.4, 3, [(6, 1)]), dead])
+            lowered = lower(circ)
+            _chain_summary.cache_clear()
+            _chain_layers.cache_clear()
+            for shapes in ("cleared", "warm"):
+                assert cost(circ) == cost(lowered), shapes
+                for width in (0, 4, 10):
+                    assert _lowered_plan(circ, width) == _lowered_plan(lowered, width), shapes
+                cost(Circuit(n_system=8, gates=[live]))
+                _plan(Circuit(n_system=8, gates=[live]), 10)
 
 
 # One gate of every kind, on the wires of a 3 + 1-wire circuit
