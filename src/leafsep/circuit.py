@@ -49,10 +49,10 @@ value.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import numpy as np
@@ -63,9 +63,8 @@ from .core import ParseError, walsh_hadamard
 ANGLE_TOL = 1e-15  # a rotation angle at most this large emits no gate
 # A chain of fewer patterns is priced, planned and simulated step by step: a scan's fixed
 # cost, 30-40 us, is that of 4-5 lowered gates on 8 dense wires (one Xeon core, best of 5),
-# and summaries of its shape priced 2- and 3-pattern chains 1.1-1.7x slower.
+# and pricing from its shape's cached layers made 2- and 3-pattern chains 1.1-1.7x slower.
 SCAN_MIN_PATTERNS = 5
-ChainSummary = namedtuple("ChainSummary", "controls loads first")  # see _chain_summary
 
 # Each kind's parameter count (None: one per pattern of a multiplexor's controls, 2^c,
 # or 2 C(s, w) - 1 for a chain) and its text operands in order: a target wire, the one
@@ -233,24 +232,6 @@ def _chain_slots(register: tuple, w: int, extra):
 
 
 @lru_cache(maxsize=1024)
-def _chain_summary(register: tuple, w: int, extra, trailing: bool) -> ChainSummary:
-    """What the simulator's plan reads of the lowering of the chain :func:`_chain_shape`
-    keys: each gate's control count, (c, wires, c-controlled gates on each) per c and the
-    first gate's (targets, controls); wires are bytes (at most ``core.MAX_INDEX_QUBITS``)."""
-    steps, phase = _chain_slots(register, w, extra)
-    gates = steps + ((phase[:1], phase[1]),) if trailing else steps
-    controls = bytes(map(len, map(itemgetter(1), gates)))
-    loads = []
-    for c in set(controls):  # the wires of its c-controlled gates, a byte each
-        picked = list(compress(gates, map(c.__eq__, controls)))
-        touched = bytes(chain(chain.from_iterable(map(itemgetter(0), picked)), map(
-            itemgetter(0), chain.from_iterable(map(itemgetter(1), picked)))))
-        wires = bytes(set(touched))
-        loads.append((c, wires, tuple(map(touched.count, wires))))
-    return ChainSummary(controls, tuple(loads), gates[0])
-
-
-@lru_cache(maxsize=1024)
 def _chain_layers(register: tuple, w: int, extra, trailing: bool) -> tuple:
     """What :func:`cost` reads of the chain :func:`_chain_shape` keys: its gates' tally by
     (kind, control count), and (wire, first gate, last + 1, wires first touched by then - 1)."""
@@ -276,8 +257,9 @@ def _chain_live(params: tuple) -> tuple[list[int], bool]:
 
 
 def _chain_shape(gate: Gate) -> tuple | None:
-    """The key of a chain's summaries, (register, weight, listed controls or None for an
-    ``hwkz``, trailing phase live), if every one of its SCAN_MIN_PATTERNS+ steps is live."""
+    """The key of a chain's :func:`_chain_layers`, (register, weight, listed controls or
+    None for an ``hwkz``, trailing phase live), if every one of its SCAN_MIN_PATTERNS+
+    steps is live; its first three are those of its :func:`_chain_slots`."""
     p = gate.params
     if len(p) >= 2 * SCAN_MIN_PATTERNS - 1 and (
             min(map(abs, p[0:-1:2])) > ANGLE_TOL or len(_chain_live(p)[0]) == len(p) // 2):

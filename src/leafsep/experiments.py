@@ -111,11 +111,10 @@ def random_leaf_separable(n: int, k: int, ell: int, kind: str = "real",
     return _assemble(tree, (ell,), np.eye(ell + 1)[ell], kind, np.random.default_rng(seed))
 
 
-def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0,
-                                max_weight: int | None = None) -> StateVector:
+def random_mixed_leaf_separable(n: int, k: int, kind: str = "real", seed=0) -> StateVector:
     """Random superposition over weights 0..floor(n/2) with per-weight structure."""
-    top = n // 2 if max_weight is None else max_weight
-    _check_size(n, "max_weight", top, n // 2)
+    top = n // 2
+    _check_size(n, "top weight", top, top)  # the weight is in range: this checks n
     rng = np.random.default_rng(seed)
     tree = build_partition_tree(n, k)
     profile = np.sqrt(rng.dirichlet(np.ones(top + 1)))

@@ -15,10 +15,10 @@ C(n, ell) of 2^n amplitudes, and every gate after the input stage preserves the
 Hamming weight or toggles an ancilla that is a function of the system bits, so
 the support of a compiled circuit's run stays that small.
 
-The dense engine holds all 2^n amplitudes as a [2]*n tensor.  Multi-controlled
-gates are applied natively: the tensor is sliced at the control wires
-(selecting the matching polarity) and the 2x2 (or pair) update is applied to the
-target axes of that slice only.  Both engines take the gate arithmetic from
+The dense engine holds all 2^n amplitudes as a [2]*n tensor, axis w for wire w.
+Multi-controlled gates are applied natively: the tensor is sliced at the control
+wires (selecting the matching polarity) and the 2x2 (or pair) update is applied to
+the target axes of that slice only.  Both engines take the gate arithmetic from
 :func:`_mixed` and :func:`_diagonal`.
 
 A multiplexor (``ucry``/``ucrz``, such as the general-state baseline's) is one
@@ -32,9 +32,9 @@ chain, it runs as one Givens scan in closed form over its C(s, w) weight-w rows
 (:func:`_scan`), which rounds differently from its lowered gates by about 1e-16 in
 amplitude and leaves the same support.  On any other input, and for other chains
 and chains on the support outside blocks, the crbs steps and trailing mcphase of
-its lowering run, bit for bit as ``lower`` of it does.  Axis order, blocks and gate
-counters are the lowered circuit's, a one-step chain's read from its shape's
-``circuit._chain_summary``.  The engines read every other gate as a tuple.
+its lowering run, bit for bit as ``lower`` of it does.  Blocks and gate counters are
+the lowered circuit's, a one-step chain's read from its shape's ``circuit._chain_slots``.
+The engines read every other gate as a tuple.
 
 A run starts on the support and stays there while the support holds at most a
 quarter of the 2^wires amplitudes; from the first step at which it holds more,
@@ -72,21 +72,15 @@ blocks with hundreds of columns and gains nothing; at a width of 12 it gains
 that whole runs of 16- to 20-wire free-mode circuits slowed by up to 1.5x.  A
 circuit that runs dense never plans blocks.
 
-:func:`simulate` plans a circuit before it runs it.  The plan orders the
-tensor's axes by decreasing wire load (the amplitudes its gates touch, summed
-over the gates on that wire), so the wires the gates slice most, such as the
-ancillas every encoder gate is controlled on, become the most significant axes
-and the slices the gates update are long contiguous runs.  Runs of ``mcphase``
-gates controlled on every other wire touch one amplitude each; the plan applies
-each run as one indexed multiply instead of paying the per-gate slicing cost
-once per amplitude.  The residual distribution phases of a free-mode circuit
-(the part not additive over leaves, which only non-separable targets such as
-dense fixed-weight ones need) are such a run; in ancilla mode they leave the
-ancillas out and are applied gate by gate.
-The dense state starts in the plan's axis order and is permuted back once at
-the end.  Either engine returns the state's support in wire order: ancilla wires
-sit after the system wires as the low index bits, so a state on the system wires
-embeds with |0...0> on the ancillas by a shift of its indices.
+:func:`simulate` plans a circuit before it runs it.  Runs of ``mcphase`` gates
+controlled on every other wire touch one amplitude each; the plan applies each run
+as one indexed multiply instead of paying the per-gate slicing cost once per
+amplitude.  The residual distribution phases of a free-mode circuit (the part not
+additive over leaves, which only non-separable targets such as dense fixed-weight
+ones need) are such a run; in ancilla mode they leave the ancillas out and are
+applied gate by gate.  Either engine returns the state's support in wire order:
+ancilla wires sit after the system wires as the low index bits, so a state on the
+system wires embeds with |0...0> on the ancillas by a shift of its indices.
 
 Fidelity and purity come from one pass over the output (:func:`_diagnostics`),
 read as a matrix with a row per system index present and a column per ancilla
@@ -106,8 +100,8 @@ from functools import partial
 
 import numpy as np
 
-from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, ANGLE_TOL, ChainSummary, Circuit, Gate,
-                      _chain_shape, _chain_steps, _chain_summary)
+from .circuit import (_CHAINS, _MULTIPLEXORS, _X_FAMILY, ANGLE_TOL, Circuit, Gate, _chain_shape,
+                      _chain_slots, _chain_steps)
 from .combinatorics import ehrlich_patterns
 from .core import StateVector, dense_size, find_sorted
 
@@ -266,24 +260,21 @@ def _rotate(kind: str, angle: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         y += kept
 
 
-def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]:
-    """Axis order (wires, most significant axis first), steps, blocks (with a ``width``)
-    and the count of simulated gates, in one pass.
+def _plan(circuit: Circuit, width: int = 0) -> tuple[list, dict, int]:
+    """Steps, blocks (with a ``width``) and the count of simulated gates, in one pass.
 
     A step is a gate as the engines read it, (kind, targets, controls, params), of the
     circuit or of a chain's lowering; a list of consecutive ``mcphase`` steps
     controlled on every other wire (the residual distribution phases of a free-mode
     circuit); or a chain's :class:`Gate`.  A simulated gate is a gate of the lowered circuit,
-    whose load and blocks these are: phases in a run touch one amplitude each, so they
-    add no load; a multiplexor touches all.  Blocks are runs of at least two
-    consecutive simulated gates on at most ``width`` wires, grown greedily and keyed by
-    their first step.  A chain that :func:`circuit._chain_shape` keys is one step, loaded
-    and blocked from its shape's summary in O(wires), where no block starts or ends inside
-    it and its trailing phase joins no phase run (:func:`_whole`); else its lowered gates are.
+    whose blocks these are.  Blocks are runs of at least two consecutive simulated gates
+    on at most ``width`` wires, grown greedily and keyed by their first step.  A chain
+    that :func:`circuit._chain_shape` keys is one step, blocked from its shape's slots,
+    where no block starts or ends inside it and its trailing phase joins no phase run
+    (:func:`_whole`); else its lowered gates are.
     Tuples cost a third of the time of any object with named fields to build.
     """
     n = circuit.n_wires
-    load = [0] * n
     steps: list = []
     blocks: dict = {}
     start, span, controls_of = 0, 0, []  # the open run (see _add_block)
@@ -291,21 +282,18 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
     for g in circuit.gates:
         if g.kind not in _CHAINS:
             lowered = ((g.kind, g.targets, g.controls, g.params),)
-        elif not (scan := _whole(g, n, span, width)):
+        elif not (counts := _whole(g, n, span, width)):
             lowered = _chain_steps(g)
         else:
-            for c, wires, counts in scan.loads:
-                for wire, k in zip(wires, counts):
-                    load[wire] += k << (n - c)
             if width:
                 mask = _wires(g.targets, g.controls)
                 if (span | mask).bit_count() > width:
                     _add_block(blocks, start, len(steps), span, controls_of)
                     start, span, controls_of = len(steps), 0, []
                 span |= mask
-                controls_of += scan.controls
+                controls_of += counts
             steps.append(g)
-            extra += len(scan.controls) - 1
+            extra += len(counts) - 1
             continue
         for step in lowered:
             kind, targets, controls, _ = step
@@ -319,12 +307,6 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
                         start, span, controls_of = len(steps) + 1, 0, []
                     steps.append([step])
                 continue
-            sliced = 0 if kind in _MULTIPLEXORS else len(controls)
-            touched = 1 << (n - sliced)
-            for wire, _ in controls:
-                load[wire] += touched
-            for wire in targets:
-                load[wire] += touched
             if width:
                 mask = 0
                 for wire, _ in controls:
@@ -335,11 +317,11 @@ def _plan(circuit: Circuit, width: int = 0) -> tuple[list[int], list, dict, int]
                     _add_block(blocks, start, len(steps), span, controls_of)
                     start, span, controls_of = len(steps), 0, []
                 span |= mask
-                controls_of.append(sliced)
+                controls_of.append(0 if kind in _MULTIPLEXORS else len(controls))
             steps.append(step)
     if width:
         _add_block(blocks, start, len(steps), span, controls_of)
-    return sorted(range(n), key=lambda w: -load[w]), steps, blocks, len(steps) + extra
+    return steps, blocks, len(steps) + extra
 
 
 def _wires(targets: tuple, controls: tuple) -> int:
@@ -347,16 +329,21 @@ def _wires(targets: tuple, controls: tuple) -> int:
     return sum(1 << wire for wire in targets) + sum(1 << wire for wire, _ in controls)
 
 
-def _whole(gate, n: int, span: int, width: int) -> ChainSummary | None:
-    """A chain's :func:`circuit._chain_summary` if it may be one plan step after a run on
-    the wires ``span`` (:func:`_plan`): :func:`circuit._chain_shape` keys it, its phase
-    joins no phase run and its gates fit in the run's ``width`` wires or all in a new one."""
-    summary = (shape := _chain_shape(gate)) and _chain_summary(*shape)
-    if summary and summary.controls[-1] < n - 1:  # else its phase would join a phase run
+def _whole(gate, n: int, span: int, width: int) -> list[int] | None:
+    """The control counts of a chain's lowered gates if it may be one plan step after a
+    run on the wires ``span`` (:func:`_plan`): :func:`circuit._chain_shape` keys it, its
+    phase joins no phase run and its gates fit in the run's ``width`` wires or all in a
+    new one.  Every crbs of a chain has its first's controls, read with the trailing
+    phase's from :func:`circuit._chain_slots`."""
+    if not (shape := _chain_shape(gate)):
+        return None
+    steps, phase = _chain_slots(*shape[:3])
+    counts = [len(steps[0][1])] * len(steps) + [len(phase[1])] * shape[3]
+    if counts[-1] < n - 1:  # else its phase would join a phase run
         mask = _wires(gate.targets, gate.controls)
         if not width or (span | mask).bit_count() <= width or (
-                (span | _wires(*summary.first)).bit_count() > width >= mask.bit_count()):
-            return summary
+                (span | _wires(*steps[0])).bit_count() > width >= mask.bit_count()):
+            return counts
     return None
 
 
@@ -574,8 +561,8 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
     When ``target`` (system wires) is given, phase-insensitive fidelity and the
     system-register purity are filled in, both from one pass over the output
     (:func:`_diagnostics`).  ``elapsed`` covers planning, the
-    gates on either engine, the move from the support to the dense state and
-    both permutations of the dense state, but not fidelity or purity.
+    gates on either engine and the move from the support to the dense state, but
+    not fidelity or purity.
     ``gates``, ``first_dense_gate`` and ``block_gates`` count simulated gates: the
     circuit's, with each chain (``hwk``/``hwkz``) as the gates of its lowering and a
     multiplexor as one.  ``first_dense_gate`` is 0 when the whole run was dense and
@@ -598,7 +585,7 @@ def simulate(circuit: Circuit, initial=None, target: StateVector | None = None) 
 def _run(circuit: Circuit, initial, stay, fuse=None,
          width: int = BLOCK_MAX_WIRES) -> tuple[StateVector, int, int, int, int]:
     """Plan and run ``circuit`` on ``initial``: on the support while ``stay(size)``
-    holds before each step, then dense in the plan's layout.  On the support, runs
+    holds before each step, then dense in wire order.  On the support, runs
     of gates on at most ``width`` wires are blocks, each run as one step when
     ``fuse`` (see :meth:`_Support.block`) agrees; with no ``fuse`` every gate is a
     step of its own.
@@ -619,7 +606,7 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         indices, values = initial.indices << (n - initial.n), initial.values
     done = first_dense = block_gates = 0
     on_support = stay(len(indices))
-    order, steps, blocks, gates = _plan(circuit, width if on_support and fuse is not None else 0)
+    steps, blocks, gates = _plan(circuit, width if on_support and fuse is not None else 0)
     rest: list = []  # a chain's lowered gates still to run, when the run left the support
     if on_support:
         support = _Support(n, indices, values)
@@ -651,25 +638,15 @@ def _run(circuit: Circuit, initial, stay, fuse=None,
         if done == len(steps) and not rest:
             return (StateVector(n, indices, values, check=False), peak, first_dense,
                     block_gates, gates)
-    if done == 0 and initial is None:  # |0...0> is index 0 in any axis order
-        state = np.zeros([2] * n, dtype=np.complex128)
-        state[(0,) * n] = 1.0
-    else:
-        state = np.zeros(1 << n, dtype=np.complex128)  # in wire order until the copy
-        state[indices] = values
-        del indices, values
-        state = state.reshape([2] * n).transpose(order).copy()
-    axis = [0] * n
-    for a, wire in enumerate(order):
-        axis[wire] = a
-    bit = [1 << (n - 1 - a) for a in axis]
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[indices] = values
+    del indices, values
+    state, axis, bit = amps.reshape([2] * n), range(n), [1 << (n - 1 - w) for w in range(n)]
     for step in rest + steps[done:]:
         if isinstance(step, list):
-            np.multiply.at(state.reshape(-1), *_phase_run(step, bit))
+            np.multiply.at(amps, *_phase_run(step, bit))
         else:
             _apply_gate(state, step, axis)
-    amps = state.transpose(axis).reshape(-1)
-    del state  # the planned layout, unless it was wire order and ``amps`` is a view of it
     indices = np.flatnonzero(amps != 0)
     values = amps if len(indices) == len(amps) else amps[indices]
     return (StateVector(n, indices, values, check=False), 1 << n, first_dense, block_gates,

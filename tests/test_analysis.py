@@ -7,10 +7,10 @@ from conftest import (child_weight_norms, class_indices, dicke_state, separabili
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafsep.analysis import (DEAD_BRANCH_TOL, _classes, analyze, distribution_table,
-                              encoder_angles, is_leaf_separable, leaf_amplitude_table,
-                              reconstruct_amplitudes, rotation_ladder_angles,
-                              weight_split_amplitudes)
+from leafsep.analysis import (DEAD_BRANCH_TOL, SeparabilityReport, _classes, analyze,
+                              distribution_table, encoder_angles, is_leaf_separable,
+                              leaf_amplitude_table, reconstruct_amplitudes,
+                              rotation_ladder_angles, weight_split_amplitudes)
 from leafsep.combinatorics import ehrlich_sequence
 from leafsep.core import (StateVector, build_partition_tree, enumerate_weight_distributions,
                           index_to_string)
@@ -97,6 +97,8 @@ def test_is_leaf_separable_worked_example(worked_example):
     assert report.violations == []
     assert {"I": [1, 1], "c": pytest.approx(1 / math.sqrt(2))} in [
         {"I": d["I"], "c": d["c"]} for d in report.distributions]
+    bare = SeparabilityReport(separable=True, tol=report.tol)  # no table: none to list
+    assert bare.distributions == [] and bare.to_json_dict()["distributions"] == []
 
 
 def test_is_leaf_separable_counterexample():
@@ -344,6 +346,9 @@ def test_ladder_angles_worked_example():
 
 def test_ladder_angles_trivial():
     assert rotation_ladder_angles([1.0, 0.0]) == [0.0]
+    assert abs(rotation_ladder_angles([1.0, -1e-16])[0]) < 1e-15  # within rounding of 0
+    with pytest.raises(ValueError, match="ladder amplitudes must be non-negative"):
+        rotation_ladder_angles([0.6, -0.8])
 
 
 def test_ladder_angles_dicke_values():

@@ -4,7 +4,8 @@
 deletion in ``src/leafsep`` that the harness still needs shows up here.  Only the
 shape of the result line and the correctness gate are checked, not the timings.
 Reports land in ``bench/out/``, which git ignores.  The small corpus's two-qubit
-gate count is pinned per workload, so a gate-count regression fails here too.
+gate count, total gate count and depth are pinned per workload, so a gate-count
+regression fails here too.
 """
 import json
 import os
@@ -17,8 +18,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
     BENCHMARK = json.load(fh)
 
-SMALL_TWO_QUBIT_GATES = {"narrow-leaves": 536, "wide-leaves-ancilla": 1032,
-                         "mixed-nonsep": 875, "cost-compare": 6524}
+# two_qubit_gates, total_gates and depth of each workload's small corpus at seed 4
+SMALL_GATE_COUNTS = {"narrow-leaves": (536, 1052, 48), "wide-leaves-ancilla": (1032, 2004, 80),
+                     "mixed-nonsep": (875, 1706, 94), "cost-compare": (6524, 11596, 2416)}
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
@@ -32,4 +34,5 @@ def test_bench_workload_runs(workload):
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
     assert {m["name"] for m in BENCHMARK["end_to_end"]} <= set(result["metrics"])
-    assert result["metrics"]["two_qubit_gates"]["value"] == SMALL_TWO_QUBIT_GATES[workload]
+    assert tuple(result["metrics"][name]["value"] for name in (
+        "two_qubit_gates", "total_gates", "depth")) == SMALL_GATE_COUNTS[workload]

@@ -6,10 +6,10 @@ dense engine and blocks run a chain of at least ``SCAN_MIN_PATTERNS`` patterns w
 rows are empty but for the packed one in closed form, which must leave the support of
 its lowering's state with amplitudes within 1e-14; other inputs, shorter chains and
 chains on the support outside blocks run their lowered gates, bit for bit.  Either
-way the plan's axis order, blocks and gate counters are the lowering's.  A chain's
-cost must be the lowering's, and its text must round-trip.  Such a long chain, every
-step of which lowers to a gate, is costed and planned from the summaries of its shape,
-which must agree with a walk of its lowered gates.
+way the plan's blocks and gate counters are the lowering's.  A chain's cost must be
+the lowering's, and its text must round-trip.  Such a long chain, every step of which
+lowers to a gate, is costed from its shape's cached layers and planned from its
+shape's slots, which must agree with a walk of its lowered gates.
 """
 import itertools
 import math
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import circuit_matrix
 
 from leafsep.circuit import (ANGLE_TOL, GATE_KINDS, SCAN_MIN_PATTERNS, Circuit, Gate,
-                             _chain_layers, _chain_shape, _chain_steps, _chain_summary,
+                             _chain_layers, _chain_shape, _chain_slots, _chain_steps,
                              _price_chain, cost, crbs, export_text, hwk, lower, mcphase, mcrz,
                              mcry, parse_text, two_qubit_cost, x)
 from leafsep import simulator
@@ -103,13 +103,13 @@ def _scans(gate) -> bool:
 
 
 def _lowered_plan(circ: Circuit, width: int) -> tuple:
-    """:func:`_plan`'s axis order, blocks and gate count, the blocks keyed and ended by
-    simulated gate (a chain counts as its lowering's gates, a phase run as its gates)."""
-    order, steps, blocks, gates = _plan(circ, width)
+    """:func:`_plan`'s blocks and gate count, the blocks keyed and ended by simulated
+    gate (a chain counts as its lowering's gates, a phase run as its gates)."""
+    steps, blocks, gates = _plan(circ, width)
     at = np.cumsum([0] + [len(lower(Circuit(circ.n_system, circ.n_ancilla, [s])).gates)
                           if isinstance(s, Gate) else len(s) if isinstance(s, list)
                           else 1 for s in steps]).tolist()
-    return order, {at[i]: (at[stop], *rest) for i, (stop, *rest) in blocks.items()}, gates
+    return {at[i]: (at[stop], *rest) for i, (stop, *rest) in blocks.items()}, gates
 
 
 @settings(max_examples=80)
@@ -119,7 +119,7 @@ def test_chains_run_as_their_lowering(case):
     chain gives the support its lowering gives, with the same counters and peak, and
     amplitudes within 1e-14 (bit for bit where no chain scans: from a superposition,
     which populates every row a chain reads, on the support outside blocks, or with
-    short chains only); its plan has the lowering's axis order and blocks; up to 6
+    short chains only); its plan has the lowering's blocks; up to 6
     wires, it also gives the scalar oracle's state."""
     circ, initial = case
     lowered = lower(circ)
@@ -200,11 +200,12 @@ def test_chain_lowering_drops_steps_within_the_tolerance():
 @pytest.mark.parametrize("size", range(2, 12))
 def test_chain_summary_is_a_walk_of_its_lowering(size):
     """Every weight of a fully live chain on ``size`` wires, as an hwkz and as an hwk with
-    zero, one or two listed controls, with its trailing phase live and dead: the summaries
-    of its shape, which are keyed from SCAN_MIN_PATTERNS patterns on, agree with a walk of
-    the lowered gates: the tally, the layering from random per-wire depths, the loads, the
-    control counts and the first gate; and consecutive lowered gates share a wire (the
-    premise of the layering)."""
+    zero, one or two listed controls, with its trailing phase live and dead: what is read
+    of its shape, which is keyed from SCAN_MIN_PATTERNS patterns on, agrees with a walk of
+    the lowered gates: the tally and the layering from random per-wire depths of its
+    layers; the control counts the plan takes, every crbs having the first's; and the
+    first gate of its slots.  Consecutive lowered gates share a wire (the premise of the
+    layering)."""
     rng = np.random.default_rng([116, size])
     for weight, listed, phase in itertools.product(range(1, size), (None, 0, 1, 2), (0.0, 0.7)):
         order = rng.permutation(size + 2).tolist()
@@ -217,7 +218,7 @@ def test_chain_summary_is_a_walk_of_its_lowering(size):
         keyed = math.comb(size, weight) >= SCAN_MIN_PATTERNS
         assert _chain_shape(gate) == (shape if keyed else None)
         depth = dict(enumerate(rng.integers(0, 2 * size, size + 2).tolist()))
-        walked, tally, load, counts, previous = dict(depth), Counter(), Counter(), [], None
+        walked, tally, counts, previous = dict(depth), Counter(), [], None
         lowered = _chain_steps(gate)
         for kind, targets, ctrls, _ in lowered:
             wires = [*targets, *(w for w, _ in ctrls)]
@@ -228,21 +229,20 @@ def test_chain_summary_is_a_walk_of_its_lowering(size):
             layer = 1 + max(walked[w] for w in wires)
             for w in wires:
                 walked[w] = layer
-                load[w, len(ctrls)] += 1
         priced, priced_tally = dict(depth), Counter()
         _price_chain(*_chain_layers(*shape), priced_tally, priced)
         assert priced_tally == tally and priced == walked
-        summary = _chain_summary(*shape)
-        assert summary.controls == bytes(counts)
-        assert summary.first == lowered[0][1:3]
-        assert Counter({(w, c): k for c, wires, counts in summary.loads
-                        for w, k in zip(wires, counts)}) == load
+        crbs = [c for (kind, *_), c in zip(lowered, counts) if kind == "crbs"]
+        assert crbs == [counts[0]] * len(crbs)
+        if keyed:
+            assert simulator._whole(gate, size + 2, 0, 0) == counts
+        assert _chain_slots(*shape[:3])[0][0] == lowered[0][1:3]
 
 
 def test_a_chain_with_a_dead_middle_step_costs_and_plans_as_its_lowering():
     """A chain whose middle step's theta and phi are drawn from EDGE_ANGLES, so that the
     step may lower to no gate, costs and plans as its lowering after other gates on its
-    wires, with the summary cache cleared and with it warm from the same shape fully
+    wires, with the shape caches cleared and with them warm from the same shape fully
     live."""
     rng = np.random.default_rng(117)
     for theta, phi in itertools.product(EDGE_ANGLES, repeat=2):
@@ -253,7 +253,7 @@ def test_a_chain_with_a_dead_middle_step_costs_and_plans_as_its_lowering():
             dead = hwk(params.tolist(), 3, live.targets, controls)
             circ = Circuit(n_system=8, gates=[x(0), mcry(0.4, 3, [(6, 1)]), dead])
             lowered = lower(circ)
-            _chain_summary.cache_clear()
+            _chain_slots.cache_clear()
             _chain_layers.cache_clear()
             for shapes in ("cleared", "warm"):
                 assert cost(circ) == cost(lowered), shapes

@@ -476,6 +476,8 @@ def test_repeated_line_parses_to_equal_gates():
     line = "mcrz(0.5) [q2-,a0+] q1"
     parsed = parse_text("# n=3 k=1 ell=1 mode=none\n# ancilla=1\n" + (line + "\n") * 100)
     assert parsed.gates == [mcrz(0.5, 1, controls=[(2, -1), (3, 1)])] * 100
+    spaced = parse_text(f"# n=3 k=1 ell=1 mode=none\n# ancilla=1\n{line}\n\n  \n{line}\n")
+    assert spaced.gates == parsed.gates[:2]  # blank lines between gate lines are skipped
 
 
 def test_parse_reads_non_canonical_wire_tokens():

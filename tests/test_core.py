@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafsep.core import (MAX_QUBITS, ParseError, StateVector, build_partition_tree,
-                          enumerate_weight_distributions, index_to_string, string_to_index)
+                          enumerate_weight_distributions, find_sorted, index_to_string,
+                          string_to_index)
 from leafsep.simulator import fidelity, system_purity
 
 
@@ -27,6 +28,9 @@ def test_string_index_round_trip():
             s = index_to_string(i, n)
             assert string_to_index(s) == i
             assert len(s) == n
+        for i in (-1, 1 << n):
+            with pytest.raises(ValueError, match=f"index {i} out of range for {n} qubits"):
+                index_to_string(i, n)
 
 
 @pytest.mark.parametrize("build", [
@@ -145,6 +149,20 @@ def test_checked_state_vector_owns_its_arrays():
     assert abs(psi.norm() - 1.0) < 1e-12
     assert psi.indices.tolist() == [0, 3] and psi.values.tolist() == [0.6, 0.8]
     assert psi.amplitude("11") == 0.8
+
+
+def test_empty_support_reads_zeros_and_repr_shows_four_entries():
+    """A state with no support reads 0 everywhere; ``repr`` lists at most four entries
+    and marks the rest with "..."."""
+    empty = StateVector(3, [], [], check=False)
+    assert np.array_equal(empty.lookup([0, 5, 7]), np.zeros(3))
+    pos, found = find_sorted(np.array([], np.int64), np.array([2, 4]))
+    assert pos.tolist() == [0, 0] and found.tolist() == [False, False]
+    assert repr(empty) == "StateVector(n=3, {})"
+    assert repr(StateVector.basis(2, "10")) == "StateVector(n=2, {10: 1+0j})"
+    five = StateVector(3, [0, 1, 2, 3, 4], [0.5, -0.5, 0.5j, 0.25, 0.25], check=False)
+    assert repr(five) == ("StateVector(n=3, {000: 0.5+0j, 001: -0.5+0j, 010: 0+0.5j, "
+                          "011: 0.25+0j, ...})")
 
 
 def test_state_vector_rejects_malformed_support():

@@ -95,11 +95,7 @@ def test_generators_reject_weights_out_of_range():
             random_leaf_separable(4, 2, ell)
         with pytest.raises(ValueError, match=rf"w must be in \[0, 4\] for n=4, got {ell}"):
             random_fixed_weight_state(4, ell)
-    for top in (-1, 3):
-        with pytest.raises(ValueError, match=r"max_weight must be in \[0, 2\]"):
-            random_mixed_leaf_separable(4, 2, max_weight=top)
     assert random_leaf_separable(4, 2, 4).weights_present() == [4]
-    assert random_mixed_leaf_separable(4, 2, max_weight=0).weights_present() == [0]
 
 
 def test_fidelity_sweep_rejects_empty_cells():
@@ -107,6 +103,11 @@ def test_fidelity_sweep_rejects_empty_cells():
         ExperimentConfig(n_values=(4,), states_per_cell=0)
     with pytest.raises(ValueError, match=r"no \(n, k\) cell to run: k \(9,\) exceeds every n"):
         run_fidelity_sweep(ExperimentConfig(n_values=(4,), k_values=(9,), states_per_cell=1))
+
+
+def test_generators_reject_unknown_fields():
+    with pytest.raises(ValueError, match="unknown amplitude field 'integer'"):
+        random_leaf_separable(4, 2, 2, "integer")
 
 
 def test_generators_reject_sizes_out_of_range():

@@ -36,6 +36,9 @@ def test_initial_state():
     assert len(synthesize_initial(5, 0).gates) == 0
     res = simulate(synthesize_initial(3, 3))
     assert abs(res.state.amplitude("111") - 1.0) < 1e-15
+    for ell in (-1, 4):
+        with pytest.raises(ValueError, match=r"ell must be in \[0, 3\]"):
+            synthesize_initial(3, ell)
 
 
 def test_gwdb_worked_example(worked_example, intermediate_example):
@@ -51,6 +54,8 @@ def test_gwdb_zero_angles_is_identity():
     tree = build_partition_tree(4, 2)
     gates = synthesize_gwdb(tree.root, 2, [0.0, 0.0])
     assert gates == []
+    with pytest.raises(ValueError, match="transfer blocks act on internal nodes"):
+        synthesize_gwdb(tree.root.left, 1, [0.0])
 
 
 def test_gwdb_dicke_intermediate():
@@ -155,6 +160,8 @@ def test_hwk_encoder_examples():
     assert synthesize_hwk_encoder(3, 0, [1.0]) == []
     with pytest.raises(ValueError, match="weight-0"):
         synthesize_hwk_encoder(3, 0, [cmath.exp(0.3j)])
+    with pytest.raises(ValueError, match="expected 3 amplitudes, got 2"):
+        synthesize_hwk_encoder(3, 1, [0.6, 0.8])
 
 
 @pytest.mark.parametrize("n,w,kind", [(4, 2, "real"), (5, 2, "complex"),
@@ -567,6 +574,8 @@ def test_mixed_weight_input_prepares_heavy_profiles():
         assert np.max(np.abs(res.state.amplitudes - expected)) < 1e-12
     with pytest.raises(ValueError, match="profile has 4 weights, 2 qubits hold 0..2"):
         synthesize_mixed_weight_input([0.0, 0.0, 0.0, 1.0], 2)
+    with pytest.raises(ValueError, match="profile must have unit norm"):
+        synthesize_mixed_weight_input([0.6, 0.6], 2)
 
 
 @pytest.mark.parametrize("mode", [MODE_FREE, MODE_ANCILLA])
